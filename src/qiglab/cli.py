@@ -38,6 +38,7 @@ from .metrics import (
 from .duality import (
     FALSIFICATION_GAP,
     POSITIVE_TOL,
+    band,
     classical_reduction_check,
     convexity_failure_check,
     dual_coordinate_check,
@@ -46,6 +47,7 @@ from .duality import (
     flatness_scan,
     gibbs_family,
     kernel_direct_consistency,
+    matched_metric,
     monotonicity_scan,
     path_dependence_witness,
     potential_check,
@@ -260,27 +262,19 @@ _COLUMNS = {
     ],
 }
 
-_CSV_NOTE = """\
+_CSV_NOTE = (
+    """\
 CSV columns per subcommand (a trailing wall_clock_s column is filled on the
 summary row only; the effective configuration becomes a '# config' comment
 line right after the header; negative list values need the --key=v1,v2 form):
-  metric-table       record,check,dim,alpha,metric,value,status
-  duality            record,metric,alpha,family,manifold,defect,status
-  transport-duality  record,metric,alpha,initial_value,deviation,status
-  potential          record,alpha,dim,hessian_residual,gradient_residual,
-                     jacobian_residual,legendre_residual,status
-  uniqueness-scan    record,candidate,defect,band,expected_dual,status
-  monotonicity       record,metric,trials,min_margin,
-                     depolarizing_strict_fraction,regularized,inconclusive,status
-  flatness           record,check,alpha,value,status
-  convexity-failure  record,check,alpha,value,status
-  entropy-projection record,instance,converged,iterations,mean_residual,
-                     orthogonality_residual,relative_entropy,status
-
+"""
+    + "".join(f"  {name:<18} {','.join(cols)}\n" for name, cols in _COLUMNS.items())
+    + """
 Config files hold 'key = value' lines ('#' comments allowed) with the same
 keys as the long options (dashes or underscores); precedence is
 command line > config file > built-in defaults.
 """
+)
 
 
 def _read_config(path: str) -> dict:
@@ -320,9 +314,7 @@ def _metric_from_token(token: str, alpha: float):
     """Resolve a --metric token; bare 'wyd' matches the embedding order."""
     token = token.strip().lower()
     if token == "wyd":
-        if abs(alpha) >= 1.0:
-            return bkm_function()
-        return wyd_function(0.5 * (1.0 + alpha))
+        return matched_metric(alpha)
     if token.startswith("wyd:"):
         return wyd_function(float(token[4:]))
     if token == "bkm":
@@ -332,14 +324,6 @@ def _metric_from_token(token: str, alpha: float):
     if token == "rld":
         return rld_function()
     raise ValueError(f"unknown metric {token!r} (use wyd, wyd:<p>, bkm, bures or rld)")
-
-
-def _band(value: float, tol: float, gap: float) -> str:
-    if value <= tol:
-        return "pass"
-    if value >= gap:
-        return "fail"
-    return "inconclusive"
 
 
 def _verdict(statuses) -> str:
@@ -459,7 +443,7 @@ def _run_duality(opt):
                             "family": witness.name,
                             "manifold": "weight" if witness.on_extended else "state",
                             "defect": rep.defect,
-                            "status": _band(rep.defect, tol, gap),
+                            "status": band(rep.defect, tol, gap),
                         }
                     )
     return records, {"max_defect": worst}
@@ -490,7 +474,7 @@ def _run_transport_duality(opt):
                     "alpha": alpha,
                     "initial_value": rep.initial_value,
                     "deviation": rep.deviation,
-                    "status": _band(rep.deviation, tol, gap),
+                    "status": band(rep.deviation, tol, gap),
                 }
             )
     return records, {"max_deviation": worst}

@@ -33,6 +33,7 @@ from .manifold import (
 
 __all__ = [
     "SECOND_DERIVATIVE_STEP",
+    "CONTINUITY_BOUND",
     "CurveSpec",
     "CovariantDerivativeResult",
     "ext_covariant_derivative",
@@ -45,9 +46,7 @@ __all__ = [
 SECOND_DERIVATIVE_STEP = 1e-3
 
 # Consecutive curve samples may differ by at most this much in Frobenius norm.
-_CONTINUITY_BOUND = 0.5
-
-_STATE_TRACE_TOL = 1e-8
+CONTINUITY_BOUND = 0.5
 
 
 @dataclass
@@ -115,11 +114,11 @@ def _fd_embedded_second_partial(
 def _embedded_second_partial(
     family: ParametrizedFamily, theta: np.ndarray, i: int, j: int, alpha: float, step: float
 ):
-    """(sigma, second partial of the embedded chart) at theta."""
+    """(sigma, its Spectrum, second partial of the embedded chart) at theta."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     sigma = family.point(theta)
+    spec = spectral_decompose(sigma)
     if family.has_analytic_second_order:
-        spec = spectral_decompose(sigma)
         fun = embedding_function(alpha)
         d_i = family.jacobian(theta, i)
         d_j = family.jacobian(theta, j)
@@ -127,8 +126,8 @@ def _embedded_second_partial(
         d2 = frechet_second_derivative(spec, d_i, d_j, fun) + frechet_derivative(
             spec, d_ij, fun
         )
-        return sigma, hermitize(d2)
-    return sigma, _fd_embedded_second_partial(family, theta, i, j, alpha, step)
+        return sigma, spec, hermitize(d2)
+    return sigma, spec, _fd_embedded_second_partial(family, theta, i, j, alpha, step)
 
 
 def ext_covariant_derivative(
@@ -145,8 +144,8 @@ def ext_covariant_derivative(
     mixture representation at the base point. Vanishes identically in
     coordinates that make the embedding affine.
     """
-    sigma, d2 = _embedded_second_partial(family, theta, i, j, alpha, step)
-    mixture = representation_convert(sigma, d2, alpha, -1.0)
+    sigma, spec, d2 = _embedded_second_partial(family, theta, i, j, alpha, step)
+    mixture = representation_convert(spec, d2, alpha, -1.0)
     return CovariantDerivativeResult(sigma, weight_tangent(sigma, mixture))
 
 
@@ -164,11 +163,9 @@ def covariant_derivative_on_M(
     projection at the base point; the alpha representation of the result is
     tangent (weighted trace zero) by construction.
     """
-    sigma, d2 = _embedded_second_partial(family, theta, i, j, alpha, step)
-    if abs(float(np.trace(sigma).real) - 1.0) > _STATE_TRACE_TOL:
-        raise ValueError("covariant_derivative_on_M needs a unit-trace family")
-    projected = sphere_project(sigma, alpha, d2)
-    mixture = representation_convert(sigma, projected, alpha, -1.0)
+    sigma, spec, d2 = _embedded_second_partial(family, theta, i, j, alpha, step)
+    projected = sphere_project(spec, alpha, d2)  # rejects a base off the unit-trace manifold
+    mixture = representation_convert(spec, projected, alpha, -1.0)
     n = sigma.shape[0]
     mixture = mixture - (np.trace(mixture) / n) * np.eye(n)  # kill round-off trace
     return CovariantDerivativeResult(sigma, state_tangent(sigma, mixture))
@@ -247,17 +244,16 @@ def _transport_on_m_once(
     sigma = prev
     for k in range(1, steps + 1):
         sigma = curve.point(k / steps)
-        if np.linalg.norm(sigma - prev) > _CONTINUITY_BOUND:
+        if np.linalg.norm(sigma - prev) > CONTINUITY_BOUND:
             raise ValueError(
                 f"curve moves {np.linalg.norm(sigma - prev):.3f} in one step "
-                f"(> {_CONTINUITY_BOUND}); step_count={steps} is too small for a "
+                f"(> {CONTINUITY_BOUND}); step_count={steps} is too small for a "
                 "continuous discretization"
             )
-        if abs(float(np.trace(sigma).real) - 1.0) > _STATE_TRACE_TOL:
-            raise ValueError("projected transport needs a unit-trace curve")
-        w = sphere_project(sigma, alpha, w)
+        spec = spectral_decompose(sigma)
+        w = sphere_project(spec, alpha, w)  # rejects a curve off the unit-trace manifold
         prev = sigma
-    mixture = representation_convert(sigma, w, alpha, -1.0)
+    mixture = representation_convert(spec, w, alpha, -1.0)
     n = sigma.shape[0]
     mixture = mixture - (np.trace(mixture) / n) * np.eye(n)
     return state_tangent(sigma, mixture)

@@ -11,11 +11,10 @@ CLI runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .linalg import (
     check_hermitian,
@@ -42,7 +41,8 @@ from .manifold import (
 )
 from .metrics import (
     MonotoneFunctionSpec,
-    MonotonicityReport,
+    _contraction_report,
+    _push_forward,
     bkm_direct,
     bkm_function,
     bures_function,
@@ -50,7 +50,6 @@ from .metrics import (
     depolarizing_channel,
     kernel_metric,
     metric_eval,
-    monotonicity_check,
     partial_trace_channel,
     petz_kernel,
     random_stinespring_channel,
@@ -60,6 +59,7 @@ from .metrics import (
     wyd_function,
 )
 from .connections import (
+    CONTINUITY_BOUND,
     SECOND_DERIVATIVE_STEP,
     CurveSpec,
     covariant_derivative_on_M,
@@ -80,6 +80,8 @@ __all__ = [
     "POSITIVE_TOL",
     "FALSIFICATION_GAP",
     "FIRST_DERIVATIVE_STEP",
+    "band",
+    "matched_metric",
     "WitnessFamily",
     "qubit_bloch_family",
     "qutrit_state_family",
@@ -120,6 +122,22 @@ __all__ = [
 POSITIVE_TOL = 5e-5
 FALSIFICATION_GAP = 1e-2
 FIRST_DERIVATIVE_STEP = 1e-4
+
+
+def band(value: float, tol: float, gap: float) -> str:
+    """Verdict band of a value: "pass" up to tol, "fail" from gap on, else "inconclusive"."""
+    if value <= tol:
+        return "pass"
+    if value >= gap:
+        return "fail"
+    return "inconclusive"
+
+
+def matched_metric(alpha: float) -> MonotoneFunctionSpec:
+    """Kernel profile of the order-alpha pairing: WYD at p = (1+alpha)/2, BKM at |alpha| = 1."""
+    if abs(alpha) >= 1.0:
+        return bkm_function()
+    return wyd_function(0.5 * (1.0 + alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +249,20 @@ class DualityReport:
     family_name: str = ""
 
 
+def _metric_matrix(
+    family: ParametrizedFamily, theta: np.ndarray, f: MonotoneFunctionSpec
+) -> np.ndarray:
+    """g_ab = f-metric of the coordinate tangents d_a sigma, d_b sigma at theta."""
+    kernel = petz_kernel(family.point(theta), f)
+    tangents = [family.tangent_matrix(theta, k) for k in range(family.param_dim)]
+    d = len(tangents)
+    out = np.empty((d, d))
+    for a in range(d):
+        for b in range(a, d):
+            out[a, b] = out[b, a] = kernel_metric(kernel, tangents[a], tangents[b])
+    return out
+
+
 def duality_defect(
     family: ParametrizedFamily,
     grid: Sequence[np.ndarray],
@@ -256,8 +288,7 @@ def duality_defect(
     tensors = []
     for theta in grid:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        sigma = family.point(theta)
-        kernel = petz_kernel(sigma, f)
+        kernel = petz_kernel(family.point(theta), f)
         tangents = [family.tangent_matrix(theta, k) for k in range(d)]
 
         cov_plus = {}
@@ -267,23 +298,13 @@ def duality_defect(
                 cov_plus[i, j] = deriv(family, theta, i, j, alpha, step).vector.mixture
                 cov_minus[i, j] = deriv(family, theta, i, j, -alpha, step).vector.mixture
 
-        def metric_matrix(th):
-            sg = family.point(th)
-            kn = petz_kernel(sg, f)
-            tg = [family.tangent_matrix(th, k) for k in range(d)]
-            out = np.empty((d, d))
-            for a in range(d):
-                for b in range(a, d):
-                    out[a, b] = out[b, a] = kernel_metric(kn, tg[a], tg[b])
-            return out
-
         dg = np.empty((d, d, d))
         for i in range(d):
             h = d_step * max(1.0, abs(theta[i]))
             up, dn = theta.copy(), theta.copy()
             up[i] += h
             dn[i] -= h
-            dg[i] = (metric_matrix(up) - metric_matrix(dn)) / (2.0 * h)
+            dg[i] = (_metric_matrix(family, up, f) - _metric_matrix(family, dn, f)) / (2.0 * h)
 
         t = np.empty((d, d, d))
         for i in range(d):
@@ -349,14 +370,15 @@ def transport_duality_check(
     steps = curve.step_count
     for k in range(1, steps + 1):
         sigma = curve.point(k / steps)
-        if np.linalg.norm(sigma - prev) > 0.5:
+        if np.linalg.norm(sigma - prev) > CONTINUITY_BOUND:
             raise ValueError(f"curve discretization too coarse at step {k}/{steps}")
+        spec = spectral_decompose(sigma)
         if not on_extended:
-            wy = sphere_project(sigma, alpha, wy)
-            wz = sphere_project(sigma, -alpha, wz)
-        my = representation_convert(sigma, wy, alpha, -1.0)
-        mz = representation_convert(sigma, wz, -alpha, -1.0)
-        values.append(metric_eval(sigma, f, my, mz))
+            wy = sphere_project(spec, alpha, wy)
+            wz = sphere_project(spec, -alpha, wz)
+        my = representation_convert(spec, wy, alpha, -1.0)
+        mz = representation_convert(spec, wz, -alpha, -1.0)
+        values.append(metric_eval(spec, f, my, mz))
         prev = sigma
     values = np.asarray(values)
     return TransportDualityReport(
@@ -425,11 +447,32 @@ def _scalar_hessian(fn, x: np.ndarray, step: float = SECOND_DERIVATIVE_STEP) -> 
     return out
 
 
-def _matched_metric(alpha: float) -> MonotoneFunctionSpec:
-    """Kernel profile the order-alpha pairing corresponds to."""
-    if abs(alpha) == 1.0:
-        return bkm_function()
-    return wyd_function(0.5 * (1.0 + alpha))
+def _damped_newton(objective, gradient, hessian, x, tol: float, max_iter: int):
+    """Minimize a smooth convex objective by Newton steps with Armijo backtracking.
+
+    Returns (x, gradient at x, iterations); iterations is max_iter when the
+    gradient never reached ``tol``.
+    """
+    grad = gradient(x)
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        if float(np.abs(grad).max()) <= tol:
+            break
+        try:
+            delta = -np.linalg.solve(hessian(x), grad)
+        except np.linalg.LinAlgError:
+            delta = -grad
+        f0 = objective(x)
+        slope = float(grad @ delta)
+        # allow four ulps of f0 for its rounding: once t * slope / 4 falls below
+        # them no step could pass, and t would halve to 1e-12 short of tol
+        slack = 4.0 * np.spacing(abs(f0))
+        t = 1.0
+        while t > 1e-12 and objective(x + t * delta) > f0 + 0.25 * t * slope + slack:
+            t *= 0.5
+        x = x + t * delta
+        grad = gradient(x)
+    return x, grad, iterations
 
 
 def _check_affine(family: ParametrizedFamily, alpha: float, point: np.ndarray) -> None:
@@ -478,7 +521,7 @@ def potential_check(
     if len(points) < d + 2:
         raise ValueError(f"need at least {d + 2} grid points for the affine regression")
     _check_affine(family, alpha, points[0])
-    f = _matched_metric(alpha)
+    f = matched_metric(alpha)
 
     def psi(xi):
         return potential_value(family.point(xi), alpha)
@@ -488,19 +531,13 @@ def potential_check(
     etas = np.empty((len(points), d))
     zetas = np.empty((len(points), d))
     for n, xi in enumerate(points):
-        sigma = family.point(xi)
         hess = _scalar_hessian(psi, xi)
-        kernel = petz_kernel(sigma, f)
-        tangents = [family.tangent_matrix(xi, k) for k in range(d)]
-        metric = np.empty((d, d))
-        for a in range(d):
-            for b in range(a, d):
-                metric[a, b] = metric[b, a] = kernel_metric(kernel, tangents[a], tangents[b])
+        metric = _metric_matrix(family, xi, f)
         if n == 0:
             first_hessian, first_metric = hess, metric
         residual = max(residual, float(np.abs(hess - metric).max()))
         etas[n] = _scalar_gradient(psi, xi)
-        zetas[n] = affine_coordinates(sigma, -alpha, basis)
+        zetas[n] = affine_coordinates(family.point(xi), -alpha, basis)
     design = np.hstack([zetas, np.ones((len(points), 1))])
     coeffs, *_ = np.linalg.lstsq(design, etas, rcond=None)
     gradient_residual = float(np.abs(design @ coeffs - etas).max())
@@ -531,14 +568,16 @@ def dual_coordinate_check(
     """Check the gradient coordinates against the metric and the Legendre pairing.
 
     The Jacobian of the gradient coordinates (central differences) must equal
-    the matched metric matrix, and the numeric Legendre transform (a BFGS
-    maximization started from a seeded perturbed point) must satisfy
-    psi(xi) + phi(eta(xi)) = xi . eta(xi).
+    the matched metric matrix, and the numeric Legendre transform must satisfy
+    psi(xi) + phi(eta(xi)) = xi . eta(xi). phi(eta) = -min_x (psi(x) - x . eta)
+    is found by damped Newton steps started from a seeded perturbed point,
+    with the matched metric matrix (psi's Hessian, as potential_check
+    verifies) as the Newton Hessian.
     """
     alpha = float(alpha)
     points = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
     d = family.param_dim
-    f = _matched_metric(alpha)
+    f = matched_metric(alpha)
     rng = rng_from(seed)
 
     def psi(xi):
@@ -550,13 +589,7 @@ def dual_coordinate_check(
     jac_res = 0.0
     leg_res = 0.0
     for xi in points:
-        sigma = family.point(xi)
-        kernel = petz_kernel(sigma, f)
-        tangents = [family.tangent_matrix(xi, k) for k in range(d)]
-        metric = np.empty((d, d))
-        for a in range(d):
-            for b in range(a, d):
-                metric[a, b] = metric[b, a] = kernel_metric(kernel, tangents[a], tangents[b])
+        metric = _metric_matrix(family, xi, f)
         jac = np.empty((d, d))
         for j in range(d):
             h = SECOND_DERIVATIVE_STEP * max(1.0, abs(xi[j]))
@@ -567,16 +600,23 @@ def dual_coordinate_check(
         jac_res = max(jac_res, float(np.abs(jac - metric).max()))
 
         eta0 = eta(xi)
+
+        def objective(x):
+            return psi(x) - x @ eta0
+
         start = xi + 0.05 * rng.standard_normal(d)
-        opt = scipy.optimize.minimize(
-            lambda x: psi(x) - x @ eta0,
+        # eta is a finite difference of psi with a round-off floor near 1e-11, so
+        # tol stays above it; from 0.05 away Newton needs a handful of steps
+        x_min, _, _ = _damped_newton(
+            objective,
+            lambda x: eta(x) - eta0,
+            lambda x: _metric_matrix(family, x, f),
             start,
-            jac=lambda x: eta(x) - eta0,
-            method="BFGS",
-            options={"gtol": 1e-11, "maxiter": 500},
+            tol=1e-9,
+            max_iter=50,
         )
         # phi(eta0) = -(min value); residual is the optimality gap of xi itself
-        leg_res = max(leg_res, abs((psi(xi) - xi @ eta0) - float(opt.fun)))
+        leg_res = max(leg_res, abs(objective(xi) - objective(x_min)))
     return DualCoordinateReport(
         alpha=alpha,
         jacobian_residual=jac_res,
@@ -710,12 +750,7 @@ def uniqueness_scan(
                 family_name=w.name,
             )
             worst = max(worst, rep.defect)
-        if worst <= tol:
-            status = "pass"
-        elif worst >= gap:
-            status = "fail"
-        else:
-            status = "inconclusive"
+        status = band(worst, tol, gap)
         name = spec.name if scale == 1.0 else f"{scale:g}*{spec.name}"
         entries.append(ScanEntry(name, worst, status, expected, scale))
     matched = [e for e in entries if e.expected_dual and e.scale == 1.0]
@@ -978,37 +1013,28 @@ def entropy_projection(
     segment rho - sigma* is BKM-orthogonal to the family's tangent space.
     Non-convergence is reported (with the gradient norm), not raised.
     """
-    rho = check_state(rho)
+    check_state(rho)
     ys = gibbs.observables
     target = np.array([float(np.trace(rho @ y).real) for y in ys])
     m = len(ys)
-    theta = np.zeros(m)
 
     def objective(th):
         return gibbs.log_partition(th) - th @ target
 
-    grad = gibbs.means(theta) - target
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if float(np.abs(grad).max()) <= tol:
-            break
+    def gradient(th):
+        return gibbs.means(th) - target
+
+    def hessian(th):
         hess = np.empty((m, m))
         for j in range(m):
-            dsig = gibbs.family.jacobian(theta, j)
+            dsig = gibbs.family.jacobian(th, j)
             for i in range(m):
                 hess[i, j] = float(np.trace(dsig @ ys[i]).real)
-        hess = 0.5 * (hess + hess.T)
-        try:
-            delta = -np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            delta = -grad
-        f0 = objective(theta)
-        slope = float(grad @ delta)
-        t = 1.0
-        while t > 1e-12 and objective(theta + t * delta) > f0 + 0.25 * t * slope:
-            t *= 0.5
-        theta = theta + t * delta
-        grad = gibbs.means(theta) - target
+        return 0.5 * (hess + hess.T)
+
+    theta, grad, iterations = _damped_newton(
+        objective, gradient, hessian, np.zeros(m), tol, max_iter
+    )
     gnorm = float(np.abs(grad).max())
     converged = gnorm <= tol
     sigma = gibbs.state(theta)
@@ -1032,7 +1058,7 @@ def relative_entropy_curvature_gap(
     rho: np.ndarray, direction: np.ndarray, t: float = 1e-2
 ) -> float:
     """|S(rho | rho + t D) - (1/2) t^2 bkm(D, D)|: the second-order expansion."""
-    rho = check_state(rho)
+    check_state(rho)
     d = check_hermitian(direction)
     if abs(complex(np.trace(d))) > 1e-10:
         raise ValueError("expansion direction must be traceless")
@@ -1107,14 +1133,15 @@ def monotonicity_scan(
             rho = random_state(rng, 4, floor=0.05)
             a = random_traceless_hermitian(rng, 4)
             ch = partial_trace_channel(2, 2)
-        triples.append((int(kind), rho, a, ch))
+        # channel outputs and spectra do not depend on the kernel: once per trial
+        triples.append((int(kind), check_state(rho), a, _push_forward(ch, rho, a)))
     rows = []
     for f in fspecs:
         min_margin = np.inf
         depol_total = depol_strict = 0
         regularized = inconclusive = 0
-        for kind, rho, a, ch in triples:
-            rep = monotonicity_check(f, rho, TangentVector(rho, a), ch)
+        for kind, spec, a, pushed in triples:
+            rep = _contraction_report(f, spec, a, pushed)
             if rep.inconclusive:
                 inconclusive += 1
                 continue

@@ -14,7 +14,7 @@ alpha uniformly on [-1, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .linalg import (
 __all__ = [
     "CHART_MIN_EIGENVALUE",
     "STATE_TRACE_TOL",
-    "min_eigenvalue",
     "check_weight",
     "check_state",
     "TangentVector",
@@ -65,26 +64,22 @@ STATE_TRACE_TOL = 1e-8
 _TANGENT_TRACE_TOL = 1e-10
 
 
-def min_eigenvalue(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(check_hermitian(a)).min())
-
-
-def check_weight(a: np.ndarray) -> np.ndarray:
-    """Validate a positive-definite self-adjoint matrix, reporting min eigenvalue."""
-    a = check_hermitian(a)
-    low = float(np.linalg.eigvalsh(a).min())
+def check_weight(a: Union[np.ndarray, Spectrum]) -> Spectrum:
+    """Spectrum of a positive-definite base point; a Spectrum is checked as it is."""
+    spec = a if isinstance(a, Spectrum) else spectral_decompose(a)
+    low = float(spec.eigenvalues.min())
     if low <= 0.0:
-        raise ValueError(f"matrix is not positive definite: min eigenvalue {low:.3e}")
-    return a
+        raise ValueError(f"not positive definite (off the positive cone): min eigenvalue {low:.3e}")
+    return spec
 
 
-def check_state(a: np.ndarray, trace_tol: float = STATE_TRACE_TOL) -> np.ndarray:
-    """Validate a density matrix (positive definite, unit trace)."""
-    a = check_weight(a)
-    tr = float(np.trace(a).real)
+def check_state(a: Union[np.ndarray, Spectrum], trace_tol: float = STATE_TRACE_TOL) -> Spectrum:
+    """Spectrum of a density matrix (positive definite, unit trace)."""
+    spec = check_weight(a)
+    tr = float(spec.eigenvalues.sum())
     if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"matrix trace {tr!r} is not 1 within {trace_tol:.1e}")
-    return a
+        raise ValueError(f"not a unit-trace state: trace {tr!r} is not 1 within {trace_tol:.1e}")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -164,11 +159,7 @@ def alpha_embed(sigma: np.ndarray, alpha: float) -> np.ndarray:
             f"alpha must lie strictly inside (-1, 1), got {alpha!r}; "
             "the +-1 limits use the log/identity embedding profiles"
         )
-    spec = spectral_decompose(sigma)
-    low = float(spec.eigenvalues.min())
-    if low <= 0.0:
-        raise ValueError(f"matrix is not positive definite: min eigenvalue {low:.3e}")
-    return apply_scalar_function(spec, embedding_function(alpha))
+    return apply_scalar_function(check_weight(sigma), embedding_function(alpha))
 
 
 def alpha_representation(v: TangentVector, alpha: float) -> np.ndarray:
@@ -183,18 +174,16 @@ def alpha_representation(v: TangentVector, alpha: float) -> np.ndarray:
 
 
 def representation_convert(
-    base: np.ndarray, w: np.ndarray, from_alpha: float, to_alpha: float
+    base: Union[np.ndarray, Spectrum], w: np.ndarray, from_alpha: float, to_alpha: float
 ) -> np.ndarray:
     """Convert a tangent representation between embedding orders at a base.
 
     Entrywise in the eigenbasis: divide by the divided-difference kernel of
     the source embedding, multiply by the target one. Both kernels are
-    strictly positive, so the conversion is exactly invertible.
+    strictly positive, so the conversion is exactly invertible. The base may
+    be given as its Spectrum.
     """
-    spec = spectral_decompose(base)
-    low = float(spec.eigenvalues.min())
-    if low <= 0.0:
-        raise ValueError(f"base is not positive definite: min eigenvalue {low:.3e}")
+    spec = check_weight(base)
     k_from = divided_difference_matrix(spec.eigenvalues, embedding_function(from_alpha))
     k_to = divided_difference_matrix(spec.eigenvalues, embedding_function(to_alpha))
     wt = spec.to_eigenbasis(np.asarray(w, dtype=complex))
@@ -204,16 +193,17 @@ def representation_convert(
     return out
 
 
-def sphere_project(rho: np.ndarray, alpha: float, a: np.ndarray) -> np.ndarray:
+def sphere_project(rho: Union[np.ndarray, Spectrum], alpha: float, a: np.ndarray) -> np.ndarray:
     """Project onto the tangent space of the embedded unit-trace manifold.
 
     Pi(A) = A - Tr(rho^((1+alpha)/2) A) * rho^((1-alpha)/2). Idempotent at a
     unit-trace base; defined for alpha in [-1, 1] (the +-1 limits use
-    rho^0 = I on the corresponding side).
+    rho^0 = I on the corresponding side). The base may be given as its
+    Spectrum.
     """
     alpha = _check_alpha(alpha)
     a = check_hermitian(a)
-    spec = spectral_decompose(check_state(rho))
+    spec = check_state(rho)
     p_plus = apply_scalar_function(spec, lambda x: x ** (0.5 * (1.0 + alpha)))
     p_minus = apply_scalar_function(spec, lambda x: x ** (0.5 * (1.0 - alpha)))
     coeff = float(np.trace(p_plus @ a).real)
@@ -302,8 +292,7 @@ def affine_coordinates(
     Solves sum_i xi_i X_i = embed(sigma) through the basis Gram matrix;
     a singular Gram matrix is rejected.
     """
-    spec = spectral_decompose(check_weight(sigma))
-    target = apply_scalar_function(spec, embedding_function(alpha))
+    target = apply_scalar_function(check_weight(sigma), embedding_function(alpha))
     d = len(basis)
     gram = np.empty((d, d), dtype=float)
     rhs = np.empty(d, dtype=float)
@@ -331,12 +320,8 @@ def xi_affine_family(
 
     def chart(xi):
         y = basis_combination(xi, basis)
-        spec = spectral_decompose(y)
-        if alpha != 1.0 and float(spec.eigenvalues.min()) <= 0.0:
-            raise ValueError(
-                f"embedded coordinates leave the positive cone: min eigenvalue "
-                f"{float(spec.eigenvalues.min()):.3e}"
-            )
+        # the exp inverse of the log embedding is defined on every self-adjoint y
+        spec = spectral_decompose(y) if alpha == 1.0 else check_weight(y)
         return apply_scalar_function(spec, inverse)
 
     jac = hess = None

@@ -9,7 +9,7 @@ check, and the entropy functionals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "builtin_functions",
     "MetricKernel",
     "petz_kernel",
-    "kernel_apply",
     "kernel_metric",
     "metric_eval",
     "wyd_direct",
@@ -158,23 +157,14 @@ class MetricKernel:
 
 def petz_kernel(sigma: Union[np.ndarray, Spectrum], f: MonotoneFunctionSpec) -> MetricKernel:
     """Kernel of the monotone metric generated by f at a positive base."""
-    spec = sigma if isinstance(sigma, Spectrum) else spectral_decompose(sigma)
+    spec = check_weight(sigma)
     lam = spec.eigenvalues
-    low = float(lam.min())
-    if low <= 0.0:
-        raise ValueError(f"base is not positive definite: min eigenvalue {low:.3e}")
     ratio = lam[:, None] / lam[None, :]
     c = 1.0 / (lam[None, :] * np.asarray(f.fn(ratio), dtype=float))
     c = 0.5 * (c + c.T)  # symmetric up to round-off by the Petz symmetry of f
     if not np.all(np.isfinite(c)) or np.any(c <= 0.0):
         raise ValueError(f"kernel of {f.name} is not strictly positive on this spectrum")
     return MetricKernel(spec, c)
-
-
-def kernel_apply(kernel: MetricKernel, a: np.ndarray) -> np.ndarray:
-    """Apply the kernel superoperator entrywise in the eigenbasis."""
-    spec = kernel.spectrum
-    return spec.from_eigenbasis(kernel.coefficients * spec.to_eigenbasis(np.asarray(a, complex)))
 
 
 def kernel_metric(kernel: MetricKernel, a: np.ndarray, b: np.ndarray) -> float:
@@ -184,25 +174,26 @@ def kernel_metric(kernel: MetricKernel, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(at.conj() * kernel.coefficients * bt).real)
 
 
-def _mixture_of(arg, sigma: np.ndarray) -> np.ndarray:
-    if isinstance(arg, TangentVector):
-        if np.abs(arg.base - sigma).max() > _BASE_MATCH_TOL:
-            raise ValueError("tangent vector base does not match the metric base point")
-        return arg.mixture
-    return check_hermitian(arg)
+def _mixture_of(arg, base: Union[np.ndarray, Spectrum]) -> np.ndarray:
+    """Mixture part of a metric argument: a TangentVector at ``base`` or a self-adjoint matrix."""
+    if not isinstance(arg, TangentVector):
+        return check_hermitian(arg)
+    point = base.matrix() if isinstance(base, Spectrum) else base
+    if np.abs(arg.base - point).max() > _BASE_MATCH_TOL:
+        raise ValueError("tangent vector base does not match the metric base point")
+    return arg.mixture
 
 
-def metric_eval(sigma: np.ndarray, f: MonotoneFunctionSpec, a, b) -> float:
+def metric_eval(sigma: Union[np.ndarray, Spectrum], f: MonotoneFunctionSpec, a, b) -> float:
     """Monotone-metric pairing of two mixture representations at sigma.
 
     sum_ij conj(a[i,j]) c[i,j] b[i,j] in the eigenbasis of sigma; symmetric
-    in (a, b) and positive definite. Arguments may be TangentVector (base is
-    then checked against sigma) or plain self-adjoint matrices.
+    in (a, b) and positive definite. sigma may be given as its Spectrum.
+    Arguments may be TangentVector (base is then checked against sigma) or
+    plain self-adjoint matrices.
     """
-    sigma = check_hermitian(sigma)
-    am = _mixture_of(a, sigma)
-    bm = _mixture_of(b, sigma)
-    return kernel_metric(petz_kernel(sigma, f), am, bm)
+    kernel = petz_kernel(sigma, f)
+    return kernel_metric(kernel, _mixture_of(a, sigma), _mixture_of(b, sigma))
 
 
 def wyd_direct(rho: np.ndarray, alpha: float, a: TangentVector, b: TangentVector) -> float:
@@ -215,25 +206,17 @@ def wyd_direct(rho: np.ndarray, alpha: float, a: TangentVector, b: TangentVector
     if not -1.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (-1, 1), got {alpha!r}; use bkm_direct for the limits")
     rho = check_hermitian(rho)
-    ra = alpha_representation(_as_tangent(a, rho), alpha)
-    rb = alpha_representation(_as_tangent(b, rho), -alpha)
+    ra = alpha_representation(TangentVector(rho, _mixture_of(a, rho)), alpha)
+    rb = alpha_representation(TangentVector(rho, _mixture_of(b, rho)), -alpha)
     return float(np.trace(ra @ rb).real)
 
 
 def bkm_direct(rho: np.ndarray, a: TangentVector, b: TangentVector) -> float:
     """BKM metric: Tr(A^(-1) B^(+1)), the alpha -> +-1 limit of the WYD pairing."""
     rho = check_hermitian(rho)
-    ra = _as_tangent(a, rho).mixture
-    rb = alpha_representation(_as_tangent(b, rho), 1.0)
+    ra = _mixture_of(a, rho)
+    rb = alpha_representation(TangentVector(rho, _mixture_of(b, rho)), 1.0)
     return float(np.trace(ra @ rb).real)
-
-
-def _as_tangent(arg, rho: np.ndarray) -> TangentVector:
-    if isinstance(arg, TangentVector):
-        if np.abs(arg.base - rho).max() > _BASE_MATCH_TOL:
-            raise ValueError("tangent vector base does not match the metric base point")
-        return arg
-    return TangentVector(rho, check_hermitian(arg))
 
 
 @dataclass(frozen=True)
@@ -340,43 +323,64 @@ class MonotonicityReport:
 
 
 def monotonicity_check(
-    f: MonotoneFunctionSpec, rho: np.ndarray, a: TangentVector, channel: KrausChannel
+    f: MonotoneFunctionSpec,
+    rho: Union[np.ndarray, Spectrum],
+    a: TangentVector,
+    channel: KrausChannel,
 ) -> MonotonicityReport:
     """Compare the metric length of a tangent before and after a channel.
 
     lhs = metric at S(rho) of the pushed-forward mixture part, rhs = metric
     at rho; for an operator monotone f the margin rhs - lhs is nonnegative.
     A singular channel output is mixed with 1e-10 * I/n and flagged; if it
-    stays singular the report is inconclusive, not an error.
+    stays singular the report is inconclusive, not an error. rho may be
+    given as its Spectrum.
     """
-    rho = check_state(rho)
-    tangent = _as_tangent(a, rho)
-    rhs = metric_eval(rho, f, tangent.mixture, tangent.mixture)
-    out_state = hermitize(apply_channel(channel, rho))
-    out_dir = hermitize(apply_channel(channel, tangent.mixture))
-    n = out_state.shape[0]
-    regularized = False
-    if float(np.linalg.eigvalsh(out_state).min()) < 1e-12:
-        out_state = (out_state + (1e-10 / n) * np.eye(n)) / (1.0 + 1e-10)
-        regularized = True
-        if float(np.linalg.eigvalsh(out_state).min()) <= 0.0:
-            return MonotonicityReport(float("nan"), rhs, float("nan"), True, True)
-    lhs = metric_eval(out_state, f, out_dir, out_dir)
+    spec = check_state(rho)
+    point = spec.matrix() if isinstance(rho, Spectrum) else rho
+    mixture = _mixture_of(a, point)
+    return _contraction_report(f, spec, mixture, _push_forward(channel, point, mixture))
+
+
+def _push_forward(channel: KrausChannel, rho: np.ndarray, mixture: np.ndarray) -> tuple:
+    """(output Spectrum, output direction, regularized) of a state and a direction.
+
+    Mixing a singular output with 1e-10 * I/n shifts its eigenvalues and keeps
+    its eigenvectors; if it stays singular the Spectrum is None.
+    """
+    out = spectral_decompose(hermitize(apply_channel(channel, rho)))
+    out_dir = hermitize(apply_channel(channel, mixture))
+    lam = out.eigenvalues
+    if float(lam.min()) >= 1e-12:
+        return out, out_dir, False
+    lam = (lam + 1e-10 / lam.shape[0]) / (1.0 + 1e-10)
+    if float(lam.min()) <= 0.0:
+        return None, out_dir, True
+    return Spectrum(lam, out.unitary), out_dir, True
+
+
+def _contraction_report(
+    f: MonotoneFunctionSpec, rho: Spectrum, mixture: np.ndarray, pushed: tuple
+) -> MonotonicityReport:
+    """Contraction margin of one kernel; ``pushed`` (from _push_forward) does not depend on f."""
+    out, out_dir, regularized = pushed
+    rhs = kernel_metric(petz_kernel(rho, f), mixture, mixture)
+    if out is None:
+        return MonotonicityReport(float("nan"), rhs, float("nan"), True, True)
+    lhs = kernel_metric(petz_kernel(out, f), out_dir, out_dir)
     return MonotonicityReport(lhs, rhs, rhs - lhs, regularized, False)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) = -Tr(rho log rho)."""
-    lam = np.linalg.eigvalsh(check_state(rho))
+    lam = check_state(rho).eigenvalues
     return float(-np.sum(lam * np.log(lam)))
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """S(rho | sigma) = Tr rho (log rho - log sigma); nonnegative, 0 iff equal."""
-    spec_r = spectral_decompose(check_state(rho))
-    spec_s = spectral_decompose(check_state(sigma))
-    if float(spec_r.eigenvalues.min()) <= 0.0 or float(spec_s.eigenvalues.min()) <= 0.0:
-        raise ValueError("relative entropy needs strictly positive states")
+    spec_r = check_state(rho)
+    spec_s = check_state(sigma)
     log_r = (spec_r.unitary * np.log(spec_r.eigenvalues)) @ spec_r.unitary.conj().T
     log_s = (spec_s.unitary * np.log(spec_s.eigenvalues)) @ spec_s.unitary.conj().T
     return float(np.trace(spec_r.matrix() @ (log_r - log_s)).real)

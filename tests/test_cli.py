@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +21,15 @@ def _run(capsys, argv):
 
 def _parse_jsonl(text):
     return [json.loads(line) for line in text.strip().splitlines()]
+
+
+# ----------------------------------------------------------------- imports
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # numpy is the only dependency; scipy alone would triple the start-up time
+    code = "import sys, qiglab.cli; sys.exit(int('scipy' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 # ------------------------------------------------------------- serialization

@@ -292,6 +292,30 @@ def test_monotonicity_scan_rows():
         assert 0.0 <= row["depolarizing_strict_fraction"] <= 1.0
 
 
+def test_monotonicity_scan_decomposes_each_trial_once(monkeypatch):
+    # channel outputs and spectra are shared by all kernels of a trial
+    import qiglab.metrics
+
+    calls = {"eig": 0, "channel": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "eig"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "eig"))
+    monkeypatch.setattr(
+        qiglab.metrics, "apply_channel", counted(qiglab.metrics.apply_channel, "channel")
+    )
+    trials = 40
+    monotonicity_scan(seed=0, trials=trials)
+    assert 0 < calls["eig"] <= 3 * trials
+    assert 0 < calls["channel"] <= 2 * trials
+
+
 def test_classical_reduction_check_values():
     out = classical_reduction_check(seed=0, dim=3, n_points=2)
     assert out["max_fisher_dev"] <= 1e-9
@@ -359,6 +383,19 @@ def test_entropy_projection_converges_and_is_optimal():
     for _ in range(5):
         nearby = report.theta_star + 0.1 * rng.standard_normal(2)
         assert relative_entropy(rho, gibbs.state(nearby)) >= best - 1e-12
+
+
+def test_entropy_projection_does_not_stall_at_rounding_level():
+    # instance 13 of `entropy-projection --dim 3 --instances 25 --seed 101426367`:
+    # the Armijo decrease falls below the float spacing of the objective
+    # while the gradient is still above tol
+    rng = rng_from([101426367, 13])
+    rho = random_state(rng, 3, floor=0.05)
+    gibbs = gibbs_family([random_traceless_hermitian(rng, 3) for _ in range(2)])
+    report = entropy_projection(rho, gibbs, tol=1e-9)
+    assert report.converged
+    assert report.iterations < 20
+    assert report.gradient_norm <= 1e-9
 
 
 def test_relative_entropy_curvature_gap():

@@ -93,6 +93,13 @@ def test_representation_convert_roundtrip(pair):
     w = random_traceless_hermitian(rng, 3)
     back = representation_convert(rho, representation_convert(rho, w, a, b), b, a)
     np.testing.assert_allclose(back, w, atol=1e-11)
+    # a base given as its Spectrum converts exactly like the matrix
+    np.testing.assert_allclose(
+        representation_convert(spectral_decompose(rho), w, a, b),
+        representation_convert(rho, w, a, b),
+        rtol=0.0,
+        atol=1e-14,
+    )
 
 
 def test_representation_convert_matches_alpha_representation():
@@ -113,6 +120,8 @@ def test_sphere_project_idempotent_and_kernel(alpha):
     once = sphere_project(rho, alpha, a)
     twice = sphere_project(rho, alpha, once)
     np.testing.assert_allclose(twice, once, atol=1e-12)
+    from_spectrum = sphere_project(spectral_decompose(rho), alpha, a)
+    np.testing.assert_allclose(from_spectrum, once, rtol=0.0, atol=1e-14)
     # the embedded radial direction rho^((1-alpha)/2) is annihilated
     radial = apply_scalar_function(spectral_decompose(rho), lambda x: x ** (0.5 * (1.0 - alpha)))
     np.testing.assert_allclose(sphere_project(rho, alpha, radial), 0.0, atol=1e-12)
@@ -131,6 +140,13 @@ def test_state_and_weight_validation():
         check_state(np.diag([0.7, 0.7]).astype(complex))
     with pytest.raises(ValueError, match="positive definite"):
         check_weight(np.diag([1.0, -0.1]).astype(complex))
+    # an existing Spectrum is validated as it is
+    with pytest.raises(ValueError, match="unit-trace"):
+        check_state(spectral_decompose(np.diag([0.7, 0.7]).astype(complex)))
+    with pytest.raises(ValueError, match="positive definite"):
+        check_weight(spectral_decompose(np.diag([1.0, -0.1]).astype(complex)))
+    spec = check_state(np.diag([0.75, 0.25]).astype(complex))
+    np.testing.assert_array_equal(spec.eigenvalues, [0.25, 0.75])
     with pytest.raises(ValueError, match="traceless"):
         state_tangent(I2 / 2, np.diag([1.0, 0.0]).astype(complex))
     # weight tangents carry no trace constraint

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qiglab.linalg import spectral_decompose
 from qiglab.manifold import state_tangent
 from qiglab.metrics import (
     KrausChannel,
@@ -91,6 +92,10 @@ def test_petz_kernel_bkm_oracle():
 )
 def test_metric_oracles_offdiagonal_tangent(spec, expected):
     assert metric_eval(SIGMA, spec, SX, SX) == pytest.approx(expected, rel=1e-12)
+    v = state_tangent(SIGMA, SX)
+    assert metric_eval(spectral_decompose(SIGMA), spec, v, v) == pytest.approx(
+        metric_eval(SIGMA, spec, SX, SX), rel=0.0, abs=1e-14
+    )
 
 
 @pytest.mark.parametrize("spec", builtin_functions())
@@ -223,6 +228,8 @@ def test_monotonicity_margin_nonnegative(spec):
     assert not report.regularized
     assert report.margin >= 0.0
     assert report.lhs == pytest.approx(report.rhs - report.margin)
+    from_spectrum = monotonicity_check(spec, spectral_decompose(rho), v, depolarizing_channel(3, 0.3))
+    assert from_spectrum.margin == pytest.approx(report.margin, rel=0.0, abs=1e-12)
 
 
 def test_monotonicity_identity_channel_is_tight():
