@@ -38,6 +38,7 @@ from .metrics import (
 from .duality import (
     FALSIFICATION_GAP,
     POSITIVE_TOL,
+    DefectGrid,
     band,
     classical_reduction_check,
     convexity_failure_check,
@@ -420,20 +421,18 @@ def _run_duality(opt):
     n_points = int(opt["points"])
     records = []
     worst = 0.0
+    grids = {}  # dim -> [(witness, DefectGrid)], shared by every alpha and metric
     for alpha in _floats(opt["alpha"]):
         for token in _strs(opt["metric"]):
             f = _metric_from_token(token, alpha)
             for dim in _ints(opt["dim"]):
-                for witness in standard_witness_families(dim, opt["manifold"]):
-                    grid = sample_grid(witness, [seed, dim], n_points)
-                    rep = duality_defect(
-                        witness.family,
-                        grid,
-                        f,
-                        alpha,
-                        on_extended=witness.on_extended,
-                        family_name=witness.name,
-                    )
+                if dim not in grids:
+                    grids[dim] = []
+                    for w in standard_witness_families(dim, opt["manifold"]):
+                        grid = sample_grid(w, [seed, dim], n_points)
+                        grids[dim].append((w, DefectGrid(w.family, grid, w.on_extended)))
+                for witness, grid in grids[dim]:
+                    rep = grid.defect(f, alpha, family_name=witness.name)
                     worst = max(worst, rep.defect)
                     records.append(
                         {

@@ -19,7 +19,13 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import frechet_derivative, frechet_second_derivative, hermitize, spectral_decompose
+from .linalg import (
+    Spectrum,
+    frechet_derivative,
+    frechet_second_derivative,
+    hermitize,
+    spectral_decompose,
+)
 from .manifold import (
     ParametrizedFamily,
     TangentVector,
@@ -38,6 +44,7 @@ __all__ = [
     "CovariantDerivativeResult",
     "ext_covariant_derivative",
     "covariant_derivative_on_M",
+    "covariant_derivative_set",
     "convex_mixture_derivative",
     "parallel_transport_ext",
     "parallel_transport_on_M",
@@ -74,23 +81,31 @@ class CovariantDerivativeResult:
 
 
 def _fd_embedded_second_partial(
-    family: ParametrizedFamily, theta: np.ndarray, i: int, j: int, alpha: float, step: float
+    family: ParametrizedFamily,
+    theta: np.ndarray,
+    spec: Spectrum,
+    i: int,
+    j: int,
+    alpha: float,
+    step: float,
 ) -> np.ndarray:
     fun = embedding_function(alpha)
 
+    def embedded(s):
+        return (s.unitary * fun.fn(s.eigenvalues)) @ s.unitary.conj().T
+
     def g(t):
-        spec = spectral_decompose(family.point(t))
-        return (spec.unitary * fun.fn(spec.eigenvalues)) @ spec.unitary.conj().T
+        return embedded(spectral_decompose(family.point(t)))
 
     hi = step * max(1.0, abs(theta[i]))
     hj = step * max(1.0, abs(theta[j]))
     for _ in range(4):
         try:
             if i == j:
-                up, mid, dn = theta.copy(), theta, theta.copy()
+                up, dn = theta.copy(), theta.copy()
                 up[i] += hi
                 dn[i] -= hi
-                return hermitize((g(up) - 2.0 * g(mid) + g(dn)) / (hi * hi))
+                return hermitize((g(up) - 2.0 * embedded(spec) + g(dn)) / (hi * hi))
             pp, pm, mp, mm = theta.copy(), theta.copy(), theta.copy(), theta.copy()
             pp[i] += hi
             pp[j] += hj
@@ -112,12 +127,15 @@ def _fd_embedded_second_partial(
 
 
 def _embedded_second_partial(
-    family: ParametrizedFamily, theta: np.ndarray, i: int, j: int, alpha: float, step: float
-):
-    """(sigma, its Spectrum, second partial of the embedded chart) at theta."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    sigma = family.point(theta)
-    spec = spectral_decompose(sigma)
+    family: ParametrizedFamily,
+    theta: np.ndarray,
+    spec: Spectrum,
+    i: int,
+    j: int,
+    alpha: float,
+    step: float,
+) -> np.ndarray:
+    """Second partial of the embedded chart at theta, whose point has Spectrum ``spec``."""
     if family.has_analytic_second_order:
         fun = embedding_function(alpha)
         d_i = family.jacobian(theta, i)
@@ -126,8 +144,34 @@ def _embedded_second_partial(
         d2 = frechet_second_derivative(spec, d_i, d_j, fun) + frechet_derivative(
             spec, d_ij, fun
         )
-        return sigma, spec, hermitize(d2)
-    return sigma, spec, _fd_embedded_second_partial(family, theta, i, j, alpha, step)
+        return hermitize(d2)
+    return _fd_embedded_second_partial(family, theta, spec, i, j, alpha, step)
+
+
+def _covariant_mixture(
+    family: ParametrizedFamily,
+    theta: np.ndarray,
+    spec: Spectrum,
+    i: int,
+    j: int,
+    alpha: float,
+    on_extended: bool,
+    step: float,
+) -> np.ndarray:
+    """Mixture form of the flat (on_extended) or projected covariant derivative."""
+    d2 = _embedded_second_partial(family, theta, spec, i, j, alpha, step)
+    if on_extended:
+        return representation_convert(spec, d2, alpha, -1.0)
+    projected = sphere_project(spec, alpha, d2)  # rejects a base off the unit-trace manifold
+    mixture = representation_convert(spec, projected, alpha, -1.0)
+    n = spec.dim
+    return mixture - (np.trace(mixture) / n) * np.eye(n)  # kill round-off trace
+
+
+def _point_and_spectrum(family: ParametrizedFamily, theta: np.ndarray):
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    sigma = family.point(theta)
+    return theta, sigma, spectral_decompose(sigma)
 
 
 def ext_covariant_derivative(
@@ -144,8 +188,8 @@ def ext_covariant_derivative(
     mixture representation at the base point. Vanishes identically in
     coordinates that make the embedding affine.
     """
-    sigma, spec, d2 = _embedded_second_partial(family, theta, i, j, alpha, step)
-    mixture = representation_convert(spec, d2, alpha, -1.0)
+    theta, sigma, spec = _point_and_spectrum(family, theta)
+    mixture = _covariant_mixture(family, theta, spec, i, j, alpha, True, step)
     return CovariantDerivativeResult(sigma, weight_tangent(sigma, mixture))
 
 
@@ -163,12 +207,35 @@ def covariant_derivative_on_M(
     projection at the base point; the alpha representation of the result is
     tangent (weighted trace zero) by construction.
     """
-    sigma, spec, d2 = _embedded_second_partial(family, theta, i, j, alpha, step)
-    projected = sphere_project(spec, alpha, d2)  # rejects a base off the unit-trace manifold
-    mixture = representation_convert(spec, projected, alpha, -1.0)
-    n = sigma.shape[0]
-    mixture = mixture - (np.trace(mixture) / n) * np.eye(n)  # kill round-off trace
+    theta, sigma, spec = _point_and_spectrum(family, theta)
+    mixture = _covariant_mixture(family, theta, spec, i, j, alpha, False, step)
     return CovariantDerivativeResult(sigma, state_tangent(sigma, mixture))
+
+
+def covariant_derivative_set(
+    family: ParametrizedFamily,
+    theta: np.ndarray,
+    spec: Spectrum,
+    alpha: float,
+    on_extended: bool = False,
+    step: float = SECOND_DERIVATIVE_STEP,
+) -> np.ndarray:
+    """All covariant derivatives nabla^(alpha)_i T_j at one point, in mixture form.
+
+    ``spec`` is the Spectrum of the point at theta, so nothing is decomposed
+    again. Flat ones on the positive cone (``on_extended``) or projected ones
+    on the unit-trace manifold, each computed once for i <= j; the result has
+    shape (d, d, n, n) and is symmetric in its first two axes.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    d, n = family.param_dim, spec.dim
+    out = np.empty((d, d, n, n), dtype=complex)
+    for i in range(d):
+        for j in range(i, d):
+            out[i, j] = out[j, i] = _covariant_mixture(
+                family, theta, spec, i, j, alpha, on_extended, step
+            )
+    return out
 
 
 def convex_mixture_derivative(

@@ -48,7 +48,6 @@ from .metrics import (
     bures_function,
     builtin_functions,
     depolarizing_channel,
-    kernel_metric,
     metric_eval,
     partial_trace_channel,
     petz_kernel,
@@ -63,6 +62,7 @@ from .connections import (
     SECOND_DERIVATIVE_STEP,
     CurveSpec,
     covariant_derivative_on_M,
+    covariant_derivative_set,
     convex_mixture_derivative,
     ext_covariant_derivative,
     parallel_transport_on_M,
@@ -90,6 +90,7 @@ __all__ = [
     "standard_witness_families",
     "sample_grid",
     "DualityReport",
+    "DefectGrid",
     "duality_defect",
     "TransportDualityReport",
     "transport_duality_check",
@@ -249,18 +250,133 @@ class DualityReport:
     family_name: str = ""
 
 
+def _eigenbasis_tangents(family: ParametrizedFamily, theta: np.ndarray, spec) -> np.ndarray:
+    """Coordinate tangents d_k sigma at theta in the eigenbasis of its Spectrum, shape (d, n, n)."""
+    tangents = np.stack([family.tangent_matrix(theta, k) for k in range(family.param_dim)])
+    return spec.to_eigenbasis(tangents)
+
+
+def _tangent_gram(tangents: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """g_ab = sum conj(T_a) * c * T_b over eigenbasis tangents T and kernel coefficients c.
+
+    Leading axes broadcast: tangents (..., d, n, n) against coefficients
+    (..., n, n). Each pair a <= b is summed once and mirrored.
+    """
+    d = tangents.shape[-3]
+    a, b = np.triu_indices(d)
+    upper = np.sum(
+        tangents[..., a, :, :].conj() * coefficients[..., None, :, :] * tangents[..., b, :, :],
+        axis=(-2, -1),
+    ).real
+    out = np.empty(upper.shape[:-1] + (d, d))
+    out[..., a, b] = upper
+    out[..., b, a] = upper
+    return out
+
+
 def _metric_matrix(
     family: ParametrizedFamily, theta: np.ndarray, f: MonotoneFunctionSpec
 ) -> np.ndarray:
     """g_ab = f-metric of the coordinate tangents d_a sigma, d_b sigma at theta."""
-    kernel = petz_kernel(family.point(theta), f)
-    tangents = [family.tangent_matrix(theta, k) for k in range(family.param_dim)]
-    d = len(tangents)
-    out = np.empty((d, d))
-    for a in range(d):
-        for b in range(a, d):
-            out[a, b] = out[b, a] = kernel_metric(kernel, tangents[a], tangents[b])
-    return out
+    spec = spectral_decompose(family.point(theta))
+    tangents = _eigenbasis_tangents(family, theta, spec)
+    return _tangent_gram(tangents, petz_kernel(spec, f).coefficients)
+
+
+class DefectGrid:
+    """Connection geometry of a duality-defect grid, shared by every kernel and alpha.
+
+    Built once per (family, grid): the Spectrum and eigenbasis coordinate
+    tangents of each grid point and of the 2d central-difference stencil
+    points around it (step d_step * max(1, |theta_i|)) that d_i g_jk needs.
+    The covariant derivatives nabla^(alpha)_i T_j at each point, in the
+    eigenbasis, are built on first use, once per signed alpha: the pair at
+    +-alpha shares its two sets with the pair at -+alpha, and alpha = 0 needs
+    one. None of this depends on the metric kernel, so ``defect`` only builds
+    Petz kernels and contracts.
+    """
+
+    def __init__(
+        self,
+        family: ParametrizedFamily,
+        grid: Sequence[np.ndarray],
+        on_extended: bool = False,
+        step: float = SECOND_DERIVATIVE_STEP,
+        d_step: float = FIRST_DERIVATIVE_STEP,
+    ):
+        self.family = family
+        self.grid = tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in grid)
+        self.on_extended = on_extended
+        self.step = step
+        d = family.param_dim
+        self._spectra = [spectral_decompose(family.point(theta)) for theta in self.grid]
+        self._tangents = np.stack(
+            [_eigenbasis_tangents(family, t, s) for t, s in zip(self.grid, self._spectra)]
+        )
+        widths, stencil_spectra, stencil_tangents = [], [], []
+        for theta in self.grid:
+            for i in range(d):
+                h = d_step * max(1.0, abs(theta[i]))
+                up, dn = theta.copy(), theta.copy()
+                up[i] += h
+                dn[i] -= h
+                widths.append(h)
+                for x in (up, dn):
+                    spec = spectral_decompose(family.point(x))
+                    stencil_spectra.append(spec)
+                    stencil_tangents.append(_eigenbasis_tangents(family, x, spec))
+        self._widths = np.reshape(widths, (len(self.grid), d))
+        # stencil points in the order up_0, dn_0, up_1, ... of every grid point in turn
+        self._stencil_spectra = stencil_spectra
+        self._stencil_tangents = np.stack(stencil_tangents)
+        self._nabla = {}
+
+    def _connection(self, alpha: float) -> np.ndarray:
+        """nabla^(alpha)_i T_j at every grid point in its eigenbasis, shape (points, d, d, n, n)."""
+        if alpha not in self._nabla:  # -0.0 == 0.0 shares the alpha = 0 set
+            self._nabla[alpha] = np.stack(
+                [
+                    spec.to_eigenbasis(
+                        covariant_derivative_set(
+                            self.family, theta, spec, alpha, self.on_extended, self.step
+                        )
+                    )
+                    for theta, spec in zip(self.grid, self._spectra)
+                ]
+            )
+        return self._nabla[alpha]
+
+    def defect(
+        self,
+        f: MonotoneFunctionSpec,
+        alpha: float,
+        scale: float = 1.0,
+        family_name: str = "",
+    ) -> DualityReport:
+        """Defect tensor of the f-metric against the (+alpha, -alpha) connections on this grid."""
+        alpha = float(alpha)
+        d = self.family.param_dim
+        plus, minus = self._connection(alpha), self._connection(-alpha)
+        c_stencil = np.stack([petz_kernel(s, f).coefficients for s in self._stencil_spectra])
+        g = _tangent_gram(self._stencil_tangents, c_stencil)
+        g = g.reshape(self._widths.shape + (2, d, d))
+        dg = (g[:, :, 0] - g[:, :, 1]) / (2.0 * self._widths)[:, :, None, None]
+        # axes (point, i, j, k, n, n), summed over the last two as kernel_metric sums
+        c = np.stack([petz_kernel(s, f).coefficients for s in self._spectra])[:, None, None, None]
+        t = self._tangents
+        cov_t = np.sum(plus.conj()[:, :, :, None] * c * t[:, None, None, :], axis=(-2, -1)).real
+        t_cov = np.sum(t.conj()[:, None, :, None] * c * minus[:, :, None, :], axis=(-2, -1)).real
+        per_triple = scale * (dg - cov_t - t_cov)
+        return DualityReport(
+            metric_name=f.name,
+            alpha=alpha,
+            on_extended=self.on_extended,
+            scale=scale,
+            defect=float(np.abs(per_triple).max()),
+            per_triple=per_triple,
+            grid=self.grid,
+            family_name=family_name,
+        )
 
 
 def duality_defect(
@@ -281,54 +397,9 @@ def duality_defect(
     g(T_j, nabla^(-alpha)_i T_k), with projected connections on the
     unit-trace manifold (default) or the flat ones on the positive cone.
     The defect is linear in ``scale`` (scalar metric multiples) exactly.
+    To check several kernels or alphas on one grid, build its DefectGrid once.
     """
-    alpha = float(alpha)
-    d = family.param_dim
-    deriv = ext_covariant_derivative if on_extended else covariant_derivative_on_M
-    tensors = []
-    for theta in grid:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        kernel = petz_kernel(family.point(theta), f)
-        tangents = [family.tangent_matrix(theta, k) for k in range(d)]
-
-        cov_plus = {}
-        cov_minus = {}
-        for i in range(d):
-            for j in range(i, d):
-                cov_plus[i, j] = deriv(family, theta, i, j, alpha, step).vector.mixture
-                cov_minus[i, j] = deriv(family, theta, i, j, -alpha, step).vector.mixture
-
-        dg = np.empty((d, d, d))
-        for i in range(d):
-            h = d_step * max(1.0, abs(theta[i]))
-            up, dn = theta.copy(), theta.copy()
-            up[i] += h
-            dn[i] -= h
-            dg[i] = (_metric_matrix(family, up, f) - _metric_matrix(family, dn, f)) / (2.0 * h)
-
-        t = np.empty((d, d, d))
-        for i in range(d):
-            for j in range(d):
-                cp = cov_plus[(i, j) if i <= j else (j, i)]
-                for k in range(d):
-                    cm = cov_minus[(i, k) if i <= k else (k, i)]
-                    t[i, j, k] = scale * (
-                        dg[i, j, k]
-                        - kernel_metric(kernel, cp, tangents[k])
-                        - kernel_metric(kernel, tangents[j], cm)
-                    )
-        tensors.append(t)
-    per_triple = np.stack(tensors)
-    return DualityReport(
-        metric_name=f.name,
-        alpha=alpha,
-        on_extended=on_extended,
-        scale=scale,
-        defect=float(np.abs(per_triple).max()),
-        per_triple=per_triple,
-        grid=tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in grid),
-        family_name=family_name,
-    )
+    return DefectGrid(family, grid, on_extended, step, d_step).defect(f, alpha, scale, family_name)
 
 
 # ---------------------------------------------------------------------------
@@ -735,21 +806,15 @@ def uniqueness_scan(
             ),
             (wyd_function(p), 3.0, True),
         ]
-    grids = {w.name: sample_grid(w, seed, n_points) for w in witnesses}
+    grids = [
+        (w, DefectGrid(w.family, sample_grid(w, seed, n_points), w.on_extended))
+        for w in witnesses
+    ]
     entries = []
     for spec, scale, expected in candidates:
         worst = 0.0
-        for w in witnesses:
-            rep = duality_defect(
-                w.family,
-                grids[w.name],
-                spec,
-                alpha,
-                on_extended=w.on_extended,
-                scale=scale,
-                family_name=w.name,
-            )
-            worst = max(worst, rep.defect)
+        for w, grid in grids:
+            worst = max(worst, grid.defect(spec, alpha, scale, w.name).defect)
         status = band(worst, tol, gap)
         name = spec.name if scale == 1.0 else f"{scale:g}*{spec.name}"
         entries.append(ScanEntry(name, worst, status, expected, scale))

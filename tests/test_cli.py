@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +195,20 @@ def test_runs_are_deterministic_up_to_wall_clock(capsys):
     _, second = _run(capsys, FAST_DUALITY)
     assert WALL_CLOCK.sub("", first) == WALL_CLOCK.sub("", second)
     assert WALL_CLOCK.search(first) is not None
+
+
+def test_readme_example_is_current(capsys):
+    # the README's example session is this exact command and output
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    prompt = "$ qiglab " + " ".join(FAST_DUALITY) + "\n"
+    assert prompt in readme
+    expected = readme.split(prompt, 1)[1].splitlines()[:3]
+    code, out = _run(capsys, FAST_DUALITY)
+    got = out.splitlines()
+    assert code == 0
+    assert '"defect":1.8984776417596549e-08' in expected[1]
+    assert got[:2] == expected[:2]
+    assert WALL_CLOCK.sub("", got[2]) == WALL_CLOCK.sub("", expected[2])
 
 
 def test_negative_list_values_use_equals_form(capsys):

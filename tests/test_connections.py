@@ -5,11 +5,14 @@ from qiglab.connections import (
     CurveSpec,
     convex_mixture_derivative,
     covariant_derivative_on_M,
+    covariant_derivative_set,
     ext_covariant_derivative,
     parallel_transport_ext,
     parallel_transport_on_M,
 )
+from qiglab.linalg import spectral_decompose
 from qiglab.manifold import (
+    ParametrizedFamily,
     affine_coordinates,
     alpha_representation,
     linear_family,
@@ -66,6 +69,42 @@ def test_ext_derivative_analytic_matches_fd_chart():
             a = ext_covariant_derivative(exact, xi0, i, j, -0.2)
             b = ext_covariant_derivative(fd, xi0, i, j, -0.2)
             np.testing.assert_allclose(a.vector.mixture, b.vector.mixture, atol=1e-5)
+
+
+def test_fd_diagonal_partial_decomposes_each_chart_point_once(monkeypatch):
+    # a bare linear chart (no analytic derivatives, no decomposition of its own);
+    # the diagonal stencil reuses the base point's Spectrum as its centre
+    fam = ParametrizedFamily(2, chart=lambda t: I2 / 2.0 + t[0] * SX / 2.0 + t[1] * SZ / 2.0)
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "eigh"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "eigvalsh"))
+    res = ext_covariant_derivative(fam, np.array([0.2, -0.1]), 1, 1, 0.3)
+    # base, up and down points: one chart guard and one eigendecomposition each
+    assert calls == {"eigh": 3, "eigvalsh": 3}
+    assert np.abs(res.vector.mixture).max() > 1e-3
+
+
+@pytest.mark.parametrize("on_extended", [False, True])
+def test_covariant_derivative_set_matches_single_derivatives(on_extended):
+    fam = linear_family(I2 / 2.0, [SX / 2.0, SY / 2.0, SZ / 2.0])
+    theta = np.array([0.2, -0.1, 0.15])
+    single = ext_covariant_derivative if on_extended else covariant_derivative_on_M
+    spec = spectral_decompose(fam.point(theta))
+    for alpha in (-0.5, 0.0, 1.0):
+        nabla = covariant_derivative_set(fam, theta, spec, alpha, on_extended)
+        for i in range(3):
+            for j in range(i, 3):
+                expected = single(fam, theta, i, j, alpha).vector.mixture
+                np.testing.assert_array_equal(nabla[i, j], expected)
+                np.testing.assert_array_equal(nabla[j, i], expected)
 
 
 # -------------------------------------------- projected covariant derivative

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from qiglab.connections import covariant_derivative_on_M, ext_covariant_derivative
 from qiglab.duality import (
+    FIRST_DERIVATIVE_STEP,
+    DefectGrid,
     classical_reduction_check,
     convexity_failure_check,
     dual_coordinate_check,
@@ -11,6 +14,7 @@ from qiglab.duality import (
     flatness_scan,
     gibbs_family,
     kernel_direct_consistency,
+    matched_metric,
     monotonicity_scan,
     path_dependence_witness,
     perturbed_wyd,
@@ -32,8 +36,12 @@ from qiglab.manifold import (
     xi_affine_family,
 )
 from qiglab.metrics import (
+    bkm_function,
     bures_function,
+    kernel_metric,
+    petz_kernel,
     relative_entropy,
+    rld_function,
     validate_function_spec,
     wyd_function,
 )
@@ -96,6 +104,105 @@ def test_duality_report_metadata():
     assert rep.metric_name == "bures"
     assert rep.family_name == "qubit-bloch"
     assert rep.per_triple.shape == (len(grid), 3, 3, 3)
+
+
+def _reference_per_triple(family, grid, f, alpha, on_extended):
+    """Per-triple defect loop: one public covariant derivative per pair and sign,
+    kernel_metric per pairing, and a central difference of the metric matrix."""
+    deriv = ext_covariant_derivative if on_extended else covariant_derivative_on_M
+    d = family.param_dim
+
+    def metric_matrix(theta):
+        kernel = petz_kernel(family.point(theta), f)
+        tangents = [family.tangent_matrix(theta, k) for k in range(d)]
+        g = np.empty((d, d))
+        for a in range(d):
+            for b in range(a, d):
+                g[a, b] = g[b, a] = kernel_metric(kernel, tangents[a], tangents[b])
+        return g
+
+    tensors = []
+    for theta in grid:
+        kernel = petz_kernel(family.point(theta), f)
+        tangents = [family.tangent_matrix(theta, k) for k in range(d)]
+        plus, minus = {}, {}
+        for i in range(d):
+            for j in range(i, d):
+                plus[i, j] = plus[j, i] = deriv(family, theta, i, j, alpha).vector.mixture
+                minus[i, j] = minus[j, i] = deriv(family, theta, i, j, -alpha).vector.mixture
+        dg = np.empty((d, d, d))
+        for i in range(d):
+            h = FIRST_DERIVATIVE_STEP * max(1.0, abs(theta[i]))
+            up, dn = theta.copy(), theta.copy()
+            up[i] += h
+            dn[i] -= h
+            dg[i] = (metric_matrix(up) - metric_matrix(dn)) / (2.0 * h)
+        t = np.empty((d, d, d))
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    t[i, j, k] = (
+                        dg[i, j, k]
+                        - kernel_metric(kernel, plus[i, j], tangents[k])
+                        - kernel_metric(kernel, tangents[j], minus[i, k])
+                    )
+        tensors.append(t)
+    return np.stack(tensors)
+
+
+@pytest.mark.parametrize(
+    "dim, manifold", [(2, "state"), (2, "weight"), (3, "state"), (3, "weight")]
+)
+def test_defect_grid_equals_per_triple_reference(dim, manifold):
+    # one grid serves every kernel and alpha, bit for bit as the per-triple loop
+    witness = standard_witness_families(dim, manifold)[0]
+    grid = sample_grid(witness, [0, dim], 2)
+    shared = DefectGrid(witness.family, grid, witness.on_extended)
+    kernels = [bures_function(), rld_function()]
+    cases = [(f, a) for a in (-0.5, 0.0, 0.5) for f in [matched_metric(a)] + kernels]
+    cases += [(bkm_function(), -1.0), (bkm_function(), 1.0)]
+    for f, alpha in cases:
+        expected = _reference_per_triple(witness.family, grid, f, alpha, witness.on_extended)
+        rep = shared.defect(f, alpha)
+        np.testing.assert_array_equal(rep.per_triple, expected)
+        assert rep.defect == float(np.abs(expected).max())
+        np.testing.assert_array_equal(
+            duality_defect(witness.family, grid, f, alpha, witness.on_extended).per_triple,
+            expected,
+        )
+
+
+def test_defect_grid_builds_each_connection_set_once(monkeypatch, capsys):
+    import qiglab.connections
+    from qiglab.cli import main
+
+    calls = {"second": 0}
+    second = qiglab.connections.frechet_second_derivative
+
+    def counted(*args, **kwargs):
+        calls["second"] += 1
+        return second(*args, **kwargs)
+
+    def count(run):
+        calls["second"] = 0
+        run()
+        return calls["second"]
+
+    monkeypatch.setattr(qiglab.connections, "frechet_second_derivative", counted)
+    witnesses = standard_witness_families(2, "state")
+    pairs = 6  # i <= j on the three-parameter Bloch chart
+    battery = count(lambda: uniqueness_scan(0.5, witnesses=witnesses, n_points=1))
+    single = count(
+        lambda: uniqueness_scan(
+            0.5, witnesses=witnesses, n_points=1, candidates=[(wyd_function(0.75), 1.0, True)]
+        )
+    )
+    # nabla^(0.5) and nabla^(-0.5) once each, for 7 candidates as for 1
+    assert battery == single == 2 * pairs
+    argv = ["duality", "--alpha=-0.5,0,0.5", "--dim", "2", "--manifold", "state", "--points", "1"]
+    # the signed orders -0.5, 0 and 0.5: three sets, not one per alpha and sign
+    assert count(lambda: main(argv)) == 3 * pairs
+    capsys.readouterr()
 
 
 def test_standard_witness_families():
