@@ -684,6 +684,8 @@ def _run_entropy_projection(opt):
     dim = int(opt["dim"])
     n_obs = int(opt["observables"])
     instances = int(opt["instances"])
+    if instances < 1:
+        raise ValueError(f"--instances must be at least 1, got {instances}")
     tol = float(opt["tol"])
     mean_tol = float(opt["mean_tol"])
     orth_tol = float(opt["orthogonality_tol"])

@@ -11,13 +11,16 @@ CLI runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .linalg import (
+    Spectrum,
+    apply_scalar_function,
     check_hermitian,
+    exp_function,
     frechet_derivative,
     frechet_second_derivative,
     hermitize,
@@ -26,6 +29,7 @@ from .linalg import (
 from .manifold import (
     ParametrizedFamily,
     TangentVector,
+    _last_value_cache,
     affine_coordinates,
     alpha_representation,
     basis_combination,
@@ -474,47 +478,69 @@ def witness_curve(step_count: int = 256) -> CurveSpec:
 # Potential and dual coordinates
 
 
-def potential_value(sigma: np.ndarray, alpha: float) -> float:
-    """Trace potential (2/(1+alpha)) Tr sigma; undefined at alpha = -1."""
+def potential_value(sigma: np.ndarray, alpha: float):
+    """Trace potential (2/(1+alpha)) Tr sigma; undefined at alpha = -1.
+
+    A stack of matrices (..., n, n) gives an array of values.
+    """
     alpha = float(alpha)
     if alpha <= -1.0:
         raise ValueError(f"the trace potential needs alpha > -1, got {alpha!r}")
-    return float(2.0 / (1.0 + alpha) * np.trace(sigma).real)
+    value = 2.0 / (1.0 + alpha) * np.trace(sigma, axis1=-2, axis2=-1).real
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _scalar_gradient(fn, x: np.ndarray, step: float = FIRST_DERIVATIVE_STEP) -> np.ndarray:
-    g = np.empty_like(x)
-    for i in range(x.shape[0]):
-        h = step * max(1.0, abs(x[i]))
-        up, dn = x.copy(), x.copy()
-        up[i] += h
-        dn[i] -= h
-        g[i] = (fn(up) - fn(dn)) / (2.0 * h)
-    return g
+    """Central-difference gradient of fn at x (d,), or at every row of a stack x (k, d).
+
+    fn maps a stack of points (m, d) to values (m, ...). The whole stencil,
+    x +- h_i e_i with h_i = step * max(1, |x_i|), goes to fn in one call.
+    The result has axes (..., i, ...): x's stack axes, the direction, then
+    the axes of fn's values, so a vector-valued fn gives its transposed
+    Jacobian.
+    """
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
+    h = step * np.maximum(1.0, np.abs(x))
+    # rows x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ... of every x in turn
+    stencil = np.repeat(x[..., None, :], 2 * d, axis=-2)
+    axes = np.arange(d)
+    stencil[..., 2 * axes, axes] += h
+    stencil[..., 2 * axes + 1, axes] -= h
+    values = np.asarray(fn(stencil.reshape(-1, d)))
+    tail = values.shape[1:]
+    up_dn = np.moveaxis(values.reshape(x.shape[:-1] + (d, 2) + tail), x.ndim, 0)
+    return (up_dn[0] - up_dn[1]) / (2.0 * h).reshape(h.shape + (1,) * len(tail))
 
 
 def _scalar_hessian(fn, x: np.ndarray, step: float = SECOND_DERIVATIVE_STEP) -> np.ndarray:
+    """Central-difference Hessian of fn at x (d,), from one call of fn on its 1 + 2d^2 points.
+
+    fn maps a stack of points (m, d) to values (m,); the steps are
+    h_i = step * max(1, |x_i|).
+    """
     d = x.shape[0]
-    out = np.empty((d, d))
-    f0 = fn(x)
+    h = step * np.maximum(1.0, np.abs(x))
+
+    def shifted(*moves):
+        y = x.copy()
+        for k, sign in moves:
+            y[k] += sign * h[k]
+        return y
+
+    stencil = [x]
     for i in range(d):
-        hi = step * max(1.0, abs(x[i]))
-        up, dn = x.copy(), x.copy()
-        up[i] += hi
-        dn[i] -= hi
-        out[i, i] = (fn(up) - 2.0 * f0 + fn(dn)) / (hi * hi)
-        for j in range(i):
-            hj = step * max(1.0, abs(x[j]))
-            pp, pm, mp, mm = x.copy(), x.copy(), x.copy(), x.copy()
-            pp[i] += hi
-            pp[j] += hj
-            pm[i] += hi
-            pm[j] -= hj
-            mp[i] -= hi
-            mp[j] += hj
-            mm[i] -= hi
-            mm[j] -= hj
-            out[i, j] = out[j, i] = (fn(pp) - fn(pm) - fn(mp) + fn(mm)) / (4.0 * hi * hj)
+        stencil += [shifted((i, 1)), shifted((i, -1))]
+    pairs = [(i, j) for i in range(d) for j in range(i)]
+    for i, j in pairs:
+        stencil += [shifted((i, s), (j, t)) for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    values = fn(np.stack(stencil))
+    f0, axial, mixed = values[0], values[1 : 1 + 2 * d], values[1 + 2 * d :].reshape(-1, 4)
+    out = np.empty((d, d))
+    for i in range(d):
+        out[i, i] = (axial[2 * i] - 2.0 * f0 + axial[2 * i + 1]) / (h[i] * h[i])
+    for (i, j), (pp, pm, mp, mm) in zip(pairs, mixed):
+        out[i, j] = out[j, i] = (pp - pm - mp + mm) / (4.0 * h[i] * h[j])
     return out
 
 
@@ -602,13 +628,14 @@ def potential_check(
     etas = np.empty((len(points), d))
     zetas = np.empty((len(points), d))
     for n, xi in enumerate(points):
-        hess = _scalar_hessian(psi, xi)
+        # both evaluate the chart at xi itself, so it decomposes xi once for both
         metric = _metric_matrix(family, xi, f)
+        zetas[n] = affine_coordinates(family.point(xi), -alpha, basis)
+        hess = _scalar_hessian(psi, xi)
         if n == 0:
             first_hessian, first_metric = hess, metric
         residual = max(residual, float(np.abs(hess - metric).max()))
         etas[n] = _scalar_gradient(psi, xi)
-        zetas[n] = affine_coordinates(family.point(xi), -alpha, basis)
     design = np.hstack([zetas, np.ones((len(points), 1))])
     coeffs, *_ = np.linalg.lstsq(design, etas, rcond=None)
     gradient_residual = float(np.abs(design @ coeffs - etas).max())
@@ -647,6 +674,8 @@ def dual_coordinate_check(
     """
     alpha = float(alpha)
     points = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
+    if not points:
+        raise ValueError("the dual coordinate check needs at least one point")
     d = family.param_dim
     f = matched_metric(alpha)
     rng = rng_from(seed)
@@ -661,13 +690,8 @@ def dual_coordinate_check(
     leg_res = 0.0
     for xi in points:
         metric = _metric_matrix(family, xi, f)
-        jac = np.empty((d, d))
-        for j in range(d):
-            h = SECOND_DERIVATIVE_STEP * max(1.0, abs(xi[j]))
-            up, dn = xi.copy(), xi.copy()
-            up[j] += h
-            dn[j] -= h
-            jac[:, j] = (eta(up) - eta(dn)) / (2.0 * h)
+        # eta at all 2d points of the stencil, from one chart call on 4d^2 points
+        jac = _scalar_gradient(eta, xi, SECOND_DERIVATIVE_STEP).T
         jac_res = max(jac_res, float(np.abs(jac - metric).max()))
 
         eta0 = eta(xi)
@@ -980,17 +1004,19 @@ def embedding_trace_identity_gap(
 
 @dataclass(frozen=True)
 class GibbsFamily:
-    """exp(sum theta_i Y_i - psi(theta) I) with analytic chart derivatives."""
+    """exp(sum theta_i Y_i - psi(theta) I) with analytic chart derivatives.
+
+    ``spectrum(theta)`` is the family's per-theta evaluation, (Spectrum of
+    sum theta_i Y_i - psi I, psi, sigma), computed once per theta and shared
+    by the chart, its derivatives, ``log_partition`` and ``means``.
+    """
 
     observables: tuple
     family: ParametrizedFamily
+    spectrum: Callable = field(repr=False, compare=False)
 
     def log_partition(self, theta) -> float:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        a = basis_combination(theta, self.observables)
-        w = np.linalg.eigvalsh(a)
-        m = float(w.max())
-        return m + float(np.log(np.sum(np.exp(w - m))))
+        return float(self.spectrum(np.atleast_1d(np.asarray(theta, dtype=float)))[1])
 
     def state(self, theta) -> np.ndarray:
         return self.family.point(theta)
@@ -1014,34 +1040,32 @@ def gibbs_family(observables: Sequence[np.ndarray]) -> GibbsFamily:
     gram = np.array([[np.trace(a.conj().T @ b).real for b in span] for a in span])
     if np.linalg.cond(gram) > 1e12:
         raise ValueError("observables together with I must be linearly independent")
-    from .linalg import Spectrum, exp_function
-
     expf = exp_function()
 
-    def _b_spectrum(theta):
-        a = basis_combination(theta, ys)
-        spec = spectral_decompose(a)
-        m = float(spec.eigenvalues.max())
-        psi = m + float(np.log(np.sum(np.exp(spec.eigenvalues - m))))
-        return Spectrum(spec.eigenvalues - psi, spec.unitary), psi
+    @_last_value_cache
+    def spectrum(theta):
+        # theta (..., m): the log-sum-exp psi and sigma = exp(B - psi I) of each B = sum theta_i Y_i
+        spec = spectral_decompose(basis_combination(theta, ys))
+        top = spec.eigenvalues.max(axis=-1, keepdims=True)
+        psi = top + np.log(np.sum(np.exp(spec.eigenvalues - top), axis=-1, keepdims=True))
+        shifted = Spectrum(spec.eigenvalues - psi, spec.unitary)
+        return shifted, psi[..., 0], apply_scalar_function(shifted, expf)
 
     def chart(theta):
-        spec, _ = _b_spectrum(theta)
-        return hermitize((spec.unitary * np.exp(spec.eigenvalues)) @ spec.unitary.conj().T)
+        return spectrum(theta)[2].copy()  # the cached sigma stays private to the family
 
-    def _jacobian_pieces(theta):
-        spec, _ = _b_spectrum(theta)
-        sigma = hermitize((spec.unitary * np.exp(spec.eigenvalues)) @ spec.unitary.conj().T)
-        dpsi = [float(np.trace(sigma @ y).real) for y in ys]
-        dirs = [y - dp * np.eye(n) for y, dp in zip(ys, dpsi)]
+    def _directions(theta):
+        # d sigma / d theta_i = L_exp(B - psi I)[Y_i - <Y_i> I]
+        spec, _, sigma = spectrum(theta)
+        dirs = [y - float(np.trace(sigma @ y).real) * np.eye(n) for y in ys]
         return spec, sigma, dirs
 
     def jacobian(theta, i):
-        spec, _, dirs = _jacobian_pieces(theta)
+        spec, _, dirs = _directions(theta)
         return frechet_derivative(spec, dirs[i], expf)
 
     def hessian(theta, i, j):
-        spec, sigma, dirs = _jacobian_pieces(theta)
+        spec, sigma, dirs = _directions(theta)
         dsig_j = frechet_derivative(spec, dirs[j], expf)
         d2psi = float(np.trace(dsig_j @ ys[i]).real)
         return hermitize(
@@ -1051,7 +1075,7 @@ def gibbs_family(observables: Sequence[np.ndarray]) -> GibbsFamily:
     fam = ParametrizedFamily(
         param_dim=len(ys), chart=chart, jacobian=jacobian, hessian=hessian
     )
-    return GibbsFamily(ys, fam)
+    return GibbsFamily(ys, fam, spectrum)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ product, and the splitting of a self-adjoint direction into the part that
 commutes with a base matrix plus a commutator remainder.
 
 Everything works on plain complex numpy arrays; matrices are small and dense.
+Matrix arguments may carry leading stack axes, (..., n, n), where a function
+says so; a stack is then handled matrix by matrix with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -49,10 +51,15 @@ _TRIPLE_RTOL = 1e-7
 _HERMITIAN_TOL = 1e-12
 
 
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Symmetrize to (A + A†)/2, removing numerical skew."""
+    """Symmetrize to (A + A†)/2, removing numerical skew; leading axes broadcast."""
     a = np.asarray(a)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + _dagger(a))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -60,17 +67,21 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def check_hermitian(a: np.ndarray, tol: float = _HERMITIAN_TOL) -> np.ndarray:
-    """Return ``a`` as a complex array, rejecting non-self-adjoint input."""
+    """Return ``a`` as a complex array, rejecting non-self-adjoint input.
+
+    ``a`` is one square matrix or a stack of them, (..., n, n); the error
+    names the worst entry with its stack index.
+    """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    dev = np.abs(a - a.conj().T)
+    dev = np.abs(a - _dagger(a))
     worst = float(dev.max()) if dev.size else 0.0
     if worst > tol:
-        i, j = np.unravel_index(int(dev.argmax()), dev.shape)
+        where = tuple(int(k) for k in np.unravel_index(int(dev.argmax()), dev.shape))
         raise ValueError(
             "matrix is not self-adjoint: |A - A†| reaches "
-            f"{worst:.3e} at entry ({i}, {j}), tolerance {tol:.1e}"
+            f"{worst:.3e} at entry {where}, tolerance {tol:.1e}"
         )
     return a
 
@@ -96,28 +107,32 @@ def schatten_norm(a: np.ndarray, order: float) -> float:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (real, ascending) and eigenvectors of a Hermitian matrix."""
+    """Eigenvalues (real, ascending) and eigenvectors of a Hermitian matrix.
+
+    A stack of matrices gives eigenvalues (..., n) and unitaries (..., n, n);
+    the methods then work matrix by matrix.
+    """
 
     eigenvalues: np.ndarray
     unitary: np.ndarray
 
     @property
     def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
+        return int(self.eigenvalues.shape[-1])
 
     def matrix(self) -> np.ndarray:
         """Reconstruct U diag(λ) U†."""
-        return (self.unitary * self.eigenvalues) @ self.unitary.conj().T
+        return (self.unitary * self.eigenvalues[..., None, :]) @ _dagger(self.unitary)
 
     def to_eigenbasis(self, m: np.ndarray) -> np.ndarray:
-        return self.unitary.conj().T @ m @ self.unitary
+        return _dagger(self.unitary) @ m @ self.unitary
 
     def from_eigenbasis(self, m: np.ndarray) -> np.ndarray:
-        return self.unitary @ m @ self.unitary.conj().T
+        return self.unitary @ m @ _dagger(self.unitary)
 
 
 def spectral_decompose(a: np.ndarray, tol: float = _HERMITIAN_TOL) -> Spectrum:
-    """Eigendecomposition of a self-adjoint matrix.
+    """Eigendecomposition of a self-adjoint matrix, or of each matrix of a stack.
 
     Rejects input whose self-adjointness violation exceeds ``tol``; the error
     reports the size and location of the worst entry.
@@ -131,6 +146,7 @@ def spectral_decompose(a: np.ndarray, tol: float = _HERMITIAN_TOL) -> Spectrum:
 class ScalarFunction:
     """A scalar function with derivatives, for spectral calculus.
 
+    ``fn`` must accept an array of eigenvalues and act elementwise.
     ``pair``, when present, evaluates the first divided difference
     (f(x) - f(y))/(x - y) for x != y in a cancellation-free form; without it
     the generic quotient with the coincidence threshold is used. ``deriv2``
@@ -180,7 +196,13 @@ def exp_function() -> ScalarFunction:
 
 
 def power_function(exponent: float, scale: float = 1.0, name: str = None) -> ScalarFunction:
-    """scale * x**exponent on (0, inf), with a stable divided difference."""
+    """scale * x**exponent on (0, inf), with a stable divided difference.
+
+    ``fn`` uses ``np.float_power``, the C library ``pow`` elementwise, so an
+    array of eigenvalues gets bit for bit the values that each eigenvalue
+    gets alone (``x ** e`` on an array may take a vectorized ``pow`` that
+    differs in the last bit).
+    """
     e, c = float(exponent), float(scale)
 
     def pair(x, y):
@@ -189,7 +211,7 @@ def power_function(exponent: float, scale: float = 1.0, name: str = None) -> Sca
 
     return ScalarFunction(
         name or f"{c:g}*x^{e:g}",
-        fn=lambda x: c * x**e,
+        fn=lambda x: c * np.float_power(x, e),
         deriv=lambda x: c * e * x ** (e - 1.0),
         deriv2=lambda x: c * e * (e - 1.0) * x ** (e - 2.0),
         pair=pair,
@@ -203,29 +225,28 @@ def _as_scalar_function(f) -> ScalarFunction:
 
 
 def apply_scalar_function(spec: Spectrum, f) -> np.ndarray:
-    """Apply f eigenvalue-wise: U diag(f(λ)) U†.
+    """Apply f eigenvalue-wise: U diag(f(λ)) U†, for one Spectrum or a stacked one.
 
-    Raises a domain error naming the offending eigenvalue if f is undefined
-    (non-finite) there. Real-valued f yields a symmetrized Hermitian result;
-    complex-valued f is returned as the general matrix it is.
+    f is called once, on the whole eigenvalue array, and must act
+    elementwise. Raises a domain error naming the first offending eigenvalue
+    if f is undefined (non-finite) there. Real-valued f yields a symmetrized
+    Hermitian result; complex-valued f is returned as the general matrix it is.
     """
     fun = _as_scalar_function(f)
-    values = []
-    for lam in spec.eigenvalues:
-        with np.errstate(all="ignore"):
-            try:
-                v = fun.fn(lam)
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise ValueError(
-                    f"scalar function {fun.name!r} undefined at eigenvalue {lam!r}"
-                ) from exc
-        if not np.all(np.isfinite(v)):
+    lam = spec.eigenvalues
+    with np.errstate(all="ignore"):
+        try:
+            values = np.asarray(fun.fn(lam))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(
-                f"scalar function {fun.name!r} undefined at eigenvalue {lam!r}"
-            )
-        values.append(v)
-    values = np.asarray(values)
-    out = (spec.unitary * values) @ spec.unitary.conj().T
+                f"scalar function {fun.name!r} undefined at eigenvalues {lam.tolist()!r}"
+            ) from exc
+        finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(
+            f"scalar function {fun.name!r} undefined at eigenvalue {lam[~finite][0]!r}"
+        )
+    out = (spec.unitary * values[..., None, :]) @ _dagger(spec.unitary)
     if not np.iscomplexobj(values) or np.abs(values.imag).max() == 0.0:
         out = hermitize(out)
     return out

@@ -204,8 +204,8 @@ def sphere_project(rho: Union[np.ndarray, Spectrum], alpha: float, a: np.ndarray
     alpha = _check_alpha(alpha)
     a = check_hermitian(a)
     spec = check_state(rho)
-    p_plus = apply_scalar_function(spec, lambda x: x ** (0.5 * (1.0 + alpha)))
-    p_minus = apply_scalar_function(spec, lambda x: x ** (0.5 * (1.0 - alpha)))
+    p_plus = apply_scalar_function(spec, power_function(0.5 * (1.0 + alpha)))
+    p_minus = apply_scalar_function(spec, power_function(0.5 * (1.0 - alpha)))
     coeff = float(np.trace(p_plus @ a).real)
     return a - coeff * p_minus
 
@@ -214,10 +214,13 @@ def sphere_project(rho: Union[np.ndarray, Spectrum], alpha: float, a: np.ndarray
 class ParametrizedFamily:
     """A chart theta -> positive matrix, with optional analytic derivatives.
 
-    ``jacobian(theta, i)`` returns the i-th partial of the chart and
-    ``hessian(theta, i, j)`` the second partial; when absent, consumers fall
-    back to central differences with step fd_step * max(1, |theta_i|).
-    Charts must keep the spectrum above ``guard`` (domain guard).
+    ``chart`` maps a parameter (d,) to an (n, n) matrix and must broadcast
+    over leading axes: a stack (m, d) maps to (m, n, n), row by row with the
+    same arithmetic. ``jacobian(theta, i)`` returns the i-th partial of the
+    chart and ``hessian(theta, i, j)`` the second partial, at one theta;
+    when absent, consumers fall back to central differences with step
+    fd_step * max(1, |theta_i|). Charts must keep the spectrum above
+    ``guard`` (domain guard).
     """
 
     param_dim: int
@@ -232,19 +235,33 @@ class ParametrizedFamily:
         return self.jacobian is not None and self.hessian is not None
 
     def point(self, theta: np.ndarray) -> np.ndarray:
+        """Chart value at theta (d,), or at every row of a stack (m, d) as (m, n, n).
+
+        Each matrix must be self-adjoint with its spectrum above the guard;
+        one eigvalsh checks the whole stack. The error names the theta that
+        fails, for a stack its first failing row.
+        """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if theta.shape != (self.param_dim,):
+        if theta.ndim > 2 or theta.shape[-1] != self.param_dim:
             raise ValueError(
                 f"parameter shape {theta.shape} does not match param_dim {self.param_dim}"
             )
         try:
             sigma = check_hermitian(self.chart(theta))
-            low = float(np.linalg.eigvalsh(sigma).min())
-            if low < self.guard:
+            if sigma.shape[:-2] != theta.shape[:-1]:
+                raise ValueError(
+                    f"chart output shape {sigma.shape} does not follow the parameter stack"
+                )
+            low = np.linalg.eigvalsh(sigma).min(axis=-1)
+            if np.any(low < self.guard):
+                low = float(low.min())
                 raise ValueError(
                     f"chart output min eigenvalue {low:.3e} below guard {self.guard:.1e}"
                 )
         except ValueError as exc:
+            if theta.ndim == 2:
+                for row in theta:  # the first failing row raises with its own theta
+                    self.point(row)
             raise ValueError(f"chart evaluation failed at theta={theta.tolist()}: {exc}") from exc
         return sigma
 
@@ -275,13 +292,35 @@ def family_tangent(family: ParametrizedFamily, theta: np.ndarray, i: int) -> Tan
 
 
 def basis_combination(xi: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_i xi_i X_i, summed in basis order; coordinates (..., d) give matrices (..., n, n)."""
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (len(basis),):
+    if xi.ndim < 1 or xi.shape[-1] != len(basis):
         raise ValueError(f"coordinate shape {xi.shape} does not match basis size {len(basis)}")
-    out = np.zeros_like(np.asarray(basis[0], dtype=complex))
-    for c, x in zip(xi, basis):
-        out = out + c * x
+    out = np.zeros(xi.shape[:-1] + np.shape(basis[0]), dtype=complex)
+    for k, x in enumerate(basis):
+        out = out + xi[..., k, None, None] * x
     return out
+
+
+def _last_value_cache(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
+    """fn(theta), computed again only when theta's shape or bytes change.
+
+    One entry: a chart's consumers (the chart itself, its jacobian and
+    hessian, derived quantities) ask about one theta at a time, so they share
+    one evaluation of the expensive part. The result is shared, not copied.
+    """
+    key = value = None
+
+    def cached(theta):
+        nonlocal key, value
+        theta = np.asarray(theta, dtype=float)
+        k = (theta.shape, theta.tobytes())
+        if k != key:
+            value = fn(theta)
+            key = k
+        return value
+
+    return cached
 
 
 def affine_coordinates(
@@ -312,28 +351,29 @@ def xi_affine_family(
 
     With ``analytic=True`` the chart carries exact first and second
     derivatives through the inverse-embedding matrix calculus; with False it
-    is a bare chart for finite-difference consumers.
+    is a bare chart for finite-difference consumers. The chart and its
+    derivatives share one decomposition of sum xi_i X_i per xi.
     """
     alpha = _check_alpha(alpha)
     basis = [check_hermitian(x) for x in basis]
     inverse = inverse_embedding_function(alpha)
+    spectrum = _last_value_cache(lambda xi: spectral_decompose(basis_combination(xi, basis)))
 
     def chart(xi):
-        y = basis_combination(xi, basis)
+        spec = spectrum(xi)
         # the exp inverse of the log embedding is defined on every self-adjoint y
-        spec = spectral_decompose(y) if alpha == 1.0 else check_weight(y)
+        if alpha != 1.0:
+            check_weight(spec)
         return apply_scalar_function(spec, inverse)
 
     jac = hess = None
     if analytic:
 
         def jac(xi, i):
-            spec = spectral_decompose(basis_combination(xi, basis))
-            return frechet_derivative(spec, basis[i], inverse)
+            return frechet_derivative(spectrum(xi), basis[i], inverse)
 
         def hess(xi, i, j):
-            spec = spectral_decompose(basis_combination(xi, basis))
-            return frechet_second_derivative(spec, basis[i], basis[j], inverse)
+            return frechet_second_derivative(spectrum(xi), basis[i], basis[j], inverse)
 
     return ParametrizedFamily(param_dim=len(basis), chart=chart, jacobian=jac, hessian=hess)
 

@@ -157,6 +157,23 @@ def test_missing_command_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_zero_dual_points_is_usage_error(capsys):
+    # with no points the Jacobian and Legendre residuals would read 0 unchecked
+    with pytest.raises(SystemExit) as exc:
+        main(["potential", "--alpha", "0", "--dual-points", "0"])
+    assert exc.value.code == 2
+    assert "at least one point" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_no_projection_instances_is_usage_error(capsys, instances):
+    # an empty batch has no mean residual to judge
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy-projection", f"--instances={instances}"])
+    assert exc.value.code == 2
+    assert "--instances" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- verdicts
 
 

@@ -5,6 +5,7 @@ from qiglab.connections import covariant_derivative_on_M, ext_covariant_derivati
 from qiglab.duality import (
     FIRST_DERIVATIVE_STEP,
     DefectGrid,
+    _metric_matrix,
     classical_reduction_check,
     convexity_failure_check,
     dual_coordinate_check,
@@ -303,6 +304,52 @@ def test_dual_coordinates_jacobian_and_legendre(alpha):
     assert rep.legendre_residual <= 1e-5
 
 
+def test_dual_coordinate_check_needs_points():
+    family, points, basis = _potential_grid(0.0)
+    with pytest.raises(ValueError, match="at least one point"):
+        dual_coordinate_check(family, 0.0, [])
+
+
+def _count_decompositions(monkeypatch):
+    """Count numpy eigh/eigvalsh calls from here on; a stacked call counts once."""
+    calls = {"eig": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls["eig"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    return calls
+
+
+def test_metric_matrix_decomposes_the_chart_parameter_once(monkeypatch):
+    # chart, guard, the point's Spectrum; the analytic tangents reuse the chart's decomposition
+    family, points, _ = _potential_grid(0.5)
+    calls = _count_decompositions(monkeypatch)
+    _metric_matrix(family, points[0], matched_metric(0.5))
+    assert 0 < calls["eig"] <= 3
+
+
+def test_potential_check_evaluates_each_stencil_in_one_chart_call(monkeypatch):
+    family, points, basis = _potential_grid(0.5)
+    calls = _count_decompositions(monkeypatch)
+    rep = potential_check(family, 0.5, points, basis)
+    assert rep.residual <= 1e-5
+    assert 0 < calls["eig"] <= 70
+
+
+def test_dual_coordinate_check_evaluates_each_stencil_in_one_chart_call(monkeypatch):
+    family, points, _ = _potential_grid(0.5)
+    calls = _count_decompositions(monkeypatch)
+    rep = dual_coordinate_check(family, 0.5, points[:2], seed=9)
+    assert rep.jacobian_residual <= 1e-5
+    assert 0 < calls["eig"] <= 100
+
+
 # ------------------------------------------------------------ uniqueness scan
 
 
@@ -503,6 +550,19 @@ def test_entropy_projection_does_not_stall_at_rounding_level():
     assert report.converged
     assert report.iterations < 20
     assert report.gradient_norm <= 1e-9
+
+
+def test_entropy_projection_decomposes_each_theta_once(monkeypatch):
+    # instance 0 of `entropy-projection --dim 3 --seed 5`: four iterations; the
+    # chart, its derivatives, the means and the log partition share one
+    # decomposition per theta
+    rng = rng_from([5, 0])
+    rho = random_state(rng, 3, floor=0.05)
+    gibbs = gibbs_family([random_traceless_hermitian(rng, 3) for _ in range(2)])
+    calls = _count_decompositions(monkeypatch)
+    report = entropy_projection(rho, gibbs)
+    assert report.converged and report.iterations == 4
+    assert 0 < calls["eig"] <= 16
 
 
 def test_relative_entropy_curvature_gap():

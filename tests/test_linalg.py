@@ -35,6 +35,15 @@ def test_check_hermitian_reports_worst_entry():
         check_hermitian(a)
 
 
+def test_check_hermitian_names_the_stack_index():
+    stack = np.stack([np.eye(2, dtype=complex)] * 3)
+    stack[1, 0, 1] = 1e-3
+    with pytest.raises(ValueError, match=r"at entry \(1, 0, 1\)"):
+        check_hermitian(stack)
+    ok = np.stack([np.eye(2, dtype=complex)] * 2)
+    np.testing.assert_array_equal(check_hermitian(ok), ok)
+
+
 def test_commutator():
     rng = rng_from(1)
     a = random_hermitian(rng, 3)
@@ -97,6 +106,23 @@ def test_apply_scalar_function_log():
     spec = spectral_decompose(a)
     lg = apply_scalar_function(spec, log_function())
     np.testing.assert_allclose(apply_scalar_function(spectral_decompose(lg), exp_function()), a, atol=1e-10)
+
+
+def test_apply_scalar_function_calls_f_once_per_stack():
+    seen = []
+
+    def f(x):
+        seen.append(np.shape(x))
+        return np.sqrt(x)
+
+    rng = rng_from(4)
+    factors = [random_hermitian(rng, 3) for _ in range(2)]
+    stack = np.stack([hermitize(a @ a.conj().T) + np.eye(3) for a in factors])
+    out = apply_scalar_function(spectral_decompose(stack), f)
+    assert seen == [(2, 3)]
+    for k in range(2):
+        alone = apply_scalar_function(spectral_decompose(stack[k]), f)
+        np.testing.assert_array_equal(out[k], alone)
 
 
 def test_apply_scalar_function_domain_error_names_eigenvalue():

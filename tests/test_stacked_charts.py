@@ -1,0 +1,144 @@
+"""A stack of chart parameters gives, row by row, the bits of one parameter at a time.
+
+Property tests over the library charts: the xi-affine chart at five
+embedding orders, two linear witness charts and a Gibbs chart, with generic
+spectra, near-degenerate spectra and spectra just above the chart guard.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qiglab.duality import gibbs_family, qubit_bloch_family, qubit_weight_family
+from qiglab.linalg import hermitize
+from qiglab.manifold import (
+    CHART_MIN_EIGENVALUE,
+    ParametrizedFamily,
+    affine_coordinates,
+    xi_affine_family,
+)
+from qiglab.sampling import (
+    haar_unitary,
+    hermitian_basis,
+    pauli_matrices,
+    random_traceless_hermitian,
+    rng_from,
+)
+
+PAULI = pauli_matrices()
+PROPERTY = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def qubit_weights(draw):
+    """A 2x2 positive matrix: generic, near-degenerate or with its low eigenvalue near the guard."""
+    kind = draw(st.sampled_from(["generic", "degenerate", "guard"]))
+    lam = draw(st.lists(st.floats(0.05, 3.0), min_size=2, max_size=2))
+    if kind == "degenerate":
+        lam[1] = lam[0] * (1.0 + draw(st.floats(0.0, 1e-9)))
+    elif kind == "guard":
+        lam[0] = draw(st.floats(2.0 * CHART_MIN_EIGENVALUE, 20.0 * CHART_MIN_EIGENVALUE))
+    q = haar_unitary(rng_from(draw(st.integers(0, 2**32 - 1))), 2)
+    return hermitize((q * np.array(lam)) @ q.conj().T)
+
+
+def _xi_case(alpha):
+    basis = hermitian_basis(2)
+    return xi_affine_family(basis, alpha), lambda w: affine_coordinates(w, alpha, basis)
+
+
+def _bloch_case():
+    # the state w / Tr w has Bloch vector Tr(rho P_k)
+    return qubit_bloch_family(), lambda w: np.array(
+        [np.trace(w @ p).real / np.trace(w).real for p in PAULI[1:]]
+    )
+
+
+def _weight_case():
+    family = qubit_weight_family()
+    base = family.point(np.zeros(4))
+    # base + sum theta_k P_k / 2 = w
+    return family, lambda w: np.array([np.trace((w - base) @ p).real for p in PAULI])
+
+
+CHARTS = {
+    **{f"xi-affine({a:g})": (lambda a=a: _xi_case(a)) for a in (-1.0, -0.5, 0.0, 0.5, 1.0)},
+    "qubit-bloch": _bloch_case,
+    "qubit-weight": _weight_case,
+}
+
+
+def _single_error(family, theta):
+    try:
+        family.point(theta)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _check_stack(family, stack):
+    """Rows that pass alone give the same bits stacked; otherwise the first failing row's error."""
+    errors = [_single_error(family, row) for row in stack]
+    failing = [e for e in errors if e is not None]
+    if failing:
+        with pytest.raises(ValueError) as exc:
+            family.point(stack)
+        assert str(exc.value) == failing[0]
+        return
+    points = family.point(stack)
+    assert points.shape == (len(stack),) + points.shape[1:]
+    for k, row in enumerate(stack):
+        np.testing.assert_array_equal(points[k], family.point(row))
+
+
+@pytest.mark.parametrize("name", list(CHARTS))
+@PROPERTY
+@given(weights=st.lists(qubit_weights(), min_size=1, max_size=6))
+def test_stacked_chart_equals_row_by_row(name, weights):
+    family, coordinates = CHARTS[name]()
+    _check_stack(family, np.stack([coordinates(w) for w in weights]))
+
+
+@PROPERTY
+@given(
+    rows=st.lists(
+        st.one_of(
+            st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)),
+            st.tuples(st.floats(-1e-9, 1e-9), st.floats(-1e-9, 1e-9)),  # near I/3
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_stacked_gibbs_chart_equals_row_by_row(rows):
+    # large |theta| pushes the smallest eigenvalue of exp(B - psi I) below the guard
+    rng = rng_from(71)
+    gibbs = gibbs_family([random_traceless_hermitian(rng, 3) for _ in range(2)])
+    stack = np.array(rows, dtype=float)
+    _check_stack(gibbs.family, stack)
+    log_partition = [gibbs.log_partition(row) for row in stack]
+    np.testing.assert_array_equal(log_partition, gibbs.spectrum(stack)[1])
+
+
+def test_stack_error_names_the_first_row_below_the_guard():
+    family = qubit_bloch_family()
+    # the Bloch point (x, 0, 0) has eigenvalues (1 +- x)/2: the last two rows fall below 1e-6
+    stack = np.array([[0.3, 0.0, 0.0], [0.9999995, 0.0, 0.0], [0.9999999, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="below guard") as exc:
+        family.point(stack)
+    assert "theta=[0.9999995, 0.0, 0.0]" in str(exc.value)
+
+
+def test_chart_that_ignores_the_stack_is_rejected():
+    i2, sx, _, sz = PAULI
+    fam = ParametrizedFamily(2, chart=lambda t: i2 / 2.0 + t[0] * sx / 4.0 + t[1] * sz / 4.0)
+    fam.point(np.array([0.2, -0.1]))  # one parameter at a time works
+    with pytest.raises(ValueError, match="chart evaluation failed"):
+        fam.point(np.array([[0.2, -0.1], [0.1, 0.1], [0.0, 0.3]]))
