@@ -485,6 +485,8 @@ def _run_potential(opt):
     reg_tol = float(opt["regression_tol"])
     leg_tol = float(opt["legendre_tol"])
     n_dual = int(opt["dual_points"])
+    if n_dual < 1:
+        raise ValueError(f"--dual-points needs at least one point, got {n_dual}")
     records = []
     for dim in _ints(opt["dim"]):
         basis = hermitian_basis(dim)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .linalg import (
     Spectrum,
+    apply_scalar_function,
     frechet_derivative,
     frechet_second_derivative,
     hermitize,
@@ -45,7 +46,6 @@ __all__ = [
     "ext_covariant_derivative",
     "covariant_derivative_on_M",
     "covariant_derivative_set",
-    "convex_mixture_derivative",
     "parallel_transport_ext",
     "parallel_transport_on_M",
 ]
@@ -87,25 +87,22 @@ def _fd_embedded_second_partial(
     i: int,
     j: int,
     alpha: float,
-    step: float,
 ) -> np.ndarray:
     fun = embedding_function(alpha)
 
-    def embedded(s):
-        return (s.unitary * fun.fn(s.eigenvalues)) @ s.unitary.conj().T
-
     def g(t):
-        return embedded(spectral_decompose(family.point(t)))
+        return apply_scalar_function(spectral_decompose(family.point(t)), fun)
 
-    hi = step * max(1.0, abs(theta[i]))
-    hj = step * max(1.0, abs(theta[j]))
+    hi = SECOND_DERIVATIVE_STEP * max(1.0, abs(theta[i]))
+    hj = SECOND_DERIVATIVE_STEP * max(1.0, abs(theta[j]))
     for _ in range(4):
         try:
             if i == j:
                 up, dn = theta.copy(), theta.copy()
                 up[i] += hi
                 dn[i] -= hi
-                return hermitize((g(up) - 2.0 * embedded(spec) + g(dn)) / (hi * hi))
+                center = apply_scalar_function(spec, fun)
+                return hermitize((g(up) - 2.0 * center + g(dn)) / (hi * hi))
             pp, pm, mp, mm = theta.copy(), theta.copy(), theta.copy(), theta.copy()
             pp[i] += hi
             pp[j] += hj
@@ -133,7 +130,6 @@ def _embedded_second_partial(
     i: int,
     j: int,
     alpha: float,
-    step: float,
 ) -> np.ndarray:
     """Second partial of the embedded chart at theta, whose point has Spectrum ``spec``."""
     if family.has_analytic_second_order:
@@ -145,7 +141,7 @@ def _embedded_second_partial(
             spec, d_ij, fun
         )
         return hermitize(d2)
-    return _fd_embedded_second_partial(family, theta, spec, i, j, alpha, step)
+    return _fd_embedded_second_partial(family, theta, spec, i, j, alpha)
 
 
 def _covariant_mixture(
@@ -156,10 +152,9 @@ def _covariant_mixture(
     j: int,
     alpha: float,
     on_extended: bool,
-    step: float,
 ) -> np.ndarray:
     """Mixture form of the flat (on_extended) or projected covariant derivative."""
-    d2 = _embedded_second_partial(family, theta, spec, i, j, alpha, step)
+    d2 = _embedded_second_partial(family, theta, spec, i, j, alpha)
     if on_extended:
         return representation_convert(spec, d2, alpha, -1.0)
     projected = sphere_project(spec, alpha, d2)  # rejects a base off the unit-trace manifold
@@ -175,12 +170,7 @@ def _point_and_spectrum(family: ParametrizedFamily, theta: np.ndarray):
 
 
 def ext_covariant_derivative(
-    family: ParametrizedFamily,
-    theta: np.ndarray,
-    i: int,
-    j: int,
-    alpha: float,
-    step: float = SECOND_DERIVATIVE_STEP,
+    family: ParametrizedFamily, theta: np.ndarray, i: int, j: int, alpha: float
 ) -> CovariantDerivativeResult:
     """Flat covariant derivative on the positive cone.
 
@@ -189,17 +179,12 @@ def ext_covariant_derivative(
     coordinates that make the embedding affine.
     """
     theta, sigma, spec = _point_and_spectrum(family, theta)
-    mixture = _covariant_mixture(family, theta, spec, i, j, alpha, True, step)
+    mixture = _covariant_mixture(family, theta, spec, i, j, alpha, True)
     return CovariantDerivativeResult(sigma, weight_tangent(sigma, mixture))
 
 
 def covariant_derivative_on_M(
-    family: ParametrizedFamily,
-    theta: np.ndarray,
-    i: int,
-    j: int,
-    alpha: float,
-    step: float = SECOND_DERIVATIVE_STEP,
+    family: ParametrizedFamily, theta: np.ndarray, i: int, j: int, alpha: float
 ) -> CovariantDerivativeResult:
     """Projected covariant derivative on the unit-trace manifold.
 
@@ -208,7 +193,7 @@ def covariant_derivative_on_M(
     tangent (weighted trace zero) by construction.
     """
     theta, sigma, spec = _point_and_spectrum(family, theta)
-    mixture = _covariant_mixture(family, theta, spec, i, j, alpha, False, step)
+    mixture = _covariant_mixture(family, theta, spec, i, j, alpha, False)
     return CovariantDerivativeResult(sigma, state_tangent(sigma, mixture))
 
 
@@ -218,7 +203,6 @@ def covariant_derivative_set(
     spec: Spectrum,
     alpha: float,
     on_extended: bool = False,
-    step: float = SECOND_DERIVATIVE_STEP,
 ) -> np.ndarray:
     """All covariant derivatives nabla^(alpha)_i T_j at one point, in mixture form.
 
@@ -233,39 +217,36 @@ def covariant_derivative_set(
     for i in range(d):
         for j in range(i, d):
             out[i, j] = out[j, i] = _covariant_mixture(
-                family, theta, spec, i, j, alpha, on_extended, step
+                family, theta, spec, i, j, alpha, on_extended
             )
     return out
 
 
-def convex_mixture_derivative(
-    family: ParametrizedFamily,
-    theta: np.ndarray,
-    i: int,
-    j: int,
-    alpha: float,
-    step: float = SECOND_DERIVATIVE_STEP,
-) -> CovariantDerivativeResult:
-    """Affine combination ((1+alpha)/2) of the order-(+1) and ((1-alpha)/2)
-    of the order-(-1) projected covariant derivatives, in mixture form.
-
-    The classical alpha-connection satisfies this identity exactly; the
-    matrix-valued one does not, which convexity_failure_check quantifies.
-    """
-    alpha = float(alpha)
-    plus = covariant_derivative_on_M(family, theta, i, j, 1.0, step)
-    minus = covariant_derivative_on_M(family, theta, i, j, -1.0, step)
-    w_plus = 0.5 * (1.0 + alpha)
-    w_minus = 0.5 * (1.0 - alpha)
-    mixture = w_plus * plus.vector.mixture + w_minus * minus.vector.mixture
-    return CovariantDerivativeResult(plus.base, state_tangent(plus.base, mixture))
-
-
-def _check_start(curve: CurveSpec, v: TangentVector) -> np.ndarray:
+def _check_start(curve: CurveSpec, *tangents: TangentVector) -> np.ndarray:
+    """The curve's start point, after checking that every tangent vector sits there."""
     start = curve.point(0.0)
-    if np.abs(start - v.base).max() > 1e-9:
+    if any(np.abs(start - v.base).max() > 1e-9 for v in tangents):
         raise ValueError("tangent vector base does not match the curve start point")
     return start
+
+
+def _curve_points(curve: CurveSpec, start: np.ndarray, steps: int):
+    """(sigma, Spectrum) of each curve point t = k/steps, k = 1..steps, in order.
+
+    Each point is decomposed once. A step that moves more than
+    CONTINUITY_BOUND from the previous point raises, naming the step.
+    """
+    prev = start
+    for k in range(1, steps + 1):
+        sigma = curve.point(k / steps)
+        move = float(np.linalg.norm(sigma - prev))
+        if move > CONTINUITY_BOUND:
+            raise ValueError(
+                f"curve moves {move:.3f} at step {k}/{steps} (> {CONTINUITY_BOUND}); "
+                f"step_count={steps} is too small for a continuous discretization"
+            )
+        yield sigma, spectral_decompose(sigma)
+        prev = sigma
 
 
 def parallel_transport_ext(curve: CurveSpec, v: TangentVector, alpha: float) -> TangentVector:
@@ -306,20 +287,10 @@ def parallel_transport_on_M(
 def _transport_on_m_once(
     curve: CurveSpec, v: TangentVector, alpha: float, steps: int
 ) -> TangentVector:
-    prev = _check_start(curve, v)
+    start = _check_start(curve, v)
     w = alpha_representation(v, alpha)
-    sigma = prev
-    for k in range(1, steps + 1):
-        sigma = curve.point(k / steps)
-        if np.linalg.norm(sigma - prev) > CONTINUITY_BOUND:
-            raise ValueError(
-                f"curve moves {np.linalg.norm(sigma - prev):.3f} in one step "
-                f"(> {CONTINUITY_BOUND}); step_count={steps} is too small for a "
-                "continuous discretization"
-            )
-        spec = spectral_decompose(sigma)
+    for sigma, spec in _curve_points(curve, start, steps):  # steps >= 1
         w = sphere_project(spec, alpha, w)  # rejects a curve off the unit-trace manifold
-        prev = sigma
     mixture = representation_convert(spec, w, alpha, -1.0)
     n = sigma.shape[0]
     mixture = mixture - (np.trace(mixture) / n) * np.eye(n)

@@ -27,6 +27,7 @@ from .linalg import (
     spectral_decompose,
 )
 from .manifold import (
+    FIRST_DERIVATIVE_STEP,
     ParametrizedFamily,
     TangentVector,
     _last_value_cache,
@@ -62,12 +63,11 @@ from .metrics import (
     wyd_function,
 )
 from .connections import (
-    CONTINUITY_BOUND,
     SECOND_DERIVATIVE_STEP,
     CurveSpec,
-    covariant_derivative_on_M,
+    _check_start,
+    _curve_points,
     covariant_derivative_set,
-    convex_mixture_derivative,
     ext_covariant_derivative,
     parallel_transport_on_M,
 )
@@ -83,7 +83,6 @@ from .sampling import (
 __all__ = [
     "POSITIVE_TOL",
     "FALSIFICATION_GAP",
-    "FIRST_DERIVATIVE_STEP",
     "band",
     "matched_metric",
     "WitnessFamily",
@@ -126,7 +125,6 @@ __all__ = [
 # Positive verification tolerance and the falsification gap (100x separation).
 POSITIVE_TOL = 5e-5
 FALSIFICATION_GAP = 1e-2
-FIRST_DERIVATIVE_STEP = 1e-4
 
 
 def band(value: float, tol: float, gap: float) -> str:
@@ -292,7 +290,8 @@ class DefectGrid:
 
     Built once per (family, grid): the Spectrum and eigenbasis coordinate
     tangents of each grid point and of the 2d central-difference stencil
-    points around it (step d_step * max(1, |theta_i|)) that d_i g_jk needs.
+    points around it (step FIRST_DERIVATIVE_STEP * max(1, |theta_i|)) that
+    d_i g_jk needs.
     The covariant derivatives nabla^(alpha)_i T_j at each point, in the
     eigenbasis, are built on first use, once per signed alpha: the pair at
     +-alpha shares its two sets with the pair at -+alpha, and alpha = 0 needs
@@ -301,17 +300,11 @@ class DefectGrid:
     """
 
     def __init__(
-        self,
-        family: ParametrizedFamily,
-        grid: Sequence[np.ndarray],
-        on_extended: bool = False,
-        step: float = SECOND_DERIVATIVE_STEP,
-        d_step: float = FIRST_DERIVATIVE_STEP,
+        self, family: ParametrizedFamily, grid: Sequence[np.ndarray], on_extended: bool = False
     ):
         self.family = family
         self.grid = tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in grid)
         self.on_extended = on_extended
-        self.step = step
         d = family.param_dim
         self._spectra = [spectral_decompose(family.point(theta)) for theta in self.grid]
         self._tangents = np.stack(
@@ -320,7 +313,7 @@ class DefectGrid:
         widths, stencil_spectra, stencil_tangents = [], [], []
         for theta in self.grid:
             for i in range(d):
-                h = d_step * max(1.0, abs(theta[i]))
+                h = FIRST_DERIVATIVE_STEP * max(1.0, abs(theta[i]))
                 up, dn = theta.copy(), theta.copy()
                 up[i] += h
                 dn[i] -= h
@@ -341,9 +334,7 @@ class DefectGrid:
             self._nabla[alpha] = np.stack(
                 [
                     spec.to_eigenbasis(
-                        covariant_derivative_set(
-                            self.family, theta, spec, alpha, self.on_extended, self.step
-                        )
+                        covariant_derivative_set(self.family, theta, spec, alpha, self.on_extended)
                     )
                     for theta, spec in zip(self.grid, self._spectra)
                 ]
@@ -390,8 +381,6 @@ def duality_defect(
     alpha: float,
     on_extended: bool = False,
     scale: float = 1.0,
-    step: float = SECOND_DERIVATIVE_STEP,
-    d_step: float = FIRST_DERIVATIVE_STEP,
     family_name: str = "",
 ) -> DualityReport:
     """Measure how far (f-metric, +-alpha connections) is from duality.
@@ -403,7 +392,7 @@ def duality_defect(
     The defect is linear in ``scale`` (scalar metric multiples) exactly.
     To check several kernels or alphas on one grid, build its DefectGrid once.
     """
-    return DefectGrid(family, grid, on_extended, step, d_step).defect(f, alpha, scale, family_name)
+    return DefectGrid(family, grid, on_extended).defect(f, alpha, scale, family_name)
 
 
 # ---------------------------------------------------------------------------
@@ -435,26 +424,17 @@ def transport_duality_check(
     matched WYD metric is constant to round-off; mismatched metrics drift.
     """
     alpha = float(alpha)
-    start = curve.point(0.0)
-    if np.abs(start - y.base).max() > 1e-9 or np.abs(start - z.base).max() > 1e-9:
-        raise ValueError("tangent vectors must sit at the curve start point")
+    start = _check_start(curve, y, z)
     wy = alpha_representation(y, alpha)
     wz = alpha_representation(z, -alpha)
     values = [metric_eval(start, f, y.mixture, z.mixture)]
-    prev = start
-    steps = curve.step_count
-    for k in range(1, steps + 1):
-        sigma = curve.point(k / steps)
-        if np.linalg.norm(sigma - prev) > CONTINUITY_BOUND:
-            raise ValueError(f"curve discretization too coarse at step {k}/{steps}")
-        spec = spectral_decompose(sigma)
+    for _, spec in _curve_points(curve, start, curve.step_count):
         if not on_extended:
             wy = sphere_project(spec, alpha, wy)
             wz = sphere_project(spec, -alpha, wz)
         my = representation_convert(spec, wy, alpha, -1.0)
         mz = representation_convert(spec, wz, -alpha, -1.0)
         values.append(metric_eval(spec, f, my, mz))
-        prev = sigma
     values = np.asarray(values)
     return TransportDualityReport(
         metric_name=f.name,
@@ -513,14 +493,14 @@ def _scalar_gradient(fn, x: np.ndarray, step: float = FIRST_DERIVATIVE_STEP) -> 
     return (up_dn[0] - up_dn[1]) / (2.0 * h).reshape(h.shape + (1,) * len(tail))
 
 
-def _scalar_hessian(fn, x: np.ndarray, step: float = SECOND_DERIVATIVE_STEP) -> np.ndarray:
+def _scalar_hessian(fn, x: np.ndarray) -> np.ndarray:
     """Central-difference Hessian of fn at x (d,), from one call of fn on its 1 + 2d^2 points.
 
     fn maps a stack of points (m, d) to values (m,); the steps are
-    h_i = step * max(1, |x_i|).
+    h_i = SECOND_DERIVATIVE_STEP * max(1, |x_i|).
     """
     d = x.shape[0]
-    h = step * np.maximum(1.0, np.abs(x))
+    h = SECOND_DERIVATIVE_STEP * np.maximum(1.0, np.abs(x))
 
     def shifted(*moves):
         y = x.copy()
@@ -880,26 +860,31 @@ def convexity_failure_check(
     alpha: float,
     family: ParametrizedFamily,
     grid: Sequence[np.ndarray],
-    step: float = SECOND_DERIVATIVE_STEP,
     family_name: str = "",
 ) -> ConvexityReport:
     """Frobenius gap between the projected order-alpha covariant derivative
     and the ((1+alpha)/2, (1-alpha)/2) mixture of the order-(+-1) ones.
 
-    Zero on commuting (diagonal) families - the classical identity - and
-    genuinely nonzero on noncommuting charts for 0 < |alpha| < 1.
+    The classical alpha-connection satisfies this convex-combination identity
+    exactly: the gap is zero on commuting (diagonal) families and genuinely
+    nonzero on noncommuting charts for 0 < |alpha| < 1. Each grid point is
+    decomposed once, for its three covariant-derivative sets.
     """
     alpha = float(alpha)
+    w_plus, w_minus = 0.5 * (1.0 + alpha), 0.5 * (1.0 - alpha)
     d = family.param_dim
     diffs = np.empty((len(grid), d, d))
     for n, theta in enumerate(grid):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        spec = spectral_decompose(family.point(theta))
+        direct, plus, minus = (
+            covariant_derivative_set(family, theta, spec, a) for a in (alpha, 1.0, -1.0)
+        )
+        gaps = direct - (w_plus * plus + w_minus * minus)
+        # one norm per matrix: a norm over stacked axes sums in another order
         for i in range(d):
             for j in range(i, d):
-                direct = covariant_derivative_on_M(family, theta, i, j, alpha, step)
-                mixed = convex_mixture_derivative(family, theta, i, j, alpha, step)
-                gap = float(np.linalg.norm(direct.vector.mixture - mixed.vector.mixture))
-                diffs[n, i, j] = diffs[n, j, i] = gap
+                diffs[n, i, j] = diffs[n, j, i] = np.linalg.norm(gaps[i, j])
     return ConvexityReport(
         alpha=alpha,
         max_difference=float(diffs.max()),
@@ -946,14 +931,14 @@ def flatness_scan(
     rng = rng_from(seed)
     basis = hermitian_basis(dim)
     fam = xi_affine_family(basis, alpha, analytic=False)
+    upper = np.triu_indices(len(basis))
     worst = 0.0
     for _ in range(n_points):
         sigma = random_weight(rng, dim, lo, hi)
         xi = affine_coordinates(sigma, alpha, basis)
-        for i in range(len(basis)):
-            for j in range(i, len(basis)):
-                res = ext_covariant_derivative(fam, xi, i, j, alpha)
-                worst = max(worst, float(np.linalg.norm(res.vector.mixture)))
+        spec = spectral_decompose(fam.point(xi))
+        nabla = covariant_derivative_set(fam, xi, spec, alpha, on_extended=True)
+        worst = max(worst, max(float(np.linalg.norm(m)) for m in nabla[upper]))
     return worst
 
 
@@ -980,7 +965,7 @@ def embedding_trace_identity_gap(
     spec = spectral_decompose(sigma)
     emb_a = embedding_function(alpha)
     emb_m = embedding_function(-alpha)
-    ell_a = (spec.unitary * emb_a.fn(spec.eigenvalues)) @ spec.unitary.conj().T
+    ell_a = apply_scalar_function(spec, emb_a)
     d = fam.param_dim
     jacs = [fam.jacobian(xi, i) for i in range(d)]
     d_ell_m = [frechet_derivative(spec, j, emb_m) for j in jacs]
@@ -1089,18 +1074,14 @@ class ProjectionReport:
     relative_entropy_value: float
 
 
-def entropy_projection(
-    rho: np.ndarray,
-    gibbs: GibbsFamily,
-    tol: float = 1e-9,
-    max_iter: int = 200,
-) -> ProjectionReport:
+def entropy_projection(rho: np.ndarray, gibbs: GibbsFamily, tol: float = 1e-9) -> ProjectionReport:
     """Project a state onto a Gibbs family by minimizing relative entropy.
 
     Damped Newton iteration on theta -> psi(theta) - theta . means(rho); at
     the minimizer the family means match the state's means and the mixture
     segment rho - sigma* is BKM-orthogonal to the family's tangent space.
-    Non-convergence is reported (with the gradient norm), not raised.
+    Non-convergence within 200 Newton steps is reported (with the gradient
+    norm), not raised.
     """
     check_state(rho)
     ys = gibbs.observables
@@ -1122,7 +1103,7 @@ def entropy_projection(
         return 0.5 * (hess + hess.T)
 
     theta, grad, iterations = _damped_newton(
-        objective, gradient, hessian, np.zeros(m), tol, max_iter
+        objective, gradient, hessian, np.zeros(m), tol, max_iter=200
     )
     gnorm = float(np.abs(grad).max())
     converged = gnorm <= tol

@@ -1,9 +1,8 @@
 """Dense Hermitian spectral calculus.
 
 Eigendecomposition-backed matrix functions, first and second directional
-(Frechet) derivatives via divided differences, the Hilbert-Schmidt inner
-product, and the splitting of a self-adjoint direction into the part that
-commutes with a base matrix plus a commutator remainder.
+(Frechet) derivatives via divided differences, and the Hilbert-Schmidt inner
+product.
 
 Everything works on plain complex numpy arrays; matrices are small and dense.
 Matrix arguments may carry leading stack axes, (..., n, n), where a function
@@ -35,8 +34,6 @@ __all__ = [
     "divided_difference_matrix",
     "frechet_derivative",
     "frechet_second_derivative",
-    "CommutantSplit",
-    "commutant_split",
     "schatten_norm",
 ]
 
@@ -66,7 +63,7 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def check_hermitian(a: np.ndarray, tol: float = _HERMITIAN_TOL) -> np.ndarray:
+def check_hermitian(a: np.ndarray) -> np.ndarray:
     """Return ``a`` as a complex array, rejecting non-self-adjoint input.
 
     ``a`` is one square matrix or a stack of them, (..., n, n); the error
@@ -77,11 +74,11 @@ def check_hermitian(a: np.ndarray, tol: float = _HERMITIAN_TOL) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     dev = np.abs(a - _dagger(a))
     worst = float(dev.max()) if dev.size else 0.0
-    if worst > tol:
+    if worst > _HERMITIAN_TOL:
         where = tuple(int(k) for k in np.unravel_index(int(dev.argmax()), dev.shape))
         raise ValueError(
             "matrix is not self-adjoint: |A - A†| reaches "
-            f"{worst:.3e} at entry {where}, tolerance {tol:.1e}"
+            f"{worst:.3e} at entry {where}, tolerance {_HERMITIAN_TOL:.1e}"
         )
     return a
 
@@ -131,13 +128,13 @@ class Spectrum:
         return self.unitary @ m @ _dagger(self.unitary)
 
 
-def spectral_decompose(a: np.ndarray, tol: float = _HERMITIAN_TOL) -> Spectrum:
+def spectral_decompose(a: np.ndarray) -> Spectrum:
     """Eigendecomposition of a self-adjoint matrix, or of each matrix of a stack.
 
-    Rejects input whose self-adjointness violation exceeds ``tol``; the error
-    reports the size and location of the worst entry.
+    Rejects input that check_hermitian rejects; the error reports the size
+    and location of the worst entry.
     """
-    a = check_hermitian(a, tol)
+    a = check_hermitian(a)
     w, u = np.linalg.eigh(a)
     return Spectrum(w, u)
 
@@ -252,12 +249,12 @@ def apply_scalar_function(spec: Spectrum, f) -> np.ndarray:
     return out
 
 
-def _pair_difference(fun: ScalarFunction, x: float, y: float, rtol: float) -> float:
+def _pair_difference(fun: ScalarFunction, x: float, y: float) -> float:
     if x == y:
         return fun.deriv(x)
     if fun.pair is not None:
         return fun.pair(x, y)
-    if abs(x - y) <= rtol * max(1.0, abs(x), abs(y)):
+    if abs(x - y) <= DEGENERACY_RTOL * max(1.0, abs(x), abs(y)):
         if fun.deriv is None:
             raise ValueError(
                 f"scalar function {fun.name!r} needs a derivative near the "
@@ -267,24 +264,22 @@ def _pair_difference(fun: ScalarFunction, x: float, y: float, rtol: float) -> fl
     return (fun.fn(x) - fun.fn(y)) / (x - y)
 
 
-def divided_difference_matrix(
-    eigenvalues: np.ndarray, f, rtol: float = DEGENERACY_RTOL
-) -> np.ndarray:
+def divided_difference_matrix(eigenvalues: np.ndarray, f) -> np.ndarray:
     """Matrix of first divided differences K[i, j] = f[λi, λj].
 
     Off the diagonal this is (f(λi) - f(λj))/(λi - λj); coincident pairs
-    (relative gap below ``rtol``) use f' at the midpoint.
+    (relative gap below DEGENERACY_RTOL) use f' at the midpoint.
     """
     fun = _as_scalar_function(f)
     lam = np.asarray(eigenvalues, dtype=float)
     n = lam.shape[0]
     k = np.empty((n, n), dtype=float)
     for i in range(n):
-        k[i, i] = fun.deriv(lam[i]) if fun.deriv is not None else _pair_difference(
-            fun, lam[i], lam[i], rtol
+        k[i, i] = (
+            fun.deriv(lam[i]) if fun.deriv is not None else _pair_difference(fun, lam[i], lam[i])
         )
         for j in range(i):
-            k[i, j] = k[j, i] = _pair_difference(fun, lam[i], lam[j], rtol)
+            k[i, j] = k[j, i] = _pair_difference(fun, lam[i], lam[j])
     return k
 
 
@@ -317,14 +312,11 @@ def _triple_difference(fun: ScalarFunction, x: float, y: float, z: float) -> flo
         return 0.5 * fun.deriv2((a + b + c) / 3.0)
     if b - a <= tol:
         m = 0.5 * (a + b)
-        return (_pair_difference(fun, m, c, DEGENERACY_RTOL) - fun.deriv(m)) / (c - m)
+        return (_pair_difference(fun, m, c) - fun.deriv(m)) / (c - m)
     if c - b <= tol:
         m = 0.5 * (b + c)
-        return (_pair_difference(fun, a, m, DEGENERACY_RTOL) - fun.deriv(m)) / (a - m)
-    return (
-        _pair_difference(fun, a, b, DEGENERACY_RTOL)
-        - _pair_difference(fun, b, c, DEGENERACY_RTOL)
-    ) / (a - c)
+        return (_pair_difference(fun, a, m) - fun.deriv(m)) / (a - m)
+    return (_pair_difference(fun, a, b) - _pair_difference(fun, b, c)) / (a - c)
 
 
 def frechet_second_derivative(
@@ -357,44 +349,3 @@ def frechet_second_derivative(
         and np.abs(second - np.asarray(second).conj().T).max() <= _HERMITIAN_TOL
     )
     return hermitize(out) if herm else out
-
-
-@dataclass(frozen=True)
-class CommutantSplit:
-    """Decomposition D = commutant_part + [base, delta].
-
-    ``commutant_part`` commutes with the base matrix (it is the block-diagonal
-    restriction onto equal-eigenvalue blocks) and is Hilbert-Schmidt
-    orthogonal to the commutator remainder; ``delta`` is anti-self-adjoint
-    and vanishes inside the blocks.
-    """
-
-    commutant_part: np.ndarray
-    delta: np.ndarray
-
-
-def commutant_split(
-    spec: Spectrum, direction: np.ndarray, rtol: float = DEGENERACY_RTOL
-) -> CommutantSplit:
-    """Split a self-adjoint direction relative to the decomposed base.
-
-    In the eigenbasis the commuting part keeps the entries on (near-)equal
-    eigenvalue pairs; the remainder fixes delta entrywise through
-    delta[i, j] = D[i, j]/(λi - λj). Near-degenerate pairs are absorbed into
-    the commutant part by the threshold, never a crash.
-    """
-    d = check_hermitian(direction)
-    if d.shape != (spec.dim, spec.dim):
-        raise ValueError(f"direction shape {d.shape} does not match dim {spec.dim}")
-    lam = spec.eigenvalues
-    dt = spec.to_eigenbasis(d)
-    gap = lam[:, None] - lam[None, :]
-    scale = np.maximum(1.0, np.maximum(np.abs(lam)[:, None], np.abs(lam)[None, :]))
-    close = np.abs(gap) <= rtol * scale
-    comm = np.where(close, dt, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = np.where(close, 0.0, dt / np.where(close, 1.0, gap))
-    comm = hermitize(spec.from_eigenbasis(comm))
-    delta = spec.from_eigenbasis(delta)
-    delta = 0.5 * (delta - delta.conj().T)  # anti-self-adjoint by construction
-    return CommutantSplit(comm, delta)

@@ -37,6 +37,7 @@ from .linalg import (
 
 __all__ = [
     "CHART_MIN_EIGENVALUE",
+    "FIRST_DERIVATIVE_STEP",
     "STATE_TRACE_TOL",
     "check_weight",
     "check_state",
@@ -60,6 +61,8 @@ __all__ = [
 
 # Charts must keep the spectrum at least this far from the boundary.
 CHART_MIN_EIGENVALUE = 1e-6
+# Central first differences take steps FIRST_DERIVATIVE_STEP * max(1, |theta_i|).
+FIRST_DERIVATIVE_STEP = 1e-4
 STATE_TRACE_TOL = 1e-8
 _TANGENT_TRACE_TOL = 1e-10
 
@@ -73,12 +76,14 @@ def check_weight(a: Union[np.ndarray, Spectrum]) -> Spectrum:
     return spec
 
 
-def check_state(a: Union[np.ndarray, Spectrum], trace_tol: float = STATE_TRACE_TOL) -> Spectrum:
-    """Spectrum of a density matrix (positive definite, unit trace)."""
+def check_state(a: Union[np.ndarray, Spectrum]) -> Spectrum:
+    """Spectrum of a density matrix (positive definite, unit trace within STATE_TRACE_TOL)."""
     spec = check_weight(a)
     tr = float(spec.eigenvalues.sum())
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"not a unit-trace state: trace {tr!r} is not 1 within {trace_tol:.1e}")
+    if abs(tr - 1.0) > STATE_TRACE_TOL:
+        raise ValueError(
+            f"not a unit-trace state: trace {tr!r} is not 1 within {STATE_TRACE_TOL:.1e}"
+        )
     return spec
 
 
@@ -111,12 +116,10 @@ def state_tangent(base: np.ndarray, mixture: np.ndarray) -> TangentVector:
     return TangentVector(base, mixture)
 
 
-def _check_alpha(alpha: float, lo_open: bool = False, hi_open: bool = False) -> float:
+def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not -1.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [-1, 1], got {alpha!r}")
-    if lo_open and alpha == -1.0 or hi_open and alpha == 1.0:
-        raise ValueError(f"alpha must lie strictly inside (-1, 1), got {alpha!r}")
     return alpha
 
 
@@ -219,16 +222,14 @@ class ParametrizedFamily:
     same arithmetic. ``jacobian(theta, i)`` returns the i-th partial of the
     chart and ``hessian(theta, i, j)`` the second partial, at one theta;
     when absent, consumers fall back to central differences with step
-    fd_step * max(1, |theta_i|). Charts must keep the spectrum above
-    ``guard`` (domain guard).
+    FIRST_DERIVATIVE_STEP * max(1, |theta_i|). Charts must keep the spectrum
+    above CHART_MIN_EIGENVALUE (domain guard).
     """
 
     param_dim: int
     chart: Callable[[np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray, int, int], np.ndarray]] = None
-    fd_step: float = 1e-4
-    guard: float = CHART_MIN_EIGENVALUE
 
     @property
     def has_analytic_second_order(self) -> bool:
@@ -253,10 +254,11 @@ class ParametrizedFamily:
                     f"chart output shape {sigma.shape} does not follow the parameter stack"
                 )
             low = np.linalg.eigvalsh(sigma).min(axis=-1)
-            if np.any(low < self.guard):
+            if np.any(low < CHART_MIN_EIGENVALUE):
                 low = float(low.min())
                 raise ValueError(
-                    f"chart output min eigenvalue {low:.3e} below guard {self.guard:.1e}"
+                    f"chart output min eigenvalue {low:.3e} "
+                    f"below guard {CHART_MIN_EIGENVALUE:.1e}"
                 )
         except ValueError as exc:
             if theta.ndim == 2:
@@ -271,7 +273,7 @@ class ParametrizedFamily:
             raise ValueError(f"direction index {i} out of range for param_dim {self.param_dim}")
         if self.jacobian is not None:
             return check_hermitian(self.jacobian(theta, i))
-        h = self.fd_step * max(1.0, abs(theta[i]))
+        h = FIRST_DERIVATIVE_STEP * max(1.0, abs(theta[i]))
         up = theta.copy()
         dn = theta.copy()
         up[i] += h
@@ -378,9 +380,7 @@ def xi_affine_family(
     return ParametrizedFamily(param_dim=len(basis), chart=chart, jacobian=jac, hessian=hess)
 
 
-def linear_family(
-    base: np.ndarray, directions: Sequence[np.ndarray], fd_step: float = 1e-4
-) -> ParametrizedFamily:
+def linear_family(base: np.ndarray, directions: Sequence[np.ndarray]) -> ParametrizedFamily:
     """sigma(theta) = base + sum theta_k D_k with exact chart derivatives."""
     base = check_hermitian(base)
     directions = [check_hermitian(d) for d in directions]
@@ -394,7 +394,6 @@ def linear_family(
         chart=chart,
         jacobian=lambda theta, i: directions[i],
         hessian=lambda theta, i, j: zero,
-        fd_step=fd_step,
     )
 
 

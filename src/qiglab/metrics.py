@@ -42,8 +42,11 @@ __all__ = [
     "relative_entropy",
 ]
 
-# Dyadic grid on which the Petz symmetry f(t) = t f(1/t) is checked.
+# Dyadic grid on which the Petz symmetry f(t) = t f(1/t) is checked, to a
+# relative tolerance; f(1) = 1 is checked to an absolute one.
 _SYMMETRY_GRID = 2.0 ** np.arange(-6, 7)
+_SYMMETRY_RTOL = 1e-10
+_NORMALIZATION_TOL = 1e-12
 
 _BASE_MATCH_TOL = 1e-9
 
@@ -64,19 +67,15 @@ class MonotoneFunctionSpec:
         return self.fn(x)
 
 
-def validate_function_spec(
-    spec: MonotoneFunctionSpec,
-    symmetry_rtol: float = 1e-10,
-    normalization_tol: float = 1e-12,
-) -> MonotoneFunctionSpec:
+def validate_function_spec(spec: MonotoneFunctionSpec) -> MonotoneFunctionSpec:
     """Check f(1) = 1 and f(t) = t f(1/t) on the dyadic grid."""
     one = float(spec.fn(1.0))
-    if abs(one - 1.0) > normalization_tol:
-        raise ValueError(f"{spec.name}: f(1) = {one!r} is not 1 within {normalization_tol:.1e}")
+    if abs(one - 1.0) > _NORMALIZATION_TOL:
+        raise ValueError(f"{spec.name}: f(1) = {one!r} is not 1 within {_NORMALIZATION_TOL:.1e}")
     for t in _SYMMETRY_GRID:
         left = float(spec.fn(t))
         right = t * float(spec.fn(1.0 / t))
-        if abs(left - right) > symmetry_rtol * max(abs(left), abs(right), 1.0):
+        if abs(left - right) > _SYMMETRY_RTOL * max(abs(left), abs(right), 1.0):
             raise ValueError(
                 f"{spec.name}: symmetry f(t) = t f(1/t) fails at t = {t!r}: "
                 f"{left!r} vs {right!r}"

@@ -165,6 +165,14 @@ def test_zero_dual_points_is_usage_error(capsys):
     assert "at least one point" in capsys.readouterr().err
 
 
+def test_negative_dual_points_is_usage_error(capsys):
+    # a negative count would slice the points from the end and check the rest
+    with pytest.raises(SystemExit) as exc:
+        main(["potential", "--alpha", "0", "--dual-points=-1"])
+    assert exc.value.code == 2
+    assert "--dual-points" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("instances", ["0", "-3"])
 def test_no_projection_instances_is_usage_error(capsys, instances):
     # an empty batch has no mean residual to judge

@@ -3,13 +3,13 @@ import pytest
 
 from qiglab.connections import (
     CurveSpec,
-    convex_mixture_derivative,
     covariant_derivative_on_M,
     covariant_derivative_set,
     ext_covariant_derivative,
     parallel_transport_ext,
     parallel_transport_on_M,
 )
+from qiglab.duality import convexity_failure_check
 from qiglab.linalg import spectral_decompose
 from qiglab.manifold import (
     ParametrizedFamily,
@@ -129,34 +129,22 @@ def test_on_m_rejects_weight_family():
 
 @pytest.mark.parametrize("alpha", [-1.0, 1.0])
 def test_convex_mixture_matches_endpoints(alpha):
-    fam = _bloch_family()
-    theta = np.array([0.25, 0.1])
-    mixed = convex_mixture_derivative(fam, theta, 0, 1, alpha)
-    direct = covariant_derivative_on_M(fam, theta, 0, 1, alpha)
-    np.testing.assert_allclose(mixed.vector.mixture, direct.vector.mixture, atol=1e-12)
+    # at alpha = +-1 the mixture is the order-alpha derivative itself
+    rep = convexity_failure_check(alpha, _bloch_family(), [np.array([0.25, 0.1])])
+    assert rep.max_difference <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
 def test_convex_mixture_exact_on_simplex(alpha):
     # commuting (classical) case: the order-alpha derivative is exactly the
     # convex combination of the two extreme ones
-    fam = simplex_family(3)
-    theta = np.array([0.5, 0.3])
-    for i in range(2):
-        for j in range(i, 2):
-            mixed = convex_mixture_derivative(fam, theta, i, j, alpha)
-            direct = covariant_derivative_on_M(fam, theta, i, j, alpha)
-            np.testing.assert_allclose(
-                mixed.vector.mixture, direct.vector.mixture, atol=1e-12
-            )
+    rep = convexity_failure_check(alpha, simplex_family(3), [np.array([0.5, 0.3])])
+    assert rep.max_difference <= 1e-12
 
 
 def test_convex_mixture_differs_for_noncommuting_witness():
-    fam = _bloch_family()
-    theta = np.array([0.25, 0.1])
-    mixed = convex_mixture_derivative(fam, theta, 0, 1, 0.0)
-    direct = covariant_derivative_on_M(fam, theta, 0, 1, 0.0)
-    assert np.abs(mixed.vector.mixture - direct.vector.mixture).max() > 1e-4
+    rep = convexity_failure_check(0.0, _bloch_family(), [np.array([0.25, 0.1])])
+    assert rep.per_point[0, 0, 1] > 1e-4
 
 
 # ------------------------------------------------------------ flat transport

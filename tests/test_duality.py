@@ -311,18 +311,20 @@ def test_dual_coordinate_check_needs_points():
 
 
 def _count_decompositions(monkeypatch):
-    """Count numpy eigh/eigvalsh calls from here on; a stacked call counts once."""
-    calls = {"eig": 0}
+    """Count numpy eigh/eigvalsh calls from here on, together ("eig") and
+    apart (by function name); a stacked call counts once."""
+    calls = {"eig": 0, "eigh": 0, "eigvalsh": 0}
 
-    def counted(fn):
+    def counted(fn, name):
         def wrapper(*args, **kwargs):
             calls["eig"] += 1
+            calls[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "eigh"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "eigvalsh"))
     return calls
 
 
@@ -400,6 +402,21 @@ def test_convexity_fails_on_noncommuting_family():
     rep = convexity_failure_check(0.5, family, grid)
     assert rep.max_difference >= 1e-4
     assert rep.per_point.shape[0] == len(grid)
+
+
+@pytest.mark.parametrize(
+    "family, grid",
+    [
+        (qubit_bloch_family(), [np.array([0.1, -0.2, 0.05]), np.array([-0.3, 0.1, 0.2])]),
+        (simplex_family(3), [np.array([0.5, 0.3]), np.array([0.25, 0.45]), np.array([0.3, 0.3])]),
+    ],
+    ids=["qubit-bloch", "simplex-3"],
+)
+def test_convexity_check_decomposes_each_grid_point_once(monkeypatch, family, grid):
+    # one chart guard and one Spectrum per point, shared by the sets at alpha, +1 and -1
+    calls = _count_decompositions(monkeypatch)
+    convexity_failure_check(0.5, family, grid)
+    assert (calls["eigh"], calls["eigvalsh"]) == (len(grid), len(grid))
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])

@@ -4,7 +4,6 @@ import pytest
 from qiglab.linalg import (
     apply_scalar_function,
     check_hermitian,
-    commutant_split,
     commutator,
     divided_difference_matrix,
     exp_function,
@@ -203,36 +202,3 @@ def test_frechet_second_symmetric_in_directions():
         frechet_second_derivative(spec, f, e, fun),
         atol=1e-12,
     )
-
-
-def test_commutant_split_oracle():
-    sigma = np.diag([0.75, 0.25]).astype(complex)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    spec = spectral_decompose(sigma)
-    split = commutant_split(spec, sx)
-    # off-diagonal direction: commutant part vanishes, Delta_01 = D_01/(l0-l1)
-    np.testing.assert_allclose(split.commutant_part, 0.0, atol=1e-14)
-    assert abs(split.delta[0, 1]) == pytest.approx(2.0)
-    np.testing.assert_allclose(split.delta, -split.delta.conj().T, atol=1e-14)
-
-
-def test_commutant_split_reconstructs_direction():
-    rng = rng_from(9)
-    a = random_hermitian(rng, 4)
-    a = a @ a.conj().T + np.eye(4)
-    d = random_hermitian(rng, 4)
-    spec = spectral_decompose(a)
-    split = commutant_split(spec, d)
-    np.testing.assert_allclose(
-        split.commutant_part + commutator(a, split.delta), d, atol=1e-10
-    )
-    np.testing.assert_allclose(commutator(a, split.commutant_part), 0.0, atol=1e-10)
-
-
-def test_commutant_split_degenerate_block():
-    # scalar matrix: everything commutes, Delta = 0
-    spec = spectral_decompose(np.eye(3, dtype=complex) * 2.0)
-    d = random_hermitian(rng_from(10), 3)
-    split = commutant_split(spec, d)
-    np.testing.assert_allclose(split.commutant_part, d, atol=1e-14)
-    np.testing.assert_allclose(split.delta, 0.0, atol=1e-14)
