@@ -46,8 +46,8 @@ from .manifold import (
 )
 from .metrics import (
     MonotoneFunctionSpec,
-    _contraction_report,
-    _push_forward,
+    _contract,
+    _contraction_trials,
     bkm_direct,
     bkm_function,
     bures_function,
@@ -266,10 +266,7 @@ def _tangent_gram(tangents: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """
     d = tangents.shape[-3]
     a, b = np.triu_indices(d)
-    upper = np.sum(
-        tangents[..., a, :, :].conj() * coefficients[..., None, :, :] * tangents[..., b, :, :],
-        axis=(-2, -1),
-    ).real
+    upper = _contract(coefficients[..., None, :, :], tangents[..., a, :, :], tangents[..., b, :, :])
     out = np.empty(upper.shape[:-1] + (d, d))
     out[..., a, b] = upper
     out[..., b, a] = upper
@@ -283,6 +280,13 @@ def _metric_matrix(
     spec = spectral_decompose(family.point(theta))
     tangents = _eigenbasis_tangents(family, theta, spec)
     return _tangent_gram(tangents, petz_kernel(spec, f).coefficients)
+
+
+def _stack_spectra(spectra: Sequence[Spectrum]) -> Spectrum:
+    """One stacked Spectrum, eigenvalues (m, n), of m Spectra of one dimension."""
+    return Spectrum(
+        np.stack([s.eigenvalues for s in spectra]), np.stack([s.unitary for s in spectra])
+    )
 
 
 class DefectGrid:
@@ -306,9 +310,9 @@ class DefectGrid:
         self.grid = tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in grid)
         self.on_extended = on_extended
         d = family.param_dim
-        self._spectra = [spectral_decompose(family.point(theta)) for theta in self.grid]
+        spectra = [spectral_decompose(family.point(theta)) for theta in self.grid]
         self._tangents = np.stack(
-            [_eigenbasis_tangents(family, t, s) for t, s in zip(self.grid, self._spectra)]
+            [_eigenbasis_tangents(family, t, s) for t, s in zip(self.grid, spectra)]
         )
         widths, stencil_spectra, stencil_tangents = [], [], []
         for theta in self.grid:
@@ -323,8 +327,10 @@ class DefectGrid:
                     stencil_spectra.append(spec)
                     stencil_tangents.append(_eigenbasis_tangents(family, x, spec))
         self._widths = np.reshape(widths, (len(self.grid), d))
-        # stencil points in the order up_0, dn_0, up_1, ... of every grid point in turn
-        self._stencil_spectra = stencil_spectra
+        # stacked Spectra: grid points, and stencil points in the order up_0, dn_0,
+        # up_1, ... of every grid point in turn
+        self._spectrum = _stack_spectra(spectra)
+        self._stencil_spectrum = _stack_spectra(stencil_spectra)
         self._stencil_tangents = np.stack(stencil_tangents)
         self._nabla = {}
 
@@ -336,7 +342,9 @@ class DefectGrid:
                     spec.to_eigenbasis(
                         covariant_derivative_set(self.family, theta, spec, alpha, self.on_extended)
                     )
-                    for theta, spec in zip(self.grid, self._spectra)
+                    for theta, spec in zip(
+                        self.grid, map(Spectrum, self._spectrum.eigenvalues, self._spectrum.unitary)
+                    )
                 ]
             )
         return self._nabla[alpha]
@@ -352,15 +360,15 @@ class DefectGrid:
         alpha = float(alpha)
         d = self.family.param_dim
         plus, minus = self._connection(alpha), self._connection(-alpha)
-        c_stencil = np.stack([petz_kernel(s, f).coefficients for s in self._stencil_spectra])
+        c_stencil = petz_kernel(self._stencil_spectrum, f).coefficients
         g = _tangent_gram(self._stencil_tangents, c_stencil)
         g = g.reshape(self._widths.shape + (2, d, d))
         dg = (g[:, :, 0] - g[:, :, 1]) / (2.0 * self._widths)[:, :, None, None]
-        # axes (point, i, j, k, n, n), summed over the last two as kernel_metric sums
-        c = np.stack([petz_kernel(s, f).coefficients for s in self._spectra])[:, None, None, None]
+        # axes (point, i, j, k, n, n); _contract sums the last two, as kernel_metric does
+        c = petz_kernel(self._spectrum, f).coefficients[:, None, None, None]
         t = self._tangents
-        cov_t = np.sum(plus.conj()[:, :, :, None] * c * t[:, None, None, :], axis=(-2, -1)).real
-        t_cov = np.sum(t.conj()[:, None, :, None] * c * minus[:, :, None, :], axis=(-2, -1)).real
+        cov_t = _contract(c, plus[:, :, :, None], t[:, None, None, :])
+        t_cov = _contract(c, t[:, None, :, None], minus[:, :, None, :])
         per_triple = scale * (dg - cov_t - t_cov)
         return DualityReport(
             metric_name=f.name,
@@ -1186,9 +1194,10 @@ def monotonicity_scan(
     if fspecs is None:
         fspecs = builtin_functions(wyd_exponents=(0.2, 0.5, 0.8))
     rng = rng_from(seed)
-    triples = []
-    for _ in range(trials):
-        kind = rng.integers(0, 3)
+    partial_trace = partial_trace_channel(2, 2)
+    kinds, groups = [], {}
+    for t in range(trials):
+        kind = int(rng.integers(0, 3))
         if kind == 0:
             n = int(rng.integers(2, 4))
             rho = random_state(rng, n, floor=0.1)
@@ -1202,32 +1211,40 @@ def monotonicity_scan(
         else:
             rho = random_state(rng, 4, floor=0.05)
             a = random_traceless_hermitian(rng, 4)
-            ch = partial_trace_channel(2, 2)
-        # channel outputs and spectra do not depend on the kernel: once per trial
-        triples.append((int(kind), check_state(rho), a, _push_forward(ch, rho, a)))
+            ch = partial_trace
+        kinds.append(kind)
+        groups.setdefault((ch.dim_in, ch.dim_out), []).append((t, ch, rho, a))
+    # states, outputs and rotated directions do not depend on the kernel: one
+    # stacked decomposition per (input, output) dimension serves every kernel
+    stacks = []
+    for group in groups.values():
+        index, channels, rho, a = zip(*group)
+        rho = np.stack(rho)
+        state = check_state(rho)
+        stacks.append((np.array(index), _contraction_trials(channels, state, rho, np.stack(a))))
+    regularized = np.zeros(trials, dtype=bool)
+    inconclusive = np.zeros(trials, dtype=bool)
+    for index, stack in stacks:
+        regularized[index] = stack.regularized
+        inconclusive[index] = stack.inconclusive
+    conclusive = ~inconclusive
+    depolarizing = conclusive & (np.array(kinds, dtype=int) == 0)
     rows = []
     for f in fspecs:
-        min_margin = np.inf
-        depol_total = depol_strict = 0
-        regularized = inconclusive = 0
-        for kind, spec, a, pushed in triples:
-            rep = _contraction_report(f, spec, a, pushed)
-            if rep.inconclusive:
-                inconclusive += 1
-                continue
-            regularized += int(rep.regularized)
-            min_margin = min(min_margin, rep.margin)
-            if kind == 0:
-                depol_total += 1
-                depol_strict += int(rep.margin > 0.0)
+        margin = np.empty(trials)
+        for index, stack in stacks:
+            lhs, rhs = stack.lengths(f)
+            margin[index] = rhs - lhs
         rows.append(
             {
                 "metric": f.name,
                 "trials": trials,
-                "min_margin": float(min_margin),
-                "depolarizing_strict_fraction": depol_strict / max(depol_total, 1),
-                "regularized": regularized,
-                "inconclusive": inconclusive,
+                # builtin min keeps the first of equal minima (0.0, -0.0) in trial order
+                "min_margin": float(min(margin[conclusive], default=np.inf)),
+                "depolarizing_strict_fraction": int(np.sum(margin[depolarizing] > 0.0))
+                / max(int(np.sum(depolarizing)), 1),
+                "regularized": int(np.sum(regularized & conclusive)),
+                "inconclusive": int(np.sum(inconclusive)),
             }
         )
     return rows

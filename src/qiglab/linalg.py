@@ -53,6 +53,18 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _first_in_stack(bad: np.ndarray) -> tuple:
+    """(index, label) of the first flagged matrix; ``bad`` holds one flag per matrix of a stack.
+
+    The label reads " at stack index k" and is empty for a single matrix.
+    """
+    bad = np.asarray(bad)
+    where = tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)), bad.shape))
+    if not where:
+        return where, ""
+    return where, f" at stack index {where[0] if len(where) == 1 else where}"
+
+
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Symmetrize to (A + A†)/2, removing numerical skew; leading axes broadcast."""
     a = np.asarray(a)
@@ -268,16 +280,19 @@ def divided_difference_matrix(eigenvalues: np.ndarray, f) -> np.ndarray:
     """Matrix of first divided differences K[i, j] = f[λi, λj].
 
     Off the diagonal this is (f(λi) - f(λj))/(λi - λj); coincident pairs
-    (relative gap below DEGENERACY_RTOL) use f' at the midpoint.
+    (relative gap below DEGENERACY_RTOL) use f' at the midpoint, and the
+    diagonal is f'(λi), so f must carry a derivative.
     """
     fun = _as_scalar_function(f)
+    if fun.deriv is None:
+        raise ValueError(
+            f"scalar function {fun.name!r} needs a derivative: the diagonal f[λi, λi] is f'(λi)"
+        )
     lam = np.asarray(eigenvalues, dtype=float)
     n = lam.shape[0]
     k = np.empty((n, n), dtype=float)
     for i in range(n):
-        k[i, i] = (
-            fun.deriv(lam[i]) if fun.deriv is not None else _pair_difference(fun, lam[i], lam[i])
-        )
+        k[i, i] = fun.deriv(lam[i])
         for j in range(i):
             k[i, j] = k[j, i] = _pair_difference(fun, lam[i], lam[j])
     return k

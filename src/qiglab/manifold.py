@@ -21,6 +21,7 @@ import numpy as np
 from .linalg import (
     ScalarFunction,
     Spectrum,
+    _first_in_stack,
     apply_scalar_function,
     check_hermitian,
     divided_difference_matrix,
@@ -68,21 +69,35 @@ _TANGENT_TRACE_TOL = 1e-10
 
 
 def check_weight(a: Union[np.ndarray, Spectrum]) -> Spectrum:
-    """Spectrum of a positive-definite base point; a Spectrum is checked as it is."""
+    """Spectrum of a positive-definite base point; a Spectrum is checked as it is.
+
+    A stack (..., n, n), or a stacked Spectrum, is checked matrix by matrix;
+    the error names the first failing matrix by its stack index.
+    """
     spec = a if isinstance(a, Spectrum) else spectral_decompose(a)
-    low = float(spec.eigenvalues.min())
-    if low <= 0.0:
-        raise ValueError(f"not positive definite (off the positive cone): min eigenvalue {low:.3e}")
+    if spec.eigenvalues.min(initial=np.inf) <= 0.0:  # an empty stack passes
+        low = spec.eigenvalues.min(axis=-1)
+        where, at = _first_in_stack(low <= 0.0)
+        raise ValueError(
+            f"not positive definite (off the positive cone){at}: "
+            f"min eigenvalue {float(low[where]):.3e}"
+        )
     return spec
 
 
 def check_state(a: Union[np.ndarray, Spectrum]) -> Spectrum:
-    """Spectrum of a density matrix (positive definite, unit trace within STATE_TRACE_TOL)."""
+    """Spectrum of a density matrix (positive definite, unit trace within STATE_TRACE_TOL).
+
+    Stacks are checked matrix by matrix, as in check_weight.
+    """
     spec = check_weight(a)
-    tr = float(spec.eigenvalues.sum())
-    if abs(tr - 1.0) > STATE_TRACE_TOL:
+    tr = spec.eigenvalues.sum(axis=-1)
+    off = np.abs(tr - 1.0) > STATE_TRACE_TOL
+    if off.any():
+        where, at = _first_in_stack(off)
         raise ValueError(
-            f"not a unit-trace state: trace {tr!r} is not 1 within {STATE_TRACE_TOL:.1e}"
+            f"not a unit-trace state{at}: trace {float(tr[where])!r} is not 1 "
+            f"within {STATE_TRACE_TOL:.1e}"
         )
     return spec
 

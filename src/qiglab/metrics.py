@@ -8,12 +8,13 @@ check, and the entropy functionals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .linalg import Spectrum, check_hermitian, hermitize, spectral_decompose
+from .linalg import Spectrum, _first_in_stack, check_hermitian, hermitize, spectral_decompose
 from .manifold import TangentVector, alpha_representation, check_state, check_weight
 
 __all__ = [
@@ -147,7 +148,8 @@ class MetricKernel:
     """Entrywise metric kernel in the eigenbasis of the base matrix.
 
     coefficients[i, j] = 1/(lambda_j f(lambda_i/lambda_j)); real, symmetric,
-    strictly positive, with 1/lambda_i on the diagonal.
+    strictly positive, with 1/lambda_i on the diagonal. For a stacked
+    spectrum, eigenvalues (m, n), the coefficients are (m, n, n).
     """
 
     spectrum: Spectrum
@@ -155,22 +157,41 @@ class MetricKernel:
 
 
 def petz_kernel(sigma: Union[np.ndarray, Spectrum], f: MonotoneFunctionSpec) -> MetricKernel:
-    """Kernel of the monotone metric generated by f at a positive base."""
+    """Kernel of the monotone metric generated by f at a positive base.
+
+    The base may be a stack (m, n, n) or a stacked Spectrum; f.fn is then
+    called once, on every eigenvalue ratio of the stack, and each matrix gets
+    the coefficients it gets alone. The error names the first failing matrix
+    by its stack index.
+    """
     spec = check_weight(sigma)
     lam = spec.eigenvalues
-    ratio = lam[:, None] / lam[None, :]
-    c = 1.0 / (lam[None, :] * np.asarray(f.fn(ratio), dtype=float))
-    c = 0.5 * (c + c.T)  # symmetric up to round-off by the Petz symmetry of f
-    if not np.all(np.isfinite(c)) or np.any(c <= 0.0):
-        raise ValueError(f"kernel of {f.name} is not strictly positive on this spectrum")
+    ratio = lam[..., :, None] / lam[..., None, :]
+    c = 1.0 / (lam[..., None, :] * np.asarray(f.fn(ratio), dtype=float))
+    c = 0.5 * (c + c.swapaxes(-1, -2))  # symmetric up to round-off by the Petz symmetry of f
+    bad = ~(np.isfinite(c) & (c > 0.0)).all(axis=(-2, -1))
+    if bad.any():
+        _, at = _first_in_stack(bad)
+        raise ValueError(f"kernel of {f.name} is not strictly positive on this spectrum{at}")
     return MetricKernel(spec, c)
 
 
-def kernel_metric(kernel: MetricKernel, a: np.ndarray, b: np.ndarray) -> float:
+def _contract(coefficients: np.ndarray, at: np.ndarray, bt: np.ndarray):
+    """sum conj(at) * c * bt over the last two axes, real part; a float for one matrix."""
+    out = np.sum(at.conj() * coefficients * bt, axis=(-2, -1)).real
+    return float(out) if out.ndim == 0 else out
+
+
+def kernel_metric(kernel: MetricKernel, a: np.ndarray, b: np.ndarray) -> Union[float, np.ndarray]:
+    """Pairing sum conj(a) c b of a and b in the eigenbasis of the kernel's base.
+
+    A float for one matrix; for a stacked kernel, a and b are stacks (or one
+    matrix for every base) and the result is an (m,) array.
+    """
     spec = kernel.spectrum
     at = spec.to_eigenbasis(np.asarray(a, dtype=complex))
     bt = spec.to_eigenbasis(np.asarray(b, dtype=complex))
-    return float(np.sum(at.conj() * kernel.coefficients * bt).real)
+    return _contract(kernel.coefficients, at, bt)
 
 
 def _mixture_of(arg, base: Union[np.ndarray, Spectrum]) -> np.ndarray:
@@ -260,17 +281,22 @@ def identity_channel(n: int) -> KrausChannel:
     return KrausChannel((np.eye(n, dtype=complex),))
 
 
-def _weyl_operators(n: int) -> list:
+@functools.cache
+def _weyl_operators(n: int) -> tuple:
+    """shift^a clock^b for a, b < n; built on first use per n and shared read-only."""
     shift = np.zeros((n, n), dtype=complex)
     for k in range(n):
         shift[(k + 1) % n, k] = 1.0
     omega = np.exp(2j * np.pi / n)
     clock = np.diag(omega ** np.arange(n))
-    return [
+    ops = tuple(
         np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
         for a in range(n)
         for b in range(n)
-    ]
+    )
+    for op in ops:
+        op.setflags(write=False)
+    return ops
 
 
 def depolarizing_channel(n: int, t: float) -> KrausChannel:
@@ -338,36 +364,74 @@ def monotonicity_check(
     spec = check_state(rho)
     point = spec.matrix() if isinstance(rho, Spectrum) else rho
     mixture = _mixture_of(a, point)
-    return _contraction_report(f, spec, mixture, _push_forward(channel, point, mixture))
+    trial = _contraction_trials(
+        (channel,), Spectrum(spec.eigenvalues[None], spec.unitary[None]), point[None], mixture[None]
+    )
+    lhs, rhs = (float(v[0]) for v in trial.lengths(f))
+    if trial.inconclusive[0]:
+        return MonotonicityReport(lhs, rhs, float("nan"), True, True)
+    return MonotonicityReport(lhs, rhs, rhs - lhs, bool(trial.regularized[0]), False)
 
 
-def _push_forward(channel: KrausChannel, rho: np.ndarray, mixture: np.ndarray) -> tuple:
-    """(output Spectrum, output direction, regularized) of a state and a direction.
+@dataclass(frozen=True)
+class _ContractionTrials:
+    """Contraction trials of one input and one output dimension, ready for any kernel.
 
-    Mixing a singular output with 1e-10 * I/n shifts its eigenvalues and keeps
-    its eigenvectors; if it stays singular the Spectrum is None.
+    ``state`` is the stacked Spectrum of the m input states and ``mixture``
+    their directions in its eigenbasis. ``output`` and ``out_dir`` hold the
+    same for the channel outputs of the conclusive trials only.
+    ``regularized`` and ``inconclusive`` flag each of the m trials.
     """
-    out = spectral_decompose(hermitize(apply_channel(channel, rho)))
-    out_dir = hermitize(apply_channel(channel, mixture))
+
+    state: Spectrum
+    mixture: np.ndarray
+    output: Spectrum
+    out_dir: np.ndarray
+    regularized: np.ndarray
+    inconclusive: np.ndarray
+
+    def lengths(self, f: MonotoneFunctionSpec) -> tuple:
+        """(lhs, rhs) of every trial under f from one Petz kernel per side.
+
+        lhs is nan where the trial is inconclusive.
+        """
+        rhs = _contract(petz_kernel(self.state, f).coefficients, self.mixture, self.mixture)
+        lhs = np.full(rhs.shape, np.nan)
+        lhs[~self.inconclusive] = _contract(
+            petz_kernel(self.output, f).coefficients, self.out_dir, self.out_dir
+        )
+        return lhs, rhs
+
+
+def _contraction_trials(
+    channels: Sequence[KrausChannel], state: Spectrum, points: np.ndarray, mixtures: np.ndarray
+) -> _ContractionTrials:
+    """Push m trials through their channels, decompose the outputs once, rotate each direction once.
+
+    Trial k sends the state ``points[k]``, whose Spectrum is row k of the
+    stacked ``state``, and its direction ``mixtures[k]`` through
+    ``channels[k]``; every channel has the same input and output dimension.
+    A singular output (min eigenvalue below 1e-12) is mixed with
+    1e-10 * I/n_out: its eigenvalues shift and its eigenvectors stay. If it
+    stays singular the trial is inconclusive.
+    """
+    outputs = np.stack([apply_channel(ch, p) for ch, p in zip(channels, points)])
+    out_dirs = np.stack([apply_channel(ch, x) for ch, x in zip(channels, mixtures)])
+    out = spectral_decompose(hermitize(outputs))
+    out_dir = out.to_eigenbasis(hermitize(out_dirs))
     lam = out.eigenvalues
-    if float(lam.min()) >= 1e-12:
-        return out, out_dir, False
-    lam = (lam + 1e-10 / lam.shape[0]) / (1.0 + 1e-10)
-    if float(lam.min()) <= 0.0:
-        return None, out_dir, True
-    return Spectrum(lam, out.unitary), out_dir, True
-
-
-def _contraction_report(
-    f: MonotoneFunctionSpec, rho: Spectrum, mixture: np.ndarray, pushed: tuple
-) -> MonotonicityReport:
-    """Contraction margin of one kernel; ``pushed`` (from _push_forward) does not depend on f."""
-    out, out_dir, regularized = pushed
-    rhs = kernel_metric(petz_kernel(rho, f), mixture, mixture)
-    if out is None:
-        return MonotonicityReport(float("nan"), rhs, float("nan"), True, True)
-    lhs = kernel_metric(petz_kernel(out, f), out_dir, out_dir)
-    return MonotonicityReport(lhs, rhs, rhs - lhs, regularized, False)
+    regularized = ~(lam.min(axis=-1) >= 1e-12)  # a NaN eigenvalue counts as singular
+    lam = np.where(regularized[:, None], (lam + 1e-10 / lam.shape[-1]) / (1.0 + 1e-10), lam)
+    inconclusive = lam.min(axis=-1) <= 0.0
+    keep = ~inconclusive
+    return _ContractionTrials(
+        state,
+        state.to_eigenbasis(mixtures),
+        Spectrum(lam[keep], out.unitary[keep]),
+        out_dir[keep],
+        regularized,
+        inconclusive,
+    )
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

@@ -38,9 +38,14 @@ from qiglab.manifold import (
 )
 from qiglab.metrics import (
     bkm_function,
+    builtin_functions,
     bures_function,
+    depolarizing_channel,
     kernel_metric,
+    monotonicity_check,
+    partial_trace_channel,
     petz_kernel,
+    random_stinespring_channel,
     relative_entropy,
     rld_function,
     validate_function_spec,
@@ -464,10 +469,10 @@ def test_monotonicity_scan_rows():
 
 
 def test_monotonicity_scan_decomposes_each_trial_once(monkeypatch):
-    # channel outputs and spectra are shared by all kernels of a trial
+    # states, channel outputs and their spectra are stacked across trials and shared by all kernels
     import qiglab.metrics
 
-    calls = {"eig": 0, "channel": 0}
+    calls = {"eig": 0, "channel": 0, "kernel": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -481,10 +486,70 @@ def test_monotonicity_scan_decomposes_each_trial_once(monkeypatch):
     monkeypatch.setattr(
         qiglab.metrics, "apply_channel", counted(qiglab.metrics.apply_channel, "channel")
     )
+    monkeypatch.setattr(
+        qiglab.metrics, "petz_kernel", counted(qiglab.metrics.petz_kernel, "kernel")
+    )
     trials = 40
-    monotonicity_scan(seed=0, trials=trials)
-    assert 0 < calls["eig"] <= 3 * trials
+    rows = monotonicity_scan(seed=0, trials=trials)
+    # trials are stacked per (input, output) dimension: (2, 2), (3, 3) and (4, 2)
+    groups = 3
+    assert 0 < calls["eig"] <= 2 * groups
     assert 0 < calls["channel"] <= 2 * trials
+    # one kernel per (kernel, group) for the states and one for the outputs, not per trial
+    assert 0 < calls["kernel"] <= 2 * len(rows) * groups
+
+
+def _monotonicity_scan_reference(seed, trials):
+    """monotonicity_scan one trial and one kernel at a time through monotonicity_check."""
+    rng = rng_from(seed)
+    triples = []
+    for _ in range(trials):
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            n = int(rng.integers(2, 4))
+            rho = random_state(rng, n, floor=0.1)
+            a = random_traceless_hermitian(rng, n)
+            ch = depolarizing_channel(n, float(rng.uniform(0.05, 0.95)))
+        elif kind == 1:
+            n = int(rng.integers(2, 4))
+            rho = random_state(rng, n, floor=0.1)
+            a = random_traceless_hermitian(rng, n)
+            ch = random_stinespring_channel(rng, n)
+        else:
+            rho = random_state(rng, 4, floor=0.05)
+            a = random_traceless_hermitian(rng, 4)
+            ch = partial_trace_channel(2, 2)
+        triples.append((int(kind), rho, a, ch))
+    rows = []
+    for f in builtin_functions(wyd_exponents=(0.2, 0.5, 0.8)):
+        min_margin = np.inf
+        depol_total = depol_strict = regularized = inconclusive = 0
+        for kind, rho, a, ch in triples:
+            rep = monotonicity_check(f, rho, a, ch)
+            if rep.inconclusive:
+                inconclusive += 1
+                continue
+            regularized += int(rep.regularized)
+            min_margin = min(min_margin, rep.margin)
+            if kind == 0:
+                depol_total += 1
+                depol_strict += int(rep.margin > 0.0)
+        rows.append(
+            {
+                "metric": f.name,
+                "trials": trials,
+                "min_margin": float(min_margin),
+                "depolarizing_strict_fraction": depol_strict / max(depol_total, 1),
+                "regularized": regularized,
+                "inconclusive": inconclusive,
+            }
+        )
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_monotonicity_scan_equals_per_trial_checks(seed):
+    assert monotonicity_scan(seed=seed, trials=60) == _monotonicity_scan_reference(seed, 60)
 
 
 def test_classical_reduction_check_values():

@@ -98,6 +98,12 @@ def test_divided_difference_matrix_coincident_uses_derivative():
     assert dd[0, 1] == pytest.approx(0.5)
 
 
+def test_divided_difference_matrix_needs_a_derivative():
+    # a plain callable carries no derivative, and the diagonal f[x, x] = f'(x) needs one
+    with pytest.raises(ValueError, match="'sqrt' needs a derivative"):
+        divided_difference_matrix(np.array([1.0, 2.0]), np.sqrt)
+
+
 def test_apply_scalar_function_log():
     rng = rng_from(3)
     a = random_hermitian(rng, 3)

@@ -135,6 +135,19 @@ def test_sphere_project_fixes_tangent_representations():
     np.testing.assert_allclose(sphere_project(rho, 0.5, rep), rep, atol=1e-12)
 
 
+def test_state_and_weight_validation_per_matrix_of_a_stack():
+    states = np.stack([np.diag([0.5, 0.5]), np.diag([0.3, 0.7])]).astype(complex)
+    spec = check_state(states)  # each matrix has unit trace; the stack as a whole does not
+    np.testing.assert_array_equal(spec.eigenvalues, [[0.5, 0.5], [0.3, 0.7]])
+    assert check_state(spec) is spec
+    with pytest.raises(ValueError, match=r"unit-trace state at stack index 1: trace 2\.0 "):
+        check_state(np.stack([states[0], 2.0 * states[1], states[1]]))
+    with pytest.raises(ValueError, match=r"positive cone\) at stack index 2: min eigenvalue -1"):
+        check_weight(np.stack([states[0], states[1], np.diag([1.0, -0.1]).astype(complex)]))
+    with pytest.raises(ValueError, match=r"at stack index \(1, 0\)"):
+        check_weight(np.stack([states, -states]))
+
+
 def test_state_and_weight_validation():
     with pytest.raises(ValueError, match="trace"):
         check_state(np.diag([0.7, 0.7]).astype(complex))

@@ -256,6 +256,27 @@ def test_monotonicity_regularizes_singular_output():
     assert report.margin >= 0.0
 
 
+def test_monotonicity_inconclusive_when_output_stays_singular(monkeypatch):
+    # no channel output falls this far below zero, so patch the channel's action on the state
+    import qiglab.metrics
+
+    rng = rng_from(41)
+    rho = random_state(rng, 2)
+    v = state_tangent(rho, random_traceless_hermitian(rng, 2))
+    apply = qiglab.metrics.apply_channel
+
+    def negative_output(channel, x):
+        if abs(np.trace(x) - 1.0) < 1e-9:
+            return np.diag([1.1, -0.1]).astype(complex)
+        return apply(channel, x)
+
+    monkeypatch.setattr(qiglab.metrics, "apply_channel", negative_output)
+    report = monotonicity_check(bkm_function(), rho, v, depolarizing_channel(2, 0.3))
+    assert report.inconclusive and report.regularized
+    assert np.isnan(report.lhs) and np.isnan(report.margin)
+    assert report.rhs == metric_eval(rho, bkm_function(), v, v)
+
+
 # ---------------------------------------------------------------- entropies
 
 
