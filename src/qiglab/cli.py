@@ -151,6 +151,14 @@ def _strs(s):
     return tuple(tok.strip() for tok in str(s).split(",") if tok.strip() != "")
 
 
+def _count(opt, key):
+    """Option ``key`` as an int; a value below 1 is a usage error that names the option."""
+    value = int(opt[key])
+    if value < 1:
+        raise ValueError(f"--{key.replace('_', '-')} must be at least 1, got {value}")
+    return value
+
+
 _COMMON_DEFAULTS = {"seed": "0", "format": "jsonl", "output": ""}
 
 _DEFAULTS = {
@@ -418,7 +426,7 @@ def _run_duality(opt):
     seed = int(opt["seed"])
     tol = float(opt["tol"])
     gap = float(opt["gap"])
-    n_points = int(opt["points"])
+    n_points = _count(opt, "points")
     records = []
     worst = 0.0
     grids = {}  # dim -> [(witness, DefectGrid)], shared by every alpha and metric
@@ -527,7 +535,7 @@ def _run_uniqueness_scan(opt):
     result = uniqueness_scan(
         float(_floats(opt["alpha"])[0]),
         seed=seed,
-        n_points=int(opt["points"]),
+        n_points=_count(opt, "points"),
         tol=float(opt["tol"]),
         gap=float(opt["gap"]),
     )
@@ -558,7 +566,7 @@ def _run_uniqueness_scan(opt):
 
 def _run_monotonicity(opt):
     seed = int(opt["seed"])
-    trials = int(opt["trials"])
+    trials = _count(opt, "trials")
     margin_tol = float(opt["margin_tol"])
     frac_req = float(opt["strict_fraction"])
     records = []
@@ -685,9 +693,7 @@ def _run_entropy_projection(opt):
     seed = int(opt["seed"])
     dim = int(opt["dim"])
     n_obs = int(opt["observables"])
-    instances = int(opt["instances"])
-    if instances < 1:
-        raise ValueError(f"--instances must be at least 1, got {instances}")
+    instances = _count(opt, "instances")
     tol = float(opt["tol"])
     mean_tol = float(opt["mean_tol"])
     orth_tol = float(opt["orthogonality_tol"])

@@ -123,44 +123,47 @@ def _fd_embedded_second_partial(
     )
 
 
-def _embedded_second_partial(
+def _embedded_second_partials(
     family: ParametrizedFamily,
     theta: np.ndarray,
     spec: Spectrum,
-    i: int,
-    j: int,
+    pairs: tuple,
     alpha: float,
 ) -> np.ndarray:
-    """Second partial of the embedded chart at theta, whose point has Spectrum ``spec``."""
+    """Second partials d_i d_j of the embedded chart at theta, stacked over the index
+    arrays ``pairs`` = (i, j); ``spec`` is the Spectrum of the point at theta."""
+    i, j = pairs
     if family.has_analytic_second_order:
         fun = embedding_function(alpha)
-        d_i = family.jacobian(theta, i)
-        d_j = family.jacobian(theta, j)
-        d_ij = family.hessian(theta, i, j)
-        d2 = frechet_second_derivative(spec, d_i, d_j, fun) + frechet_derivative(
-            spec, d_ij, fun
+        jac = {k: family.jacobian(theta, k) for k in sorted({*i, *j})}  # once per index in use
+        first, second = np.stack([jac[a] for a in i]), np.stack([jac[b] for b in j])
+        hess = np.stack([family.hessian(theta, a, b) for a, b in zip(i, j)])
+        d2 = frechet_second_derivative(spec, first, second, fun) + frechet_derivative(
+            spec, hess, fun
         )
         return hermitize(d2)
-    return _fd_embedded_second_partial(family, theta, spec, i, j, alpha)
+    return np.stack(
+        [_fd_embedded_second_partial(family, theta, spec, a, b, alpha) for a, b in zip(i, j)]
+    )
 
 
-def _covariant_mixture(
+def _covariant_mixtures(
     family: ParametrizedFamily,
     theta: np.ndarray,
     spec: Spectrum,
-    i: int,
-    j: int,
+    pairs: tuple,
     alpha: float,
     on_extended: bool,
 ) -> np.ndarray:
-    """Mixture form of the flat (on_extended) or projected covariant derivative."""
-    d2 = _embedded_second_partial(family, theta, spec, i, j, alpha)
+    """Mixture forms of the flat (on_extended) or projected nabla_i T_j, stacked over ``pairs``."""
+    d2 = _embedded_second_partials(family, theta, spec, pairs, alpha)
     if on_extended:
         return representation_convert(spec, d2, alpha, -1.0)
     projected = sphere_project(spec, alpha, d2)  # rejects a base off the unit-trace manifold
     mixture = representation_convert(spec, projected, alpha, -1.0)
     n = spec.dim
-    return mixture - (np.trace(mixture) / n) * np.eye(n)  # kill round-off trace
+    trace = np.trace(mixture, axis1=-2, axis2=-1)
+    return mixture - (trace / n)[..., None, None] * np.eye(n)  # kill round-off trace
 
 
 def _point_and_spectrum(family: ParametrizedFamily, theta: np.ndarray):
@@ -179,7 +182,7 @@ def ext_covariant_derivative(
     coordinates that make the embedding affine.
     """
     theta, sigma, spec = _point_and_spectrum(family, theta)
-    mixture = _covariant_mixture(family, theta, spec, i, j, alpha, True)
+    mixture = _covariant_mixtures(family, theta, spec, ([i], [j]), alpha, True)[0]
     return CovariantDerivativeResult(sigma, weight_tangent(sigma, mixture))
 
 
@@ -193,7 +196,7 @@ def covariant_derivative_on_M(
     tangent (weighted trace zero) by construction.
     """
     theta, sigma, spec = _point_and_spectrum(family, theta)
-    mixture = _covariant_mixture(family, theta, spec, i, j, alpha, False)
+    mixture = _covariant_mixtures(family, theta, spec, ([i], [j]), alpha, False)[0]
     return CovariantDerivativeResult(sigma, state_tangent(sigma, mixture))
 
 
@@ -208,17 +211,15 @@ def covariant_derivative_set(
 
     ``spec`` is the Spectrum of the point at theta, so nothing is decomposed
     again. Flat ones on the positive cone (``on_extended``) or projected ones
-    on the unit-trace manifold, each computed once for i <= j; the result has
-    shape (d, d, n, n) and is symmetric in its first two axes.
+    on the unit-trace manifold, computed as one stack over the pairs i <= j;
+    the result has shape (d, d, n, n) and is symmetric in its first two axes.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     d, n = family.param_dim, spec.dim
+    i, j = np.triu_indices(d)
+    upper = _covariant_mixtures(family, theta, spec, (i, j), alpha, on_extended)
     out = np.empty((d, d, n, n), dtype=complex)
-    for i in range(d):
-        for j in range(i, d):
-            out[i, j] = out[j, i] = _covariant_mixture(
-                family, theta, spec, i, j, alpha, on_extended
-            )
+    out[i, j] = out[j, i] = upper
     return out
 
 

@@ -253,9 +253,13 @@ class DualityReport:
 
 
 def _eigenbasis_tangents(family: ParametrizedFamily, theta: np.ndarray, spec) -> np.ndarray:
-    """Coordinate tangents d_k sigma at theta in the eigenbasis of its Spectrum, shape (d, n, n)."""
-    tangents = np.stack([family.tangent_matrix(theta, k) for k in range(family.param_dim)])
-    return spec.to_eigenbasis(tangents)
+    """Coordinate tangents d_k sigma in the eigenbasis of the point's Spectrum: (d, n, n)
+    for one theta (d,), and (m, d, n, n), rotated as one stack, for a stack (m, d)."""
+    d = family.param_dim
+    rows = [[family.tangent_matrix(t, k) for k in range(d)] for t in np.reshape(theta, (-1, d))]
+    tangents = np.array(rows).reshape(np.shape(theta)[:-1] + (d,) + spec.unitary.shape[-2:])
+    per_tangent = Spectrum(spec.eigenvalues[..., None, :], spec.unitary[..., None, :, :])
+    return per_tangent.to_eigenbasis(tangents)
 
 
 def _tangent_gram(tangents: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -282,13 +286,6 @@ def _metric_matrix(
     return _tangent_gram(tangents, petz_kernel(spec, f).coefficients)
 
 
-def _stack_spectra(spectra: Sequence[Spectrum]) -> Spectrum:
-    """One stacked Spectrum, eigenvalues (m, n), of m Spectra of one dimension."""
-    return Spectrum(
-        np.stack([s.eigenvalues for s in spectra]), np.stack([s.unitary for s in spectra])
-    )
-
-
 class DefectGrid:
     """Connection geometry of a duality-defect grid, shared by every kernel and alpha.
 
@@ -308,30 +305,23 @@ class DefectGrid:
     ):
         self.family = family
         self.grid = tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in grid)
+        if not self.grid:
+            raise ValueError("a defect grid needs at least one point, got none")
         self.on_extended = on_extended
-        d = family.param_dim
-        spectra = [spectral_decompose(family.point(theta)) for theta in self.grid]
-        self._tangents = np.stack(
-            [_eigenbasis_tangents(family, t, s) for t, s in zip(self.grid, spectra)]
-        )
-        widths, stencil_spectra, stencil_tangents = [], [], []
-        for theta in self.grid:
-            for i in range(d):
-                h = FIRST_DERIVATIVE_STEP * max(1.0, abs(theta[i]))
-                up, dn = theta.copy(), theta.copy()
-                up[i] += h
-                dn[i] -= h
-                widths.append(h)
-                for x in (up, dn):
-                    spec = spectral_decompose(family.point(x))
-                    stencil_spectra.append(spec)
-                    stencil_tangents.append(_eigenbasis_tangents(family, x, spec))
-        self._widths = np.reshape(widths, (len(self.grid), d))
-        # stacked Spectra: grid points, and stencil points in the order up_0, dn_0,
-        # up_1, ... of every grid point in turn
-        self._spectrum = _stack_spectra(spectra)
-        self._stencil_spectrum = _stack_spectra(stencil_spectra)
-        self._stencil_tangents = np.stack(stencil_tangents)
+        points = np.stack(self.grid)
+        m, d = points.shape
+        self._widths = FIRST_DERIVATIVE_STEP * np.maximum(1.0, np.abs(points))
+        # stencil points in the order up_0, dn_0, up_1, ... of every grid point in turn
+        stencil = np.broadcast_to(points[:, None, None, :], (m, d, 2, d)).copy()
+        axis = np.arange(d)
+        stencil[:, axis, 0, axis] += self._widths
+        stencil[:, axis, 1, axis] -= self._widths
+        stencil = stencil.reshape(2 * d * m, d)
+        # one chart call and one stacked decomposition for the grid, and one for its stencil
+        self._spectrum = spectral_decompose(family.point(points))
+        self._stencil_spectrum = spectral_decompose(family.point(stencil))
+        self._tangents = _eigenbasis_tangents(family, points, self._spectrum)
+        self._stencil_tangents = _eigenbasis_tangents(family, stencil, self._stencil_spectrum)
         self._nabla = {}
 
     def _connection(self, alpha: float) -> np.ndarray:
@@ -974,21 +964,17 @@ def embedding_trace_identity_gap(
     emb_a = embedding_function(alpha)
     emb_m = embedding_function(-alpha)
     ell_a = apply_scalar_function(spec, emb_a)
-    d = fam.param_dim
-    jacs = [fam.jacobian(xi, i) for i in range(d)]
-    d_ell_m = [frechet_derivative(spec, j, emb_m) for j in jacs]
+    i, j = np.triu_indices(fam.param_dim)  # every pair i <= j, as one stack
+    jacs = np.stack([fam.jacobian(xi, k) for k in range(fam.param_dim)])
+    hess = np.stack([fam.hessian(xi, a, b) for a, b in zip(i, j)])
+    d2_m = frechet_second_derivative(spec, jacs[i], jacs[j], emb_m) + frechet_derivative(
+        spec, hess, emb_m
+    )
+    d_ell_m = frechet_derivative(spec, jacs, emb_m)
     coeff = 2.0 * alpha / (1.0 - alpha)
-    worst = 0.0
-    for i in range(d):
-        for j in range(i, d):
-            hess = fam.hessian(xi, i, j)
-            d2_m = frechet_second_derivative(spec, jacs[i], jacs[j], emb_m) + frechet_derivative(
-                spec, hess, emb_m
-            )
-            lhs = float(np.trace(ell_a @ d2_m).real)
-            rhs = coeff * float(np.trace(basis[i] @ d_ell_m[j]).real)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    lhs = np.trace(ell_a @ d2_m, axis1=-2, axis2=-1).real
+    rhs = coeff * np.trace(np.stack(basis)[i] @ d_ell_m[j], axis1=-2, axis2=-1).real
+    return float(np.abs(lhs - rhs).max())
 
 
 # ---------------------------------------------------------------------------

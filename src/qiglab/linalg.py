@@ -298,20 +298,28 @@ def divided_difference_matrix(eigenvalues: np.ndarray, f) -> np.ndarray:
     return k
 
 
+def _hermitize_self_adjoint(out: np.ndarray, *directions: np.ndarray) -> np.ndarray:
+    """Symmetrize each matrix of ``out`` whose directions are all self-adjoint, one by one."""
+    devs = [np.abs(a - _dagger(a)) for a in map(np.asarray, directions)]
+    if max(dev.max(initial=0.0) for dev in devs) <= _HERMITIAN_TOL:  # the usual case
+        return hermitize(out)
+    flag = np.logical_and.reduce([dev.max(axis=(-2, -1)) <= _HERMITIAN_TOL for dev in devs])
+    return np.where(flag[..., None, None], hermitize(out), out)
+
+
 def frechet_derivative(spec: Spectrum, direction: np.ndarray, f) -> np.ndarray:
     """Directional derivative of the matrix function f at the decomposed point.
 
     Daleckii-Krein form: in the eigenbasis, entry (i, j) of the direction is
-    scaled by the first divided difference f[λi, λj].
+    scaled by the first divided difference f[λi, λj]. ``direction`` may be a
+    stack (..., n, n) at the one point; the kernel is built once for it.
     """
     d = np.asarray(direction, dtype=complex)
-    if d.shape != (spec.dim, spec.dim):
+    if d.shape[-2:] != (spec.dim, spec.dim):
         raise ValueError(f"direction shape {d.shape} does not match dim {spec.dim}")
     k = divided_difference_matrix(spec.eigenvalues, f)
     out = spec.from_eigenbasis(k * spec.to_eigenbasis(d))
-    if np.abs(d - d.conj().T).max() <= _HERMITIAN_TOL:
-        out = hermitize(out)
-    return out
+    return _hermitize_self_adjoint(out, d)
 
 
 def _triple_difference(fun: ScalarFunction, x: float, y: float, z: float) -> float:
@@ -341,7 +349,9 @@ def frechet_second_derivative(
 
     In the eigenbasis,
     out[i, j] = Σ_k f[λi, λk, λj] (E[i,k] F[k,j] + F[i,k] E[k,j])
-    with f[.,.,.] the second divided difference.
+    with f[.,.,.] the second divided difference. E and F may be stacks
+    (..., n, n) at the one point, paired matrix by matrix; the triple tensor
+    is built once for them.
     """
     fun = _as_scalar_function(f)
     e = spec.to_eigenbasis(np.asarray(first, dtype=complex))
@@ -357,10 +367,6 @@ def frechet_second_derivative(
                 if key not in cache:
                     cache[key] = _triple_difference(fun, lam[i], lam[k], lam[j])
                 t[i, k, j] = cache[key]
-    out = np.einsum("ikj,ik,kj->ij", t, e, g) + np.einsum("ikj,ik,kj->ij", t, g, e)
-    out = spec.from_eigenbasis(out)
-    herm = (
-        np.abs(first - np.asarray(first).conj().T).max() <= _HERMITIAN_TOL
-        and np.abs(second - np.asarray(second).conj().T).max() <= _HERMITIAN_TOL
-    )
-    return hermitize(out) if herm else out
+    pairing = "ikj,...ik,...kj->...ij"
+    out = spec.from_eigenbasis(np.einsum(pairing, t, e, g) + np.einsum(pairing, t, g, e))
+    return _hermitize_self_adjoint(out, first, second)

@@ -22,6 +22,7 @@ from .linalg import (
     ScalarFunction,
     Spectrum,
     _first_in_stack,
+    _hermitize_self_adjoint,
     apply_scalar_function,
     check_hermitian,
     divided_difference_matrix,
@@ -199,16 +200,15 @@ def representation_convert(
     Entrywise in the eigenbasis: divide by the divided-difference kernel of
     the source embedding, multiply by the target one. Both kernels are
     strictly positive, so the conversion is exactly invertible. The base may
-    be given as its Spectrum.
+    be given as its Spectrum; ``w`` may be a stack (..., n, n) at that base,
+    converted with one pair of kernels.
     """
     spec = check_weight(base)
     k_from = divided_difference_matrix(spec.eigenvalues, embedding_function(from_alpha))
     k_to = divided_difference_matrix(spec.eigenvalues, embedding_function(to_alpha))
     wt = spec.to_eigenbasis(np.asarray(w, dtype=complex))
     out = spec.from_eigenbasis(wt / k_from * k_to)
-    if np.abs(np.asarray(w) - np.asarray(w).conj().T).max() <= 1e-12:
-        out = hermitize(out)
-    return out
+    return _hermitize_self_adjoint(out, w)
 
 
 def sphere_project(rho: Union[np.ndarray, Spectrum], alpha: float, a: np.ndarray) -> np.ndarray:
@@ -217,15 +217,16 @@ def sphere_project(rho: Union[np.ndarray, Spectrum], alpha: float, a: np.ndarray
     Pi(A) = A - Tr(rho^((1+alpha)/2) A) * rho^((1-alpha)/2). Idempotent at a
     unit-trace base; defined for alpha in [-1, 1] (the +-1 limits use
     rho^0 = I on the corresponding side). The base may be given as its
-    Spectrum.
+    Spectrum; ``a`` may be a stack (..., n, n) at that base, projected with
+    one pair of matrix powers.
     """
     alpha = _check_alpha(alpha)
     a = check_hermitian(a)
     spec = check_state(rho)
     p_plus = apply_scalar_function(spec, power_function(0.5 * (1.0 + alpha)))
     p_minus = apply_scalar_function(spec, power_function(0.5 * (1.0 - alpha)))
-    coeff = float(np.trace(p_plus @ a).real)
-    return a - coeff * p_minus
+    coeff = np.trace(p_plus @ a, axis1=-2, axis2=-1).real
+    return a - coeff[..., None, None] * p_minus
 
 
 @dataclass

@@ -182,6 +182,25 @@ def test_no_projection_instances_is_usage_error(capsys, instances):
     assert "--instances" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["duality", "uniqueness-scan"])
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_no_grid_points_is_usage_error(capsys, command, points):
+    # an empty grid has no defect to judge
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--points={points}"])
+    assert exc.value.code == 2
+    assert f"--points must be at least 1, got {points}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_no_monotonicity_trials_is_usage_error(capsys, trials):
+    # with no trial the minimum margin reads inf and every kernel a falsification
+    with pytest.raises(SystemExit) as exc:
+        main(["monotonicity", f"--trials={trials}"])
+    assert exc.value.code == 2
+    assert f"--trials must be at least 1, got {trials}" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- verdicts
 
 

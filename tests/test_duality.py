@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -196,7 +198,7 @@ def test_defect_grid_builds_each_connection_set_once(monkeypatch, capsys):
 
     monkeypatch.setattr(qiglab.connections, "frechet_second_derivative", counted)
     witnesses = standard_witness_families(2, "state")
-    pairs = 6  # i <= j on the three-parameter Bloch chart
+    # one stacked call per covariant-derivative set, for all its pairs i <= j
     battery = count(lambda: uniqueness_scan(0.5, witnesses=witnesses, n_points=1))
     single = count(
         lambda: uniqueness_scan(
@@ -204,11 +206,38 @@ def test_defect_grid_builds_each_connection_set_once(monkeypatch, capsys):
         )
     )
     # nabla^(0.5) and nabla^(-0.5) once each, for 7 candidates as for 1
-    assert battery == single == 2 * pairs
+    assert battery == single == 2
     argv = ["duality", "--alpha=-0.5,0,0.5", "--dim", "2", "--manifold", "state", "--points", "1"]
     # the signed orders -0.5, 0 and 0.5: three sets, not one per alpha and sign
-    assert count(lambda: main(argv)) == 3 * pairs
+    assert count(lambda: main(argv)) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("points", [1, 3])
+@pytest.mark.parametrize("dim, manifold", [(2, "state"), (3, "weight")])
+def test_defect_grid_evaluates_and_decomposes_in_two_stacked_calls(
+    monkeypatch, points, dim, manifold
+):
+    # one chart call and one eigh for the grid points, one of each for all 2d * m stencil points
+    witness = standard_witness_families(dim, manifold)[0]
+    charts = {"calls": 0}
+
+    def chart(theta):
+        charts["calls"] += 1
+        return witness.family.chart(theta)
+
+    family = dataclasses.replace(witness.family, chart=chart)
+    grid = sample_grid(witness, [4, dim], points)
+    calls = _count_decompositions(monkeypatch)
+    DefectGrid(family, grid, witness.on_extended)
+    assert charts["calls"] == 2
+    assert (calls["eigh"], calls["eigvalsh"]) == (2, 2)
+
+
+def test_defect_grid_rejects_an_empty_grid():
+    witness = standard_witness_families(2, "state")[0]
+    with pytest.raises(ValueError, match="at least one point"):
+        DefectGrid(witness.family, [])
 
 
 def test_standard_witness_families():

@@ -1,0 +1,121 @@
+"""A stack of directions at one base point gives, matrix by matrix, the bits of one direction at a time.
+
+Property tests over the layers a covariant-derivative set is built from, at
+n = 2-4: stacked `frechet_derivative`, `frechet_second_derivative`,
+`representation_convert` and `sphere_project` equal the per-matrix calls
+exactly. Base spectra are generic, near-degenerate (a gap below
+DEGENERACY_RTOL, or a cluster of three below _TRIPLE_RTOL) or have a tiny
+eigenvalue. Directions mix self-adjoint and general matrices, so the
+self-adjointness test that decides the final symmetrization runs per matrix.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qiglab.linalg import (
+    DEGENERACY_RTOL,
+    _TRIPLE_RTOL,
+    exp_function,
+    frechet_derivative,
+    frechet_second_derivative,
+    hermitize,
+    spectral_decompose,
+)
+from qiglab.manifold import embedding_function, representation_convert, sphere_project
+from qiglab.sampling import haar_unitary, random_hermitian, rng_from
+
+PROPERTY = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+ALPHAS = [-1.0, -0.5, 0.0, 0.3, 0.9, 1.0]
+
+
+@st.composite
+def base_and_directions(draw, unit_trace=False, self_adjoint_only=False):
+    """(Spectrum of one base point, a rng, stacks of m directions), n in 2..4 and m in 1..5.
+
+    Each direction is self-adjoint or, unless ``self_adjoint_only``, a
+    general complex matrix; two independent stacks are drawn.
+    """
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 5))
+    rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    lam = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["generic", "pair", "triple", "tiny"]))
+    if kind == "pair":
+        lam[1] = lam[0] * (1.0 + draw(st.floats(0.0, 0.5 * DEGENERACY_RTOL)))
+    elif kind == "triple":
+        for k in range(1, min(n, 3)):
+            lam[k] = lam[0] * (1.0 + draw(st.floats(0.0, 0.5 * _TRIPLE_RTOL)))
+    elif kind == "tiny":
+        lam[0] = draw(st.floats(1e-8, 1e-5))
+    if unit_trace:
+        lam = lam / lam.sum()
+    q = haar_unitary(rng, n)
+    spec = spectral_decompose(hermitize((q * lam) @ q.conj().T))
+
+    def direction():
+        if self_adjoint_only or draw(st.booleans()):
+            return random_hermitian(rng, n)
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    first = np.stack([direction() for _ in range(m)])
+    second = np.stack([direction() for _ in range(m)])
+    return spec, first, second
+
+
+def _functions():
+    return st.sampled_from(ALPHAS).map(embedding_function) | st.just(exp_function())
+
+
+@PROPERTY
+@given(case=base_and_directions(), f=_functions())
+def test_stacked_frechet_derivative_equals_matrix_by_matrix(case, f):
+    spec, first, _ = case
+    out = frechet_derivative(spec, first, f)
+    assert out.shape == first.shape
+    for k, e in enumerate(first):
+        assert np.array_equal(out[k], frechet_derivative(spec, e, f))
+
+
+@PROPERTY
+@given(case=base_and_directions(), f=_functions())
+def test_stacked_frechet_second_derivative_equals_matrix_by_matrix(case, f):
+    spec, first, second = case
+    out = frechet_second_derivative(spec, first, second, f)
+    assert out.shape == first.shape
+    for k, (e, g) in enumerate(zip(first, second)):
+        assert np.array_equal(out[k], frechet_second_derivative(spec, e, g, f))
+
+
+@PROPERTY
+@given(
+    case=base_and_directions(),
+    from_alpha=st.sampled_from(ALPHAS),
+    to_alpha=st.sampled_from(ALPHAS),
+)
+def test_stacked_representation_convert_equals_matrix_by_matrix(case, from_alpha, to_alpha):
+    spec, w, _ = case
+    out = representation_convert(spec, w, from_alpha, to_alpha)
+    assert out.shape == w.shape
+    for k, one in enumerate(w):
+        assert np.array_equal(out[k], representation_convert(spec, one, from_alpha, to_alpha))
+
+
+@PROPERTY
+@given(
+    case=base_and_directions(unit_trace=True, self_adjoint_only=True),
+    alpha=st.sampled_from(ALPHAS),
+)
+def test_stacked_sphere_project_equals_matrix_by_matrix(case, alpha):
+    spec, a, _ = case
+    out = sphere_project(spec, alpha, a)
+    assert out.shape == a.shape
+    for k, one in enumerate(a):
+        assert np.array_equal(out[k], sphere_project(spec, alpha, one))
