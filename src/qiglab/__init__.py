@@ -4,115 +4,26 @@ Power/log embeddings of positive matrices, matrix-monotone metric kernels,
 the induced pair of covariant derivatives, and verification drivers for the
 duality, potential, uniqueness, monotonicity and entropy-projection
 statements the library is built to test.
+
+The package re-exports each library module's ``__all__``; that list is the
+one statement of what the module makes public.
 """
 
-from .linalg import (
-    ScalarFunction,
-    Spectrum,
-    apply_scalar_function,
-    check_hermitian,
-    commutator,
-    divided_difference_matrix,
-    exp_function,
-    frechet_derivative,
-    frechet_second_derivative,
-    hermitize,
-    hs_inner,
-    identity_function,
-    log_function,
-    power_function,
-    schatten_norm,
-    spectral_decompose,
-)
-from .sampling import (
-    haar_unitary,
-    hermitian_basis,
-    pauli_matrices,
-    random_hermitian,
-    random_state,
-    random_traceless_hermitian,
-    random_weight,
-    rng_from,
-)
-from .manifold import (
-    ParametrizedFamily,
-    TangentVector,
-    affine_coordinates,
-    alpha_embed,
-    alpha_representation,
-    basis_combination,
-    check_state,
-    check_weight,
-    embedding_function,
-    family_tangent,
-    inverse_embedding_function,
-    linear_family,
-    representation_convert,
-    simplex_family,
-    sphere_project,
-    state_tangent,
-    weight_tangent,
-    xi_affine_family,
-)
-from .metrics import (
-    KrausChannel,
-    MetricKernel,
-    MonotoneFunctionSpec,
-    MonotonicityReport,
-    apply_channel,
-    bkm_direct,
-    bkm_function,
-    builtin_functions,
-    bures_function,
-    depolarizing_channel,
-    identity_channel,
-    kernel_metric,
-    metric_eval,
-    monotonicity_check,
-    partial_trace_channel,
-    petz_kernel,
-    random_stinespring_channel,
-    relative_entropy,
-    rld_function,
-    validate_function_spec,
-    von_neumann_entropy,
-    wyd_direct,
-    wyd_function,
-)
-from .connections import (
-    CovariantDerivativeResult,
-    CurveSpec,
-    covariant_derivative_on_M,
-    ext_covariant_derivative,
-    parallel_transport_ext,
-    parallel_transport_on_M,
-)
-from .duality import (
-    DefectGrid,
-    DualityReport,
-    GibbsFamily,
-    ProjectionReport,
-    UniquenessScanResult,
-    WitnessFamily,
-    convexity_failure_check,
-    dual_coordinate_check,
-    duality_defect,
-    embedding_trace_identity_gap,
-    entropy_projection,
-    flatness_scan,
-    gibbs_family,
-    path_dependence_witness,
-    perturbed_wyd,
-    potential_check,
-    potential_value,
-    qubit_bloch_family,
-    qutrit_state_family,
-    relative_entropy_curvature_gap,
-    sample_grid,
-    standard_witness_families,
-    transport_duality_check,
-    uniqueness_scan,
-    witness_curve,
-)
+from . import connections, duality, linalg, manifold, metrics, sampling
+from .linalg import *
+from .sampling import *
+from .manifold import *
+from .metrics import *
+from .connections import *
+from .duality import *
+
+__all__ = [
+    *linalg.__all__,
+    *sampling.__all__,
+    *manifold.__all__,
+    *metrics.__all__,
+    *connections.__all__,
+    *duality.__all__,
+]
 
 __version__ = "0.1.0"

@@ -492,9 +492,7 @@ def _run_potential(opt):
     tol = float(opt["tol"])
     reg_tol = float(opt["regression_tol"])
     leg_tol = float(opt["legendre_tol"])
-    n_dual = int(opt["dual_points"])
-    if n_dual < 1:
-        raise ValueError(f"--dual-points needs at least one point, got {n_dual}")
+    n_dual = _count(opt, "dual_points")
     records = []
     for dim in _ints(opt["dim"]):
         basis = hermitian_basis(dim)

@@ -3,9 +3,10 @@
 The order-alpha embedding induces a flat connection on the positive cone
 (extended manifold): its covariant derivative is the plain second partial of
 the embedded chart, and its parallel transport reinterprets the alpha
-representation at the endpoint. On the unit-trace manifold the same data is
-projected onto the embedded sphere's tangent space; the projected transport
-is discretized step by step and is path dependent.
+representation at the endpoint (``manifold.representation_convert``). On the
+unit-trace manifold the same data is projected onto the embedded sphere's
+tangent space; the projected transport is discretized step by step and is
+path dependent.
 
 Second partials use the analytic chain rule (first/second directional matrix
 derivatives) when the chart carries analytic derivatives, and a nine-point
@@ -46,7 +47,6 @@ __all__ = [
     "ext_covariant_derivative",
     "covariant_derivative_on_M",
     "covariant_derivative_set",
-    "parallel_transport_ext",
     "parallel_transport_on_M",
 ]
 
@@ -250,35 +250,17 @@ def _curve_points(curve: CurveSpec, start: np.ndarray, steps: int):
         prev = sigma
 
 
-def parallel_transport_ext(curve: CurveSpec, v: TangentVector, alpha: float) -> TangentVector:
-    """Flat transport on the positive cone: the alpha representation is
-    carried unchanged and reinterpreted at the endpoint.
-
-    Exact (independent of step_count) and path independent; a closed curve
-    returns the input vector.
-    """
-    _check_start(curve, v)
-    w = alpha_representation(v, alpha)
-    end = curve.point(1.0)
-    mixture = representation_convert(end, w, alpha, -1.0)
-    return weight_tangent(end, mixture)
-
-
-def parallel_transport_on_M(
-    curve: CurveSpec, v: TangentVector, alpha: float, richardson: bool = True
-) -> TangentVector:
+def parallel_transport_on_M(curve: CurveSpec, v: TangentVector, alpha: float) -> TangentVector:
     """Projected transport on the unit-trace manifold.
 
     Discretized: the alpha representation is carried to each successive curve
-    point and re-projected onto the tangent space there. First-order accurate
-    in 1/step_count; with ``richardson`` the default 256-step run is combined
-    with a half-resolution run (2*fine - coarse). Path dependent: transports
-    along different curves between the same endpoints disagree (the
-    non-flatness witness).
+    point and re-projected onto the tangent space there. Each run is
+    first-order accurate in 1/step_count, so the step_count run is combined
+    with a half-resolution run by Richardson extrapolation (2*fine - coarse).
+    Path dependent: transports along different curves between the same
+    endpoints disagree (the non-flatness witness).
     """
     fine = _transport_on_m_once(curve, v, alpha, curve.step_count)
-    if not richardson:
-        return fine
     if curve.step_count % 2 or curve.step_count < 2:
         raise ValueError("richardson extrapolation needs an even step_count >= 2")
     coarse = _transport_on_m_once(curve, v, alpha, curve.step_count // 2)

@@ -35,7 +35,6 @@ from .manifold import (
     alpha_representation,
     basis_combination,
     check_state,
-    embedding_function,
     family_tangent,
     linear_family,
     representation_convert,
@@ -111,7 +110,6 @@ __all__ = [
     "convexity_failure_check",
     "path_dependence_witness",
     "flatness_scan",
-    "embedding_trace_identity_gap",
     "GibbsFamily",
     "gibbs_family",
     "ProjectionReport",
@@ -163,13 +161,13 @@ def qubit_bloch_family() -> ParametrizedFamily:
     return linear_family(0.5 * i2, [0.5 * sx, 0.5 * sy, 0.5 * sz])
 
 
-def qutrit_state_family(seed: int = 11) -> ParametrizedFamily:
+def qutrit_state_family() -> ParametrizedFamily:
     """Three-parameter qutrit sub-chart around a seeded interior base state.
 
-    rho(theta) = rho0 + sum theta_k D_k with seeded traceless directions of
-    spectral norm 0.1; the base state has spectral floor 0.25.
+    rho(theta) = rho0 + sum theta_k D_k with traceless directions of spectral
+    norm 0.1, drawn from seed 11; the base state has spectral floor 0.25.
     """
-    rng = rng_from(seed)
+    rng = rng_from(11)
     base = random_state(rng, 3, floor=0.25)
     directions = []
     for _ in range(3):
@@ -178,17 +176,17 @@ def qutrit_state_family(seed: int = 11) -> ParametrizedFamily:
     return linear_family(base, directions)
 
 
-def qubit_weight_family(seed: int = 13) -> ParametrizedFamily:
-    """Full positive-cone qubit chart: seeded base plus the Pauli basis/2."""
-    rng = rng_from(seed)
+def qubit_weight_family() -> ParametrizedFamily:
+    """Full positive-cone qubit chart: a base drawn from seed 13 plus the Pauli basis/2."""
+    rng = rng_from(13)
     base = random_weight(rng, 2, 0.8, 1.6)
     i2, sx, sy, sz = pauli_matrices()
     return linear_family(base, [0.5 * i2, 0.5 * sx, 0.5 * sy, 0.5 * sz])
 
 
-def qutrit_weight_family(seed: int = 17) -> ParametrizedFamily:
-    """Three-parameter qutrit chart into the positive cone (seeded)."""
-    rng = rng_from(seed)
+def qutrit_weight_family() -> ParametrizedFamily:
+    """Three-parameter qutrit chart into the positive cone, drawn from seed 17."""
+    rng = rng_from(17)
     base = random_weight(rng, 3, 0.8, 1.6)
     directions = []
     for _ in range(3):
@@ -917,10 +915,10 @@ def path_dependence_witness(alpha: float = 0.0, step_count: int = 256) -> float:
     return float(np.linalg.norm(w1.mixture - w2.mixture))
 
 
-def flatness_scan(
-    alpha: float, dim: int, seed=5, n_points: int = 2, lo: float = 0.5, hi: float = 2.0
-) -> float:
-    """Max flat-covariant-derivative norm over seeded points of the affine chart.
+def flatness_scan(alpha: float, dim: int, seed=5) -> float:
+    """Max flat-covariant-derivative norm over two seeded points of the affine chart.
+
+    The points are weights with spectrum in [0.5, 2].
 
     Builds the chart without analytic derivatives on purpose: the statement
     under test is that the finite-difference second partial of the embedded
@@ -931,50 +929,13 @@ def flatness_scan(
     fam = xi_affine_family(basis, alpha, analytic=False)
     upper = np.triu_indices(len(basis))
     worst = 0.0
-    for _ in range(n_points):
-        sigma = random_weight(rng, dim, lo, hi)
+    for _ in range(2):
+        sigma = random_weight(rng, dim, 0.5, 2.0)
         xi = affine_coordinates(sigma, alpha, basis)
         spec = spectral_decompose(fam.point(xi))
         nabla = covariant_derivative_set(fam, xi, spec, alpha, on_extended=True)
         worst = max(worst, max(float(np.linalg.norm(m)) for m in nabla[upper]))
     return worst
-
-
-def embedding_trace_identity_gap(
-    basis: Sequence[np.ndarray], alpha: float, xi: np.ndarray
-) -> float:
-    """Residual of the trace identity tying both embeddings in affine coordinates.
-
-    In coordinates where the order-alpha embedding is linear with directions
-    X_i, the second derivative of the opposite embedding satisfies
-    Tr(l_a * d2 l_{-a} / dxi_i dxi_j) = (2 alpha/(1-alpha)) * g_ij, with
-    g_ij = Tr(X_i * d l_{-a}/dxi_j) the two-representation pairing of the
-    coordinate tangents. This is exactly the gap between the potential
-    Hessian and the metric, expressed without finite differences; at
-    alpha = 0 it degenerates to Tr(l_0 * d2 l_0) = 0. Returns the worst
-    absolute residual over all index pairs.
-    """
-    alpha = float(alpha)
-    if not -1.0 < alpha < 1.0:
-        raise ValueError(f"trace identity needs alpha strictly inside (-1, 1), got {alpha!r}")
-    fam = xi_affine_family(basis, alpha, analytic=True)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    sigma = fam.point(xi)
-    spec = spectral_decompose(sigma)
-    emb_a = embedding_function(alpha)
-    emb_m = embedding_function(-alpha)
-    ell_a = apply_scalar_function(spec, emb_a)
-    i, j = np.triu_indices(fam.param_dim)  # every pair i <= j, as one stack
-    jacs = np.stack([fam.jacobian(xi, k) for k in range(fam.param_dim)])
-    hess = np.stack([fam.hessian(xi, a, b) for a, b in zip(i, j)])
-    d2_m = frechet_second_derivative(spec, jacs[i], jacs[j], emb_m) + frechet_derivative(
-        spec, hess, emb_m
-    )
-    d_ell_m = frechet_derivative(spec, jacs, emb_m)
-    coeff = 2.0 * alpha / (1.0 - alpha)
-    lhs = np.trace(ell_a @ d2_m, axis1=-2, axis2=-1).real
-    rhs = coeff * np.trace(np.stack(basis)[i] @ d_ell_m[j], axis1=-2, axis2=-1).real
-    return float(np.abs(lhs - rhs).max())
 
 
 # ---------------------------------------------------------------------------
@@ -1166,19 +1127,14 @@ def kernel_direct_consistency(
     return rows
 
 
-def monotonicity_scan(
-    seed=0,
-    trials: int = 1000,
-    fspecs: Optional[Sequence[MonotoneFunctionSpec]] = None,
-) -> list:
+def monotonicity_scan(seed=0, trials: int = 1000) -> list:
     """Monte-Carlo contraction margins for the built-in kernels.
 
     Each trial draws one of three channel kinds (depolarizing, random
     Stinespring, two-qubit partial trace) with a matching state and traceless
-    tangent; all functions are evaluated on the same seeded triples.
+    tangent; the kernels (WYD at p = 0.2, 0.5, 0.8 with the other built-ins)
+    are evaluated on the same seeded triples.
     """
-    if fspecs is None:
-        fspecs = builtin_functions(wyd_exponents=(0.2, 0.5, 0.8))
     rng = rng_from(seed)
     partial_trace = partial_trace_channel(2, 2)
     kinds, groups = [], {}
@@ -1216,7 +1172,7 @@ def monotonicity_scan(
     conclusive = ~inconclusive
     depolarizing = conclusive & (np.array(kinds, dtype=int) == 0)
     rows = []
-    for f in fspecs:
+    for f in builtin_functions(wyd_exponents=(0.2, 0.5, 0.8)):
         margin = np.empty(trials)
         for index, stack in stacks:
             lhs, rhs = stack.lengths(f)
@@ -1236,39 +1192,30 @@ def monotonicity_scan(
     return rows
 
 
-def classical_reduction_check(
-    seed=0,
-    dim: int = 3,
-    n_points: int = 3,
-    alphas: Sequence[float] = (-0.5, 0.0, 0.5),
-) -> dict:
+def classical_reduction_check(seed=0) -> dict:
     """On a diagonal chart every built-in metric is the classical Fisher form.
 
     Returns the worst deviation of each kernel metric matrix from the Fisher
-    matrix and the worst alpha-dependence of the direct WYD pairing.
+    matrix and the worst alpha-dependence (alpha = -0.5, 0, 0.5) of the direct
+    WYD pairing, over three seeded points of the qutrit simplex chart.
     """
+    dim = 3
     rng = rng_from(seed)
     fam = simplex_family(dim)
     d = fam.param_dim
     worst_metric = 0.0
     worst_alpha = 0.0
-    for _ in range(n_points):
+    for _ in range(3):
         p = rng.dirichlet(np.ones(dim)) * 0.6 + 0.4 / dim  # interior simplex point
         theta = p[:-1]
         sigma = fam.point(theta)
         tangents = [family_tangent(fam, theta, i) for i in range(d)]
-        fisher = np.empty((d, d))
-        for i in range(d):
-            for j in range(d):
-                dp_i = np.diagonal(tangents[i].mixture).real
-                dp_j = np.diagonal(tangents[j].mixture).real
-                fisher[i, j] = float(np.sum(dp_i * dp_j / p))
+        dp = np.stack([np.diagonal(t.mixture).real for t in tangents])
+        fisher = (dp / p) @ dp.T
         for f in builtin_functions():
-            for i in range(d):
-                for j in range(d):
-                    g = metric_eval(sigma, f, tangents[i], tangents[j])
-                    worst_metric = max(worst_metric, abs(g - fisher[i, j]))
-        for alpha in alphas:
+            dev = float(np.abs(_metric_matrix(fam, theta, f) - fisher).max())
+            worst_metric = max(worst_metric, dev)
+        for alpha in (-0.5, 0.0, 0.5):
             for i in range(d):
                 for j in range(d):
                     g = wyd_direct(sigma, alpha, tangents[i], tangents[j])

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "DEGENERACY_RTOL",
     "hermitize",
-    "commutator",
     "check_hermitian",
     "hs_inner",
     "Spectrum",
@@ -34,7 +33,6 @@ __all__ = [
     "divided_difference_matrix",
     "frechet_derivative",
     "frechet_second_derivative",
-    "schatten_norm",
 ]
 
 # Relative eigenvalue gap below which a pair is treated as coincident and the
@@ -71,10 +69,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _dagger(a))
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def check_hermitian(a: np.ndarray) -> np.ndarray:
     """Return ``a`` as a complex array, rejecting non-self-adjoint input.
 
@@ -106,12 +100,6 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return complex(np.sum(a.conj() * b))
-
-
-def schatten_norm(a: np.ndarray, order: float) -> float:
-    """Schatten r-norm (sum of singular values to the r-th power)^(1/r)."""
-    s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
-    return float(np.sum(s**order) ** (1.0 / order))
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ __all__ = [
     "weight_tangent",
     "embedding_function",
     "inverse_embedding_function",
-    "alpha_embed",
     "alpha_representation",
     "representation_convert",
     "sphere_project",
@@ -164,21 +163,6 @@ def inverse_embedding_function(alpha: float) -> ScalarFunction:
     s = 0.5 * (1.0 - alpha)
     # (s*y)^(1/s) = s^(1/s) * y^(1/s)
     return power_function(1.0 / s, scale=s ** (1.0 / s), name=f"unembed({alpha:g})")
-
-
-def alpha_embed(sigma: np.ndarray, alpha: float) -> np.ndarray:
-    """Embed a positive matrix: (2/(1-alpha)) * sigma^((1-alpha)/2).
-
-    alpha must lie strictly inside (-1, 1); the +-1 limits are reached through
-    embedding_function (log / identity profiles) instead.
-    """
-    alpha = float(alpha)
-    if not -1.0 < alpha < 1.0:
-        raise ValueError(
-            f"alpha must lie strictly inside (-1, 1), got {alpha!r}; "
-            "the +-1 limits use the log/identity embedding profiles"
-        )
-    return apply_scalar_function(check_weight(sigma), embedding_function(alpha))
 
 
 def alpha_representation(v: TangentVector, alpha: float) -> np.ndarray:

@@ -3,7 +3,7 @@
 Operator monotone function specs with the Petz symmetry, the entrywise
 metric kernels they induce, direct two-representation forms of the WYD and
 BKM metrics, CPTP channels in Kraus form with a contraction (monotonicity)
-check, and the entropy functionals.
+check, and the relative entropy.
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ __all__ = [
     "bkm_direct",
     "KrausChannel",
     "apply_channel",
-    "identity_channel",
     "depolarizing_channel",
     "partial_trace_channel",
     "random_stinespring_channel",
     "MonotonicityReport",
     "monotonicity_check",
-    "von_neumann_entropy",
     "relative_entropy",
 ]
 
@@ -277,10 +275,6 @@ def apply_channel(channel: KrausChannel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def identity_channel(n: int) -> KrausChannel:
-    return KrausChannel((np.eye(n, dtype=complex),))
-
-
 @functools.cache
 def _weyl_operators(n: int) -> tuple:
     """shift^a clock^b for a, b < n; built on first use per n and shared read-only."""
@@ -312,28 +306,24 @@ def depolarizing_channel(n: int, t: float) -> KrausChannel:
     return KrausChannel(tuple(ops))
 
 
-def partial_trace_channel(dim_keep: int, dim_drop: int, keep_first: bool = True) -> KrausChannel:
-    """Trace out one tensor factor of dim_keep * dim_drop; Kraus ops are isometry slices."""
+def partial_trace_channel(dim_keep: int, dim_drop: int) -> KrausChannel:
+    """Trace out the second tensor factor of dim_keep * dim_drop; Kraus ops are isometry slices."""
     ops = []
     for k in range(dim_drop):
         bra = np.zeros((1, dim_drop), dtype=complex)
         bra[0, k] = 1.0
-        ops.append(np.kron(np.eye(dim_keep, dtype=complex), bra) if keep_first else np.kron(bra, np.eye(dim_keep, dtype=complex)))
+        ops.append(np.kron(np.eye(dim_keep, dtype=complex), bra))
     return KrausChannel(tuple(ops))
 
 
-def random_stinespring_channel(
-    rng: np.random.Generator, dim_in: int, dim_out: int = None, env_dim: int = None
-) -> KrausChannel:
-    """Random channel from a Haar-ish isometry into output x environment."""
-    dim_out = dim_out or dim_in
-    env_dim = env_dim or dim_in
-    z = rng.standard_normal((dim_out * env_dim, dim_in)) + 1j * rng.standard_normal(
-        (dim_out * env_dim, dim_in)
-    )
+def random_stinespring_channel(rng: np.random.Generator, n: int) -> KrausChannel:
+    """Random channel on n x n matrices from a Haar-ish isometry.
+
+    The isometry maps into output x environment, both of dimension n.
+    """
+    z = rng.standard_normal((n * n, n)) + 1j * rng.standard_normal((n * n, n))
     v, _ = np.linalg.qr(z)  # isometry: v† v = I
-    ops = tuple(v[k * dim_out : (k + 1) * dim_out, :] for k in range(env_dim))
-    return KrausChannel(ops)
+    return KrausChannel(tuple(v[k * n : (k + 1) * n, :] for k in range(n)))
 
 
 @dataclass(frozen=True)
@@ -432,12 +422,6 @@ def _contraction_trials(
         regularized,
         inconclusive,
     )
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """S(rho) = -Tr(rho log rho)."""
-    lam = check_state(rho).eigenvalues
-    return float(-np.sum(lam * np.log(lam)))
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -162,7 +162,7 @@ def test_zero_dual_points_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["potential", "--alpha", "0", "--dual-points", "0"])
     assert exc.value.code == 2
-    assert "at least one point" in capsys.readouterr().err
+    assert "--dual-points must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_negative_dual_points_is_usage_error(capsys):

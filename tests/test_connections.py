@@ -3,10 +3,10 @@ import pytest
 
 from qiglab.connections import (
     CurveSpec,
+    _transport_on_m_once,
     covariant_derivative_on_M,
     covariant_derivative_set,
     ext_covariant_derivative,
-    parallel_transport_ext,
     parallel_transport_on_M,
 )
 from qiglab.duality import convexity_failure_check
@@ -16,6 +16,7 @@ from qiglab.manifold import (
     affine_coordinates,
     alpha_representation,
     linear_family,
+    representation_convert,
     simplex_family,
     sphere_project,
     state_tangent,
@@ -150,32 +151,31 @@ def test_convex_mixture_differs_for_noncommuting_witness():
 # ------------------------------------------------------------ flat transport
 
 
-def test_parallel_transport_ext_oracle():
-    # I/2 -> diag(3/4, 1/4) along the z axis, carrying sigma_x at order 0:
-    # the representation sqrt(2)*sigma_x is reinterpreted through the
-    # divided-difference kernel 2(sqrt(3) - 1) of 2*sqrt(x)
-    fam = linear_family(I2 / 2.0, [SZ / 2.0])
-    curve = CurveSpec(fam, lambda t: np.array([0.5 * t]))
+def _flat_transport(end, v, alpha):
+    # the flat connection carries the alpha representation unchanged
+    return representation_convert(end, alpha_representation(v, alpha), alpha, -1.0)
+
+
+def test_flat_transport_oracle():
+    # I/2 -> diag(3/4, 1/4), carrying sigma_x at order 0: the representation
+    # sqrt(2)*sigma_x is reinterpreted through the divided-difference kernel
+    # 2(sqrt(3) - 1) of 2*sqrt(x)
     v = state_tangent(I2 / 2.0, SX)
-    out = parallel_transport_ext(curve, v, 0.0)
+    out = _flat_transport(np.diag([0.75, 0.25]).astype(complex), v, 0.0)
     want = (np.sqrt(2.0) / (2.0 * (np.sqrt(3.0) - 1.0))) * SX
-    np.testing.assert_allclose(out.mixture, want, atol=1e-13)
-    np.testing.assert_allclose(out.base, np.diag([0.75, 0.25]), atol=1e-13)
+    np.testing.assert_allclose(out, want, atol=1e-13)
 
 
-def test_parallel_transport_ext_mixture_order_is_identity():
+def test_flat_transport_mixture_order_is_identity():
     curve = _bloch_curve([0.3, 0.0], [0.0, 0.3])
-    base = curve.point(0.0)
-    v = state_tangent(base, SZ / 3.0)
-    out = parallel_transport_ext(curve, v, -1.0)
-    np.testing.assert_allclose(out.mixture, v.mixture, atol=1e-14)
+    v = state_tangent(curve.point(0.0), SZ / 3.0)
+    out = _flat_transport(curve.point(1.0), v, -1.0)
+    np.testing.assert_allclose(out, v.mixture, atol=1e-14)
 
 
 def test_transport_rejects_foreign_start():
     curve = _bloch_curve([0.3, 0.0], [0.0, 0.3])
     v = state_tangent(I2 / 2.0, SZ)  # base is not curve.point(0)
-    with pytest.raises(ValueError, match="start point"):
-        parallel_transport_ext(curve, v, 0.0)
     with pytest.raises(ValueError, match="start point"):
         parallel_transport_on_M(curve, v, 0.0)
 
@@ -191,8 +191,9 @@ def test_projected_transport_richardson_converges():
     ref = parallel_transport_on_M(_bloch_curve([0.35, 0.0], [0.0, 0.35], 4096), v, 0.0)
     np.testing.assert_allclose(fine.mixture, ref.mixture, atol=1e-7)
     # plain first-order runs halve their gap to the extrapolated answer
-    p256 = parallel_transport_on_M(_bloch_curve([0.35, 0.0], [0.0, 0.35], 256), v, 0.0, richardson=False)
-    p512 = parallel_transport_on_M(_bloch_curve([0.35, 0.0], [0.0, 0.35], 512), v, 0.0, richardson=False)
+    curve = _bloch_curve([0.35, 0.0], [0.0, 0.35])
+    p256 = _transport_on_m_once(curve, v, 0.0, 256)
+    p512 = _transport_on_m_once(curve, v, 0.0, 512)
     e256 = np.abs(p256.mixture - ref.mixture).max()
     e512 = np.abs(p512.mixture - ref.mixture).max()
     assert 1e-6 < e256  # plain runs genuinely carry discretization error
@@ -212,7 +213,7 @@ def test_projected_transport_continuity_guard():
     curve = CurveSpec(_bloch_family(), lambda t: np.array([1.0 - 2.0 * t, 0.0]) * 0.5, step_count=1)
     v = state_tangent(curve.point(0.0), SZ / 2.0)
     with pytest.raises(ValueError, match="too small"):
-        parallel_transport_on_M(curve, v, 0.0, richardson=False)
+        parallel_transport_on_M(curve, v, 0.0)
 
 
 def test_projected_transport_odd_steps_reject_richardson():

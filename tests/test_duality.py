@@ -12,7 +12,6 @@ from qiglab.duality import (
     convexity_failure_check,
     dual_coordinate_check,
     duality_defect,
-    embedding_trace_identity_gap,
     entropy_projection,
     flatness_scan,
     gibbs_family,
@@ -463,20 +462,6 @@ def test_path_dependence_witness_value():
     assert path_dependence_witness() >= 1e-3
 
 
-@pytest.mark.parametrize("alpha", [-0.7, -0.3, 0.3, 0.7])
-def test_embedding_trace_identity(alpha):
-    rng = rng_from(50)
-    basis = hermitian_basis(2)
-    xi = affine_coordinates(random_weight(rng, 2, 0.7, 1.5), alpha, basis)
-    assert embedding_trace_identity_gap(basis, alpha, xi) <= 1e-12
-
-
-def test_embedding_trace_identity_rejects_endpoints():
-    basis = hermitian_basis(2)
-    with pytest.raises(ValueError, match="strictly inside"):
-        embedding_trace_identity_gap(basis, 1.0, np.ones(4))
-
-
 # --------------------------------------------------------------- scan rows
 
 
@@ -582,7 +567,7 @@ def test_monotonicity_scan_equals_per_trial_checks(seed):
 
 
 def test_classical_reduction_check_values():
-    out = classical_reduction_check(seed=0, dim=3, n_points=2)
+    out = classical_reduction_check(seed=0)
     assert out["max_fisher_dev"] <= 1e-9
     assert out["max_alpha_dev"] <= 1e-9
 

@@ -4,7 +4,6 @@ import pytest
 from qiglab.linalg import (
     apply_scalar_function,
     check_hermitian,
-    commutator,
     divided_difference_matrix,
     exp_function,
     frechet_derivative,
@@ -14,7 +13,6 @@ from qiglab.linalg import (
     identity_function,
     log_function,
     power_function,
-    schatten_norm,
     spectral_decompose,
 )
 from qiglab.sampling import haar_unitary, random_hermitian, rng_from
@@ -43,18 +41,9 @@ def test_check_hermitian_names_the_stack_index():
     np.testing.assert_array_equal(check_hermitian(ok), ok)
 
 
-def test_commutator():
-    rng = rng_from(1)
-    a = random_hermitian(rng, 3)
-    b = random_hermitian(rng, 3)
-    np.testing.assert_allclose(commutator(a, b), a @ b - b @ a)
-
-
-def test_hs_inner_and_schatten():
+def test_hs_inner():
     a = np.diag([1.0, -2.0]).astype(complex)
     assert hs_inner(a, a) == pytest.approx(5.0)
-    assert schatten_norm(a, 1) == pytest.approx(3.0)
-    assert schatten_norm(a, 2) == pytest.approx(np.sqrt(5.0))
     with pytest.raises(ValueError):
         hs_inner(a, np.eye(3, dtype=complex))
 

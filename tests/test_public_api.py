@@ -1,0 +1,39 @@
+"""The package's public names are the library modules' ``__all__`` lists, stated once."""
+
+import importlib
+
+import qiglab
+
+MODULES = ("linalg", "sampling", "manifold", "metrics", "connections", "duality")
+
+# Removed for having no caller outside their own tests; the README's
+# "Library usage" gives a one-line replacement for each.
+REMOVED = {
+    "commutator",
+    "schatten_norm",
+    "alpha_embed",
+    "identity_channel",
+    "von_neumann_entropy",
+    "parallel_transport_ext",
+    "embedding_trace_identity_gap",
+}
+
+
+def test_package_exports_the_module_lists_once():
+    names = [n for m in MODULES for n in importlib.import_module(f"qiglab.{m}").__all__]
+    assert qiglab.__all__ == names
+    assert len(set(names)) == len(names)
+
+
+def test_every_exported_name_resolves():
+    for name in qiglab.__all__:
+        assert hasattr(qiglab, name), name
+
+
+def test_removed_names_are_not_exported():
+    for m in MODULES:
+        module = importlib.import_module(f"qiglab.{m}")
+        assert REMOVED.isdisjoint(module.__all__), m
+        assert not any(hasattr(module, name) for name in REMOVED), m
+    assert REMOVED.isdisjoint(qiglab.__all__)
+    assert not any(hasattr(qiglab, name) for name in REMOVED)
