@@ -156,7 +156,7 @@ def _flat_transport(end, v, alpha):
     return representation_convert(end, alpha_representation(v, alpha), alpha, -1.0)
 
 
-def test_flat_transport_oracle():
+def test_parallel_transport_ext_oracle():
     # I/2 -> diag(3/4, 1/4), carrying sigma_x at order 0: the representation
     # sqrt(2)*sigma_x is reinterpreted through the divided-difference kernel
     # 2(sqrt(3) - 1) of 2*sqrt(x)
@@ -166,7 +166,7 @@ def test_flat_transport_oracle():
     np.testing.assert_allclose(out, want, atol=1e-13)
 
 
-def test_flat_transport_mixture_order_is_identity():
+def test_parallel_transport_ext_mixture_order_is_identity():
     curve = _bloch_curve([0.3, 0.0], [0.0, 0.3])
     v = state_tangent(curve.point(0.0), SZ / 3.0)
     out = _flat_transport(curve.point(1.0), v, -1.0)

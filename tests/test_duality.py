@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from qiglab.connections import covariant_derivative_on_M, ext_covariant_derivative
+from qiglab.linalg import (
+    apply_scalar_function,
+    frechet_derivative,
+    frechet_second_derivative,
+    spectral_decompose,
+)
 from qiglab.duality import (
     FIRST_DERIVATIVE_STEP,
     DefectGrid,
@@ -33,6 +39,7 @@ from qiglab.duality import (
 from qiglab.manifold import (
     ParametrizedFamily,
     affine_coordinates,
+    embedding_function,
     simplex_family,
     state_tangent,
     xi_affine_family,
@@ -460,6 +467,32 @@ def test_flatness_scan_affine_charts_are_flat(alpha):
 
 def test_path_dependence_witness_value():
     assert path_dependence_witness() >= 1e-3
+
+
+def _embedding_trace_identity_gap(basis, alpha, xi):
+    # In the chart where the order-alpha embedding is linear with directions
+    # X_i, Tr(l_a * d2 l_{-a} / dxi_i dxi_j) = (2 alpha/(1-alpha)) * g_ij with
+    # g_ij = Tr(X_i * d l_{-a}/dxi_j): the potential Hessian equals the metric
+    fam = xi_affine_family(basis, alpha, analytic=True)
+    spec = spectral_decompose(fam.point(xi))
+    emb_m = embedding_function(-alpha)
+    ell_a = apply_scalar_function(spec, embedding_function(alpha))
+    i, j = np.triu_indices(fam.param_dim)
+    jacs = np.stack([fam.jacobian(xi, k) for k in range(fam.param_dim)])
+    hess = np.stack([fam.hessian(xi, a, b) for a, b in zip(i, j)])
+    d2_m = frechet_second_derivative(spec, jacs[i], jacs[j], emb_m) + frechet_derivative(spec, hess, emb_m)
+    d_ell_m = frechet_derivative(spec, jacs, emb_m)
+    lhs = np.trace(ell_a @ d2_m, axis1=-2, axis2=-1).real
+    rhs = (2.0 * alpha / (1.0 - alpha)) * np.trace(np.stack(basis)[i] @ d_ell_m[j], axis1=-2, axis2=-1).real
+    return float(np.abs(lhs - rhs).max())
+
+
+@pytest.mark.parametrize("alpha", [-0.7, -0.3, 0.3, 0.7])
+def test_embedding_trace_identity(alpha):
+    rng = rng_from(50)
+    basis = hermitian_basis(2)
+    xi = affine_coordinates(random_weight(rng, 2, 0.7, 1.5), alpha, basis)
+    assert _embedding_trace_identity_gap(basis, alpha, xi) <= 1e-12
 
 
 # --------------------------------------------------------------- scan rows

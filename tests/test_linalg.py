@@ -41,9 +41,12 @@ def test_check_hermitian_names_the_stack_index():
     np.testing.assert_array_equal(check_hermitian(ok), ok)
 
 
-def test_hs_inner():
+def test_hs_inner_and_schatten():
     a = np.diag([1.0, -2.0]).astype(complex)
     assert hs_inner(a, a) == pytest.approx(5.0)
+    singular = np.linalg.svd(a, compute_uv=False)
+    assert np.sum(singular**1) == pytest.approx(3.0)
+    assert np.sum(singular**2) ** 0.5 == pytest.approx(np.sqrt(5.0))
     with pytest.raises(ValueError):
         hs_inner(a, np.eye(3, dtype=complex))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qiglab.linalg import spectral_decompose
-from qiglab.manifold import state_tangent
+from qiglab.manifold import check_state, state_tangent
 from qiglab.metrics import (
     KrausChannel,
     MonotoneFunctionSpec,
@@ -273,6 +273,15 @@ def test_monotonicity_inconclusive_when_output_stays_singular(monkeypatch):
 
 
 # ---------------------------------------------------------------- entropies
+
+
+def test_von_neumann_entropy_values():
+    def entropy(rho):
+        lam = check_state(rho).eigenvalues
+        return -np.sum(lam * np.log(lam))
+
+    assert entropy(I2 / 2.0) == pytest.approx(np.log(2.0))
+    assert entropy(SIGMA) == pytest.approx(-(0.75 * np.log(0.75) + 0.25 * np.log(0.25)))
 
 
 def test_relative_entropy_properties():
