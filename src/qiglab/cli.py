@@ -44,9 +44,8 @@ from .duality import (
     convexity_failure_check,
     dual_coordinate_check,
     duality_defect,
-    entropy_projection,
+    entropy_projections,
     flatness_scan,
-    gibbs_family,
     kernel_direct_consistency,
     matched_metric,
     monotonicity_scan,
@@ -501,10 +500,8 @@ def _run_potential(opt):
         for alpha in _floats(opt["alpha"]):
             rng = rng_from([seed, dim, int(round((alpha + 1) * 1000))])
             family = xi_affine_family(basis, alpha, analytic=True)
-            points = []
-            for _ in range(n_points):
-                sigma = random_weight(rng, dim, 0.7, 1.5)
-                points.append(affine_coordinates(sigma, alpha, basis))
+            sigmas = np.stack([random_weight(rng, dim, 0.7, 1.5) for _ in range(n_points)])
+            points = affine_coordinates(sigmas, alpha, basis)
             rep = potential_check(family, alpha, points, basis)
             dual = dual_coordinate_check(family, alpha, points[:n_dual], seed=[seed, 99])
             ok = (
@@ -698,12 +695,13 @@ def _run_entropy_projection(opt):
     records = []
     mean_residuals = []
     worst_orth = 0.0
+    rhos, observables = [], []
     for k in range(instances):
         rng = rng_from([seed, k])
-        rho = random_state(rng, dim, floor=0.05)
-        observables = [random_traceless_hermitian(rng, dim) for _ in range(n_obs)]
-        gf = gibbs_family(observables)
-        rep = entropy_projection(rho, gf, tol=tol)
+        rhos.append(random_state(rng, dim, floor=0.05))
+        observables.append([random_traceless_hermitian(rng, dim) for _ in range(n_obs)])
+    reports = entropy_projections(np.stack(rhos), np.array(observables), tol=tol)
+    for k, rep in enumerate(reports):
         mean_residuals.append(rep.mean_residual)
         worst_orth = max(worst_orth, rep.orthogonality_residual)
         status = "pass" if rep.converged and rep.orthogonality_residual <= orth_tol else "fail"
@@ -776,7 +774,8 @@ _HELP = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command) -> argparse.ArgumentParser:
+    """The argument parser: every subcommand with its help line, options only for ``command``."""
     parser = argparse.ArgumentParser(
         prog="qiglab",
         description="Numerical laboratory for information geometry on density matrices.",
@@ -792,6 +791,8 @@ def _build_parser() -> argparse.ArgumentParser:
             epilog=_CSV_NOTE,
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
+        if name != command:
+            continue
         p.add_argument("--seed", help="base RNG seed (default 0)")
         p.add_argument("--config", help="key = value file; overridden by explicit options")
         p.add_argument("--format", choices=["jsonl", "csv"], dest="format", help="output format")
@@ -802,7 +803,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option but --help, so the first other word names the command
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     command = args.command
     opt = _merge_options(command, args, parser)

@@ -135,8 +135,8 @@ def _embedded_second_partials(
     i, j = pairs
     if family.has_analytic_second_order:
         fun = embedding_function(alpha)
-        jac = {k: family.jacobian(theta, k) for k in sorted({*i, *j})}  # once per index in use
-        first, second = np.stack([jac[a] for a in i]), np.stack([jac[b] for b in j])
+        jac = family.tangent_matrices(theta)
+        first, second = jac[np.asarray(i)], jac[np.asarray(j)]
         hess = np.stack([family.hessian(theta, a, b) for a, b in zip(i, j)])
         d2 = frechet_second_derivative(spec, first, second, fun) + frechet_derivative(
             spec, hess, fun

@@ -18,15 +18,19 @@ import numpy as np
 
 from .linalg import (
     Spectrum,
+    _first_in_stack,
     apply_scalar_function,
     check_hermitian,
+    divided_difference_matrix,
     exp_function,
     frechet_derivative,
     frechet_second_derivative,
     hermitize,
+    log_function,
     spectral_decompose,
 )
 from .manifold import (
+    CHART_MIN_EIGENVALUE,
     FIRST_DERIVATIVE_STEP,
     ParametrizedFamily,
     TangentVector,
@@ -113,6 +117,7 @@ __all__ = [
     "GibbsFamily",
     "gibbs_family",
     "ProjectionReport",
+    "entropy_projections",
     "entropy_projection",
     "relative_entropy_curvature_gap",
     "kernel_direct_consistency",
@@ -252,12 +257,8 @@ class DualityReport:
 
 def _eigenbasis_tangents(family: ParametrizedFamily, theta: np.ndarray, spec) -> np.ndarray:
     """Coordinate tangents d_k sigma in the eigenbasis of the point's Spectrum: (d, n, n)
-    for one theta (d,), and (m, d, n, n), rotated as one stack, for a stack (m, d)."""
-    d = family.param_dim
-    rows = [[family.tangent_matrix(t, k) for k in range(d)] for t in np.reshape(theta, (-1, d))]
-    tangents = np.array(rows).reshape(np.shape(theta)[:-1] + (d,) + spec.unitary.shape[-2:])
-    per_tangent = Spectrum(spec.eigenvalues[..., None, :], spec.unitary[..., None, :, :])
-    return per_tangent.to_eigenbasis(tangents)
+    for one theta (d,), and (m, d, n, n), from one tangent_matrices call, for a stack (m, d)."""
+    return spec.expand_dims().to_eigenbasis(family.tangent_matrices(theta))
 
 
 def _tangent_gram(tangents: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -490,61 +491,95 @@ def _scalar_gradient(fn, x: np.ndarray, step: float = FIRST_DERIVATIVE_STEP) -> 
 
 
 def _scalar_hessian(fn, x: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian of fn at x (d,), from one call of fn on its 1 + 2d^2 points.
+    """Central-difference Hessian of fn at x (d,), or at every row of a stack x (k, d).
 
-    fn maps a stack of points (m, d) to values (m,); the steps are
-    h_i = SECOND_DERIVATIVE_STEP * max(1, |x_i|).
+    fn maps a stack of points (m, d) to values (m,); the whole stencil, 1 + 2d^2
+    points per row, goes to fn in one call. The steps are
+    h_i = SECOND_DERIVATIVE_STEP * max(1, |x_i|). The result is (..., d, d).
     """
-    d = x.shape[0]
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
     h = SECOND_DERIVATIVE_STEP * np.maximum(1.0, np.abs(x))
-
-    def shifted(*moves):
-        y = x.copy()
-        for k, sign in moves:
-            y[k] += sign * h[k]
-        return y
-
-    stencil = [x]
-    for i in range(d):
-        stencil += [shifted((i, 1)), shifted((i, -1))]
-    pairs = [(i, j) for i in range(d) for j in range(i)]
-    for i, j in pairs:
-        stencil += [shifted((i, s), (j, t)) for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    values = fn(np.stack(stencil))
-    f0, axial, mixed = values[0], values[1 : 1 + 2 * d], values[1 + 2 * d :].reshape(-1, 4)
-    out = np.empty((d, d))
-    for i in range(d):
-        out[i, i] = (axial[2 * i] - 2.0 * f0 + axial[2 * i + 1]) / (h[i] * h[i])
-    for (i, j), (pp, pm, mp, mm) in zip(pairs, mixed):
-        out[i, j] = out[j, i] = (pp - pm - mp + mm) / (4.0 * h[i] * h[j])
+    axes = np.arange(d)
+    # per row: x, then x + h_i e_i and x - h_i e_i for each i, then for each pair
+    # j < i the four corners (+ +), (+ -), (- +), (- -) of (i, j)
+    i, j = np.tril_indices(d, -1)
+    axial = np.repeat(x[..., None, :], 2 * d, axis=-2)
+    axial[..., 2 * axes, axes] += h
+    axial[..., 2 * axes + 1, axes] -= h
+    ii, jj = np.repeat(i, 4), np.repeat(j, 4)
+    corners = np.arange(len(ii))
+    mixed = np.repeat(x[..., None, :], len(ii), axis=-2)
+    mixed[..., corners, ii] += np.tile([1.0, 1.0, -1.0, -1.0], len(i)) * h[..., ii]
+    mixed[..., corners, jj] += np.tile([1.0, -1.0, 1.0, -1.0], len(i)) * h[..., jj]
+    stencil = np.concatenate([x[..., None, :], axial, mixed], axis=-2)
+    values = np.asarray(fn(stencil.reshape(-1, d))).reshape(stencil.shape[:-1])
+    f0, up, dn = values[..., 0], values[..., 1 : 1 + 2 * d : 2], values[..., 2 : 2 + 2 * d : 2]
+    pp, pm, mp, mm = (values[..., 1 + 2 * d + c :: 4] for c in range(4))
+    out = np.empty(x.shape[:-1] + (d, d))
+    out[..., axes, axes] = (up - 2.0 * f0[..., None] + dn) / (h * h)
+    out[..., i, j] = out[..., j, i] = (pp - pm - mp + mm) / (4.0 * h[..., i] * h[..., j])
     return out
 
 
-def _damped_newton(objective, gradient, hessian, x, tol: float, max_iter: int):
-    """Minimize a smooth convex objective by Newton steps with Armijo backtracking.
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_r . y_r of each row of two stacks (k, d), each summed as a 1-d ``x @ y`` sums it."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
-    Returns (x, gradient at x, iterations); iterations is max_iter when the
-    gradient never reached ``tol``.
+
+def _newton_steps(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """-H^-1 g of each row of a stack; a row whose Hessian is singular steps along -g."""
+    try:
+        return -np.linalg.solve(hessian, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = np.empty_like(grad)
+        for r, (h, g) in enumerate(zip(hessian, grad)):
+            try:
+                steps[r] = -np.linalg.solve(h, g)
+            except np.linalg.LinAlgError:
+                steps[r] = -g
+        return steps
+
+
+def _damped_newton(objective, gradient, hessian, x, tol: float, max_iter: int):
+    """Minimize smooth convex objectives by Newton steps with Armijo backtracking, row by row.
+
+    x is a stack of starting points (k, d). Each callback is asked about some
+    rows: it takes their points (r, d) and their indices into the stack (r,),
+    and returns their values (r,), gradients (r, d) or Hessians (r, d, d).
+    Each row has its own convergence test, step length and iteration count;
+    a row whose gradient reached ``tol`` is not evaluated again, and a row
+    whose Hessian is singular steps along -gradient.
+
+    Returns (x, gradient at x, iterations), iterations (k,): a row's count
+    is max_iter when its gradient never reached ``tol``.
     """
-    grad = gradient(x)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if float(np.abs(grad).max()) <= tol:
+    x = np.array(x, dtype=float)
+    active = np.arange(len(x))
+    grad = np.array(gradient(x, active), dtype=float)
+    iterations = np.zeros(len(x), dtype=int)
+    for it in range(1, max_iter + 1):
+        iterations[active] = it
+        active = active[~(np.abs(grad[active]).max(axis=-1) <= tol)]
+        if not active.size:
             break
-        try:
-            delta = -np.linalg.solve(hessian(x), grad)
-        except np.linalg.LinAlgError:
-            delta = -grad
-        f0 = objective(x)
-        slope = float(grad @ delta)
+        xa, ga = x[active], grad[active]
+        delta = _newton_steps(hessian(xa, active), ga)
+        f0 = objective(xa, active)
+        slope = _row_dot(ga, delta)
         # allow four ulps of f0 for its rounding: once t * slope / 4 falls below
         # them no step could pass, and t would halve to 1e-12 short of tol
-        slack = 4.0 * np.spacing(abs(f0))
-        t = 1.0
-        while t > 1e-12 and objective(x + t * delta) > f0 + 0.25 * t * slope + slack:
-            t *= 0.5
-        x = x + t * delta
-        grad = gradient(x)
+        slack = 4.0 * np.spacing(np.abs(f0))
+        t = np.ones(len(active))
+        trying = np.arange(len(active))  # rows whose step t is still being halved
+        while trying.size:
+            tt = t[trying]
+            trial = objective(xa[trying] + tt[:, None] * delta[trying], active[trying])
+            trying = trying[trial > f0[trying] + 0.25 * tt * slope[trying] + slack[trying]]
+            t[trying] *= 0.5
+            trying = trying[t[trying] > 1e-12]
+        x[active] = xa + t[:, None] * delta
+        grad[active] = gradient(x[active], active)
     return x, grad, iterations
 
 
@@ -589,37 +624,28 @@ def potential_check(
     alpha = float(alpha)
     if not -1.0 < alpha <= 1.0:
         raise ValueError(f"potential check needs alpha in (-1, 1], got {alpha!r}")
-    points = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
+    points = np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in points])
     d = family.param_dim
     if len(points) < d + 2:
         raise ValueError(f"need at least {d + 2} grid points for the affine regression")
     _check_affine(family, alpha, points[0])
-    f = matched_metric(alpha)
 
     def psi(xi):
         return potential_value(family.point(xi), alpha)
 
-    residual = 0.0
-    first_hessian = first_metric = None
-    etas = np.empty((len(points), d))
-    zetas = np.empty((len(points), d))
-    for n, xi in enumerate(points):
-        # both evaluate the chart at xi itself, so it decomposes xi once for both
-        metric = _metric_matrix(family, xi, f)
-        zetas[n] = affine_coordinates(family.point(xi), -alpha, basis)
-        hess = _scalar_hessian(psi, xi)
-        if n == 0:
-            first_hessian, first_metric = hess, metric
-        residual = max(residual, float(np.abs(hess - metric).max()))
-        etas[n] = _scalar_gradient(psi, xi)
+    # one chart call on the grid serves both: the chart caches its decomposition
+    zetas = affine_coordinates(family.point(points), -alpha, basis)
+    metric = _metric_matrix(family, points, matched_metric(alpha))
+    hess = _scalar_hessian(psi, points)
+    etas = _scalar_gradient(psi, points)
     design = np.hstack([zetas, np.ones((len(points), 1))])
     coeffs, *_ = np.linalg.lstsq(design, etas, rcond=None)
     gradient_residual = float(np.abs(design @ coeffs - etas).max())
     return PotentialReport(
         alpha=alpha,
-        hessian=first_hessian,
-        metric_matrix=first_metric,
-        residual=residual,
+        hessian=hess[0],
+        metric_matrix=metric[0],
+        residual=float(np.abs(hess - metric).max()),
         gradient_residual=gradient_residual,
         n_points=len(points),
     )
@@ -644,17 +670,15 @@ def dual_coordinate_check(
     The Jacobian of the gradient coordinates (central differences) must equal
     the matched metric matrix, and the numeric Legendre transform must satisfy
     psi(xi) + phi(eta(xi)) = xi . eta(xi). phi(eta) = -min_x (psi(x) - x . eta)
-    is found by damped Newton steps started from a seeded perturbed point,
-    with the matched metric matrix (psi's Hessian, as potential_check
-    verifies) as the Newton Hessian.
+    is found by damped Newton steps, every point's as one row of a stack
+    started from a seeded perturbation of the point, with the matched metric
+    matrix (psi's Hessian, as potential_check verifies) as the Newton Hessian.
     """
     alpha = float(alpha)
-    points = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
-    if not points:
+    if not len(points):
         raise ValueError("the dual coordinate check needs at least one point")
-    d = family.param_dim
+    points = np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in points])
     f = matched_metric(alpha)
-    rng = rng_from(seed)
 
     def psi(xi):
         return potential_value(family.point(xi), alpha)
@@ -662,32 +686,30 @@ def dual_coordinate_check(
     def eta(xi):
         return _scalar_gradient(psi, xi)
 
-    jac_res = 0.0
-    leg_res = 0.0
-    for xi in points:
-        metric = _metric_matrix(family, xi, f)
-        # eta at all 2d points of the stencil, from one chart call on 4d^2 points
-        jac = _scalar_gradient(eta, xi, SECOND_DERIVATIVE_STEP).T
-        jac_res = max(jac_res, float(np.abs(jac - metric).max()))
+    metric = _metric_matrix(family, points, f)
+    # eta at all 2d stencil points of every point, from one chart call on 4d^2 points each
+    jac = np.swapaxes(_scalar_gradient(eta, points, SECOND_DERIVATIVE_STEP), -1, -2)
+    jac_res = float(np.abs(jac - metric).max())
 
-        eta0 = eta(xi)
+    eta0 = eta(points)
 
-        def objective(x):
-            return psi(x) - x @ eta0
+    def objective(x, rows):
+        return psi(x) - _row_dot(x, eta0[rows])
 
-        start = xi + 0.05 * rng.standard_normal(d)
-        # eta is a finite difference of psi with a round-off floor near 1e-11, so
-        # tol stays above it; from 0.05 away Newton needs a handful of steps
-        x_min, _, _ = _damped_newton(
-            objective,
-            lambda x: eta(x) - eta0,
-            lambda x: _metric_matrix(family, x, f),
-            start,
-            tol=1e-9,
-            max_iter=50,
-        )
-        # phi(eta0) = -(min value); residual is the optimality gap of xi itself
-        leg_res = max(leg_res, abs(objective(xi) - objective(x_min)))
+    start = points + 0.05 * rng_from(seed).standard_normal(points.shape)
+    # eta is a finite difference of psi with a round-off floor near 1e-11, so
+    # tol stays above it; from 0.05 away Newton needs a handful of steps
+    x_min, _, _ = _damped_newton(
+        objective,
+        lambda x, rows: eta(x) - eta0[rows],
+        lambda x, rows: _metric_matrix(family, x, f),
+        start,
+        tol=1e-9,
+        max_iter=50,
+    )
+    # phi(eta0) = -(min value); residual is the optimality gap of xi itself
+    every = np.arange(len(points))
+    leg_res = float(np.abs(objective(points, every) - objective(x_min, every)).max())
     return DualCoordinateReport(
         alpha=alpha,
         jacobian_residual=jac_res,
@@ -942,6 +964,51 @@ def flatness_scan(alpha: float, dim: int, seed=5) -> float:
 # Gibbs families and the relative-entropy projection
 
 
+def _expectations(sigma: np.ndarray, observables: np.ndarray) -> np.ndarray:
+    """Tr(sigma Y_i) for sigma (..., n, n) and observables (..., m, n, n): (..., m)."""
+    return np.trace(sigma[..., None, :, :] @ observables, axis1=-2, axis2=-1).real
+
+
+def _gibbs_evaluation(theta: np.ndarray, observables: np.ndarray):
+    """(Spectrum of B - psi I, psi, sigma) of each B = sum theta_i Y_i.
+
+    theta (..., m) and observables (..., m, n, n) broadcast; psi (...) is the
+    log-sum-exp of B's eigenvalues and sigma = exp(B - psi I), (..., n, n).
+    """
+    spec = spectral_decompose(basis_combination(theta, observables))
+    top = spec.eigenvalues.max(axis=-1, keepdims=True)
+    psi = top + np.log(np.sum(np.exp(spec.eigenvalues - top), axis=-1, keepdims=True))
+    shifted = Spectrum(spec.eigenvalues - psi, spec.unitary)
+    return shifted, psi[..., 0], apply_scalar_function(shifted, exp_function())
+
+
+def _gibbs_directions(sigma: np.ndarray, observables: np.ndarray) -> np.ndarray:
+    """Y_i - <Y_i> I, the directions whose exp derivative is d sigma / d theta_i: (..., m, n, n)."""
+    n = sigma.shape[-1]
+    return observables - _expectations(sigma, observables)[..., None, None] * np.eye(n)
+
+
+def _gibbs_observables(observables) -> np.ndarray:
+    """Observables (..., m, n, n) as a complex stack, checked for each family of the stack.
+
+    Each must be self-adjoint, and {I, Y_1, ..., Y_m} linearly independent;
+    an error names the first failing family by its stack index.
+    """
+    ys = np.asarray(observables, dtype=complex)
+    if ys.ndim < 3 or ys.shape[-3] == 0:
+        raise ValueError("need at least one observable")
+    ys = check_hermitian(ys)
+    n = ys.shape[-1]
+    eye = np.broadcast_to(np.eye(n, dtype=complex), ys.shape[:-3] + (1, n, n))
+    span = np.concatenate([eye, ys], axis=-3)
+    gram = np.sum(span.conj()[..., :, None, :, :] * span[..., None, :, :, :], axis=(-2, -1)).real
+    dependent = np.linalg.cond(gram) > 1e12
+    if dependent.any():
+        _, at = _first_in_stack(dependent)
+        raise ValueError(f"observables together with I must be linearly independent{at}")
+    return ys
+
+
 @dataclass(frozen=True)
 class GibbsFamily:
     """exp(sum theta_i Y_i - psi(theta) I) with analytic chart derivatives.
@@ -962,8 +1029,7 @@ class GibbsFamily:
         return self.family.point(theta)
 
     def means(self, theta) -> np.ndarray:
-        sigma = self.state(theta)
-        return np.array([float(np.trace(sigma @ y).real) for y in self.observables])
+        return _expectations(self.state(theta), np.stack(self.observables))
 
 
 def gibbs_family(observables: Sequence[np.ndarray]) -> GibbsFamily:
@@ -972,40 +1038,23 @@ def gibbs_family(observables: Sequence[np.ndarray]) -> GibbsFamily:
     {I, Y_1, ..., Y_m} must be linearly independent; the chart carries
     analytic first and second derivatives through the exp matrix calculus.
     """
-    ys = tuple(check_hermitian(y) for y in observables)
-    if not ys:
-        raise ValueError("need at least one observable")
-    n = ys[0].shape[0]
-    span = [np.eye(n, dtype=complex)] + list(ys)
-    gram = np.array([[np.trace(a.conj().T @ b).real for b in span] for a in span])
-    if np.linalg.cond(gram) > 1e12:
-        raise ValueError("observables together with I must be linearly independent")
+    ys = _gibbs_observables(observables)
+    if ys.ndim != 3:
+        raise ValueError(f"expected a sequence of (n, n) observables, got shape {ys.shape}")
     expf = exp_function()
-
-    @_last_value_cache
-    def spectrum(theta):
-        # theta (..., m): the log-sum-exp psi and sigma = exp(B - psi I) of each B = sum theta_i Y_i
-        spec = spectral_decompose(basis_combination(theta, ys))
-        top = spec.eigenvalues.max(axis=-1, keepdims=True)
-        psi = top + np.log(np.sum(np.exp(spec.eigenvalues - top), axis=-1, keepdims=True))
-        shifted = Spectrum(spec.eigenvalues - psi, spec.unitary)
-        return shifted, psi[..., 0], apply_scalar_function(shifted, expf)
+    spectrum = _last_value_cache(lambda theta: _gibbs_evaluation(theta, ys))
 
     def chart(theta):
         return spectrum(theta)[2].copy()  # the cached sigma stays private to the family
 
-    def _directions(theta):
+    def jacobian(theta):
         # d sigma / d theta_i = L_exp(B - psi I)[Y_i - <Y_i> I]
-        spec, _, sigma = spectrum(theta)
-        dirs = [y - float(np.trace(sigma @ y).real) * np.eye(n) for y in ys]
-        return spec, sigma, dirs
-
-    def jacobian(theta, i):
-        spec, _, dirs = _directions(theta)
-        return frechet_derivative(spec, dirs[i], expf)
+        shifted, _, sigma = spectrum(theta)
+        return frechet_derivative(shifted.expand_dims(), _gibbs_directions(sigma, ys), expf)
 
     def hessian(theta, i, j):
-        spec, sigma, dirs = _directions(theta)
+        spec, _, sigma = spectrum(theta)
+        dirs = _gibbs_directions(sigma, ys)
         dsig_j = frechet_derivative(spec, dirs[j], expf)
         d2psi = float(np.trace(dsig_j @ ys[i]).real)
         return hermitize(
@@ -1015,7 +1064,7 @@ def gibbs_family(observables: Sequence[np.ndarray]) -> GibbsFamily:
     fam = ParametrizedFamily(
         param_dim=len(ys), chart=chart, jacobian=jacobian, hessian=hessian
     )
-    return GibbsFamily(ys, fam, spectrum)
+    return GibbsFamily(tuple(ys), fam, spectrum)
 
 
 @dataclass(frozen=True)
@@ -1029,54 +1078,102 @@ class ProjectionReport:
     relative_entropy_value: float
 
 
-def entropy_projection(rho: np.ndarray, gibbs: GibbsFamily, tol: float = 1e-9) -> ProjectionReport:
-    """Project a state onto a Gibbs family by minimizing relative entropy.
+def entropy_projections(rhos: np.ndarray, observables: np.ndarray, tol: float = 1e-9) -> list:
+    """Project each state of a stack onto its own Gibbs family; one ProjectionReport per state.
 
-    Damped Newton iteration on theta -> psi(theta) - theta . means(rho); at
-    the minimizer the family means match the state's means and the mixture
+    rhos (k, n, n) are states and observables (k, m, n, n) the families'
+    observables. Every row gets the checks of one projection (a state;
+    self-adjoint, linearly independent observables; chart values above the
+    guard), and an error names the failing row by its stack index. All rows
+    run as one damped Newton iteration on theta -> psi(theta) - theta .
+    means(rho), each with its own step length, convergence test and count;
+    one stacked decomposition serves every row evaluated together. At the
+    minimizer the family means match the state's means, and the mixture
     segment rho - sigma* is BKM-orthogonal to the family's tangent space.
     Non-convergence within 200 Newton steps is reported (with the gradient
     norm), not raised.
     """
-    check_state(rho)
-    ys = gibbs.observables
-    target = np.array([float(np.trace(rho @ y).real) for y in ys])
-    m = len(ys)
+    rho_spectrum = check_state(rhos)
+    rhos = np.asarray(rhos, dtype=complex)
+    ys = _gibbs_observables(observables)
+    if rhos.ndim != 3 or ys.shape[:1] + ys.shape[-2:] != rhos.shape:
+        raise ValueError(
+            f"states {rhos.shape} and observables {ys.shape} do not stack "
+            "as (k, n, n) and (k, m, n, n)"
+        )
+    k, m, n = ys.shape[:3]
+    target = _expectations(rhos, ys)
+    # what the last gradient evaluation of each row leaves: the spectrum of log sigma*, and sigma*
+    nu, unitary = np.empty((k, n)), np.empty((k, n, n), dtype=complex)
+    sigmas = np.empty((k, n, n), dtype=complex)
+    evaluate = _last_value_cache(lambda theta, rows: _gibbs_evaluation(theta, ys[rows]))
 
-    def objective(th):
-        return gibbs.log_partition(th) - th @ target
+    def objective(theta, rows):
+        return evaluate(theta, rows)[1] - _row_dot(theta, target[rows])
 
-    def gradient(th):
-        return gibbs.means(th) - target
+    def gradient(theta, rows):
+        shifted, _, sigma = evaluate(theta, rows)
+        # sigma's eigenvalues are exp of the shifted ones: the chart guard needs no eigvalsh
+        low = np.exp(shifted.eigenvalues.min(axis=-1))
+        if np.any(low < CHART_MIN_EIGENVALUE):
+            where, _ = _first_in_stack(low < CHART_MIN_EIGENVALUE)
+            raise ValueError(
+                f"chart evaluation failed at stack index {rows[where[0]]}, "
+                f"theta={theta[where[0]].tolist()}: chart output min eigenvalue "
+                f"{float(low[where]):.3e} below guard {CHART_MIN_EIGENVALUE:.1e}"
+            )
+        nu[rows], unitary[rows], sigmas[rows] = shifted.eigenvalues, shifted.unitary, sigma
+        return _expectations(sigma, ys[rows]) - target[rows]
 
-    def hessian(th):
-        hess = np.empty((m, m))
-        for j in range(m):
-            dsig = gibbs.family.jacobian(th, j)
-            for i in range(m):
-                hess[i, j] = float(np.trace(dsig @ ys[i]).real)
-        return 0.5 * (hess + hess.T)
+    def hessian(theta, rows):
+        shifted, _, sigma = evaluate(theta, rows)
+        dirs = _gibbs_directions(sigma, ys[rows])
+        dsig = frechet_derivative(shifted.expand_dims(), dirs, exp_function())
+        # [r, i, j] = Tr(d_j sigma Y_i)
+        hess = np.trace(dsig[:, None] @ ys[rows][:, :, None], axis1=-2, axis2=-1).real
+        return 0.5 * (hess + hess.swapaxes(-1, -2))
 
     theta, grad, iterations = _damped_newton(
-        objective, gradient, hessian, np.zeros(m), tol, max_iter=200
+        objective, gradient, hessian, np.zeros((k, m)), tol, max_iter=200
     )
-    gnorm = float(np.abs(grad).max())
-    converged = gnorm <= tol
-    sigma = gibbs.state(theta)
-    segment = state_tangent(sigma, rho - sigma)
-    orth = 0.0
-    for i in range(m):
-        tan = family_tangent(gibbs.family, theta, i)
-        orth = max(orth, abs(bkm_direct(sigma, segment, tan)))
-    return ProjectionReport(
-        theta_star=theta,
-        converged=converged,
-        iterations=iterations,
-        gradient_norm=gnorm,
-        mean_residual=gnorm,
-        orthogonality_residual=orth,
-        relative_entropy_value=relative_entropy(rho, sigma),
-    )
+    gnorm = np.abs(grad).max(axis=-1)
+    # BKM pairing Tr((rho - sigma*) L_log(sigma*)[d_i sigma]) in the eigenbasis of sigma* that
+    # the last evaluation of each row decomposed: there d_i sigma is K_exp o D_i and L_log(sigma*)
+    # scales by K_log, the divided differences of exp at nu and of log at mu = e^nu
+    mu = np.exp(nu)
+    final = Spectrum(nu, unitary)
+    directions = final.expand_dims().to_eigenbasis(_gibbs_directions(sigmas, ys))
+    k_exp = np.stack([divided_difference_matrix(v, exp_function()) for v in nu])
+    k_log = np.stack([divided_difference_matrix(e, log_function()) for e in mu])
+    segment = final.to_eigenbasis(rhos - sigmas).swapaxes(-1, -2)
+    pairing = np.sum(segment[:, None] * (k_log * k_exp)[:, None] * directions, axis=(-2, -1))
+    orth = np.abs(pairing.real).max(axis=-1)
+    entropy = relative_entropy(rho_spectrum, Spectrum(mu, unitary))
+    return [
+        ProjectionReport(
+            theta_star=theta[r],
+            converged=bool(gnorm[r] <= tol),
+            iterations=int(iterations[r]),
+            gradient_norm=float(gnorm[r]),
+            mean_residual=float(gnorm[r]),
+            orthogonality_residual=float(orth[r]),
+            relative_entropy_value=float(entropy[r]),
+        )
+        for r in range(k)
+    ]
+
+
+def entropy_projection(rho: np.ndarray, gibbs: GibbsFamily, tol: float = 1e-9) -> ProjectionReport:
+    """Project a state onto a Gibbs family by minimizing relative entropy.
+
+    The one-row case of ``entropy_projections``: damped Newton iteration on
+    theta -> psi(theta) - theta . means(rho). At the minimizer the family
+    means match the state's means and the mixture segment rho - sigma* is
+    BKM-orthogonal to the family's tangent space. Non-convergence within 200
+    Newton steps is reported (with the gradient norm), not raised.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    return entropy_projections(rho[None], np.stack(gibbs.observables)[None], tol)[0]
 
 
 def relative_entropy_curvature_gap(

@@ -127,6 +127,14 @@ class Spectrum:
     def from_eigenbasis(self, m: np.ndarray) -> np.ndarray:
         return self.unitary @ m @ _dagger(self.unitary)
 
+    def expand_dims(self) -> "Spectrum":
+        """The same spectra with one more stack axis before the matrix axes.
+
+        Each base point then broadcasts over a stack of directions: with
+        eigenvalues (..., n), directions (..., d, n, n) pair row by row.
+        """
+        return Spectrum(self.eigenvalues[..., None, :], self.unitary[..., None, :, :])
+
 
 def spectral_decompose(a: np.ndarray) -> Spectrum:
     """Eigendecomposition of a self-adjoint matrix, or of each matrix of a stack.
@@ -300,13 +308,17 @@ def frechet_derivative(spec: Spectrum, direction: np.ndarray, f) -> np.ndarray:
 
     Daleckii-Krein form: in the eigenbasis, entry (i, j) of the direction is
     scaled by the first divided difference f[λi, λj]. ``direction`` may be a
-    stack (..., n, n) at the one point; the kernel is built once for it.
+    stack (..., n, n) at the one point; the kernel is built once for it. A
+    stacked Spectrum, eigenvalues (..., n), gets one kernel per base point,
+    and its leading axes broadcast against the direction's.
     """
     d = np.asarray(direction, dtype=complex)
-    if d.shape[-2:] != (spec.dim, spec.dim):
-        raise ValueError(f"direction shape {d.shape} does not match dim {spec.dim}")
-    k = divided_difference_matrix(spec.eigenvalues, f)
-    out = spec.from_eigenbasis(k * spec.to_eigenbasis(d))
+    n = spec.dim
+    if d.shape[-2:] != (n, n):
+        raise ValueError(f"direction shape {d.shape} does not match dim {n}")
+    lam = spec.eigenvalues
+    k = np.stack([divided_difference_matrix(row, f) for row in lam.reshape(-1, n)])
+    out = spec.from_eigenbasis(k.reshape(lam.shape + (n,)) * spec.to_eigenbasis(d))
     return _hermitize_self_adjoint(out, d)
 
 

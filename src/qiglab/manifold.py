@@ -30,7 +30,6 @@ from .linalg import (
     frechet_derivative,
     frechet_second_derivative,
     hermitize,
-    hs_inner,
     identity_function,
     log_function,
     power_function,
@@ -219,16 +218,17 @@ class ParametrizedFamily:
 
     ``chart`` maps a parameter (d,) to an (n, n) matrix and must broadcast
     over leading axes: a stack (m, d) maps to (m, n, n), row by row with the
-    same arithmetic. ``jacobian(theta, i)`` returns the i-th partial of the
-    chart and ``hessian(theta, i, j)`` the second partial, at one theta;
-    when absent, consumers fall back to central differences with step
+    same arithmetic. ``jacobian(theta)`` returns all d partials of the chart,
+    (d, n, n), and must broadcast in the same way: (m, d) gives (m, d, n, n).
+    ``hessian(theta, i, j)`` returns the second partial at one theta. When
+    absent, consumers fall back to central differences with step
     FIRST_DERIVATIVE_STEP * max(1, |theta_i|). Charts must keep the spectrum
     above CHART_MIN_EIGENVALUE (domain guard).
     """
 
     param_dim: int
     chart: Callable[[np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
+    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray, int, int], np.ndarray]] = None
 
     @property
@@ -267,18 +267,32 @@ class ParametrizedFamily:
             raise ValueError(f"chart evaluation failed at theta={theta.tolist()}: {exc}") from exc
         return sigma
 
-    def tangent_matrix(self, theta: np.ndarray, i: int) -> np.ndarray:
+    def tangent_matrices(self, theta: np.ndarray) -> np.ndarray:
+        """All d partials of the chart at theta (d,), shape (d, n, n); (m, d) gives (m, d, n, n).
+
+        From one ``jacobian`` call when the chart has one; otherwise central
+        differences on the 2d stencil points up_0, dn_0, up_1, ... of every
+        theta, evaluated in one chart call.
+        """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        if self.jacobian is not None:
+            return check_hermitian(self.jacobian(theta))
+        d = self.param_dim
+        h = FIRST_DERIVATIVE_STEP * np.maximum(1.0, np.abs(theta))
+        stencil = np.repeat(theta[..., None, :], 2 * d, axis=-2)
+        axes = np.arange(d)
+        stencil[..., 2 * axes, axes] += h
+        stencil[..., 2 * axes + 1, axes] -= h
+        values = self.point(stencil.reshape(-1, d))
+        values = values.reshape(stencil.shape[:-1] + values.shape[-2:])
+        up, dn = values[..., 0::2, :, :], values[..., 1::2, :, :]
+        return hermitize((up - dn) / (2.0 * h)[..., None, None])
+
+    def tangent_matrix(self, theta: np.ndarray, i: int) -> np.ndarray:
+        """The i-th partial of the chart at theta: ``tangent_matrices(theta)[i]``."""
         if not 0 <= i < self.param_dim:
             raise ValueError(f"direction index {i} out of range for param_dim {self.param_dim}")
-        if self.jacobian is not None:
-            return check_hermitian(self.jacobian(theta, i))
-        h = FIRST_DERIVATIVE_STEP * max(1.0, abs(theta[i]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[i] += h
-        dn[i] -= h
-        return hermitize((self.point(up) - self.point(dn)) / (2.0 * h))
+        return self.tangent_matrices(theta)[i]
 
 
 def family_tangent(family: ParametrizedFamily, theta: np.ndarray, i: int) -> TangentVector:
@@ -293,19 +307,25 @@ def family_tangent(family: ParametrizedFamily, theta: np.ndarray, i: int) -> Tan
     return weight_tangent(base, m)
 
 
-def basis_combination(xi: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_i xi_i X_i, summed in basis order; coordinates (..., d) give matrices (..., n, n)."""
+def basis_combination(xi: np.ndarray, basis) -> np.ndarray:
+    """sum_i xi_i X_i, summed in basis order; coordinates (..., d) give matrices (..., n, n).
+
+    ``basis`` is a sequence of d matrices, or a stack (..., d, n, n) whose
+    leading axes broadcast against those of xi.
+    """
     xi = np.asarray(xi, dtype=float)
-    if xi.ndim < 1 or xi.shape[-1] != len(basis):
-        raise ValueError(f"coordinate shape {xi.shape} does not match basis size {len(basis)}")
-    out = np.zeros(xi.shape[:-1] + np.shape(basis[0]), dtype=complex)
-    for k, x in enumerate(basis):
-        out = out + xi[..., k, None, None] * x
+    basis = np.asarray(basis)
+    if xi.ndim < 1 or basis.ndim < 3 or xi.shape[-1] != basis.shape[-3]:
+        raise ValueError(f"coordinate shape {xi.shape} does not match basis shape {basis.shape}")
+    lead = np.broadcast_shapes(xi.shape[:-1], basis.shape[:-3])
+    out = np.zeros(lead + basis.shape[-2:], dtype=complex)
+    for k in range(basis.shape[-3]):
+        out = out + xi[..., k, None, None] * basis[..., k, :, :]
     return out
 
 
-def _last_value_cache(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
-    """fn(theta), computed again only when theta's shape or bytes change.
+def _last_value_cache(fn: Callable[..., object]) -> Callable[..., object]:
+    """fn(*arrays), computed again only when an argument's dtype, shape or bytes change.
 
     One entry: a chart's consumers (the chart itself, its jacobian and
     hessian, derived quantities) ask about one theta at a time, so they share
@@ -313,12 +333,12 @@ def _last_value_cache(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarra
     """
     key = value = None
 
-    def cached(theta):
+    def cached(*args):
         nonlocal key, value
-        theta = np.asarray(theta, dtype=float)
-        k = (theta.shape, theta.tobytes())
+        args = [np.asarray(a) for a in args]
+        k = tuple((a.dtype.str, a.shape, a.tobytes()) for a in args)
         if k != key:
-            value = fn(theta)
+            value = fn(*args)
             key = k
         return value
 
@@ -331,19 +351,17 @@ def affine_coordinates(
     """Coordinates of the embedded matrix in a self-adjoint basis.
 
     Solves sum_i xi_i X_i = embed(sigma) through the basis Gram matrix;
-    a singular Gram matrix is rejected.
+    a singular Gram matrix is rejected. A stack of matrices (..., n, n)
+    gives coordinates (..., d), all solved with the one Gram matrix.
     """
     target = apply_scalar_function(check_weight(sigma), embedding_function(alpha))
-    d = len(basis)
-    gram = np.empty((d, d), dtype=float)
-    rhs = np.empty(d, dtype=float)
-    for i, x in enumerate(basis):
-        rhs[i] = hs_inner(x, target).real
-        for j in range(i + 1):
-            gram[i, j] = gram[j, i] = hs_inner(x, basis[j]).real
+    basis = np.asarray(basis)
+    # Hilbert-Schmidt products Tr(X_i^dagger Y), each summed as hs_inner sums it
+    gram = np.sum(basis.conj()[:, None] * basis[None, :], axis=(-2, -1)).real
     if np.linalg.cond(gram) > 1e12:
         raise ValueError("basis Gram matrix is singular or nearly so; need a linearly independent basis")
-    return np.linalg.solve(gram, rhs)
+    rhs = np.sum(basis.conj() * target[..., None, :, :], axis=(-2, -1)).real
+    return np.linalg.solve(gram, rhs[..., None])[..., 0]
 
 
 def xi_affine_family(
@@ -357,7 +375,7 @@ def xi_affine_family(
     derivatives share one decomposition of sum xi_i X_i per xi.
     """
     alpha = _check_alpha(alpha)
-    basis = [check_hermitian(x) for x in basis]
+    basis = check_hermitian(np.stack(basis))
     inverse = inverse_embedding_function(alpha)
     spectrum = _last_value_cache(lambda xi: spectral_decompose(basis_combination(xi, basis)))
 
@@ -371,8 +389,8 @@ def xi_affine_family(
     jac = hess = None
     if analytic:
 
-        def jac(xi, i):
-            return frechet_derivative(spectrum(xi), basis[i], inverse)
+        def jac(xi):
+            return frechet_derivative(spectrum(xi).expand_dims(), basis, inverse)
 
         def hess(xi, i, j):
             return frechet_second_derivative(spectrum(xi), basis[i], basis[j], inverse)
@@ -383,7 +401,7 @@ def xi_affine_family(
 def linear_family(base: np.ndarray, directions: Sequence[np.ndarray]) -> ParametrizedFamily:
     """sigma(theta) = base + sum theta_k D_k with exact chart derivatives."""
     base = check_hermitian(base)
-    directions = [check_hermitian(d) for d in directions]
+    directions = check_hermitian(np.stack(directions))
     zero = np.zeros_like(base)
 
     def chart(theta):
@@ -392,7 +410,7 @@ def linear_family(base: np.ndarray, directions: Sequence[np.ndarray]) -> Paramet
     return ParametrizedFamily(
         param_dim=len(directions),
         chart=chart,
-        jacobian=lambda theta, i: directions[i],
+        jacobian=lambda theta: np.broadcast_to(directions, theta.shape[:-1] + directions.shape),
         hessian=lambda theta, i, j: zero,
     )
 

@@ -14,7 +14,14 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .linalg import Spectrum, _first_in_stack, check_hermitian, hermitize, spectral_decompose
+from .linalg import (
+    Spectrum,
+    _dagger,
+    _first_in_stack,
+    check_hermitian,
+    hermitize,
+    spectral_decompose,
+)
 from .manifold import TangentVector, alpha_representation, check_state, check_weight
 
 __all__ = [
@@ -424,10 +431,17 @@ def _contraction_trials(
     )
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """S(rho | sigma) = Tr rho (log rho - log sigma); nonnegative, 0 iff equal."""
+def relative_entropy(
+    rho: Union[np.ndarray, Spectrum], sigma: Union[np.ndarray, Spectrum]
+) -> Union[float, np.ndarray]:
+    """S(rho | sigma) = Tr rho (log rho - log sigma); nonnegative, 0 iff equal.
+
+    Either state may be given as its Spectrum. Stacks (m, n, n), or stacked
+    Spectra, give an (m,) array; each state is checked as check_state checks it.
+    """
     spec_r = check_state(rho)
     spec_s = check_state(sigma)
-    log_r = (spec_r.unitary * np.log(spec_r.eigenvalues)) @ spec_r.unitary.conj().T
-    log_s = (spec_s.unitary * np.log(spec_s.eigenvalues)) @ spec_s.unitary.conj().T
-    return float(np.trace(spec_r.matrix() @ (log_r - log_s)).real)
+    log_r = (spec_r.unitary * np.log(spec_r.eigenvalues)[..., None, :]) @ _dagger(spec_r.unitary)
+    log_s = (spec_s.unitary * np.log(spec_s.eigenvalues)[..., None, :]) @ _dagger(spec_s.unitary)
+    out = np.trace(spec_r.matrix() @ (log_r - log_s), axis1=-2, axis2=-1).real
+    return float(out) if out.ndim == 0 else out

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qiglab.cli import _COLUMNS, _format_float, main
+from qiglab.cli import _COLUMNS, _DEFAULTS, _HELP, _build_parser, _format_float, main
 
 WALL_CLOCK = re.compile(r'"wall_clock_s":[^,}]+')
 
@@ -260,3 +260,34 @@ def test_negative_list_values_use_equals_form(capsys):
     assert code == 0
     alphas = {rec["alpha"] for rec in _parse_jsonl(out) if rec["record"] == "case"}
     assert alphas == {-1.0, 1.0}
+
+
+# -------------------------------------------------------------------- help
+
+
+def _help_text(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_subcommand_and_its_options(capsys):
+    listed = _help_text(capsys, ["--help"])
+    for name in _DEFAULTS:
+        assert re.search(rf"^\s+{re.escape(name)}\s", listed, re.MULTILINE), name
+    for name, defaults in _DEFAULTS.items():
+        text = _help_text(capsys, [name, "--help"])
+        for key in ["seed", "config", "format", "output", *defaults]:
+            assert f"--{key.replace('_', '-')}" in text, (name, key)
+
+
+def test_parser_builds_options_for_the_invoked_subcommand_only():
+    parser = _build_parser("potential")
+    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+    assert list(subparsers.choices) == list(_DEFAULTS)
+    assert [a.help for a in subparsers._choices_actions] == [_HELP[name] for name in _DEFAULTS]
+    for name, sub in subparsers.choices.items():
+        options = {opt for action in sub._actions for opt in action.option_strings}
+        assert ("--dual-points" in options) == (name == "potential")
+        assert ("--seed" in options) == (name == "potential")

@@ -10,15 +10,19 @@ from qiglab.linalg import (
     frechet_second_derivative,
     spectral_decompose,
 )
+from qiglab.connections import SECOND_DERIVATIVE_STEP
 from qiglab.duality import (
     FIRST_DERIVATIVE_STEP,
     DefectGrid,
+    _damped_newton,
     _metric_matrix,
+    _scalar_hessian,
     classical_reduction_check,
     convexity_failure_check,
     dual_coordinate_check,
     duality_defect,
     entropy_projection,
+    entropy_projections,
     flatness_scan,
     gibbs_family,
     kernel_direct_consistency,
@@ -40,11 +44,13 @@ from qiglab.manifold import (
     ParametrizedFamily,
     affine_coordinates,
     embedding_function,
+    family_tangent,
     simplex_family,
     state_tangent,
     xi_affine_family,
 )
 from qiglab.metrics import (
+    bkm_direct,
     bkm_function,
     builtin_functions,
     bures_function,
@@ -478,7 +484,7 @@ def _embedding_trace_identity_gap(basis, alpha, xi):
     emb_m = embedding_function(-alpha)
     ell_a = apply_scalar_function(spec, embedding_function(alpha))
     i, j = np.triu_indices(fam.param_dim)
-    jacs = np.stack([fam.jacobian(xi, k) for k in range(fam.param_dim)])
+    jacs = fam.jacobian(xi)  # all partials, (d, n, n)
     hess = np.stack([fam.hessian(xi, a, b) for a, b in zip(i, j)])
     d2_m = frechet_second_derivative(spec, jacs[i], jacs[j], emb_m) + frechet_derivative(spec, hess, emb_m)
     d_ell_m = frechet_derivative(spec, jacs, emb_m)
@@ -636,7 +642,7 @@ def test_gibbs_family_analytic_jacobian_matches_fd():
     bare = ParametrizedFamily(param_dim=2, chart=gibbs.family.chart)
     for i in range(2):
         np.testing.assert_allclose(
-            gibbs.family.jacobian(theta, i), bare.tangent_matrix(theta, i), atol=1e-7
+            gibbs.family.jacobian(theta)[i], bare.tangent_matrix(theta, i), atol=1e-7
         )
     # hessian symmetry comes along for free from the analytic form
     np.testing.assert_allclose(
@@ -692,6 +698,234 @@ def test_entropy_projection_decomposes_each_theta_once(monkeypatch):
     report = entropy_projection(rho, gibbs)
     assert report.converged and report.iterations == 4
     assert 0 < calls["eig"] <= 16
+
+
+def _serial_projection(rho, gibbs, tol=1e-9, max_iter=200):
+    """One instance at a time, as the projection ran before it was stacked.
+
+    Returns (theta*, iterations, converged).
+    """
+    ys = gibbs.observables
+    target = np.array([np.trace(rho @ y).real for y in ys])
+
+    def objective(th):
+        return gibbs.log_partition(th) - th @ target
+
+    def gradient(th):
+        return gibbs.means(th) - target
+
+    def hessian(th):
+        dsig = gibbs.family.jacobian(th)
+        hess = np.array([[np.trace(dsig[j] @ y).real for j in range(len(ys))] for y in ys])
+        return 0.5 * (hess + hess.T)
+
+    x = np.zeros(len(ys))
+    grad = gradient(x)
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        if np.abs(grad).max() <= tol:
+            break
+        try:
+            delta = -np.linalg.solve(hessian(x), grad)
+        except np.linalg.LinAlgError:
+            delta = -grad
+        f0 = objective(x)
+        slope = grad @ delta
+        slack = 4.0 * np.spacing(abs(f0))
+        t = 1.0
+        while t > 1e-12 and objective(x + t * delta) > f0 + 0.25 * t * slope + slack:
+            t *= 0.5
+        x = x + t * delta
+        grad = gradient(x)
+    return x, iterations, bool(np.abs(grad).max() <= tol)
+
+
+def _projection_instances(seed, k, dim, n_obs):
+    rhos, observables = [], []
+    for r in range(k):
+        rng = rng_from([seed, r])
+        rhos.append(random_state(rng, dim, floor=0.05))
+        observables.append([random_traceless_hermitian(rng, dim) for _ in range(n_obs)])
+    return np.stack(rhos), np.array(observables)
+
+
+@pytest.mark.parametrize("dim,n_obs", [(2, 1), (3, 2), (4, 2), (4, 3)])
+def test_stacked_projection_matches_serial_solve_row_by_row(dim, n_obs):
+    rhos, observables = _projection_instances(31, 8, dim, n_obs)
+    reports = entropy_projections(rhos, observables)
+    assert len(reports) == 8
+    for rho, ys, rep in zip(rhos, observables, reports):
+        gibbs = gibbs_family(ys)
+        theta, iterations, converged = _serial_projection(rho, gibbs)
+        assert (rep.iterations, rep.converged) == (iterations, converged)
+        np.testing.assert_allclose(rep.theta_star, theta, rtol=0.0, atol=1e-12)
+        # the one-row call is the same function: every field agrees exactly
+        one = entropy_projection(rho, gibbs)
+        assert np.array_equal(one.theta_star, rep.theta_star)
+        assert dataclasses.astuple(one)[1:] == dataclasses.astuple(rep)[1:]
+        # residual and entropy come from spectra the solve already holds; the
+        # parent definitions decompose sigma* and rho again
+        sigma = gibbs.state(rep.theta_star)
+        segment = state_tangent(sigma, rho - sigma)
+        orth = max(
+            abs(bkm_direct(sigma, segment, family_tangent(gibbs.family, rep.theta_star, i)))
+            for i in range(n_obs)
+        )
+        assert rep.orthogonality_residual == pytest.approx(orth, rel=0.0, abs=1e-13)
+        assert rep.relative_entropy_value == pytest.approx(
+            relative_entropy(rho, sigma), rel=0.0, abs=1e-13
+        )
+
+
+def test_stacked_projection_decomposes_each_newton_pass_once(monkeypatch):
+    # the ten instances of `entropy-projection --dim 3 --instances 10 --seed 5`
+    # take 4-5 steps each, every one accepted at t = 1: one stacked eigh for the
+    # states, then one per Newton pass, shared by the gradient, Hessian and objective
+    rhos, observables = _projection_instances(5, 10, 3, 2)
+    calls = _count_decompositions(monkeypatch)
+    reports = entropy_projections(rhos, observables)
+    assert max(r.iterations for r in reports) == 5
+    assert calls["eig"] == 1 + 5 + 1
+
+
+def test_stacked_projection_errors_name_the_stack_index():
+    rhos, observables = _projection_instances(9, 4, 3, 2)
+    bad = rhos.copy()
+    bad[2] = 2.0 * bad[2]
+    with pytest.raises(ValueError, match="not a unit-trace state at stack index 2"):
+        entropy_projections(bad, observables)
+    dependent = observables.copy()
+    dependent[1, 1] = 2.0 * dependent[1, 0]
+    with pytest.raises(ValueError, match="independent at stack index 1"):
+        entropy_projections(rhos, dependent)
+    with pytest.raises(ValueError, match="do not stack"):
+        entropy_projections(rhos, observables[:3])
+    # the projection of diag(1 - 1e-9, 1e-9) onto exp(theta Z) is itself, below the chart guard
+    z = np.diag([1.0, -1.0]).astype(complex)
+    states = np.stack([np.diag([0.6, 0.4]), np.diag([1.0 - 1e-9, 1e-9])]).astype(complex)
+    with pytest.raises(ValueError, match="stack index 1, theta=.*below guard"):
+        entropy_projections(states, np.array([[z], [z]]))
+
+
+def _quadratic_rows(curvatures, hessians, centers):
+    """Callbacks for rows f_r(x) = (x - c_r) . A_r (x - c_r) / 2, whose Newton Hessian is H_r."""
+    log = {"objective": [], "gradient": []}
+
+    def objective(x, rows):
+        log["objective"].append((rows.copy(), x.copy()))
+        diff = x - centers[rows]
+        return 0.5 * np.einsum("ri,rij,rj->r", diff, curvatures[rows], diff)
+
+    def gradient(x, rows):
+        log["gradient"].append(rows.copy())
+        return np.einsum("rij,rj->ri", curvatures[rows], x - centers[rows])
+
+    def hessian(x, rows):
+        return hessians[rows]
+
+    return objective, gradient, hessian, log
+
+
+def test_damped_newton_falls_back_to_gradient_only_on_the_singular_row():
+    curvatures = np.array([np.diag([2.0, 3.0]), np.eye(2), np.diag([4.0, 1.0])])
+    hessians = curvatures.copy()
+    hessians[1] = [[1.0, 1.0], [1.0, 1.0]]  # singular: row 1 steps along -grad
+    centers = np.array([[1.0, -2.0], [0.5, 0.25], [-1.0, 3.0]])
+    objective, gradient, hessian, log = _quadratic_rows(curvatures, hessians, centers)
+    x0 = np.zeros((3, 2))
+    x, grad, iterations = _damped_newton(objective, gradient, hessian, x0, tol=1e-12, max_iter=50)
+    # the first line-search trial of every row is x0 + delta: Newton's exact minimizer
+    # for rows 0 and 2, x0 - grad for row 1 (with A = I that is its minimizer as well)
+    rows, trial = log["objective"][1]
+    assert rows.tolist() == [0, 1, 2]
+    np.testing.assert_array_equal(trial[1], x0[1] + np.eye(2) @ centers[1])
+    np.testing.assert_allclose(trial[[0, 2]], centers[[0, 2]], rtol=0.0, atol=1e-15)
+    assert iterations.tolist() == [2, 2, 2]
+    np.testing.assert_allclose(x, centers, rtol=0.0, atol=1e-15)
+    assert np.abs(grad).max() <= 1e-12
+
+
+def test_damped_newton_caps_one_row_while_the_others_converge():
+    # row 1's Newton Hessian is a tenth of its curvature, so its steps overshoot and
+    # backtrack; at max_iter = 6 it is still short of tol while rows 0 and 2 converge
+    curvatures = np.array([np.diag([2.0, 3.0]), np.diag([50.0, 20.0]), np.diag([4.0, 1.0])])
+    hessians = curvatures.copy()
+    hessians[1] = 0.1 * curvatures[1]
+    centers = np.array([[1.0, -2.0], [0.5, 0.25], [-1.0, 3.0]])
+    objective, gradient, hessian, log = _quadratic_rows(curvatures, hessians, centers)
+    x, grad, iterations = _damped_newton(
+        objective, gradient, hessian, np.zeros((3, 2)), tol=1e-12, max_iter=6
+    )
+    assert iterations.tolist() == [2, 6, 2]
+    gnorm = np.abs(grad).max(axis=-1)
+    assert gnorm[1] > 1e-12 and gnorm[[0, 2]].max() <= 1e-12
+    # a converged row is not evaluated again
+    assert [r.tolist() for r in log["gradient"]] == [[0, 1, 2], [0, 1, 2]] + [[1]] * 5
+
+
+def _loop_hessian(fn, x):
+    """The one-point central-difference Hessian the stacked stencil replaced."""
+    d = x.shape[0]
+    h = SECOND_DERIVATIVE_STEP * np.maximum(1.0, np.abs(x))
+
+    def shifted(*moves):
+        y = x.copy()
+        for k, sign in moves:
+            y[k] += sign * h[k]
+        return y
+
+    out = np.empty((d, d))
+    f0 = fn(x[None])[0]
+    for i in range(d):
+        up, dn = fn(np.stack([shifted((i, 1)), shifted((i, -1))]))
+        out[i, i] = (up - 2.0 * f0 + dn) / (h[i] * h[i])
+        for j in range(i):
+            corners = [shifted((i, s), (j, t)) for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+            pp, pm, mp, mm = fn(np.stack(corners))
+            out[i, j] = out[j, i] = (pp - pm - mp + mm) / (4.0 * h[i] * h[j])
+    return out
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+def test_stacked_scalar_hessian_equals_the_one_point_stencil(alpha):
+    rng = rng_from(88)
+    basis = hermitian_basis(2)
+    family = xi_affine_family(basis, alpha)
+    sigmas = np.stack([random_weight(rng, 2, 0.7, 1.5) for _ in range(4)])
+    points = affine_coordinates(sigmas, alpha, basis)
+
+    def psi(xi):
+        return potential_value(family.point(xi), alpha)
+
+    stacked = _scalar_hessian(psi, points)
+    assert stacked.shape == (4, 4, 4)
+    for k, xi in enumerate(points):
+        np.testing.assert_array_equal(stacked[k], _loop_hessian(psi, xi))
+        np.testing.assert_array_equal(stacked[k], _scalar_hessian(psi, xi))
+
+
+def test_potential_check_makes_the_same_chart_calls_for_any_grid(monkeypatch):
+    # two for the affine check, then one each for the coordinates, the metric,
+    # the Hessian stencil and the gradient stencil of the whole grid
+    basis = hermitian_basis(2)
+    counts = []
+    for n_points in (6, 12):
+        family = xi_affine_family(basis, 0.5)
+        rng = rng_from(3)
+        sigmas = np.stack([random_weight(rng, 2, 0.7, 1.5) for _ in range(n_points)])
+        points = affine_coordinates(sigmas, 0.5, basis)
+        calls = {"n": 0}
+        point = family.point
+
+        def counted(theta, point=point, calls=calls):
+            calls["n"] += 1
+            return point(theta)
+
+        monkeypatch.setattr(family, "point", counted)
+        rep = potential_check(family, 0.5, points, basis)
+        assert rep.residual <= 1e-5
+        counts.append(calls["n"])
+    assert counts == [6, 6]
 
 
 def test_relative_entropy_curvature_gap():

@@ -297,6 +297,20 @@ def test_relative_entropy_properties():
         relative_entropy(np.diag([1.0, 0.0]).astype(complex), sigma[:2, :2] * 0 + I2 / 2)
 
 
+
+def test_relative_entropy_of_stacks_and_spectra_equals_one_pair_at_a_time():
+    rng = rng_from(44)
+    rhos = np.stack([random_state(rng, 3, floor=0.05) for _ in range(4)])
+    sigmas = np.stack([random_state(rng, 3, floor=0.05) for _ in range(4)])
+    stacked = relative_entropy(rhos, sigmas)
+    assert stacked.shape == (4,)
+    for k in range(4):
+        one = relative_entropy(rhos[k], sigmas[k])
+        assert isinstance(one, float) and stacked[k] == one
+        assert relative_entropy(check_state(rhos[k]), check_state(sigmas[k])) == one
+    with pytest.raises(ValueError, match="at stack index 1"):
+        relative_entropy(rhos, np.stack([sigmas[0], 2.0 * sigmas[1]]))
+
 def _logm(a):
     w, u = np.linalg.eigh(a)
     return (u * np.log(w)) @ u.conj().T

@@ -2,7 +2,9 @@
 
 Property tests over the library charts: the xi-affine chart at five
 embedding orders, two linear witness charts and a Gibbs chart, with generic
-spectra, near-degenerate spectra and spectra just above the chart guard.
+spectra, near-degenerate spectra and spectra just above the chart guard. The
+same holds for the chart partials (`tangent_matrices`), the metric matrix
+built on them and the affine coordinates of a stack of matrices.
 """
 
 import numpy as np
@@ -10,12 +12,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qiglab.duality import gibbs_family, qubit_bloch_family, qubit_weight_family
-from qiglab.linalg import hermitize
+from qiglab.duality import (
+    _metric_matrix,
+    gibbs_family,
+    matched_metric,
+    qubit_bloch_family,
+    qubit_weight_family,
+)
+from qiglab.linalg import hermitize, hs_inner
 from qiglab.manifold import (
     CHART_MIN_EIGENVALUE,
+    FIRST_DERIVATIVE_STEP,
     ParametrizedFamily,
     affine_coordinates,
+    embedding_function,
     xi_affine_family,
 )
 from qiglab.sampling import (
@@ -142,3 +152,80 @@ def test_chart_that_ignores_the_stack_is_rejected():
     fam.point(np.array([0.2, -0.1]))  # one parameter at a time works
     with pytest.raises(ValueError, match="chart evaluation failed"):
         fam.point(np.array([[0.2, -0.1], [0.1, 0.1], [0.0, 0.3]]))
+
+
+def _fd_case():
+    # the xi-affine chart without analytic partials: central differences
+    basis = hermitian_basis(2)
+    return xi_affine_family(basis, 0.5, analytic=False), lambda w: affine_coordinates(w, 0.5, basis)
+
+
+PARTIAL_CHARTS = {**CHARTS, "xi-affine(0.5), finite differences": _fd_case}
+
+
+def _one_direction_difference(family, theta, i):
+    """The central difference of one direction, two chart calls, as partials were taken before."""
+    h = FIRST_DERIVATIVE_STEP * max(1.0, abs(theta[i]))
+    up, dn = theta.copy(), theta.copy()
+    up[i] += h
+    dn[i] -= h
+    return hermitize((family.point(up) - family.point(dn)) / (2.0 * h))
+
+
+@pytest.mark.parametrize("name", list(PARTIAL_CHARTS))
+@PROPERTY
+@given(weights=st.lists(qubit_weights(), min_size=1, max_size=4))
+def test_stacked_partials_equal_row_by_row(name, weights):
+    family, coordinates = PARTIAL_CHARTS[name]()
+    stack = np.stack([coordinates(w) for w in weights])
+    if any(_single_error(family, row) for row in stack):
+        return  # rows off the chart are _check_stack's business
+    d = family.param_dim
+    try:
+        partials = family.tangent_matrices(stack)
+    except ValueError:  # a finite-difference stencil point left the chart
+        assert family.jacobian is None
+        return
+    assert partials.shape == (len(stack), d, 2, 2)
+    for k, row in enumerate(stack):
+        np.testing.assert_array_equal(partials[k], family.tangent_matrices(row))
+        for i in range(d):
+            np.testing.assert_array_equal(partials[k, i], family.tangent_matrix(row, i))
+            if family.jacobian is None:
+                one_direction = _one_direction_difference(family, row, i)
+                np.testing.assert_array_equal(partials[k, i], one_direction)
+    metric = _metric_matrix(family, stack, matched_metric(0.0))
+    for k, row in enumerate(stack):
+        np.testing.assert_array_equal(metric[k], _metric_matrix(family, row, matched_metric(0.0)))
+
+
+@PROPERTY
+@given(rows=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=5))
+def test_stacked_gibbs_partials_equal_row_by_row(rows):
+    rng = rng_from(71)
+    gibbs = gibbs_family([random_traceless_hermitian(rng, 3) for _ in range(2)])
+    stack = np.array(rows, dtype=float)
+    partials = gibbs.family.tangent_matrices(stack)
+    assert partials.shape == (len(stack), 2, 3, 3)
+    for k, row in enumerate(stack):
+        np.testing.assert_array_equal(partials[k], gibbs.family.tangent_matrices(row))
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.0, 0.5, 1.0])
+@PROPERTY
+@given(weights=st.lists(qubit_weights(), min_size=1, max_size=6))
+def test_stacked_affine_coordinates_equal_one_matrix_at_a_time(alpha, weights):
+    basis = hermitian_basis(2)
+    stack = np.stack(weights)
+    coordinates = affine_coordinates(stack, alpha, basis)
+    assert coordinates.shape == (len(weights), len(basis))
+    # the Gram-matrix solve of one matrix, built from hs_inner as before
+    gram = np.array([[hs_inner(x, y).real for y in basis] for x in basis])
+    embed = embedding_function(alpha)
+    for k, w in enumerate(weights):
+        one = affine_coordinates(w, alpha, basis)
+        np.testing.assert_array_equal(coordinates[k], one)
+        q = np.linalg.eigh(w)
+        target = hermitize((q[1] * embed.fn(q[0])) @ q[1].conj().T)
+        rhs = np.array([hs_inner(x, target).real for x in basis])
+        np.testing.assert_array_equal(one, np.linalg.solve(gram, rhs))

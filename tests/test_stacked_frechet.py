@@ -7,6 +7,8 @@ exactly. Base spectra are generic, near-degenerate (a gap below
 DEGENERACY_RTOL, or a cluster of three below _TRIPLE_RTOL) or have a tiny
 eigenvalue. Directions mix self-adjoint and general matrices, so the
 self-adjointness test that decides the final symmetrization runs per matrix.
+`frechet_derivative` also takes a stack of base points, each paired with its
+own stack of directions.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from qiglab.linalg import (
     DEGENERACY_RTOL,
     _TRIPLE_RTOL,
+    Spectrum,
     exp_function,
     frechet_derivative,
     frechet_second_derivative,
@@ -37,14 +40,14 @@ ALPHAS = [-1.0, -0.5, 0.0, 0.3, 0.9, 1.0]
 
 
 @st.composite
-def base_and_directions(draw, unit_trace=False, self_adjoint_only=False):
-    """(Spectrum of one base point, a rng, stacks of m directions), n in 2..4 and m in 1..5.
+def base_and_directions(draw, unit_trace=False, self_adjoint_only=False, n=None, m=None):
+    """(Spectrum of one base point, stacks of m directions), n in 2..4 and m in 1..5.
 
     Each direction is self-adjoint or, unless ``self_adjoint_only``, a
     general complex matrix; two independent stacks are drawn.
     """
-    n = draw(st.integers(2, 4))
-    m = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 4)) if n is None else n
+    m = draw(st.integers(1, 5)) if m is None else m
     rng = rng_from(draw(st.integers(0, 2**32 - 1)))
     lam = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n)))
     kind = draw(st.sampled_from(["generic", "pair", "triple", "tiny"]))
@@ -119,3 +122,24 @@ def test_stacked_sphere_project_equals_matrix_by_matrix(case, alpha):
     assert out.shape == a.shape
     for k, one in enumerate(a):
         assert np.array_equal(out[k], sphere_project(spec, alpha, one))
+
+
+@st.composite
+def bases_and_directions(draw):
+    """A stacked Spectrum of k base points (k in 1..4) and a stack (k, m, n, n) of directions."""
+    n, m = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    cases = draw(st.lists(base_and_directions(n=n, m=m), min_size=1, max_size=4))
+    spec = Spectrum(
+        np.stack([c[0].eigenvalues for c in cases]), np.stack([c[0].unitary for c in cases])
+    )
+    return spec, [c[0] for c in cases], np.stack([c[1] for c in cases])
+
+
+@PROPERTY
+@given(case=bases_and_directions(), f=_functions())
+def test_frechet_derivative_on_stacked_bases_equals_base_by_base(case, f):
+    spec, bases, directions = case
+    out = frechet_derivative(spec.expand_dims(), directions, f)
+    assert out.shape == directions.shape
+    for k, base in enumerate(bases):
+        assert np.array_equal(out[k], frechet_derivative(base, directions[k], f))
