@@ -9,8 +9,10 @@ tangent space; the projected transport is discretized step by step and is
 path dependent.
 
 Second partials use the analytic chain rule (first/second directional matrix
-derivatives) when the chart carries analytic derivatives, and a nine-point
-central stencil with step 1e-3 * max(1, |theta|) otherwise.
+derivatives) when the chart carries analytic derivatives. Otherwise every
+second partial at a point comes from one central stencil of
+1 + 2d + 2d(d - 1) points, evaluated in one chart call, with steps
+SECOND_DERIVATIVE_STEP * max(1, |theta_i|) (``manifold._scalar_hessian``).
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from .linalg import (
     spectral_decompose,
 )
 from .manifold import (
+    SECOND_DERIVATIVE_STEP,
     ParametrizedFamily,
     TangentVector,
+    _scalar_hessian,
     alpha_representation,
     embedding_function,
     representation_convert,
@@ -40,7 +44,6 @@ from .manifold import (
 )
 
 __all__ = [
-    "SECOND_DERIVATIVE_STEP",
     "CONTINUITY_BOUND",
     "CurveSpec",
     "CovariantDerivativeResult",
@@ -49,8 +52,6 @@ __all__ = [
     "covariant_derivative_set",
     "parallel_transport_on_M",
 ]
-
-SECOND_DERIVATIVE_STEP = 1e-3
 
 # Consecutive curve samples may differ by at most this much in Frobenius norm.
 CONTINUITY_BOUND = 0.5
@@ -80,49 +81,6 @@ class CovariantDerivativeResult:
     vector: TangentVector
 
 
-def _fd_embedded_second_partial(
-    family: ParametrizedFamily,
-    theta: np.ndarray,
-    spec: Spectrum,
-    i: int,
-    j: int,
-    alpha: float,
-) -> np.ndarray:
-    fun = embedding_function(alpha)
-
-    def g(t):
-        return apply_scalar_function(spectral_decompose(family.point(t)), fun)
-
-    hi = SECOND_DERIVATIVE_STEP * max(1.0, abs(theta[i]))
-    hj = SECOND_DERIVATIVE_STEP * max(1.0, abs(theta[j]))
-    for _ in range(4):
-        try:
-            if i == j:
-                up, dn = theta.copy(), theta.copy()
-                up[i] += hi
-                dn[i] -= hi
-                center = apply_scalar_function(spec, fun)
-                return hermitize((g(up) - 2.0 * center + g(dn)) / (hi * hi))
-            pp, pm, mp, mm = theta.copy(), theta.copy(), theta.copy(), theta.copy()
-            pp[i] += hi
-            pp[j] += hj
-            pm[i] += hi
-            pm[j] -= hj
-            mp[i] -= hi
-            mp[j] += hj
-            mm[i] -= hi
-            mm[j] -= hj
-            return hermitize((g(pp) - g(pm) - g(mp) + g(mm)) / (4.0 * hi * hj))
-        except ValueError:
-            # domain boundary inside the stencil: shrink and retry
-            hi *= 0.5
-            hj *= 0.5
-    raise ValueError(
-        f"stencil keeps leaving the chart domain near theta={theta.tolist()} "
-        f"(final steps {hi:.2e}, {hj:.2e})"
-    )
-
-
 def _embedded_second_partials(
     family: ParametrizedFamily,
     theta: np.ndarray,
@@ -131,10 +89,15 @@ def _embedded_second_partials(
     alpha: float,
 ) -> np.ndarray:
     """Second partials d_i d_j of the embedded chart at theta, stacked over the index
-    arrays ``pairs`` = (i, j); ``spec`` is the Spectrum of the point at theta."""
+    arrays ``pairs`` = (i, j); ``spec`` is the Spectrum of the point at theta.
+
+    Without analytic derivatives, every pair comes from one central stencil
+    at theta. A stencil that leaves the chart domain is halved and retried,
+    up to four tries in all.
+    """
     i, j = pairs
+    fun = embedding_function(alpha)
     if family.has_analytic_second_order:
-        fun = embedding_function(alpha)
         jac = family.tangent_matrices(theta)
         first, second = jac[np.asarray(i)], jac[np.asarray(j)]
         hess = np.stack([family.hessian(theta, a, b) for a, b in zip(i, j)])
@@ -142,9 +105,21 @@ def _embedded_second_partials(
             spec, hess, fun
         )
         return hermitize(d2)
-    return np.stack(
-        [_fd_embedded_second_partial(family, theta, spec, a, b, alpha) for a, b in zip(i, j)]
-    )
+
+    def embedded(t):
+        return apply_scalar_function(spectral_decompose(family.point(t)), fun)
+
+    for shrink in range(4):
+        step = SECOND_DERIVATIVE_STEP * 0.5**shrink
+        try:
+            return hermitize(_scalar_hessian(embedded, theta, step)[i, j])
+        except ValueError as exc:  # domain boundary inside the stencil
+            error = exc
+    steps = ", ".join(f"{h:.2e}" for h in step * np.maximum(1.0, np.abs(theta)))
+    raise ValueError(
+        f"stencil keeps leaving the chart domain near theta={theta.tolist()} "
+        f"(final steps {steps})"
+    ) from error
 
 
 def _covariant_mixtures(

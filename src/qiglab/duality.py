@@ -32,14 +32,18 @@ from .linalg import (
 from .manifold import (
     CHART_MIN_EIGENVALUE,
     FIRST_DERIVATIVE_STEP,
+    SECOND_DERIVATIVE_STEP,
     ParametrizedFamily,
     TangentVector,
+    _central_difference,
+    _central_stencil,
     _last_value_cache,
+    _scalar_gradient,
+    _scalar_hessian,
     affine_coordinates,
     alpha_representation,
     basis_combination,
     check_state,
-    family_tangent,
     linear_family,
     representation_convert,
     simplex_family,
@@ -66,7 +70,6 @@ from .metrics import (
     wyd_function,
 )
 from .connections import (
-    SECOND_DERIVATIVE_STEP,
     CurveSpec,
     _check_start,
     _curve_points,
@@ -308,14 +311,9 @@ class DefectGrid:
             raise ValueError("a defect grid needs at least one point, got none")
         self.on_extended = on_extended
         points = np.stack(self.grid)
-        m, d = points.shape
-        self._widths = FIRST_DERIVATIVE_STEP * np.maximum(1.0, np.abs(points))
         # stencil points in the order up_0, dn_0, up_1, ... of every grid point in turn
-        stencil = np.broadcast_to(points[:, None, None, :], (m, d, 2, d)).copy()
-        axis = np.arange(d)
-        stencil[:, axis, 0, axis] += self._widths
-        stencil[:, axis, 1, axis] -= self._widths
-        stencil = stencil.reshape(2 * d * m, d)
+        stencil, self._widths = _central_stencil(points, FIRST_DERIVATIVE_STEP)
+        stencil = stencil.reshape(-1, points.shape[-1])
         # one chart call and one stacked decomposition for the grid, and one for its stencil
         self._spectrum = spectral_decompose(family.point(points))
         self._stencil_spectrum = spectral_decompose(family.point(stencil))
@@ -347,12 +345,9 @@ class DefectGrid:
     ) -> DualityReport:
         """Defect tensor of the f-metric against the (+alpha, -alpha) connections on this grid."""
         alpha = float(alpha)
-        d = self.family.param_dim
         plus, minus = self._connection(alpha), self._connection(-alpha)
         c_stencil = petz_kernel(self._stencil_spectrum, f).coefficients
-        g = _tangent_gram(self._stencil_tangents, c_stencil)
-        g = g.reshape(self._widths.shape + (2, d, d))
-        dg = (g[:, :, 0] - g[:, :, 1]) / (2.0 * self._widths)[:, :, None, None]
+        dg = _central_difference(_tangent_gram(self._stencil_tangents, c_stencil), self._widths)
         # axes (point, i, j, k, n, n); _contract sums the last two, as kernel_metric does
         c = petz_kernel(self._spectrum, f).coefficients[:, None, None, None]
         t = self._tangents
@@ -465,61 +460,6 @@ def potential_value(sigma: np.ndarray, alpha: float):
         raise ValueError(f"the trace potential needs alpha > -1, got {alpha!r}")
     value = 2.0 / (1.0 + alpha) * np.trace(sigma, axis1=-2, axis2=-1).real
     return float(value) if np.ndim(value) == 0 else value
-
-
-def _scalar_gradient(fn, x: np.ndarray, step: float = FIRST_DERIVATIVE_STEP) -> np.ndarray:
-    """Central-difference gradient of fn at x (d,), or at every row of a stack x (k, d).
-
-    fn maps a stack of points (m, d) to values (m, ...). The whole stencil,
-    x +- h_i e_i with h_i = step * max(1, |x_i|), goes to fn in one call.
-    The result has axes (..., i, ...): x's stack axes, the direction, then
-    the axes of fn's values, so a vector-valued fn gives its transposed
-    Jacobian.
-    """
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    h = step * np.maximum(1.0, np.abs(x))
-    # rows x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ... of every x in turn
-    stencil = np.repeat(x[..., None, :], 2 * d, axis=-2)
-    axes = np.arange(d)
-    stencil[..., 2 * axes, axes] += h
-    stencil[..., 2 * axes + 1, axes] -= h
-    values = np.asarray(fn(stencil.reshape(-1, d)))
-    tail = values.shape[1:]
-    up_dn = np.moveaxis(values.reshape(x.shape[:-1] + (d, 2) + tail), x.ndim, 0)
-    return (up_dn[0] - up_dn[1]) / (2.0 * h).reshape(h.shape + (1,) * len(tail))
-
-
-def _scalar_hessian(fn, x: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian of fn at x (d,), or at every row of a stack x (k, d).
-
-    fn maps a stack of points (m, d) to values (m,); the whole stencil, 1 + 2d^2
-    points per row, goes to fn in one call. The steps are
-    h_i = SECOND_DERIVATIVE_STEP * max(1, |x_i|). The result is (..., d, d).
-    """
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    h = SECOND_DERIVATIVE_STEP * np.maximum(1.0, np.abs(x))
-    axes = np.arange(d)
-    # per row: x, then x + h_i e_i and x - h_i e_i for each i, then for each pair
-    # j < i the four corners (+ +), (+ -), (- +), (- -) of (i, j)
-    i, j = np.tril_indices(d, -1)
-    axial = np.repeat(x[..., None, :], 2 * d, axis=-2)
-    axial[..., 2 * axes, axes] += h
-    axial[..., 2 * axes + 1, axes] -= h
-    ii, jj = np.repeat(i, 4), np.repeat(j, 4)
-    corners = np.arange(len(ii))
-    mixed = np.repeat(x[..., None, :], len(ii), axis=-2)
-    mixed[..., corners, ii] += np.tile([1.0, 1.0, -1.0, -1.0], len(i)) * h[..., ii]
-    mixed[..., corners, jj] += np.tile([1.0, -1.0, 1.0, -1.0], len(i)) * h[..., jj]
-    stencil = np.concatenate([x[..., None, :], axial, mixed], axis=-2)
-    values = np.asarray(fn(stencil.reshape(-1, d))).reshape(stencil.shape[:-1])
-    f0, up, dn = values[..., 0], values[..., 1 : 1 + 2 * d : 2], values[..., 2 : 2 + 2 * d : 2]
-    pp, pm, mp, mm = (values[..., 1 + 2 * d + c :: 4] for c in range(4))
-    out = np.empty(x.shape[:-1] + (d, d))
-    out[..., axes, axes] = (up - 2.0 * f0[..., None] + dn) / (h * h)
-    out[..., i, j] = out[..., j, i] = (pp - pm - mp + mm) / (4.0 * h[..., i] * h[..., j])
-    return out
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -1143,8 +1083,8 @@ def entropy_projections(rhos: np.ndarray, observables: np.ndarray, tol: float = 
     mu = np.exp(nu)
     final = Spectrum(nu, unitary)
     directions = final.expand_dims().to_eigenbasis(_gibbs_directions(sigmas, ys))
-    k_exp = np.stack([divided_difference_matrix(v, exp_function()) for v in nu])
-    k_log = np.stack([divided_difference_matrix(e, log_function()) for e in mu])
+    k_exp = divided_difference_matrix(nu, exp_function())
+    k_log = divided_difference_matrix(mu, log_function())
     segment = final.to_eigenbasis(rhos - sigmas).swapaxes(-1, -2)
     pairing = np.sum(segment[:, None] * (k_log * k_exp)[:, None] * directions, axis=(-2, -1))
     orth = np.abs(pairing.real).max(axis=-1)
@@ -1213,11 +1153,10 @@ def kernel_direct_consistency(
             f = wyd_function(0.5 * (1.0 + alpha))
             worst = 0.0
             for _ in range(samples):
-                rho = random_state(rng, n, floor)
+                rho = check_state(random_state(rng, n, floor))
                 a = random_traceless_hermitian(rng, n)
                 b = random_traceless_hermitian(rng, n)
-                va, vb = TangentVector(rho, a), TangentVector(rho, b)
-                direct = wyd_direct(rho, alpha, va, vb)
+                direct = wyd_direct(rho, alpha, a, b)
                 kernel = metric_eval(rho, f, a, b)
                 worst = max(worst, abs(direct - kernel) / abs(kernel))
             rows.append({"dim": n, "alpha": alpha, "max_rel_dev": worst, "samples": samples})
@@ -1305,16 +1244,18 @@ def classical_reduction_check(seed=0) -> dict:
     for _ in range(3):
         p = rng.dirichlet(np.ones(dim)) * 0.6 + 0.4 / dim  # interior simplex point
         theta = p[:-1]
-        sigma = fam.point(theta)
-        tangents = [family_tangent(fam, theta, i) for i in range(d)]
-        dp = np.stack([np.diagonal(t.mixture).real for t in tangents])
+        # one decomposition of the point serves every kernel and every WYD pairing
+        spec = check_state(fam.point(theta))
+        tangents = fam.tangent_matrices(theta)
+        dp = np.diagonal(tangents, axis1=-2, axis2=-1).real
         fisher = (dp / p) @ dp.T
+        eigen_tangents = _eigenbasis_tangents(fam, theta, spec)
         for f in builtin_functions():
-            dev = float(np.abs(_metric_matrix(fam, theta, f) - fisher).max())
-            worst_metric = max(worst_metric, dev)
+            metric = _tangent_gram(eigen_tangents, petz_kernel(spec, f).coefficients)
+            worst_metric = max(worst_metric, float(np.abs(metric - fisher).max()))
         for alpha in (-0.5, 0.0, 0.5):
             for i in range(d):
                 for j in range(d):
-                    g = wyd_direct(sigma, alpha, tangents[i], tangents[j])
+                    g = wyd_direct(spec, alpha, tangents[i], tangents[j])
                     worst_alpha = max(worst_alpha, abs(g - fisher[i, j]))
     return {"max_fisher_dev": worst_metric, "max_alpha_dev": worst_alpha}

@@ -277,7 +277,8 @@ def divided_difference_matrix(eigenvalues: np.ndarray, f) -> np.ndarray:
 
     Off the diagonal this is (f(λi) - f(λj))/(λi - λj); coincident pairs
     (relative gap below DEGENERACY_RTOL) use f' at the midpoint, and the
-    diagonal is f'(λi), so f must carry a derivative.
+    diagonal is f'(λi), so f must carry a derivative. Stacked eigenvalues
+    (..., n) give one matrix per row, (..., n, n), each as the row gets alone.
     """
     fun = _as_scalar_function(f)
     if fun.deriv is None:
@@ -285,12 +286,13 @@ def divided_difference_matrix(eigenvalues: np.ndarray, f) -> np.ndarray:
             f"scalar function {fun.name!r} needs a derivative: the diagonal f[λi, λi] is f'(λi)"
         )
     lam = np.asarray(eigenvalues, dtype=float)
-    n = lam.shape[0]
-    k = np.empty((n, n), dtype=float)
-    for i in range(n):
-        k[i, i] = fun.deriv(lam[i])
-        for j in range(i):
-            k[i, j] = k[j, i] = _pair_difference(fun, lam[i], lam[j])
+    n = lam.shape[-1]
+    k = np.empty(lam.shape + (n,), dtype=float)
+    for row, out in zip(lam.reshape(-1, n), k.reshape(-1, n, n)):
+        for i in range(n):
+            out[i, i] = fun.deriv(row[i])
+            for j in range(i):
+                out[i, j] = out[j, i] = _pair_difference(fun, row[i], row[j])
     return k
 
 
@@ -316,9 +318,8 @@ def frechet_derivative(spec: Spectrum, direction: np.ndarray, f) -> np.ndarray:
     n = spec.dim
     if d.shape[-2:] != (n, n):
         raise ValueError(f"direction shape {d.shape} does not match dim {n}")
-    lam = spec.eigenvalues
-    k = np.stack([divided_difference_matrix(row, f) for row in lam.reshape(-1, n)])
-    out = spec.from_eigenbasis(k.reshape(lam.shape + (n,)) * spec.to_eigenbasis(d))
+    k = divided_difference_matrix(spec.eigenvalues, f)
+    out = spec.from_eigenbasis(k * spec.to_eigenbasis(d))
     return _hermitize_self_adjoint(out, d)
 
 

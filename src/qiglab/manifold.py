@@ -39,6 +39,7 @@ from .linalg import (
 __all__ = [
     "CHART_MIN_EIGENVALUE",
     "FIRST_DERIVATIVE_STEP",
+    "SECOND_DERIVATIVE_STEP",
     "STATE_TRACE_TOL",
     "check_weight",
     "check_state",
@@ -61,10 +62,84 @@ __all__ = [
 
 # Charts must keep the spectrum at least this far from the boundary.
 CHART_MIN_EIGENVALUE = 1e-6
-# Central first differences take steps FIRST_DERIVATIVE_STEP * max(1, |theta_i|).
+# Central first differences take steps FIRST_DERIVATIVE_STEP * max(1, |theta_i|),
+# second differences SECOND_DERIVATIVE_STEP * max(1, |theta_i|).
 FIRST_DERIVATIVE_STEP = 1e-4
+SECOND_DERIVATIVE_STEP = 1e-3
 STATE_TRACE_TOL = 1e-8
 _TANGENT_TRACE_TOL = 1e-10
+
+
+def _central_stencil(x: np.ndarray, step: float) -> tuple:
+    """The rows x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ... of x (d,), or of every row of a
+    stack x (..., d), as (..., 2d, d); and the steps h_i = step * max(1, |x_i|), shaped as x."""
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
+    h = step * np.maximum(1.0, np.abs(x))
+    stencil = np.repeat(x[..., None, :], 2 * d, axis=-2)
+    axes = np.arange(d)
+    stencil[..., 2 * axes, axes] += h
+    stencil[..., 2 * axes + 1, axes] -= h
+    return stencil, h
+
+
+def _central_difference(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(f(x + h_i e_i) - f(x - h_i e_i)) / (2 h_i) from f on the rows of a _central_stencil.
+
+    ``values`` holds f at the stencil rows in their order, stacked on one
+    leading axis, (2d * rows, ...). The result has axes (..., i, ...): x's
+    stack axes, the direction, then the axes of f's values.
+    """
+    tail = values.shape[1:]
+    up_dn = np.moveaxis(values.reshape(h.shape + (2,) + tail), h.ndim, 0)
+    return (up_dn[0] - up_dn[1]) / (2.0 * h).reshape(h.shape + (1,) * len(tail))
+
+
+def _scalar_gradient(fn, x: np.ndarray, step: float = FIRST_DERIVATIVE_STEP) -> np.ndarray:
+    """Central-difference gradient of fn at x (d,), or at every row of a stack x (k, d).
+
+    fn maps a stack of points (m, d) to values (m, ...); the whole stencil
+    goes to fn in one call. A vector-valued fn gives its transposed Jacobian,
+    a matrix-valued one its d partials.
+    """
+    stencil, h = _central_stencil(x, step)
+    return _central_difference(np.asarray(fn(stencil.reshape(-1, stencil.shape[-1]))), h)
+
+
+def _scalar_hessian(fn, x: np.ndarray, step: float = SECOND_DERIVATIVE_STEP) -> np.ndarray:
+    """Central-difference Hessian of fn at x (d,), or at every row of a stack x (k, d).
+
+    fn maps a stack of points (m, d) to values (m, ...); the whole stencil,
+    1 + 2d + 2d(d - 1) points per row, goes to fn in one call. The steps are
+    h_i = step * max(1, |x_i|). The result is (..., d, d, ...): x's stack
+    axes, the two directions, then the axes of fn's values.
+    """
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
+    axial, h = _central_stencil(x, step)
+    # per row: x, then the axial rows, then for each pair j < i the four
+    # corners (+ +), (+ -), (- +), (- -) of (i, j)
+    i, j = np.tril_indices(d, -1)
+    ii, jj = np.repeat(i, 4), np.repeat(j, 4)
+    corners = np.arange(len(ii))
+    mixed = np.repeat(x[..., None, :], len(ii), axis=-2)
+    mixed[..., corners, ii] += np.tile([1.0, 1.0, -1.0, -1.0], len(i)) * h[..., ii]
+    mixed[..., corners, jj] += np.tile([1.0, -1.0, 1.0, -1.0], len(i)) * h[..., jj]
+    stencil = np.concatenate([x[..., None, :], axial, mixed], axis=-2)
+    values = np.asarray(fn(stencil.reshape(-1, d)))
+    tail = values.shape[1:]
+    # one trailing axis for the values, so scalar and matrix values share the arithmetic
+    values = values.reshape(stencil.shape[:-1] + (int(np.prod(tail)),))
+    f0 = values[..., :1, :]
+    up, dn = values[..., 1 : 1 + 2 * d : 2, :], values[..., 2 : 2 + 2 * d : 2, :]
+    pp, pm, mp, mm = (values[..., 1 + 2 * d + c :: 4, :] for c in range(4))
+    h = h[..., None]
+    axes = np.arange(d)
+    out = np.empty(x.shape[:-1] + (d, d, values.shape[-1]), dtype=values.dtype)
+    out[..., axes, axes, :] = (up - 2.0 * f0 + dn) / (h * h)
+    cross = (pp - pm - mp + mm) / (4.0 * h[..., i, :] * h[..., j, :])
+    out[..., i, j, :] = out[..., j, i, :] = cross
+    return out.reshape(x.shape[:-1] + (d, d) + tail)
 
 
 def check_weight(a: Union[np.ndarray, Spectrum]) -> Spectrum:
@@ -222,8 +297,9 @@ class ParametrizedFamily:
     (d, n, n), and must broadcast in the same way: (m, d) gives (m, d, n, n).
     ``hessian(theta, i, j)`` returns the second partial at one theta. When
     absent, consumers fall back to central differences with step
-    FIRST_DERIVATIVE_STEP * max(1, |theta_i|). Charts must keep the spectrum
-    above CHART_MIN_EIGENVALUE (domain guard).
+    FIRST_DERIVATIVE_STEP * max(1, |theta_i|) for first partials and
+    SECOND_DERIVATIVE_STEP * max(1, |theta_i|) for second partials. Charts
+    must keep the spectrum above CHART_MIN_EIGENVALUE (domain guard).
     """
 
     param_dim: int
@@ -277,16 +353,7 @@ class ParametrizedFamily:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.jacobian is not None:
             return check_hermitian(self.jacobian(theta))
-        d = self.param_dim
-        h = FIRST_DERIVATIVE_STEP * np.maximum(1.0, np.abs(theta))
-        stencil = np.repeat(theta[..., None, :], 2 * d, axis=-2)
-        axes = np.arange(d)
-        stencil[..., 2 * axes, axes] += h
-        stencil[..., 2 * axes + 1, axes] -= h
-        values = self.point(stencil.reshape(-1, d))
-        values = values.reshape(stencil.shape[:-1] + values.shape[-2:])
-        up, dn = values[..., 0::2, :, :], values[..., 1::2, :, :]
-        return hermitize((up - dn) / (2.0 * h)[..., None, None])
+        return hermitize(_scalar_gradient(self.point, theta))
 
     def tangent_matrix(self, theta: np.ndarray, i: int) -> np.ndarray:
         """The i-th partial of the chart at theta: ``tangent_matrices(theta)[i]``."""

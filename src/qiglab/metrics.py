@@ -19,10 +19,11 @@ from .linalg import (
     _dagger,
     _first_in_stack,
     check_hermitian,
+    frechet_derivative,
     hermitize,
     spectral_decompose,
 )
-from .manifold import TangentVector, alpha_representation, check_state, check_weight
+from .manifold import TangentVector, check_state, check_weight, embedding_function
 
 __all__ = [
     "MonotoneFunctionSpec",
@@ -221,27 +222,32 @@ def metric_eval(sigma: Union[np.ndarray, Spectrum], f: MonotoneFunctionSpec, a, 
     return kernel_metric(kernel, _mixture_of(a, sigma), _mixture_of(b, sigma))
 
 
-def wyd_direct(rho: np.ndarray, alpha: float, a: TangentVector, b: TangentVector) -> float:
+def wyd_direct(rho: Union[np.ndarray, Spectrum], alpha: float, a, b) -> float:
     """WYD metric as the trace pairing of +-alpha representations.
 
     Tr(A^(alpha) B^(-alpha)); agrees with the kernel form for
     f = wyd_function((1+alpha)/2). |alpha| = 1 is rejected: use bkm_direct.
+    rho is checked positive definite and may be given as its Spectrum; the
+    arguments are as in metric_eval.
     """
     alpha = float(alpha)
     if not -1.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (-1, 1), got {alpha!r}; use bkm_direct for the limits")
-    rho = check_hermitian(rho)
-    ra = alpha_representation(TangentVector(rho, _mixture_of(a, rho)), alpha)
-    rb = alpha_representation(TangentVector(rho, _mixture_of(b, rho)), -alpha)
+    spec = check_weight(rho)
+    ra = frechet_derivative(spec, _mixture_of(a, rho), embedding_function(alpha))
+    rb = frechet_derivative(spec, _mixture_of(b, rho), embedding_function(-alpha))
     return float(np.trace(ra @ rb).real)
 
 
-def bkm_direct(rho: np.ndarray, a: TangentVector, b: TangentVector) -> float:
-    """BKM metric: Tr(A^(-1) B^(+1)), the alpha -> +-1 limit of the WYD pairing."""
-    rho = check_hermitian(rho)
-    ra = _mixture_of(a, rho)
-    rb = alpha_representation(TangentVector(rho, _mixture_of(b, rho)), 1.0)
-    return float(np.trace(ra @ rb).real)
+def bkm_direct(rho: Union[np.ndarray, Spectrum], a, b) -> float:
+    """BKM metric: Tr(A^(-1) B^(+1)), the alpha -> +-1 limit of the WYD pairing.
+
+    rho is checked positive definite and may be given as its Spectrum; the
+    arguments are as in metric_eval.
+    """
+    spec = check_weight(rho)
+    rb = frechet_derivative(spec, _mixture_of(b, rho), embedding_function(1.0))
+    return float(np.trace(_mixture_of(a, rho) @ rb).real)
 
 
 @dataclass(frozen=True)

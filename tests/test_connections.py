@@ -10,11 +10,16 @@ from qiglab.connections import (
     parallel_transport_on_M,
 )
 from qiglab.duality import convexity_failure_check
-from qiglab.linalg import spectral_decompose
+from qiglab.connections import _embedded_second_partials
+from qiglab.linalg import apply_scalar_function, hermitize, spectral_decompose
 from qiglab.manifold import (
+    CHART_MIN_EIGENVALUE,
+    SECOND_DERIVATIVE_STEP,
     ParametrizedFamily,
+    _scalar_hessian,
     affine_coordinates,
     alpha_representation,
+    embedding_function,
     linear_family,
     representation_convert,
     simplex_family,
@@ -73,9 +78,12 @@ def test_ext_derivative_analytic_matches_fd_chart():
 
 
 def test_fd_diagonal_partial_decomposes_each_chart_point_once(monkeypatch):
-    # a bare linear chart (no analytic derivatives, no decomposition of its own);
-    # the diagonal stencil reuses the base point's Spectrum as its centre
-    fam = ParametrizedFamily(2, chart=lambda t: I2 / 2.0 + t[0] * SX / 2.0 + t[1] * SZ / 2.0)
+    # a bare linear chart (no analytic derivatives, no decomposition of its own),
+    # broadcasting over a parameter stack as ParametrizedFamily requires
+    def chart(t):
+        return I2 / 2.0 + t[..., 0, None, None] * SX / 2.0 + t[..., 1, None, None] * SZ / 2.0
+
+    fam = ParametrizedFamily(2, chart=chart)
     calls = {"eigh": 0, "eigvalsh": 0}
 
     def counted(fn, key):
@@ -88,9 +96,51 @@ def test_fd_diagonal_partial_decomposes_each_chart_point_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "eigh"))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "eigvalsh"))
     res = ext_covariant_derivative(fam, np.array([0.2, -0.1]), 1, 1, 0.3)
-    # base, up and down points: one chart guard and one eigendecomposition each
-    assert calls == {"eigh": 3, "eigvalsh": 3}
+    # the base point and the stacked stencil: one chart guard and one eigendecomposition each
+    assert calls == {"eigh": 2, "eigvalsh": 2}
     assert np.abs(res.vector.mixture).max() > 1e-3
+
+
+def _diagonal_chart(corner):
+    """A bare one-parameter chart diag(theta, corner) with no analytic derivatives."""
+    p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, corner]).astype(complex)
+    return ParametrizedFamily(1, chart=lambda t: t[..., 0, None, None] * p0 + p1)
+
+
+def _embedded_second_partial(fam, theta, alpha, step):
+    """Central second difference of the embedded chart at theta, steps step * max(1, |theta|)."""
+    fun = embedding_function(alpha)
+
+    def embedded(t):
+        return apply_scalar_function(spectral_decompose(fam.point(t)), fun)
+
+    return hermitize(_scalar_hessian(embedded, theta, step)[0, 0])
+
+
+def test_fd_second_partial_halves_a_stencil_that_leaves_the_chart_domain():
+    # theta sits 5e-7 above h = 1e-3 from the guard: the full step's lower point is
+    # below it, the half step's is not
+    fam = _diagonal_chart(1.0)
+    theta = np.array([SECOND_DERIVATIVE_STEP + 0.5 * CHART_MIN_EIGENVALUE])
+    with pytest.raises(ValueError, match="below guard"):
+        fam.point(theta - SECOND_DERIVATIVE_STEP)
+    spec = spectral_decompose(fam.point(theta))
+    got = _embedded_second_partials(fam, theta, spec, ([0], [0]), 0.5)[0]
+    half = _embedded_second_partial(fam, theta, 0.5, 0.5 * SECOND_DERIVATIVE_STEP)
+    np.testing.assert_array_equal(got, half)
+    # the first step that fits is kept, not shrunk further
+    quarter = _embedded_second_partial(fam, theta, 0.5, 0.25 * SECOND_DERIVATIVE_STEP)
+    assert np.abs(got - quarter).max() > 1e3
+
+
+def test_fd_second_partial_reports_a_stencil_that_never_fits():
+    # a base point on the guard: every step's lower point leaves the chart domain
+    fam = _diagonal_chart(1.0)
+    theta = np.array([CHART_MIN_EIGENVALUE])
+    with pytest.raises(ValueError, match="stencil keeps leaving the chart domain") as info:
+        ext_covariant_derivative(fam, theta, 0, 0, 0.5)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert "below guard" in str(info.value.__cause__)
 
 
 @pytest.mark.parametrize("on_extended", [False, True])

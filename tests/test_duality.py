@@ -10,13 +10,11 @@ from qiglab.linalg import (
     frechet_second_derivative,
     spectral_decompose,
 )
-from qiglab.connections import SECOND_DERIVATIVE_STEP
 from qiglab.duality import (
     FIRST_DERIVATIVE_STEP,
     DefectGrid,
     _damped_newton,
     _metric_matrix,
-    _scalar_hessian,
     classical_reduction_check,
     convexity_failure_check,
     dual_coordinate_check,
@@ -41,7 +39,9 @@ from qiglab.duality import (
     witness_curve,
 )
 from qiglab.manifold import (
+    SECOND_DERIVATIVE_STEP,
     ParametrizedFamily,
+    _scalar_hessian,
     affine_coordinates,
     embedding_function,
     family_tangent,
@@ -471,6 +471,24 @@ def test_flatness_scan_affine_charts_are_flat(alpha):
     assert flatness_scan(alpha, 3) <= 1e-6
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_flatness_scan_evaluates_each_point_and_its_stencil_in_one_chart_call(monkeypatch, dim):
+    # per point: the point itself, then all 1 + 2d + 2d(d - 1) stencil points of its
+    # second partials in one stack
+    shapes = []
+    point = ParametrizedFamily.point
+
+    def counted(self, theta):
+        shapes.append(np.shape(theta))
+        return point(self, theta)
+
+    monkeypatch.setattr(ParametrizedFamily, "point", counted)
+    assert flatness_scan(0.5, dim) <= 1e-6
+    d = dim * dim
+    stencil = (1 + 2 * d + 2 * d * (d - 1), d)
+    assert shapes == [(d,), stencil, (d,), stencil]
+
+
 def test_path_dependence_witness_value():
     assert path_dependence_witness() >= 1e-3
 
@@ -609,6 +627,20 @@ def test_classical_reduction_check_values():
     out = classical_reduction_check(seed=0)
     assert out["max_fisher_dev"] <= 1e-9
     assert out["max_alpha_dev"] <= 1e-9
+
+
+def test_classical_reduction_check_decomposes_each_point_once(monkeypatch):
+    # per simplex point: its chart guard and one eigh, shared by six kernels and 12 WYD pairings
+    calls = _count_decompositions(monkeypatch)
+    classical_reduction_check(seed=0)
+    assert (calls["eigh"], calls["eigvalsh"]) == (3, 3)
+
+
+def test_kernel_direct_consistency_decomposes_each_sample_once(monkeypatch):
+    calls = _count_decompositions(monkeypatch)
+    rows = kernel_direct_consistency(seed=0, dims=(2, 3), alphas=(-0.5, 0.5), samples=5)
+    assert len(rows) == 4
+    assert calls["eigh"] == 4 * 5
 
 
 # ------------------------------------------------------ entropy projection
@@ -864,7 +896,10 @@ def test_damped_newton_caps_one_row_while_the_others_converge():
 
 
 def _loop_hessian(fn, x):
-    """The one-point central-difference Hessian the stacked stencil replaced."""
+    """The one-point central-difference Hessian the stacked stencil replaced.
+
+    fn's values may carry trailing axes; the result is then (d, d, ...).
+    """
     d = x.shape[0]
     h = SECOND_DERIVATIVE_STEP * np.maximum(1.0, np.abs(x))
 
@@ -874,8 +909,8 @@ def _loop_hessian(fn, x):
             y[k] += sign * h[k]
         return y
 
-    out = np.empty((d, d))
     f0 = fn(x[None])[0]
+    out = np.empty((d, d) + np.shape(f0), dtype=np.asarray(f0).dtype)
     for i in range(d):
         up, dn = fn(np.stack([shifted((i, 1)), shifted((i, -1))]))
         out[i, i] = (up - 2.0 * f0 + dn) / (h[i] * h[i])
@@ -899,9 +934,14 @@ def test_stacked_scalar_hessian_equals_the_one_point_stencil(alpha):
 
     stacked = _scalar_hessian(psi, points)
     assert stacked.shape == (4, 4, 4)
+    # a matrix-valued fn: the chart itself, whose Hessian carries the matrix axes
+    charted = _scalar_hessian(family.point, points)
+    assert charted.shape == (4, 4, 4, 2, 2)
     for k, xi in enumerate(points):
         np.testing.assert_array_equal(stacked[k], _loop_hessian(psi, xi))
         np.testing.assert_array_equal(stacked[k], _scalar_hessian(psi, xi))
+        np.testing.assert_array_equal(charted[k], _loop_hessian(family.point, xi))
+        np.testing.assert_array_equal(charted[k], _scalar_hessian(family.point, xi))
 
 
 def test_potential_check_makes_the_same_chart_calls_for_any_grid(monkeypatch):

@@ -157,6 +157,8 @@ def test_wyd_direct_equals_kernel_form(alpha):
     a = state_tangent(rho, random_traceless_hermitian(rng, 3))
     b = state_tangent(rho, random_traceless_hermitian(rng, 3))
     direct = wyd_direct(rho, alpha, a, b)
+    # at the point's Spectrum, the same bits
+    assert wyd_direct(spectral_decompose(rho), alpha, a, b) == direct
     kernel = metric_eval(rho, wyd_function(0.5 * (1.0 + alpha)), a, b)
     assert direct == pytest.approx(kernel, rel=1e-10)
 
@@ -172,6 +174,15 @@ def test_bkm_direct_equals_kernel_form():
     rho = random_state(rng, 3)
     a = state_tangent(rho, random_traceless_hermitian(rng, 3))
     assert bkm_direct(rho, a, a) == pytest.approx(metric_eval(rho, bkm_function(), a, a), rel=1e-10)
+    assert bkm_direct(spectral_decompose(rho), a, a) == bkm_direct(rho, a, a)
+
+
+@pytest.mark.parametrize(
+    "direct", [lambda rho, a: wyd_direct(rho, 0.5, a, a), lambda rho, a: bkm_direct(rho, a, a)]
+)
+def test_direct_pairings_reject_a_base_off_the_positive_cone(direct):
+    with pytest.raises(ValueError, match="not positive definite"):
+        direct(np.diag([1.0, -0.5]).astype(complex), SX)
 
 
 # ----------------------------------------------------------------- channels

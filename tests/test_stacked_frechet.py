@@ -8,7 +8,7 @@ DEGENERACY_RTOL, or a cluster of three below _TRIPLE_RTOL) or have a tiny
 eigenvalue. Directions mix self-adjoint and general matrices, so the
 self-adjointness test that decides the final symmetrization runs per matrix.
 `frechet_derivative` also takes a stack of base points, each paired with its
-own stack of directions.
+own stack of directions, and `divided_difference_matrix` a stack of spectra.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from qiglab.linalg import (
     DEGENERACY_RTOL,
     _TRIPLE_RTOL,
     Spectrum,
+    divided_difference_matrix,
     exp_function,
     frechet_derivative,
     frechet_second_derivative,
@@ -140,6 +141,9 @@ def bases_and_directions(draw):
 def test_frechet_derivative_on_stacked_bases_equals_base_by_base(case, f):
     spec, bases, directions = case
     out = frechet_derivative(spec.expand_dims(), directions, f)
+    kernels = divided_difference_matrix(spec.eigenvalues, f)
     assert out.shape == directions.shape
+    assert kernels.shape == spec.eigenvalues.shape + (spec.dim,)
     for k, base in enumerate(bases):
         assert np.array_equal(out[k], frechet_derivative(base, directions[k], f))
+        assert np.array_equal(kernels[k], divided_difference_matrix(base.eigenvalues, f))
