@@ -55,6 +55,7 @@ from .metrics import (
     MonotoneFunctionSpec,
     _contract,
     _contraction_trials,
+    _stinespring_channels,
     bkm_direct,
     bkm_function,
     bures_function,
@@ -63,7 +64,6 @@ from .metrics import (
     metric_eval,
     partial_trace_channel,
     petz_kernel,
-    random_stinespring_channel,
     relative_entropy,
     rld_function,
     wyd_direct,
@@ -78,6 +78,8 @@ from .connections import (
     parallel_transport_on_M,
 )
 from .sampling import (
+    _states,
+    _traceless_hermitians,
     hermitian_basis,
     pauli_matrices,
     random_state,
@@ -1172,34 +1174,47 @@ def monotonicity_scan(seed=0, trials: int = 1000) -> list:
     are evaluated on the same seeded triples.
     """
     rng = rng_from(seed)
-    partial_trace = partial_trace_channel(2, 2)
+    # draw: each trial makes the rng calls of random_state, random_traceless_hermitian and its
+    # channel builder, in that order; the linear algebra waits for the build
     kinds, groups = [], {}
     for t in range(trials):
         kind = int(rng.integers(0, 3))
+        n = int(rng.integers(2, 4)) if kind < 2 else 4
+        weights = rng.dirichlet(np.ones(n))
+        normals = [rng.standard_normal((n, n)) for _ in range(4)]  # state Ginibre, then tangent
         if kind == 0:
-            n = int(rng.integers(2, 4))
-            rho = random_state(rng, n, floor=0.1)
-            a = random_traceless_hermitian(rng, n)
-            ch = depolarizing_channel(n, float(rng.uniform(0.05, 0.95)))
+            param = float(rng.uniform(0.05, 0.95))
         elif kind == 1:
-            n = int(rng.integers(2, 4))
-            rho = random_state(rng, n, floor=0.1)
-            a = random_traceless_hermitian(rng, n)
-            ch = random_stinespring_channel(rng, n)
+            param = (rng.standard_normal((n * n, n)), rng.standard_normal((n * n, n)))
         else:
-            rho = random_state(rng, 4, floor=0.05)
-            a = random_traceless_hermitian(rng, 4)
-            ch = partial_trace
+            param = None
         kinds.append(kind)
-        groups.setdefault((ch.dim_in, ch.dim_out), []).append((t, ch, rho, a))
-    # states, outputs and rotated directions do not depend on the kernel: one
-    # stacked decomposition per (input, output) dimension serves every kernel
+        dims = (n, 2 if kind == 2 else n)
+        groups.setdefault(dims, []).append((t, kind, weights, *normals, param))
+    # build: one stacked call per layer and (input, output)-dimension group, one channel stack
+    # per kind; states, outputs and rotated directions do not depend on the kernel, so one
+    # stacked decomposition per group serves every kernel
+    partial_trace = partial_trace_channel(2, 2)
     stacks = []
     for group in groups.values():
-        index, channels, rho, a = zip(*group)
-        rho = np.stack(rho)
-        state = check_state(rho)
-        stacks.append((np.array(index), _contraction_trials(channels, state, rho, np.stack(a))))
+        index, kind, weights, g_re, g_im, a_re, a_im, params = zip(*group)
+        kind = np.array(kind)
+        n = len(weights[0])
+        floor = np.where(kind == 2, 0.05, 0.1)[:, None]
+        rho = _states(np.stack(weights), floor, np.stack(g_re), np.stack(g_im))
+        channels = []
+        for k in np.unique(kind):
+            members = np.flatnonzero(kind == k)
+            drawn = [params[r] for r in members]
+            if k == 0:
+                channel = depolarizing_channel(n, np.array(drawn))
+            elif k == 1:
+                channel = _stinespring_channels(*(np.stack(part) for part in zip(*drawn)))
+            else:
+                channel = partial_trace
+            channels.append((channel, members))
+        a = _traceless_hermitians(np.stack(a_re), np.stack(a_im))
+        stacks.append((np.array(index), _contraction_trials(channels, check_state(rho), rho, a)))
     regularized = np.zeros(trials, dtype=bool)
     inconclusive = np.zeros(trials, dtype=bool)
     for index, stack in stacks:

@@ -79,14 +79,17 @@ def validate_function_spec(spec: MonotoneFunctionSpec) -> MonotoneFunctionSpec:
     one = float(spec.fn(1.0))
     if abs(one - 1.0) > _NORMALIZATION_TOL:
         raise ValueError(f"{spec.name}: f(1) = {one!r} is not 1 within {_NORMALIZATION_TOL:.1e}")
-    for t in _SYMMETRY_GRID:
-        left = float(spec.fn(t))
-        right = t * float(spec.fn(1.0 / t))
-        if abs(left - right) > _SYMMETRY_RTOL * max(abs(left), abs(right), 1.0):
-            raise ValueError(
-                f"{spec.name}: symmetry f(t) = t f(1/t) fails at t = {t!r}: "
-                f"{left!r} vs {right!r}"
-            )
+    t = _SYMMETRY_GRID
+    left = np.broadcast_to(np.asarray(spec.fn(t), dtype=float), t.shape)
+    right = t * np.asarray(spec.fn(1.0 / t), dtype=float)
+    scale = np.maximum(np.maximum(np.abs(left), np.abs(right)), 1.0)
+    bad = np.abs(left - right) > _SYMMETRY_RTOL * scale
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"{spec.name}: symmetry f(t) = t f(1/t) fails at t = {float(t[k])!r}: "
+            f"{float(left[k])!r} vs {float(right[k])!r}"
+        )
     return spec
 
 
@@ -252,7 +255,12 @@ def bkm_direct(rho: Union[np.ndarray, Spectrum], a, b) -> float:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive trace-preserving map as a tuple of Kraus operators."""
+    """Completely positive trace-preserving map as a tuple of Kraus operators.
+
+    Each operator is (n_out, n_in), or a stack (m, n_out, n_in) for m
+    channels with the same Kraus count; the completeness error names the
+    first failing channel by its stack index.
+    """
 
     kraus_ops: tuple
 
@@ -261,30 +269,36 @@ class KrausChannel:
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         shape = ops[0].shape
-        if any(k.shape != shape for k in ops):
-            raise ValueError("all Kraus operators must share one shape")
-        total = sum(k.conj().T @ k for k in ops)
-        dev = float(np.abs(total - np.eye(shape[1])).max())
-        if dev > 1e-10:
-            raise ValueError(f"Kraus completeness sum deviates from identity by {dev:.3e}")
+        if len(shape) < 2 or any(k.shape != shape for k in ops):
+            raise ValueError("all Kraus operators must share one shape, (..., n_out, n_in)")
+        total = sum(_dagger(k) @ k for k in ops)
+        dev = np.abs(total - np.eye(shape[-1])).max(axis=(-2, -1))
+        bad = dev > 1e-10
+        if bad.any():
+            where, at = _first_in_stack(bad)
+            raise ValueError(
+                f"Kraus completeness sum deviates from identity by {dev[where]:.3e}{at}"
+            )
         object.__setattr__(self, "kraus_ops", ops)
 
     @property
     def dim_in(self) -> int:
-        return self.kraus_ops[0].shape[1]
+        return self.kraus_ops[0].shape[-1]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus_ops[0].shape[0]
+        return self.kraus_ops[0].shape[-2]
 
 
 def apply_channel(channel: KrausChannel, x: np.ndarray) -> np.ndarray:
+    """sum_k K_k x K_k†, summed in Kraus order; stacks of channels and of inputs broadcast."""
     x = np.asarray(x, dtype=complex)
-    if x.shape != (channel.dim_in, channel.dim_in):
+    if x.shape[-2:] != (channel.dim_in, channel.dim_in):
         raise ValueError(f"input shape {x.shape} does not match channel input dim {channel.dim_in}")
-    out = np.zeros((channel.dim_out, channel.dim_out), dtype=complex)
+    stack = np.broadcast_shapes(channel.kraus_ops[0].shape[:-2], x.shape[:-2])
+    out = np.zeros(stack + (channel.dim_out, channel.dim_out), dtype=complex)
     for k in channel.kraus_ops:
-        out += k @ x @ k.conj().T
+        out += k @ x @ _dagger(k)
     return out
 
 
@@ -306,17 +320,21 @@ def _weyl_operators(n: int) -> tuple:
     return ops
 
 
-def depolarizing_channel(n: int, t: float) -> KrausChannel:
-    """rho -> (1 - t) rho + t I/n, via the Weyl (shift/clock) Kraus set."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"mixing weight t must lie in [0, 1], got {t!r}")
-    ops = []
+def depolarizing_channel(n: int, t: Union[float, np.ndarray]) -> KrausChannel:
+    """rho -> (1 - t) rho + t I/n, via the Weyl (shift/clock) Kraus set.
+
+    An array of weights t, (m,), gives a stack of m channels; the error
+    names the first weight outside [0, 1] by its stack index.
+    """
+    t = np.asarray(t, dtype=float)
+    bad = ~((0.0 <= t) & (t <= 1.0))
+    if bad.any():
+        where, at = _first_in_stack(bad)
+        raise ValueError(f"mixing weight t must lie in [0, 1], got {float(t[where])!r}{at}")
     w = _weyl_operators(n)
-    lead = np.sqrt(1.0 - t + t / n**2)
-    ops.append(lead * w[0])
-    amp = np.sqrt(t) / n
-    ops.extend(amp * u for u in w[1:])
-    return KrausChannel(tuple(ops))
+    lead = np.sqrt(1.0 - t + t / n**2)[..., None, None]
+    amp = (np.sqrt(t) / n)[..., None, None]
+    return KrausChannel((lead * w[0],) + tuple(amp * u for u in w[1:]))
 
 
 def partial_trace_channel(dim_keep: int, dim_drop: int) -> KrausChannel:
@@ -329,14 +347,19 @@ def partial_trace_channel(dim_keep: int, dim_drop: int) -> KrausChannel:
     return KrausChannel(tuple(ops))
 
 
-def random_stinespring_channel(rng: np.random.Generator, n: int) -> KrausChannel:
-    """Random channel on n x n matrices from a Haar-ish isometry.
+def _stinespring_channels(re: np.ndarray, im: np.ndarray) -> KrausChannel:
+    """Channels whose isometries are the Q factors of re + i im, (..., n*n, n), in one QR.
 
-    The isometry maps into output x environment, both of dimension n.
+    Each isometry maps into output x environment, both of dimension n.
     """
-    z = rng.standard_normal((n * n, n)) + 1j * rng.standard_normal((n * n, n))
-    v, _ = np.linalg.qr(z)  # isometry: v† v = I
-    return KrausChannel(tuple(v[k * n : (k + 1) * n, :] for k in range(n)))
+    v, _ = np.linalg.qr(re + 1j * im)  # isometry: v† v = I
+    n = v.shape[-1]
+    return KrausChannel(tuple(v[..., k * n : (k + 1) * n, :] for k in range(n)))
+
+
+def random_stinespring_channel(rng: np.random.Generator, n: int) -> KrausChannel:
+    """Random channel on n x n matrices from a Haar-ish isometry into output x environment."""
+    return _stinespring_channels(rng.standard_normal((n * n, n)), rng.standard_normal((n * n, n)))
 
 
 @dataclass(frozen=True)
@@ -368,7 +391,10 @@ def monotonicity_check(
     point = spec.matrix() if isinstance(rho, Spectrum) else rho
     mixture = _mixture_of(a, point)
     trial = _contraction_trials(
-        (channel,), Spectrum(spec.eigenvalues[None], spec.unitary[None]), point[None], mixture[None]
+        [(channel, 0)],
+        Spectrum(spec.eigenvalues[None], spec.unitary[None]),
+        point[None],
+        mixture[None],
     )
     lhs, rhs = (float(v[0]) for v in trial.lengths(f))
     if trial.inconclusive[0]:
@@ -407,19 +433,25 @@ class _ContractionTrials:
 
 
 def _contraction_trials(
-    channels: Sequence[KrausChannel], state: Spectrum, points: np.ndarray, mixtures: np.ndarray
+    channels: Sequence[tuple], state: Spectrum, points: np.ndarray, mixtures: np.ndarray
 ) -> _ContractionTrials:
     """Push m trials through their channels, decompose the outputs once, rotate each direction once.
 
     Trial k sends the state ``points[k]``, whose Spectrum is row k of the
-    stacked ``state``, and its direction ``mixtures[k]`` through
-    ``channels[k]``; every channel has the same input and output dimension.
+    stacked ``state``, and its direction ``mixtures[k]`` through its channel.
+    ``channels`` pairs each channel, or stack of channels, with the rows of
+    the trials it takes (an index or an index array); the rows cover every
+    trial once, and every channel has the same input and output dimension.
     A singular output (min eigenvalue below 1e-12) is mixed with
     1e-10 * I/n_out: its eigenvalues shift and its eigenvectors stay. If it
     stays singular the trial is inconclusive.
     """
-    outputs = np.stack([apply_channel(ch, p) for ch, p in zip(channels, points)])
-    out_dirs = np.stack([apply_channel(ch, x) for ch, x in zip(channels, mixtures)])
+    n_out = channels[0][0].dim_out
+    outputs = np.empty(points.shape[:-2] + (n_out, n_out), dtype=complex)
+    out_dirs = np.empty_like(outputs)
+    for channel, rows in channels:
+        outputs[rows] = apply_channel(channel, points[rows])
+        out_dirs[rows] = apply_channel(channel, mixtures[rows])
     out = spectral_decompose(hermitize(outputs))
     out_dir = out.to_eigenbasis(hermitize(out_dirs))
     lam = out.eigenvalues

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import hermitize
+from .linalg import _dagger, hermitize
 
 __all__ = [
     "rng_from",
@@ -22,24 +22,52 @@ def rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _haar_unitaries(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Phase-fixed QR of the Ginibre matrices (re + i im)/sqrt(2), (..., n, n), in one call."""
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _conjugated(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """hermitize(q diag(lam) q†) for spectra (..., n) and unitaries (..., n, n)."""
+    return hermitize((q * lam[..., None, :]) @ _dagger(q))
+
+
+def _states(weights: np.ndarray, floor, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Density matrices with spectra (1 - n floor) weights + floor in the Haar bases of (re, im).
+
+    ``weights`` (..., n) lie on the simplex; ``floor`` broadcasts against them.
+    """
+    n = weights.shape[-1]
+    return _conjugated((1.0 - n * floor) * weights + floor, _haar_unitaries(re, im))
+
+
+def _hermitians(re: np.ndarray, im: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """hermitize(re + i im) * scale/sqrt(2); stacks (..., n, n)."""
+    return hermitize(re + 1j * im) * (scale / np.sqrt(2.0))
+
+
+def _traceless_hermitians(re: np.ndarray, im: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Traceless parts of _hermitians(re, im, scale)."""
+    h = _hermitians(re, im, scale)
+    n = h.shape[-1]
+    return h - (np.trace(h, axis1=-2, axis2=-1)[..., None, None] / n) * np.eye(n)
+
+
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_unitaries(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return hermitize(z) * (scale / np.sqrt(2.0))
+    return _hermitians(rng.standard_normal((n, n)), rng.standard_normal((n, n)), scale)
 
 
 def random_traceless_hermitian(
     rng: np.random.Generator, n: int, scale: float = 1.0
 ) -> np.ndarray:
-    h = random_hermitian(rng, n, scale)
-    return h - (np.trace(h) / n) * np.eye(n)
+    return _traceless_hermitians(rng.standard_normal((n, n)), rng.standard_normal((n, n)), scale)
 
 
 def random_state(rng: np.random.Generator, n: int, floor: float = 0.05) -> np.ndarray:
@@ -51,9 +79,7 @@ def random_state(rng: np.random.Generator, n: int, floor: float = 0.05) -> np.nd
     if not 0.0 <= floor * n < 1.0:
         raise ValueError(f"floor {floor} infeasible for dimension {n}")
     u = rng.dirichlet(np.ones(n))
-    lam = (1.0 - n * floor) * u + floor
-    q = haar_unitary(rng, n)
-    return hermitize((q * lam) @ q.conj().T)
+    return _states(u, floor, rng.standard_normal((n, n)), rng.standard_normal((n, n)))
 
 
 def random_weight(
@@ -61,8 +87,7 @@ def random_weight(
 ) -> np.ndarray:
     """Random positive-definite matrix with spectrum in [lo, hi]."""
     lam = rng.uniform(lo, hi, size=n)
-    q = haar_unitary(rng, n)
-    return hermitize((q * lam) @ q.conj().T)
+    return _conjugated(lam, haar_unitary(rng, n))
 
 
 def pauli_matrices():

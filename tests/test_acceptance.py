@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, child_env
 
 WALL_CLOCK = re.compile(r'"wall_clock_s":[^,}]+')
 
@@ -22,7 +22,7 @@ WALL_CLOCK = re.compile(r'"wall_clock_s":[^,}]+')
 def _run_cli(args):
     started = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "qiglab", *args], capture_output=True, text=True
+        [sys.executable, "-m", "qiglab", *args], capture_output=True, text=True, env=child_env()
     )
     elapsed = time.perf_counter() - started
     records = [json.loads(line) for line in proc.stdout.strip().splitlines()] if proc.stdout.strip() else []
@@ -203,8 +203,9 @@ def test_criterion_8_entropy_projection():
 
 def test_criterion_9_deterministic_output():
     args = ["duality", "--dim", "2", "--manifold", "state", "--seed", "3"]
-    first = subprocess.run([sys.executable, "-m", "qiglab", *args], capture_output=True, text=True)
-    second = subprocess.run([sys.executable, "-m", "qiglab", *args], capture_output=True, text=True)
+    command = [sys.executable, "-m", "qiglab", *args]
+    first = subprocess.run(command, capture_output=True, text=True, env=child_env())
+    second = subprocess.run(command, capture_output=True, text=True, env=child_env())
     stripped_first = WALL_CLOCK.sub('"wall_clock_s":0', first.stdout)
     stripped_second = WALL_CLOCK.sub('"wall_clock_s":0', second.stdout)
     checks = [

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from qiglab.cli import _COLUMNS, _DEFAULTS, _HELP, _build_parser, _format_float, main
 
 WALL_CLOCK = re.compile(r'"wall_clock_s":[^,}]+')
@@ -30,7 +31,7 @@ def _parse_jsonl(text):
 def test_cli_import_leaves_scipy_unloaded():
     # numpy is the only dependency; scipy alone would triple the start-up time
     code = "import sys, qiglab.cli; sys.exit(int('scipy' in sys.modules))"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=child_env()).returncode == 0
 
 
 # ------------------------------------------------------------- serialization

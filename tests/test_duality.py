@@ -540,10 +540,11 @@ def test_monotonicity_scan_rows():
 
 
 def test_monotonicity_scan_decomposes_each_trial_once(monkeypatch):
-    # states, channel outputs and their spectra are stacked across trials and shared by all kernels
+    # states, tangents, channels, outputs and their spectra are stacked across trials and
+    # shared by all kernels
     import qiglab.metrics
 
-    calls = {"eig": 0, "channel": 0, "kernel": 0}
+    calls = {"eig": 0, "qr": 0, "channel": 0, "kernel": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -554,6 +555,7 @@ def test_monotonicity_scan_decomposes_each_trial_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "eig"))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "eig"))
+    monkeypatch.setattr(np.linalg, "qr", counted(np.linalg.qr, "qr"))
     monkeypatch.setattr(
         qiglab.metrics, "apply_channel", counted(qiglab.metrics.apply_channel, "channel")
     )
@@ -564,8 +566,13 @@ def test_monotonicity_scan_decomposes_each_trial_once(monkeypatch):
     rows = monotonicity_scan(seed=0, trials=trials)
     # trials are stacked per (input, output) dimension: (2, 2), (3, 3) and (4, 2)
     groups = 3
+    # channels per kind and dimension: depolarizing and Stinespring at 2 and 3, partial trace
+    channel_groups = 5
     assert 0 < calls["eig"] <= 2 * groups
-    assert 0 < calls["channel"] <= 2 * trials
+    # one Haar QR per group for the states and one per Stinespring stack
+    assert 0 < calls["qr"] <= 2 * groups
+    # one call for the states and one for the directions per channel group, not per trial
+    assert 0 < calls["channel"] <= 2 * channel_groups
     # one kernel per (kernel, group) for the states and one for the outputs, not per trial
     assert 0 < calls["kernel"] <= 2 * len(rows) * groups
 
@@ -618,9 +625,13 @@ def _monotonicity_scan_reference(seed, trials):
     return rows
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_monotonicity_scan_equals_per_trial_checks(seed):
-    assert monotonicity_scan(seed=seed, trials=60) == _monotonicity_scan_reference(seed, 60)
+@pytest.mark.parametrize(
+    "seed, trials",
+    [pytest.param(seed, 60, id=str(seed)) for seed in (0, 1, 2)]
+    + [pytest.param(3, 200, id="3-200")],
+)
+def test_monotonicity_scan_equals_per_trial_checks(seed, trials):
+    assert monotonicity_scan(seed=seed, trials=trials) == _monotonicity_scan_reference(seed, trials)
 
 
 def test_classical_reduction_check_values():

@@ -66,6 +66,12 @@ def test_validate_function_spec_rejects_bad_candidates():
         validate_function_spec(MonotoneFunctionSpec("off", lambda x: 2.0 * x))
     with pytest.raises(ValueError, match="symmetry"):
         validate_function_spec(MonotoneFunctionSpec("skew", lambda x: np.sqrt(x) * 0 + (1.0 + 0.3 * (x - 1.0))))
+    # a dent on (0.2, 0.3) breaks the symmetry at t = 0.25 and t = 4; the error names the first
+    dent = MonotoneFunctionSpec(
+        "dent", lambda x: 0.5 * (1.0 + x) * np.where((x > 0.2) & (x < 0.3), 1.1, 1.0)
+    )
+    with pytest.raises(ValueError, match=r"symmetry .* fails at t = 0\.25: 0\.6875 vs 0\.625$"):
+        validate_function_spec(dent)
 
 
 # ------------------------------------------------------------------ kernels
