@@ -9,10 +9,13 @@ tangent space; the projected transport is discretized step by step and is
 path dependent.
 
 Second partials use the analytic chain rule (first/second directional matrix
-derivatives) when the chart carries analytic derivatives. Otherwise every
-second partial at a point comes from one central stencil of
+derivatives) when the chart carries analytic derivatives; a set of
+covariant derivatives at a stack of points is then one stacked call per
+layer (chart derivatives, Frechet derivatives, projection, conversion).
+Otherwise every second partial at a point comes from one central stencil of
 1 + 2d + 2d(d - 1) points, evaluated in one chart call, with steps
-SECOND_DERIVATIVE_STEP * max(1, |theta_i|) (``manifold._scalar_hessian``).
+SECOND_DERIVATIVE_STEP * max(1, |theta_i|) (``manifold._scalar_hessian``),
+point by point.
 """
 
 from __future__ import annotations
@@ -88,23 +91,33 @@ def _embedded_second_partials(
     pairs: tuple,
     alpha: float,
 ) -> np.ndarray:
-    """Second partials d_i d_j of the embedded chart at theta, stacked over the index
-    arrays ``pairs`` = (i, j); ``spec`` is the Spectrum of the point at theta.
+    """Second partials d_i d_j of the embedded chart at theta (..., d), stacked over the
+    index arrays ``pairs`` = (i, j): (..., pairs, n, n). ``spec`` is the Spectrum of the
+    point at theta, stacked as theta is.
 
-    Without analytic derivatives, every pair comes from one central stencil
-    at theta. A stencil that leaves the chart domain is halved and retried,
-    up to four tries in all.
+    With analytic derivatives every point and pair comes from one call per
+    layer. Without them, each point's pairs come from one central stencil at
+    that point; a stencil that leaves the chart domain is halved and retried,
+    up to four tries in all, point by point.
     """
     i, j = pairs
     fun = embedding_function(alpha)
     if family.has_analytic_second_order:
         jac = family.tangent_matrices(theta)
-        first, second = jac[np.asarray(i)], jac[np.asarray(j)]
-        hess = np.stack([family.hessian(theta, a, b) for a, b in zip(i, j)])
-        d2 = frechet_second_derivative(spec, first, second, fun) + frechet_derivative(
-            spec, hess, fun
-        )
+        first, second = jac[..., np.asarray(i), :, :], jac[..., np.asarray(j), :, :]
+        hess = np.stack([family.hessian(theta, a, b) for a, b in zip(i, j)], axis=-3)
+        at = spec.expand_dims()
+        d2 = frechet_second_derivative(at, first, second, fun) + frechet_derivative(at, hess, fun)
         return hermitize(d2)
+    rows = [
+        _stencil_second_partials(family, row, fun, i, j)
+        for row in theta.reshape(-1, theta.shape[-1])
+    ]
+    return np.stack(rows).reshape(theta.shape[:-1] + rows[0].shape)
+
+
+def _stencil_second_partials(family: ParametrizedFamily, theta: np.ndarray, fun, i, j):
+    """Central-stencil second partials of the embedded chart at one theta (d,), pairs (i, j)."""
 
     def embedded(t):
         return apply_scalar_function(spectral_decompose(family.point(t)), fun)
@@ -130,12 +143,14 @@ def _covariant_mixtures(
     alpha: float,
     on_extended: bool,
 ) -> np.ndarray:
-    """Mixture forms of the flat (on_extended) or projected nabla_i T_j, stacked over ``pairs``."""
+    """Mixture forms of the flat (on_extended) or projected nabla_i T_j at theta (..., d),
+    stacked over ``pairs``: (..., pairs, n, n)."""
     d2 = _embedded_second_partials(family, theta, spec, pairs, alpha)
+    at = spec.expand_dims()  # each base point against its stack of pairs
     if on_extended:
-        return representation_convert(spec, d2, alpha, -1.0)
-    projected = sphere_project(spec, alpha, d2)  # rejects a base off the unit-trace manifold
-    mixture = representation_convert(spec, projected, alpha, -1.0)
+        return representation_convert(at, d2, alpha, -1.0)
+    projected = sphere_project(at, alpha, d2)  # rejects a base off the unit-trace manifold
+    mixture = representation_convert(at, projected, alpha, -1.0)
     n = spec.dim
     trace = np.trace(mixture, axis1=-2, axis2=-1)
     return mixture - (trace / n)[..., None, None] * np.eye(n)  # kill round-off trace
@@ -182,19 +197,21 @@ def covariant_derivative_set(
     alpha: float,
     on_extended: bool = False,
 ) -> np.ndarray:
-    """All covariant derivatives nabla^(alpha)_i T_j at one point, in mixture form.
+    """All covariant derivatives nabla^(alpha)_i T_j at theta, in mixture form.
 
     ``spec`` is the Spectrum of the point at theta, so nothing is decomposed
-    again. Flat ones on the positive cone (``on_extended``) or projected ones
-    on the unit-trace manifold, computed as one stack over the pairs i <= j;
-    the result has shape (d, d, n, n) and is symmetric in its first two axes.
+    again. theta may be one point (d,) or a stack (m, d) with a stacked
+    Spectrum; every point and every pair i <= j is then one stack per layer.
+    Flat ones on the positive cone (``on_extended``) or projected ones on the
+    unit-trace manifold; the result has shape (d, d, n, n), or (m, d, d, n, n)
+    for a stack, and is symmetric in the two axes before the matrix axes.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     d, n = family.param_dim, spec.dim
     i, j = np.triu_indices(d)
     upper = _covariant_mixtures(family, theta, spec, (i, j), alpha, on_extended)
-    out = np.empty((d, d, n, n), dtype=complex)
-    out[i, j] = out[j, i] = upper
+    out = np.empty(theta.shape[:-1] + (d, d, n, n), dtype=complex)
+    out[..., i, j, :, :] = out[..., j, i, :, :] = upper
     return out
 
 

@@ -72,9 +72,10 @@ from .metrics import (
 from .connections import (
     CurveSpec,
     _check_start,
+    _covariant_mixtures,
     _curve_points,
+    _point_and_spectrum,
     covariant_derivative_set,
-    ext_covariant_derivative,
     parallel_transport_on_M,
 )
 from .sampling import (
@@ -297,11 +298,12 @@ class DefectGrid:
     tangents of each grid point and of the 2d central-difference stencil
     points around it (step FIRST_DERIVATIVE_STEP * max(1, |theta_i|)) that
     d_i g_jk needs.
-    The covariant derivatives nabla^(alpha)_i T_j at each point, in the
-    eigenbasis, are built on first use, once per signed alpha: the pair at
-    +-alpha shares its two sets with the pair at -+alpha, and alpha = 0 needs
-    one. None of this depends on the metric kernel, so ``defect`` only builds
-    Petz kernels and contracts.
+    The covariant derivatives nabla^(alpha)_i T_j at every point, in the
+    eigenbasis, are built on first use, in one covariant_derivative_set call
+    over the whole grid per signed alpha: the pair at +-alpha shares its two
+    sets with the pair at -+alpha, and alpha = 0 needs one. None of this
+    depends on the metric kernel, so ``defect`` only builds Petz kernels and
+    contracts.
     """
 
     def __init__(
@@ -326,16 +328,10 @@ class DefectGrid:
     def _connection(self, alpha: float) -> np.ndarray:
         """nabla^(alpha)_i T_j at every grid point in its eigenbasis, shape (points, d, d, n, n)."""
         if alpha not in self._nabla:  # -0.0 == 0.0 shares the alpha = 0 set
-            self._nabla[alpha] = np.stack(
-                [
-                    spec.to_eigenbasis(
-                        covariant_derivative_set(self.family, theta, spec, alpha, self.on_extended)
-                    )
-                    for theta, spec in zip(
-                        self.grid, map(Spectrum, self._spectrum.eigenvalues, self._spectrum.unitary)
-                    )
-                ]
+            nabla = covariant_derivative_set(
+                self.family, np.stack(self.grid), self._spectrum, alpha, self.on_extended
             )
+            self._nabla[alpha] = self._spectrum.expand_dims().expand_dims().to_eigenbasis(nabla)
         return self._nabla[alpha]
 
     def defect(
@@ -526,13 +522,18 @@ def _damped_newton(objective, gradient, hessian, x, tol: float, max_iter: int):
 
 
 def _check_affine(family: ParametrizedFamily, alpha: float, point: np.ndarray) -> None:
-    pairs = [(0, 0)] + ([(0, 1)] if family.param_dim > 1 else [])
-    for i, j in pairs:
-        res = ext_covariant_derivative(family, point, i, j, alpha)
-        if float(np.linalg.norm(res.vector.mixture)) > 1e-4:
+    """Reject a chart whose flat derivatives (0, 0) and (0, 1) at ``point`` do not vanish.
+
+    The point is decomposed once, and both derivatives are one stack.
+    """
+    pairs = ([0, 0], [0, 1]) if family.param_dim > 1 else ([0], [0])
+    theta, _, spec = _point_and_spectrum(family, point)
+    for mixture in _covariant_mixtures(family, theta, spec, pairs, alpha, True):
+        norm = float(np.linalg.norm(mixture))
+        if norm > 1e-4:
             raise ValueError(
                 "coordinates are not affine for this embedding order "
-                f"(flat covariant derivative has norm {np.linalg.norm(res.vector.mixture):.3e})"
+                f"(flat covariant derivative has norm {norm:.3e})"
             )
 
 
@@ -827,24 +828,25 @@ def convexity_failure_check(
 
     The classical alpha-connection satisfies this convex-combination identity
     exactly: the gap is zero on commuting (diagonal) families and genuinely
-    nonzero on noncommuting charts for 0 < |alpha| < 1. Each grid point is
-    decomposed once, for its three covariant-derivative sets.
+    nonzero on noncommuting charts for 0 < |alpha| < 1. The grid is evaluated
+    and decomposed once, and each of the three orders is one
+    covariant-derivative set over the whole grid.
     """
     alpha = float(alpha)
     w_plus, w_minus = 0.5 * (1.0 + alpha), 0.5 * (1.0 - alpha)
     d = family.param_dim
-    diffs = np.empty((len(grid), d, d))
-    for n, theta in enumerate(grid):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        spec = spectral_decompose(family.point(theta))
-        direct, plus, minus = (
-            covariant_derivative_set(family, theta, spec, a) for a in (alpha, 1.0, -1.0)
-        )
-        gaps = direct - (w_plus * plus + w_minus * minus)
-        # one norm per matrix: a norm over stacked axes sums in another order
+    points = np.stack([np.atleast_1d(np.asarray(theta, dtype=float)) for theta in grid])
+    spec = spectral_decompose(family.point(points))
+    direct, plus, minus = (
+        covariant_derivative_set(family, points, spec, a) for a in (alpha, 1.0, -1.0)
+    )
+    gaps = direct - (w_plus * plus + w_minus * minus)
+    diffs = np.empty((len(points), d, d))
+    # one norm per matrix: a norm over stacked axes sums in another order
+    for n in range(len(points)):
         for i in range(d):
             for j in range(i, d):
-                diffs[n, i, j] = diffs[n, j, i] = np.linalg.norm(gaps[i, j])
+                diffs[n, i, j] = diffs[n, j, i] = np.linalg.norm(gaps[n, i, j])
     return ConvexityReport(
         alpha=alpha,
         max_difference=float(diffs.max()),
@@ -978,7 +980,8 @@ def gibbs_family(observables: Sequence[np.ndarray]) -> GibbsFamily:
     """Build the normalized exponential family of the given observables.
 
     {I, Y_1, ..., Y_m} must be linearly independent; the chart carries
-    analytic first and second derivatives through the exp matrix calculus.
+    analytic first and second derivatives through the exp matrix calculus,
+    and all three broadcast over a stack of theta (k, m).
     """
     ys = _gibbs_observables(observables)
     if ys.ndim != 3:
@@ -997,10 +1000,11 @@ def gibbs_family(observables: Sequence[np.ndarray]) -> GibbsFamily:
     def hessian(theta, i, j):
         spec, _, sigma = spectrum(theta)
         dirs = _gibbs_directions(sigma, ys)
-        dsig_j = frechet_derivative(spec, dirs[j], expf)
-        d2psi = float(np.trace(dsig_j @ ys[i]).real)
+        dsig_j = frechet_derivative(spec, dirs[..., j, :, :], expf)
+        d2psi = np.trace(dsig_j @ ys[i], axis1=-2, axis2=-1).real
         return hermitize(
-            frechet_second_derivative(spec, dirs[i], dirs[j], expf) - d2psi * sigma
+            frechet_second_derivative(spec, dirs[..., i, :, :], dirs[..., j, :, :], expf)
+            - d2psi[..., None, None] * sigma
         )
 
     fam = ParametrizedFamily(

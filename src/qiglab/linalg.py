@@ -343,6 +343,26 @@ def _triple_difference(fun: ScalarFunction, x: float, y: float, z: float) -> flo
     return (_pair_difference(fun, a, b) - _pair_difference(fun, b, c)) / (a - c)
 
 
+def _triple_difference_tensor(lam: np.ndarray, fun: ScalarFunction) -> np.ndarray:
+    """T[..., i, k, j] = f[λi, λk, λj] for eigenvalues (..., n), one (n, n, n) tensor per row.
+
+    Each row is built alone: its sorted-index cache is its own, so a row
+    whose eigenvalues nearly coincide never lends its values to another.
+    """
+    n = lam.shape[-1]
+    t = np.empty(lam.shape + (n, n), dtype=float)
+    for row, out in zip(lam.reshape(-1, n), t.reshape(-1, n, n, n)):
+        cache: dict = {}
+        for i in range(n):
+            for k in range(n):
+                for j in range(n):
+                    key = tuple(sorted((i, k, j)))
+                    if key not in cache:
+                        cache[key] = _triple_difference(fun, row[i], row[k], row[j])
+                    out[i, k, j] = cache[key]
+    return t
+
+
 def frechet_second_derivative(
     spec: Spectrum, first: np.ndarray, second: np.ndarray, f
 ) -> np.ndarray:
@@ -352,22 +372,14 @@ def frechet_second_derivative(
     out[i, j] = Σ_k f[λi, λk, λj] (E[i,k] F[k,j] + F[i,k] E[k,j])
     with f[.,.,.] the second divided difference. E and F may be stacks
     (..., n, n) at the one point, paired matrix by matrix; the triple tensor
-    is built once for them.
+    is built once for them. A stacked Spectrum, eigenvalues (..., n), gets
+    one triple tensor per base point, and its leading axes broadcast against
+    the directions'.
     """
     fun = _as_scalar_function(f)
     e = spec.to_eigenbasis(np.asarray(first, dtype=complex))
     g = spec.to_eigenbasis(np.asarray(second, dtype=complex))
-    lam = spec.eigenvalues
-    n = spec.dim
-    t = np.empty((n, n, n), dtype=float)
-    cache: dict = {}
-    for i in range(n):
-        for k in range(n):
-            for j in range(n):
-                key = tuple(sorted((i, k, j)))
-                if key not in cache:
-                    cache[key] = _triple_difference(fun, lam[i], lam[k], lam[j])
-                t[i, k, j] = cache[key]
-    pairing = "ikj,...ik,...kj->...ij"
+    t = _triple_difference_tensor(np.asarray(spec.eigenvalues, dtype=float), fun)
+    pairing = "...ikj,...ik,...kj->...ij"
     out = spec.from_eigenbasis(np.einsum(pairing, t, e, g) + np.einsum(pairing, t, g, e))
     return _hermitize_self_adjoint(out, first, second)

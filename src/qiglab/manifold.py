@@ -295,8 +295,9 @@ class ParametrizedFamily:
     over leading axes: a stack (m, d) maps to (m, n, n), row by row with the
     same arithmetic. ``jacobian(theta)`` returns all d partials of the chart,
     (d, n, n), and must broadcast in the same way: (m, d) gives (m, d, n, n).
-    ``hessian(theta, i, j)`` returns the second partial at one theta. When
-    absent, consumers fall back to central differences with step
+    ``hessian(theta, i, j)`` returns the (i, j) second partial, (n, n), and
+    must broadcast in the same way: (m, d) gives (m, n, n). When absent,
+    consumers fall back to central differences with step
     FIRST_DERIVATIVE_STEP * max(1, |theta_i|) for first partials and
     SECOND_DERIVATIVE_STEP * max(1, |theta_i|) for second partials. Charts
     must keep the spectrum above CHART_MIN_EIGENVALUE (domain guard).
@@ -439,7 +440,8 @@ def xi_affine_family(
     With ``analytic=True`` the chart carries exact first and second
     derivatives through the inverse-embedding matrix calculus; with False it
     is a bare chart for finite-difference consumers. The chart and its
-    derivatives share one decomposition of sum xi_i X_i per xi.
+    derivatives share one decomposition of sum xi_i X_i per xi, or per stack
+    of xi (m, d).
     """
     alpha = _check_alpha(alpha)
     basis = check_hermitian(np.stack(basis))
@@ -478,7 +480,7 @@ def linear_family(base: np.ndarray, directions: Sequence[np.ndarray]) -> Paramet
         param_dim=len(directions),
         chart=chart,
         jacobian=lambda theta: np.broadcast_to(directions, theta.shape[:-1] + directions.shape),
-        hessian=lambda theta, i, j: zero,
+        hessian=lambda theta, i, j: np.broadcast_to(zero, theta.shape[:-1] + zero.shape),
     )
 
 

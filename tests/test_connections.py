@@ -9,9 +9,15 @@ from qiglab.connections import (
     ext_covariant_derivative,
     parallel_transport_on_M,
 )
-from qiglab.duality import convexity_failure_check
+from qiglab.duality import (
+    convexity_failure_check,
+    gibbs_family,
+    qubit_bloch_family,
+    sample_grid,
+    standard_witness_families,
+)
 from qiglab.connections import _embedded_second_partials
-from qiglab.linalg import apply_scalar_function, hermitize, spectral_decompose
+from qiglab.linalg import _TRIPLE_RTOL, apply_scalar_function, hermitize, spectral_decompose
 from qiglab.manifold import (
     CHART_MIN_EIGENVALUE,
     SECOND_DERIVATIVE_STEP,
@@ -27,7 +33,7 @@ from qiglab.manifold import (
     state_tangent,
     xi_affine_family,
 )
-from qiglab.sampling import pauli_matrices, rng_from
+from qiglab.sampling import pauli_matrices, random_weight, rng_from
 
 I2, SX, SY, SZ = pauli_matrices()
 QUBIT_BASIS = [I2, SX, SY, SZ]
@@ -156,6 +162,76 @@ def test_covariant_derivative_set_matches_single_derivatives(on_extended):
                 expected = single(fam, theta, i, j, alpha).vector.mixture
                 np.testing.assert_array_equal(nabla[i, j], expected)
                 np.testing.assert_array_equal(nabla[j, i], expected)
+
+
+def _witness_cases():
+    """(witness, on_extended) for every documented witness family: the flat set on every
+    chart, and the projected one on the unit-trace charts."""
+    witnesses = standard_witness_families(2) + standard_witness_families(3)
+    return [
+        (w, on_ext) for w in witnesses for on_ext in (True, False) if on_ext or not w.on_extended
+    ]
+
+
+def _assert_stack_matches_points(fam, points, alpha, on_extended):
+    """A stacked covariant_derivative_set equals, point by point, the one-point call's bits."""
+    spec = spectral_decompose(fam.point(points))
+    stacked = covariant_derivative_set(fam, points, spec, alpha, on_extended)
+    d, n = fam.param_dim, spec.dim
+    assert stacked.shape == (len(points), d, d, n, n)
+    for k, theta in enumerate(points):
+        one = spectral_decompose(fam.point(theta))
+        single = covariant_derivative_set(fam, theta, one, alpha, on_extended)
+        assert np.array_equal(stacked[k], single)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+@pytest.mark.parametrize(
+    "witness, on_extended", _witness_cases(), ids=lambda c: getattr(c, "name", str(c))
+)
+def test_stacked_covariant_derivative_set_equals_point_by_point(witness, on_extended, alpha):
+    points = np.stack(sample_grid(witness, [7, witness.family.param_dim], 3))
+    _assert_stack_matches_points(witness.family, points, alpha, on_extended)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+def test_stacked_covariant_derivative_set_on_an_analytic_affine_chart(alpha):
+    rng = rng_from(23)
+    fam = xi_affine_family(QUBIT_BASIS, alpha)
+    sigmas = np.stack([random_weight(rng, 2, 0.6, 1.8) for _ in range(3)])
+    points = affine_coordinates(sigmas, alpha, QUBIT_BASIS)
+    # the flat set vanishes in a matched affine chart, so use a mismatched order too
+    for order in (alpha, -alpha, 0.9):
+        _assert_stack_matches_points(fam, points, order, True)
+
+
+@pytest.mark.parametrize("on_extended", [True, False])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+def test_stacked_covariant_derivative_set_on_a_gibbs_chart(alpha, on_extended):
+    fam = gibbs_family([SX, SZ]).family
+    points = np.array([[0.3, -0.2], [-0.5, 0.1], [0.05, 0.4]])
+    _assert_stack_matches_points(fam, points, alpha, on_extended)
+
+
+@pytest.mark.parametrize("on_extended", [True, False])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+def test_stacked_covariant_derivative_set_keeps_each_points_triple_differences(alpha, on_extended):
+    # the first point's eigenvalue gap, 1e-9, is below _TRIPLE_RTOL: its triple differences
+    # take the coincident branches, and a cache shared with the generic point would mix them
+    fam = qubit_bloch_family()
+    points = np.array([[1e-9, 0.0, 0.0], [0.2, -0.1, 0.15]])
+    gap = np.diff(np.linalg.eigvalsh(fam.point(points[0])))[0]
+    assert 0.0 < gap < _TRIPLE_RTOL
+    _assert_stack_matches_points(fam, points, alpha, on_extended)
+    _assert_stack_matches_points(fam, points[::-1], alpha, on_extended)
+
+
+def test_stacked_fd_covariant_derivative_set_fits_each_points_stencil_alone():
+    # without analytic derivatives each point keeps its own shrink-and-retry: the first
+    # point's stencil is halved, the second point's is not
+    fam = _diagonal_chart(1.0)
+    points = np.array([[SECOND_DERIVATIVE_STEP + 0.5 * CHART_MIN_EIGENVALUE], [0.7]])
+    _assert_stack_matches_points(fam, points, 0.5, True)
 
 
 # -------------------------------------------- projected covariant derivative

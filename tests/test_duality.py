@@ -225,6 +225,35 @@ def test_defect_grid_builds_each_connection_set_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_defect_grid_builds_each_signed_alpha_in_one_stacked_call(monkeypatch, capsys):
+    import qiglab.duality
+    from qiglab.cli import main
+
+    shapes = []  # the theta of each covariant_derivative_set call
+    original = qiglab.duality.covariant_derivative_set
+
+    def counted(family, theta, *args, **kwargs):
+        shapes.append(np.shape(theta))
+        return original(family, theta, *args, **kwargs)
+
+    monkeypatch.setattr(qiglab.duality, "covariant_derivative_set", counted)
+    witness = standard_witness_families(2, "state")[0]
+    shared = DefectGrid(witness.family, sample_grid(witness, 5, 3))
+    for alpha in (0.5, -0.5, 0.0):
+        shared.defect(wyd_function(0.5 * (1.0 + alpha)), alpha)
+    # nabla at 0.5, -0.5 and 0, each for all three points at once
+    assert shapes == [(3, 3)] * 3
+    for alpha in (0.5, 0.0, -0.5):
+        shared.defect(bures_function(), alpha)
+    assert len(shapes) == 3
+    shapes.clear()
+    # default duality: 2 dims x 2 manifolds of 3-point grids, alpha -0.5, 0 and 0.5
+    assert main(["duality"]) == 0
+    capsys.readouterr()
+    assert len(shapes) == 12
+    assert all(shape[0] == 3 for shape in shapes)
+
+
 @pytest.mark.parametrize("points", [1, 3])
 @pytest.mark.parametrize("dim, manifold", [(2, "state"), (3, "weight")])
 def test_defect_grid_evaluates_and_decomposes_in_two_stacked_calls(
@@ -358,13 +387,15 @@ def test_dual_coordinate_check_needs_points():
 
 def _count_decompositions(monkeypatch):
     """Count numpy eigh/eigvalsh calls from here on, together ("eig") and
-    apart (by function name); a stacked call counts once."""
-    calls = {"eig": 0, "eigh": 0, "eigvalsh": 0}
+    apart (by function name); a stacked call counts once. "matrices" counts
+    the matrices they decompose, each matrix of a stack once."""
+    calls = {"eig": 0, "eigh": 0, "eigvalsh": 0, "matrices": 0}
 
     def counted(fn, name):
         def wrapper(*args, **kwargs):
             calls["eig"] += 1
             calls[name] += 1
+            calls["matrices"] += int(np.prod(np.shape(args[0])[:-2]))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -459,10 +490,12 @@ def test_convexity_fails_on_noncommuting_family():
     ids=["qubit-bloch", "simplex-3"],
 )
 def test_convexity_check_decomposes_each_grid_point_once(monkeypatch, family, grid):
-    # one chart guard and one Spectrum per point, shared by the sets at alpha, +1 and -1
+    # one stacked chart guard and one stacked Spectrum for the whole grid, shared by the
+    # sets at alpha, +1 and -1: each point goes through each of the two once
     calls = _count_decompositions(monkeypatch)
     convexity_failure_check(0.5, family, grid)
-    assert (calls["eigh"], calls["eigvalsh"]) == (len(grid), len(grid))
+    assert (calls["eigh"], calls["eigvalsh"]) == (1, 1)
+    assert calls["matrices"] == 2 * len(grid)
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
@@ -956,7 +989,7 @@ def test_stacked_scalar_hessian_equals_the_one_point_stencil(alpha):
 
 
 def test_potential_check_makes_the_same_chart_calls_for_any_grid(monkeypatch):
-    # two for the affine check, then one each for the coordinates, the metric,
+    # one for the affine check, then one each for the coordinates, the metric,
     # the Hessian stencil and the gradient stencil of the whole grid
     basis = hermitian_basis(2)
     counts = []
@@ -976,7 +1009,7 @@ def test_potential_check_makes_the_same_chart_calls_for_any_grid(monkeypatch):
         rep = potential_check(family, 0.5, points, basis)
         assert rep.residual <= 1e-5
         counts.append(calls["n"])
-    assert counts == [6, 6]
+    assert counts == [5, 5]
 
 
 def test_relative_entropy_curvature_gap():

@@ -7,8 +7,9 @@ exactly. Base spectra are generic, near-degenerate (a gap below
 DEGENERACY_RTOL, or a cluster of three below _TRIPLE_RTOL) or have a tiny
 eigenvalue. Directions mix self-adjoint and general matrices, so the
 self-adjointness test that decides the final symmetrization runs per matrix.
-`frechet_derivative` also takes a stack of base points, each paired with its
-own stack of directions, and `divided_difference_matrix` a stack of spectra.
+`frechet_derivative` and `frechet_second_derivative` also take a stack of
+base points, each paired with its own stack of directions, and
+`divided_difference_matrix` a stack of spectra.
 """
 
 import numpy as np
@@ -127,19 +128,24 @@ def test_stacked_sphere_project_equals_matrix_by_matrix(case, alpha):
 
 @st.composite
 def bases_and_directions(draw):
-    """A stacked Spectrum of k base points (k in 1..4) and a stack (k, m, n, n) of directions."""
+    """A stacked Spectrum of k base points (k in 1..4) and two stacks (k, m, n, n) of directions.
+
+    Each base point draws its own spectrum kind, so a stack may mix a
+    near-degenerate point with generic ones.
+    """
     n, m = draw(st.integers(2, 4)), draw(st.integers(1, 4))
     cases = draw(st.lists(base_and_directions(n=n, m=m), min_size=1, max_size=4))
     spec = Spectrum(
         np.stack([c[0].eigenvalues for c in cases]), np.stack([c[0].unitary for c in cases])
     )
-    return spec, [c[0] for c in cases], np.stack([c[1] for c in cases])
+    first, second = (np.stack([c[k] for c in cases]) for k in (1, 2))
+    return spec, [c[0] for c in cases], first, second
 
 
 @PROPERTY
 @given(case=bases_and_directions(), f=_functions())
 def test_frechet_derivative_on_stacked_bases_equals_base_by_base(case, f):
-    spec, bases, directions = case
+    spec, bases, directions, _ = case
     out = frechet_derivative(spec.expand_dims(), directions, f)
     kernels = divided_difference_matrix(spec.eigenvalues, f)
     assert out.shape == directions.shape
@@ -147,3 +153,18 @@ def test_frechet_derivative_on_stacked_bases_equals_base_by_base(case, f):
     for k, base in enumerate(bases):
         assert np.array_equal(out[k], frechet_derivative(base, directions[k], f))
         assert np.array_equal(kernels[k], divided_difference_matrix(base.eigenvalues, f))
+
+
+@PROPERTY
+@given(case=bases_and_directions(), f=_functions())
+def test_frechet_second_derivative_on_stacked_bases_equals_base_by_base(case, f):
+    spec, bases, first, second = case
+    # each base point with its own stack of directions, and with one direction pair each
+    out = frechet_second_derivative(spec.expand_dims(), first, second, f)
+    rows = frechet_second_derivative(spec, first[:, 0], second[:, 0], f)
+    assert out.shape == first.shape
+    assert rows.shape == first[:, 0].shape
+    for k, base in enumerate(bases):
+        assert np.array_equal(out[k], frechet_second_derivative(base, first[k], second[k], f))
+        one = frechet_second_derivative(base, first[k, 0], second[k, 0], f)
+        assert np.array_equal(rows[k], one)
