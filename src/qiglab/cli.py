@@ -24,6 +24,7 @@ import numpy as np
 
 from .manifold import (
     affine_coordinates,
+    check_state,
     simplex_family,
     state_tangent,
     xi_affine_family,
@@ -372,8 +373,8 @@ def _run_metric_table(opt):
                 "status": status,
             }
         )
-    # demo table: metric values of the sigma_x tangent at diag(3/4, 1/4)
-    rho = np.diag([0.75, 0.25]).astype(complex)
+    # demo table: metric values of the sigma_x tangent at diag(3/4, 1/4), decomposed once
+    rho = check_state(np.diag([0.75, 0.25]).astype(complex))
     sx = pauli_matrices()[1]
     for f in (
         bures_function(),
@@ -401,12 +402,12 @@ def _run_metric_table(opt):
         rng = rng_from([seed, 1000 + n])
         violation = 0.0
         for _ in range(n_ord):
-            rho = random_state(rng, n, floor)
+            spec = check_state(random_state(rng, n, floor))  # shared by all six metrics
             a = random_traceless_hermitian(rng, n)
-            lo = metric_eval(rho, bures_function(), a, a)
-            hi = metric_eval(rho, rld_function(), a, a)
+            lo = metric_eval(spec, bures_function(), a, a)
+            hi = metric_eval(spec, rld_function(), a, a)
             for f in middle:
-                g = metric_eval(rho, f, a, a)
+                g = metric_eval(spec, f, a, a)
                 violation = max(violation, lo - g, g - hi)
         worst_violation = max(worst_violation, violation)
         records.append(

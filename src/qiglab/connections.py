@@ -31,7 +31,6 @@ from .linalg import (
     frechet_derivative,
     frechet_second_derivative,
     hermitize,
-    spectral_decompose,
 )
 from .manifold import (
     SECOND_DERIVATIVE_STEP,
@@ -73,7 +72,7 @@ class CurveSpec:
             raise ValueError(f"step_count must be at least 1, got {self.step_count}")
 
     def point(self, t: float) -> np.ndarray:
-        return self.family.point(np.atleast_1d(np.asarray(self.path(t), dtype=float)))
+        return self.family.point(self.path(t))
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def _stencil_second_partials(family: ParametrizedFamily, theta: np.ndarray, fun,
     """Central-stencil second partials of the embedded chart at one theta (d,), pairs (i, j)."""
 
     def embedded(t):
-        return apply_scalar_function(spectral_decompose(family.point(t)), fun)
+        return apply_scalar_function(family.point_and_spectrum(t)[2], fun)
 
     for shrink in range(4):
         step = SECOND_DERIVATIVE_STEP * 0.5**shrink
@@ -156,12 +155,6 @@ def _covariant_mixtures(
     return mixture - (trace / n)[..., None, None] * np.eye(n)  # kill round-off trace
 
 
-def _point_and_spectrum(family: ParametrizedFamily, theta: np.ndarray):
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    sigma = family.point(theta)
-    return theta, sigma, spectral_decompose(sigma)
-
-
 def ext_covariant_derivative(
     family: ParametrizedFamily, theta: np.ndarray, i: int, j: int, alpha: float
 ) -> CovariantDerivativeResult:
@@ -171,7 +164,7 @@ def ext_covariant_derivative(
     mixture representation at the base point. Vanishes identically in
     coordinates that make the embedding affine.
     """
-    theta, sigma, spec = _point_and_spectrum(family, theta)
+    theta, sigma, spec = family.point_and_spectrum(theta)
     mixture = _covariant_mixtures(family, theta, spec, ([i], [j]), alpha, True)[0]
     return CovariantDerivativeResult(sigma, weight_tangent(sigma, mixture))
 
@@ -185,7 +178,7 @@ def covariant_derivative_on_M(
     projection at the base point; the alpha representation of the result is
     tangent (weighted trace zero) by construction.
     """
-    theta, sigma, spec = _point_and_spectrum(family, theta)
+    theta, sigma, spec = family.point_and_spectrum(theta)
     mixture = _covariant_mixtures(family, theta, spec, ([i], [j]), alpha, False)[0]
     return CovariantDerivativeResult(sigma, state_tangent(sigma, mixture))
 
@@ -231,14 +224,14 @@ def _curve_points(curve: CurveSpec, start: np.ndarray, steps: int):
     """
     prev = start
     for k in range(1, steps + 1):
-        sigma = curve.point(k / steps)
+        _, sigma, spec = curve.family.point_and_spectrum(curve.path(k / steps))
         move = float(np.linalg.norm(sigma - prev))
         if move > CONTINUITY_BOUND:
             raise ValueError(
                 f"curve moves {move:.3f} at step {k}/{steps} (> {CONTINUITY_BOUND}); "
                 f"step_count={steps} is too small for a continuous discretization"
             )
-        yield sigma, spectral_decompose(sigma)
+        yield sigma, spec
         prev = sigma
 
 

@@ -30,13 +30,13 @@ from .linalg import (
     spectral_decompose,
 )
 from .manifold import (
-    CHART_MIN_EIGENVALUE,
     FIRST_DERIVATIVE_STEP,
     SECOND_DERIVATIVE_STEP,
     ParametrizedFamily,
     TangentVector,
     _central_difference,
     _central_stencil,
+    _check_chart_guard,
     _last_value_cache,
     _scalar_gradient,
     _scalar_hessian,
@@ -74,7 +74,6 @@ from .connections import (
     _check_start,
     _covariant_mixtures,
     _curve_points,
-    _point_and_spectrum,
     covariant_derivative_set,
     parallel_transport_on_M,
 )
@@ -286,7 +285,7 @@ def _metric_matrix(
     family: ParametrizedFamily, theta: np.ndarray, f: MonotoneFunctionSpec
 ) -> np.ndarray:
     """g_ab = f-metric of the coordinate tangents d_a sigma, d_b sigma at theta."""
-    spec = spectral_decompose(family.point(theta))
+    theta, _, spec = family.point_and_spectrum(theta)
     tangents = _eigenbasis_tangents(family, theta, spec)
     return _tangent_gram(tangents, petz_kernel(spec, f).coefficients)
 
@@ -319,8 +318,8 @@ class DefectGrid:
         stencil, self._widths = _central_stencil(points, FIRST_DERIVATIVE_STEP)
         stencil = stencil.reshape(-1, points.shape[-1])
         # one chart call and one stacked decomposition for the grid, and one for its stencil
-        self._spectrum = spectral_decompose(family.point(points))
-        self._stencil_spectrum = spectral_decompose(family.point(stencil))
+        self._spectrum = family.point_and_spectrum(points)[2]
+        self._stencil_spectrum = family.point_and_spectrum(stencil)[2]
         self._tangents = _eigenbasis_tangents(family, points, self._spectrum)
         self._stencil_tangents = _eigenbasis_tangents(family, stencil, self._stencil_spectrum)
         self._nabla = {}
@@ -527,7 +526,7 @@ def _check_affine(family: ParametrizedFamily, alpha: float, point: np.ndarray) -
     The point is decomposed once, and both derivatives are one stack.
     """
     pairs = ([0, 0], [0, 1]) if family.param_dim > 1 else ([0], [0])
-    theta, _, spec = _point_and_spectrum(family, point)
+    theta, _, spec = family.point_and_spectrum(point)
     for mixture in _covariant_mixtures(family, theta, spec, pairs, alpha, True):
         norm = float(np.linalg.norm(mixture))
         if norm > 1e-4:
@@ -577,7 +576,7 @@ def potential_check(
         return potential_value(family.point(xi), alpha)
 
     # one chart call on the grid serves both: the chart caches its decomposition
-    zetas = affine_coordinates(family.point(points), -alpha, basis)
+    zetas = affine_coordinates(family.point_and_spectrum(points)[2], -alpha, basis)
     metric = _metric_matrix(family, points, matched_metric(alpha))
     hess = _scalar_hessian(psi, points)
     etas = _scalar_gradient(psi, points)
@@ -836,7 +835,7 @@ def convexity_failure_check(
     w_plus, w_minus = 0.5 * (1.0 + alpha), 0.5 * (1.0 - alpha)
     d = family.param_dim
     points = np.stack([np.atleast_1d(np.asarray(theta, dtype=float)) for theta in grid])
-    spec = spectral_decompose(family.point(points))
+    spec = family.point_and_spectrum(points)[2]
     direct, plus, minus = (
         covariant_derivative_set(family, points, spec, a) for a in (alpha, 1.0, -1.0)
     )
@@ -898,7 +897,7 @@ def flatness_scan(alpha: float, dim: int, seed=5) -> float:
     for _ in range(2):
         sigma = random_weight(rng, dim, 0.5, 2.0)
         xi = affine_coordinates(sigma, alpha, basis)
-        spec = spectral_decompose(fam.point(xi))
+        spec = fam.point_and_spectrum(xi)[2]
         nabla = covariant_derivative_set(fam, xi, spec, alpha, on_extended=True)
         worst = max(worst, max(float(np.linalg.norm(m)) for m in nabla[upper]))
     return worst
@@ -1060,14 +1059,7 @@ def entropy_projections(rhos: np.ndarray, observables: np.ndarray, tol: float = 
     def gradient(theta, rows):
         shifted, _, sigma = evaluate(theta, rows)
         # sigma's eigenvalues are exp of the shifted ones: the chart guard needs no eigvalsh
-        low = np.exp(shifted.eigenvalues.min(axis=-1))
-        if np.any(low < CHART_MIN_EIGENVALUE):
-            where, _ = _first_in_stack(low < CHART_MIN_EIGENVALUE)
-            raise ValueError(
-                f"chart evaluation failed at stack index {rows[where[0]]}, "
-                f"theta={theta[where[0]].tolist()}: chart output min eigenvalue "
-                f"{float(low[where]):.3e} below guard {CHART_MIN_EIGENVALUE:.1e}"
-            )
+        _check_chart_guard(np.exp(shifted.eigenvalues.min(axis=-1)), theta, rows)
         nu[rows], unitary[rows], sigmas[rows] = shifted.eigenvalues, shifted.unitary, sigma
         return _expectations(sigma, ys[rows]) - target[rows]
 
@@ -1126,13 +1118,13 @@ def relative_entropy_curvature_gap(
     rho: np.ndarray, direction: np.ndarray, t: float = 1e-2
 ) -> float:
     """|S(rho | rho + t D) - (1/2) t^2 bkm(D, D)|: the second-order expansion."""
-    check_state(rho)
+    spec = check_state(rho)
     d = check_hermitian(direction)
     if abs(complex(np.trace(d))) > 1e-10:
         raise ValueError("expansion direction must be traceless")
     sigma = rho + t * d
-    bkm = bkm_direct(rho, TangentVector(rho, d), TangentVector(rho, d))
-    return float(abs(relative_entropy(rho, sigma) - 0.5 * bkm * t * t))
+    bkm = bkm_direct(spec, d, d)
+    return float(abs(relative_entropy(spec, sigma) - 0.5 * bkm * t * t))
 
 
 # ---------------------------------------------------------------------------
@@ -1264,7 +1256,7 @@ def classical_reduction_check(seed=0) -> dict:
         p = rng.dirichlet(np.ones(dim)) * 0.6 + 0.4 / dim  # interior simplex point
         theta = p[:-1]
         # one decomposition of the point serves every kernel and every WYD pairing
-        spec = check_state(fam.point(theta))
+        spec = check_state(fam.point_and_spectrum(theta)[2])
         tangents = fam.tangent_matrices(theta)
         dp = np.diagonal(tangents, axis1=-2, axis2=-1).real
         fisher = (dp / p) @ dp.T

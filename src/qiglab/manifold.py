@@ -52,7 +52,6 @@ __all__ = [
     "representation_convert",
     "sphere_project",
     "ParametrizedFamily",
-    "family_tangent",
     "basis_combination",
     "affine_coordinates",
     "xi_affine_family",
@@ -176,6 +175,22 @@ def check_state(a: Union[np.ndarray, Spectrum]) -> Spectrum:
     return spec
 
 
+def _check_chart_guard(low: np.ndarray, theta: np.ndarray, rows=None) -> None:
+    """Reject chart values whose smallest eigenvalues, ``low`` (one per row of theta (..., d)),
+    fall below CHART_MIN_EIGENVALUE; the error names the first failing row's theta, and its
+    stack index rows[k] when ``rows`` is given."""
+    low = np.reshape(low, -1)
+    bad = low < CHART_MIN_EIGENVALUE
+    if bad.any():
+        k = int(np.argmax(bad))
+        theta = np.reshape(theta, (len(low), -1))[k]
+        at = "" if rows is None else f"stack index {rows[k]}, "
+        raise ValueError(
+            f"chart evaluation failed at {at}theta={theta.tolist()}: chart output min "
+            f"eigenvalue {float(low[k]):.3e} below guard {CHART_MIN_EIGENVALUE:.1e}"
+        )
+
+
 @dataclass(frozen=True)
 class TangentVector:
     """A tangent vector at a positive-matrix base point, in mixture form.
@@ -246,7 +261,7 @@ def alpha_representation(v: TangentVector, alpha: float) -> np.ndarray:
     unit-trace base the result satisfies Tr(rho^((1+alpha)/2) A) = 0.
     """
     alpha = _check_alpha(alpha)
-    spec = spectral_decompose(v.base)
+    spec = check_weight(v.base)
     return frechet_derivative(spec, v.mixture, embedding_function(alpha))
 
 
@@ -312,13 +327,9 @@ class ParametrizedFamily:
     def has_analytic_second_order(self) -> bool:
         return self.jacobian is not None and self.hessian is not None
 
-    def point(self, theta: np.ndarray) -> np.ndarray:
-        """Chart value at theta (d,), or at every row of a stack (m, d) as (m, n, n).
-
-        Each matrix must be self-adjoint with its spectrum above the guard;
-        one eigvalsh checks the whole stack. The error names the theta that
-        fails, for a stack its first failing row.
-        """
+    def _evaluate(self, theta: np.ndarray, vectors: bool) -> tuple:
+        """(theta, sigma, eigenvalues, eigenvectors if ``vectors`` else None), checked as
+        ``point_and_spectrum`` says; the eigenvalues come from eigh or eigvalsh."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if theta.ndim > 2 or theta.shape[-1] != self.param_dim:
             raise ValueError(
@@ -330,19 +341,27 @@ class ParametrizedFamily:
                 raise ValueError(
                     f"chart output shape {sigma.shape} does not follow the parameter stack"
                 )
-            low = np.linalg.eigvalsh(sigma).min(axis=-1)
-            if np.any(low < CHART_MIN_EIGENVALUE):
-                low = float(low.min())
-                raise ValueError(
-                    f"chart output min eigenvalue {low:.3e} "
-                    f"below guard {CHART_MIN_EIGENVALUE:.1e}"
-                )
         except ValueError as exc:
             if theta.ndim == 2:
                 for row in theta:  # the first failing row raises with its own theta
-                    self.point(row)
+                    self._evaluate(row, vectors)
             raise ValueError(f"chart evaluation failed at theta={theta.tolist()}: {exc}") from exc
-        return sigma
+        w, u = np.linalg.eigh(sigma) if vectors else (np.linalg.eigvalsh(sigma), None)
+        _check_chart_guard(w.min(axis=-1), theta)
+        return theta, sigma, w, u
+
+    def point(self, theta: np.ndarray) -> np.ndarray:
+        """Chart value at theta (d,), or at every row of a stack (m, d) as (m, n, n); checked as
+        ``point_and_spectrum`` checks it, with one eigvalsh in place of its eigh."""
+        return self._evaluate(theta, vectors=False)[1]
+
+    def point_and_spectrum(self, theta: np.ndarray) -> tuple:
+        """(theta as a float array, sigma, Spectrum of sigma) at theta (d,), or at every row of
+        a stack (m, d). Each sigma must be self-adjoint with its spectrum above the guard; one
+        eigh decomposes the stack and serves the guard. The error names the theta that fails,
+        for a stack its first failing row."""
+        theta, sigma, w, u = self._evaluate(theta, vectors=True)
+        return theta, sigma, Spectrum(w, u)
 
     def tangent_matrices(self, theta: np.ndarray) -> np.ndarray:
         """All d partials of the chart at theta (d,), shape (d, n, n); (m, d) gives (m, d, n, n).
@@ -361,18 +380,6 @@ class ParametrizedFamily:
         if not 0 <= i < self.param_dim:
             raise ValueError(f"direction index {i} out of range for param_dim {self.param_dim}")
         return self.tangent_matrices(theta)[i]
-
-
-def family_tangent(family: ParametrizedFamily, theta: np.ndarray, i: int) -> TangentVector:
-    """Coordinate tangent vector of a chart at theta (mixture representation)."""
-    base = family.point(theta)
-    m = family.tangent_matrix(theta, i)
-    if abs(float(np.trace(base).real) - 1.0) <= STATE_TRACE_TOL:
-        # unit-trace chart: kill the round-off trace so the invariant is exact
-        n = base.shape[0]
-        m = m - (np.trace(m) / n) * np.eye(n) if abs(np.trace(m)) <= 1e-8 else m
-        return state_tangent(base, m)
-    return weight_tangent(base, m)
 
 
 def basis_combination(xi: np.ndarray, basis) -> np.ndarray:
@@ -414,13 +421,14 @@ def _last_value_cache(fn: Callable[..., object]) -> Callable[..., object]:
 
 
 def affine_coordinates(
-    sigma: np.ndarray, alpha: float, basis: Sequence[np.ndarray]
+    sigma: Union[np.ndarray, Spectrum], alpha: float, basis: Sequence[np.ndarray]
 ) -> np.ndarray:
     """Coordinates of the embedded matrix in a self-adjoint basis.
 
     Solves sum_i xi_i X_i = embed(sigma) through the basis Gram matrix;
-    a singular Gram matrix is rejected. A stack of matrices (..., n, n)
-    gives coordinates (..., d), all solved with the one Gram matrix.
+    a singular Gram matrix is rejected. A stack of matrices (..., n, n), or
+    its stacked Spectrum, gives coordinates (..., d), all solved with the one
+    Gram matrix.
     """
     target = apply_scalar_function(check_weight(sigma), embedding_function(alpha))
     basis = np.asarray(basis)

@@ -292,3 +292,16 @@ def test_parser_builds_options_for_the_invoked_subcommand_only():
         options = {opt for action in sub._actions for opt in action.option_strings}
         assert ("--dual-points" in options) == (name == "potential")
         assert ("--seed" in options) == (name == "potential")
+
+
+# ------------------------------------------------------------- decompositions
+
+
+def test_metric_table_decomposes_each_base_point_once(calls, capsys):
+    # one sample per (dim, alpha), the demo point and three ordering samples: each base point
+    # is decomposed once and its Spectrum serves every metric evaluated there
+    calls.eig()
+    argv = ["metric-table", "--dims", "2", "--alphas", "0", "--samples", "1"]
+    assert main(argv + ["--ordering-samples", "3"]) == 0
+    capsys.readouterr()
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (1 + 1 + 3, 0)

@@ -83,27 +83,17 @@ def test_ext_derivative_analytic_matches_fd_chart():
             np.testing.assert_allclose(a.vector.mixture, b.vector.mixture, atol=1e-5)
 
 
-def test_fd_diagonal_partial_decomposes_each_chart_point_once(monkeypatch):
+def test_fd_diagonal_partial_decomposes_each_chart_point_once(calls):
     # a bare linear chart (no analytic derivatives, no decomposition of its own),
     # broadcasting over a parameter stack as ParametrizedFamily requires
     def chart(t):
         return I2 / 2.0 + t[..., 0, None, None] * SX / 2.0 + t[..., 1, None, None] * SZ / 2.0
 
     fam = ParametrizedFamily(2, chart=chart)
-    calls = {"eigh": 0, "eigvalsh": 0}
-
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "eigh"))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "eigvalsh"))
+    calls.eig()
     res = ext_covariant_derivative(fam, np.array([0.2, -0.1]), 1, 1, 0.3)
-    # the base point and the stacked stencil: one chart guard and one eigendecomposition each
-    assert calls == {"eigh": 2, "eigvalsh": 2}
+    # the base point and the stacked stencil: one eigh each, which also serves the chart guard
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (2, 0)
     assert np.abs(res.vector.mixture).max() > 1e-3
 
 

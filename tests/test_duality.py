@@ -44,7 +44,6 @@ from qiglab.manifold import (
     _scalar_hessian,
     affine_coordinates,
     embedding_function,
-    family_tangent,
     simplex_family,
     state_tangent,
     xi_affine_family,
@@ -192,23 +191,16 @@ def test_defect_grid_equals_per_triple_reference(dim, manifold):
         )
 
 
-def test_defect_grid_builds_each_connection_set_once(monkeypatch, capsys):
+def test_defect_grid_builds_each_connection_set_once(calls, capsys):
     import qiglab.connections
     from qiglab.cli import main
 
-    calls = {"second": 0}
-    second = qiglab.connections.frechet_second_derivative
-
-    def counted(*args, **kwargs):
-        calls["second"] += 1
-        return second(*args, **kwargs)
-
     def count(run):
-        calls["second"] = 0
+        calls.clear()
         run()
-        return calls["second"]
+        return calls.count("frechet_second_derivative")
 
-    monkeypatch.setattr(qiglab.connections, "frechet_second_derivative", counted)
+    calls.watch(qiglab.connections, "frechet_second_derivative")
     witnesses = standard_witness_families(2, "state")
     # one stacked call per covariant-derivative set, for all its pairs i <= j
     battery = count(lambda: uniqueness_scan(0.5, witnesses=witnesses, n_points=1))
@@ -225,18 +217,12 @@ def test_defect_grid_builds_each_connection_set_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_defect_grid_builds_each_signed_alpha_in_one_stacked_call(monkeypatch, capsys):
+def test_defect_grid_builds_each_signed_alpha_in_one_stacked_call(calls, capsys):
     import qiglab.duality
     from qiglab.cli import main
 
-    shapes = []  # the theta of each covariant_derivative_set call
-    original = qiglab.duality.covariant_derivative_set
-
-    def counted(family, theta, *args, **kwargs):
-        shapes.append(np.shape(theta))
-        return original(family, theta, *args, **kwargs)
-
-    monkeypatch.setattr(qiglab.duality, "covariant_derivative_set", counted)
+    calls.watch(qiglab.duality, "covariant_derivative_set", arg=1)
+    shapes = calls.shapes["covariant_derivative_set"]  # the theta of each call
     witness = standard_witness_families(2, "state")[0]
     shared = DefectGrid(witness.family, sample_grid(witness, 5, 3))
     for alpha in (0.5, -0.5, 0.0):
@@ -256,23 +242,16 @@ def test_defect_grid_builds_each_signed_alpha_in_one_stacked_call(monkeypatch, c
 
 @pytest.mark.parametrize("points", [1, 3])
 @pytest.mark.parametrize("dim, manifold", [(2, "state"), (3, "weight")])
-def test_defect_grid_evaluates_and_decomposes_in_two_stacked_calls(
-    monkeypatch, points, dim, manifold
-):
-    # one chart call and one eigh for the grid points, one of each for all 2d * m stencil points
+def test_defect_grid_evaluates_and_decomposes_in_two_stacked_calls(calls, points, dim, manifold):
+    # one chart call and one eigh for the grid points, one of each for all 2d * m stencil points;
+    # each eigh also serves the chart guard
     witness = standard_witness_families(dim, manifold)[0]
-    charts = {"calls": 0}
-
-    def chart(theta):
-        charts["calls"] += 1
-        return witness.family.chart(theta)
-
-    family = dataclasses.replace(witness.family, chart=chart)
+    family = calls.watch(dataclasses.replace(witness.family), "chart")
     grid = sample_grid(witness, [4, dim], points)
-    calls = _count_decompositions(monkeypatch)
+    calls.eig()
     DefectGrid(family, grid, witness.on_extended)
-    assert charts["calls"] == 2
-    assert (calls["eigh"], calls["eigvalsh"]) == (2, 2)
+    assert calls.count("chart") == 2
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (2, 0)
 
 
 def test_defect_grid_rejects_an_empty_grid():
@@ -385,48 +364,32 @@ def test_dual_coordinate_check_needs_points():
         dual_coordinate_check(family, 0.0, [])
 
 
-def _count_decompositions(monkeypatch):
-    """Count numpy eigh/eigvalsh calls from here on, together ("eig") and
-    apart (by function name); a stacked call counts once. "matrices" counts
-    the matrices they decompose, each matrix of a stack once."""
-    calls = {"eig": 0, "eigh": 0, "eigvalsh": 0, "matrices": 0}
-
-    def counted(fn, name):
-        def wrapper(*args, **kwargs):
-            calls["eig"] += 1
-            calls[name] += 1
-            calls["matrices"] += int(np.prod(np.shape(args[0])[:-2]))
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "eigh"))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "eigvalsh"))
-    return calls
-
-
-def test_metric_matrix_decomposes_the_chart_parameter_once(monkeypatch):
-    # chart, guard, the point's Spectrum; the analytic tangents reuse the chart's decomposition
+def test_metric_matrix_decomposes_the_chart_parameter_once(calls):
+    # the chart's own decomposition, then the point's Spectrum, which also serves the guard;
+    # the analytic tangents reuse the chart's decomposition
     family, points, _ = _potential_grid(0.5)
-    calls = _count_decompositions(monkeypatch)
+    calls.eig()
     _metric_matrix(family, points[0], matched_metric(0.5))
-    assert 0 < calls["eig"] <= 3
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (2, 0)
 
 
-def test_potential_check_evaluates_each_stencil_in_one_chart_call(monkeypatch):
+def test_potential_check_evaluates_each_stencil_in_one_chart_call(calls):
+    # five chart calls, four of which decompose inside the xi-affine chart (the metric's hits
+    # its cache); the affine check, the coordinates and the metric take the point's Spectrum
+    # (one eigh each), the two psi stencils only the matrix (one eigvalsh each)
     family, points, basis = _potential_grid(0.5)
-    calls = _count_decompositions(monkeypatch)
+    calls.eig()
     rep = potential_check(family, 0.5, points, basis)
     assert rep.residual <= 1e-5
-    assert 0 < calls["eig"] <= 70
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (7, 2)
 
 
-def test_dual_coordinate_check_evaluates_each_stencil_in_one_chart_call(monkeypatch):
+def test_dual_coordinate_check_evaluates_each_stencil_in_one_chart_call(calls):
     family, points, _ = _potential_grid(0.5)
-    calls = _count_decompositions(monkeypatch)
+    calls.eig()
     rep = dual_coordinate_check(family, 0.5, points[:2], seed=9)
     assert rep.jacobian_residual <= 1e-5
-    assert 0 < calls["eig"] <= 100
+    assert 0 < calls.count("eigh", "eigvalsh") <= 100
 
 
 # ------------------------------------------------------------ uniqueness scan
@@ -489,13 +452,13 @@ def test_convexity_fails_on_noncommuting_family():
     ],
     ids=["qubit-bloch", "simplex-3"],
 )
-def test_convexity_check_decomposes_each_grid_point_once(monkeypatch, family, grid):
-    # one stacked chart guard and one stacked Spectrum for the whole grid, shared by the
-    # sets at alpha, +1 and -1: each point goes through each of the two once
-    calls = _count_decompositions(monkeypatch)
+def test_convexity_check_decomposes_each_grid_point_once(calls, family, grid):
+    # one stacked Spectrum for the whole grid, which serves the chart guard and the sets at
+    # alpha, +1 and -1: each point is decomposed once
+    calls.eig()
     convexity_failure_check(0.5, family, grid)
-    assert (calls["eigh"], calls["eigvalsh"]) == (1, 1)
-    assert calls["matrices"] == 2 * len(grid)
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (1, 0)
+    assert calls.matrices("eigh") == len(grid)
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
@@ -505,21 +468,22 @@ def test_flatness_scan_affine_charts_are_flat(alpha):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_flatness_scan_evaluates_each_point_and_its_stencil_in_one_chart_call(monkeypatch, dim):
+def test_flatness_scan_evaluates_each_point_and_its_stencil_in_one_chart_call(
+    calls, monkeypatch, dim
+):
     # per point: the point itself, then all 1 + 2d + 2d(d - 1) stencil points of its
     # second partials in one stack
-    shapes = []
-    point = ParametrizedFamily.point
+    import qiglab.duality
 
-    def counted(self, theta):
-        shapes.append(np.shape(theta))
-        return point(self, theta)
-
-    monkeypatch.setattr(ParametrizedFamily, "point", counted)
+    build = qiglab.duality.xi_affine_family
+    # watch the chart of each family flatness_scan builds
+    monkeypatch.setattr(
+        qiglab.duality, "xi_affine_family", lambda *a, **k: calls.watch(build(*a, **k), "chart")
+    )
     assert flatness_scan(0.5, dim) <= 1e-6
     d = dim * dim
     stencil = (1 + 2 * d + 2 * d * (d - 1), d)
-    assert shapes == [(d,), stencil, (d,), stencil]
+    assert calls.shapes["chart"] == [(d,), stencil, (d,), stencil]
 
 
 def test_path_dependence_witness_value():
@@ -572,42 +536,28 @@ def test_monotonicity_scan_rows():
         assert 0.0 <= row["depolarizing_strict_fraction"] <= 1.0
 
 
-def test_monotonicity_scan_decomposes_each_trial_once(monkeypatch):
+def test_monotonicity_scan_decomposes_each_trial_once(calls):
     # states, tangents, channels, outputs and their spectra are stacked across trials and
     # shared by all kernels
     import qiglab.metrics
 
-    calls = {"eig": 0, "qr": 0, "channel": 0, "kernel": 0}
-
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "eig"))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "eig"))
-    monkeypatch.setattr(np.linalg, "qr", counted(np.linalg.qr, "qr"))
-    monkeypatch.setattr(
-        qiglab.metrics, "apply_channel", counted(qiglab.metrics.apply_channel, "channel")
-    )
-    monkeypatch.setattr(
-        qiglab.metrics, "petz_kernel", counted(qiglab.metrics.petz_kernel, "kernel")
-    )
+    calls.eig()
+    calls.watch(np.linalg, "qr")
+    calls.watch(qiglab.metrics, "apply_channel")
+    calls.watch(qiglab.metrics, "petz_kernel")
     trials = 40
     rows = monotonicity_scan(seed=0, trials=trials)
     # trials are stacked per (input, output) dimension: (2, 2), (3, 3) and (4, 2)
     groups = 3
     # channels per kind and dimension: depolarizing and Stinespring at 2 and 3, partial trace
     channel_groups = 5
-    assert 0 < calls["eig"] <= 2 * groups
+    assert 0 < calls.count("eigh", "eigvalsh") <= 2 * groups
     # one Haar QR per group for the states and one per Stinespring stack
-    assert 0 < calls["qr"] <= 2 * groups
+    assert 0 < calls.count("qr") <= 2 * groups
     # one call for the states and one for the directions per channel group, not per trial
-    assert 0 < calls["channel"] <= 2 * channel_groups
+    assert 0 < calls.count("apply_channel") <= 2 * channel_groups
     # one kernel per (kernel, group) for the states and one for the outputs, not per trial
-    assert 0 < calls["kernel"] <= 2 * len(rows) * groups
+    assert 0 < calls.count("petz_kernel") <= 2 * len(rows) * groups
 
 
 def _monotonicity_scan_reference(seed, trials):
@@ -673,18 +623,18 @@ def test_classical_reduction_check_values():
     assert out["max_alpha_dev"] <= 1e-9
 
 
-def test_classical_reduction_check_decomposes_each_point_once(monkeypatch):
-    # per simplex point: its chart guard and one eigh, shared by six kernels and 12 WYD pairings
-    calls = _count_decompositions(monkeypatch)
+def test_classical_reduction_check_decomposes_each_point_once(calls):
+    # per simplex point: one eigh, shared by its chart guard, six kernels and 12 WYD pairings
+    calls.eig()
     classical_reduction_check(seed=0)
-    assert (calls["eigh"], calls["eigvalsh"]) == (3, 3)
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (3, 0)
 
 
-def test_kernel_direct_consistency_decomposes_each_sample_once(monkeypatch):
-    calls = _count_decompositions(monkeypatch)
+def test_kernel_direct_consistency_decomposes_each_sample_once(calls):
+    calls.eig()
     rows = kernel_direct_consistency(seed=0, dims=(2, 3), alphas=(-0.5, 0.5), samples=5)
     assert len(rows) == 4
-    assert calls["eigh"] == 4 * 5
+    assert calls.count("eigh") == 4 * 5
 
 
 # ------------------------------------------------------ entropy projection
@@ -763,17 +713,17 @@ def test_entropy_projection_does_not_stall_at_rounding_level():
     assert report.gradient_norm <= 1e-9
 
 
-def test_entropy_projection_decomposes_each_theta_once(monkeypatch):
+def test_entropy_projection_decomposes_each_theta_once(calls):
     # instance 0 of `entropy-projection --dim 3 --seed 5`: four iterations; the
     # chart, its derivatives, the means and the log partition share one
     # decomposition per theta
     rng = rng_from([5, 0])
     rho = random_state(rng, 3, floor=0.05)
     gibbs = gibbs_family([random_traceless_hermitian(rng, 3) for _ in range(2)])
-    calls = _count_decompositions(monkeypatch)
+    calls.eig()
     report = entropy_projection(rho, gibbs)
     assert report.converged and report.iterations == 4
-    assert 0 < calls["eig"] <= 16
+    assert 0 < calls.count("eigh", "eigvalsh") <= 16
 
 
 def _serial_projection(rho, gibbs, tol=1e-9, max_iter=200):
@@ -844,7 +794,7 @@ def test_stacked_projection_matches_serial_solve_row_by_row(dim, n_obs):
         sigma = gibbs.state(rep.theta_star)
         segment = state_tangent(sigma, rho - sigma)
         orth = max(
-            abs(bkm_direct(sigma, segment, family_tangent(gibbs.family, rep.theta_star, i)))
+            abs(bkm_direct(sigma, segment, gibbs.family.tangent_matrix(rep.theta_star, i)))
             for i in range(n_obs)
         )
         assert rep.orthogonality_residual == pytest.approx(orth, rel=0.0, abs=1e-13)
@@ -853,15 +803,15 @@ def test_stacked_projection_matches_serial_solve_row_by_row(dim, n_obs):
         )
 
 
-def test_stacked_projection_decomposes_each_newton_pass_once(monkeypatch):
+def test_stacked_projection_decomposes_each_newton_pass_once(calls):
     # the ten instances of `entropy-projection --dim 3 --instances 10 --seed 5`
     # take 4-5 steps each, every one accepted at t = 1: one stacked eigh for the
     # states, then one per Newton pass, shared by the gradient, Hessian and objective
     rhos, observables = _projection_instances(5, 10, 3, 2)
-    calls = _count_decompositions(monkeypatch)
+    calls.eig()
     reports = entropy_projections(rhos, observables)
     assert max(r.iterations for r in reports) == 5
-    assert calls["eig"] == 1 + 5 + 1
+    assert calls.count("eigh", "eigvalsh") == 1 + 5 + 1
 
 
 def test_stacked_projection_errors_name_the_stack_index():
@@ -988,7 +938,7 @@ def test_stacked_scalar_hessian_equals_the_one_point_stencil(alpha):
         np.testing.assert_array_equal(charted[k], _scalar_hessian(family.point, xi))
 
 
-def test_potential_check_makes_the_same_chart_calls_for_any_grid(monkeypatch):
+def test_potential_check_makes_the_same_chart_calls_for_any_grid(calls):
     # one for the affine check, then one each for the coordinates, the metric,
     # the Hessian stencil and the gradient stencil of the whole grid
     basis = hermitian_basis(2)
@@ -998,18 +948,21 @@ def test_potential_check_makes_the_same_chart_calls_for_any_grid(monkeypatch):
         rng = rng_from(3)
         sigmas = np.stack([random_weight(rng, 2, 0.7, 1.5) for _ in range(n_points)])
         points = affine_coordinates(sigmas, 0.5, basis)
-        calls = {"n": 0}
-        point = family.point
-
-        def counted(theta, point=point, calls=calls):
-            calls["n"] += 1
-            return point(theta)
-
-        monkeypatch.setattr(family, "point", counted)
+        calls.watch(family, "chart", key=n_points)
         rep = potential_check(family, 0.5, points, basis)
         assert rep.residual <= 1e-5
-        counts.append(calls["n"])
+        counts.append(calls.count(n_points))
     assert counts == [5, 5]
+
+
+def test_relative_entropy_curvature_gap_decomposes_rho_once(calls):
+    # rho once, shared by the state check, the BKM pairing and the relative entropy; then rho + tD
+    rng = rng_from(61)
+    rho = random_state(rng, 3, floor=0.1)
+    x = random_traceless_hermitian(rng, 3)
+    calls.eig()
+    relative_entropy_curvature_gap(rho, 0.25 * x / np.linalg.norm(x, 2))
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (2, 0)
 
 
 def test_relative_entropy_curvature_gap():

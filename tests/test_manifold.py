@@ -8,7 +8,6 @@ from qiglab.manifold import (
     check_state,
     check_weight,
     embedding_function,
-    family_tangent,
     inverse_embedding_function,
     linear_family,
     representation_convert,
@@ -64,6 +63,14 @@ def test_alpha_representation_mixture_is_identity():
     x = random_traceless_hermitian(rng, 3)
     v = state_tangent(rho, x)
     np.testing.assert_allclose(alpha_representation(v, -1.0), x, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.0, 0.5, 1.0])
+def test_alpha_representation_rejects_a_base_off_the_positive_cone(alpha):
+    # diag(1, -0.5): the identity embedding at alpha = -1 would pass it through
+    v = weight_tangent(np.diag([1.0, -0.5]).astype(complex), SZ)
+    with pytest.raises(ValueError, match=r"not positive definite \(off the positive cone\)"):
+        alpha_representation(v, alpha)
 
 
 @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.0, 0.5, 1.0])
@@ -204,17 +211,25 @@ def test_xi_affine_family_analytic_matches_fd():
         )
 
 
-def test_family_tangent_is_chart_derivative():
+def test_tangent_matrix_is_chart_derivative():
     fam = simplex_family(3)
     theta = np.array([0.5, 0.3])
-    v = family_tangent(fam, theta, 0)
     want = np.zeros((3, 3), dtype=complex)
     want[0, 0], want[2, 2] = 1.0, -1.0
-    np.testing.assert_allclose(v.mixture, want, atol=1e-14)
-    np.testing.assert_allclose(v.base, np.diag([0.5, 0.3, 0.2]), atol=1e-14)
+    np.testing.assert_allclose(fam.tangent_matrix(theta, 0), want, atol=1e-14)
+    np.testing.assert_allclose(fam.point(theta), np.diag([0.5, 0.3, 0.2]), atol=1e-14)
 
 
-def test_family_tangent_index_out_of_range():
+def test_point_and_spectrum_decomposes_the_chart_value():
+    fam = simplex_family(3)
+    theta, sigma, spec = fam.point_and_spectrum([0.5, 0.3])
+    np.testing.assert_array_equal(theta, [0.5, 0.3])
+    np.testing.assert_array_equal(sigma, fam.point(theta))
+    np.testing.assert_allclose(spec.eigenvalues, [0.2, 0.3, 0.5], atol=1e-15)
+    np.testing.assert_allclose(spec.matrix(), sigma, atol=1e-15)
+
+
+def test_tangent_matrix_index_out_of_range():
     fam = simplex_family(3)
     with pytest.raises(ValueError, match="out of range"):
         fam.tangent_matrix(np.array([0.5, 0.3]), 5)

@@ -16,6 +16,7 @@ REMOVED = {
     "von_neumann_entropy",
     "parallel_transport_ext",
     "embedding_trace_identity_gap",
+    "family_tangent",
 }
 
 

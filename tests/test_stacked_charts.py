@@ -85,27 +85,37 @@ CHARTS = {
 }
 
 
-def _single_error(family, theta):
+def _bits(family, face, theta):
+    """The arrays that one face of the chart evaluation returns at theta."""
+    if face == "point":
+        return [family.point(theta)]
+    theta, sigma, spec = family.point_and_spectrum(theta)
+    return [theta, sigma, spec.eigenvalues, spec.unitary]
+
+
+def _single_error(family, theta, face="point"):
     try:
-        family.point(theta)
+        _bits(family, face, theta)
     except ValueError as exc:
         return str(exc)
     return None
 
 
 def _check_stack(family, stack):
-    """Rows that pass alone give the same bits stacked; otherwise the first failing row's error."""
-    errors = [_single_error(family, row) for row in stack]
-    failing = [e for e in errors if e is not None]
-    if failing:
-        with pytest.raises(ValueError) as exc:
-            family.point(stack)
-        assert str(exc.value) == failing[0]
-        return
-    points = family.point(stack)
-    assert points.shape == (len(stack),) + points.shape[1:]
-    for k, row in enumerate(stack):
-        np.testing.assert_array_equal(points[k], family.point(row))
+    """For ``point`` and for ``point_and_spectrum``: rows that pass alone give the same bits
+    stacked; otherwise the stack raises the first failing row's error."""
+    for face in ("point", "point_and_spectrum"):
+        failing = [e for e in (_single_error(family, row, face) for row in stack) if e is not None]
+        if failing:
+            with pytest.raises(ValueError) as exc:
+                _bits(family, face, stack)
+            assert str(exc.value) == failing[0]
+            continue
+        stacked = _bits(family, face, stack)
+        for k, row in enumerate(stack):
+            for whole, one in zip(stacked, _bits(family, face, row)):
+                assert len(whole) == len(stack)
+                np.testing.assert_array_equal(whole[k], one)
 
 
 @pytest.mark.parametrize("name", list(CHARTS))
@@ -141,9 +151,10 @@ def test_stack_error_names_the_first_row_below_the_guard():
     family = qubit_bloch_family()
     # the Bloch point (x, 0, 0) has eigenvalues (1 +- x)/2: the last two rows fall below 1e-6
     stack = np.array([[0.3, 0.0, 0.0], [0.9999995, 0.0, 0.0], [0.9999999, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="below guard") as exc:
-        family.point(stack)
-    assert "theta=[0.9999995, 0.0, 0.0]" in str(exc.value)
+    for face in (family.point, family.point_and_spectrum):
+        with pytest.raises(ValueError, match="below guard") as exc:
+            face(stack)
+        assert "theta=[0.9999995, 0.0, 0.0]" in str(exc.value)
 
 
 def test_chart_that_ignores_the_stack_is_rejected():
