@@ -139,23 +139,21 @@ def _render(records, fmt: str, columns) -> str:
 # Option handling
 
 
-def _floats(s):
-    return tuple(float(tok) for tok in str(s).split(",") if tok.strip() != "")
+def _list(opt, key, kind, single=False):
+    """Option ``key`` as a tuple of ``kind`` values from a comma-separated list; an empty list,
+    or more than one value where ``single``, is a usage error that names the option."""
+    values = tuple(kind(tok.strip()) for tok in str(opt[key]).split(",") if tok.strip() != "")
+    if not values or (single and len(values) > 1):
+        wanted = "one value" if single else "at least one value"
+        raise ValueError(f"--{key} takes {wanted}, got {len(values)}: {opt[key]!r}")
+    return values
 
 
-def _ints(s):
-    return tuple(int(tok) for tok in str(s).split(",") if tok.strip() != "")
-
-
-def _strs(s):
-    return tuple(tok.strip() for tok in str(s).split(",") if tok.strip() != "")
-
-
-def _count(opt, key):
-    """Option ``key`` as an int; a value below 1 is a usage error that names the option."""
+def _count(opt, key, floor=1):
+    """Option ``key`` as an int; a value below ``floor`` is a usage error that names the option."""
     value = int(opt[key])
-    if value < 1:
-        raise ValueError(f"--{key.replace('_', '-')} must be at least 1, got {value}")
+    if value < floor:
+        raise ValueError(f"--{key.replace('_', '-')} must be at least {floor}, got {value}")
     return value
 
 
@@ -352,9 +350,9 @@ _EXIT = {"pass": 0, "fail": 1, "inconclusive": 3}
 
 def _run_metric_table(opt):
     seed = int(opt["seed"])
-    dims = _ints(opt["dims"])
-    alphas = _floats(opt["alphas"])
-    samples = int(opt["samples"])
+    dims = _list(opt, "dims", int)
+    alphas = _list(opt, "alphas", float)
+    samples = _count(opt, "samples")
     floor = float(opt["floor"])
     tol = float(opt["tol"])
     records = []
@@ -395,7 +393,7 @@ def _run_metric_table(opt):
             }
         )
     # ordering: bures <= every built-in metric <= rld, entrywise on samples
-    n_ord = int(opt["ordering_samples"])
+    n_ord = _count(opt, "ordering_samples")
     middle = [wyd_function(0.25), wyd_function(0.5), wyd_function(0.75), bkm_function()]
     worst_violation = 0.0
     for n in dims:
@@ -430,10 +428,10 @@ def _run_duality(opt):
     records = []
     worst = 0.0
     grids = {}  # dim -> [(witness, DefectGrid)], shared by every alpha and metric
-    for alpha in _floats(opt["alpha"]):
-        for token in _strs(opt["metric"]):
+    for alpha in _list(opt, "alpha", float):
+        for token in _list(opt, "metric", str):
             f = _metric_from_token(token, alpha)
-            for dim in _ints(opt["dim"]):
+            for dim in _list(opt, "dim", int):
                 if dim not in grids:
                     grids[dim] = []
                     for w in standard_witness_families(dim, opt["manifold"]):
@@ -459,7 +457,7 @@ def _run_duality(opt):
 def _run_transport_duality(opt):
     tol = float(opt["tol"])
     gap = float(opt["gap"])
-    steps = int(opt["steps"])
+    steps = _count(opt, "steps")
     curve = witness_curve(steps)
     start = curve.point(0.0)
     # tangent pair chosen to break the z-reflection symmetry of the curve,
@@ -469,10 +467,10 @@ def _run_transport_duality(opt):
     z = state_tangent(start, 0.5 * (sy + 0.8 * sz))
     records = []
     worst = 0.0
-    for alpha in _floats(opt["alpha"]):
-        for token in _strs(opt["metric"]):
+    for alpha in _list(opt, "alpha", float):
+        for token in _list(opt, "metric", str):
             f = _metric_from_token(token, alpha)
-            rep = transport_duality_check(curve, f, alpha, y, z, on_extended=True)
+            rep = transport_duality_check(curve, f, alpha, y, z)
             worst = max(worst, rep.deviation)
             records.append(
                 {
@@ -493,12 +491,13 @@ def _run_potential(opt):
     reg_tol = float(opt["regression_tol"])
     leg_tol = float(opt["legendre_tol"])
     n_dual = _count(opt, "dual_points")
+    points_option = _count(opt, "points", floor=0)  # 0 picks the size per dim
     records = []
-    for dim in _ints(opt["dim"]):
+    for dim in _list(opt, "dim", int):
         basis = hermitian_basis(dim)
         d = len(basis)
-        n_points = int(opt["points"]) or max(d + 3, 6)
-        for alpha in _floats(opt["alpha"]):
+        n_points = points_option or max(d + 3, 6)
+        for alpha in _list(opt, "alpha", float):
             rng = rng_from([seed, dim, int(round((alpha + 1) * 1000))])
             family = xi_affine_family(basis, alpha, analytic=True)
             sigmas = np.stack([random_weight(rng, dim, 0.7, 1.5) for _ in range(n_points)])
@@ -529,7 +528,7 @@ def _run_potential(opt):
 def _run_uniqueness_scan(opt):
     seed = int(opt["seed"])
     result = uniqueness_scan(
-        float(_floats(opt["alpha"])[0]),
+        _list(opt, "alpha", float, single=True)[0],
         seed=seed,
         n_points=_count(opt, "points"),
         tol=float(opt["tol"]),
@@ -591,8 +590,8 @@ def _run_flatness(opt):
     tol = float(opt["tol"])
     wtol = float(opt["witness_tol"])
     records = []
-    for dim in _ints(opt["dim"]):
-        for alpha in _floats(opt["alpha"]):
+    for dim in _list(opt, "dim", int):
+        for alpha in _list(opt, "alpha", float):
             value = flatness_scan(alpha, dim, seed=[seed, dim])
             records.append(
                 {
@@ -603,7 +602,7 @@ def _run_flatness(opt):
                     "status": "pass" if value <= tol else "fail",
                 }
             )
-    witness = path_dependence_witness(0.0, int(opt["steps"]))
+    witness = path_dependence_witness(0.0, _count(opt, "steps"))
     records.append(
         {
             "record": "case",
@@ -618,7 +617,7 @@ def _run_flatness(opt):
 
 def _run_convexity_failure(opt):
     seed = int(opt["seed"])
-    alpha = float(_floats(opt["alpha"])[0])
+    alpha = _list(opt, "alpha", float, single=True)[0]
     records = []
 
     rng = rng_from([seed, 3])

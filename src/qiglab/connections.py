@@ -36,8 +36,9 @@ from .manifold import (
     SECOND_DERIVATIVE_STEP,
     ParametrizedFamily,
     TangentVector,
+    _project_with,
     _scalar_hessian,
-    alpha_representation,
+    _sphere_powers,
     embedding_function,
     representation_convert,
     sphere_project,
@@ -208,31 +209,24 @@ def covariant_derivative_set(
     return out
 
 
-def _check_start(curve: CurveSpec, *tangents: TangentVector) -> np.ndarray:
-    """The curve's start point, after checking that every tangent vector sits there."""
-    start = curve.point(0.0)
-    if any(np.abs(start - v.base).max() > 1e-9 for v in tangents):
-        raise ValueError("tangent vector base does not match the curve start point")
-    return start
-
-
-def _curve_points(curve: CurveSpec, start: np.ndarray, steps: int):
-    """(sigma, Spectrum) of each curve point t = k/steps, k = 1..steps, in order.
-
-    Each point is decomposed once. A step that moves more than
-    CONTINUITY_BOUND from the previous point raises, naming the step.
+def _curve_stack(curve: CurveSpec, *tangents: TangentVector) -> tuple:
+    """(sigma, Spectrum) of the curve points t = k/step_count, k = 0..step_count, as stacks
+    from one chart call. Every tangent vector must sit at row 0, the start point. A step that
+    moves more than CONTINUITY_BOUND from the previous point raises, naming the first such step.
     """
-    prev = start
-    for k in range(1, steps + 1):
-        _, sigma, spec = curve.family.point_and_spectrum(curve.path(k / steps))
-        move = float(np.linalg.norm(sigma - prev))
-        if move > CONTINUITY_BOUND:
-            raise ValueError(
-                f"curve moves {move:.3f} at step {k}/{steps} (> {CONTINUITY_BOUND}); "
-                f"step_count={steps} is too small for a continuous discretization"
-            )
-        yield sigma, spec
-        prev = sigma
+    steps = curve.step_count
+    theta = np.stack([curve.path(k / steps) for k in range(steps + 1)])
+    _, sigma, spec = curve.family.point_and_spectrum(theta)
+    if any(np.abs(sigma[0] - v.base).max() > 1e-9 for v in tangents):
+        raise ValueError("tangent vector base does not match the curve start point")
+    moves = np.linalg.norm(sigma[1:] - sigma[:-1], axis=(-2, -1))
+    if (moves > CONTINUITY_BOUND).any():
+        k = int(np.argmax(moves > CONTINUITY_BOUND))
+        raise ValueError(
+            f"curve moves {moves[k]:.3f} at step {k + 1}/{steps} (> {CONTINUITY_BOUND}); "
+            f"step_count={steps} is too small for a continuous discretization"
+        )
+    return sigma, spec
 
 
 def parallel_transport_on_M(curve: CurveSpec, v: TangentVector, alpha: float) -> TangentVector:
@@ -242,24 +236,22 @@ def parallel_transport_on_M(curve: CurveSpec, v: TangentVector, alpha: float) ->
     point and re-projected onto the tangent space there. Each run is
     first-order accurate in 1/step_count, so the step_count run is combined
     with a half-resolution run by Richardson extrapolation (2*fine - coarse).
+    The coarse run visits every other point of the fine run, so one stacked
+    chart call serves both.
     Path dependent: transports along different curves between the same
     endpoints disagree (the non-flatness witness).
     """
-    fine = _transport_on_m_once(curve, v, alpha, curve.step_count)
+    sigma, spec = _curve_stack(curve, v)
     if curve.step_count % 2 or curve.step_count < 2:
         raise ValueError("richardson extrapolation needs an even step_count >= 2")
-    coarse = _transport_on_m_once(curve, v, alpha, curve.step_count // 2)
-    return state_tangent(fine.base, 2.0 * fine.mixture - coarse.mixture)
-
-
-def _transport_on_m_once(
-    curve: CurveSpec, v: TangentVector, alpha: float, steps: int
-) -> TangentVector:
-    start = _check_start(curve, v)
-    w = alpha_representation(v, alpha)
-    for sigma, spec in _curve_points(curve, start, steps):  # steps >= 1
-        w = sphere_project(spec, alpha, w)  # rejects a curve off the unit-trace manifold
-    mixture = representation_convert(spec, w, alpha, -1.0)
-    n = sigma.shape[0]
-    mixture = mixture - (np.trace(mixture) / n) * np.eye(n)
-    return state_tangent(sigma, mixture)
+    p_plus, p_minus = _sphere_powers(spec[1:], alpha)  # rejects a curve off the unit-trace manifold
+    w0 = frechet_derivative(spec[0], v.mixture, embedding_function(alpha))
+    runs = []
+    for rows in (slice(None), slice(1, None, 2)):  # points k = 1..s, then k = 2, 4, ..., s
+        w = w0
+        for powers in zip(p_plus[rows], p_minus[rows]):
+            w = _project_with(powers, w)
+        runs.append(w)
+    mixtures = representation_convert(spec[-1], np.stack(runs), alpha, -1.0)
+    mixtures -= (np.trace(mixtures, axis1=1, axis2=2) / spec.dim)[:, None, None] * np.eye(spec.dim)
+    return state_tangent(sigma[-1], 2.0 * mixtures[0] - mixtures[1])

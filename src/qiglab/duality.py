@@ -41,13 +41,12 @@ from .manifold import (
     _scalar_gradient,
     _scalar_hessian,
     affine_coordinates,
-    alpha_representation,
     basis_combination,
     check_state,
+    embedding_function,
     linear_family,
     representation_convert,
     simplex_family,
-    sphere_project,
     state_tangent,
     xi_affine_family,
 )
@@ -61,6 +60,7 @@ from .metrics import (
     bures_function,
     builtin_functions,
     depolarizing_channel,
+    kernel_metric,
     metric_eval,
     partial_trace_channel,
     petz_kernel,
@@ -71,9 +71,8 @@ from .metrics import (
 )
 from .connections import (
     CurveSpec,
-    _check_start,
     _covariant_mixtures,
-    _curve_points,
+    _curve_stack,
     covariant_derivative_set,
     parallel_transport_on_M,
 )
@@ -392,7 +391,6 @@ def duality_defect(
 class TransportDualityReport:
     metric_name: str
     alpha: float
-    on_extended: bool
     initial_value: float
     deviation: float
     values: np.ndarray
@@ -404,31 +402,29 @@ def transport_duality_check(
     alpha: float,
     y: TangentVector,
     z: TangentVector,
-    on_extended: bool = True,
 ) -> TransportDualityReport:
     """Carry y by the +alpha transport and z by the -alpha transport along the
     curve and watch g(y(t), z(t)).
 
-    With the flat transports on the positive cone the pairing under the
-    matched WYD metric is constant to round-off; mismatched metrics drift.
+    The flat transports on the positive cone keep each alpha representation
+    fixed, so every curve point is one stacked conversion and one stacked
+    pairing. Under the matched WYD metric the pairing is constant to
+    round-off; mismatched metrics drift.
     """
     alpha = float(alpha)
-    start = _check_start(curve, y, z)
-    wy = alpha_representation(y, alpha)
-    wz = alpha_representation(z, -alpha)
-    values = [metric_eval(start, f, y.mixture, z.mixture)]
-    for _, spec in _curve_points(curve, start, curve.step_count):
-        if not on_extended:
-            wy = sphere_project(spec, alpha, wy)
-            wz = sphere_project(spec, -alpha, wz)
-        my = representation_convert(spec, wy, alpha, -1.0)
-        mz = representation_convert(spec, wz, -alpha, -1.0)
-        values.append(metric_eval(spec, f, my, mz))
-    values = np.asarray(values)
+    _, spec = _curve_stack(curve, y, z)
+    wy = frechet_derivative(spec[0], y.mixture, embedding_function(alpha))
+    wz = frechet_derivative(spec[0], z.mixture, embedding_function(-alpha))
+    my = representation_convert(spec[1:], wy, alpha, -1.0)
+    mz = representation_convert(spec[1:], wz, -alpha, -1.0)
+    values = kernel_metric(
+        petz_kernel(spec, f),
+        np.concatenate([y.mixture[None], my]),
+        np.concatenate([z.mixture[None], mz]),
+    )
     return TransportDualityReport(
         metric_name=f.name,
         alpha=alpha,
-        on_extended=on_extended,
         initial_value=float(values[0]),
         deviation=float(np.abs(values - values[0]).max()),
         values=values,
@@ -861,13 +857,11 @@ def path_dependence_witness(alpha: float = 0.0, step_count: int = 256) -> float:
     (0, 0.35, 0) along the straight segment and along a detour through
     (0, 0, 0.35); returns the Frobenius distance of the end results.
     """
-    family = qubit_bloch_family()
-    a = np.array([0.35, 0.0, 0.0])
-    b = np.array([0.0, 0.35, 0.0])
+    straight = witness_curve(step_count)
+    family = straight.family
+    a, b = straight.path(0.0), straight.path(1.0)
     c = np.array([0.0, 0.0, 0.35])
     v = state_tangent(family.point(a), 0.5 * pauli_matrices()[3])
-
-    straight = CurveSpec(family, lambda t: (1.0 - t) * a + t * b, step_count)
 
     def detour(t):
         if t <= 0.5:

@@ -127,6 +127,10 @@ class Spectrum:
     def from_eigenbasis(self, m: np.ndarray) -> np.ndarray:
         return self.unitary @ m @ _dagger(self.unitary)
 
+    def __getitem__(self, key) -> "Spectrum":
+        """The spectra at ``key`` on the stack axes: an index gives one, a slice a stack."""
+        return Spectrum(self.eigenvalues[key], self.unitary[key])
+
     def expand_dims(self) -> "Spectrum":
         """The same spectra with one more stack axis before the matrix axes.
 

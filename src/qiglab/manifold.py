@@ -293,11 +293,22 @@ def sphere_project(rho: Union[np.ndarray, Spectrum], alpha: float, a: np.ndarray
     Spectrum; ``a`` may be a stack (..., n, n) at that base, projected with
     one pair of matrix powers.
     """
-    alpha = _check_alpha(alpha)
     a = check_hermitian(a)
+    return _project_with(_sphere_powers(rho, alpha), a)
+
+
+def _sphere_powers(rho: Union[np.ndarray, Spectrum], alpha: float) -> tuple:
+    """(rho^((1+alpha)/2), rho^((1-alpha)/2)) at one unit-trace base or each base of a stack."""
+    alpha = _check_alpha(alpha)
     spec = check_state(rho)
     p_plus = apply_scalar_function(spec, power_function(0.5 * (1.0 + alpha)))
     p_minus = apply_scalar_function(spec, power_function(0.5 * (1.0 - alpha)))
+    return p_plus, p_minus
+
+
+def _project_with(powers: tuple, a: np.ndarray) -> np.ndarray:
+    """``sphere_project`` of the self-adjoint ``a`` with the base's ``_sphere_powers``."""
+    p_plus, p_minus = powers
     coeff = np.trace(p_plus @ a, axis1=-2, axis2=-1).real
     return a - coeff[..., None, None] * p_minus
 

@@ -392,7 +392,7 @@ def monotonicity_check(
     mixture = _mixture_of(a, point)
     trial = _contraction_trials(
         [(channel, 0)],
-        Spectrum(spec.eigenvalues[None], spec.unitary[None]),
+        spec[None],
         point[None],
         mixture[None],
     )

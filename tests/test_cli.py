@@ -202,6 +202,52 @@ def test_no_monotonicity_trials_is_usage_error(capsys, trials):
     assert f"--trials must be at least 1, got {trials}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["duality", "--metric="],
+        ["duality", "--alpha="],
+        ["transport-duality", "--alpha="],
+        ["metric-table", "--dims="],
+        ["flatness", "--dim="],
+        ["uniqueness-scan", "--alpha="],
+        ["convexity-failure", "--alpha="],
+    ],
+)
+def test_empty_list_option_is_usage_error(capsys, argv):
+    # an empty list would run no check, or only the fixed ones, and still pass
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert re.search(rf"{argv[1][:-1]} takes (at least )?one value, got 0", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["uniqueness-scan", "convexity-failure"])
+def test_single_valued_alpha_takes_one_value(capsys, command):
+    # these checks run one alpha; a list would be echoed in the config but not run
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--alpha=0.5,0"])
+    assert exc.value.code == 2
+    assert "--alpha takes one value, got 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--samples", "--ordering-samples"])
+def test_no_metric_table_samples_is_usage_error(capsys, option):
+    # zero samples would report a value of 0 over nothing and pass
+    with pytest.raises(SystemExit) as exc:
+        main(["metric-table", f"{option}=0"])
+    assert exc.value.code == 2
+    assert f"{option} must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_negative_potential_points_is_usage_error(capsys):
+    # 0 picks the grid size per dim; below 0 there is no grid
+    with pytest.raises(SystemExit) as exc:
+        main(["potential", "--points=-1"])
+    assert exc.value.code == 2
+    assert "--points must be at least 0, got -1" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- verdicts
 
 
@@ -305,3 +351,30 @@ def test_metric_table_decomposes_each_base_point_once(calls, capsys):
     assert main(argv + ["--ordering-samples", "3"]) == 0
     capsys.readouterr()
     assert (calls.count("eigh"), calls.count("eigvalsh")) == (1 + 1 + 3, 0)
+
+
+# Most numpy eigh + eigvalsh calls each subcommand may make at its defaults and seed 0.
+# A change that decomposes less lowers its row; a new subcommand adds one.
+EIG_BUDGET = {
+    "transport-duality": 2,
+    "flatness": 33,
+    "metric-table": 826,
+    "duality": 8,
+    "potential": 115,
+    "uniqueness-scan": 4,
+    "monotonicity": 6,
+    "convexity-failure": 8,
+    "entropy-projection": 9,
+}
+
+
+def test_eig_budget_covers_every_subcommand():
+    assert set(EIG_BUDGET) == set(_DEFAULTS)
+
+
+@pytest.mark.parametrize("command, budget", EIG_BUDGET.items())
+def test_subcommand_stays_within_its_eig_budget(calls, capsys, command, budget):
+    calls.eig()
+    assert main([command, "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert calls.count("eigh", "eigvalsh") <= budget

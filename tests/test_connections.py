@@ -3,7 +3,6 @@ import pytest
 
 from qiglab.connections import (
     CurveSpec,
-    _transport_on_m_once,
     covariant_derivative_on_M,
     covariant_derivative_set,
     ext_covariant_derivative,
@@ -299,6 +298,18 @@ def test_transport_rejects_foreign_start():
 # ------------------------------------------------------- projected transport
 
 
+def _plain_transport(curve, v, alpha, steps):
+    # one plain first-order run, one point at a time: carry the alpha representation to
+    # each point t = k/steps and re-project it there
+    w = alpha_representation(v, alpha)
+    for k in range(1, steps + 1):
+        sigma = curve.point(k / steps)
+        w = sphere_project(sigma, alpha, w)
+    mixture = representation_convert(sigma, w, alpha, -1.0)
+    n = sigma.shape[0]
+    return mixture - (np.trace(mixture) / n) * np.eye(n)
+
+
 def test_projected_transport_richardson_converges():
     # tangent mixes the in-plane and out-of-plane sectors; a pure sigma_z
     # tangent would transport exactly at any step count by reflection symmetry
@@ -308,12 +319,33 @@ def test_projected_transport_richardson_converges():
     np.testing.assert_allclose(fine.mixture, ref.mixture, atol=1e-7)
     # plain first-order runs halve their gap to the extrapolated answer
     curve = _bloch_curve([0.35, 0.0], [0.0, 0.35])
-    p256 = _transport_on_m_once(curve, v, 0.0, 256)
-    p512 = _transport_on_m_once(curve, v, 0.0, 512)
-    e256 = np.abs(p256.mixture - ref.mixture).max()
-    e512 = np.abs(p512.mixture - ref.mixture).max()
+    p256 = _plain_transport(curve, v, 0.0, 256)
+    p512 = _plain_transport(curve, v, 0.0, 512)
+    e256 = np.abs(p256 - ref.mixture).max()
+    e512 = np.abs(p512 - ref.mixture).max()
     assert 1e-6 < e256  # plain runs genuinely carry discretization error
     assert e512 < 0.6 * e256
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+def test_projected_transport_is_richardson_of_point_by_point_runs(alpha):
+    # the coarse run reuses every other point of the fine run's stack, bit for bit
+    curve = _bloch_curve([0.35, 0.0], [0.0, 0.35], 64)
+    v = state_tangent(curve.point(0.0), (SX + 0.8 * SZ) / 2.0)
+    fine, coarse = (_plain_transport(curve, v, alpha, steps) for steps in (64, 32))
+    out = parallel_transport_on_M(curve, v, alpha)
+    assert np.array_equal(out.mixture, 2.0 * fine - coarse)
+    assert np.array_equal(out.base, curve.point(1.0))
+
+
+def test_projected_transport_decomposes_the_curve_in_one_stacked_call(calls):
+    # one eigh over the step_count + 1 curve points serves both Richardson runs
+    curve = _bloch_curve([0.35, 0.0], [0.0, 0.35], 64)
+    v = state_tangent(curve.point(0.0), SZ / 2.0)
+    calls.eig()
+    parallel_transport_on_M(curve, v, 0.5)
+    assert calls.shapes["eigh"] == [(65, 2, 2)]
+    assert calls.count("eigvalsh") == 0
 
 
 def test_projected_transport_result_is_tangent():
@@ -325,10 +357,22 @@ def test_projected_transport_result_is_tangent():
 
 
 def test_projected_transport_continuity_guard():
-    # one step across Frobenius distance 0.707 exceeds the 0.5 bound
+    # one step across Frobenius distance 0.707 exceeds the 0.5 bound; the odd step_count
+    # would also fail Richardson, but the continuity error comes first
     curve = CurveSpec(_bloch_family(), lambda t: np.array([1.0 - 2.0 * t, 0.0]) * 0.5, step_count=1)
     v = state_tangent(curve.point(0.0), SZ / 2.0)
     with pytest.raises(ValueError, match="too small"):
+        parallel_transport_on_M(curve, v, 0.0)
+
+
+def test_continuity_error_names_the_first_jump():
+    # the curve jumps by 0.849 at step 2 and back at step 3; the error names step 2
+    def path(t):
+        return np.array([-0.6 if 0.25 < t <= 0.5 else 0.6, 0.0])
+
+    curve = CurveSpec(_bloch_family(), path, step_count=4)
+    v = state_tangent(curve.point(0.0), SZ / 2.0)
+    with pytest.raises(ValueError, match=r"curve moves 0\.849 at step 2/4 \(> 0\.5\)"):
         parallel_transport_on_M(curve, v, 0.0)
 
 

@@ -43,7 +43,9 @@ from qiglab.manifold import (
     ParametrizedFamily,
     _scalar_hessian,
     affine_coordinates,
+    alpha_representation,
     embedding_function,
+    representation_convert,
     simplex_family,
     state_tangent,
     xi_affine_family,
@@ -55,6 +57,7 @@ from qiglab.metrics import (
     bures_function,
     depolarizing_channel,
     kernel_metric,
+    metric_eval,
     monotonicity_check,
     partial_trace_channel,
     petz_kernel,
@@ -298,6 +301,43 @@ def test_transport_duality_mismatched_drifts():
     z = state_tangent(base, (SY + 0.8 * SZ) / 2.0)
     rep = transport_duality_check(curve, bures_function(), 0.0, y, z)
     assert rep.deviation >= 1e-3
+
+
+def _transport_duality_reference(curve, f, alpha, y, z):
+    # one point at a time: the flat transports keep each alpha representation fixed, so
+    # every point converts the two start representations back to mixtures and pairs them
+    wy, wz = alpha_representation(y, alpha), alpha_representation(z, -alpha)
+    values = [metric_eval(curve.point(0.0), f, y.mixture, z.mixture)]
+    for k in range(1, curve.step_count + 1):
+        sigma = curve.point(k / curve.step_count)
+        my = representation_convert(sigma, wy, alpha, -1.0)
+        mz = representation_convert(sigma, wz, -alpha, -1.0)
+        values.append(metric_eval(sigma, f, my, mz))
+    return np.array(values)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+@pytest.mark.parametrize("matched", [True, False])
+def test_transport_duality_matches_a_point_by_point_reference(alpha, matched):
+    curve = witness_curve(32)
+    base = curve.point(0.0)
+    y = state_tangent(base, (SX + 0.5 * SZ) / 2.0)
+    z = state_tangent(base, (SY + 0.8 * SZ) / 2.0)
+    f = matched_metric(alpha) if matched else bures_function()
+    rep = transport_duality_check(curve, f, alpha, y, z)
+    assert np.array_equal(rep.values, _transport_duality_reference(curve, f, alpha, y, z))
+    assert rep.initial_value == rep.values[0]
+
+
+def test_transport_duality_decomposes_the_curve_in_one_stacked_call(calls):
+    curve = witness_curve(64)
+    base = curve.point(0.0)
+    y = state_tangent(base, (SX + 0.5 * SZ) / 2.0)
+    z = state_tangent(base, (SY + 0.8 * SZ) / 2.0)
+    calls.eig()
+    transport_duality_check(curve, bures_function(), 0.5, y, z)
+    assert calls.shapes["eigh"] == [(65, 2, 2)]
+    assert calls.count("eigvalsh") == 0
 
 
 def test_transport_duality_rejects_foreign_tangents():
