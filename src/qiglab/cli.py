@@ -351,6 +351,8 @@ _EXIT = {"pass": 0, "fail": 1, "inconclusive": 3}
 def _run_metric_table(opt):
     seed = int(opt["seed"])
     dims = _list(opt, "dims", int)
+    if min(dims) < 2:  # a 1 x 1 state has no nonzero traceless tangent to pair
+        raise ValueError(f"--dims values must be at least 2, got {min(dims)}")
     alphas = _list(opt, "alphas", float)
     samples = _count(opt, "samples")
     floor = float(opt["floor"])
@@ -775,7 +777,8 @@ _HELP = {
 
 
 def _build_parser(command) -> argparse.ArgumentParser:
-    """The argument parser: every subcommand with its help line, options only for ``command``."""
+    """The argument parser: only ``command``'s subparser, with its options, when it names a
+    subcommand; otherwise, for --help and unknown commands, every subcommand with its help line."""
     parser = argparse.ArgumentParser(
         prog="qiglab",
         description="Numerical laboratory for information geometry on density matrices.",
@@ -783,7 +786,7 @@ def _build_parser(command) -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, defaults in _DEFAULTS.items():
+    for name in [command] if command in _DEFAULTS else _DEFAULTS:
         p = sub.add_parser(
             name,
             help=_HELP[name],
@@ -797,7 +800,7 @@ def _build_parser(command) -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value file; overridden by explicit options")
         p.add_argument("--format", choices=["jsonl", "csv"], dest="format", help="output format")
         p.add_argument("--output", help="write to this file instead of stdout")
-        for key, value in defaults.items():
+        for key, value in _DEFAULTS[name].items():
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, help=f"default {value}")
     return parser
 

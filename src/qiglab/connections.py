@@ -8,14 +8,24 @@ unit-trace manifold the same data is projected onto the embedded sphere's
 tangent space; the projected transport is discretized step by step and is
 path dependent.
 
-Second partials use the analytic chain rule (first/second directional matrix
-derivatives) when the chart carries analytic derivatives; a set of
-covariant derivatives at a stack of points is then one stacked call per
-layer (chart derivatives, Frechet derivatives, projection, conversion).
-Otherwise every second partial at a point comes from one central stencil of
+Covariant derivatives are built in the eigenbasis of their base point, where
+every step is entrywise (Amari-Nagaoka, Methods of Information Geometry,
+ch. 7). With eigenvalues λ, eigenbasis chart tangents E = T_i, F = T_j and
+f the embedding profile of order alpha:
+
+- second partial: S_ab = Σ_k f[λa, λk, λb] (E_ak F_kb + F_ak E_kb) + f[λa, λb] H_ab,
+  with H the chart Hessian d_i d_j sigma rotated into the eigenbasis;
+- sphere projection: S - (Σ_a λa^((1+alpha)/2) S_aa) diag(λ^((1-alpha)/2));
+- mixture form: divide entrywise by f[λa, λb].
+
+The tangent products do not depend on alpha, so one call builds a sequence
+of orders, each for one triple tensor, one divided-difference matrix and one
+contraction; with analytic chart derivatives every point of a stack and
+every pair is one stacked step. A chart without them gets every second
+partial at a point, for every order, from one central stencil of
 1 + 2d + 2d(d - 1) points, evaluated in one chart call, with steps
 SECOND_DERIVATIVE_STEP * max(1, |theta_i|) (``manifold._scalar_hessian``),
-point by point.
+point by point; those partials are rotated into the eigenbasis.
 """
 
 from __future__ import annotations
@@ -27,21 +37,25 @@ import numpy as np
 
 from .linalg import (
     Spectrum,
+    _tangent_products,
+    _triple_contraction,
+    _triple_difference_tensor,
     apply_scalar_function,
+    divided_difference_matrix,
     frechet_derivative,
-    frechet_second_derivative,
     hermitize,
 )
 from .manifold import (
     SECOND_DERIVATIVE_STEP,
     ParametrizedFamily,
     TangentVector,
+    _project_in_eigenbasis,
     _project_with,
     _scalar_hessian,
     _sphere_powers,
+    check_weight,
     embedding_function,
     representation_convert,
-    sphere_project,
     state_tangent,
     weight_tangent,
 )
@@ -89,43 +103,56 @@ def _embedded_second_partials(
     theta: np.ndarray,
     spec: Spectrum,
     pairs: tuple,
-    alpha: float,
-) -> np.ndarray:
+    funs: list,
+    kernels: list,
+    tangents,
+) -> list:
     """Second partials d_i d_j of the embedded chart at theta (..., d), stacked over the
-    index arrays ``pairs`` = (i, j): (..., pairs, n, n). ``spec`` is the Spectrum of the
-    point at theta, stacked as theta is.
+    index arrays ``pairs`` = (i, j), in the eigenbasis of each point: one (..., pairs, n, n)
+    array per embedding profile in ``funs``. ``spec`` is the Spectrum of the point at theta,
+    stacked as theta is; ``kernels`` holds each profile's divided-difference matrix at it.
 
-    With analytic derivatives every point and pair comes from one call per
-    layer. Without them, each point's pairs come from one central stencil at
-    that point; a stencil that leaves the chart domain is halved and retried,
-    up to four tries in all, point by point.
+    With analytic derivatives the tangents (``tangents``, or the chart's
+    rotated once) and the Hessians are rotated once, and each profile adds
+    one triple tensor and one contraction. Without them, each point's pairs
+    for every profile come from one central stencil at that point; a stencil
+    that leaves the chart domain is halved and retried, up to four tries in
+    all, point by point.
     """
-    i, j = pairs
-    fun = embedding_function(alpha)
-    if family.has_analytic_second_order:
-        jac = family.tangent_matrices(theta)
-        first, second = jac[..., np.asarray(i), :, :], jac[..., np.asarray(j), :, :]
-        hess = np.stack([family.hessian(theta, a, b) for a, b in zip(i, j)], axis=-3)
-        at = spec.expand_dims()
-        d2 = frechet_second_derivative(at, first, second, fun) + frechet_derivative(at, hess, fun)
-        return hermitize(d2)
-    rows = [
-        _stencil_second_partials(family, row, fun, i, j)
-        for row in theta.reshape(-1, theta.shape[-1])
+    i, j = (np.asarray(k) for k in pairs)
+    at = spec.expand_dims()  # each base point against its stack of pairs
+    if not family.has_analytic_second_order:
+        rows = [
+            _stencil_second_partials(family, row, funs, i, j)
+            for row in theta.reshape(-1, theta.shape[-1])
+        ]
+        d2 = np.stack(rows, axis=1).reshape((len(funs),) + theta.shape[:-1] + rows[0].shape[1:])
+        return list(at.to_eigenbasis(d2))
+    if tangents is None:
+        tangents = at.to_eigenbasis(family.tangent_matrices(theta))
+    products = _tangent_products(tangents[..., i, :, :], tangents[..., j, :, :])
+    hess = np.stack([family.hessian(theta, a, b) for a, b in zip(i, j)], axis=-3)
+    hess = at.to_eigenbasis(hess)
+    lam = spec.eigenvalues
+    return [
+        _triple_contraction(_triple_difference_tensor(lam, fun)[..., None, :, :, :], products)
+        + k * hess
+        for fun, k in zip(funs, kernels)
     ]
-    return np.stack(rows).reshape(theta.shape[:-1] + rows[0].shape)
 
 
-def _stencil_second_partials(family: ParametrizedFamily, theta: np.ndarray, fun, i, j):
-    """Central-stencil second partials of the embedded chart at one theta (d,), pairs (i, j)."""
+def _stencil_second_partials(family: ParametrizedFamily, theta: np.ndarray, funs, i, j):
+    """Central-stencil second partials of the embedded chart at one theta (d,), pairs (i, j),
+    for each profile in ``funs``: (profiles, pairs, n, n), from one stencil."""
 
     def embedded(t):
-        return apply_scalar_function(family.point_and_spectrum(t)[2], fun)
+        spec = family.point_and_spectrum(t)[2]
+        return np.stack([apply_scalar_function(spec, fun) for fun in funs], axis=1)
 
     for shrink in range(4):
         step = SECOND_DERIVATIVE_STEP * 0.5**shrink
         try:
-            return hermitize(_scalar_hessian(embedded, theta, step)[i, j])
+            return hermitize(np.moveaxis(_scalar_hessian(embedded, theta, step)[i, j], 1, 0))
         except ValueError as exc:  # domain boundary inside the stencil
             error = exc
     steps = ", ".join(f"{h:.2e}" for h in step * np.maximum(1.0, np.abs(theta)))
@@ -140,20 +167,37 @@ def _covariant_mixtures(
     theta: np.ndarray,
     spec: Spectrum,
     pairs: tuple,
-    alpha: float,
+    alphas,
     on_extended: bool,
+    tangents=None,
 ) -> np.ndarray:
-    """Mixture forms of the flat (on_extended) or projected nabla_i T_j at theta (..., d),
-    stacked over ``pairs``: (..., pairs, n, n)."""
-    d2 = _embedded_second_partials(family, theta, spec, pairs, alpha)
-    at = spec.expand_dims()  # each base point against its stack of pairs
-    if on_extended:
-        return representation_convert(at, d2, alpha, -1.0)
-    projected = sphere_project(at, alpha, d2)  # rejects a base off the unit-trace manifold
-    mixture = representation_convert(at, projected, alpha, -1.0)
-    n = spec.dim
-    trace = np.trace(mixture, axis1=-2, axis2=-1)
-    return mixture - (trace / n)[..., None, None] * np.eye(n)  # kill round-off trace
+    """Mixture forms of the flat (on_extended) or projected nabla_i T_j at theta (..., d), in
+    the eigenbasis of each point, stacked over the orders ``alphas`` and over ``pairs``:
+    (orders, ..., pairs, n, n). ``tangents`` are the eigenbasis chart tangents at theta,
+    (..., d, n, n), when the caller holds them."""
+    funs = [embedding_function(a) for a in alphas]
+    lam = check_weight(spec).eigenvalues
+    kernels = [divided_difference_matrix(lam, fun)[..., None, :, :] for fun in funs]
+    second = _embedded_second_partials(family, theta, spec, pairs, funs, kernels, tangents)
+    at = spec.expand_dims()
+    diag = np.arange(spec.dim)
+    out = []
+    for alpha, k, d2 in zip(alphas, kernels, second):
+        d2 = hermitize(d2)
+        if on_extended:
+            out.append(d2 / k)
+            continue
+        # rejects a base off the unit-trace manifold
+        mixture = _project_in_eigenbasis(at, alpha, d2) / k
+        trace = mixture[..., diag, diag].sum(axis=-1)
+        mixture[..., diag, diag] -= (trace / spec.dim)[..., None]  # kill round-off trace
+        out.append(mixture)
+    return np.stack(out)
+
+
+def _from_eigenbasis(spec: Spectrum, mixture: np.ndarray) -> np.ndarray:
+    """An eigenbasis mixture form back in the standard basis, symmetrized."""
+    return hermitize(spec.from_eigenbasis(mixture))
 
 
 def ext_covariant_derivative(
@@ -166,8 +210,8 @@ def ext_covariant_derivative(
     coordinates that make the embedding affine.
     """
     theta, sigma, spec = family.point_and_spectrum(theta)
-    mixture = _covariant_mixtures(family, theta, spec, ([i], [j]), alpha, True)[0]
-    return CovariantDerivativeResult(sigma, weight_tangent(sigma, mixture))
+    mixture = _covariant_mixtures(family, theta, spec, ([i], [j]), [alpha], True)[0, 0]
+    return CovariantDerivativeResult(sigma, weight_tangent(sigma, _from_eigenbasis(spec, mixture)))
 
 
 def covariant_derivative_on_M(
@@ -180,31 +224,37 @@ def covariant_derivative_on_M(
     tangent (weighted trace zero) by construction.
     """
     theta, sigma, spec = family.point_and_spectrum(theta)
-    mixture = _covariant_mixtures(family, theta, spec, ([i], [j]), alpha, False)[0]
-    return CovariantDerivativeResult(sigma, state_tangent(sigma, mixture))
+    mixture = _covariant_mixtures(family, theta, spec, ([i], [j]), [alpha], False)[0, 0]
+    return CovariantDerivativeResult(sigma, state_tangent(sigma, _from_eigenbasis(spec, mixture)))
 
 
 def covariant_derivative_set(
     family: ParametrizedFamily,
     theta: np.ndarray,
     spec: Spectrum,
-    alpha: float,
+    alphas,
     on_extended: bool = False,
+    tangents=None,
 ) -> np.ndarray:
-    """All covariant derivatives nabla^(alpha)_i T_j at theta, in mixture form.
+    """All covariant derivatives nabla^(alpha)_i T_j at theta, in mixture form, in the
+    eigenbasis of the base point, for each order in the sequence ``alphas``.
 
     ``spec`` is the Spectrum of the point at theta, so nothing is decomposed
     again. theta may be one point (d,) or a stack (m, d) with a stacked
-    Spectrum; every point and every pair i <= j is then one stack per layer.
+    Spectrum; every point and every pair i <= j is then one stack per step.
+    ``tangents``, when given, are the chart tangents d_k sigma at theta in
+    that eigenbasis, (d, n, n) or (m, d, n, n); otherwise they are computed.
     Flat ones on the positive cone (``on_extended``) or projected ones on the
-    unit-trace manifold; the result has shape (d, d, n, n), or (m, d, d, n, n)
-    for a stack, and is symmetric in the two axes before the matrix axes.
+    unit-trace manifold; the result has shape (orders, d, d, n, n), or
+    (orders, m, d, d, n, n) for a stack, and is symmetric in the two axes
+    before the matrix axes. ``U X U†``, with U the base point's eigenvectors,
+    gives a set in the standard basis.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     d, n = family.param_dim, spec.dim
     i, j = np.triu_indices(d)
-    upper = _covariant_mixtures(family, theta, spec, (i, j), alpha, on_extended)
-    out = np.empty(theta.shape[:-1] + (d, d, n, n), dtype=complex)
+    upper = _covariant_mixtures(family, theta, spec, (i, j), alphas, on_extended, tangents)
+    out = np.empty(upper.shape[:-3] + (d, d, n, n), dtype=complex)
     out[..., i, j, :, :] = out[..., j, i, :, :] = upper
     return out
 

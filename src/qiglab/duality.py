@@ -297,11 +297,11 @@ class DefectGrid:
     points around it (step FIRST_DERIVATIVE_STEP * max(1, |theta_i|)) that
     d_i g_jk needs.
     The covariant derivatives nabla^(alpha)_i T_j at every point, in the
-    eigenbasis, are built on first use, in one covariant_derivative_set call
-    over the whole grid per signed alpha: the pair at +-alpha shares its two
-    sets with the pair at -+alpha, and alpha = 0 needs one. None of this
-    depends on the metric kernel, so ``defect`` only builds Petz kernels and
-    contracts.
+    eigenbasis, are built on first use, from those tangents, in one
+    covariant_derivative_set call over the whole grid for both orders
+    +-alpha: the pair at -+alpha shares the two sets, and alpha = 0 needs
+    one. None of this depends on the metric kernel, so ``defect`` only builds
+    Petz kernels and contracts.
     """
 
     def __init__(
@@ -323,14 +323,21 @@ class DefectGrid:
         self._stencil_tangents = _eigenbasis_tangents(family, stencil, self._stencil_spectrum)
         self._nabla = {}
 
-    def _connection(self, alpha: float) -> np.ndarray:
-        """nabla^(alpha)_i T_j at every grid point in its eigenbasis, shape (points, d, d, n, n)."""
-        if alpha not in self._nabla:  # -0.0 == 0.0 shares the alpha = 0 set
-            nabla = covariant_derivative_set(
-                self.family, np.stack(self.grid), self._spectrum, alpha, self.on_extended
+    def _connections(self, alpha: float) -> tuple:
+        """nabla^(alpha)_i T_j and nabla^(-alpha)_i T_j at every grid point in its eigenbasis,
+        each of shape (points, d, d, n, n)."""
+        orders = list(dict.fromkeys((alpha, -alpha)))  # -0.0 == 0.0: alpha = 0 needs one set
+        if any(a not in self._nabla for a in orders):
+            sets = covariant_derivative_set(
+                self.family,
+                np.stack(self.grid),
+                self._spectrum,
+                orders,
+                self.on_extended,
+                self._tangents,
             )
-            self._nabla[alpha] = self._spectrum.expand_dims().expand_dims().to_eigenbasis(nabla)
-        return self._nabla[alpha]
+            self._nabla.update(zip(orders, sets))
+        return self._nabla[alpha], self._nabla[-alpha]
 
     def defect(
         self,
@@ -341,7 +348,7 @@ class DefectGrid:
     ) -> DualityReport:
         """Defect tensor of the f-metric against the (+alpha, -alpha) connections on this grid."""
         alpha = float(alpha)
-        plus, minus = self._connection(alpha), self._connection(-alpha)
+        plus, minus = self._connections(alpha)
         c_stencil = petz_kernel(self._stencil_spectrum, f).coefficients
         dg = _central_difference(_tangent_gram(self._stencil_tangents, c_stencil), self._widths)
         # axes (point, i, j, k, n, n); _contract sums the last two, as kernel_metric does
@@ -523,13 +530,13 @@ def _check_affine(family: ParametrizedFamily, alpha: float, point: np.ndarray) -
     """
     pairs = ([0, 0], [0, 1]) if family.param_dim > 1 else ([0], [0])
     theta, _, spec = family.point_and_spectrum(point)
-    for mixture in _covariant_mixtures(family, theta, spec, pairs, alpha, True):
-        norm = float(np.linalg.norm(mixture))
-        if norm > 1e-4:
-            raise ValueError(
-                "coordinates are not affine for this embedding order "
-                f"(flat covariant derivative has norm {norm:.3e})"
-            )
+    mixtures = _covariant_mixtures(family, theta, spec, pairs, [alpha], True)[0]
+    norm = float(np.linalg.norm(mixtures, axis=(-2, -1)).max())  # a norm needs no basis
+    if norm > 1e-4:
+        raise ValueError(
+            "coordinates are not affine for this embedding order "
+            f"(flat covariant derivative has norm {norm:.3e})"
+        )
 
 
 @dataclass(frozen=True)
@@ -824,24 +831,16 @@ def convexity_failure_check(
     The classical alpha-connection satisfies this convex-combination identity
     exactly: the gap is zero on commuting (diagonal) families and genuinely
     nonzero on noncommuting charts for 0 < |alpha| < 1. The grid is evaluated
-    and decomposed once, and each of the three orders is one
-    covariant-derivative set over the whole grid.
+    and decomposed once, and the three orders are one covariant-derivative
+    set call over the whole grid; the norms are taken in each point's
+    eigenbasis.
     """
     alpha = float(alpha)
     w_plus, w_minus = 0.5 * (1.0 + alpha), 0.5 * (1.0 - alpha)
-    d = family.param_dim
     points = np.stack([np.atleast_1d(np.asarray(theta, dtype=float)) for theta in grid])
     spec = family.point_and_spectrum(points)[2]
-    direct, plus, minus = (
-        covariant_derivative_set(family, points, spec, a) for a in (alpha, 1.0, -1.0)
-    )
-    gaps = direct - (w_plus * plus + w_minus * minus)
-    diffs = np.empty((len(points), d, d))
-    # one norm per matrix: a norm over stacked axes sums in another order
-    for n in range(len(points)):
-        for i in range(d):
-            for j in range(i, d):
-                diffs[n, i, j] = diffs[n, j, i] = np.linalg.norm(gaps[n, i, j])
+    direct, plus, minus = covariant_derivative_set(family, points, spec, [alpha, 1.0, -1.0])
+    diffs = np.linalg.norm(direct - (w_plus * plus + w_minus * minus), axis=(-2, -1))
     return ConvexityReport(
         alpha=alpha,
         max_difference=float(diffs.max()),
@@ -886,14 +885,13 @@ def flatness_scan(alpha: float, dim: int, seed=5) -> float:
     rng = rng_from(seed)
     basis = hermitian_basis(dim)
     fam = xi_affine_family(basis, alpha, analytic=False)
-    upper = np.triu_indices(len(basis))
     worst = 0.0
     for _ in range(2):
         sigma = random_weight(rng, dim, 0.5, 2.0)
         xi = affine_coordinates(sigma, alpha, basis)
         spec = fam.point_and_spectrum(xi)[2]
-        nabla = covariant_derivative_set(fam, xi, spec, alpha, on_extended=True)
-        worst = max(worst, max(float(np.linalg.norm(m)) for m in nabla[upper]))
+        nabla = covariant_derivative_set(fam, xi, spec, [alpha], on_extended=True)
+        worst = max(worst, float(np.linalg.norm(nabla, axis=(-2, -1)).max()))
     return worst
 
 

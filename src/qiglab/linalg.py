@@ -367,6 +367,21 @@ def _triple_difference_tensor(lam: np.ndarray, fun: ScalarFunction) -> np.ndarra
     return t
 
 
+def _tangent_products(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """P[..., i, k, j] = E[i, k] F[k, j] + F[i, k] E[k, j] for eigenbasis directions E, F
+    (..., n, n), paired matrix by matrix: the part of D²f(A)[E, F] that does not depend on f."""
+    return (
+        first[..., :, :, None] * second[..., None, :, :]
+        + second[..., :, :, None] * first[..., None, :, :]
+    )
+
+
+def _triple_contraction(t: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Σ_k T[..., i, k, j] P[..., i, k, j]: D²f(A)[E, F] in the eigenbasis, from the triple
+    tensor T = f[λi, λk, λj] and the _tangent_products P; leading axes broadcast."""
+    return np.einsum("...ikj,...ikj->...ij", t, products)
+
+
 def frechet_second_derivative(
     spec: Spectrum, first: np.ndarray, second: np.ndarray, f
 ) -> np.ndarray:
@@ -384,6 +399,5 @@ def frechet_second_derivative(
     e = spec.to_eigenbasis(np.asarray(first, dtype=complex))
     g = spec.to_eigenbasis(np.asarray(second, dtype=complex))
     t = _triple_difference_tensor(np.asarray(spec.eigenvalues, dtype=float), fun)
-    pairing = "...ikj,...ik,...kj->...ij"
-    out = spec.from_eigenbasis(np.einsum(pairing, t, e, g) + np.einsum(pairing, t, g, e))
+    out = spec.from_eigenbasis(_triple_contraction(t, _tangent_products(e, g)))
     return _hermitize_self_adjoint(out, first, second)

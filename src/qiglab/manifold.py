@@ -297,13 +297,34 @@ def sphere_project(rho: Union[np.ndarray, Spectrum], alpha: float, a: np.ndarray
     return _project_with(_sphere_powers(rho, alpha), a)
 
 
+def _sphere_power_functions(alpha: float) -> tuple:
+    """The profiles x^((1+alpha)/2) and x^((1-alpha)/2) of the sphere projection's powers."""
+    alpha = _check_alpha(alpha)
+    return power_function(0.5 * (1.0 + alpha)), power_function(0.5 * (1.0 - alpha))
+
+
 def _sphere_powers(rho: Union[np.ndarray, Spectrum], alpha: float) -> tuple:
     """(rho^((1+alpha)/2), rho^((1-alpha)/2)) at one unit-trace base or each base of a stack."""
-    alpha = _check_alpha(alpha)
+    plus, minus = _sphere_power_functions(alpha)
     spec = check_state(rho)
-    p_plus = apply_scalar_function(spec, power_function(0.5 * (1.0 + alpha)))
-    p_minus = apply_scalar_function(spec, power_function(0.5 * (1.0 - alpha)))
-    return p_plus, p_minus
+    return apply_scalar_function(spec, plus), apply_scalar_function(spec, minus)
+
+
+def _project_in_eigenbasis(spec: Spectrum, alpha: float, a: np.ndarray) -> np.ndarray:
+    """``sphere_project`` of self-adjoint ``a`` given in the eigenbasis of the base, and
+    returned there: the powers are diagonal, so only the diagonal moves.
+
+    ``spec`` is one base point or a stack (..., n) whose leading axes
+    broadcast against those of ``a`` (..., n, n); each base must be a
+    unit-trace state.
+    """
+    plus, minus = _sphere_power_functions(alpha)
+    lam = check_state(spec).eigenvalues
+    diag = np.arange(spec.dim)
+    coeff = np.sum(plus(lam) * a[..., diag, diag].real, axis=-1)
+    out = np.array(a, dtype=complex)
+    out[..., diag, diag] -= coeff[..., None] * minus(lam)
+    return out
 
 
 def _project_with(powers: tuple, a: np.ndarray) -> np.ndarray:

@@ -5,6 +5,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qiglab.linalg import (
+    apply_scalar_function,
+    frechet_derivative,
+    frechet_second_derivative,
+    hermitize,
+    spectral_decompose,
+)
+from qiglab.manifold import (
+    SECOND_DERIVATIVE_STEP,
+    _scalar_hessian,
+    embedding_function,
+    representation_convert,
+    sphere_project,
+)
+
 # Child interpreters do not read pytest's ``pythonpath``; they get this checkout's src explicitly.
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -67,3 +82,41 @@ class CallLog:
 def calls(monkeypatch) -> CallLog:
     """Counts calls of the functions a test watches; see CallLog."""
     return CallLog(monkeypatch)
+
+
+# The eigenbasis covariant-derivative sets agree with standard_basis_covariant_set to this
+# multiple of the larger of 1 and the oracle's largest entry: round-off of a few rotations.
+ORACLE_RTOL = 1e-12
+
+
+def standard_basis_covariant_set(family, theta, alpha: float, on_extended: bool) -> np.ndarray:
+    """nabla^(alpha)_i T_j at one theta (d,), in mixture form and the standard basis, (d, d, n, n),
+    by the chain of public functions: the embedded chart's second partials as
+    frechet_second_derivative of the tangents plus frechet_derivative of the chart Hessian (a
+    central stencil of the embedded chart without analytic derivatives), then sphere_project
+    on the unit-trace manifold, representation_convert to the mixture form and, after the
+    projection, the trace removed."""
+    theta, _, spec = family.point_and_spectrum(theta)
+    fun = embedding_function(alpha)
+    d, n = family.param_dim, spec.dim
+    i, j = np.triu_indices(d)
+    if family.has_analytic_second_order:
+        tangents = family.tangent_matrices(theta)
+        hess = np.stack([family.hessian(theta, a, b) for a, b in zip(i, j)])
+        d2 = frechet_second_derivative(spec, tangents[i], tangents[j], fun)
+        d2 = d2 + frechet_derivative(spec, hess, fun)
+    else:
+
+        def embedded(t):
+            return apply_scalar_function(spectral_decompose(family.point(t)), fun)
+
+        d2 = _scalar_hessian(embedded, theta, SECOND_DERIVATIVE_STEP)[i, j]
+    d2 = hermitize(d2)
+    if not on_extended:
+        d2 = sphere_project(spec, alpha, d2)
+    mixture = representation_convert(spec, d2, alpha, -1.0)
+    if not on_extended:
+        mixture = mixture - (np.trace(mixture, axis1=-2, axis2=-1) / n)[:, None, None] * np.eye(n)
+    out = np.empty((d, d, n, n), dtype=complex)
+    out[i, j] = out[j, i] = mixture
+    return out

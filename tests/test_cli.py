@@ -240,6 +240,16 @@ def test_no_metric_table_samples_is_usage_error(capsys, option):
     assert f"{option} must be at least 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dims", ["1", "2,1", "0"])
+def test_metric_table_dims_below_two_is_usage_error(capsys, dims):
+    # a 1 x 1 state has no nonzero traceless tangent: the relative deviation divides by 0
+    with pytest.raises(SystemExit) as exc:
+        main(["metric-table", f"--dims={dims}"])
+    assert exc.value.code == 2
+    lowest = min(map(int, dims.split(",")))
+    assert f"--dims values must be at least 2, got {lowest}" in capsys.readouterr().err
+
+
 def test_negative_potential_points_is_usage_error(capsys):
     # 0 picks the grid size per dim; below 0 there is no grid
     with pytest.raises(SystemExit) as exc:
@@ -329,15 +339,33 @@ def test_help_lists_every_subcommand_and_its_options(capsys):
             assert f"--{key.replace('_', '-')}" in text, (name, key)
 
 
-def test_parser_builds_options_for_the_invoked_subcommand_only():
-    parser = _build_parser("potential")
-    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
-    assert list(subparsers.choices) == list(_DEFAULTS)
-    assert [a.help for a in subparsers._choices_actions] == [_HELP[name] for name in _DEFAULTS]
-    for name, sub in subparsers.choices.items():
-        options = {opt for action in sub._actions for opt in action.option_strings}
-        assert ("--dual-points" in options) == (name == "potential")
-        assert ("--seed" in options) == (name == "potential")
+def _subcommand_parsers(command) -> dict:
+    (subparsers,) = [a for a in _build_parser(command)._actions if a.dest == "command"]
+    return subparsers
+
+
+def test_parser_builds_the_invoked_subcommand_only():
+    subparsers = _subcommand_parsers("potential")
+    assert list(subparsers.choices) == ["potential"]
+    actions = subparsers.choices["potential"]._actions
+    options = {opt for action in actions for opt in action.option_strings}
+    assert {"--dual-points", "--seed"} <= options
+    # no subcommand named: every subcommand with its help line, none with options
+    for command in (None, "bogus"):
+        subparsers = _subcommand_parsers(command)
+        assert list(subparsers.choices) == list(_DEFAULTS)
+        assert [a.help for a in subparsers._choices_actions] == [_HELP[name] for name in _DEFAULTS]
+        for sub in subparsers.choices.values():
+            assert [a.option_strings for a in sub._actions] == [["-h", "--help"]]
+
+
+def test_unknown_command_is_usage_error_naming_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    choices = ", ".join(repr(name) for name in _DEFAULTS)
+    err = capsys.readouterr().err
+    assert f"argument COMMAND: invalid choice: 'bogus' (choose from {choices})" in err
 
 
 # ------------------------------------------------------------- decompositions

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import ORACLE_RTOL, standard_basis_covariant_set
 
 from qiglab.connections import (
     CurveSpec,
@@ -12,10 +13,11 @@ from qiglab.duality import (
     convexity_failure_check,
     gibbs_family,
     qubit_bloch_family,
+    qubit_weight_family,
     sample_grid,
     standard_witness_families,
 )
-from qiglab.connections import _embedded_second_partials
+from qiglab.connections import _stencil_second_partials
 from qiglab.linalg import _TRIPLE_RTOL, apply_scalar_function, hermitize, spectral_decompose
 from qiglab.manifold import (
     CHART_MIN_EIGENVALUE,
@@ -119,8 +121,7 @@ def test_fd_second_partial_halves_a_stencil_that_leaves_the_chart_domain():
     theta = np.array([SECOND_DERIVATIVE_STEP + 0.5 * CHART_MIN_EIGENVALUE])
     with pytest.raises(ValueError, match="below guard"):
         fam.point(theta - SECOND_DERIVATIVE_STEP)
-    spec = spectral_decompose(fam.point(theta))
-    got = _embedded_second_partials(fam, theta, spec, ([0], [0]), 0.5)[0]
+    got = _stencil_second_partials(fam, theta, [embedding_function(0.5)], [0], [0])[0, 0]
     half = _embedded_second_partial(fam, theta, 0.5, 0.5 * SECOND_DERIVATIVE_STEP)
     np.testing.assert_array_equal(got, half)
     # the first step that fits is kept, not shrunk further
@@ -140,17 +141,21 @@ def test_fd_second_partial_reports_a_stencil_that_never_fits():
 
 @pytest.mark.parametrize("on_extended", [False, True])
 def test_covariant_derivative_set_matches_single_derivatives(on_extended):
+    # every order of one call, rotated out of the eigenbasis, is the one-pair derivative's bits
     fam = linear_family(I2 / 2.0, [SX / 2.0, SY / 2.0, SZ / 2.0])
     theta = np.array([0.2, -0.1, 0.15])
     single = ext_covariant_derivative if on_extended else covariant_derivative_on_M
     spec = spectral_decompose(fam.point(theta))
-    for alpha in (-0.5, 0.0, 1.0):
-        nabla = covariant_derivative_set(fam, theta, spec, alpha, on_extended)
+    alphas = (-0.5, 0.0, 1.0)
+    sets = covariant_derivative_set(fam, theta, spec, alphas, on_extended)
+    assert sets.shape == (3, 3, 3, 2, 2)
+    for alpha, nabla in zip(alphas, sets):
         for i in range(3):
             for j in range(i, 3):
                 expected = single(fam, theta, i, j, alpha).vector.mixture
-                np.testing.assert_array_equal(nabla[i, j], expected)
-                np.testing.assert_array_equal(nabla[j, i], expected)
+                standard = hermitize(spec.from_eigenbasis(nabla[i, j]))
+                np.testing.assert_array_equal(standard, expected)
+                np.testing.assert_array_equal(nabla[j, i], nabla[i, j])
 
 
 def _witness_cases():
@@ -162,16 +167,16 @@ def _witness_cases():
     ]
 
 
-def _assert_stack_matches_points(fam, points, alpha, on_extended):
+def _assert_stack_matches_points(fam, points, alphas, on_extended):
     """A stacked covariant_derivative_set equals, point by point, the one-point call's bits."""
     spec = spectral_decompose(fam.point(points))
-    stacked = covariant_derivative_set(fam, points, spec, alpha, on_extended)
+    stacked = covariant_derivative_set(fam, points, spec, alphas, on_extended)
     d, n = fam.param_dim, spec.dim
-    assert stacked.shape == (len(points), d, d, n, n)
+    assert stacked.shape == (len(alphas), len(points), d, d, n, n)
     for k, theta in enumerate(points):
         one = spectral_decompose(fam.point(theta))
-        single = covariant_derivative_set(fam, theta, one, alpha, on_extended)
-        assert np.array_equal(stacked[k], single)
+        single = covariant_derivative_set(fam, theta, one, alphas, on_extended)
+        assert np.array_equal(stacked[:, k], single)
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
@@ -180,7 +185,7 @@ def _assert_stack_matches_points(fam, points, alpha, on_extended):
 )
 def test_stacked_covariant_derivative_set_equals_point_by_point(witness, on_extended, alpha):
     points = np.stack(sample_grid(witness, [7, witness.family.param_dim], 3))
-    _assert_stack_matches_points(witness.family, points, alpha, on_extended)
+    _assert_stack_matches_points(witness.family, points, [alpha], on_extended)
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
@@ -189,9 +194,8 @@ def test_stacked_covariant_derivative_set_on_an_analytic_affine_chart(alpha):
     fam = xi_affine_family(QUBIT_BASIS, alpha)
     sigmas = np.stack([random_weight(rng, 2, 0.6, 1.8) for _ in range(3)])
     points = affine_coordinates(sigmas, alpha, QUBIT_BASIS)
-    # the flat set vanishes in a matched affine chart, so use a mismatched order too
-    for order in (alpha, -alpha, 0.9):
-        _assert_stack_matches_points(fam, points, order, True)
+    # the flat set vanishes in a matched affine chart, so use mismatched orders too
+    _assert_stack_matches_points(fam, points, [alpha, -alpha, 0.9], True)
 
 
 @pytest.mark.parametrize("on_extended", [True, False])
@@ -199,7 +203,7 @@ def test_stacked_covariant_derivative_set_on_an_analytic_affine_chart(alpha):
 def test_stacked_covariant_derivative_set_on_a_gibbs_chart(alpha, on_extended):
     fam = gibbs_family([SX, SZ]).family
     points = np.array([[0.3, -0.2], [-0.5, 0.1], [0.05, 0.4]])
-    _assert_stack_matches_points(fam, points, alpha, on_extended)
+    _assert_stack_matches_points(fam, points, [alpha], on_extended)
 
 
 @pytest.mark.parametrize("on_extended", [True, False])
@@ -211,8 +215,8 @@ def test_stacked_covariant_derivative_set_keeps_each_points_triple_differences(a
     points = np.array([[1e-9, 0.0, 0.0], [0.2, -0.1, 0.15]])
     gap = np.diff(np.linalg.eigvalsh(fam.point(points[0])))[0]
     assert 0.0 < gap < _TRIPLE_RTOL
-    _assert_stack_matches_points(fam, points, alpha, on_extended)
-    _assert_stack_matches_points(fam, points[::-1], alpha, on_extended)
+    _assert_stack_matches_points(fam, points, [alpha], on_extended)
+    _assert_stack_matches_points(fam, points[::-1], [alpha], on_extended)
 
 
 def test_stacked_fd_covariant_derivative_set_fits_each_points_stencil_alone():
@@ -220,7 +224,57 @@ def test_stacked_fd_covariant_derivative_set_fits_each_points_stencil_alone():
     # point's stencil is halved, the second point's is not
     fam = _diagonal_chart(1.0)
     points = np.array([[SECOND_DERIVATIVE_STEP + 0.5 * CHART_MIN_EIGENVALUE], [0.7]])
-    _assert_stack_matches_points(fam, points, 0.5, True)
+    _assert_stack_matches_points(fam, points, [0.5, -0.5], True)
+
+
+def _assert_matches_oracle(fam, points, alphas, on_extended):
+    """Each order of one stacked covariant_derivative_set call, rotated out of each point's
+    eigenbasis, agrees with the standard-basis chain at that point to ORACLE_RTOL."""
+    spec = spectral_decompose(fam.point(points))
+    sets = covariant_derivative_set(fam, points, spec, alphas, on_extended)
+    standard = spec.expand_dims().expand_dims().from_eigenbasis(sets)
+    for alpha, got in zip(alphas, standard):
+        for k, theta in enumerate(points):
+            want = standard_basis_covariant_set(fam, theta, alpha, on_extended)
+            atol = ORACLE_RTOL * max(1.0, np.abs(want).max())
+            np.testing.assert_allclose(got[k], want, rtol=0.0, atol=atol)
+
+
+ORACLE_ALPHAS = [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize(
+    "witness, on_extended", _witness_cases(), ids=lambda c: getattr(c, "name", str(c))
+)
+def test_covariant_derivative_set_matches_the_standard_basis_chain(witness, on_extended):
+    points = np.stack(sample_grid(witness, [7, witness.family.param_dim], 3))
+    _assert_matches_oracle(witness.family, points, ORACLE_ALPHAS, on_extended)
+
+
+def test_covariant_derivative_set_matches_the_standard_basis_chain_on_charts():
+    rng = rng_from(29)
+    sigmas = np.stack([random_weight(rng, 2, 0.6, 1.8) for _ in range(2)])
+    for analytic in (True, False):  # exact chart derivatives, and the stencil
+        fam = xi_affine_family(QUBIT_BASIS, 0.5, analytic)
+        points = affine_coordinates(sigmas, 0.5, QUBIT_BASIS)
+        _assert_matches_oracle(fam, points, ORACLE_ALPHAS, True)
+    gibbs = gibbs_family([SX, SZ]).family
+    points = np.array([[0.3, -0.2], [-0.5, 0.1]])
+    for on_extended in (True, False):
+        _assert_matches_oracle(gibbs, points, ORACLE_ALPHAS, on_extended)
+    # eigenvalue gap 1e-9: the triple differences take their coincident branches
+    bloch = qubit_bloch_family()
+    for on_extended in (True, False):
+        _assert_matches_oracle(bloch, np.array([[1e-9, 0.0, 0.0]]), ORACLE_ALPHAS, on_extended)
+
+
+def test_projected_covariant_derivative_set_rejects_a_base_off_the_unit_trace_manifold():
+    fam = qubit_weight_family()
+    points = np.array([[0.1, 0.0, 0.0, 0.0], [0.0, 0.2, 0.0, 0.0]])
+    spec = spectral_decompose(fam.point(points))
+    covariant_derivative_set(fam, points, spec, [0.5], on_extended=True)
+    with pytest.raises(ValueError, match="not a unit-trace state"):
+        covariant_derivative_set(fam, points, spec, [0.5], on_extended=False)
 
 
 # -------------------------------------------- projected covariant derivative

@@ -2,8 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import ORACLE_RTOL, standard_basis_covariant_set
 
-from qiglab.connections import covariant_derivative_on_M, ext_covariant_derivative
 from qiglab.linalg import (
     apply_scalar_function,
     frechet_derivative,
@@ -129,9 +129,8 @@ def test_duality_report_metadata():
 
 
 def _reference_per_triple(family, grid, f, alpha, on_extended):
-    """Per-triple defect loop: one public covariant derivative per pair and sign,
+    """Per-triple defect loop: the standard-basis covariant-derivative set per sign,
     kernel_metric per pairing, and a central difference of the metric matrix."""
-    deriv = ext_covariant_derivative if on_extended else covariant_derivative_on_M
     d = family.param_dim
 
     def metric_matrix(theta):
@@ -147,11 +146,8 @@ def _reference_per_triple(family, grid, f, alpha, on_extended):
     for theta in grid:
         kernel = petz_kernel(family.point(theta), f)
         tangents = [family.tangent_matrix(theta, k) for k in range(d)]
-        plus, minus = {}, {}
-        for i in range(d):
-            for j in range(i, d):
-                plus[i, j] = plus[j, i] = deriv(family, theta, i, j, alpha).vector.mixture
-                minus[i, j] = minus[j, i] = deriv(family, theta, i, j, -alpha).vector.mixture
+        plus = standard_basis_covariant_set(family, theta, alpha, on_extended)
+        minus = standard_basis_covariant_set(family, theta, -alpha, on_extended)
         dg = np.empty((d, d, d))
         for i in range(d):
             h = FIRST_DERIVATIVE_STEP * max(1.0, abs(theta[i]))
@@ -176,7 +172,7 @@ def _reference_per_triple(family, grid, f, alpha, on_extended):
     "dim, manifold", [(2, "state"), (2, "weight"), (3, "state"), (3, "weight")]
 )
 def test_defect_grid_equals_per_triple_reference(dim, manifold):
-    # one grid serves every kernel and alpha, bit for bit as the per-triple loop
+    # one grid serves every kernel and alpha, as the per-triple loop does up to round-off
     witness = standard_witness_families(dim, manifold)[0]
     grid = sample_grid(witness, [0, dim], 2)
     shared = DefectGrid(witness.family, grid, witness.on_extended)
@@ -186,11 +182,12 @@ def test_defect_grid_equals_per_triple_reference(dim, manifold):
     for f, alpha in cases:
         expected = _reference_per_triple(witness.family, grid, f, alpha, witness.on_extended)
         rep = shared.defect(f, alpha)
-        np.testing.assert_array_equal(rep.per_triple, expected)
-        assert rep.defect == float(np.abs(expected).max())
+        atol = ORACLE_RTOL * max(1.0, np.abs(expected).max())
+        np.testing.assert_allclose(rep.per_triple, expected, rtol=0.0, atol=atol)
+        assert rep.defect == float(np.abs(rep.per_triple).max())
         np.testing.assert_array_equal(
             duality_defect(witness.family, grid, f, alpha, witness.on_extended).per_triple,
-            expected,
+            rep.per_triple,
         )
 
 
@@ -201,22 +198,23 @@ def test_defect_grid_builds_each_connection_set_once(calls, capsys):
     def count(run):
         calls.clear()
         run()
-        return calls.count("frechet_second_derivative")
+        return calls.count("_triple_difference_tensor"), calls.count("covariant_derivative_set")
 
-    calls.watch(qiglab.connections, "frechet_second_derivative")
+    # one triple tensor per order of a covariant-derivative set, for all its points and pairs
+    calls.watch(qiglab.connections, "_triple_difference_tensor")
+    calls.watch(qiglab.duality, "covariant_derivative_set")
     witnesses = standard_witness_families(2, "state")
-    # one stacked call per covariant-derivative set, for all its pairs i <= j
     battery = count(lambda: uniqueness_scan(0.5, witnesses=witnesses, n_points=1))
     single = count(
         lambda: uniqueness_scan(
             0.5, witnesses=witnesses, n_points=1, candidates=[(wyd_function(0.75), 1.0, True)]
         )
     )
-    # nabla^(0.5) and nabla^(-0.5) once each, for 7 candidates as for 1
-    assert battery == single == 2
+    # nabla^(0.5) and nabla^(-0.5) once each, in one call, for 7 candidates as for 1
+    assert battery == single == (2, 1)
     argv = ["duality", "--alpha=-0.5,0,0.5", "--dim", "2", "--manifold", "state", "--points", "1"]
-    # the signed orders -0.5, 0 and 0.5: three sets, not one per alpha and sign
-    assert count(lambda: main(argv)) == 3
+    # the signed orders -0.5, 0 and 0.5: three sets, one call for +-0.5 and one for 0
+    assert count(lambda: main(argv)) == (3, 2)
     capsys.readouterr()
 
 
@@ -225,22 +223,27 @@ def test_defect_grid_builds_each_signed_alpha_in_one_stacked_call(calls, capsys)
     from qiglab.cli import main
 
     calls.watch(qiglab.duality, "covariant_derivative_set", arg=1)
+    calls.watch(qiglab.duality, "covariant_derivative_set", key="orders", arg=3)
     shapes = calls.shapes["covariant_derivative_set"]  # the theta of each call
+    orders = calls.shapes["orders"]  # the alphas of each call
     witness = standard_witness_families(2, "state")[0]
     shared = DefectGrid(witness.family, sample_grid(witness, 5, 3))
     for alpha in (0.5, -0.5, 0.0):
         shared.defect(wyd_function(0.5 * (1.0 + alpha)), alpha)
-    # nabla at 0.5, -0.5 and 0, each for all three points at once
-    assert shapes == [(3, 3)] * 3
+    # nabla at 0.5 and -0.5 in one call, then at 0, each for all three points at once
+    assert shapes == [(3, 3)] * 2
+    assert orders == [(2,), (1,)]
     for alpha in (0.5, 0.0, -0.5):
         shared.defect(bures_function(), alpha)
-    assert len(shapes) == 3
+    assert len(shapes) == 2
     shapes.clear()
+    orders.clear()
     # default duality: 2 dims x 2 manifolds of 3-point grids, alpha -0.5, 0 and 0.5
     assert main(["duality"]) == 0
     capsys.readouterr()
-    assert len(shapes) == 12
+    assert len(shapes) == 8
     assert all(shape[0] == 3 for shape in shapes)
+    assert sorted(orders) == [(1,)] * 4 + [(2,)] * 4  # per grid: +-0.5 in one call, 0 in one
 
 
 @pytest.mark.parametrize("points", [1, 3])

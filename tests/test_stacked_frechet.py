@@ -1,7 +1,6 @@
 """A stack of directions at one base point gives, matrix by matrix, the bits of one direction at a time.
 
-Property tests over the layers a covariant-derivative set is built from, at
-n = 2-4: stacked `frechet_derivative`, `frechet_second_derivative`,
+Property tests over the spectral-calculus layers, at n = 2-4: stacked `frechet_derivative`, `frechet_second_derivative`,
 `representation_convert` and `sphere_project` equal the per-matrix calls
 exactly. Base spectra are generic, near-degenerate (a gap below
 DEGENERACY_RTOL, or a cluster of three below _TRIPLE_RTOL) or have a tiny
