@@ -589,6 +589,9 @@ def _run_monotonicity(opt):
 
 def _run_flatness(opt):
     seed = int(opt["seed"])
+    steps = _count(opt, "steps", floor=2)
+    if steps % 2:  # the transport is Richardson-extrapolated from a half-resolution run
+        raise ValueError(f"--steps must be even, got {steps}")
     tol = float(opt["tol"])
     wtol = float(opt["witness_tol"])
     records = []
@@ -604,7 +607,7 @@ def _run_flatness(opt):
                     "status": "pass" if value <= tol else "fail",
                 }
             )
-    witness = path_dependence_witness(0.0, _count(opt, "steps"))
+    witness = path_dependence_witness(0.0, steps)
     records.append(
         {
             "record": "case",
@@ -620,6 +623,9 @@ def _run_flatness(opt):
 def _run_convexity_failure(opt):
     seed = int(opt["seed"])
     alpha = _list(opt, "alpha", float, single=True)[0]
+    # at |alpha| = 1 the order-alpha connection is an end order and BKM the matched metric
+    if not -1.0 < alpha < 1.0:
+        raise ValueError(f"--alpha must lie strictly inside (-1, 1), got {alpha!r}")
     records = []
 
     rng = rng_from([seed, 3])
@@ -688,8 +694,12 @@ def _run_convexity_failure(opt):
 
 def _run_entropy_projection(opt):
     seed = int(opt["seed"])
-    dim = int(opt["dim"])
-    n_obs = int(opt["observables"])
+    dim = _count(opt, "dim", floor=2)
+    n_obs = _count(opt, "observables")
+    if n_obs > dim * dim - 1:  # with I they would span more than the dim^2 Hermitian matrices
+        raise ValueError(
+            f"--observables must be at most dim^2 - 1 = {dim * dim - 1} at --dim {dim}, got {n_obs}"
+        )
     instances = _count(opt, "instances")
     tol = float(opt["tol"])
     mean_tol = float(opt["mean_tol"])

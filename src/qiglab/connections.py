@@ -20,10 +20,11 @@ f the embedding profile of order alpha:
 
 The tangent products do not depend on alpha, so one call builds a sequence
 of orders, each for one triple tensor, one divided-difference matrix and one
-contraction; with analytic chart derivatives every point of a stack and
-every pair is one stacked step. A chart without them gets every second
-partial at a point, for every order, from one central stencil of
-1 + 2d + 2d(d - 1) points, evaluated in one chart call, with steps
+contraction; with analytic chart derivatives (one ``jacobian`` and one
+``hessians`` call) every point of a stack and every pair is one stacked
+step. A chart without them gets every second partial at a point, for every
+order, from one central stencil of 1 + 2d + 2d(d - 1) points, evaluated in
+one chart call, with steps
 SECOND_DERIVATIVE_STEP * max(1, |theta_i|) (``manifold._scalar_hessian``),
 point by point; those partials are rotated into the eigenbasis.
 """
@@ -102,37 +103,35 @@ def _embedded_second_partials(
     family: ParametrizedFamily,
     theta: np.ndarray,
     spec: Spectrum,
-    pairs: tuple,
     funs: list,
     kernels: list,
     tangents,
 ) -> list:
-    """Second partials d_i d_j of the embedded chart at theta (..., d), stacked over the
-    index arrays ``pairs`` = (i, j), in the eigenbasis of each point: one (..., pairs, n, n)
+    """Second partials d_i d_j of the embedded chart at theta (..., d), for every pair i <= j
+    in ``np.triu_indices`` order, in the eigenbasis of each point: one (..., pairs, n, n)
     array per embedding profile in ``funs``. ``spec`` is the Spectrum of the point at theta,
     stacked as theta is; ``kernels`` holds each profile's divided-difference matrix at it.
 
     With analytic derivatives the tangents (``tangents``, or the chart's
-    rotated once) and the Hessians are rotated once, and each profile adds
-    one triple tensor and one contraction. Without them, each point's pairs
-    for every profile come from one central stencil at that point; a stencil
-    that leaves the chart domain is halved and retried, up to four tries in
-    all, point by point.
+    rotated once) and the Hessians, from one ``hessians`` call, are rotated
+    once, and each profile adds one triple tensor and one contraction.
+    Without them, each point's partials for every profile come from one
+    central stencil at that point; a stencil that leaves the chart domain is
+    halved and retried, up to four tries in all, point by point.
     """
-    i, j = (np.asarray(k) for k in pairs)
+    i, j = np.triu_indices(family.param_dim)
     at = spec.expand_dims()  # each base point against its stack of pairs
     if not family.has_analytic_second_order:
         rows = [
-            _stencil_second_partials(family, row, funs, i, j)
+            _stencil_second_partials(family, row, funs)
             for row in theta.reshape(-1, theta.shape[-1])
         ]
         d2 = np.stack(rows, axis=1).reshape((len(funs),) + theta.shape[:-1] + rows[0].shape[1:])
-        return list(at.to_eigenbasis(d2))
+        return list(at.to_eigenbasis(d2[..., i, j, :, :]))
     if tangents is None:
         tangents = at.to_eigenbasis(family.tangent_matrices(theta))
     products = _tangent_products(tangents[..., i, :, :], tangents[..., j, :, :])
-    hess = np.stack([family.hessian(theta, a, b) for a, b in zip(i, j)], axis=-3)
-    hess = at.to_eigenbasis(hess)
+    hess = at.to_eigenbasis(family.hessians(theta)[..., i, j, :, :])
     lam = spec.eigenvalues
     return [
         _triple_contraction(_triple_difference_tensor(lam, fun)[..., None, :, :, :], products)
@@ -141,9 +140,9 @@ def _embedded_second_partials(
     ]
 
 
-def _stencil_second_partials(family: ParametrizedFamily, theta: np.ndarray, funs, i, j):
-    """Central-stencil second partials of the embedded chart at one theta (d,), pairs (i, j),
-    for each profile in ``funs``: (profiles, pairs, n, n), from one stencil."""
+def _stencil_second_partials(family: ParametrizedFamily, theta: np.ndarray, funs) -> np.ndarray:
+    """Central-stencil second partials of the embedded chart at one theta (d,), for each
+    profile in ``funs``: (profiles, d, d, n, n), from one stencil."""
 
     def embedded(t):
         spec = family.point_and_spectrum(t)[2]
@@ -152,7 +151,7 @@ def _stencil_second_partials(family: ParametrizedFamily, theta: np.ndarray, funs
     for shrink in range(4):
         step = SECOND_DERIVATIVE_STEP * 0.5**shrink
         try:
-            return hermitize(np.moveaxis(_scalar_hessian(embedded, theta, step)[i, j], 1, 0))
+            return hermitize(np.moveaxis(_scalar_hessian(embedded, theta, step), 2, 0))
         except ValueError as exc:  # domain boundary inside the stencil
             error = exc
     steps = ", ".join(f"{h:.2e}" for h in step * np.maximum(1.0, np.abs(theta)))
@@ -160,39 +159,6 @@ def _stencil_second_partials(family: ParametrizedFamily, theta: np.ndarray, funs
         f"stencil keeps leaving the chart domain near theta={theta.tolist()} "
         f"(final steps {steps})"
     ) from error
-
-
-def _covariant_mixtures(
-    family: ParametrizedFamily,
-    theta: np.ndarray,
-    spec: Spectrum,
-    pairs: tuple,
-    alphas,
-    on_extended: bool,
-    tangents=None,
-) -> np.ndarray:
-    """Mixture forms of the flat (on_extended) or projected nabla_i T_j at theta (..., d), in
-    the eigenbasis of each point, stacked over the orders ``alphas`` and over ``pairs``:
-    (orders, ..., pairs, n, n). ``tangents`` are the eigenbasis chart tangents at theta,
-    (..., d, n, n), when the caller holds them."""
-    funs = [embedding_function(a) for a in alphas]
-    lam = check_weight(spec).eigenvalues
-    kernels = [divided_difference_matrix(lam, fun)[..., None, :, :] for fun in funs]
-    second = _embedded_second_partials(family, theta, spec, pairs, funs, kernels, tangents)
-    at = spec.expand_dims()
-    diag = np.arange(spec.dim)
-    out = []
-    for alpha, k, d2 in zip(alphas, kernels, second):
-        d2 = hermitize(d2)
-        if on_extended:
-            out.append(d2 / k)
-            continue
-        # rejects a base off the unit-trace manifold
-        mixture = _project_in_eigenbasis(at, alpha, d2) / k
-        trace = mixture[..., diag, diag].sum(axis=-1)
-        mixture[..., diag, diag] -= (trace / spec.dim)[..., None]  # kill round-off trace
-        out.append(mixture)
-    return np.stack(out)
 
 
 def _from_eigenbasis(spec: Spectrum, mixture: np.ndarray) -> np.ndarray:
@@ -207,10 +173,11 @@ def ext_covariant_derivative(
 
     The plain second partial of the embedded chart, converted back to the
     mixture representation at the base point. Vanishes identically in
-    coordinates that make the embedding affine.
+    coordinates that make the embedding affine. Entry (i, j) of
+    ``covariant_derivative_set``.
     """
     theta, sigma, spec = family.point_and_spectrum(theta)
-    mixture = _covariant_mixtures(family, theta, spec, ([i], [j]), [alpha], True)[0, 0]
+    mixture = covariant_derivative_set(family, theta, spec, [alpha], True)[0, i, j]
     return CovariantDerivativeResult(sigma, weight_tangent(sigma, _from_eigenbasis(spec, mixture)))
 
 
@@ -221,10 +188,11 @@ def covariant_derivative_on_M(
 
     The second partial of the embedded chart followed by the sphere
     projection at the base point; the alpha representation of the result is
-    tangent (weighted trace zero) by construction.
+    tangent (weighted trace zero) by construction. Entry (i, j) of
+    ``covariant_derivative_set``.
     """
     theta, sigma, spec = family.point_and_spectrum(theta)
-    mixture = _covariant_mixtures(family, theta, spec, ([i], [j]), [alpha], False)[0, 0]
+    mixture = covariant_derivative_set(family, theta, spec, [alpha], False)[0, i, j]
     return CovariantDerivativeResult(sigma, state_tangent(sigma, _from_eigenbasis(spec, mixture)))
 
 
@@ -252,10 +220,24 @@ def covariant_derivative_set(
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     d, n = family.param_dim, spec.dim
+    funs = [embedding_function(a) for a in alphas]
+    lam = check_weight(spec).eigenvalues
+    kernels = [divided_difference_matrix(lam, fun)[..., None, :, :] for fun in funs]
+    second = _embedded_second_partials(family, theta, spec, funs, kernels, tangents)
+    at = spec.expand_dims()
     i, j = np.triu_indices(d)
-    upper = _covariant_mixtures(family, theta, spec, (i, j), alphas, on_extended, tangents)
-    out = np.empty(upper.shape[:-3] + (d, d, n, n), dtype=complex)
-    out[..., i, j, :, :] = out[..., j, i, :, :] = upper
+    diag = np.arange(n)
+    out = np.empty((len(funs),) + theta.shape[:-1] + (d, d, n, n), dtype=complex)
+    for alpha, k, d2, nabla in zip(alphas, kernels, second, out):
+        d2 = hermitize(d2)
+        if on_extended:
+            mixture = d2 / k
+        else:
+            # rejects a base off the unit-trace manifold
+            mixture = _project_in_eigenbasis(at, alpha, d2) / k
+            trace = mixture[..., diag, diag].sum(axis=-1)
+            mixture[..., diag, diag] -= (trace / n)[..., None]  # kill round-off trace
+        nabla[..., i, j, :, :] = nabla[..., j, i, :, :] = mixture
     return out
 
 

@@ -71,7 +71,6 @@ from .metrics import (
 )
 from .connections import (
     CurveSpec,
-    _covariant_mixtures,
     _curve_stack,
     covariant_derivative_set,
     parallel_transport_on_M,
@@ -524,14 +523,13 @@ def _damped_newton(objective, gradient, hessian, x, tol: float, max_iter: int):
 
 
 def _check_affine(family: ParametrizedFamily, alpha: float, point: np.ndarray) -> None:
-    """Reject a chart whose flat derivatives (0, 0) and (0, 1) at ``point`` do not vanish.
+    """Reject a chart whose flat covariant derivatives at ``point`` do not all vanish.
 
-    The point is decomposed once, and both derivatives are one stack.
+    Every pair (i, j) is checked, from one covariant_derivative_set call.
     """
-    pairs = ([0, 0], [0, 1]) if family.param_dim > 1 else ([0], [0])
     theta, _, spec = family.point_and_spectrum(point)
-    mixtures = _covariant_mixtures(family, theta, spec, pairs, [alpha], True)[0]
-    norm = float(np.linalg.norm(mixtures, axis=(-2, -1)).max())  # a norm needs no basis
+    nabla = covariant_derivative_set(family, theta, spec, [alpha], on_extended=True)
+    norm = float(np.linalg.norm(nabla, axis=(-2, -1)).max())  # a norm needs no basis
     if norm > 1e-4:
         raise ValueError(
             "coordinates are not affine for this embedding order "
@@ -988,18 +986,18 @@ def gibbs_family(observables: Sequence[np.ndarray]) -> GibbsFamily:
         shifted, _, sigma = spectrum(theta)
         return frechet_derivative(shifted.expand_dims(), _gibbs_directions(sigma, ys), expf)
 
-    def hessian(theta, i, j):
+    def hessians(theta):
+        # D2 exp(B - psi I)[Y_i - <Y_i> I, Y_j - <Y_j> I] - (d_i d_j psi) sigma,
+        # with d_i d_j psi = Tr(d_j sigma Y_i)
         spec, _, sigma = spectrum(theta)
         dirs = _gibbs_directions(sigma, ys)
-        dsig_j = frechet_derivative(spec, dirs[..., j, :, :], expf)
-        d2psi = np.trace(dsig_j @ ys[i], axis1=-2, axis2=-1).real
-        return hermitize(
-            frechet_second_derivative(spec, dirs[..., i, :, :], dirs[..., j, :, :], expf)
-            - d2psi[..., None, None] * sigma
-        )
+        d2psi = np.trace(jacobian(theta)[..., None, :, :, :] @ ys[:, None], axis1=-2, axis2=-1).real
+        pair = dirs[..., :, None, :, :], dirs[..., None, :, :, :]
+        second = frechet_second_derivative(spec.expand_dims().expand_dims(), *pair, expf)
+        return hermitize(second - d2psi[..., None, None] * sigma[..., None, None, :, :])
 
     fam = ParametrizedFamily(
-        param_dim=len(ys), chart=chart, jacobian=jacobian, hessian=hessian
+        param_dim=len(ys), chart=chart, jacobian=jacobian, hessians=hessians
     )
     return GibbsFamily(tuple(ys), fam, spectrum)
 

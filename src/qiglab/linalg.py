@@ -35,12 +35,14 @@ __all__ = [
     "frechet_second_derivative",
 ]
 
-# Relative eigenvalue gap below which a pair is treated as coincident and the
-# first divided difference falls back to the derivative at the midpoint.
+# A pair x, y with |x - y| <= DEGENERACY_RTOL * max(1, |x|, |y|) is treated as
+# coincident, and its first divided difference falls back to the derivative at
+# the midpoint. For eigenvalues of a state (all below 1) the gap bound is the
+# absolute 1e-10, not relative to the eigenvalues.
 DEGENERACY_RTOL = 1e-10
 
 # Looser threshold for second divided differences, where the cancellation in
-# the recursive quotient is one order worse.
+# the recursive quotient is one order worse; scaled by max(1, ...) the same way.
 _TRIPLE_RTOL = 1e-7
 
 _HERMITIAN_TOL = 1e-12
@@ -279,10 +281,12 @@ def _pair_difference(fun: ScalarFunction, x: float, y: float) -> float:
 def divided_difference_matrix(eigenvalues: np.ndarray, f) -> np.ndarray:
     """Matrix of first divided differences K[i, j] = f[λi, λj].
 
-    Off the diagonal this is (f(λi) - f(λj))/(λi - λj); coincident pairs
-    (relative gap below DEGENERACY_RTOL) use f' at the midpoint, and the
-    diagonal is f'(λi), so f must carry a derivative. Stacked eigenvalues
-    (..., n) give one matrix per row, (..., n, n), each as the row gets alone.
+    Off the diagonal this is (f(λi) - f(λj))/(λi - λj), or f.pair(λi, λj)
+    when f carries one. Without ``pair``, a coincident pair, one with
+    |λi - λj| <= DEGENERACY_RTOL * max(1, |λi|, |λj|) (an absolute gap for
+    eigenvalues up to 1), uses f' at the midpoint. The diagonal is f'(λi),
+    so f must carry a derivative. Stacked eigenvalues (..., n) give one
+    matrix per row, (..., n, n), each as the row gets alone.
     """
     fun = _as_scalar_function(f)
     if fun.deriv is None:

@@ -342,10 +342,10 @@ class ParametrizedFamily:
     over leading axes: a stack (m, d) maps to (m, n, n), row by row with the
     same arithmetic. ``jacobian(theta)`` returns all d partials of the chart,
     (d, n, n), and must broadcast in the same way: (m, d) gives (m, d, n, n).
-    ``hessian(theta, i, j)`` returns the (i, j) second partial, (n, n), and
-    must broadcast in the same way: (m, d) gives (m, n, n). When absent,
-    consumers fall back to central differences with step
-    FIRST_DERIVATIVE_STEP * max(1, |theta_i|) for first partials and
+    ``hessians(theta)`` returns every second partial, (d, d, n, n) with
+    d_i d_j sigma at [i, j], and must broadcast in the same way: (m, d) gives
+    (m, d, d, n, n). When absent, consumers fall back to central differences
+    with step FIRST_DERIVATIVE_STEP * max(1, |theta_i|) for first partials and
     SECOND_DERIVATIVE_STEP * max(1, |theta_i|) for second partials. Charts
     must keep the spectrum above CHART_MIN_EIGENVALUE (domain guard).
     """
@@ -353,11 +353,11 @@ class ParametrizedFamily:
     param_dim: int
     chart: Callable[[np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hessian: Optional[Callable[[np.ndarray, int, int], np.ndarray]] = None
+    hessians: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @property
     def has_analytic_second_order(self) -> bool:
-        return self.jacobian is not None and self.hessian is not None
+        return self.jacobian is not None and self.hessians is not None
 
     def _evaluate(self, theta: np.ndarray, vectors: bool) -> tuple:
         """(theta, sigma, eigenvalues, eigenvectors if ``vectors`` else None), checked as
@@ -435,7 +435,7 @@ def _last_value_cache(fn: Callable[..., object]) -> Callable[..., object]:
     """fn(*arrays), computed again only when an argument's dtype, shape or bytes change.
 
     One entry: a chart's consumers (the chart itself, its jacobian and
-    hessian, derived quantities) ask about one theta at a time, so they share
+    hessians, derived quantities) ask about one theta at a time, so they share
     one evaluation of the expensive part. The result is shared, not copied.
     """
     key = value = None
@@ -501,17 +501,18 @@ def xi_affine_family(
         def jac(xi):
             return frechet_derivative(spectrum(xi).expand_dims(), basis, inverse)
 
-        def hess(xi, i, j):
-            return frechet_second_derivative(spectrum(xi), basis[i], basis[j], inverse)
+        def hess(xi):
+            at = spectrum(xi).expand_dims().expand_dims()
+            return frechet_second_derivative(at, basis[:, None], basis[None, :], inverse)
 
-    return ParametrizedFamily(param_dim=len(basis), chart=chart, jacobian=jac, hessian=hess)
+    return ParametrizedFamily(param_dim=len(basis), chart=chart, jacobian=jac, hessians=hess)
 
 
 def linear_family(base: np.ndarray, directions: Sequence[np.ndarray]) -> ParametrizedFamily:
     """sigma(theta) = base + sum theta_k D_k with exact chart derivatives."""
     base = check_hermitian(base)
     directions = check_hermitian(np.stack(directions))
-    zero = np.zeros_like(base)
+    zero = np.zeros((len(directions),) + directions.shape, dtype=complex)  # (d, d, n, n)
 
     def chart(theta):
         return base + basis_combination(theta, directions)
@@ -520,7 +521,7 @@ def linear_family(base: np.ndarray, directions: Sequence[np.ndarray]) -> Paramet
         param_dim=len(directions),
         chart=chart,
         jacobian=lambda theta: np.broadcast_to(directions, theta.shape[:-1] + directions.shape),
-        hessian=lambda theta, i, j: np.broadcast_to(zero, theta.shape[:-1] + zero.shape),
+        hessians=lambda theta: np.broadcast_to(zero, theta.shape[:-1] + zero.shape),
     )
 
 

@@ -102,7 +102,7 @@ def standard_basis_covariant_set(family, theta, alpha: float, on_extended: bool)
     i, j = np.triu_indices(d)
     if family.has_analytic_second_order:
         tangents = family.tangent_matrices(theta)
-        hess = np.stack([family.hessian(theta, a, b) for a, b in zip(i, j)])
+        hess = family.hessians(theta)[i, j]
         d2 = frechet_second_derivative(spec, tangents[i], tangents[j], fun)
         d2 = d2 + frechet_derivative(spec, hess, fun)
     else:

@@ -258,6 +258,61 @@ def test_negative_potential_points_is_usage_error(capsys):
     assert "--points must be at least 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["1", "-1", "1.5"])
+def test_convexity_failure_alpha_off_the_open_interval_is_usage_error(capsys, alpha):
+    # at |alpha| = 1 the order-alpha connection is an end order (the witness gap reads 0)
+    # and BKM is the matched metric: both checks would test a premise that does not hold
+    with pytest.raises(SystemExit) as exc:
+        main(["convexity-failure", f"--alpha={alpha}"])
+    assert exc.value.code == 2
+    message = f"--alpha must lie strictly inside (-1, 1), got {float(alpha)!r}"
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", ["1", "0"])
+def test_entropy_projection_dim_below_two_is_usage_error(capsys, dim):
+    # a 1 x 1 state has no traceless observable to project along
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy-projection", f"--dim={dim}"])
+    assert exc.value.code == 2
+    assert f"--dim must be at least 2, got {dim}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--observables=0"], "--observables must be at least 1, got 0"),
+        (["--observables=-2"], "--observables must be at least 1, got -2"),
+        (
+            ["--dim=2", "--observables=4"],
+            "--observables must be at most dim^2 - 1 = 3 at --dim 2, got 4",
+        ),
+    ],
+)
+def test_observables_outside_the_traceless_space_is_usage_error(capsys, argv, message):
+    # with no observable there is no family; past dim^2 - 1 they and I are dependent
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy-projection"] + argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_observables_may_span_the_traceless_space(capsys):
+    code, _ = _run(capsys, ["entropy-projection", "--dim=2", "--observables=3", "--instances=1"])
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "steps, message", [("255", "must be even, got 255"), ("1", "must be at least 2, got 1")]
+)
+def test_odd_flatness_steps_is_usage_error(capsys, steps, message):
+    # the path-dependence transport is Richardson-extrapolated from a half-resolution run
+    with pytest.raises(SystemExit) as exc:
+        main(["flatness", f"--steps={steps}"])
+    assert exc.value.code == 2
+    assert f"--steps {message}" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- verdicts
 
 

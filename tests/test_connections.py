@@ -14,6 +14,7 @@ from qiglab.duality import (
     gibbs_family,
     qubit_bloch_family,
     qubit_weight_family,
+    qutrit_state_family,
     sample_grid,
     standard_witness_families,
 )
@@ -34,7 +35,7 @@ from qiglab.manifold import (
     state_tangent,
     xi_affine_family,
 )
-from qiglab.sampling import pauli_matrices, random_weight, rng_from
+from qiglab.sampling import pauli_matrices, random_traceless_hermitian, random_weight, rng_from
 
 I2, SX, SY, SZ = pauli_matrices()
 QUBIT_BASIS = [I2, SX, SY, SZ]
@@ -121,7 +122,7 @@ def test_fd_second_partial_halves_a_stencil_that_leaves_the_chart_domain():
     theta = np.array([SECOND_DERIVATIVE_STEP + 0.5 * CHART_MIN_EIGENVALUE])
     with pytest.raises(ValueError, match="below guard"):
         fam.point(theta - SECOND_DERIVATIVE_STEP)
-    got = _stencil_second_partials(fam, theta, [embedding_function(0.5)], [0], [0])[0, 0]
+    got = _stencil_second_partials(fam, theta, [embedding_function(0.5)])[0, 0, 0]
     half = _embedded_second_partial(fam, theta, 0.5, 0.5 * SECOND_DERIVATIVE_STEP)
     np.testing.assert_array_equal(got, half)
     # the first step that fits is kept, not shrunk further
@@ -156,6 +157,24 @@ def test_covariant_derivative_set_matches_single_derivatives(on_extended):
                 standard = hermitize(spec.from_eigenbasis(nabla[i, j]))
                 np.testing.assert_array_equal(standard, expected)
                 np.testing.assert_array_equal(nabla[j, i], nabla[i, j])
+
+
+def _qutrit_gibbs_chart():
+    rng = rng_from(37)
+    return gibbs_family([random_traceless_hermitian(rng, 3) for _ in range(8)]).family
+
+
+@pytest.mark.parametrize("chart", [qutrit_state_family, _qutrit_gibbs_chart])
+@pytest.mark.parametrize("points", [1, 3])
+def test_covariant_derivative_set_takes_every_hessian_from_one_call(calls, chart, points):
+    # a qutrit chart has 36 pairs i <= j; one hessians call, for one theta or a stack, holds them
+    fam = chart()
+    stack = 0.05 * np.sin(np.arange(1.0, 1.0 + points * fam.param_dim)).reshape(points, -1)
+    theta = stack if points > 1 else stack[0]
+    spec = fam.point_and_spectrum(theta)[2]
+    calls.watch(fam, "hessians")
+    covariant_derivative_set(fam, theta, spec, [0.5, -0.5])
+    assert calls.shapes["hessians"] == [theta.shape]
 
 
 def _witness_cases():

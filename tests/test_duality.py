@@ -543,7 +543,7 @@ def _embedding_trace_identity_gap(basis, alpha, xi):
     ell_a = apply_scalar_function(spec, embedding_function(alpha))
     i, j = np.triu_indices(fam.param_dim)
     jacs = fam.jacobian(xi)  # all partials, (d, n, n)
-    hess = np.stack([fam.hessian(xi, a, b) for a, b in zip(i, j)])
+    hess = fam.hessians(xi)[i, j]
     d2_m = frechet_second_derivative(spec, jacs[i], jacs[j], emb_m) + frechet_derivative(spec, hess, emb_m)
     d_ell_m = frechet_derivative(spec, jacs, emb_m)
     lhs = np.trace(ell_a @ d2_m, axis1=-2, axis2=-1).real
@@ -714,9 +714,8 @@ def test_gibbs_family_analytic_jacobian_matches_fd():
             gibbs.family.jacobian(theta)[i], bare.tangent_matrix(theta, i), atol=1e-7
         )
     # hessian symmetry comes along for free from the analytic form
-    np.testing.assert_allclose(
-        gibbs.family.hessian(theta, 0, 1), gibbs.family.hessian(theta, 1, 0), atol=1e-11
-    )
+    hess = gibbs.family.hessians(theta)
+    np.testing.assert_allclose(hess[0, 1], hess[1, 0], atol=1e-11)
 
 
 def test_gibbs_family_rejects_dependent_observables():

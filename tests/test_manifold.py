@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from qiglab.duality import gibbs_family
 from qiglab.linalg import apply_scalar_function, hs_inner, spectral_decompose
 from qiglab.manifold import (
+    _scalar_hessian,
     affine_coordinates,
     alpha_representation,
     check_state,
@@ -17,7 +19,14 @@ from qiglab.manifold import (
     weight_tangent,
     xi_affine_family,
 )
-from qiglab.sampling import pauli_matrices, random_state, random_traceless_hermitian, rng_from
+from qiglab.sampling import (
+    hermitian_basis,
+    pauli_matrices,
+    random_state,
+    random_traceless_hermitian,
+    random_weight,
+    rng_from,
+)
 
 I2, SX, SY, SZ = pauli_matrices()
 
@@ -238,5 +247,34 @@ def test_tangent_matrix_index_out_of_range():
 def test_linear_family_hessian_is_zero():
     fam = linear_family(I2, [SX / 2, SZ / 2])
     theta = np.array([0.1, -0.2])
-    np.testing.assert_allclose(fam.hessian(theta, 0, 1), 0.0, atol=1e-15)
+    np.testing.assert_array_equal(fam.hessians(theta), np.zeros((2, 2, 2, 2)))
     np.testing.assert_allclose(fam.point(theta), I2 + 0.05 * SX - 0.1 * SZ, atol=1e-15)
+
+
+def _xi_affine_chart(alpha):
+    basis = hermitian_basis(3)
+    sigma = random_weight(rng_from(23), 3, 0.5, 2.0)
+    return xi_affine_family(basis, alpha), affine_coordinates(sigma, alpha, basis)
+
+
+def _gibbs_chart():
+    rng = rng_from(71)
+    gibbs = gibbs_family([random_traceless_hermitian(rng, 3) for _ in range(2)])
+    return gibbs.family, np.array([0.4, -0.1])
+
+
+ANALYTIC_CHARTS = {
+    "linear": lambda: (linear_family(I2 / 2, [SX / 4, SZ / 4]), np.array([0.3, -0.2])),
+    **{f"xi-affine({a:g})": (lambda a=a: _xi_affine_chart(a)) for a in (-1.0, -0.5, 0.5, 1.0)},
+    "gibbs": _gibbs_chart,
+}
+
+
+@pytest.mark.parametrize("name", list(ANALYTIC_CHARTS))
+def test_analytic_hessians_match_the_central_stencil(name):
+    # an independent oracle: the stencil sees only the chart, never its hessians
+    fam, theta = ANALYTIC_CHARTS[name]()
+    d = fam.param_dim
+    hessians = fam.hessians(theta)
+    assert hessians.shape == (d, d) + fam.point(theta).shape
+    np.testing.assert_allclose(hessians, _scalar_hessian(fam.point, theta), rtol=0, atol=1e-6)

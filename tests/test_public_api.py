@@ -3,6 +3,7 @@
 import importlib
 
 import qiglab
+from qiglab.manifold import ParametrizedFamily
 
 MODULES = ("linalg", "sampling", "manifold", "metrics", "connections", "duality")
 
@@ -18,6 +19,9 @@ REMOVED = {
     "embedding_trace_identity_gap",
     "family_tangent",
 }
+
+# Chart-contract fields replaced by another; the README's "Removed" table names the replacement.
+REMOVED_FAMILY_FIELDS = {"hessian"}
 
 
 def test_package_exports_the_module_lists_once():
@@ -38,3 +42,10 @@ def test_removed_names_are_not_exported():
         assert not any(hasattr(module, name) for name in REMOVED), m
     assert REMOVED.isdisjoint(qiglab.__all__)
     assert not any(hasattr(qiglab, name) for name in REMOVED)
+
+
+def test_removed_chart_fields_are_gone():
+    family = ParametrizedFamily(1, chart=lambda t: t[..., None])
+    for name in REMOVED_FAMILY_FIELDS:
+        assert not hasattr(ParametrizedFamily, name), name
+        assert not hasattr(family, name), name

@@ -3,8 +3,9 @@
 Property tests over the library charts: the xi-affine chart at five
 embedding orders, two linear witness charts and a Gibbs chart, with generic
 spectra, near-degenerate spectra and spectra just above the chart guard. The
-same holds for the chart partials (`tangent_matrices`), the metric matrix
-built on them and the affine coordinates of a stack of matrices.
+same holds for the chart partials (`tangent_matrices`), the analytic second
+partials (`hessians`), the metric matrix built on them and the affine
+coordinates of a stack of matrices.
 """
 
 import numpy as np
@@ -183,6 +184,17 @@ def _one_direction_difference(family, theta, i):
     return hermitize((family.point(up) - family.point(dn)) / (2.0 * h))
 
 
+def _check_stacked_hessians(family, stack):
+    """Row k of one stacked ``hessians`` call has the bits of the call at row k alone."""
+    if family.hessians is None:
+        return
+    hessians = family.hessians(stack)
+    d, n = family.param_dim, hessians.shape[-1]
+    assert hessians.shape == (len(stack), d, d, n, n)
+    for k, row in enumerate(stack):
+        np.testing.assert_array_equal(hessians[k], family.hessians(row))
+
+
 @pytest.mark.parametrize("name", list(PARTIAL_CHARTS))
 @PROPERTY
 @given(weights=st.lists(qubit_weights(), min_size=1, max_size=4))
@@ -198,6 +210,7 @@ def test_stacked_partials_equal_row_by_row(name, weights):
         assert family.jacobian is None
         return
     assert partials.shape == (len(stack), d, 2, 2)
+    _check_stacked_hessians(family, stack)
     for k, row in enumerate(stack):
         np.testing.assert_array_equal(partials[k], family.tangent_matrices(row))
         for i in range(d):
@@ -218,6 +231,7 @@ def test_stacked_gibbs_partials_equal_row_by_row(rows):
     stack = np.array(rows, dtype=float)
     partials = gibbs.family.tangent_matrices(stack)
     assert partials.shape == (len(stack), 2, 3, 3)
+    _check_stacked_hessians(gibbs.family, stack)
     for k, row in enumerate(stack):
         np.testing.assert_array_equal(partials[k], gibbs.family.tangent_matrices(row))
 
