@@ -60,11 +60,17 @@ from .duality import (
     witness_curve,
 )
 from .sampling import (
+    _ginibre_draws,
+    _stack_draws,
+    _state_draws,
+    _states,
+    _traceless_hermitians,
+    _weight_draws,
+    _weights,
     hermitian_basis,
     pauli_matrices,
     random_state,
     random_traceless_hermitian,
-    random_weight,
     rng_from,
 )
 
@@ -487,6 +493,12 @@ def _run_transport_duality(opt):
     return records, {"max_deviation": worst}
 
 
+def _grid_weights(rng, dim: int, count: int) -> np.ndarray:
+    """``count`` draws of random_weight(rng, dim, 0.7, 1.5), in its rng order, built in one
+    stacked call: (count, dim, dim)."""
+    return _weights(*_stack_draws(_weight_draws(rng, dim, 0.7, 1.5) for _ in range(count)))
+
+
 def _run_potential(opt):
     seed = int(opt["seed"])
     tol = float(opt["tol"])
@@ -494,16 +506,28 @@ def _run_potential(opt):
     leg_tol = float(opt["legendre_tol"])
     n_dual = _count(opt, "dual_points")
     points_option = _count(opt, "points", floor=0)  # 0 picks the size per dim
+    dims = _list(opt, "dim", int)
+    if min(dims) < 1:
+        raise ValueError(f"--dim values must be at least 1, got {min(dims)}")
+    alphas = _list(opt, "alpha", float)
+    sizes = {}
+    for dim in dims:  # every grid size is checked before any work
+        d = dim * dim
+        sizes[dim] = points_option or max(d + 3, 6)
+        if sizes[dim] < d + 2:  # the affine regression fits d + 1 coefficients
+            raise ValueError(f"--points must be at least {d + 2} at --dim {dim}, got {sizes[dim]}")
+        if n_dual > sizes[dim]:
+            raise ValueError(
+                f"--dual-points must be at most the {sizes[dim]} grid points at --dim {dim}, "
+                f"got {n_dual}"
+            )
     records = []
-    for dim in _list(opt, "dim", int):
+    for dim in dims:
         basis = hermitian_basis(dim)
-        d = len(basis)
-        n_points = points_option or max(d + 3, 6)
-        for alpha in _list(opt, "alpha", float):
+        for alpha in alphas:
             rng = rng_from([seed, dim, int(round((alpha + 1) * 1000))])
             family = xi_affine_family(basis, alpha, analytic=True)
-            sigmas = np.stack([random_weight(rng, dim, 0.7, 1.5) for _ in range(n_points)])
-            points = affine_coordinates(sigmas, alpha, basis)
+            points = affine_coordinates(_grid_weights(rng, dim, sizes[dim]), alpha, basis)
             rep = potential_check(family, alpha, points, basis)
             dual = dual_coordinate_check(family, alpha, points[:n_dual], seed=[seed, 99])
             ok = (
@@ -692,6 +716,22 @@ def _run_convexity_failure(opt):
     return records, {}
 
 
+def _projection_instances(seed: int, instances: int, dim: int, n_obs: int) -> tuple:
+    """(states (k, n, n), observables (k, m, n, n)) of the projection instances.
+
+    Instance k draws random_state(rng, dim, 0.05), then n_obs
+    random_traceless_hermitian(rng, dim), from rng_from([seed, k]); the
+    states and the observables are each built in one stacked call.
+    """
+    states, directions = [], []
+    for k in range(instances):
+        rng = rng_from([seed, k])
+        states.append(_state_draws(rng, dim, 0.05))
+        directions.append(_stack_draws(_ginibre_draws(rng, dim) for _ in range(n_obs)))
+    weights, re, im = _stack_draws(states)
+    return _states(weights, 0.05, re, im), _traceless_hermitians(*_stack_draws(directions))
+
+
 def _run_entropy_projection(opt):
     seed = int(opt["seed"])
     dim = _count(opt, "dim", floor=2)
@@ -707,12 +747,7 @@ def _run_entropy_projection(opt):
     records = []
     mean_residuals = []
     worst_orth = 0.0
-    rhos, observables = [], []
-    for k in range(instances):
-        rng = rng_from([seed, k])
-        rhos.append(random_state(rng, dim, floor=0.05))
-        observables.append([random_traceless_hermitian(rng, dim) for _ in range(n_obs)])
-    reports = entropy_projections(np.stack(rhos), np.array(observables), tol=tol)
+    reports = entropy_projections(*_projection_instances(seed, instances, dim, n_obs), tol=tol)
     for k, rep in enumerate(reports):
         mean_residuals.append(rep.mean_residual)
         worst_orth = max(worst_orth, rep.orthogonality_residual)

@@ -174,8 +174,9 @@ def ext_covariant_derivative(
     The plain second partial of the embedded chart, converted back to the
     mixture representation at the base point. Vanishes identically in
     coordinates that make the embedding affine. Entry (i, j) of
-    ``covariant_derivative_set``.
+    ``covariant_derivative_set``; an index outside [0, param_dim) raises.
     """
+    family._check_directions(i, j)
     theta, sigma, spec = family.point_and_spectrum(theta)
     mixture = covariant_derivative_set(family, theta, spec, [alpha], True)[0, i, j]
     return CovariantDerivativeResult(sigma, weight_tangent(sigma, _from_eigenbasis(spec, mixture)))
@@ -189,8 +190,9 @@ def covariant_derivative_on_M(
     The second partial of the embedded chart followed by the sphere
     projection at the base point; the alpha representation of the result is
     tangent (weighted trace zero) by construction. Entry (i, j) of
-    ``covariant_derivative_set``.
+    ``covariant_derivative_set``; an index outside [0, param_dim) raises.
     """
+    family._check_directions(i, j)
     theta, sigma, spec = family.point_and_spectrum(theta)
     mixture = covariant_derivative_set(family, theta, spec, [alpha], False)[0, i, j]
     return CovariantDerivativeResult(sigma, state_tangent(sigma, _from_eigenbasis(spec, mixture)))

@@ -31,7 +31,6 @@ from .linalg import (
 )
 from .manifold import (
     FIRST_DERIVATIVE_STEP,
-    SECOND_DERIVATIVE_STEP,
     ParametrizedFamily,
     TangentVector,
     _central_difference,
@@ -39,7 +38,6 @@ from .manifold import (
     _check_chart_guard,
     _last_value_cache,
     _scalar_gradient,
-    _scalar_hessian,
     affine_coordinates,
     basis_combination,
     check_state,
@@ -76,6 +74,8 @@ from .connections import (
     parallel_transport_on_M,
 )
 from .sampling import (
+    _ginibre_draws,
+    _state_draws,
     _states,
     _traceless_hermitians,
     hermitian_basis,
@@ -449,16 +449,36 @@ def witness_curve(step_count: int = 256) -> CurveSpec:
 # Potential and dual coordinates
 
 
+def _potential_factor(alpha: float) -> float:
+    """2/(1+alpha), the factor of the trace potential; undefined at alpha <= -1."""
+    alpha = float(alpha)
+    if alpha <= -1.0:
+        raise ValueError(f"the trace potential needs alpha > -1, got {alpha!r}")
+    return 2.0 / (1.0 + alpha)
+
+
+def _trace(a: np.ndarray) -> np.ndarray:
+    """Real part of the trace of each matrix of a stack (..., n, n)."""
+    return np.trace(a, axis1=-2, axis2=-1).real
+
+
 def potential_value(sigma: np.ndarray, alpha: float):
     """Trace potential (2/(1+alpha)) Tr sigma; undefined at alpha = -1.
 
     A stack of matrices (..., n, n) gives an array of values.
     """
-    alpha = float(alpha)
-    if alpha <= -1.0:
-        raise ValueError(f"the trace potential needs alpha > -1, got {alpha!r}")
-    value = 2.0 / (1.0 + alpha) * np.trace(sigma, axis1=-2, axis2=-1).real
+    value = _potential_factor(alpha) * _trace(sigma)
     return float(value) if np.ndim(value) == 0 else value
+
+
+def _require_analytic(family: ParametrizedFamily, check: str) -> None:
+    """Reject a chart without analytic first and second derivatives, which ``check`` takes
+    the potential's derivatives from."""
+    if not family.has_analytic_second_order:
+        raise ValueError(
+            f"{check} needs a chart with analytic jacobian and hessians, "
+            "such as xi_affine_family(basis, alpha, analytic=True)"
+        )
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -490,6 +510,15 @@ def _damped_newton(objective, gradient, hessian, x, tol: float, max_iter: int):
     a row whose gradient reached ``tol`` is not evaluated again, and a row
     whose Hessian is singular steps along -gradient.
 
+    The full step t = 1 is evaluated on every row that steps, so a
+    callback's cache sees the points the next gradient is asked about. A row
+    keeps its step t without comparing values once the predicted decrease
+    t * |slope| / 4 is within the slack, four ulps of the value at the
+    row's point: an objective known only to its rounding cannot confirm a
+    smaller decrease, and halving t for it would stall the row. Other rows
+    halve t until the Armijo test passes (or t falls below 1e-12).
+    Convergence is the gradient test alone.
+
     Returns (x, gradient at x, iterations), iterations (k,): a row's count
     is max_iter when its gradient never reached ``tol``.
     """
@@ -506,29 +535,34 @@ def _damped_newton(objective, gradient, hessian, x, tol: float, max_iter: int):
         delta = _newton_steps(hessian(xa, active), ga)
         f0 = objective(xa, active)
         slope = _row_dot(ga, delta)
-        # allow four ulps of f0 for its rounding: once t * slope / 4 falls below
-        # them no step could pass, and t would halve to 1e-12 short of tol
         slack = 4.0 * np.spacing(np.abs(f0))
         t = np.ones(len(active))
+
+        def measurable(rows):  # the predicted decrease t |slope| / 4 exceeds the slack
+            return -0.25 * t[rows] * slope[rows] > slack[rows]
+
         trying = np.arange(len(active))  # rows whose step t is still being halved
         while trying.size:
             tt = t[trying]
             trial = objective(xa[trying] + tt[:, None] * delta[trying], active[trying])
-            trying = trying[trial > f0[trying] + 0.25 * tt * slope[trying] + slack[trying]]
+            rejected = trial > f0[trying] + 0.25 * tt * slope[trying] + slack[trying]
+            trying = trying[rejected & measurable(trying)]
             t[trying] *= 0.5
-            trying = trying[t[trying] > 1e-12]
+            trying = trying[measurable(trying) & (t[trying] > 1e-12)]
         x[active] = xa + t[:, None] * delta
         grad[active] = gradient(x[active], active)
     return x, grad, iterations
 
 
-def _check_affine(family: ParametrizedFamily, alpha: float, point: np.ndarray) -> None:
-    """Reject a chart whose flat covariant derivatives at ``point`` do not all vanish.
+def _check_affine(
+    family: ParametrizedFamily, alpha: float, theta: np.ndarray, spec, tangents
+) -> None:
+    """Reject a chart whose flat covariant derivatives at theta (d,) do not all vanish;
+    ``spec`` and ``tangents`` are the point's Spectrum and eigenbasis tangents.
 
     Every pair (i, j) is checked, from one covariant_derivative_set call.
     """
-    theta, _, spec = family.point_and_spectrum(point)
-    nabla = covariant_derivative_set(family, theta, spec, [alpha], on_extended=True)
+    nabla = covariant_derivative_set(family, theta, spec, [alpha], True, tangents)
     norm = float(np.linalg.norm(nabla, axis=(-2, -1)).max())  # a norm needs no basis
     if norm > 1e-4:
         raise ValueError(
@@ -557,30 +591,37 @@ def potential_check(
 ) -> PotentialReport:
     """Verify the trace potential against the metric in affine coordinates.
 
-    The finite-difference Hessian of (2/(1+alpha)) Tr sigma(xi) must equal the
-    matched kernel metric of the coordinate tangents entrywise, and the
-    gradient coordinates must be an affine function of the order-(-alpha)
-    affine coordinates (checked by linear regression over the grid).
+    psi = (2/(1+alpha)) Tr sigma(xi) has the exact Hessian (2/(1+alpha)) Tr
+    d_i d_j sigma and gradient eta = (2/(1+alpha)) Tr d_i sigma, from the
+    chart's analytic hessians and jacobian, which share the chart's one
+    decomposition of the grid. The Hessian must equal the matched kernel
+    metric of the coordinate tangents entrywise, and eta must be an affine
+    function of the order-(-alpha) affine coordinates (checked by linear
+    regression over the grid).
 
-    Rejects coordinates in which the embedding is not affine.
+    Rejects a chart without analytic derivatives, and coordinates in which
+    the embedding is not affine at the first grid point.
     """
     alpha = float(alpha)
     if not -1.0 < alpha <= 1.0:
         raise ValueError(f"potential check needs alpha in (-1, 1], got {alpha!r}")
+    _require_analytic(family, "the potential check")
     points = np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in points])
     d = family.param_dim
     if len(points) < d + 2:
         raise ValueError(f"need at least {d + 2} grid points for the affine regression")
-    _check_affine(family, alpha, points[0])
-
-    def psi(xi):
-        return potential_value(family.point(xi), alpha)
-
-    # one chart call on the grid serves both: the chart caches its decomposition
-    zetas = affine_coordinates(family.point_and_spectrum(points)[2], -alpha, basis)
-    metric = _metric_matrix(family, points, matched_metric(alpha))
-    hess = _scalar_hessian(psi, points)
-    etas = _scalar_gradient(psi, points)
+    # one chart call decomposes the grid; its tangents and Hessians share that decomposition
+    theta, _, spec = family.point_and_spectrum(points)
+    tangents = family.tangent_matrices(theta)
+    eigen_tangents = spec.expand_dims().to_eigenbasis(tangents)
+    zetas = affine_coordinates(spec, -alpha, basis)
+    metric = _tangent_gram(eigen_tangents, petz_kernel(spec, matched_metric(alpha)).coefficients)
+    c = _potential_factor(alpha)
+    hess = c * _trace(family.hessians(theta))
+    etas = c * _trace(tangents)
+    # a chart affine for another order fails at any point; the first is checked last, as its
+    # Hessians take a decomposition of their own
+    _check_affine(family, alpha, theta[0], spec[0], eigen_tangents[0])
     design = np.hstack([zetas, np.ones((len(points), 1))])
     coeffs, *_ = np.linalg.lstsq(design, etas, rcond=None)
     gradient_residual = float(np.abs(design @ coeffs - etas).max())
@@ -610,49 +651,52 @@ def dual_coordinate_check(
 ) -> DualCoordinateReport:
     """Check the gradient coordinates against the metric and the Legendre pairing.
 
-    The Jacobian of the gradient coordinates (central differences) must equal
-    the matched metric matrix, and the numeric Legendre transform must satisfy
-    psi(xi) + phi(eta(xi)) = xi . eta(xi). phi(eta) = -min_x (psi(x) - x . eta)
-    is found by damped Newton steps, every point's as one row of a stack
-    started from a seeded perturbation of the point, with the matched metric
-    matrix (psi's Hessian, as potential_check verifies) as the Newton Hessian.
+    The gradient coordinates eta = (2/(1+alpha)) Tr d_i sigma are exact, from
+    the chart's analytic jacobian, so the chart must carry analytic
+    derivatives. Their Jacobian, by central differences of eta, must equal
+    the matched metric matrix, and the numeric Legendre transform must
+    satisfy psi(xi) + phi(eta(xi)) = xi . eta(xi). phi(eta) = -min_x (psi(x)
+    - x . eta) is found by damped Newton steps, every point's as one row of a
+    stack started from a seeded perturbation of the point, with the exact
+    gradient and the exact Hessian (2/(1+alpha)) Tr d_i d_j sigma. One
+    checked chart evaluation per point stack gives psi and eta together, and
+    its decomposition serves the Hessian.
     """
     alpha = float(alpha)
     if not len(points):
         raise ValueError("the dual coordinate check needs at least one point")
+    _require_analytic(family, "the dual coordinate check")
     points = np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in points])
-    f = matched_metric(alpha)
+    c = _potential_factor(alpha)
 
-    def psi(xi):
-        return potential_value(family.point(xi), alpha)
+    @_last_value_cache
+    def evaluate(x):
+        # (psi, eta) at a stack of points: the checked chart value and, from the same
+        # decomposition, its jacobian
+        sigma = family.point(x)
+        return c * _trace(sigma), c * _trace(family.tangent_matrices(x))
 
-    def eta(xi):
-        return _scalar_gradient(psi, xi)
-
-    metric = _metric_matrix(family, points, f)
-    # eta at all 2d stencil points of every point, from one chart call on 4d^2 points each
-    jac = np.swapaxes(_scalar_gradient(eta, points, SECOND_DERIVATIVE_STEP), -1, -2)
+    metric = _metric_matrix(family, points, matched_metric(alpha))
+    psi0, eta0 = evaluate(points)
+    # eta at the 2d stencil points of every point, from one chart call
+    jac = _scalar_gradient(lambda x: evaluate(x)[1], points)
     jac_res = float(np.abs(jac - metric).max())
 
-    eta0 = eta(points)
-
     def objective(x, rows):
-        return psi(x) - _row_dot(x, eta0[rows])
+        return evaluate(x)[0] - _row_dot(x, eta0[rows])
 
     start = points + 0.05 * rng_from(seed).standard_normal(points.shape)
-    # eta is a finite difference of psi with a round-off floor near 1e-11, so
-    # tol stays above it; from 0.05 away Newton needs a handful of steps
     x_min, _, _ = _damped_newton(
         objective,
-        lambda x, rows: eta(x) - eta0[rows],
-        lambda x, rows: _metric_matrix(family, x, f),
+        lambda x, rows: evaluate(x)[1] - eta0[rows],
+        lambda x, rows: c * _trace(family.hessians(x)),
         start,
         tol=1e-9,
         max_iter=50,
     )
     # phi(eta0) = -(min value); residual is the optimality gap of xi itself
-    every = np.arange(len(points))
-    leg_res = float(np.abs(objective(points, every) - objective(x_min, every)).max())
+    gap = psi0 - _row_dot(points, eta0) - objective(x_min, np.arange(len(points)))
+    leg_res = float(np.abs(gap).max())
     return DualCoordinateReport(
         alpha=alpha,
         jacobian_residual=jac_res,
@@ -1166,8 +1210,9 @@ def monotonicity_scan(seed=0, trials: int = 1000) -> list:
     for t in range(trials):
         kind = int(rng.integers(0, 3))
         n = int(rng.integers(2, 4)) if kind < 2 else 4
-        weights = rng.dirichlet(np.ones(n))
-        normals = [rng.standard_normal((n, n)) for _ in range(4)]  # state Ginibre, then tangent
+        floor = 0.05 if kind == 2 else 0.1
+        state = _state_draws(rng, n, floor)
+        tangent = _ginibre_draws(rng, n)
         if kind == 0:
             param = float(rng.uniform(0.05, 0.95))
         elif kind == 1:
@@ -1176,18 +1221,17 @@ def monotonicity_scan(seed=0, trials: int = 1000) -> list:
             param = None
         kinds.append(kind)
         dims = (n, 2 if kind == 2 else n)
-        groups.setdefault(dims, []).append((t, kind, weights, *normals, param))
+        groups.setdefault(dims, []).append((t, kind, floor, *state, *tangent, param))
     # build: one stacked call per layer and (input, output)-dimension group, one channel stack
     # per kind; states, outputs and rotated directions do not depend on the kernel, so one
     # stacked decomposition per group serves every kernel
     partial_trace = partial_trace_channel(2, 2)
     stacks = []
     for group in groups.values():
-        index, kind, weights, g_re, g_im, a_re, a_im, params = zip(*group)
+        index, kind, floor, weights, g_re, g_im, a_re, a_im, params = zip(*group)
         kind = np.array(kind)
         n = len(weights[0])
-        floor = np.where(kind == 2, 0.05, 0.1)[:, None]
-        rho = _states(np.stack(weights), floor, np.stack(g_re), np.stack(g_im))
+        rho = _states(np.stack(weights), np.array(floor)[:, None], np.stack(g_re), np.stack(g_im))
         channels = []
         for k in np.unique(kind):
             members = np.flatnonzero(kind == k)

@@ -407,10 +407,17 @@ class ParametrizedFamily:
             return check_hermitian(self.jacobian(theta))
         return hermitize(_scalar_gradient(self.point, theta))
 
+    def _check_directions(self, *indices: int) -> None:
+        """Reject a direction index outside 0 <= i < param_dim, naming the first such index."""
+        for i in indices:
+            if not 0 <= i < self.param_dim:
+                raise ValueError(
+                    f"direction index {i} out of range for param_dim {self.param_dim}"
+                )
+
     def tangent_matrix(self, theta: np.ndarray, i: int) -> np.ndarray:
         """The i-th partial of the chart at theta: ``tangent_matrices(theta)[i]``."""
-        if not 0 <= i < self.param_dim:
-            raise ValueError(f"direction index {i} out of range for param_dim {self.param_dim}")
+        self._check_directions(i)
         return self.tangent_matrices(theta)[i]
 
 

@@ -43,6 +43,11 @@ def _states(weights: np.ndarray, floor, re: np.ndarray, im: np.ndarray) -> np.nd
     return _conjugated((1.0 - n * floor) * weights + floor, _haar_unitaries(re, im))
 
 
+def _weights(lam: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Positive matrices with spectra lam (..., n) in the Haar bases of (re, im)."""
+    return _conjugated(lam, _haar_unitaries(re, im))
+
+
 def _hermitians(re: np.ndarray, im: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """hermitize(re + i im) * scale/sqrt(2); stacks (..., n, n)."""
     return hermitize(re + 1j * im) * (scale / np.sqrt(2.0))
@@ -55,19 +60,41 @@ def _traceless_hermitians(re: np.ndarray, im: np.ndarray, scale: float = 1.0) ->
     return h - (np.trace(h, axis1=-2, axis2=-1)[..., None, None] / n) * np.eye(n)
 
 
+def _ginibre_draws(rng: np.random.Generator, n: int) -> tuple:
+    """The standard normal parts (re, im), each (n, n), of one Ginibre matrix, re drawn first."""
+    return rng.standard_normal((n, n)), rng.standard_normal((n, n))
+
+
+def _state_draws(rng: np.random.Generator, n: int, floor: float) -> tuple:
+    """The draws of one ``random_state``, in its order: simplex weights (n,), then re, im."""
+    if not 0.0 <= floor * n < 1.0:
+        raise ValueError(f"floor {floor} infeasible for dimension {n}")
+    return (rng.dirichlet(np.ones(n)),) + _ginibre_draws(rng, n)
+
+
+def _weight_draws(rng: np.random.Generator, n: int, lo: float, hi: float) -> tuple:
+    """The draws of one ``random_weight``, in its order: spectrum (n,), then re, im."""
+    return (rng.uniform(lo, hi, size=n),) + _ginibre_draws(rng, n)
+
+
+def _stack_draws(draws) -> tuple:
+    """A sequence of draw tuples as one tuple of stacks, part by part."""
+    return tuple(np.stack(part) for part in zip(*draws))
+
+
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    return _haar_unitaries(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+    return _haar_unitaries(*_ginibre_draws(rng, n))
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    return _hermitians(rng.standard_normal((n, n)), rng.standard_normal((n, n)), scale)
+    return _hermitians(*_ginibre_draws(rng, n), scale)
 
 
 def random_traceless_hermitian(
     rng: np.random.Generator, n: int, scale: float = 1.0
 ) -> np.ndarray:
-    return _traceless_hermitians(rng.standard_normal((n, n)), rng.standard_normal((n, n)), scale)
+    return _traceless_hermitians(*_ginibre_draws(rng, n), scale)
 
 
 def random_state(rng: np.random.Generator, n: int, floor: float = 0.05) -> np.ndarray:
@@ -76,18 +103,15 @@ def random_state(rng: np.random.Generator, n: int, floor: float = 0.05) -> np.nd
     Eigenvalues are a uniform simplex draw shrunk toward the maximally mixed
     point so the floor holds, conjugated by a Haar unitary.
     """
-    if not 0.0 <= floor * n < 1.0:
-        raise ValueError(f"floor {floor} infeasible for dimension {n}")
-    u = rng.dirichlet(np.ones(n))
-    return _states(u, floor, rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+    u, re, im = _state_draws(rng, n, floor)
+    return _states(u, floor, re, im)
 
 
 def random_weight(
     rng: np.random.Generator, n: int, lo: float = 0.3, hi: float = 2.0
 ) -> np.ndarray:
     """Random positive-definite matrix with spectrum in [lo, hi]."""
-    lam = rng.uniform(lo, hi, size=n)
-    return _conjugated(lam, haar_unitary(rng, n))
+    return _weights(*_weight_draws(rng, n, lo, hi))
 
 
 def pauli_matrices():

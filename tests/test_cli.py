@@ -6,10 +6,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import child_env
-from qiglab.cli import _COLUMNS, _DEFAULTS, _HELP, _build_parser, _format_float, main
+from qiglab import cli, duality
+from qiglab.cli import (
+    _COLUMNS,
+    _DEFAULTS,
+    _HELP,
+    _build_parser,
+    _format_float,
+    _grid_weights,
+    _projection_instances,
+    main,
+)
+from qiglab.sampling import (
+    random_state,
+    random_traceless_hermitian,
+    random_weight,
+    rng_from,
+)
 
 WALL_CLOCK = re.compile(r'"wall_clock_s":[^,}]+')
 
@@ -250,6 +267,42 @@ def test_metric_table_dims_below_two_is_usage_error(capsys, dims):
     assert f"--dims values must be at least 2, got {lowest}" in capsys.readouterr().err
 
 
+def test_potential_points_below_the_regression_size_is_usage_error(calls, capsys):
+    # the affine regression fits d + 1 coefficients on d = dim^2 coordinates; every dim's
+    # grid is checked before any check runs
+    calls.watch(cli, "potential_check")
+    with pytest.raises(SystemExit) as exc:
+        main(["potential", "--dim", "2,3", "--points", "7"])
+    assert exc.value.code == 2
+    assert "--points must be at least 11 at --dim 3, got 7" in capsys.readouterr().err
+    assert calls.count("potential_check") == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["potential", "--points", "3"])
+    assert exc.value.code == 2
+    assert "--points must be at least 6 at --dim 2, got 3" in capsys.readouterr().err
+
+
+def test_potential_dim_below_one_is_usage_error(capsys):
+    # a 0 x 0 chart has no basis: the check used to fail with "need at least one array to stack"
+    with pytest.raises(SystemExit) as exc:
+        main(["potential", "--dim=2,0"])
+    assert exc.value.code == 2
+    assert "--dim values must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_potential_dual_points_above_the_grid_is_usage_error(calls, capsys):
+    # the dual check takes the first --dual-points grid points; more would check fewer than
+    # the config record says
+    calls.watch(cli, "potential_check")
+    with pytest.raises(SystemExit) as exc:
+        main(["potential", "--dual-points", "9", "--points", "7"])
+    assert exc.value.code == 2
+    assert "--dual-points must be at most the 7 grid points at --dim 2, got 9" in (
+        capsys.readouterr().err
+    )
+    assert calls.count("potential_check") == 0
+
+
 def test_negative_potential_points_is_usage_error(capsys):
     # 0 picks the grid size per dim; below 0 there is no grid
     with pytest.raises(SystemExit) as exc:
@@ -443,7 +496,7 @@ EIG_BUDGET = {
     "flatness": 33,
     "metric-table": 826,
     "duality": 8,
-    "potential": 115,
+    "potential": 47,
     "uniqueness-scan": 4,
     "monotonicity": 6,
     "convexity-failure": 8,
@@ -461,3 +514,64 @@ def test_subcommand_stays_within_its_eig_budget(calls, capsys, command, budget):
     assert main([command, "--seed", "0"]) == 0
     capsys.readouterr()
     assert calls.count("eigh", "eigvalsh") <= budget
+
+
+def _newton_passes(monkeypatch) -> list:
+    """The iteration counts of every _damped_newton run from here on, one list per run."""
+    runs = []
+    newton = duality._damped_newton
+
+    def logged(*args, **kwargs):
+        out = newton(*args, **kwargs)
+        runs.append(out[2].tolist())
+        return out
+
+    monkeypatch.setattr(duality, "_damped_newton", logged)
+    return runs
+
+
+def test_potential_legendre_solve_does_not_stall_at_seed_13(calls, capsys, monkeypatch):
+    # at seed 13, alpha = -0.5, one row's predicted decrease fell below the objective's
+    # rounding: its step halved toward 1e-12 for 11 passes and the run made 232 eigh and
+    # eigvalsh calls, where seed 0 made 115
+    runs = _newton_passes(monkeypatch)
+    counts = []
+    calls.eig()
+    for seed in ("0", "13"):
+        calls.clear()
+        assert main(["potential", "--seed", seed]) == 0
+        capsys.readouterr()
+        counts.append(calls.count("eigh", "eigvalsh"))
+    assert counts[1] <= counts[0] + 6
+    assert max(max(run) for run in runs) <= 5
+
+
+def test_grid_weights_equal_one_random_weight_at_a_time():
+    stacked = _grid_weights(rng_from([4, 2, 500]), 3, 7)
+    rng = rng_from([4, 2, 500])
+    np.testing.assert_array_equal(stacked, [random_weight(rng, 3, 0.7, 1.5) for _ in range(7)])
+
+
+@pytest.mark.parametrize("dim, n_obs", [(3, 2), (4, 3)])
+def test_projection_instances_equal_the_one_at_a_time_draws(dim, n_obs):
+    states, observables = _projection_instances(7, 5, dim, n_obs)
+    for k in range(5):
+        rng = rng_from([7, k])
+        np.testing.assert_array_equal(states[k], random_state(rng, dim, floor=0.05))
+        for y in observables[k]:
+            np.testing.assert_array_equal(y, random_traceless_hermitian(rng, dim))
+
+
+def test_projection_instances_keep_the_state_floor_check():
+    with pytest.raises(ValueError, match="floor 0.05 infeasible for dimension 20"):
+        _projection_instances(0, 2, 20, 1)
+
+
+@pytest.mark.parametrize("command, qrs", [("potential", 3), ("entropy-projection", 2)])
+def test_random_draws_build_in_one_qr_per_stack(calls, capsys, command, qrs):
+    # potential: one stacked QR per (dim, alpha) grid; entropy-projection: one for the
+    # instances' states and one for the expansion check's state
+    calls.watch(np.linalg, "qr")
+    assert main([command, "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert calls.count("qr") == qrs

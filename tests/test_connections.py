@@ -310,6 +310,19 @@ def test_on_m_derivative_is_state_tangent(alpha):
     np.testing.assert_allclose(sphere_project(res.base, alpha, rep), rep, atol=1e-10)
 
 
+@pytest.mark.parametrize("i, j", [(-1, 0), (3, 0), (0, -1), (1, 3)])
+def test_ext_derivative_rejects_a_direction_index_out_of_range(i, j):
+    # -1 would index the last direction and 3 end in a bare IndexError
+    with pytest.raises(ValueError, match="direction index -?[13] out of range for param_dim 3"):
+        ext_covariant_derivative(qubit_bloch_family(), np.array([0.1, 0.0, 0.2]), i, j, 0.5)
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (3, 0), (0, -1), (1, 3)])
+def test_on_m_derivative_rejects_a_direction_index_out_of_range(i, j):
+    with pytest.raises(ValueError, match="direction index -?[13] out of range for param_dim 3"):
+        covariant_derivative_on_M(qubit_bloch_family(), np.array([0.1, 0.0, 0.2]), i, j, 0.5)
+
+
 def test_on_m_rejects_weight_family():
     fam = linear_family(np.diag([1.0, 2.0]).astype(complex), [SX])
     with pytest.raises(ValueError, match="unit-trace"):

@@ -41,6 +41,7 @@ from qiglab.duality import (
 from qiglab.manifold import (
     SECOND_DERIVATIVE_STEP,
     ParametrizedFamily,
+    _scalar_gradient,
     _scalar_hessian,
     affine_coordinates,
     alpha_representation,
@@ -374,6 +375,34 @@ def test_potential_hessian_matches_metric(alpha):
     np.testing.assert_allclose(rep.hessian, rep.hessian.T, atol=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0])
+def test_potential_stencils_agree_with_the_exact_traces(alpha):
+    # the central differences of psi that potential_check used to take, as oracles for
+    # (2/(1+alpha)) Tr of the chart's analytic second and first partials, at the check's old
+    # bounds; the stencils see only the chart values
+    family, points, _ = _potential_grid(alpha)
+    points = np.stack(points)
+    c = 2.0 / (1.0 + alpha)
+
+    def psi(xi):
+        return potential_value(family.point(xi), alpha)
+
+    exact_hessian = c * np.trace(family.hessians(points), axis1=-2, axis2=-1).real
+    exact_gradient = c * np.trace(family.tangent_matrices(points), axis1=-2, axis2=-1).real
+    np.testing.assert_allclose(_scalar_hessian(psi, points), exact_hessian, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(_scalar_gradient(psi, points), exact_gradient, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.5])
+def test_potential_checks_reject_a_chart_without_analytic_derivatives(alpha):
+    family, points, basis = _potential_grid(alpha)
+    bare = xi_affine_family(basis, alpha, analytic=False)
+    with pytest.raises(ValueError, match="the potential check needs a chart with analytic"):
+        potential_check(bare, alpha, points, basis)
+    with pytest.raises(ValueError, match="the dual coordinate check needs a chart with analytic"):
+        dual_coordinate_check(bare, alpha, points[:2])
+
+
 def test_potential_check_rejects_mismatched_chart():
     family, points, basis = _potential_grid(0.0)
     with pytest.raises(ValueError, match="not affine"):
@@ -417,14 +446,15 @@ def test_metric_matrix_decomposes_the_chart_parameter_once(calls):
 
 
 def test_potential_check_evaluates_each_stencil_in_one_chart_call(calls):
-    # five chart calls, four of which decompose inside the xi-affine chart (the metric's hits
-    # its cache); the affine check, the coordinates and the metric take the point's Spectrum
-    # (one eigh each), the two psi stencils only the matrix (one eigvalsh each)
+    # one chart call on the grid: the xi-affine chart decomposes it (one eigh) and the grid's
+    # Spectrum serves the guard (one eigh); the tangents and Hessians share the chart's
+    # decomposition, and the coordinates and the metric the Spectrum; the affine check's
+    # Hessians at the first point take one more eigh inside the chart
     family, points, basis = _potential_grid(0.5)
     calls.eig()
     rep = potential_check(family, 0.5, points, basis)
-    assert rep.residual <= 1e-5
-    assert (calls.count("eigh"), calls.count("eigvalsh")) == (7, 2)
+    assert rep.residual <= 1e-12
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (3, 0)
 
 
 def test_dual_coordinate_check_evaluates_each_stencil_in_one_chart_call(calls):
@@ -931,6 +961,51 @@ def test_damped_newton_caps_one_row_while_the_others_converge():
     assert [r.tolist() for r in log["gradient"]] == [[0, 1, 2], [0, 1, 2]] + [[1]] * 5
 
 
+def test_damped_newton_takes_full_steps_once_the_decrease_is_below_the_slack():
+    # quadratic rows near 2.9 whose values carry up to 40 ulps of deterministic noise, more
+    # than the four-ulp slack: Newton's exact step converges in two passes, and no row is
+    # evaluated at t < 1 once its predicted decrease is within the slack
+    curvatures = np.array([np.diag([2.0, 3.0]), [[2.0, 0.5], [0.5, 1.0]], np.diag([4.0, 1.0])])
+    centers = np.array([[1.0, -2.0], [0.5, 0.25], [-1.0, 3.0]])
+    objective, gradient, hessian, log = _quadratic_rows(curvatures, curvatures.copy(), centers)
+    ulp = np.spacing(2.9)
+
+    def noisy(x, rows):
+        noise = 40.0 * ulp * np.cos(1e9 * x.sum(axis=-1))  # fixed by the point
+        return 2.9 + objective(x, rows) + noise
+
+    x0 = centers + 1e-8 * np.array([[1.0, -1.0], [2.0, 1.0], [-1.0, 0.5]])
+    x, grad, iterations = _damped_newton(noisy, gradient, hessian, x0, tol=1e-12, max_iter=50)
+    assert iterations.tolist() == [2, 2, 2]
+    np.testing.assert_allclose(x, centers, rtol=0.0, atol=1e-15)
+    assert np.abs(grad).max() <= 1e-12
+    # one pass: the values at x0, then one trial of every row at x0 + delta (t = 1)
+    assert [rows.tolist() for rows, _ in log["objective"]] == [[0, 1, 2], [0, 1, 2]]
+    np.testing.assert_allclose(log["objective"][1][1], centers, rtol=0.0, atol=1e-15)
+
+
+def test_damped_newton_keeps_a_halved_step_once_its_decrease_is_below_the_slack():
+    # one row whose predicted decrease at t = 1 is six ulps of its value, above the four-ulp
+    # slack, while its values away from x0 read 40 ulps high: the full step is rejected, and
+    # at t = 1/2 the predicted decrease is within the slack, so the row keeps that step
+    # without another trial; the next pass's full step is kept without a comparison
+    ulp = np.spacing(2.9)
+    center = np.array([[0.5, -0.25]])
+    x0 = center + [[np.sqrt(24.0 * ulp), 0.0]]  # 0.25 |slope| = 0.25 |x0 - center|^2 = 6 ulps
+    objective, gradient, hessian, log = _quadratic_rows(np.eye(2)[None], np.eye(2)[None], center)
+
+    def noisy(x, rows):
+        return 2.9 + objective(x, rows) + 40.0 * ulp * np.any(x != x0, axis=-1)
+
+    x, grad, iterations = _damped_newton(noisy, gradient, hessian, x0, tol=1e-12, max_iter=50)
+    assert iterations.tolist() == [3]
+    np.testing.assert_allclose(x, center, rtol=0.0, atol=1e-15)
+    # pass 1: the value at x0 and the trial t = 1; pass 2: the value at the half step and t = 1
+    points = [p[0] for _, p in log["objective"]]
+    half = 0.5 * (x0[0] + center[0])
+    np.testing.assert_allclose(points, [x0[0], center[0], half, center[0]], rtol=0.0, atol=1e-15)
+
+
 def _loop_hessian(fn, x):
     """The one-point central-difference Hessian the stacked stencil replaced.
 
@@ -981,8 +1056,8 @@ def test_stacked_scalar_hessian_equals_the_one_point_stencil(alpha):
 
 
 def test_potential_check_makes_the_same_chart_calls_for_any_grid(calls):
-    # one for the affine check, then one each for the coordinates, the metric,
-    # the Hessian stencil and the gradient stencil of the whole grid
+    # one for the whole grid: its decomposition serves the affine check, the coordinates, the
+    # metric and the exact derivatives of the potential (chart Hessians are no chart call)
     basis = hermitian_basis(2)
     counts = []
     for n_points in (6, 12):
@@ -992,9 +1067,9 @@ def test_potential_check_makes_the_same_chart_calls_for_any_grid(calls):
         points = affine_coordinates(sigmas, 0.5, basis)
         calls.watch(family, "chart", key=n_points)
         rep = potential_check(family, 0.5, points, basis)
-        assert rep.residual <= 1e-5
+        assert rep.residual <= 1e-12
         counts.append(calls.count(n_points))
-    assert counts == [5, 5]
+    assert counts == [1, 1]
 
 
 def test_relative_entropy_curvature_gap_decomposes_rho_once(calls):
