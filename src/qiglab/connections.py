@@ -106,6 +106,7 @@ def _embedded_second_partials(
     funs: list,
     kernels: list,
     tangents,
+    hessians=None,
 ) -> list:
     """Second partials d_i d_j of the embedded chart at theta (..., d), for every pair i <= j
     in ``np.triu_indices`` order, in the eigenbasis of each point: one (..., pairs, n, n)
@@ -113,8 +114,9 @@ def _embedded_second_partials(
     stacked as theta is; ``kernels`` holds each profile's divided-difference matrix at it.
 
     With analytic derivatives the tangents (``tangents``, or the chart's
-    rotated once) and the Hessians, from one ``hessians`` call, are rotated
-    once, and each profile adds one triple tensor and one contraction.
+    rotated once) and the Hessians (``hessians``, (..., d, d, n, n) in the
+    eigenbasis, or the chart's from one ``hessians`` call rotated once) serve
+    every profile, and each profile adds one triple tensor and one contraction.
     Without them, each point's partials for every profile come from one
     central stencil at that point; a stencil that leaves the chart domain is
     halved and retried, up to four tries in all, point by point.
@@ -131,7 +133,10 @@ def _embedded_second_partials(
     if tangents is None:
         tangents = at.to_eigenbasis(family.tangent_matrices(theta))
     products = _tangent_products(tangents[..., i, :, :], tangents[..., j, :, :])
-    hess = at.to_eigenbasis(family.hessians(theta)[..., i, j, :, :])
+    if hessians is None:
+        hess = at.to_eigenbasis(family.hessians(theta)[..., i, j, :, :])
+    else:
+        hess = hessians[..., i, j, :, :]
     lam = spec.eigenvalues
     return [
         _triple_contraction(_triple_difference_tensor(lam, fun)[..., None, :, :, :], products)
@@ -205,6 +210,7 @@ def covariant_derivative_set(
     alphas,
     on_extended: bool = False,
     tangents=None,
+    hessians=None,
 ) -> np.ndarray:
     """All covariant derivatives nabla^(alpha)_i T_j at theta, in mixture form, in the
     eigenbasis of the base point, for each order in the sequence ``alphas``.
@@ -214,6 +220,9 @@ def covariant_derivative_set(
     Spectrum; every point and every pair i <= j is then one stack per step.
     ``tangents``, when given, are the chart tangents d_k sigma at theta in
     that eigenbasis, (d, n, n) or (m, d, n, n); otherwise they are computed.
+    ``hessians``, when given to a chart with analytic derivatives, are its
+    second partials d_i d_j sigma at theta in that eigenbasis, (d, d, n, n)
+    or (m, d, d, n, n).
     Flat ones on the positive cone (``on_extended``) or projected ones on the
     unit-trace manifold; the result has shape (orders, d, d, n, n), or
     (orders, m, d, d, n, n) for a stack, and is symmetric in the two axes
@@ -225,7 +234,7 @@ def covariant_derivative_set(
     funs = [embedding_function(a) for a in alphas]
     lam = check_weight(spec).eigenvalues
     kernels = [divided_difference_matrix(lam, fun)[..., None, :, :] for fun in funs]
-    second = _embedded_second_partials(family, theta, spec, funs, kernels, tangents)
+    second = _embedded_second_partials(family, theta, spec, funs, kernels, tangents, hessians)
     at = spec.expand_dims()
     i, j = np.triu_indices(d)
     diag = np.arange(n)

@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import (
     Spectrum,
     _first_in_stack,
+    _triple_contraction,
     apply_scalar_function,
     check_hermitian,
     divided_difference_matrix,
@@ -30,11 +31,8 @@ from .linalg import (
     spectral_decompose,
 )
 from .manifold import (
-    FIRST_DERIVATIVE_STEP,
     ParametrizedFamily,
     TangentVector,
-    _central_difference,
-    _central_stencil,
     _check_chart_guard,
     _last_value_cache,
     _scalar_gradient,
@@ -52,6 +50,7 @@ from .metrics import (
     MonotoneFunctionSpec,
     _contract,
     _contraction_trials,
+    _kernel_difference,
     _stinespring_channels,
     bkm_direct,
     bkm_function,
@@ -207,23 +206,20 @@ def standard_witness_families(dim: int, manifold: str = "both") -> list:
     """The documented defect-scan families for a dimension.
 
     ``manifold`` selects unit-trace charts ("state"), positive-cone charts
-    ("weight") or both.
+    ("weight") or both; only the selected families are built.
     """
     if dim == 2:
-        state = WitnessFamily("qubit-bloch", qubit_bloch_family(), 0.35, False)
-        weight = WitnessFamily("qubit-weight", qubit_weight_family(), 0.4, True)
+        state = ("qubit-bloch", qubit_bloch_family, 0.35, False)
+        weight = ("qubit-weight", qubit_weight_family, 0.4, True)
     elif dim == 3:
-        state = WitnessFamily("qutrit-sub", qutrit_state_family(), 0.5, False)
-        weight = WitnessFamily("qutrit-weight", qutrit_weight_family(), 0.4, True)
+        state = ("qutrit-sub", qutrit_state_family, 0.5, False)
+        weight = ("qutrit-weight", qutrit_weight_family, 0.4, True)
     else:
         raise ValueError(f"no documented witness families for dimension {dim}")
-    if manifold == "state":
-        return [state]
-    if manifold == "weight":
-        return [weight]
-    if manifold == "both":
-        return [state, weight]
-    raise ValueError(f"manifold must be 'state', 'weight' or 'both', got {manifold!r}")
+    chosen = {"state": [state], "weight": [weight], "both": [state, weight]}.get(manifold)
+    if chosen is None:
+        raise ValueError(f"manifold must be 'state', 'weight' or 'both', got {manifold!r}")
+    return [WitnessFamily(name, build(), halfwidth, ext) for name, build, halfwidth, ext in chosen]
 
 
 def sample_grid(witness: WitnessFamily, seed, n_points: int = 3) -> list:
@@ -288,45 +284,61 @@ def _metric_matrix(
     return _tangent_gram(tangents, petz_kernel(spec, f).coefficients)
 
 
+def _pairings(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re sum_ab conj(x_r)_ab (y_s)_ab for every matrix x_r of x (m, r, n, n) and y_s of
+    y (m, s, n, n), point by point: (m, r, s), from one matmul."""
+    m, n = x.shape[0], x.shape[-1]
+    return (x.reshape(m, -1, n * n).conj() @ y.reshape(m, -1, n * n).swapaxes(-1, -2)).real
+
+
 class DefectGrid:
     """Connection geometry of a duality-defect grid, shared by every kernel and alpha.
 
-    Built once per (family, grid): the Spectrum and eigenbasis coordinate
-    tangents of each grid point and of the 2d central-difference stencil
-    points around it (step FIRST_DERIVATIVE_STEP * max(1, |theta_i|)) that
-    d_i g_jk needs.
-    The covariant derivatives nabla^(alpha)_i T_j at every point, in the
-    eigenbasis, are built on first use, from those tangents, in one
-    covariant_derivative_set call over the whole grid for both orders
-    +-alpha: the pair at -+alpha shares the two sets, and alpha = 0 needs
-    one. None of this depends on the metric kernel, so ``defect`` only builds
-    Petz kernels and contracts.
+    Built once per (family, grid) from one chart call, one stacked eigh and
+    one ``hessians`` call: the Spectrum of each grid point, its eigenbasis
+    coordinate tangents T and chart Hessians H, and the kernel-free products
+    (T_i)_am (T_k)_mb that d_i g_jk needs. The chart must carry analytic
+    first and second derivatives.
+
+    d_i g_jk is exact, by the Daleckii-Krein rule for the kernel
+    superoperator (Skripka-Tomskova, Multilinear Operator Integrals, LNM 2250):
+    d_i g_jk = 2 Re sum_amb c1_amb (T_i)_am (T_k)_mb conj(T_j)_ab
+    + g(H_ij, T_k) + g(T_j, H_ik), with c1 the first divided difference of the
+    Petz kernel in its first argument (``metrics._kernel_difference``); the
+    kernel's other argument gives the complex conjugate of the first term.
+
+    H - nabla^(alpha)_i T_j at every point, in the eigenbasis, is built on
+    first use, from one covariant_derivative_set call over the whole grid for
+    both orders +-alpha: the pair at -+alpha shares the two sets, and alpha = 0
+    needs one. None of this depends on the metric kernel, so ``defect`` builds
+    one Petz kernel and its divided difference and contracts.
     """
 
     def __init__(
         self, family: ParametrizedFamily, grid: Sequence[np.ndarray], on_extended: bool = False
     ):
+        _require_analytic(family, "the duality defect")
         self.family = family
         self.grid = tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in grid)
         if not self.grid:
             raise ValueError("a defect grid needs at least one point, got none")
         self.on_extended = on_extended
-        points = np.stack(self.grid)
-        # stencil points in the order up_0, dn_0, up_1, ... of every grid point in turn
-        stencil, self._widths = _central_stencil(points, FIRST_DERIVATIVE_STEP)
-        stencil = stencil.reshape(-1, points.shape[-1])
-        # one chart call and one stacked decomposition for the grid, and one for its stencil
-        self._spectrum = family.point_and_spectrum(points)[2]
-        self._stencil_spectrum = family.point_and_spectrum(stencil)[2]
-        self._tangents = _eigenbasis_tangents(family, points, self._spectrum)
-        self._stencil_tangents = _eigenbasis_tangents(family, stencil, self._stencil_spectrum)
-        self._nabla = {}
+        # one chart call and one stacked decomposition for the whole grid
+        theta, _, self._spectrum = family.point_and_spectrum(np.stack(self.grid))
+        t = self._tangents = _eigenbasis_tangents(family, theta, self._spectrum)
+        self._hessians = self._spectrum.expand_dims().expand_dims().to_eigenbasis(
+            family.hessians(theta)
+        )
+        # (T_i)_am (T_k)_mb at axes (point, i, k, a, m, b): d^2 n^3 entries a point, where a
+        # (point, d^3, n^3) tensor of all three tangents would take d^3 n^3
+        self._tangent_pairs = t[:, :, None, :, :, None] * t[:, None, :, None, :, :]
+        self._h_minus_nabla = {}
 
     def _connections(self, alpha: float) -> tuple:
-        """nabla^(alpha)_i T_j and nabla^(-alpha)_i T_j at every grid point in its eigenbasis,
-        each of shape (points, d, d, n, n)."""
+        """H_ij - nabla^(alpha)_i T_j and H_ij - nabla^(-alpha)_i T_j at every grid point in its
+        eigenbasis, each of shape (points, d, d, n, n)."""
         orders = list(dict.fromkeys((alpha, -alpha)))  # -0.0 == 0.0: alpha = 0 needs one set
-        if any(a not in self._nabla for a in orders):
+        if any(a not in self._h_minus_nabla for a in orders):
             sets = covariant_derivative_set(
                 self.family,
                 np.stack(self.grid),
@@ -334,9 +346,10 @@ class DefectGrid:
                 orders,
                 self.on_extended,
                 self._tangents,
+                self._hessians,
             )
-            self._nabla.update(zip(orders, sets))
-        return self._nabla[alpha], self._nabla[-alpha]
+            self._h_minus_nabla.update((a, self._hessians - n) for a, n in zip(orders, sets))
+        return self._h_minus_nabla[alpha], self._h_minus_nabla[-alpha]
 
     def defect(
         self,
@@ -345,17 +358,26 @@ class DefectGrid:
         scale: float = 1.0,
         family_name: str = "",
     ) -> DualityReport:
-        """Defect tensor of the f-metric against the (+alpha, -alpha) connections on this grid."""
+        """Defect tensor of the f-metric against the (+alpha, -alpha) connections on this grid.
+
+        f must carry ``deriv``, which the exact d_i g_jk takes its kernel's
+        derivative from.
+        """
         alpha = float(alpha)
         plus, minus = self._connections(alpha)
-        c_stencil = petz_kernel(self._stencil_spectrum, f).coefficients
-        dg = _central_difference(_tangent_gram(self._stencil_tangents, c_stencil), self._widths)
-        # axes (point, i, j, k, n, n); _contract sums the last two, as kernel_metric does
-        c = petz_kernel(self._spectrum, f).coefficients[:, None, None, None]
+        kernel = petz_kernel(self._spectrum, f)
+        c1 = _kernel_difference(kernel, f)[:, None, None]
+        c = kernel.coefficients[:, None]
         t = self._tangents
-        cov_t = _contract(c, plus[:, :, :, None], t[:, None, None, :])
-        t_cov = _contract(c, t[:, None, :, None], minus[:, :, None, :])
-        per_triple = scale * (dg - cov_t - t_cov)
+        m, d = t.shape[:2]
+        # Y_ik = sum_m c1_amb (T_i)_am (T_k)_mb, axes (point, i, k, a, b)
+        y = _triple_contraction(c1, self._tangent_pairs)
+        # d_i g_jk - g(nabla+_ij, T_k) - g(T_j, nabla-_ik) as the pairings with T_j,
+        # 2 Re <T_j, Y_ik> + g(T_j, H_ik - nabla-_ik) at axes (point, j, i, k), plus those
+        # with T_k, g(H_ij - nabla+_ij, T_k) at axes (point, i, j, k)
+        with_tj = _pairings(t, 2.0 * y + c[:, None] * minus).reshape(m, d, d, d)
+        with_tk = _pairings(plus, c * t).reshape(m, d, d, d)
+        per_triple = scale * (with_tj.swapaxes(1, 2) + with_tk)
         return DualityReport(
             metric_name=f.name,
             alpha=alpha,
@@ -513,10 +535,11 @@ def _damped_newton(objective, gradient, hessian, x, tol: float, max_iter: int):
     The full step t = 1 is evaluated on every row that steps, so a
     callback's cache sees the points the next gradient is asked about. A row
     keeps its step t without comparing values once the predicted decrease
-    t * |slope| / 4 is within the slack, four ulps of the value at the
+    t * |slope| / 4 is within the slack, sixteen ulps of the value at the
     row's point: an objective known only to its rounding cannot confirm a
-    smaller decrease, and halving t for it would stall the row. Other rows
-    halve t until the Armijo test passes (or t falls below 1e-12).
+    smaller decrease, and halving t for it would stall the row (the trace
+    potential of ``dual_coordinate_check`` reads up to about 8 ulps off).
+    Other rows halve t until the Armijo test passes (or t falls below 1e-12).
     Convergence is the gradient test alone.
 
     Returns (x, gradient at x, iterations), iterations (k,): a row's count
@@ -535,7 +558,7 @@ def _damped_newton(objective, gradient, hessian, x, tol: float, max_iter: int):
         delta = _newton_steps(hessian(xa, active), ga)
         f0 = objective(xa, active)
         slope = _row_dot(ga, delta)
-        slack = 4.0 * np.spacing(np.abs(f0))
+        slack = 16.0 * np.spacing(np.abs(f0))
         t = np.ones(len(active))
 
         def measurable(rows):  # the predicted decrease t |slope| / 4 exceeds the slack
@@ -722,6 +745,10 @@ def perturbed_wyd(
     def h(s):
         return np.exp(-((s - center) ** 2) / width) + np.exp(-((s + center) ** 2) / width)
 
+    def dh(s):
+        lo, hi = s - center, s + center
+        return -2.0 / width * (lo * np.exp(-lo * lo / width) + hi * np.exp(-hi * hi / width))
+
     norm = 1.0 + amplitude * h(0.0)
 
     def f(x):
@@ -729,8 +756,17 @@ def perturbed_wyd(
         out = base.fn(x) * (1.0 + amplitude * h(np.log(x))) / norm
         return out if out.ndim else float(out)
 
+    def deriv(x):
+        x = np.asarray(x, dtype=float)
+        s = np.log(x)
+        out = (base.deriv(x) * (1.0 + amplitude * h(s)) + base.fn(x) * amplitude * dh(s) / x) / norm
+        return out if out.ndim else float(out)
+
     return MonotoneFunctionSpec(
-        f"wyd(p={p:g})*bump(a={amplitude:g},c={center:g},w={width:g})", f, claimed_monotone=False
+        f"wyd(p={p:g})*bump(a={amplitude:g},c={center:g},w={width:g})",
+        f,
+        claimed_monotone=False,
+        deriv=deriv,
     )
 
 

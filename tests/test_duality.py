@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import ORACLE_RTOL, standard_basis_covariant_set
+from conftest import standard_basis_covariant_set
 
 from qiglab.linalg import (
     apply_scalar_function,
@@ -11,7 +11,6 @@ from qiglab.linalg import (
     spectral_decompose,
 )
 from qiglab.duality import (
-    FIRST_DERIVATIVE_STEP,
     DefectGrid,
     _damped_newton,
     _metric_matrix,
@@ -46,6 +45,7 @@ from qiglab.manifold import (
     affine_coordinates,
     alpha_representation,
     embedding_function,
+    linear_family,
     representation_convert,
     simplex_family,
     state_tangent,
@@ -129,33 +129,55 @@ def test_duality_report_metadata():
     assert rep.per_triple.shape == (len(grid), 3, 3, 3)
 
 
+# Richardson-extrapolated central differences of the metric matrix, steps h, h/2 and h/4 with
+# h = 1e-2 * max(1, |theta_i|), reproduce the exact d_i g_jk to 4.2e-13 of max(1, |d_i g_jk|)
+# on the grids below (recorded over the four witness families and the six kernels); the
+# per-triple reference is held to this multiple of max(1, its largest entry).
+DERIVATIVE_ORACLE_RTOL = 1e-11
+
+
+def _metric_matrix_reference(family, theta, f):
+    """g_ab at one theta in the standard basis: kernel_metric of every tangent pair."""
+    d = family.param_dim
+    kernel = petz_kernel(family.point(theta), f)
+    tangents = [family.tangent_matrix(theta, k) for k in range(d)]
+    g = np.empty((d, d))
+    for a in range(d):
+        for b in range(a, d):
+            g[a, b] = g[b, a] = kernel_metric(kernel, tangents[a], tangents[b])
+    return g
+
+
+def _metric_derivative_reference(family, theta, f, i):
+    """d_i g at theta by central differences with steps h, h/2, h/4 and Richardson
+    extrapolation (error O(h^6)); it shares no divided difference with DefectGrid."""
+
+    def central(h):
+        up, dn = theta.copy(), theta.copy()
+        up[i] += h
+        dn[i] -= h
+        g_up = _metric_matrix_reference(family, up, f)
+        return (g_up - _metric_matrix_reference(family, dn, f)) / (2.0 * h)
+
+    h = 1e-2 * max(1.0, abs(theta[i]))
+    table = [central(h / 2**k) for k in range(3)]
+    for level in (1, 2):
+        w = 4.0**level
+        table = [(w * fine - coarse) / (w - 1.0) for coarse, fine in zip(table, table[1:])]
+    return table[0]
+
+
 def _reference_per_triple(family, grid, f, alpha, on_extended):
     """Per-triple defect loop: the standard-basis covariant-derivative set per sign,
-    kernel_metric per pairing, and a central difference of the metric matrix."""
+    kernel_metric per pairing, and a Richardson-extrapolated difference of the metric matrix."""
     d = family.param_dim
-
-    def metric_matrix(theta):
-        kernel = petz_kernel(family.point(theta), f)
-        tangents = [family.tangent_matrix(theta, k) for k in range(d)]
-        g = np.empty((d, d))
-        for a in range(d):
-            for b in range(a, d):
-                g[a, b] = g[b, a] = kernel_metric(kernel, tangents[a], tangents[b])
-        return g
-
     tensors = []
     for theta in grid:
         kernel = petz_kernel(family.point(theta), f)
         tangents = [family.tangent_matrix(theta, k) for k in range(d)]
         plus = standard_basis_covariant_set(family, theta, alpha, on_extended)
         minus = standard_basis_covariant_set(family, theta, -alpha, on_extended)
-        dg = np.empty((d, d, d))
-        for i in range(d):
-            h = FIRST_DERIVATIVE_STEP * max(1.0, abs(theta[i]))
-            up, dn = theta.copy(), theta.copy()
-            up[i] += h
-            dn[i] -= h
-            dg[i] = (metric_matrix(up) - metric_matrix(dn)) / (2.0 * h)
+        dg = np.stack([_metric_derivative_reference(family, theta, f, i) for i in range(d)])
         t = np.empty((d, d, d))
         for i in range(d):
             for j in range(d):
@@ -183,7 +205,7 @@ def test_defect_grid_equals_per_triple_reference(dim, manifold):
     for f, alpha in cases:
         expected = _reference_per_triple(witness.family, grid, f, alpha, witness.on_extended)
         rep = shared.defect(f, alpha)
-        atol = ORACLE_RTOL * max(1.0, np.abs(expected).max())
+        atol = DERIVATIVE_ORACLE_RTOL * max(1.0, np.abs(expected).max())
         np.testing.assert_allclose(rep.per_triple, expected, rtol=0.0, atol=atol)
         assert rep.defect == float(np.abs(rep.per_triple).max())
         np.testing.assert_array_equal(
@@ -250,15 +272,94 @@ def test_defect_grid_builds_each_signed_alpha_in_one_stacked_call(calls, capsys)
 @pytest.mark.parametrize("points", [1, 3])
 @pytest.mark.parametrize("dim, manifold", [(2, "state"), (3, "weight")])
 def test_defect_grid_evaluates_and_decomposes_in_two_stacked_calls(calls, points, dim, manifold):
-    # one chart call and one eigh for the grid points, one of each for all 2d * m stencil points;
-    # each eigh also serves the chart guard
+    # one chart call and one eigh for all grid points, which also serves the chart guard, and
+    # one hessians call; the defects of every kernel and alpha add none of them
     witness = standard_witness_families(dim, manifold)[0]
     family = calls.watch(dataclasses.replace(witness.family), "chart")
+    calls.watch(family, "hessians")
     grid = sample_grid(witness, [4, dim], points)
     calls.eig()
-    DefectGrid(family, grid, witness.on_extended)
-    assert calls.count("chart") == 2
-    assert (calls.count("eigh"), calls.count("eigvalsh")) == (2, 0)
+    shared = DefectGrid(family, grid, witness.on_extended)
+    for alpha in (0.5, 0.0):
+        for f in (matched_metric(alpha), bures_function()):
+            shared.defect(f, alpha)
+    assert (calls.count("chart"), calls.count("hessians")) == (1, 1)
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (1, 0)
+
+
+def test_defect_builds_one_petz_kernel_per_call(calls):
+    import qiglab.duality
+
+    calls.watch(qiglab.duality, "petz_kernel")
+    witness = standard_witness_families(3, "state")[0]
+    shared = DefectGrid(witness.family, sample_grid(witness, 5, 3))
+    for count, f in enumerate((matched_metric(0.5), bures_function(), rld_function()), 1):
+        shared.defect(f, 0.5)
+        assert calls.count("petz_kernel") == count  # one for the whole stacked grid
+
+
+def test_defect_grid_rejects_a_chart_without_analytic_derivatives():
+    witness = standard_witness_families(2, "state")[0]
+    bare = dataclasses.replace(witness.family, hessians=None)
+    with pytest.raises(ValueError, match="the duality defect needs a chart with analytic"):
+        DefectGrid(bare, sample_grid(witness, 0, 1))
+
+
+def test_defect_needs_the_kernel_derivative():
+    family, grid = _bloch_grid()
+    underived = dataclasses.replace(bures_function(), name="bures-without-deriv", deriv=None)
+    with pytest.raises(ValueError, match="bures-without-deriv: .* no deriv"):
+        duality_defect(family, grid, underived, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_matched_defect_stays_at_round_off_near_the_bloch_boundary(alpha):
+    # at Bloch radius 0.999 the eigenvalues are 5e-4 and 0.9995; a central difference of the
+    # metric with step 1e-4 read a defect of 2.6e3 here, a false falsification
+    family = qubit_bloch_family()
+    direction = np.array([1.0, 2.0, -0.5]) / np.linalg.norm([1.0, 2.0, -0.5])
+    shared = DefectGrid(family, [0.999 * direction])
+    assert shared.defect(matched_metric(alpha), alpha).defect <= 1e-8
+    assert shared.defect(bures_function(), alpha).defect >= 1.0
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+def test_matched_defect_is_round_off_on_a_full_chart_at_the_eigenvalue_guard(alpha):
+    # the full linear chart of Herm(3) through U diag(1e-6, 2e-6, 0.5) U†, with the rotation
+    # carried by the directions (U† X U for the basis X), so the base spectrum is exact and its
+    # smallest eigenvalue sits on CHART_MIN_EIGENVALUE; a difference stencil leaves the chart
+    rng = rng_from(3)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    basis = [u.conj().T @ x @ u for x in hermitian_basis(3)]
+    family = linear_family(np.diag([1e-6, 2e-6, 0.5]).astype(complex), basis)
+    shared = DefectGrid(family, [np.zeros(9)], on_extended=True)
+    matched = shared.defect(matched_metric(alpha), alpha).defect
+    bures = shared.defect(bures_function(), alpha).defect
+    assert bures >= 1e9
+    assert matched <= 1e-13 * bures
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+def test_matched_defect_is_round_off_on_a_curved_affine_chart(alpha):
+    # an affine chart for another order has nonzero chart Hessians H: the linear witness
+    # families cannot tell whether d_i g_jk keeps its g(H_ij, T_k) + g(T_j, H_ik) terms
+    chart_alpha = 0.3
+    family, points, _ = _potential_grid(chart_alpha, n_points=3)
+    f = matched_metric(alpha)
+    rep = DefectGrid(family, points, on_extended=True).defect(f, alpha)
+    assert rep.defect <= 1e-12
+    largest = 0.0  # of g(H_ij, T_k) + g(T_j, H_ik); dropping them would fail the matched pair
+    d = family.param_dim
+    for theta in points:
+        kernel = petz_kernel(family.point(theta), f)
+        tangents, hess = family.tangent_matrices(theta), family.hessians(theta)
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    term = kernel_metric(kernel, hess[i, j], tangents[k])
+                    term += kernel_metric(kernel, tangents[j], hess[i, k])
+                    largest = max(largest, abs(term))
+    assert largest >= 0.1
 
 
 def test_defect_grid_rejects_an_empty_grid():
@@ -963,7 +1064,7 @@ def test_damped_newton_caps_one_row_while_the_others_converge():
 
 def test_damped_newton_takes_full_steps_once_the_decrease_is_below_the_slack():
     # quadratic rows near 2.9 whose values carry up to 40 ulps of deterministic noise, more
-    # than the four-ulp slack: Newton's exact step converges in two passes, and no row is
+    # than the sixteen-ulp slack: Newton's exact step converges in two passes, and no row is
     # evaluated at t < 1 once its predicted decrease is within the slack
     curvatures = np.array([np.diag([2.0, 3.0]), [[2.0, 0.5], [0.5, 1.0]], np.diag([4.0, 1.0])])
     centers = np.array([[1.0, -2.0], [0.5, 0.25], [-1.0, 3.0]])
@@ -985,17 +1086,17 @@ def test_damped_newton_takes_full_steps_once_the_decrease_is_below_the_slack():
 
 
 def test_damped_newton_keeps_a_halved_step_once_its_decrease_is_below_the_slack():
-    # one row whose predicted decrease at t = 1 is six ulps of its value, above the four-ulp
-    # slack, while its values away from x0 read 40 ulps high: the full step is rejected, and
+    # one row whose predicted decrease at t = 1 is 24 ulps of its value, above the sixteen-ulp
+    # slack, while its values away from x0 read 80 ulps high: the full step is rejected, and
     # at t = 1/2 the predicted decrease is within the slack, so the row keeps that step
     # without another trial; the next pass's full step is kept without a comparison
     ulp = np.spacing(2.9)
     center = np.array([[0.5, -0.25]])
-    x0 = center + [[np.sqrt(24.0 * ulp), 0.0]]  # 0.25 |slope| = 0.25 |x0 - center|^2 = 6 ulps
+    x0 = center + [[np.sqrt(96.0 * ulp), 0.0]]  # 0.25 |slope| = 0.25 |x0 - center|^2 = 24 ulps
     objective, gradient, hessian, log = _quadratic_rows(np.eye(2)[None], np.eye(2)[None], center)
 
     def noisy(x, rows):
-        return 2.9 + objective(x, rows) + 40.0 * ulp * np.any(x != x0, axis=-1)
+        return 2.9 + objective(x, rows) + 80.0 * ulp * np.any(x != x0, axis=-1)
 
     x, grad, iterations = _damped_newton(noisy, gradient, hessian, x0, tol=1e-12, max_iter=50)
     assert iterations.tolist() == [3]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from qiglab.linalg import spectral_decompose
+from qiglab.duality import perturbed_wyd
+from qiglab.linalg import Spectrum, spectral_decompose
 from qiglab.manifold import check_state, state_tangent
 from qiglab.metrics import (
+    KERNEL_CONFLUENT_RTOL,
     KrausChannel,
     MonotoneFunctionSpec,
     apply_channel,
@@ -23,6 +25,7 @@ from qiglab.metrics import (
     validate_function_spec,
     wyd_direct,
     wyd_function,
+    _kernel_difference,
 )
 from qiglab.sampling import pauli_matrices, random_state, random_traceless_hermitian, rng_from
 
@@ -53,6 +56,104 @@ def test_wyd_series_joins_smoothly():
     p, x = 0.3, 1.01
     naive = p * (1.0 - p) * (x - 1.0) ** 2 / ((x**p - 1.0) * (x ** (1.0 - p) - 1.0))
     assert f(x) == pytest.approx(naive, rel=1e-11)
+
+
+_BUMP = (0.75, 0.3, 0.53, 0.31)  # perturbed_wyd's p, amplitude, center and width
+
+
+def _wyd_mp(p):
+    def f(mp, x):
+        return p * (1 - p) * (x - 1) ** 2 / ((x**p - 1) * (x ** (1 - p) - 1))
+
+    return f
+
+
+def _bump_mp(mp, x):
+    p, a, c, w = _BUMP
+
+    def h(s):
+        return mp.exp(-((s - c) ** 2) / w) + mp.exp(-((s + c) ** 2) / w)
+
+    return _wyd_mp(p)(mp, x) * (1 + a * h(mp.log(x))) / (1 + a * h(0))
+
+
+# every spec that carries f', with its profile f(mp, x) in the arithmetic of the mpmath module mp
+PROFILES = {
+    spec.name: (spec, mp_f)
+    for spec, mp_f in [
+        *[(wyd_function(p), _wyd_mp(p)) for p in (0.25, 0.3, 0.5, 0.75)],
+        (bkm_function(), lambda mp, x: (x - 1) / mp.log(x)),
+        (bures_function(), lambda mp, x: (1 + x) / 2),
+        (rld_function(), lambda mp, x: 2 * x / (1 + x)),
+        (perturbed_wyd(*_BUMP), _bump_mp),
+    ]
+}
+
+
+def _mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    return mpmath
+
+
+# x over [1e-3, 1e3], without 1 itself, where the mpmath profiles are 0/0, and x = 1 +- 10^-k
+# for |x - 1| from 1e-9 to 1e-2
+NEAR_ONE = np.geomspace(1e-9, 1e-2, 15)
+DERIV_POINTS = np.concatenate([np.geomspace(1e-3, 1e3, 60), 1.0 + NEAR_ONE, 1.0 - NEAR_ONE])
+
+
+@pytest.mark.parametrize("name", PROFILES)
+def test_profile_derivative_matches_mpmath(name):
+    mp = _mpmath()
+    spec, mp_f = PROFILES[name]
+    got = spec.deriv(DERIV_POINTS)
+    assert got.shape == DERIV_POINTS.shape
+    want = [float(mp.diff(lambda x: mp_f(mp, x), mp.mpf(float(x)))) for x in DERIV_POINTS]
+    # worst recorded: 6.1e-15 relative (bkm at x = 1.26e-3)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    for x, value in zip(DERIV_POINTS[::10], got[::10]):
+        assert spec.deriv(float(x)) == value  # a scalar gets what it gets in an array
+
+
+@pytest.mark.parametrize("name", PROFILES)
+def test_profile_derivative_is_one_half_at_one_and_keeps_the_petz_symmetry(name):
+    spec = PROFILES[name][0]
+    assert spec.deriv(1.0) == 0.5
+    # f(t) = t f(1/t) gives f'(t) = f(1/t) - f'(1/t)/t, held to the round-off of the right side
+    t = DERIV_POINTS
+    value, slope = spec(1.0 / t), spec.deriv(1.0 / t) / t
+    bound = 1e-14 * (np.abs(value) + np.abs(slope))
+    assert (np.abs(spec.deriv(t) - (value - slope)) <= bound).all()
+
+
+@pytest.mark.parametrize("name", ["wyd(p=0.25)", "bkm"])
+@pytest.mark.parametrize(
+    "gap", [0.0, 1e-9, 1e-7, 0.5 * KERNEL_CONFLUENT_RTOL, 2.0 * KERNEL_CONFLUENT_RTOL, 1e-3]
+)
+def test_kernel_difference_matches_mpmath_across_the_confluent_switch(name, gap):
+    # c1[a, m, b] = (c(la, lb) - c(lm, lb))/(la - lm) for c(x, y) = 1/(y f(x/y)), against 40
+    # digits; the pair (0.3, 0.3 (1 + gap)) takes the quotient above KERNEL_CONFLUENT_RTOL and
+    # the midpoint derivative below it, where a first-order rule would be off by about the gap
+    mp = _mpmath()
+    spec, mp_f = PROFILES[name]
+    lam = np.array([0.3, 0.3 * (1.0 + gap), 2e-4])
+    got = _kernel_difference(petz_kernel(Spectrum(lam, np.eye(3, dtype=complex)), spec), spec)
+
+    def c(x, z):
+        return 1 / (z * mp_f(mp, x / z)) if x != z else 1 / z
+
+    def c1(a, m, b):
+        x, y, z = (mp.mpf(float(lam[k])) for k in (a, m, b))
+        if x != y:
+            return (c(x, z) - c(y, z)) / (x - y)
+        # d1 c(x, z) = -f'(x/z) c(x, z)^2, with f'(1) = 1/2
+        slope = mp.mpf(0.5) if x == z else mp.diff(lambda r: mp_f(mp, r), x / z)
+        return -slope * c(x, z) ** 2
+
+    want = [[[float(c1(a, m, b)) for b in range(3)] for m in range(3)] for a in range(3)]
+    # worst recorded: 7.3e-15 relative up to gap 1e-7, and 1.7e-10 (bkm, the quotient at
+    # twice the switch) beyond
+    np.testing.assert_allclose(got, want, rtol=1e-13 if gap <= 1e-7 else 1e-9, atol=0.0)
 
 
 def test_wyd_rejects_exponent_outside_unit_interval():
