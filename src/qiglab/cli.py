@@ -433,13 +433,20 @@ def _run_duality(opt):
     tol = float(opt["tol"])
     gap = float(opt["gap"])
     n_points = _count(opt, "points")
+    dims = _list(opt, "dim", int)
+    outside = [dim for dim in dims if dim not in (2, 3)]
+    if outside:  # checked before any grid is built
+        raise ValueError(
+            f"--dim values must be 2 or 3, the dimensions with documented witness families, "
+            f"got {outside[0]}"
+        )
     records = []
     worst = 0.0
     grids = {}  # dim -> [(witness, DefectGrid)], shared by every alpha and metric
     for alpha in _list(opt, "alpha", float):
         for token in _list(opt, "metric", str):
             f = _metric_from_token(token, alpha)
-            for dim in _list(opt, "dim", int):
+            for dim in dims:
                 if dim not in grids:
                     grids[dim] = []
                     for w in standard_witness_families(dim, opt["manifold"]):
@@ -526,7 +533,7 @@ def _run_potential(opt):
         basis = hermitian_basis(dim)
         for alpha in alphas:
             rng = rng_from([seed, dim, int(round((alpha + 1) * 1000))])
-            family = xi_affine_family(basis, alpha, analytic=True)
+            family = xi_affine_family(basis, alpha)
             points = affine_coordinates(_grid_weights(rng, dim, sizes[dim]), alpha, basis)
             rep = potential_check(family, alpha, points, basis)
             dual = dual_coordinate_check(family, alpha, points[:n_dual], seed=[seed, 99])
@@ -618,8 +625,11 @@ def _run_flatness(opt):
         raise ValueError(f"--steps must be even, got {steps}")
     tol = float(opt["tol"])
     wtol = float(opt["witness_tol"])
+    dims = _list(opt, "dim", int)
+    if min(dims) < 1:
+        raise ValueError(f"--dim values must be at least 1, got {min(dims)}")
     records = []
-    for dim in _list(opt, "dim", int):
+    for dim in dims:
         for alpha in _list(opt, "alpha", float):
             value = flatness_scan(alpha, dim, seed=[seed, dim])
             records.append(

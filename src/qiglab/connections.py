@@ -20,13 +20,9 @@ f the embedding profile of order alpha:
 
 The tangent products do not depend on alpha, so one call builds a sequence
 of orders, each for one triple tensor, one divided-difference matrix and one
-contraction; with analytic chart derivatives (one ``jacobian`` and one
+contraction; with the chart's analytic derivatives (one ``jacobian`` and one
 ``hessians`` call) every point of a stack and every pair is one stacked
-step. A chart without them gets every second partial at a point, for every
-order, from one central stencil of 1 + 2d + 2d(d - 1) points, evaluated in
-one chart call, with steps
-SECOND_DERIVATIVE_STEP * max(1, |theta_i|) (``manifold._scalar_hessian``),
-point by point; those partials are rotated into the eigenbasis.
+step.
 """
 
 from __future__ import annotations
@@ -41,18 +37,15 @@ from .linalg import (
     _tangent_products,
     _triple_contraction,
     _triple_difference_tensor,
-    apply_scalar_function,
     divided_difference_matrix,
     frechet_derivative,
     hermitize,
 )
 from .manifold import (
-    SECOND_DERIVATIVE_STEP,
     ParametrizedFamily,
     TangentVector,
     _project_in_eigenbasis,
     _project_with,
-    _scalar_hessian,
     _sphere_powers,
     check_weight,
     embedding_function,
@@ -97,73 +90,6 @@ class CovariantDerivativeResult:
 
     base: np.ndarray
     vector: TangentVector
-
-
-def _embedded_second_partials(
-    family: ParametrizedFamily,
-    theta: np.ndarray,
-    spec: Spectrum,
-    funs: list,
-    kernels: list,
-    tangents,
-    hessians=None,
-) -> list:
-    """Second partials d_i d_j of the embedded chart at theta (..., d), for every pair i <= j
-    in ``np.triu_indices`` order, in the eigenbasis of each point: one (..., pairs, n, n)
-    array per embedding profile in ``funs``. ``spec`` is the Spectrum of the point at theta,
-    stacked as theta is; ``kernels`` holds each profile's divided-difference matrix at it.
-
-    With analytic derivatives the tangents (``tangents``, or the chart's
-    rotated once) and the Hessians (``hessians``, (..., d, d, n, n) in the
-    eigenbasis, or the chart's from one ``hessians`` call rotated once) serve
-    every profile, and each profile adds one triple tensor and one contraction.
-    Without them, each point's partials for every profile come from one
-    central stencil at that point; a stencil that leaves the chart domain is
-    halved and retried, up to four tries in all, point by point.
-    """
-    i, j = np.triu_indices(family.param_dim)
-    at = spec.expand_dims()  # each base point against its stack of pairs
-    if not family.has_analytic_second_order:
-        rows = [
-            _stencil_second_partials(family, row, funs)
-            for row in theta.reshape(-1, theta.shape[-1])
-        ]
-        d2 = np.stack(rows, axis=1).reshape((len(funs),) + theta.shape[:-1] + rows[0].shape[1:])
-        return list(at.to_eigenbasis(d2[..., i, j, :, :]))
-    if tangents is None:
-        tangents = at.to_eigenbasis(family.tangent_matrices(theta))
-    products = _tangent_products(tangents[..., i, :, :], tangents[..., j, :, :])
-    if hessians is None:
-        hess = at.to_eigenbasis(family.hessians(theta)[..., i, j, :, :])
-    else:
-        hess = hessians[..., i, j, :, :]
-    lam = spec.eigenvalues
-    return [
-        _triple_contraction(_triple_difference_tensor(lam, fun)[..., None, :, :, :], products)
-        + k * hess
-        for fun, k in zip(funs, kernels)
-    ]
-
-
-def _stencil_second_partials(family: ParametrizedFamily, theta: np.ndarray, funs) -> np.ndarray:
-    """Central-stencil second partials of the embedded chart at one theta (d,), for each
-    profile in ``funs``: (profiles, d, d, n, n), from one stencil."""
-
-    def embedded(t):
-        spec = family.point_and_spectrum(t)[2]
-        return np.stack([apply_scalar_function(spec, fun) for fun in funs], axis=1)
-
-    for shrink in range(4):
-        step = SECOND_DERIVATIVE_STEP * 0.5**shrink
-        try:
-            return hermitize(np.moveaxis(_scalar_hessian(embedded, theta, step), 2, 0))
-        except ValueError as exc:  # domain boundary inside the stencil
-            error = exc
-    steps = ", ".join(f"{h:.2e}" for h in step * np.maximum(1.0, np.abs(theta)))
-    raise ValueError(
-        f"stencil keeps leaving the chart domain near theta={theta.tolist()} "
-        f"(final steps {steps})"
-    ) from error
 
 
 def _from_eigenbasis(spec: Spectrum, mixture: np.ndarray) -> np.ndarray:
@@ -220,9 +146,9 @@ def covariant_derivative_set(
     Spectrum; every point and every pair i <= j is then one stack per step.
     ``tangents``, when given, are the chart tangents d_k sigma at theta in
     that eigenbasis, (d, n, n) or (m, d, n, n); otherwise they are computed.
-    ``hessians``, when given to a chart with analytic derivatives, are its
-    second partials d_i d_j sigma at theta in that eigenbasis, (d, d, n, n)
-    or (m, d, d, n, n).
+    ``hessians``, when given, are the chart's second partials d_i d_j sigma at
+    theta in that eigenbasis, (d, d, n, n) or (m, d, d, n, n); otherwise
+    they come from one ``hessians`` call.
     Flat ones on the positive cone (``on_extended``) or projected ones on the
     unit-trace manifold; the result has shape (orders, d, d, n, n), or
     (orders, m, d, d, n, n) for a stack, and is symmetric in the two axes
@@ -231,16 +157,24 @@ def covariant_derivative_set(
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     d, n = family.param_dim, spec.dim
-    funs = [embedding_function(a) for a in alphas]
     lam = check_weight(spec).eigenvalues
-    kernels = [divided_difference_matrix(lam, fun)[..., None, :, :] for fun in funs]
-    second = _embedded_second_partials(family, theta, spec, funs, kernels, tangents, hessians)
-    at = spec.expand_dims()
+    at = spec.expand_dims()  # each base point against its stack of pairs
     i, j = np.triu_indices(d)
+    if tangents is None:
+        tangents = at.to_eigenbasis(family.tangent_matrices(theta))
+    products = _tangent_products(tangents[..., i, :, :], tangents[..., j, :, :])
+    if hessians is None:
+        hess = at.to_eigenbasis(family.hessians(theta)[..., i, j, :, :])
+    else:
+        hess = hessians[..., i, j, :, :]
     diag = np.arange(n)
-    out = np.empty((len(funs),) + theta.shape[:-1] + (d, d, n, n), dtype=complex)
-    for alpha, k, d2, nabla in zip(alphas, kernels, second, out):
-        d2 = hermitize(d2)
+    out = np.empty((len(alphas),) + theta.shape[:-1] + (d, d, n, n), dtype=complex)
+    for alpha, nabla in zip(alphas, out):
+        # the second partial of the embedded chart, every pair i <= j
+        fun = embedding_function(alpha)
+        k = divided_difference_matrix(lam, fun)[..., None, :, :]
+        d2 = _triple_contraction(_triple_difference_tensor(lam, fun)[..., None, :, :, :], products)
+        d2 = hermitize(d2 + k * hess)
         if on_extended:
             mixture = d2 / k
         else:

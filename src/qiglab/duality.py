@@ -297,8 +297,7 @@ class DefectGrid:
     Built once per (family, grid) from one chart call, one stacked eigh and
     one ``hessians`` call: the Spectrum of each grid point, its eigenbasis
     coordinate tangents T and chart Hessians H, and the kernel-free products
-    (T_i)_am (T_k)_mb that d_i g_jk needs. The chart must carry analytic
-    first and second derivatives.
+    (T_i)_am (T_k)_mb that d_i g_jk needs.
 
     d_i g_jk is exact, by the Daleckii-Krein rule for the kernel
     superoperator (Skripka-Tomskova, Multilinear Operator Integrals, LNM 2250):
@@ -317,7 +316,6 @@ class DefectGrid:
     def __init__(
         self, family: ParametrizedFamily, grid: Sequence[np.ndarray], on_extended: bool = False
     ):
-        _require_analytic(family, "the duality defect")
         self.family = family
         self.grid = tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in grid)
         if not self.grid:
@@ -493,16 +491,6 @@ def potential_value(sigma: np.ndarray, alpha: float):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _require_analytic(family: ParametrizedFamily, check: str) -> None:
-    """Reject a chart without analytic first and second derivatives, which ``check`` takes
-    the potential's derivatives from."""
-    if not family.has_analytic_second_order:
-        raise ValueError(
-            f"{check} needs a chart with analytic jacobian and hessians, "
-            "such as xi_affine_family(basis, alpha, analytic=True)"
-        )
-
-
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x_r . y_r of each row of two stacks (k, d), each summed as a 1-d ``x @ y`` sums it."""
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
@@ -622,13 +610,12 @@ def potential_check(
     function of the order-(-alpha) affine coordinates (checked by linear
     regression over the grid).
 
-    Rejects a chart without analytic derivatives, and coordinates in which
-    the embedding is not affine at the first grid point.
+    Rejects coordinates in which the embedding is not affine at the first
+    grid point.
     """
     alpha = float(alpha)
     if not -1.0 < alpha <= 1.0:
         raise ValueError(f"potential check needs alpha in (-1, 1], got {alpha!r}")
-    _require_analytic(family, "the potential check")
     points = np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in points])
     d = family.param_dim
     if len(points) < d + 2:
@@ -675,20 +662,18 @@ def dual_coordinate_check(
     """Check the gradient coordinates against the metric and the Legendre pairing.
 
     The gradient coordinates eta = (2/(1+alpha)) Tr d_i sigma are exact, from
-    the chart's analytic jacobian, so the chart must carry analytic
-    derivatives. Their Jacobian, by central differences of eta, must equal
-    the matched metric matrix, and the numeric Legendre transform must
-    satisfy psi(xi) + phi(eta(xi)) = xi . eta(xi). phi(eta) = -min_x (psi(x)
-    - x . eta) is found by damped Newton steps, every point's as one row of a
-    stack started from a seeded perturbation of the point, with the exact
-    gradient and the exact Hessian (2/(1+alpha)) Tr d_i d_j sigma. One
-    checked chart evaluation per point stack gives psi and eta together, and
-    its decomposition serves the Hessian.
+    the chart's analytic jacobian. Their Jacobian, by central differences of
+    eta, must equal the matched metric matrix, and the numeric Legendre
+    transform must satisfy psi(xi) + phi(eta(xi)) = xi . eta(xi). phi(eta) =
+    -min_x (psi(x) - x . eta) is found by damped Newton steps, every point's
+    as one row of a stack started from a seeded perturbation of the point,
+    with the exact gradient and the exact Hessian (2/(1+alpha)) Tr d_i d_j
+    sigma. One checked chart evaluation per point stack gives psi and eta
+    together, and its decomposition serves the Hessian.
     """
     alpha = float(alpha)
     if not len(points):
         raise ValueError("the dual coordinate check needs at least one point")
-    _require_analytic(family, "the dual coordinate check")
     points = np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in points])
     c = _potential_factor(alpha)
 
@@ -954,15 +939,13 @@ def path_dependence_witness(alpha: float = 0.0, step_count: int = 256) -> float:
 def flatness_scan(alpha: float, dim: int, seed=5) -> float:
     """Max flat-covariant-derivative norm over two seeded points of the affine chart.
 
-    The points are weights with spectrum in [0.5, 2].
-
-    Builds the chart without analytic derivatives on purpose: the statement
-    under test is that the finite-difference second partial of the embedded
-    chart vanishes, so the discretization must not be allowed to mask it.
+    The points are weights with spectrum in [0.5, 2]. The second partials of
+    the embedded chart come from the chart's analytic derivatives, so a flat
+    chart reads at round-off and no discretization floor can mask a curved one.
     """
     rng = rng_from(seed)
     basis = hermitian_basis(dim)
-    fam = xi_affine_family(basis, alpha, analytic=False)
+    fam = xi_affine_family(basis, alpha)
     worst = 0.0
     for _ in range(2):
         sigma = random_weight(rng, dim, 0.5, 2.0)

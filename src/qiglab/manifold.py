@@ -2,7 +2,7 @@
 
 Order-alpha embeddings of weights and states, tangent-vector representations
 and conversions between them, the sphere projection onto the embedded
-unit-trace manifold, parametrized families (charts) with optional analytic
+unit-trace manifold, parametrized families (charts) with analytic
 derivatives, and affine coordinates in a self-adjoint basis.
 
 The embedding with parameter alpha in (-1, 1) sends a positive matrix to
@@ -14,7 +14,7 @@ alpha uniformly on [-1, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .linalg import (
     exp_function,
     frechet_derivative,
     frechet_second_derivative,
-    hermitize,
     identity_function,
     log_function,
     power_function,
@@ -39,7 +38,6 @@ from .linalg import (
 __all__ = [
     "CHART_MIN_EIGENVALUE",
     "FIRST_DERIVATIVE_STEP",
-    "SECOND_DERIVATIVE_STEP",
     "STATE_TRACE_TOL",
     "check_weight",
     "check_state",
@@ -61,10 +59,8 @@ __all__ = [
 
 # Charts must keep the spectrum at least this far from the boundary.
 CHART_MIN_EIGENVALUE = 1e-6
-# Central first differences take steps FIRST_DERIVATIVE_STEP * max(1, |theta_i|),
-# second differences SECOND_DERIVATIVE_STEP * max(1, |theta_i|).
+# Central first differences take steps FIRST_DERIVATIVE_STEP * max(1, |theta_i|).
 FIRST_DERIVATIVE_STEP = 1e-4
-SECOND_DERIVATIVE_STEP = 1e-3
 STATE_TRACE_TOL = 1e-8
 _TANGENT_TRACE_TOL = 1e-10
 
@@ -103,42 +99,6 @@ def _scalar_gradient(fn, x: np.ndarray, step: float = FIRST_DERIVATIVE_STEP) -> 
     """
     stencil, h = _central_stencil(x, step)
     return _central_difference(np.asarray(fn(stencil.reshape(-1, stencil.shape[-1]))), h)
-
-
-def _scalar_hessian(fn, x: np.ndarray, step: float = SECOND_DERIVATIVE_STEP) -> np.ndarray:
-    """Central-difference Hessian of fn at x (d,), or at every row of a stack x (k, d).
-
-    fn maps a stack of points (m, d) to values (m, ...); the whole stencil,
-    1 + 2d + 2d(d - 1) points per row, goes to fn in one call. The steps are
-    h_i = step * max(1, |x_i|). The result is (..., d, d, ...): x's stack
-    axes, the two directions, then the axes of fn's values.
-    """
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    axial, h = _central_stencil(x, step)
-    # per row: x, then the axial rows, then for each pair j < i the four
-    # corners (+ +), (+ -), (- +), (- -) of (i, j)
-    i, j = np.tril_indices(d, -1)
-    ii, jj = np.repeat(i, 4), np.repeat(j, 4)
-    corners = np.arange(len(ii))
-    mixed = np.repeat(x[..., None, :], len(ii), axis=-2)
-    mixed[..., corners, ii] += np.tile([1.0, 1.0, -1.0, -1.0], len(i)) * h[..., ii]
-    mixed[..., corners, jj] += np.tile([1.0, -1.0, 1.0, -1.0], len(i)) * h[..., jj]
-    stencil = np.concatenate([x[..., None, :], axial, mixed], axis=-2)
-    values = np.asarray(fn(stencil.reshape(-1, d)))
-    tail = values.shape[1:]
-    # one trailing axis for the values, so scalar and matrix values share the arithmetic
-    values = values.reshape(stencil.shape[:-1] + (int(np.prod(tail)),))
-    f0 = values[..., :1, :]
-    up, dn = values[..., 1 : 1 + 2 * d : 2, :], values[..., 2 : 2 + 2 * d : 2, :]
-    pp, pm, mp, mm = (values[..., 1 + 2 * d + c :: 4, :] for c in range(4))
-    h = h[..., None]
-    axes = np.arange(d)
-    out = np.empty(x.shape[:-1] + (d, d, values.shape[-1]), dtype=values.dtype)
-    out[..., axes, axes, :] = (up - 2.0 * f0 + dn) / (h * h)
-    cross = (pp - pm - mp + mm) / (4.0 * h[..., i, :] * h[..., j, :])
-    out[..., i, j, :] = out[..., j, i, :] = cross
-    return out.reshape(x.shape[:-1] + (d, d) + tail)
 
 
 def check_weight(a: Union[np.ndarray, Spectrum]) -> Spectrum:
@@ -336,7 +296,7 @@ def _project_with(powers: tuple, a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ParametrizedFamily:
-    """A chart theta -> positive matrix, with optional analytic derivatives.
+    """A chart theta -> positive matrix, with its analytic derivatives.
 
     ``chart`` maps a parameter (d,) to an (n, n) matrix and must broadcast
     over leading axes: a stack (m, d) maps to (m, n, n), row by row with the
@@ -344,20 +304,15 @@ class ParametrizedFamily:
     (d, n, n), and must broadcast in the same way: (m, d) gives (m, d, n, n).
     ``hessians(theta)`` returns every second partial, (d, d, n, n) with
     d_i d_j sigma at [i, j], and must broadcast in the same way: (m, d) gives
-    (m, d, d, n, n). When absent, consumers fall back to central differences
-    with step FIRST_DERIVATIVE_STEP * max(1, |theta_i|) for first partials and
-    SECOND_DERIVATIVE_STEP * max(1, |theta_i|) for second partials. Charts
-    must keep the spectrum above CHART_MIN_EIGENVALUE (domain guard).
+    (m, d, d, n, n). All three are required: every consumer takes its chart
+    derivatives from them. Charts must keep the spectrum above
+    CHART_MIN_EIGENVALUE (domain guard).
     """
 
     param_dim: int
     chart: Callable[[np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hessians: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    @property
-    def has_analytic_second_order(self) -> bool:
-        return self.jacobian is not None and self.hessians is not None
+    jacobian: Callable[[np.ndarray], np.ndarray]
+    hessians: Callable[[np.ndarray], np.ndarray]
 
     def _evaluate(self, theta: np.ndarray, vectors: bool) -> tuple:
         """(theta, sigma, eigenvalues, eigenvectors if ``vectors`` else None), checked as
@@ -396,16 +351,9 @@ class ParametrizedFamily:
         return theta, sigma, Spectrum(w, u)
 
     def tangent_matrices(self, theta: np.ndarray) -> np.ndarray:
-        """All d partials of the chart at theta (d,), shape (d, n, n); (m, d) gives (m, d, n, n).
-
-        From one ``jacobian`` call when the chart has one; otherwise central
-        differences on the 2d stencil points up_0, dn_0, up_1, ... of every
-        theta, evaluated in one chart call.
-        """
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.jacobian is not None:
-            return check_hermitian(self.jacobian(theta))
-        return hermitize(_scalar_gradient(self.point, theta))
+        """All d partials of the chart at theta (d,), shape (d, n, n); (m, d) gives (m, d, n, n),
+        from one ``jacobian`` call."""
+        return check_hermitian(self.jacobian(np.atleast_1d(np.asarray(theta, dtype=float))))
 
     def _check_directions(self, *indices: int) -> None:
         """Reject a direction index outside 0 <= i < param_dim, naming the first such index."""
@@ -479,16 +427,12 @@ def affine_coordinates(
     return np.linalg.solve(gram, rhs[..., None])[..., 0]
 
 
-def xi_affine_family(
-    basis: Sequence[np.ndarray], alpha: float, analytic: bool = True
-) -> ParametrizedFamily:
+def xi_affine_family(basis: Sequence[np.ndarray], alpha: float) -> ParametrizedFamily:
     """Chart in which the order-alpha embedding is linear: embed(sigma) = sum xi_i X_i.
 
-    With ``analytic=True`` the chart carries exact first and second
-    derivatives through the inverse-embedding matrix calculus; with False it
-    is a bare chart for finite-difference consumers. The chart and its
-    derivatives share one decomposition of sum xi_i X_i per xi, or per stack
-    of xi (m, d).
+    The chart carries exact first and second derivatives through the
+    inverse-embedding matrix calculus. The chart and its derivatives share
+    one decomposition of sum xi_i X_i per xi, or per stack of xi (m, d).
     """
     alpha = _check_alpha(alpha)
     basis = check_hermitian(np.stack(basis))
@@ -502,15 +446,12 @@ def xi_affine_family(
             check_weight(spec)
         return apply_scalar_function(spec, inverse)
 
-    jac = hess = None
-    if analytic:
+    def jac(xi):
+        return frechet_derivative(spectrum(xi).expand_dims(), basis, inverse)
 
-        def jac(xi):
-            return frechet_derivative(spectrum(xi).expand_dims(), basis, inverse)
-
-        def hess(xi):
-            at = spectrum(xi).expand_dims().expand_dims()
-            return frechet_second_derivative(at, basis[:, None], basis[None, :], inverse)
+    def hess(xi):
+        at = spectrum(xi).expand_dims().expand_dims()
+        return frechet_second_derivative(at, basis[:, None], basis[None, :], inverse)
 
     return ParametrizedFamily(param_dim=len(basis), chart=chart, jacobian=jac, hessians=hess)
 

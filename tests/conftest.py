@@ -5,16 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qiglab.linalg import (
-    apply_scalar_function,
-    frechet_derivative,
-    frechet_second_derivative,
-    hermitize,
-    spectral_decompose,
-)
+from qiglab.linalg import frechet_derivative, frechet_second_derivative, hermitize
 from qiglab.manifold import (
-    SECOND_DERIVATIVE_STEP,
-    _scalar_hessian,
+    _central_stencil,
     embedding_function,
     representation_convert,
     sphere_project,
@@ -84,6 +77,47 @@ def calls(monkeypatch) -> CallLog:
     return CallLog(monkeypatch)
 
 
+# Central second differences, the oracle for analytic chart Hessians, take steps
+# SECOND_DERIVATIVE_STEP * max(1, |theta_i|).
+SECOND_DERIVATIVE_STEP = 1e-3
+
+
+def _scalar_hessian(fn, x: np.ndarray, step: float = SECOND_DERIVATIVE_STEP) -> np.ndarray:
+    """Central-difference Hessian of fn at x (d,), or at every row of a stack x (k, d).
+
+    fn maps a stack of points (m, d) to values (m, ...); the whole stencil,
+    1 + 2d + 2d(d - 1) points per row, goes to fn in one call. The steps are
+    h_i = step * max(1, |x_i|). The result is (..., d, d, ...): x's stack
+    axes, the two directions, then the axes of fn's values.
+    """
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
+    axial, h = _central_stencil(x, step)
+    # per row: x, then the axial rows, then for each pair j < i the four
+    # corners (+ +), (+ -), (- +), (- -) of (i, j)
+    i, j = np.tril_indices(d, -1)
+    ii, jj = np.repeat(i, 4), np.repeat(j, 4)
+    corners = np.arange(len(ii))
+    mixed = np.repeat(x[..., None, :], len(ii), axis=-2)
+    mixed[..., corners, ii] += np.tile([1.0, 1.0, -1.0, -1.0], len(i)) * h[..., ii]
+    mixed[..., corners, jj] += np.tile([1.0, -1.0, 1.0, -1.0], len(i)) * h[..., jj]
+    stencil = np.concatenate([x[..., None, :], axial, mixed], axis=-2)
+    values = np.asarray(fn(stencil.reshape(-1, d)))
+    tail = values.shape[1:]
+    # one trailing axis for the values, so scalar and matrix values share the arithmetic
+    values = values.reshape(stencil.shape[:-1] + (int(np.prod(tail)),))
+    f0 = values[..., :1, :]
+    up, dn = values[..., 1 : 1 + 2 * d : 2, :], values[..., 2 : 2 + 2 * d : 2, :]
+    pp, pm, mp, mm = (values[..., 1 + 2 * d + c :: 4, :] for c in range(4))
+    h = h[..., None]
+    axes = np.arange(d)
+    out = np.empty(x.shape[:-1] + (d, d, values.shape[-1]), dtype=values.dtype)
+    out[..., axes, axes, :] = (up - 2.0 * f0 + dn) / (h * h)
+    cross = (pp - pm - mp + mm) / (4.0 * h[..., i, :] * h[..., j, :])
+    out[..., i, j, :] = out[..., j, i, :] = cross
+    return out.reshape(x.shape[:-1] + (d, d) + tail)
+
+
 # The eigenbasis covariant-derivative sets agree with standard_basis_covariant_set to this
 # multiple of the larger of 1 and the oracle's largest entry: round-off of a few rotations.
 ORACLE_RTOL = 1e-12
@@ -92,26 +126,17 @@ ORACLE_RTOL = 1e-12
 def standard_basis_covariant_set(family, theta, alpha: float, on_extended: bool) -> np.ndarray:
     """nabla^(alpha)_i T_j at one theta (d,), in mixture form and the standard basis, (d, d, n, n),
     by the chain of public functions: the embedded chart's second partials as
-    frechet_second_derivative of the tangents plus frechet_derivative of the chart Hessian (a
-    central stencil of the embedded chart without analytic derivatives), then sphere_project
-    on the unit-trace manifold, representation_convert to the mixture form and, after the
-    projection, the trace removed."""
+    frechet_second_derivative of the tangents plus frechet_derivative of the chart Hessian,
+    then sphere_project on the unit-trace manifold, representation_convert to the mixture form
+    and, after the projection, the trace removed."""
     theta, _, spec = family.point_and_spectrum(theta)
     fun = embedding_function(alpha)
     d, n = family.param_dim, spec.dim
     i, j = np.triu_indices(d)
-    if family.has_analytic_second_order:
-        tangents = family.tangent_matrices(theta)
-        hess = family.hessians(theta)[i, j]
-        d2 = frechet_second_derivative(spec, tangents[i], tangents[j], fun)
-        d2 = d2 + frechet_derivative(spec, hess, fun)
-    else:
-
-        def embedded(t):
-            return apply_scalar_function(spectral_decompose(family.point(t)), fun)
-
-        d2 = _scalar_hessian(embedded, theta, SECOND_DERIVATIVE_STEP)[i, j]
-    d2 = hermitize(d2)
+    tangents = family.tangent_matrices(theta)
+    hess = family.hessians(theta)[i, j]
+    d2 = frechet_second_derivative(spec, tangents[i], tangents[j], fun)
+    d2 = hermitize(d2 + frechet_derivative(spec, hess, fun))
     if not on_extended:
         d2 = sphere_project(spec, alpha, d2)
     mixture = representation_convert(spec, d2, alpha, -1.0)

@@ -282,6 +282,27 @@ def test_potential_points_below_the_regression_size_is_usage_error(calls, capsys
     assert "--points must be at least 6 at --dim 2, got 3" in capsys.readouterr().err
 
 
+def test_flatness_dim_below_one_is_usage_error(calls, capsys):
+    # a 0 x 0 chart has no basis: the scan used to fail with "need at least one array to stack"
+    # after scanning the dims before it
+    calls.watch(cli, "flatness_scan")
+    with pytest.raises(SystemExit) as exc:
+        main(["flatness", "--dim=2,0"])
+    assert exc.value.code == 2
+    assert "--dim values must be at least 1, got 0" in capsys.readouterr().err
+    assert calls.count("flatness_scan") == 0
+
+
+def test_duality_dim_without_witness_families_is_usage_error(calls, capsys):
+    # dims 2 and 3 have documented witness families; no grid is built before the check
+    calls.watch(cli, "DefectGrid")
+    with pytest.raises(SystemExit) as exc:
+        main(["duality", "--dim=2,4"])
+    assert exc.value.code == 2
+    assert "--dim values must be 2 or 3" in capsys.readouterr().err
+    assert calls.count("DefectGrid") == 0
+
+
 def test_potential_dim_below_one_is_usage_error(capsys):
     # a 0 x 0 chart has no basis: the check used to fail with "need at least one array to stack"
     with pytest.raises(SystemExit) as exc:
@@ -493,7 +514,7 @@ def test_metric_table_decomposes_each_base_point_once(calls, capsys):
 # A change that decomposes less lowers its row; a new subcommand adds one.
 EIG_BUDGET = {
     "transport-duality": 2,
-    "flatness": 33,
+    "flatness": 21,
     "metric-table": 826,
     "duality": 4,
     "potential": 47,

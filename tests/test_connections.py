@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import ORACLE_RTOL, standard_basis_covariant_set
+from conftest import ORACLE_RTOL, _scalar_hessian, standard_basis_covariant_set
 
 from qiglab.connections import (
     CurveSpec,
@@ -18,13 +18,8 @@ from qiglab.duality import (
     sample_grid,
     standard_witness_families,
 )
-from qiglab.connections import _stencil_second_partials
 from qiglab.linalg import _TRIPLE_RTOL, apply_scalar_function, hermitize, spectral_decompose
 from qiglab.manifold import (
-    CHART_MIN_EIGENVALUE,
-    SECOND_DERIVATIVE_STEP,
-    ParametrizedFamily,
-    _scalar_hessian,
     affine_coordinates,
     alpha_representation,
     embedding_function,
@@ -73,71 +68,37 @@ def test_ext_derivative_nonzero_in_mismatched_chart():
     assert np.abs(res.vector.mixture).max() > 1e-3
 
 
-def test_ext_derivative_analytic_matches_fd_chart():
-    basis = [I2, SX, SZ]
-    xi0 = affine_coordinates(np.diag([0.8, 0.6]).astype(complex), 0.4, basis)
-    exact = xi_affine_family(basis, 0.4, analytic=True)
-    fd = xi_affine_family(basis, 0.4, analytic=False)
-    for i in range(3):
-        for j in range(i, 3):
-            a = ext_covariant_derivative(exact, xi0, i, j, -0.2)
-            b = ext_covariant_derivative(fd, xi0, i, j, -0.2)
-            np.testing.assert_allclose(a.vector.mixture, b.vector.mixture, atol=1e-5)
-
-
-def test_fd_diagonal_partial_decomposes_each_chart_point_once(calls):
-    # a bare linear chart (no analytic derivatives, no decomposition of its own),
-    # broadcasting over a parameter stack as ParametrizedFamily requires
-    def chart(t):
-        return I2 / 2.0 + t[..., 0, None, None] * SX / 2.0 + t[..., 1, None, None] * SZ / 2.0
-
-    fam = ParametrizedFamily(2, chart=chart)
-    calls.eig()
-    res = ext_covariant_derivative(fam, np.array([0.2, -0.1]), 1, 1, 0.3)
-    # the base point and the stacked stencil: one eigh each, which also serves the chart guard
-    assert (calls.count("eigh"), calls.count("eigvalsh")) == (2, 0)
-    assert np.abs(res.vector.mixture).max() > 1e-3
-
-
-def _diagonal_chart(corner):
-    """A bare one-parameter chart diag(theta, corner) with no analytic derivatives."""
-    p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, corner]).astype(complex)
-    return ParametrizedFamily(1, chart=lambda t: t[..., 0, None, None] * p0 + p1)
-
-
-def _embedded_second_partial(fam, theta, alpha, step):
-    """Central second difference of the embedded chart at theta, steps step * max(1, |theta|)."""
+def _embedded_second_partials(fam, theta, alpha):
+    """Central second differences of the embedded chart at theta, (d, d, n, n): the stencil
+    sees only the chart values, never the chart's derivatives."""
     fun = embedding_function(alpha)
 
     def embedded(t):
         return apply_scalar_function(spectral_decompose(fam.point(t)), fun)
 
-    return hermitize(_scalar_hessian(embedded, theta, step)[0, 0])
+    return hermitize(_scalar_hessian(embedded, theta))
 
 
-def test_fd_second_partial_halves_a_stencil_that_leaves_the_chart_domain():
-    # theta sits 5e-7 above h = 1e-3 from the guard: the full step's lower point is
-    # below it, the half step's is not
-    fam = _diagonal_chart(1.0)
-    theta = np.array([SECOND_DERIVATIVE_STEP + 0.5 * CHART_MIN_EIGENVALUE])
-    with pytest.raises(ValueError, match="below guard"):
-        fam.point(theta - SECOND_DERIVATIVE_STEP)
-    got = _stencil_second_partials(fam, theta, [embedding_function(0.5)])[0, 0, 0]
-    half = _embedded_second_partial(fam, theta, 0.5, 0.5 * SECOND_DERIVATIVE_STEP)
-    np.testing.assert_array_equal(got, half)
-    # the first step that fits is kept, not shrunk further
-    quarter = _embedded_second_partial(fam, theta, 0.5, 0.25 * SECOND_DERIVATIVE_STEP)
-    assert np.abs(got - quarter).max() > 1e3
+def test_ext_derivative_analytic_matches_fd_chart():
+    basis = [I2, SX, SZ]
+    xi0 = affine_coordinates(np.diag([0.8, 0.6]).astype(complex), 0.4, basis)
+    exact = xi_affine_family(basis, 0.4)
+    base = exact.point(xi0)
+    fd = representation_convert(base, _embedded_second_partials(exact, xi0, -0.2), -0.2, -1.0)
+    for i in range(3):
+        for j in range(i, 3):
+            a = ext_covariant_derivative(exact, xi0, i, j, -0.2)
+            np.testing.assert_allclose(a.vector.mixture, fd[i, j], atol=1e-5)
 
 
-def test_fd_second_partial_reports_a_stencil_that_never_fits():
-    # a base point on the guard: every step's lower point leaves the chart domain
-    fam = _diagonal_chart(1.0)
-    theta = np.array([CHART_MIN_EIGENVALUE])
-    with pytest.raises(ValueError, match="stencil keeps leaving the chart domain") as info:
-        ext_covariant_derivative(fam, theta, 0, 0, 0.5)
-    assert isinstance(info.value.__cause__, ValueError)
-    assert "below guard" in str(info.value.__cause__)
+def test_ext_derivative_decomposes_the_chart_point_once(calls):
+    # a linear chart (no decomposition of its own): the base point's eigh, which also serves
+    # the chart guard, is the only one; the chart's jacobian and hessians need none
+    fam = linear_family(I2 / 2.0, [SX / 2.0, SZ / 2.0])
+    calls.eig()
+    res = ext_covariant_derivative(fam, np.array([0.2, -0.1]), 1, 1, 0.3)
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (1, 0)
+    assert np.abs(res.vector.mixture).max() > 1e-3
 
 
 @pytest.mark.parametrize("on_extended", [False, True])
@@ -238,14 +199,6 @@ def test_stacked_covariant_derivative_set_keeps_each_points_triple_differences(a
     _assert_stack_matches_points(fam, points[::-1], [alpha], on_extended)
 
 
-def test_stacked_fd_covariant_derivative_set_fits_each_points_stencil_alone():
-    # without analytic derivatives each point keeps its own shrink-and-retry: the first
-    # point's stencil is halved, the second point's is not
-    fam = _diagonal_chart(1.0)
-    points = np.array([[SECOND_DERIVATIVE_STEP + 0.5 * CHART_MIN_EIGENVALUE], [0.7]])
-    _assert_stack_matches_points(fam, points, [0.5, -0.5], True)
-
-
 def _assert_matches_oracle(fam, points, alphas, on_extended):
     """Each order of one stacked covariant_derivative_set call, rotated out of each point's
     eigenbasis, agrees with the standard-basis chain at that point to ORACLE_RTOL."""
@@ -273,10 +226,9 @@ def test_covariant_derivative_set_matches_the_standard_basis_chain(witness, on_e
 def test_covariant_derivative_set_matches_the_standard_basis_chain_on_charts():
     rng = rng_from(29)
     sigmas = np.stack([random_weight(rng, 2, 0.6, 1.8) for _ in range(2)])
-    for analytic in (True, False):  # exact chart derivatives, and the stencil
-        fam = xi_affine_family(QUBIT_BASIS, 0.5, analytic)
-        points = affine_coordinates(sigmas, 0.5, QUBIT_BASIS)
-        _assert_matches_oracle(fam, points, ORACLE_ALPHAS, True)
+    fam = xi_affine_family(QUBIT_BASIS, 0.5)
+    points = affine_coordinates(sigmas, 0.5, QUBIT_BASIS)
+    _assert_matches_oracle(fam, points, ORACLE_ALPHAS, True)
     gibbs = gibbs_family([SX, SZ]).family
     points = np.array([[0.3, -0.2], [-0.5, 0.1]])
     for on_extended in (True, False):

@@ -2,6 +2,8 @@
 
 import importlib
 
+import pytest
+
 import qiglab
 from qiglab.manifold import ParametrizedFamily
 
@@ -18,10 +20,11 @@ REMOVED = {
     "parallel_transport_ext",
     "embedding_trace_identity_gap",
     "family_tangent",
+    "SECOND_DERIVATIVE_STEP",
 }
 
 # Chart-contract fields replaced by another; the README's "Removed" table names the replacement.
-REMOVED_FAMILY_FIELDS = {"hessian"}
+REMOVED_FAMILY_FIELDS = {"hessian", "has_analytic_second_order"}
 
 
 def test_package_exports_the_module_lists_once():
@@ -44,8 +47,20 @@ def test_removed_names_are_not_exported():
     assert not any(hasattr(qiglab, name) for name in REMOVED)
 
 
+def _column(t):
+    return t[..., None]
+
+
 def test_removed_chart_fields_are_gone():
-    family = ParametrizedFamily(1, chart=lambda t: t[..., None])
+    family = ParametrizedFamily(1, chart=_column, jacobian=_column, hessians=_column)
     for name in REMOVED_FAMILY_FIELDS:
         assert not hasattr(ParametrizedFamily, name), name
         assert not hasattr(family, name), name
+
+
+def test_a_chart_without_derivatives_is_rejected_at_construction():
+    # every consumer takes the chart's derivatives from the chart, so none may be missing
+    with pytest.raises(TypeError, match="jacobian"):
+        ParametrizedFamily(1, chart=_column)
+    with pytest.raises(TypeError, match="hessians"):
+        ParametrizedFamily(1, chart=_column, jacobian=_column)

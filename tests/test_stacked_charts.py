@@ -4,9 +4,12 @@ Property tests over the library charts: the xi-affine chart at five
 embedding orders, two linear witness charts and a Gibbs chart, with generic
 spectra, near-degenerate spectra and spectra just above the chart guard. The
 same holds for the chart partials (`tangent_matrices`), the analytic second
-partials (`hessians`), the metric matrix built on them and the affine
-coordinates of a stack of matrices.
+partials (`hessians`), the metric matrix built on them, the central first
+differences (`_scalar_gradient`) and the affine coordinates of a stack of
+matrices.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -24,9 +27,10 @@ from qiglab.linalg import hermitize, hs_inner
 from qiglab.manifold import (
     CHART_MIN_EIGENVALUE,
     FIRST_DERIVATIVE_STEP,
-    ParametrizedFamily,
+    _scalar_gradient,
     affine_coordinates,
     embedding_function,
+    linear_family,
     xi_affine_family,
 )
 from qiglab.sampling import (
@@ -160,19 +164,11 @@ def test_stack_error_names_the_first_row_below_the_guard():
 
 def test_chart_that_ignores_the_stack_is_rejected():
     i2, sx, _, sz = PAULI
-    fam = ParametrizedFamily(2, chart=lambda t: i2 / 2.0 + t[0] * sx / 4.0 + t[1] * sz / 4.0)
+    linear = linear_family(i2 / 2.0, [sx / 4.0, sz / 4.0])
+    fam = dataclasses.replace(linear, chart=lambda t: i2 / 2.0 + t[0] * sx / 4.0 + t[1] * sz / 4.0)
     fam.point(np.array([0.2, -0.1]))  # one parameter at a time works
     with pytest.raises(ValueError, match="chart evaluation failed"):
         fam.point(np.array([[0.2, -0.1], [0.1, 0.1], [0.0, 0.3]]))
-
-
-def _fd_case():
-    # the xi-affine chart without analytic partials: central differences
-    basis = hermitian_basis(2)
-    return xi_affine_family(basis, 0.5, analytic=False), lambda w: affine_coordinates(w, 0.5, basis)
-
-
-PARTIAL_CHARTS = {**CHARTS, "xi-affine(0.5), finite differences": _fd_case}
 
 
 def _one_direction_difference(family, theta, i):
@@ -186,8 +182,6 @@ def _one_direction_difference(family, theta, i):
 
 def _check_stacked_hessians(family, stack):
     """Row k of one stacked ``hessians`` call has the bits of the call at row k alone."""
-    if family.hessians is None:
-        return
     hessians = family.hessians(stack)
     d, n = family.param_dim, hessians.shape[-1]
     assert hessians.shape == (len(stack), d, d, n, n)
@@ -195,32 +189,42 @@ def _check_stacked_hessians(family, stack):
         np.testing.assert_array_equal(hessians[k], family.hessians(row))
 
 
-@pytest.mark.parametrize("name", list(PARTIAL_CHARTS))
+@pytest.mark.parametrize("name", list(CHARTS))
 @PROPERTY
 @given(weights=st.lists(qubit_weights(), min_size=1, max_size=4))
 def test_stacked_partials_equal_row_by_row(name, weights):
-    family, coordinates = PARTIAL_CHARTS[name]()
+    family, coordinates = CHARTS[name]()
     stack = np.stack([coordinates(w) for w in weights])
     if any(_single_error(family, row) for row in stack):
         return  # rows off the chart are _check_stack's business
     d = family.param_dim
-    try:
-        partials = family.tangent_matrices(stack)
-    except ValueError:  # a finite-difference stencil point left the chart
-        assert family.jacobian is None
-        return
+    partials = family.tangent_matrices(stack)
     assert partials.shape == (len(stack), d, 2, 2)
     _check_stacked_hessians(family, stack)
     for k, row in enumerate(stack):
         np.testing.assert_array_equal(partials[k], family.tangent_matrices(row))
         for i in range(d):
             np.testing.assert_array_equal(partials[k, i], family.tangent_matrix(row, i))
-            if family.jacobian is None:
-                one_direction = _one_direction_difference(family, row, i)
-                np.testing.assert_array_equal(partials[k, i], one_direction)
     metric = _metric_matrix(family, stack, matched_metric(0.0))
     for k, row in enumerate(stack):
         np.testing.assert_array_equal(metric[k], _metric_matrix(family, row, matched_metric(0.0)))
+
+
+@PROPERTY
+@given(weights=st.lists(qubit_weights(), min_size=1, max_size=4))
+def test_stacked_scalar_gradient_equals_row_by_row(weights):
+    # the central differences dual_coordinate_check takes, here of the xi-affine chart itself
+    family, coordinates = _xi_case(0.5)
+    stack = np.stack([coordinates(w) for w in weights])
+    try:
+        partials = hermitize(_scalar_gradient(family.point, stack))
+    except ValueError:  # a stencil point left the chart
+        return
+    assert partials.shape == (len(stack), family.param_dim, 2, 2)
+    for k, row in enumerate(stack):
+        np.testing.assert_array_equal(partials[k], hermitize(_scalar_gradient(family.point, row)))
+        for i in range(family.param_dim):
+            np.testing.assert_array_equal(partials[k, i], _one_direction_difference(family, row, i))
 
 
 @PROPERTY
