@@ -155,6 +155,17 @@ def _list(opt, key, kind, single=False):
     return values
 
 
+def _alphas(opt, key="alpha", single=False, strict=False):
+    """Option ``key`` as _list's tuple of orders; an order outside [-1, 1], or outside (-1, 1)
+    where ``strict``, is a usage error that names the option. Runners check before any work."""
+    values = _list(opt, key, float, single)
+    span = "strictly inside (-1, 1)" if strict else "in [-1, 1]"
+    for alpha in values:
+        if not (-1.0 < alpha < 1.0 if strict else -1.0 <= alpha <= 1.0):
+            raise ValueError(f"--{key} must lie {span}, got {alpha!r}")
+    return values
+
+
 def _count(opt, key, floor=1):
     """Option ``key`` as an int; a value below ``floor`` is a usage error that names the option."""
     value = int(opt[key])
@@ -359,7 +370,8 @@ def _run_metric_table(opt):
     dims = _list(opt, "dims", int)
     if min(dims) < 2:  # a 1 x 1 state has no nonzero traceless tangent to pair
         raise ValueError(f"--dims values must be at least 2, got {min(dims)}")
-    alphas = _list(opt, "alphas", float)
+    # the matched WYD exponent (1 + alpha)/2 must lie in (0, 1)
+    alphas = _alphas(opt, "alphas", strict=True)
     samples = _count(opt, "samples")
     floor = float(opt["floor"])
     tol = float(opt["tol"])
@@ -434,6 +446,7 @@ def _run_duality(opt):
     gap = float(opt["gap"])
     n_points = _count(opt, "points")
     dims = _list(opt, "dim", int)
+    alphas = _alphas(opt)
     outside = [dim for dim in dims if dim not in (2, 3)]
     if outside:  # checked before any grid is built
         raise ValueError(
@@ -443,7 +456,7 @@ def _run_duality(opt):
     records = []
     worst = 0.0
     grids = {}  # dim -> [(witness, DefectGrid)], shared by every alpha and metric
-    for alpha in _list(opt, "alpha", float):
+    for alpha in alphas:
         for token in _list(opt, "metric", str):
             f = _metric_from_token(token, alpha)
             for dim in dims:
@@ -473,6 +486,7 @@ def _run_transport_duality(opt):
     tol = float(opt["tol"])
     gap = float(opt["gap"])
     steps = _count(opt, "steps")
+    alphas = _alphas(opt)
     curve = witness_curve(steps)
     start = curve.point(0.0)
     # tangent pair chosen to break the z-reflection symmetry of the curve,
@@ -482,7 +496,7 @@ def _run_transport_duality(opt):
     z = state_tangent(start, 0.5 * (sy + 0.8 * sz))
     records = []
     worst = 0.0
-    for alpha in _list(opt, "alpha", float):
+    for alpha in alphas:
         for token in _list(opt, "metric", str):
             f = _metric_from_token(token, alpha)
             rep = transport_duality_check(curve, f, alpha, y, z)
@@ -516,7 +530,7 @@ def _run_potential(opt):
     dims = _list(opt, "dim", int)
     if min(dims) < 1:
         raise ValueError(f"--dim values must be at least 1, got {min(dims)}")
-    alphas = _list(opt, "alpha", float)
+    alphas = _alphas(opt)
     sizes = {}
     for dim in dims:  # every grid size is checked before any work
         d = dim * dim
@@ -561,7 +575,7 @@ def _run_potential(opt):
 def _run_uniqueness_scan(opt):
     seed = int(opt["seed"])
     result = uniqueness_scan(
-        _list(opt, "alpha", float, single=True)[0],
+        _alphas(opt, single=True, strict=True)[0],
         seed=seed,
         n_points=_count(opt, "points"),
         tol=float(opt["tol"]),
@@ -628,9 +642,10 @@ def _run_flatness(opt):
     dims = _list(opt, "dim", int)
     if min(dims) < 1:
         raise ValueError(f"--dim values must be at least 1, got {min(dims)}")
+    alphas = _alphas(opt)
     records = []
     for dim in dims:
-        for alpha in _list(opt, "alpha", float):
+        for alpha in alphas:
             value = flatness_scan(alpha, dim, seed=[seed, dim])
             records.append(
                 {
@@ -656,10 +671,8 @@ def _run_flatness(opt):
 
 def _run_convexity_failure(opt):
     seed = int(opt["seed"])
-    alpha = _list(opt, "alpha", float, single=True)[0]
     # at |alpha| = 1 the order-alpha connection is an end order and BKM the matched metric
-    if not -1.0 < alpha < 1.0:
-        raise ValueError(f"--alpha must lie strictly inside (-1, 1), got {alpha!r}")
+    alpha = _alphas(opt, single=True, strict=True)[0]
     records = []
 
     rng = rng_from([seed, 3])

@@ -172,9 +172,10 @@ def covariant_derivative_set(
     for alpha, nabla in zip(alphas, out):
         # the second partial of the embedded chart, every pair i <= j
         fun = embedding_function(alpha)
-        k = divided_difference_matrix(lam, fun)[..., None, :, :]
-        d2 = _triple_contraction(_triple_difference_tensor(lam, fun)[..., None, :, :, :], products)
-        d2 = hermitize(d2 + k * hess)
+        k = divided_difference_matrix(lam, fun)
+        t = _triple_difference_tensor(lam, fun, k)
+        k = k[..., None, :, :]
+        d2 = hermitize(_triple_contraction(t[..., None, :, :, :], products) + k * hess)
         if on_extended:
             mixture = d2 / k
         else:

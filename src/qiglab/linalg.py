@@ -11,14 +11,13 @@ says so; a stack is then handled matrix by matrix with the same arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "DEGENERACY_RTOL",
+    "CONFLUENT_RTOL",
     "hermitize",
     "check_hermitian",
     "hs_inner",
@@ -35,15 +34,11 @@ __all__ = [
     "frechet_second_derivative",
 ]
 
-# A pair x, y with |x - y| <= DEGENERACY_RTOL * max(1, |x|, |y|) is treated as
-# coincident, and its first divided difference falls back to the derivative at
-# the midpoint. For eigenvalues of a state (all below 1) the gap bound is the
-# absolute 1e-10, not relative to the eigenvalues.
-DEGENERACY_RTOL = 1e-10
-
-# Looser threshold for second divided differences, where the cancellation in
-# the recursive quotient is one order worse; scaled by max(1, ...) the same way.
-_TRIPLE_RTOL = 1e-7
+# An eigenvalue triple whose spread is at most CONFLUENT_RTOL times its scale takes a confluent
+# second divided difference in place of the quotient, and so does an eigenvalue pair in the
+# first divided difference of a Petz kernel (metrics). The quotient loses about ulp/gap,
+# relative, and a confluent value a power of the gap; against mpmath they meet near 3e-5.
+CONFLUENT_RTOL = 3e-5
 
 _HERMITIAN_TOL = 1e-12
 
@@ -155,21 +150,19 @@ def spectral_decompose(a: np.ndarray) -> Spectrum:
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """A scalar function with derivatives, for spectral calculus.
+    """A scalar function with its first two derivatives, for spectral calculus.
 
-    ``fn`` must accept an array of eigenvalues and act elementwise.
-    ``pair``, when present, evaluates the first divided difference
-    (f(x) - f(y))/(x - y) for x != y in a cancellation-free form; without it
-    the generic quotient with the coincidence threshold is used. ``deriv2``
-    is needed only where coincident eigenvalue triples occur in second
-    derivatives.
+    ``fn``, ``deriv`` (f') and ``deriv2`` (f'') act elementwise on arrays of
+    eigenvalues. ``pair`` is the first divided difference
+    (f(x) - f(y))/(x - y), elementwise for x != y, in a cancellation-free
+    form that stays exact as the gap shrinks.
     """
 
     name: str
     fn: Callable
     deriv: Callable
-    deriv2: Optional[Callable] = None
-    pair: Optional[Callable] = None
+    deriv2: Callable
+    pair: Callable
 
     def __call__(self, x):
         return self.fn(x)
@@ -179,9 +172,9 @@ def identity_function() -> ScalarFunction:
     return ScalarFunction(
         "identity",
         fn=lambda x: x,
-        deriv=lambda x: 1.0,
-        deriv2=lambda x: 0.0,
-        pair=lambda x, y: 1.0,
+        deriv=lambda x: np.ones_like(x, dtype=float),
+        deriv2=lambda x: np.zeros_like(x, dtype=float),
+        pair=lambda x, y: np.ones_like(x, dtype=float),
     )
 
 
@@ -192,7 +185,7 @@ def log_function() -> ScalarFunction:
         fn=np.log,
         deriv=lambda x: 1.0 / x,
         deriv2=lambda x: -1.0 / (x * x),
-        pair=lambda x, y: math.log1p((x - y) / y) / (x - y),
+        pair=lambda x, y: np.log1p((x - y) / y) / (x - y),
     )
 
 
@@ -202,14 +195,14 @@ def exp_function() -> ScalarFunction:
         fn=np.exp,
         deriv=np.exp,
         deriv2=np.exp,
-        pair=lambda x, y: math.exp(y) * math.expm1(x - y) / (x - y),
+        pair=lambda x, y: np.exp(y) * np.expm1(x - y) / (x - y),
     )
 
 
 def power_function(exponent: float, scale: float = 1.0, name: str = None) -> ScalarFunction:
     """scale * x**exponent on (0, inf), with a stable divided difference.
 
-    ``fn`` uses ``np.float_power``, the C library ``pow`` elementwise, so an
+    Powers use ``np.float_power``, the C library ``pow`` elementwise, so an
     array of eigenvalues gets bit for bit the values that each eigenvalue
     gets alone (``x ** e`` on an array may take a vectorized ``pow`` that
     differs in the last bit).
@@ -218,89 +211,65 @@ def power_function(exponent: float, scale: float = 1.0, name: str = None) -> Sca
 
     def pair(x, y):
         # c*(x^e - y^e)/(x - y) = c*y^e*expm1(e*log1p((x-y)/y))/(x-y)
-        return c * y**e * math.expm1(e * math.log1p((x - y) / y)) / (x - y)
+        return c * np.float_power(y, e) * np.expm1(e * np.log1p((x - y) / y)) / (x - y)
 
     return ScalarFunction(
         name or f"{c:g}*x^{e:g}",
         fn=lambda x: c * np.float_power(x, e),
-        deriv=lambda x: c * e * x ** (e - 1.0),
-        deriv2=lambda x: c * e * (e - 1.0) * x ** (e - 2.0),
+        deriv=lambda x: c * e * np.float_power(x, e - 1.0),
+        deriv2=lambda x: c * e * (e - 1.0) * np.float_power(x, e - 2.0),
         pair=pair,
     )
-
-
-def _as_scalar_function(f) -> ScalarFunction:
-    if isinstance(f, ScalarFunction):
-        return f
-    return ScalarFunction(getattr(f, "__name__", "f"), fn=f, deriv=None)
 
 
 def apply_scalar_function(spec: Spectrum, f) -> np.ndarray:
     """Apply f eigenvalue-wise: U diag(f(λ)) U†, for one Spectrum or a stacked one.
 
-    f is called once, on the whole eigenvalue array, and must act
-    elementwise. Raises a domain error naming the first offending eigenvalue
-    if f is undefined (non-finite) there. Real-valued f yields a symmetrized
-    Hermitian result; complex-valued f is returned as the general matrix it is.
+    f is a ScalarFunction or a plain callable; it is called once, on the
+    whole eigenvalue array, and must act elementwise. Raises a domain error
+    naming the first offending eigenvalue if f is undefined (non-finite)
+    there. Real-valued f yields a symmetrized Hermitian result;
+    complex-valued f is returned as the general matrix it is.
     """
-    fun = _as_scalar_function(f)
+    name = f.name if isinstance(f, ScalarFunction) else getattr(f, "__name__", "f")
     lam = spec.eigenvalues
     with np.errstate(all="ignore"):
         try:
-            values = np.asarray(fun.fn(lam))
+            values = np.asarray(f(lam))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(
-                f"scalar function {fun.name!r} undefined at eigenvalues {lam.tolist()!r}"
+                f"scalar function {name!r} undefined at eigenvalues {lam.tolist()!r}"
             ) from exc
         finite = np.isfinite(values)
     if not finite.all():
-        raise ValueError(
-            f"scalar function {fun.name!r} undefined at eigenvalue {lam[~finite][0]!r}"
-        )
+        raise ValueError(f"scalar function {name!r} undefined at eigenvalue {lam[~finite][0]!r}")
     out = (spec.unitary * values[..., None, :]) @ _dagger(spec.unitary)
     if not np.iscomplexobj(values) or np.abs(values.imag).max() == 0.0:
         out = hermitize(out)
     return out
 
 
-def _pair_difference(fun: ScalarFunction, x: float, y: float) -> float:
-    if x == y:
-        return fun.deriv(x)
-    if fun.pair is not None:
-        return fun.pair(x, y)
-    if abs(x - y) <= DEGENERACY_RTOL * max(1.0, abs(x), abs(y)):
-        if fun.deriv is None:
-            raise ValueError(
-                f"scalar function {fun.name!r} needs a derivative near the "
-                f"coincident eigenvalue pair ({x!r}, {y!r})"
-            )
-        return fun.deriv(0.5 * (x + y))
-    return (fun.fn(x) - fun.fn(y)) / (x - y)
-
-
-def divided_difference_matrix(eigenvalues: np.ndarray, f) -> np.ndarray:
+def divided_difference_matrix(eigenvalues: np.ndarray, f: ScalarFunction) -> np.ndarray:
     """Matrix of first divided differences K[i, j] = f[λi, λj].
 
-    Off the diagonal this is (f(λi) - f(λj))/(λi - λj), or f.pair(λi, λj)
-    when f carries one. Without ``pair``, a coincident pair, one with
-    |λi - λj| <= DEGENERACY_RTOL * max(1, |λi|, |λj|) (an absolute gap for
-    eigenvalues up to 1), uses f' at the midpoint. The diagonal is f'(λi),
-    so f must carry a derivative. Stacked eigenvalues (..., n) give one
-    matrix per row, (..., n, n), each as the row gets alone.
+    Off the diagonal this is f.pair(max, min) of the two eigenvalues, so K
+    is exactly symmetric; where λi == λj it is f'(λi). Stacked eigenvalues
+    (..., n) give one matrix per row, (..., n, n), each as the row gets
+    alone. An eigenvalue outside f's domain (a non-finite entry) raises a
+    domain error.
     """
-    fun = _as_scalar_function(f)
-    if fun.deriv is None:
+    if not isinstance(f, ScalarFunction):
         raise ValueError(
-            f"scalar function {fun.name!r} needs a derivative: the diagonal f[λi, λi] is f'(λi)"
+            f"scalar function {getattr(f, '__name__', 'f')!r} needs a derivative: "
+            "the diagonal f[λi, λi] is f'(λi)"
         )
     lam = np.asarray(eigenvalues, dtype=float)
-    n = lam.shape[-1]
-    k = np.empty(lam.shape + (n,), dtype=float)
-    for row, out in zip(lam.reshape(-1, n), k.reshape(-1, n, n)):
-        for i in range(n):
-            out[i, i] = fun.deriv(row[i])
-            for j in range(i):
-                out[i, j] = out[j, i] = _pair_difference(fun, row[i], row[j])
+    x = np.maximum(lam[..., :, None], lam[..., None, :])
+    y = np.minimum(lam[..., :, None], lam[..., None, :])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = np.where(x == y, f.deriv(lam)[..., :, None], f.pair(x, y))
+    if not np.isfinite(k).all():
+        raise ValueError(f"scalar function {f.name!r} undefined at eigenvalues {lam.tolist()!r}")
     return k
 
 
@@ -331,44 +300,43 @@ def frechet_derivative(spec: Spectrum, direction: np.ndarray, f) -> np.ndarray:
     return _hermitize_self_adjoint(out, d)
 
 
-def _triple_difference(fun: ScalarFunction, x: float, y: float, z: float) -> float:
-    """Second divided difference f[x, y, z], symmetric in its arguments."""
-    a, b, c = sorted((x, y, z))
-    tol = _TRIPLE_RTOL * max(1.0, abs(a), abs(c))
-    if c - a <= tol:
-        if fun.deriv2 is None:
-            raise ValueError(
-                f"scalar function {fun.name!r} needs a second derivative at the "
-                f"coincident eigenvalue triple near {a!r}"
-            )
-        return 0.5 * fun.deriv2((a + b + c) / 3.0)
-    if b - a <= tol:
-        m = 0.5 * (a + b)
-        return (_pair_difference(fun, m, c) - fun.deriv(m)) / (c - m)
-    if c - b <= tol:
-        m = 0.5 * (b + c)
-        return (_pair_difference(fun, a, m) - fun.deriv(m)) / (a - m)
-    return (_pair_difference(fun, a, b) - _pair_difference(fun, b, c)) / (a - c)
+def _triple_difference_tensor(
+    lam: np.ndarray, fun: ScalarFunction, first: np.ndarray
+) -> np.ndarray:
+    """T[..., i, k, j] = f[λi, λk, λj] for eigenvalues (..., n) and their first divided
+    differences ``first`` = divided_difference_matrix(lam, fun), (..., n, n); one (n, n, n)
+    tensor per row.
 
-
-def _triple_difference_tensor(lam: np.ndarray, fun: ScalarFunction) -> np.ndarray:
-    """T[..., i, k, j] = f[λi, λk, λj] for eigenvalues (..., n), one (n, n, n) tensor per row.
-
-    Each row is built alone: its sorted-index cache is its own, so a row
-    whose eigenvalues nearly coincide never lends its values to another.
+    For a <= b <= c, f[a, b, c] = (f[a, b] - f[b, c])/(a - c), the quotient
+    over the widest gap, which cancels only when all three points are close.
+    A triple whose spread is at most CONFLUENT_RTOL times its scale,
+    max(max|λ|, |f'/f''| at the mean), takes the Hermite-Genocchi integral
+    of f'' over the triangle by its edge-midpoint rule,
+    (f''((a+b)/2) + f''((a+c)/2) + f''((b+c)/2))/6, third-order accurate in
+    the spread. Each value depends on the three eigenvalues alone and is
+    symmetric in them.
     """
-    n = lam.shape[-1]
-    t = np.empty(lam.shape + (n, n), dtype=float)
-    for row, out in zip(lam.reshape(-1, n), t.reshape(-1, n, n, n)):
-        cache: dict = {}
-        for i in range(n):
-            for k in range(n):
-                for j in range(n):
-                    key = tuple(sorted((i, k, j)))
-                    if key not in cache:
-                        cache[key] = _triple_difference(fun, row[i], row[k], row[j])
-                    out[i, k, j] = cache[key]
-    return t
+    li, lk, lj = lam[..., :, None, None], lam[..., None, :, None], lam[..., None, None, :]
+    kik, kkj, kij = first[..., :, :, None], first[..., None, :, :], first[..., :, None, :]
+    # the gap opposite each possible middle point: k, i and j
+    gk, gi, gj = li - lj, lk - lj, li - lk
+    lo = np.minimum(li, np.minimum(lk, lj))
+    hi = np.maximum(li, np.maximum(lk, lj))
+    mid = np.maximum(np.minimum(li, lk), np.minimum(np.maximum(li, lk), lj))
+    spread = hi - lo  # bit for bit the widest of |gk|, |gi| and |gj|
+    mean = (lo + mid + hi) / 3.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = np.where(
+            np.abs(gk) == spread,
+            (kik - kkj) / gk,
+            np.where(np.abs(gi) == spread, (kik - kij) / gi, (kij - kkj) / gj),
+        )
+        # inf where f'' is 0 throughout, as for the identity, whose confluent value is exact
+        reach = np.abs(fun.deriv(mean) / fun.deriv2(mean))
+    scale = np.fmax(np.maximum(np.abs(lo), np.abs(hi)), reach)
+    d2 = fun.deriv2
+    confluent = (d2(0.5 * (lo + mid)) + d2(0.5 * (lo + hi)) + d2(0.5 * (mid + hi))) / 6.0
+    return np.where(spread <= CONFLUENT_RTOL * scale, confluent, quotient)
 
 
 def _tangent_products(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -399,9 +367,9 @@ def frechet_second_derivative(
     one triple tensor per base point, and its leading axes broadcast against
     the directions'.
     """
-    fun = _as_scalar_function(f)
+    lam = np.asarray(spec.eigenvalues, dtype=float)
     e = spec.to_eigenbasis(np.asarray(first, dtype=complex))
     g = spec.to_eigenbasis(np.asarray(second, dtype=complex))
-    t = _triple_difference_tensor(np.asarray(spec.eigenvalues, dtype=float), fun)
+    t = _triple_difference_tensor(lam, f, divided_difference_matrix(lam, f))
     out = spec.from_eigenbasis(_triple_contraction(t, _tangent_products(e, g)))
     return _hermitize_self_adjoint(out, first, second)

@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .linalg import (
+    CONFLUENT_RTOL,
     Spectrum,
     _dagger,
     _first_in_stack,
@@ -56,12 +57,6 @@ _SYMMETRY_RTOL = 1e-10
 _NORMALIZATION_TOL = 1e-12
 
 _BASE_MATCH_TOL = 1e-9
-
-# Relative eigenvalue gap up to which the first divided difference of a Petz kernel in its
-# first argument takes the derivative at the midpoint in place of the quotient. The quotient
-# loses about ulp/gap and the midpoint value about gap**2, relative; on the built-in profiles,
-# against mpmath, the two errors meet near 3e-5.
-KERNEL_CONFLUENT_RTOL = 3e-5
 
 
 @dataclass(frozen=True)
@@ -250,7 +245,7 @@ def _kernel_difference(kernel: MetricKernel, f: MonotoneFunctionSpec) -> np.ndar
     """c1[..., a, m, b] = (c_ab - c_mb)/(λa - λm): the first divided difference of the Petz
     kernel c(x, y) = 1/(y f(x/y)) of ``kernel`` in its first argument, (..., n, n, n).
 
-    Where |λa - λm| <= KERNEL_CONFLUENT_RTOL * max(λa, λm), a = m included,
+    Where |λa - λm| <= CONFLUENT_RTOL * max(λa, λm), a = m included,
     it is the derivative at the midpoint instead: d1 c(x, y) = -f'(x/y) c(x, y)^2,
     taken as -f'(mid/λb) c_ab c_mb, second-order accurate in the gap. f must
     carry ``deriv``.
@@ -262,7 +257,7 @@ def _kernel_difference(kernel: MetricKernel, f: MonotoneFunctionSpec) -> np.ndar
     c = kernel.coefficients
     ca, cm = c[..., :, None, :], c[..., None, :, :]
     gap = la - lm
-    confluent = np.abs(gap) <= KERNEL_CONFLUENT_RTOL * np.maximum(la, lm)
+    confluent = np.abs(gap) <= CONFLUENT_RTOL * np.maximum(la, lm)
     with np.errstate(divide="ignore", invalid="ignore"):
         quotient = (ca - cm) / gap
     midpoint = -np.asarray(f.deriv(0.5 * (la + lm) / lb), dtype=float) * ca * cm

@@ -332,6 +332,46 @@ def test_negative_potential_points_is_usage_error(capsys):
     assert "--points must be at least 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, work",
+    [
+        ("duality", "DefectGrid"),
+        ("transport-duality", "witness_curve"),
+        ("flatness", "flatness_scan"),
+        ("potential", "xi_affine_family"),
+    ],
+)
+def test_alpha_outside_the_closed_interval_is_usage_error_before_any_work(
+    calls, capsys, command, work
+):
+    # every --alpha value is checked first: the run used to finish every case at alpha = 0 and
+    # then fail with "alpha must lie in [-1, 1]", which does not name the option
+    calls.watch(cli, work)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--alpha=0,5"])
+    assert exc.value.code == 2
+    assert "--alpha must lie in [-1, 1], got 5.0" in capsys.readouterr().err
+    assert calls.count(work) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["metric-table", "--alphas=0,1"], "--alphas must lie strictly inside (-1, 1), got 1.0"),
+        (["uniqueness-scan", "--alpha=-1"], "--alpha must lie strictly inside (-1, 1), got -1.0"),
+    ],
+)
+def test_alpha_on_the_boundary_is_usage_error_where_the_order_must_be_interior(
+    capsys, argv, message
+):
+    # metric-table pairs with WYD at p = (1 + alpha)/2 and uniqueness-scan scans orders inside
+    # (-1, 1); the error named neither the option nor, for metric-table, the order
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("alpha", ["1", "-1", "1.5"])
 def test_convexity_failure_alpha_off_the_open_interval_is_usage_error(capsys, alpha):
     # at |alpha| = 1 the order-alpha connection is an end order (the witness gap reads 0)

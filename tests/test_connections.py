@@ -18,7 +18,7 @@ from qiglab.duality import (
     sample_grid,
     standard_witness_families,
 )
-from qiglab.linalg import _TRIPLE_RTOL, apply_scalar_function, hermitize, spectral_decompose
+from qiglab.linalg import CONFLUENT_RTOL, apply_scalar_function, hermitize, spectral_decompose
 from qiglab.manifold import (
     affine_coordinates,
     alpha_representation,
@@ -189,12 +189,12 @@ def test_stacked_covariant_derivative_set_on_a_gibbs_chart(alpha, on_extended):
 @pytest.mark.parametrize("on_extended", [True, False])
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
 def test_stacked_covariant_derivative_set_keeps_each_points_triple_differences(alpha, on_extended):
-    # the first point's eigenvalue gap, 1e-9, is below _TRIPLE_RTOL: its triple differences
-    # take the coincident branches, and a cache shared with the generic point would mix them
+    # the first point's eigenvalue gap, 1e-9, is below CONFLUENT_RTOL times its eigenvalues: its
+    # triple differences take the confluent value, which must not leak into the generic point's
     fam = qubit_bloch_family()
     points = np.array([[1e-9, 0.0, 0.0], [0.2, -0.1, 0.15]])
-    gap = np.diff(np.linalg.eigvalsh(fam.point(points[0])))[0]
-    assert 0.0 < gap < _TRIPLE_RTOL
+    lam = np.linalg.eigvalsh(fam.point(points[0]))
+    assert 0.0 < lam[1] - lam[0] < CONFLUENT_RTOL * lam[0]
     _assert_stack_matches_points(fam, points, [alpha], on_extended)
     _assert_stack_matches_points(fam, points[::-1], [alpha], on_extended)
 

@@ -11,6 +11,7 @@ from qiglab.linalg import (
     spectral_decompose,
 )
 from qiglab.duality import (
+    FALSIFICATION_GAP,
     DefectGrid,
     _damped_newton,
     _metric_matrix,
@@ -327,6 +328,21 @@ def test_matched_defect_is_round_off_on_a_full_chart_at_the_eigenvalue_guard(alp
     bures = shared.defect(bures_function(), alpha).defect
     assert bures >= 1e9
     assert matched <= 1e-13 * bures
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_matched_defect_is_round_off_where_two_small_eigenvalues_nearly_coincide(alpha):
+    # the full linear chart of P_3 through U diag(1e-5, 1.005e-5, 0.8) U†, directions the
+    # Hermitian basis scaled by 0.01: the two small eigenvalues lie 5e-8 apart, inside an
+    # absolute 1e-7 coincidence window whose first-order value read a matched defect of
+    # 1.06e-2 (1.22e-2 at alpha = 0.5), beyond FALSIFICATION_GAP: a false falsification
+    rng = rng_from(3)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    base = (u * np.array([1e-5, 1.005e-5, 0.8])) @ u.conj().T
+    family = linear_family(0.5 * (base + base.conj().T), [0.01 * x for x in hermitian_basis(3)])
+    shared = DefectGrid(family, [np.zeros(9)], on_extended=True)
+    assert shared.defect(matched_metric(alpha), alpha).defect <= 1e-8
+    assert shared.defect(bures_function(), alpha).defect >= FALSIFICATION_GAP
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])

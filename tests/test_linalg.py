@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qiglab.linalg import (
+    Spectrum,
     apply_scalar_function,
     check_hermitian,
     divided_difference_matrix,
@@ -15,6 +16,7 @@ from qiglab.linalg import (
     power_function,
     spectral_decompose,
 )
+from qiglab.manifold import embedding_function, inverse_embedding_function
 from qiglab.sampling import haar_unitary, random_hermitian, rng_from
 
 
@@ -94,6 +96,12 @@ def test_divided_difference_matrix_needs_a_derivative():
     # a plain callable carries no derivative, and the diagonal f[x, x] = f'(x) needs one
     with pytest.raises(ValueError, match="'sqrt' needs a derivative"):
         divided_difference_matrix(np.array([1.0, 2.0]), np.sqrt)
+
+
+def test_divided_difference_matrix_domain_error_names_eigenvalues():
+    # the elementwise pair forms give nan outside the domain; the kernel must not pass it on
+    with pytest.raises(ValueError, match=r"'log' undefined at eigenvalues \[1\.0, -2\.0\]"):
+        frechet_derivative(Spectrum(np.array([1.0, -2.0]), np.eye(2)), np.eye(2), log_function())
 
 
 def test_apply_scalar_function_log():
@@ -200,3 +208,67 @@ def test_frechet_second_symmetric_in_directions():
         frechet_second_derivative(spec, f, e, fun),
         atol=1e-12,
     )
+
+
+def _power_profiles():
+    """name -> (ScalarFunction, exponent) for the embedding profiles and their inverses, each
+    c x^e with e = (1 - alpha)/2 or its reciprocal, at the orders that build connections."""
+    out = {}
+    for alpha in (-0.9, -0.5, 0.0, 0.5, 0.9):
+        s = 0.5 * (1.0 - alpha)
+        out[f"embed({alpha:g})"] = (embedding_function(alpha), s)
+        out[f"unembed({alpha:g})"] = (inverse_embedding_function(alpha), 1.0 / s)
+    return out
+
+
+POWER_PROFILES = _power_profiles()
+POSITIVE_SCALES = (1e-6, 1e-3, 0.3, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("name", list(POWER_PROFILES) + ["log", "exp"])
+def test_second_divided_difference_matches_mpmath(name):
+    # f[x, y, z] against 50 digits, for triples x0 + |x0| s (0, t, 1), t in {0.3, 0.5}, and
+    # (x0, x0 + |x0| s, x0 + 1), spreads s from 1e-12 to 1e-2, four per decade: across the
+    # confluent window and the quotient beyond it, and two eigenvalues close with the third far.
+    # At diag(x, y, z), with E = e0 e1^T and F = e1 e2^T (not self-adjoint, so nothing is
+    # symmetrized), entry (0, 2) of D^2 f[E, F] is f[x, y, z] exactly.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    scales, factor = POSITIVE_SCALES, 1.0
+    if name == "log":
+        fun, mp_f = log_function(), mp.log
+    elif name == "exp":
+        fun, mp_f = exp_function(), mp.exp
+        scales = (-10.0, -1e-3) + POSITIVE_SCALES
+    else:
+        fun, e = POWER_PROFILES[name]
+        factor = fun.fn(1.0)  # the profile is factor * x^e
+
+        def mp_f(x):
+            return x ** mp.mpf(e)
+
+    triples = []
+    for x0 in scales:
+        for s in 10.0 ** np.arange(-12.0, -1.75, 0.25):
+            step = abs(x0) * s
+            triples += [(x0, x0 + 0.3 * step, x0 + step), (x0, x0 + 0.5 * step, x0 + step)]
+            triples.append((x0, x0 + step, x0 + 1.0))
+    lam = np.array(triples)
+    assert (np.diff(lam, axis=1) > 0.0).all()
+    first, second = np.zeros((3, 3)), np.zeros((3, 3))
+    first[0, 1] = second[1, 2] = 1.0
+    eye = np.broadcast_to(np.eye(3, dtype=complex), lam.shape + (3,))
+    got = frechet_second_derivative(Spectrum(lam, eye), first, second, fun)[:, 0, 2].real
+
+    def second_difference(x, y, z):
+        x, y, z = mp.mpf(x), mp.mpf(y), mp.mpf(z)
+        fx, fy, fz = mp_f(x), mp_f(y), mp_f(z)
+        return ((fx - fy) / (x - y) - (fy - fz) / (y - z)) / (x - z)
+
+    worst = 0.0
+    for g, t in zip(got, triples):
+        want = second_difference(*t)
+        worst = max(worst, abs(float((g / factor - want) / want)))
+    # worst recorded: 3.5e-11 (unembed(-0.5)); an absolute 1e-7 coincidence window with a
+    # first-order midpoint value was off by up to 6.7e-4 here (unembed(0.9))
+    assert worst <= 1e-8

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from qiglab.duality import perturbed_wyd
-from qiglab.linalg import Spectrum, spectral_decompose
+from qiglab.linalg import CONFLUENT_RTOL, Spectrum, spectral_decompose
 from qiglab.manifold import check_state, state_tangent
 from qiglab.metrics import (
-    KERNEL_CONFLUENT_RTOL,
     KrausChannel,
     MonotoneFunctionSpec,
     apply_channel,
@@ -128,11 +127,11 @@ def test_profile_derivative_is_one_half_at_one_and_keeps_the_petz_symmetry(name)
 
 @pytest.mark.parametrize("name", ["wyd(p=0.25)", "bkm"])
 @pytest.mark.parametrize(
-    "gap", [0.0, 1e-9, 1e-7, 0.5 * KERNEL_CONFLUENT_RTOL, 2.0 * KERNEL_CONFLUENT_RTOL, 1e-3]
+    "gap", [0.0, 1e-9, 1e-7, 0.5 * CONFLUENT_RTOL, 2.0 * CONFLUENT_RTOL, 1e-3]
 )
 def test_kernel_difference_matches_mpmath_across_the_confluent_switch(name, gap):
     # c1[a, m, b] = (c(la, lb) - c(lm, lb))/(la - lm) for c(x, y) = 1/(y f(x/y)), against 40
-    # digits; the pair (0.3, 0.3 (1 + gap)) takes the quotient above KERNEL_CONFLUENT_RTOL and
+    # digits; the pair (0.3, 0.3 (1 + gap)) takes the quotient above CONFLUENT_RTOL and
     # the midpoint derivative below it, where a first-order rule would be off by about the gap
     mp = _mpmath()
     spec, mp_f = PROFILES[name]

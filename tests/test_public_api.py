@@ -21,6 +21,7 @@ REMOVED = {
     "embedding_trace_identity_gap",
     "family_tangent",
     "SECOND_DERIVATIVE_STEP",
+    "DEGENERACY_RTOL",
 }
 
 # Chart-contract fields replaced by another; the README's "Removed" table names the replacement.

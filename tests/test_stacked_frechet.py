@@ -2,23 +2,25 @@
 
 Property tests over the spectral-calculus layers, at n = 2-4: stacked `frechet_derivative`, `frechet_second_derivative`,
 `representation_convert` and `sphere_project` equal the per-matrix calls
-exactly. Base spectra are generic, near-degenerate (a gap below
-DEGENERACY_RTOL, or a cluster of three below _TRIPLE_RTOL) or have a tiny
-eigenvalue. Directions mix self-adjoint and general matrices, so the
-self-adjointness test that decides the final symmetrization runs per matrix.
+exactly. Base spectra are generic, near-degenerate (a pair or a cluster of
+three within CONFLUENT_RTOL, relative) or have a tiny eigenvalue. Directions
+mix self-adjoint and general matrices, so the self-adjointness test that
+decides the final symmetrization runs per matrix.
 `frechet_derivative` and `frechet_second_derivative` also take a stack of
 base points, each paired with its own stack of directions, and
 `divided_difference_matrix` a stack of spectra.
 """
+
+import itertools
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qiglab.linalg import (
-    DEGENERACY_RTOL,
-    _TRIPLE_RTOL,
+    CONFLUENT_RTOL,
     Spectrum,
+    _triple_difference_tensor,
     divided_difference_matrix,
     exp_function,
     frechet_derivative,
@@ -53,10 +55,10 @@ def base_and_directions(draw, unit_trace=False, self_adjoint_only=False, n=None,
     lam = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n)))
     kind = draw(st.sampled_from(["generic", "pair", "triple", "tiny"]))
     if kind == "pair":
-        lam[1] = lam[0] * (1.0 + draw(st.floats(0.0, 0.5 * DEGENERACY_RTOL)))
+        lam[1] = lam[0] * (1.0 + draw(st.floats(0.0, 0.5 * CONFLUENT_RTOL)))
     elif kind == "triple":
         for k in range(1, min(n, 3)):
-            lam[k] = lam[0] * (1.0 + draw(st.floats(0.0, 0.5 * _TRIPLE_RTOL)))
+            lam[k] = lam[0] * (1.0 + draw(st.floats(0.0, 0.5 * CONFLUENT_RTOL)))
     elif kind == "tiny":
         lam[0] = draw(st.floats(1e-8, 1e-5))
     if unit_trace:
@@ -96,6 +98,20 @@ def test_stacked_frechet_second_derivative_equals_matrix_by_matrix(case, f):
     assert out.shape == first.shape
     for k, (e, g) in enumerate(zip(first, second)):
         assert np.array_equal(out[k], frechet_second_derivative(spec, e, g, f))
+
+
+@PROPERTY
+@given(case=base_and_directions(), f=_functions())
+def test_triple_tensor_depends_on_the_three_eigenvalues_alone(case, f):
+    # f[λi, λk, λj] is symmetric in its arguments, and each entry is the same bits in whatever
+    # order the spectrum lists its eigenvalues, inside and outside the confluent window
+    lam = case[0].eigenvalues
+    t = _triple_difference_tensor(lam, f, divided_difference_matrix(lam, f))
+    for axes in itertools.permutations(range(3)):
+        assert np.array_equal(t, t.transpose(axes))
+    flipped = lam[::-1]
+    t_flipped = _triple_difference_tensor(flipped, f, divided_difference_matrix(flipped, f))
+    assert np.array_equal(t_flipped, t[::-1, ::-1, ::-1])
 
 
 @PROPERTY
