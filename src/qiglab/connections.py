@@ -14,15 +14,14 @@ ch. 7). With eigenvalues λ, eigenbasis chart tangents E = T_i, F = T_j and
 f the embedding profile of order alpha:
 
 - second partial: S_ab = Σ_k f[λa, λk, λb] (E_ak F_kb + F_ak E_kb) + f[λa, λb] H_ab,
-  with H the chart Hessian d_i d_j sigma rotated into the eigenbasis;
+  with H the chart Hessian d_i d_j sigma in the eigenbasis;
 - sphere projection: S - (Σ_a λa^((1+alpha)/2) S_aa) diag(λ^((1-alpha)/2));
 - mixture form: divide entrywise by f[λa, λb].
 
 The tangent products do not depend on alpha, so one call builds a sequence
 of orders, each for one triple tensor, one divided-difference matrix and one
-contraction; with the chart's analytic derivatives (one ``jacobian`` and one
-``hessians`` call) every point of a stack and every pair is one stacked
-step.
+contraction; with the chart's order-2 jet (one chart call, already in the
+eigenbasis) every point of a stack and every pair is one stacked step.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .linalg import (
     hermitize,
 )
 from .manifold import (
+    ChartJet,
     ParametrizedFamily,
     TangentVector,
     _project_in_eigenbasis,
@@ -108,9 +108,11 @@ def ext_covariant_derivative(
     ``covariant_derivative_set``; an index outside [0, param_dim) raises.
     """
     family._check_directions(i, j)
-    theta, sigma, spec = family.point_and_spectrum(theta)
-    mixture = covariant_derivative_set(family, theta, spec, [alpha], True)[0, i, j]
-    return CovariantDerivativeResult(sigma, weight_tangent(sigma, _from_eigenbasis(spec, mixture)))
+    jet = family.jet(theta, 2)
+    mixture = covariant_derivative_set(jet, [alpha], True)[0, i, j]
+    return CovariantDerivativeResult(
+        jet.sigma, weight_tangent(jet.sigma, _from_eigenbasis(jet.spectrum, mixture))
+    )
 
 
 def covariant_derivative_on_M(
@@ -124,51 +126,38 @@ def covariant_derivative_on_M(
     ``covariant_derivative_set``; an index outside [0, param_dim) raises.
     """
     family._check_directions(i, j)
-    theta, sigma, spec = family.point_and_spectrum(theta)
-    mixture = covariant_derivative_set(family, theta, spec, [alpha], False)[0, i, j]
-    return CovariantDerivativeResult(sigma, state_tangent(sigma, _from_eigenbasis(spec, mixture)))
+    jet = family.jet(theta, 2)
+    mixture = covariant_derivative_set(jet, [alpha], False)[0, i, j]
+    return CovariantDerivativeResult(
+        jet.sigma, state_tangent(jet.sigma, _from_eigenbasis(jet.spectrum, mixture))
+    )
 
 
-def covariant_derivative_set(
-    family: ParametrizedFamily,
-    theta: np.ndarray,
-    spec: Spectrum,
-    alphas,
-    on_extended: bool = False,
-    tangents=None,
-    hessians=None,
-) -> np.ndarray:
-    """All covariant derivatives nabla^(alpha)_i T_j at theta, in mixture form, in the
+def covariant_derivative_set(jet: ChartJet, alphas, on_extended: bool = False) -> np.ndarray:
+    """All covariant derivatives nabla^(alpha)_i T_j at the jet's theta, in mixture form, in the
     eigenbasis of the base point, for each order in the sequence ``alphas``.
 
-    ``spec`` is the Spectrum of the point at theta, so nothing is decomposed
-    again. theta may be one point (d,) or a stack (m, d) with a stacked
-    Spectrum; every point and every pair i <= j is then one stack per step.
-    ``tangents``, when given, are the chart tangents d_k sigma at theta in
-    that eigenbasis, (d, n, n) or (m, d, n, n); otherwise they are computed.
-    ``hessians``, when given, are the chart's second partials d_i d_j sigma at
-    theta in that eigenbasis, (d, d, n, n) or (m, d, d, n, n); otherwise
-    they come from one ``hessians`` call.
+    ``jet`` is a chart's order-2 ChartJet at one point (d,) or a stack (m, d):
+    its Spectrum, tangents and Hessians, all in that eigenbasis, so nothing is
+    decomposed or rotated again, and every point and every pair i <= j is one
+    stack per step.
     Flat ones on the positive cone (``on_extended``) or projected ones on the
     unit-trace manifold; the result has shape (orders, d, d, n, n), or
     (orders, m, d, d, n, n) for a stack, and is symmetric in the two axes
     before the matrix axes. ``U X U†``, with U the base point's eigenvectors,
     gives a set in the standard basis.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    d, n = family.param_dim, spec.dim
+    if jet.hessians is None:
+        raise ValueError("covariant derivatives need the chart's order-2 jet")
+    spec, tangents = jet.spectrum, jet.tangents
+    d, n = tangents.shape[-3], spec.dim
     lam = check_weight(spec).eigenvalues
     at = spec.expand_dims()  # each base point against its stack of pairs
     i, j = np.triu_indices(d)
-    if tangents is None:
-        tangents = at.to_eigenbasis(family.tangent_matrices(theta))
     products = _tangent_products(tangents[..., i, :, :], tangents[..., j, :, :])
-    if hessians is None:
-        hess = at.to_eigenbasis(family.hessians(theta)[..., i, j, :, :])
-    else:
-        hess = hessians[..., i, j, :, :]
+    hess = jet.hessians[..., i, j, :, :]
     diag = np.arange(n)
-    out = np.empty((len(alphas),) + theta.shape[:-1] + (d, d, n, n), dtype=complex)
+    out = np.empty((len(alphas),) + tangents.shape[:-3] + (d, d, n, n), dtype=complex)
     for alpha, nabla in zip(alphas, out):
         # the second partial of the embedded chart, every pair i <= j
         fun = embedding_function(alpha)

@@ -11,8 +11,8 @@ CLI runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,17 +25,18 @@ from .linalg import (
     divided_difference_matrix,
     exp_function,
     frechet_derivative,
-    frechet_second_derivative,
     hermitize,
     log_function,
     spectral_decompose,
 )
 from .manifold import (
+    ChartJet,
     ParametrizedFamily,
     TangentVector,
     _check_chart_guard,
-    _last_value_cache,
+    _function_jet,
     _scalar_gradient,
+    _standard_basis,
     affine_coordinates,
     basis_combination,
     check_state,
@@ -58,7 +59,6 @@ from .metrics import (
     builtin_functions,
     depolarizing_channel,
     kernel_metric,
-    metric_eval,
     partial_trace_channel,
     petz_kernel,
     relative_entropy,
@@ -254,12 +254,6 @@ class DualityReport:
     family_name: str = ""
 
 
-def _eigenbasis_tangents(family: ParametrizedFamily, theta: np.ndarray, spec) -> np.ndarray:
-    """Coordinate tangents d_k sigma in the eigenbasis of the point's Spectrum: (d, n, n)
-    for one theta (d,), and (m, d, n, n), from one tangent_matrices call, for a stack (m, d)."""
-    return spec.expand_dims().to_eigenbasis(family.tangent_matrices(theta))
-
-
 def _tangent_gram(tangents: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """g_ab = sum conj(T_a) * c * T_b over eigenbasis tangents T and kernel coefficients c.
 
@@ -275,13 +269,10 @@ def _tangent_gram(tangents: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return out
 
 
-def _metric_matrix(
-    family: ParametrizedFamily, theta: np.ndarray, f: MonotoneFunctionSpec
-) -> np.ndarray:
-    """g_ab = f-metric of the coordinate tangents d_a sigma, d_b sigma at theta."""
-    theta, _, spec = family.point_and_spectrum(theta)
-    tangents = _eigenbasis_tangents(family, theta, spec)
-    return _tangent_gram(tangents, petz_kernel(spec, f).coefficients)
+def _metric_matrix(jet: ChartJet, f: MonotoneFunctionSpec) -> np.ndarray:
+    """g_ab = f-metric of the coordinate tangents d_a sigma, d_b sigma at the theta of a chart's
+    jet of order at least 1, (d, d), or (m, d, d) for a stacked jet."""
+    return _tangent_gram(jet.tangents, petz_kernel(jet.spectrum, f).coefficients)
 
 
 def _pairings(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -294,10 +285,9 @@ def _pairings(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class DefectGrid:
     """Connection geometry of a duality-defect grid, shared by every kernel and alpha.
 
-    Built once per (family, grid) from one chart call, one stacked eigh and
-    one ``hessians`` call: the Spectrum of each grid point, its eigenbasis
-    coordinate tangents T and chart Hessians H, and the kernel-free products
-    (T_i)_am (T_k)_mb that d_i g_jk needs.
+    Built once per (family, grid) from one order-2 chart jet: the Spectrum of
+    each grid point, its eigenbasis coordinate tangents T and chart Hessians
+    H, and the kernel-free products (T_i)_am (T_k)_mb that d_i g_jk needs.
 
     d_i g_jk is exact, by the Daleckii-Krein rule for the kernel
     superoperator (Skripka-Tomskova, Multilinear Operator Integrals, LNM 2250):
@@ -321,12 +311,9 @@ class DefectGrid:
         if not self.grid:
             raise ValueError("a defect grid needs at least one point, got none")
         self.on_extended = on_extended
-        # one chart call and one stacked decomposition for the whole grid
-        theta, _, self._spectrum = family.point_and_spectrum(np.stack(self.grid))
-        t = self._tangents = _eigenbasis_tangents(family, theta, self._spectrum)
-        self._hessians = self._spectrum.expand_dims().expand_dims().to_eigenbasis(
-            family.hessians(theta)
-        )
+        # one chart call, and the chart's one decomposition, for the whole grid
+        self._jet = family.jet(np.stack(self.grid), 2)
+        t = self._jet.tangents
         # (T_i)_am (T_k)_mb at axes (point, i, k, a, m, b): d^2 n^3 entries a point, where a
         # (point, d^3, n^3) tensor of all three tangents would take d^3 n^3
         self._tangent_pairs = t[:, :, None, :, :, None] * t[:, None, :, None, :, :]
@@ -337,16 +324,8 @@ class DefectGrid:
         eigenbasis, each of shape (points, d, d, n, n)."""
         orders = list(dict.fromkeys((alpha, -alpha)))  # -0.0 == 0.0: alpha = 0 needs one set
         if any(a not in self._h_minus_nabla for a in orders):
-            sets = covariant_derivative_set(
-                self.family,
-                np.stack(self.grid),
-                self._spectrum,
-                orders,
-                self.on_extended,
-                self._tangents,
-                self._hessians,
-            )
-            self._h_minus_nabla.update((a, self._hessians - n) for a, n in zip(orders, sets))
+            sets = covariant_derivative_set(self._jet, orders, self.on_extended)
+            self._h_minus_nabla.update((a, self._jet.hessians - n) for a, n in zip(orders, sets))
         return self._h_minus_nabla[alpha], self._h_minus_nabla[-alpha]
 
     def defect(
@@ -363,10 +342,10 @@ class DefectGrid:
         """
         alpha = float(alpha)
         plus, minus = self._connections(alpha)
-        kernel = petz_kernel(self._spectrum, f)
+        kernel = petz_kernel(self._jet.spectrum, f)
         c1 = _kernel_difference(kernel, f)[:, None, None]
         c = kernel.coefficients[:, None]
-        t = self._tangents
+        t = self._jet.tangents
         m, d = t.shape[:2]
         # Y_ik = sum_m c1_amb (T_i)_am (T_k)_mb, axes (point, i, k, a, b)
         y = _triple_contraction(c1, self._tangent_pairs)
@@ -510,21 +489,21 @@ def _newton_steps(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return steps
 
 
-def _damped_newton(objective, gradient, hessian, x, tol: float, max_iter: int):
+def _damped_newton(evaluate, x, tol: float, max_iter: int):
     """Minimize smooth convex objectives by Newton steps with Armijo backtracking, row by row.
 
-    x is a stack of starting points (k, d). Each callback is asked about some
-    rows: it takes their points (r, d) and their indices into the stack (r,),
-    and returns their values (r,), gradients (r, d) or Hessians (r, d, d).
-    Each row has its own convergence test, step length and iteration count;
-    a row whose gradient reached ``tol`` is not evaluated again, and a row
-    whose Hessian is singular steps along -gradient.
+    x is a stack of starting points (k, d). ``evaluate`` is asked about some
+    rows at a time: it takes their points (r, d) and their indices into the
+    stack (r,), and returns their values (r,), gradients (r, d) and Hessians
+    (r, d, d). It is asked once at each new point, so a step kept at its
+    first trial costs one call; a row whose gradient reached ``tol`` is not
+    evaluated again, and a row whose Hessian is singular steps along
+    -gradient. Each row has its own convergence test, step length and
+    iteration count.
 
-    The full step t = 1 is evaluated on every row that steps, so a
-    callback's cache sees the points the next gradient is asked about. A row
-    keeps its step t without comparing values once the predicted decrease
-    t * |slope| / 4 is within the slack, sixteen ulps of the value at the
-    row's point: an objective known only to its rounding cannot confirm a
+    A row keeps its step t without comparing values once the predicted
+    decrease t * |slope| / 4 is within the slack, sixteen ulps of the value at
+    the row's point: an objective known only to its rounding cannot confirm a
     smaller decrease, and halving t for it would stall the row (the trace
     potential of ``dual_coordinate_check`` reads up to about 8 ulps off).
     Other rows halve t until the Armijo test passes (or t falls below 1e-12).
@@ -535,17 +514,22 @@ def _damped_newton(objective, gradient, hessian, x, tol: float, max_iter: int):
     """
     x = np.array(x, dtype=float)
     active = np.arange(len(x))
-    grad = np.array(gradient(x, active), dtype=float)
+    value, grad, hess = (np.array(a, dtype=float) for a in evaluate(x, active))
     iterations = np.zeros(len(x), dtype=int)
+
+    def move(rows):  # rows (indices into active) to xa + t delta, evaluated there
+        at = active[rows]
+        x[at] = xa[rows] + t[rows, None] * delta[rows]
+        value[at], grad[at], hess[at] = evaluate(x[at], at)
+
     for it in range(1, max_iter + 1):
         iterations[active] = it
         active = active[~(np.abs(grad[active]).max(axis=-1) <= tol)]
         if not active.size:
             break
-        xa, ga = x[active], grad[active]
-        delta = _newton_steps(hessian(xa, active), ga)
-        f0 = objective(xa, active)
-        slope = _row_dot(ga, delta)
+        xa, f0 = x[active], value[active]
+        delta = _newton_steps(hess[active], grad[active])
+        slope = _row_dot(grad[active], delta)
         slack = 16.0 * np.spacing(np.abs(f0))
         t = np.ones(len(active))
 
@@ -553,27 +537,29 @@ def _damped_newton(objective, gradient, hessian, x, tol: float, max_iter: int):
             return -0.25 * t[rows] * slope[rows] > slack[rows]
 
         trying = np.arange(len(active))  # rows whose step t is still being halved
+        unevaluated = []  # rows whose last halved t is kept without a trial
         while trying.size:
+            move(trying)
             tt = t[trying]
-            trial = objective(xa[trying] + tt[:, None] * delta[trying], active[trying])
+            trial = value[active[trying]]
             rejected = trial > f0[trying] + 0.25 * tt * slope[trying] + slack[trying]
-            trying = trying[rejected & measurable(trying)]
-            t[trying] *= 0.5
-            trying = trying[measurable(trying) & (t[trying] > 1e-12)]
-        x[active] = xa + t[:, None] * delta
-        grad[active] = gradient(x[active], active)
+            halved = trying[rejected & measurable(trying)]
+            t[halved] *= 0.5
+            trying = halved[measurable(halved) & (t[halved] > 1e-12)]
+            unevaluated.append(np.setdiff1d(halved, trying))
+        kept = np.concatenate(unevaluated)
+        if kept.size:
+            move(kept)
     return x, grad, iterations
 
 
-def _check_affine(
-    family: ParametrizedFamily, alpha: float, theta: np.ndarray, spec, tangents
-) -> None:
-    """Reject a chart whose flat covariant derivatives at theta (d,) do not all vanish;
-    ``spec`` and ``tangents`` are the point's Spectrum and eigenbasis tangents.
+def _check_affine(alpha: float, jet: ChartJet) -> None:
+    """Reject a chart whose flat covariant derivatives do not all vanish at the theta of its
+    order-2 ``jet`` at one point.
 
     Every pair (i, j) is checked, from one covariant_derivative_set call.
     """
-    nabla = covariant_derivative_set(family, theta, spec, [alpha], True, tangents)
+    nabla = covariant_derivative_set(jet, [alpha], True)
     norm = float(np.linalg.norm(nabla, axis=(-2, -1)).max())  # a norm needs no basis
     if norm > 1e-4:
         raise ValueError(
@@ -604,11 +590,11 @@ def potential_check(
 
     psi = (2/(1+alpha)) Tr sigma(xi) has the exact Hessian (2/(1+alpha)) Tr
     d_i d_j sigma and gradient eta = (2/(1+alpha)) Tr d_i sigma, from the
-    chart's analytic hessians and jacobian, which share the chart's one
-    decomposition of the grid. The Hessian must equal the matched kernel
-    metric of the coordinate tangents entrywise, and eta must be an affine
-    function of the order-(-alpha) affine coordinates (checked by linear
-    regression over the grid).
+    chart's order-2 jet on the grid, one chart call whose Spectrum also
+    serves the coordinates and the metric. The Hessian must equal the matched
+    kernel metric of the coordinate tangents entrywise, and eta must be an
+    affine function of the order-(-alpha) affine coordinates (checked by
+    linear regression over the grid).
 
     Rejects coordinates in which the embedding is not affine at the first
     grid point.
@@ -620,18 +606,14 @@ def potential_check(
     d = family.param_dim
     if len(points) < d + 2:
         raise ValueError(f"need at least {d + 2} grid points for the affine regression")
-    # one chart call decomposes the grid; its tangents and Hessians share that decomposition
-    theta, _, spec = family.point_and_spectrum(points)
-    tangents = family.tangent_matrices(theta)
-    eigen_tangents = spec.expand_dims().to_eigenbasis(tangents)
-    zetas = affine_coordinates(spec, -alpha, basis)
-    metric = _tangent_gram(eigen_tangents, petz_kernel(spec, matched_metric(alpha)).coefficients)
+    jet = family.jet(points, 2)
+    # a chart affine for another order fails at any point
+    _check_affine(alpha, jet[0])
+    zetas = affine_coordinates(jet.spectrum, -alpha, basis)
+    metric = _metric_matrix(jet, matched_metric(alpha))
     c = _potential_factor(alpha)
-    hess = c * _trace(family.hessians(theta))
-    etas = c * _trace(tangents)
-    # a chart affine for another order fails at any point; the first is checked last, as its
-    # Hessians take a decomposition of their own
-    _check_affine(family, alpha, theta[0], spec[0], eigen_tangents[0])
+    hess = c * _trace(jet.hessians)
+    etas = c * _trace(jet.tangents)
     design = np.hstack([zetas, np.ones((len(points), 1))])
     coeffs, *_ = np.linalg.lstsq(design, etas, rcond=None)
     gradient_residual = float(np.abs(design @ coeffs - etas).max())
@@ -661,15 +643,14 @@ def dual_coordinate_check(
 ) -> DualCoordinateReport:
     """Check the gradient coordinates against the metric and the Legendre pairing.
 
-    The gradient coordinates eta = (2/(1+alpha)) Tr d_i sigma are exact, from
-    the chart's analytic jacobian. Their Jacobian, by central differences of
-    eta, must equal the matched metric matrix, and the numeric Legendre
-    transform must satisfy psi(xi) + phi(eta(xi)) = xi . eta(xi). phi(eta) =
+    The potential psi = (2/(1+alpha)) Tr sigma, its gradient eta = (2/(1+alpha))
+    Tr d_i sigma and its Hessian (2/(1+alpha)) Tr d_i d_j sigma are exact, from
+    one chart jet per point stack: the traces are taken in the eigenbasis, psi
+    as the sum of the eigenvalues. The Jacobian of eta, by central differences,
+    must equal the matched metric matrix, and the numeric Legendre transform
+    must satisfy psi(xi) + phi(eta(xi)) = xi . eta(xi). phi(eta) =
     -min_x (psi(x) - x . eta) is found by damped Newton steps, every point's
-    as one row of a stack started from a seeded perturbation of the point,
-    with the exact gradient and the exact Hessian (2/(1+alpha)) Tr d_i d_j
-    sigma. One checked chart evaluation per point stack gives psi and eta
-    together, and its decomposition serves the Hessian.
+    as one row of a stack started from a seeded perturbation of the point.
     """
     alpha = float(alpha)
     if not len(points):
@@ -677,33 +658,26 @@ def dual_coordinate_check(
     points = np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in points])
     c = _potential_factor(alpha)
 
-    @_last_value_cache
-    def evaluate(x):
-        # (psi, eta) at a stack of points: the checked chart value and, from the same
-        # decomposition, its jacobian
-        sigma = family.point(x)
-        return c * _trace(sigma), c * _trace(family.tangent_matrices(x))
+    def potential(jet):  # (psi, eta) at the jet's theta
+        return c * jet.spectrum.eigenvalues.sum(axis=-1), c * _trace(jet.tangents)
 
-    metric = _metric_matrix(family, points, matched_metric(alpha))
-    psi0, eta0 = evaluate(points)
+    jet = family.jet(points, 1)
+    metric = _metric_matrix(jet, matched_metric(alpha))
+    psi0, eta0 = potential(jet)
     # eta at the 2d stencil points of every point, from one chart call
-    jac = _scalar_gradient(lambda x: evaluate(x)[1], points)
+    jac = _scalar_gradient(lambda x: potential(family.jet(x, 1))[1], points)
     jac_res = float(np.abs(jac - metric).max())
 
-    def objective(x, rows):
-        return evaluate(x)[0] - _row_dot(x, eta0[rows])
+    def evaluate(x, rows):
+        at = family.jet(x, 2)
+        psi, eta = potential(at)
+        return psi - _row_dot(x, eta0[rows]), eta - eta0[rows], c * _trace(at.hessians)
 
     start = points + 0.05 * rng_from(seed).standard_normal(points.shape)
-    x_min, _, _ = _damped_newton(
-        objective,
-        lambda x, rows: evaluate(x)[1] - eta0[rows],
-        lambda x, rows: c * _trace(family.hessians(x)),
-        start,
-        tol=1e-9,
-        max_iter=50,
-    )
+    x_min, _, _ = _damped_newton(evaluate, start, tol=1e-9, max_iter=50)
     # phi(eta0) = -(min value); residual is the optimality gap of xi itself
-    gap = psi0 - _row_dot(points, eta0) - objective(x_min, np.arange(len(points)))
+    psi_min = c * family.jet(x_min).spectrum.eigenvalues.sum(axis=-1)
+    gap = psi0 - _row_dot(points, eta0) - (psi_min - _row_dot(x_min, eta0))
     leg_res = float(np.abs(gap).max())
     return DualCoordinateReport(
         alpha=alpha,
@@ -901,8 +875,7 @@ def convexity_failure_check(
     alpha = float(alpha)
     w_plus, w_minus = 0.5 * (1.0 + alpha), 0.5 * (1.0 - alpha)
     points = np.stack([np.atleast_1d(np.asarray(theta, dtype=float)) for theta in grid])
-    spec = family.point_and_spectrum(points)[2]
-    direct, plus, minus = covariant_derivative_set(family, points, spec, [alpha, 1.0, -1.0])
+    direct, plus, minus = covariant_derivative_set(family.jet(points, 2), [alpha, 1.0, -1.0])
     diffs = np.linalg.norm(direct - (w_plus * plus + w_minus * minus), axis=(-2, -1))
     return ConvexityReport(
         alpha=alpha,
@@ -950,8 +923,7 @@ def flatness_scan(alpha: float, dim: int, seed=5) -> float:
     for _ in range(2):
         sigma = random_weight(rng, dim, 0.5, 2.0)
         xi = affine_coordinates(sigma, alpha, basis)
-        spec = fam.point_and_spectrum(xi)[2]
-        nabla = covariant_derivative_set(fam, xi, spec, [alpha], on_extended=True)
+        nabla = covariant_derivative_set(fam.jet(xi, 2), [alpha], on_extended=True)
         worst = max(worst, float(np.linalg.norm(nabla, axis=(-2, -1)).max()))
     return worst
 
@@ -965,23 +937,40 @@ def _expectations(sigma: np.ndarray, observables: np.ndarray) -> np.ndarray:
     return np.trace(sigma[..., None, :, :] @ observables, axis1=-2, axis2=-1).real
 
 
-def _gibbs_evaluation(theta: np.ndarray, observables: np.ndarray):
-    """(Spectrum of B - psi I, psi, sigma) of each B = sum theta_i Y_i.
+def _gibbs_evaluation(theta: np.ndarray, observables: np.ndarray, order: int) -> tuple:
+    """(psi, means, d_i d_j psi, chart) of the Gibbs state sigma = exp(B - psi I) at each
+    B = sum theta_i Y_i, from one decomposition of B.
 
-    theta (..., m) and observables (..., m, n, n) broadcast; psi (...) is the
-    log-sum-exp of B's eigenvalues and sigma = exp(B - psi I), (..., n, n).
+    theta (..., m) and observables (..., m, n, n) broadcast. psi (...) is the
+    log-sum-exp of B's eigenvalues and means (..., m) are Tr(sigma Y_i).
+    ``chart`` is (sigma, Spectrum of sigma, tangents, hessians) as a
+    ParametrizedFamily's ``evaluate`` returns them, up to ``order``: in the
+    eigenbasis U of B, d_i sigma is K_exp o (U† Y_i U - <Y_i> I), and d_i d_j
+    sigma is the second exp derivative along those directions less
+    (d_i d_j psi) sigma, with d_i d_j psi = Tr(d_j sigma Y_i), symmetrized
+    (..., m, m); it is None at order 0.
     """
     spec = spectral_decompose(basis_combination(theta, observables))
     top = spec.eigenvalues.max(axis=-1, keepdims=True)
     psi = top + np.log(np.sum(np.exp(spec.eigenvalues - top), axis=-1, keepdims=True))
-    shifted = Spectrum(spec.eigenvalues - psi, spec.unitary)
-    return shifted, psi[..., 0], apply_scalar_function(shifted, exp_function())
-
-
-def _gibbs_directions(sigma: np.ndarray, observables: np.ndarray) -> np.ndarray:
-    """Y_i - <Y_i> I, the directions whose exp derivative is d sigma / d theta_i: (..., m, n, n)."""
-    n = sigma.shape[-1]
-    return observables - _expectations(sigma, observables)[..., None, None] * np.eye(n)
+    shifted = spec.eigenvalues - psi
+    sigma = apply_scalar_function(Spectrum(shifted, spec.unitary), exp_function())
+    p = np.exp(shifted)
+    state = Spectrum(p, spec.unitary)
+    means = _expectations(sigma, observables)
+    if order < 1:
+        return psi[..., 0], means, None, (sigma, state, None, None)
+    rotated = spec.expand_dims().to_eigenbasis(observables)
+    directions = rotated - means[..., None, None] * np.eye(spec.dim)
+    tangents, hessians = _function_jet(shifted, exp_function(), directions, order)
+    # Tr(d_j sigma Y_i) = sum_ab conj(Y_i)_ab (d_j sigma)_ab in the eigenbasis
+    products = rotated.conj()[..., :, None, :, :] * tangents[..., None, :, :, :]
+    d2psi = np.sum(products, axis=(-2, -1)).real
+    d2psi = 0.5 * (d2psi + d2psi.swapaxes(-1, -2))
+    if order >= 2:  # sigma is diag(e^shifted) in its eigenbasis
+        diagonal = np.arange(spec.dim)
+        hessians[..., diagonal, diagonal] -= d2psi[..., None] * p[..., None, None, :]
+    return psi[..., 0], means, d2psi, (sigma, state, tangents, hessians)
 
 
 def _gibbs_observables(observables) -> np.ndarray:
@@ -1009,17 +998,16 @@ def _gibbs_observables(observables) -> np.ndarray:
 class GibbsFamily:
     """exp(sum theta_i Y_i - psi(theta) I) with analytic chart derivatives.
 
-    ``spectrum(theta)`` is the family's per-theta evaluation, (Spectrum of
-    sum theta_i Y_i - psi I, psi, sigma), computed once per theta and shared
-    by the chart, its derivatives, ``log_partition`` and ``means``.
+    Each chart jet, ``log_partition`` and ``means`` takes one decomposition of
+    sum theta_i Y_i.
     """
 
     observables: tuple
     family: ParametrizedFamily
-    spectrum: Callable = field(repr=False, compare=False)
 
     def log_partition(self, theta) -> float:
-        return float(self.spectrum(np.atleast_1d(np.asarray(theta, dtype=float)))[1])
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        return float(_gibbs_evaluation(theta, np.stack(self.observables), 0)[0])
 
     def state(self, theta) -> np.ndarray:
         return self.family.point(theta)
@@ -1031,38 +1019,18 @@ class GibbsFamily:
 def gibbs_family(observables: Sequence[np.ndarray]) -> GibbsFamily:
     """Build the normalized exponential family of the given observables.
 
-    {I, Y_1, ..., Y_m} must be linearly independent; the chart carries
+    {I, Y_1, ..., Y_m} must be linearly independent; the chart's jet carries
     analytic first and second derivatives through the exp matrix calculus,
-    and all three broadcast over a stack of theta (k, m).
+    and broadcasts over a stack of theta (k, m).
     """
     ys = _gibbs_observables(observables)
     if ys.ndim != 3:
         raise ValueError(f"expected a sequence of (n, n) observables, got shape {ys.shape}")
-    expf = exp_function()
-    spectrum = _last_value_cache(lambda theta: _gibbs_evaluation(theta, ys))
 
-    def chart(theta):
-        return spectrum(theta)[2].copy()  # the cached sigma stays private to the family
+    def evaluate(theta, order):
+        return _gibbs_evaluation(theta, ys, order)[3]
 
-    def jacobian(theta):
-        # d sigma / d theta_i = L_exp(B - psi I)[Y_i - <Y_i> I]
-        shifted, _, sigma = spectrum(theta)
-        return frechet_derivative(shifted.expand_dims(), _gibbs_directions(sigma, ys), expf)
-
-    def hessians(theta):
-        # D2 exp(B - psi I)[Y_i - <Y_i> I, Y_j - <Y_j> I] - (d_i d_j psi) sigma,
-        # with d_i d_j psi = Tr(d_j sigma Y_i)
-        spec, _, sigma = spectrum(theta)
-        dirs = _gibbs_directions(sigma, ys)
-        d2psi = np.trace(jacobian(theta)[..., None, :, :, :] @ ys[:, None], axis1=-2, axis2=-1).real
-        pair = dirs[..., :, None, :, :], dirs[..., None, :, :, :]
-        second = frechet_second_derivative(spec.expand_dims().expand_dims(), *pair, expf)
-        return hermitize(second - d2psi[..., None, None] * sigma[..., None, None, :, :])
-
-    fam = ParametrizedFamily(
-        param_dim=len(ys), chart=chart, jacobian=jacobian, hessians=hessians
-    )
-    return GibbsFamily(tuple(ys), fam, spectrum)
+    return GibbsFamily(tuple(ys), ParametrizedFamily(param_dim=len(ys), evaluate=evaluate))
 
 
 @dataclass(frozen=True)
@@ -1085,7 +1053,8 @@ def entropy_projections(rhos: np.ndarray, observables: np.ndarray, tol: float = 
     guard), and an error names the failing row by its stack index. All rows
     run as one damped Newton iteration on theta -> psi(theta) - theta .
     means(rho), each with its own step length, convergence test and count;
-    one stacked decomposition serves every row evaluated together. At the
+    one stacked decomposition gives the value, gradient and Hessian of every
+    row evaluated together. At the
     minimizer the family means match the state's means, and the mixture
     segment rho - sigma* is BKM-orthogonal to the family's tangent space.
     Non-convergence within 200 Newton steps is reported (with the gradient
@@ -1101,45 +1070,29 @@ def entropy_projections(rhos: np.ndarray, observables: np.ndarray, tol: float = 
         )
     k, m, n = ys.shape[:3]
     target = _expectations(rhos, ys)
-    # what the last gradient evaluation of each row leaves: the spectrum of log sigma*, and sigma*
-    nu, unitary = np.empty((k, n)), np.empty((k, n, n), dtype=complex)
+    # what the last evaluation of each row leaves: sigma*, its Spectrum and its eigenbasis tangents
+    mu, unitary = np.empty((k, n)), np.empty((k, n, n), dtype=complex)
     sigmas = np.empty((k, n, n), dtype=complex)
-    evaluate = _last_value_cache(lambda theta, rows: _gibbs_evaluation(theta, ys[rows]))
+    tangents = np.empty((k, m, n, n), dtype=complex)
 
-    def objective(theta, rows):
-        return evaluate(theta, rows)[1] - _row_dot(theta, target[rows])
+    def evaluate(theta, rows):
+        psi, means, d2psi, (sigma, state, t, _) = _gibbs_evaluation(theta, ys[rows], 1)
+        _check_chart_guard(state.eigenvalues.min(axis=-1), theta, rows)
+        mu[rows], unitary[rows] = state.eigenvalues, state.unitary
+        sigmas[rows], tangents[rows] = sigma, t
+        return psi - _row_dot(theta, target[rows]), means - target[rows], d2psi
 
-    def gradient(theta, rows):
-        shifted, _, sigma = evaluate(theta, rows)
-        # sigma's eigenvalues are exp of the shifted ones: the chart guard needs no eigvalsh
-        _check_chart_guard(np.exp(shifted.eigenvalues.min(axis=-1)), theta, rows)
-        nu[rows], unitary[rows], sigmas[rows] = shifted.eigenvalues, shifted.unitary, sigma
-        return _expectations(sigma, ys[rows]) - target[rows]
-
-    def hessian(theta, rows):
-        shifted, _, sigma = evaluate(theta, rows)
-        dirs = _gibbs_directions(sigma, ys[rows])
-        dsig = frechet_derivative(shifted.expand_dims(), dirs, exp_function())
-        # [r, i, j] = Tr(d_j sigma Y_i)
-        hess = np.trace(dsig[:, None] @ ys[rows][:, :, None], axis1=-2, axis2=-1).real
-        return 0.5 * (hess + hess.swapaxes(-1, -2))
-
-    theta, grad, iterations = _damped_newton(
-        objective, gradient, hessian, np.zeros((k, m)), tol, max_iter=200
-    )
+    theta, grad, iterations = _damped_newton(evaluate, np.zeros((k, m)), tol, max_iter=200)
     gnorm = np.abs(grad).max(axis=-1)
     # BKM pairing Tr((rho - sigma*) L_log(sigma*)[d_i sigma]) in the eigenbasis of sigma* that
-    # the last evaluation of each row decomposed: there d_i sigma is K_exp o D_i and L_log(sigma*)
-    # scales by K_log, the divided differences of exp at nu and of log at mu = e^nu
-    mu = np.exp(nu)
-    final = Spectrum(nu, unitary)
-    directions = final.expand_dims().to_eigenbasis(_gibbs_directions(sigmas, ys))
-    k_exp = divided_difference_matrix(nu, exp_function())
+    # the last evaluation of each row decomposed, where L_log(sigma*) scales entrywise by the
+    # divided differences of log at its eigenvalues mu
+    final = Spectrum(mu, unitary)
     k_log = divided_difference_matrix(mu, log_function())
     segment = final.to_eigenbasis(rhos - sigmas).swapaxes(-1, -2)
-    pairing = np.sum(segment[:, None] * (k_log * k_exp)[:, None] * directions, axis=(-2, -1))
+    pairing = np.sum(segment[:, None] * k_log[:, None] * tangents, axis=(-2, -1))
     orth = np.abs(pairing.real).max(axis=-1)
-    entropy = relative_entropy(rho_spectrum, Spectrum(mu, unitary))
+    entropy = relative_entropy(rho_spectrum, final)
     return [
         ProjectionReport(
             theta_star=theta[r],
@@ -1194,8 +1147,11 @@ def kernel_direct_consistency(
     """Compare the direct two-representation WYD pairing with the kernel form.
 
     Returns one row per (dim, alpha): the worst value of
-    |direct - kernel| / |kernel| over the sampled (state, tangent, tangent)
-    triples with the matched profile f_p, p = (1+alpha)/2.
+    |direct - g(a, b)| / sqrt(g(a, a) g(b, b)) over the sampled (state,
+    tangent, tangent) triples, with g the kernel metric of the matched
+    profile f_p, p = (1+alpha)/2. The Cauchy-Schwarz scale bounds |g(a, b)|
+    and does not vanish where a and b are nearly g-orthogonal; one Petz
+    kernel per sample gives all three pairings.
     """
     rows = []
     for n in dims:
@@ -1208,8 +1164,10 @@ def kernel_direct_consistency(
                 a = random_traceless_hermitian(rng, n)
                 b = random_traceless_hermitian(rng, n)
                 direct = wyd_direct(rho, alpha, a, b)
-                kernel = metric_eval(rho, f, a, b)
-                worst = max(worst, abs(direct - kernel) / abs(kernel))
+                at, bt = rho.to_eigenbasis(np.stack([a, b]))
+                c = petz_kernel(rho, f).coefficients
+                ab, aa, bb = _contract(c, np.stack([at, at, bt]), np.stack([bt, at, bt]))
+                worst = max(worst, float(abs(direct - ab) / np.sqrt(aa * bb)))
             rows.append({"dim": n, "alpha": alpha, "max_rel_dev": worst, "samples": samples})
     return rows
 
@@ -1309,14 +1267,13 @@ def classical_reduction_check(seed=0) -> dict:
         p = rng.dirichlet(np.ones(dim)) * 0.6 + 0.4 / dim  # interior simplex point
         theta = p[:-1]
         # one decomposition of the point serves every kernel and every WYD pairing
-        spec = check_state(fam.point_and_spectrum(theta)[2])
-        tangents = fam.tangent_matrices(theta)
+        jet = fam.jet(theta, 1)
+        spec = check_state(jet.spectrum)
+        tangents = _standard_basis(jet.spectrum, jet.tangents)
         dp = np.diagonal(tangents, axis1=-2, axis2=-1).real
         fisher = (dp / p) @ dp.T
-        eigen_tangents = _eigenbasis_tangents(fam, theta, spec)
         for f in builtin_functions():
-            metric = _tangent_gram(eigen_tangents, petz_kernel(spec, f).coefficients)
-            worst_metric = max(worst_metric, float(np.abs(metric - fisher).max()))
+            worst_metric = max(worst_metric, float(np.abs(_metric_matrix(jet, f) - fisher).max()))
         for alpha in (-0.5, 0.0, 0.5):
             for i in range(d):
                 for j in range(d):

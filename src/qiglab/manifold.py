@@ -14,7 +14,7 @@ alpha uniformly on [-1, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,12 +23,15 @@ from .linalg import (
     Spectrum,
     _first_in_stack,
     _hermitize_self_adjoint,
+    _tangent_products,
+    _triple_contraction,
+    _triple_difference_tensor,
     apply_scalar_function,
     check_hermitian,
     divided_difference_matrix,
     exp_function,
     frechet_derivative,
-    frechet_second_derivative,
+    hermitize,
     identity_function,
     log_function,
     power_function,
@@ -294,36 +297,74 @@ def _project_with(powers: tuple, a: np.ndarray) -> np.ndarray:
     return a - coeff[..., None, None] * p_minus
 
 
+@dataclass(frozen=True)
+class ChartJet:
+    """A chart's value at theta and its derivatives up to an order, in the value's eigenbasis.
+
+    ``theta`` (..., d); ``sigma`` (..., n, n) and its ``spectrum``, eigenvalues
+    ascending and eigenvectors U; from order 1 ``tangents`` (..., d, n, n), U† d_i sigma U
+    at [..., i]; at order 2 ``hessians`` (..., d, d, n, n), U† d_i d_j sigma U at [..., i, j].
+    Derivatives past the order are None.
+    """
+
+    theta: np.ndarray
+    sigma: np.ndarray
+    spectrum: Spectrum
+    tangents: Optional[np.ndarray] = None
+    hessians: Optional[np.ndarray] = None
+
+    def __getitem__(self, key) -> "ChartJet":
+        """The jets at ``key`` on the stack axes: an index gives one, a slice a stack."""
+        return ChartJet(
+            self.theta[key],
+            self.sigma[key],
+            self.spectrum[key],
+            *(None if a is None else a[key] for a in (self.tangents, self.hessians)),
+        )
+
+
+def _standard_basis(spec: Spectrum, eigenbasis: np.ndarray) -> np.ndarray:
+    """U X U†, symmetrized, for a stack of eigenbasis matrices (..., k, n, n) or (..., k, l, n, n)
+    at the point or points of ``spec``, eigenvalues (..., n)."""
+    at = spec
+    for _ in range(eigenbasis.ndim - spec.unitary.ndim):
+        at = at.expand_dims()
+    return hermitize(at.from_eigenbasis(eigenbasis))
+
+
 @dataclass
 class ParametrizedFamily:
     """A chart theta -> positive matrix, with its analytic derivatives.
 
-    ``chart`` maps a parameter (d,) to an (n, n) matrix and must broadcast
-    over leading axes: a stack (m, d) maps to (m, n, n), row by row with the
-    same arithmetic. ``jacobian(theta)`` returns all d partials of the chart,
-    (d, n, n), and must broadcast in the same way: (m, d) gives (m, d, n, n).
-    ``hessians(theta)`` returns every second partial, (d, d, n, n) with
-    d_i d_j sigma at [i, j], and must broadcast in the same way: (m, d) gives
-    (m, d, d, n, n). All three are required: every consumer takes its chart
-    derivatives from them. Charts must keep the spectrum above
+    ``evaluate(theta, order)`` takes a parameter (d,) or a stack (m, d) and
+    returns (sigma, Spectrum of sigma, tangents, hessians) as ``jet`` names
+    them: derivatives in the eigenbasis of sigma, up to ``order`` (0, 1 or 2),
+    and None past it. A stack is evaluated row by row with the same
+    arithmetic. ``jet`` checks what it returns; every other face of the chart
+    is a view of the jet. Charts must keep the spectrum above
     CHART_MIN_EIGENVALUE (domain guard).
     """
 
     param_dim: int
-    chart: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-    hessians: Callable[[np.ndarray], np.ndarray]
+    evaluate: Callable[[np.ndarray, int], tuple]
 
-    def _evaluate(self, theta: np.ndarray, vectors: bool) -> tuple:
-        """(theta, sigma, eigenvalues, eigenvectors if ``vectors`` else None), checked as
-        ``point_and_spectrum`` says; the eigenvalues come from eigh or eigvalsh."""
+    def jet(self, theta: np.ndarray, order: int = 0) -> ChartJet:
+        """The ChartJet at theta (d,), or at every row of a stack (m, d), up to ``order``.
+
+        Each sigma must be self-adjoint with its spectrum above the guard, which
+        reads the Spectrum the chart returns. The error names the theta that
+        fails, for a stack its first failing row.
+        """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if theta.ndim > 2 or theta.shape[-1] != self.param_dim:
             raise ValueError(
                 f"parameter shape {theta.shape} does not match param_dim {self.param_dim}"
             )
+        if order not in (0, 1, 2):
+            raise ValueError(f"a chart jet has order 0, 1 or 2, got {order!r}")
         try:
-            sigma = check_hermitian(self.chart(theta))
+            sigma, spec, tangents, hessians = self.evaluate(theta, order)
+            sigma = check_hermitian(sigma)
             if sigma.shape[:-2] != theta.shape[:-1]:
                 raise ValueError(
                     f"chart output shape {sigma.shape} does not follow the parameter stack"
@@ -331,29 +372,35 @@ class ParametrizedFamily:
         except ValueError as exc:
             if theta.ndim == 2:
                 for row in theta:  # the first failing row raises with its own theta
-                    self._evaluate(row, vectors)
+                    self.jet(row, order)
             raise ValueError(f"chart evaluation failed at theta={theta.tolist()}: {exc}") from exc
-        w, u = np.linalg.eigh(sigma) if vectors else (np.linalg.eigvalsh(sigma), None)
-        _check_chart_guard(w.min(axis=-1), theta)
-        return theta, sigma, w, u
+        _check_chart_guard(spec.eigenvalues.min(axis=-1), theta)
+        return ChartJet(
+            theta, sigma, spec, tangents if order >= 1 else None, hessians if order >= 2 else None
+        )
 
     def point(self, theta: np.ndarray) -> np.ndarray:
         """Chart value at theta (d,), or at every row of a stack (m, d) as (m, n, n); checked as
-        ``point_and_spectrum`` checks it, with one eigvalsh in place of its eigh."""
-        return self._evaluate(theta, vectors=False)[1]
+        ``jet`` checks it."""
+        return self.jet(theta).sigma
 
     def point_and_spectrum(self, theta: np.ndarray) -> tuple:
-        """(theta as a float array, sigma, Spectrum of sigma) at theta (d,), or at every row of
-        a stack (m, d). Each sigma must be self-adjoint with its spectrum above the guard; one
-        eigh decomposes the stack and serves the guard. The error names the theta that fails,
-        for a stack its first failing row."""
-        theta, sigma, w, u = self._evaluate(theta, vectors=True)
-        return theta, sigma, Spectrum(w, u)
+        """(theta as a float array, sigma, Spectrum of sigma) of the order-0 jet."""
+        jet = self.jet(theta)
+        return jet.theta, jet.sigma, jet.spectrum
 
     def tangent_matrices(self, theta: np.ndarray) -> np.ndarray:
         """All d partials of the chart at theta (d,), shape (d, n, n); (m, d) gives (m, d, n, n),
-        from one ``jacobian`` call."""
-        return check_hermitian(self.jacobian(np.atleast_1d(np.asarray(theta, dtype=float))))
+        in the standard basis: the order-1 jet's tangents rotated out of its eigenbasis."""
+        jet = self.jet(theta, 1)
+        return _standard_basis(jet.spectrum, jet.tangents)
+
+    def hessians(self, theta: np.ndarray) -> np.ndarray:
+        """Every second partial of the chart, (d, d, n, n) with d_i d_j sigma at [i, j]; (m, d)
+        gives (m, d, d, n, n), in the standard basis: the order-2 jet's Hessians rotated out of
+        its eigenbasis."""
+        jet = self.jet(theta, 2)
+        return _standard_basis(jet.spectrum, jet.hessians)
 
     def _check_directions(self, *indices: int) -> None:
         """Reject a direction index outside 0 <= i < param_dim, naming the first such index."""
@@ -363,10 +410,30 @@ class ParametrizedFamily:
                     f"direction index {i} out of range for param_dim {self.param_dim}"
                 )
 
-    def tangent_matrix(self, theta: np.ndarray, i: int) -> np.ndarray:
-        """The i-th partial of the chart at theta: ``tangent_matrices(theta)[i]``."""
-        self._check_directions(i)
-        return self.tangent_matrices(theta)[i]
+
+def _function_jet(lam: np.ndarray, f: ScalarFunction, directions: np.ndarray, order: int) -> tuple:
+    """(first, second) derivatives of A -> f(A) at A with eigenvalues lam (..., n), along the
+    eigenbasis directions E (..., d, n, n), in that eigenbasis; None past ``order``.
+
+    first[..., i] = K o E_i, with K the divided-difference matrix of f, and
+    second[..., i, j] = sum_k f[λa, λk, λb] (E_i E_j + E_j E_i)_akb, (..., d, d, n, n),
+    from the triple tensor of the same K; each pair i <= j is summed once and mirrored.
+    """
+    if order < 1:
+        return None, None
+    k = divided_difference_matrix(lam, f)
+    first = k[..., None, :, :] * directions
+    if order < 2:
+        return first, None
+    d = directions.shape[-3]
+    i, j = np.triu_indices(d)
+    t = _triple_difference_tensor(lam, f, k)[..., None, :, :, :]
+    upper = _triple_contraction(
+        t, _tangent_products(directions[..., i, :, :], directions[..., j, :, :])
+    )
+    second = np.empty(upper.shape[:-3] + (d, d) + upper.shape[-2:], dtype=complex)
+    second[..., i, j, :, :] = second[..., j, i, :, :] = upper
+    return first, second
 
 
 def basis_combination(xi: np.ndarray, basis) -> np.ndarray:
@@ -384,27 +451,6 @@ def basis_combination(xi: np.ndarray, basis) -> np.ndarray:
     for k in range(basis.shape[-3]):
         out = out + xi[..., k, None, None] * basis[..., k, :, :]
     return out
-
-
-def _last_value_cache(fn: Callable[..., object]) -> Callable[..., object]:
-    """fn(*arrays), computed again only when an argument's dtype, shape or bytes change.
-
-    One entry: a chart's consumers (the chart itself, its jacobian and
-    hessians, derived quantities) ask about one theta at a time, so they share
-    one evaluation of the expensive part. The result is shared, not copied.
-    """
-    key = value = None
-
-    def cached(*args):
-        nonlocal key, value
-        args = [np.asarray(a) for a in args]
-        k = tuple((a.dtype.str, a.shape, a.tobytes()) for a in args)
-        if k != key:
-            value = fn(*args)
-            key = k
-        return value
-
-    return cached
 
 
 def affine_coordinates(
@@ -430,47 +476,43 @@ def affine_coordinates(
 def xi_affine_family(basis: Sequence[np.ndarray], alpha: float) -> ParametrizedFamily:
     """Chart in which the order-alpha embedding is linear: embed(sigma) = sum xi_i X_i.
 
-    The chart carries exact first and second derivatives through the
-    inverse-embedding matrix calculus. The chart and its derivatives share
-    one decomposition of sum xi_i X_i per xi, or per stack of xi (m, d).
+    One decomposition of Y = sum xi_i X_i per xi, or per stack of xi (m, d),
+    serves the chart and its jet: sigma = inverse(Y) has the eigenvectors U of
+    Y and the eigenvalues inverse(μ), still ascending as the inverse profile
+    increases. The tangents K o (U† X_i U) and the Hessians come from the
+    inverse-embedding matrix calculus with one divided-difference matrix K.
     """
     alpha = _check_alpha(alpha)
     basis = check_hermitian(np.stack(basis))
     inverse = inverse_embedding_function(alpha)
-    spectrum = _last_value_cache(lambda xi: spectral_decompose(basis_combination(xi, basis)))
 
-    def chart(xi):
-        spec = spectrum(xi)
+    def evaluate(xi, order):
+        spec = spectral_decompose(basis_combination(xi, basis))
         # the exp inverse of the log embedding is defined on every self-adjoint y
         if alpha != 1.0:
             check_weight(spec)
-        return apply_scalar_function(spec, inverse)
+        sigma = apply_scalar_function(spec, inverse)
+        directions = spec.expand_dims().to_eigenbasis(basis) if order >= 1 else None
+        jet = _function_jet(spec.eigenvalues, inverse, directions, order)
+        return (sigma, Spectrum(inverse(spec.eigenvalues), spec.unitary)) + jet
 
-    def jac(xi):
-        return frechet_derivative(spectrum(xi).expand_dims(), basis, inverse)
-
-    def hess(xi):
-        at = spectrum(xi).expand_dims().expand_dims()
-        return frechet_second_derivative(at, basis[:, None], basis[None, :], inverse)
-
-    return ParametrizedFamily(param_dim=len(basis), chart=chart, jacobian=jac, hessians=hess)
+    return ParametrizedFamily(param_dim=len(basis), evaluate=evaluate)
 
 
 def linear_family(base: np.ndarray, directions: Sequence[np.ndarray]) -> ParametrizedFamily:
-    """sigma(theta) = base + sum theta_k D_k with exact chart derivatives."""
+    """sigma(theta) = base + sum theta_k D_k with exact chart derivatives: one eigh of sigma
+    rotates the fixed directions, and the Hessians are zero."""
     base = check_hermitian(base)
     directions = check_hermitian(np.stack(directions))
     zero = np.zeros((len(directions),) + directions.shape, dtype=complex)  # (d, d, n, n)
 
-    def chart(theta):
-        return base + basis_combination(theta, directions)
+    def evaluate(theta, order):
+        sigma = base + basis_combination(theta, directions)
+        spec = Spectrum(*np.linalg.eigh(sigma))
+        tangents = spec.expand_dims().to_eigenbasis(directions) if order >= 1 else None
+        return sigma, spec, tangents, np.broadcast_to(zero, theta.shape[:-1] + zero.shape)
 
-    return ParametrizedFamily(
-        param_dim=len(directions),
-        chart=chart,
-        jacobian=lambda theta: np.broadcast_to(directions, theta.shape[:-1] + directions.shape),
-        hessians=lambda theta: np.broadcast_to(zero, theta.shape[:-1] + zero.shape),
-    )
+    return ParametrizedFamily(param_dim=len(directions), evaluate=evaluate)
 
 
 def simplex_family(n: int) -> ParametrizedFamily:

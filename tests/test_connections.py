@@ -92,8 +92,8 @@ def test_ext_derivative_analytic_matches_fd_chart():
 
 
 def test_ext_derivative_decomposes_the_chart_point_once(calls):
-    # a linear chart (no decomposition of its own): the base point's eigh, which also serves
-    # the chart guard, is the only one; the chart's jacobian and hessians need none
+    # a linear chart: the jet's one eigh of the base point, which also serves the chart guard
+    # and rotates the chart's tangents, is the only one
     fam = linear_family(I2 / 2.0, [SX / 2.0, SZ / 2.0])
     calls.eig()
     res = ext_covariant_derivative(fam, np.array([0.2, -0.1]), 1, 1, 0.3)
@@ -107,9 +107,10 @@ def test_covariant_derivative_set_matches_single_derivatives(on_extended):
     fam = linear_family(I2 / 2.0, [SX / 2.0, SY / 2.0, SZ / 2.0])
     theta = np.array([0.2, -0.1, 0.15])
     single = ext_covariant_derivative if on_extended else covariant_derivative_on_M
-    spec = spectral_decompose(fam.point(theta))
+    jet = fam.jet(theta, 2)
+    spec = jet.spectrum
     alphas = (-0.5, 0.0, 1.0)
-    sets = covariant_derivative_set(fam, theta, spec, alphas, on_extended)
+    sets = covariant_derivative_set(jet, alphas, on_extended)
     assert sets.shape == (3, 3, 3, 2, 2)
     for alpha, nabla in zip(alphas, sets):
         for i in range(3):
@@ -128,14 +129,17 @@ def _qutrit_gibbs_chart():
 @pytest.mark.parametrize("chart", [qutrit_state_family, _qutrit_gibbs_chart])
 @pytest.mark.parametrize("points", [1, 3])
 def test_covariant_derivative_set_takes_every_hessian_from_one_call(calls, chart, points):
-    # a qutrit chart has 36 pairs i <= j; one hessians call, for one theta or a stack, holds them
+    # a qutrit chart has 36 pairs i <= j; one order-2 jet, for one theta or a stack, holds them,
+    # and the set makes no chart call and no decomposition of its own
     fam = chart()
     stack = 0.05 * np.sin(np.arange(1.0, 1.0 + points * fam.param_dim)).reshape(points, -1)
     theta = stack if points > 1 else stack[0]
-    spec = fam.point_and_spectrum(theta)[2]
-    calls.watch(fam, "hessians")
-    covariant_derivative_set(fam, theta, spec, [0.5, -0.5])
-    assert calls.shapes["hessians"] == [theta.shape]
+    calls.watch(fam, "jet")
+    jet = fam.jet(theta, 2)
+    calls.eig()
+    covariant_derivative_set(jet, [0.5, -0.5])
+    assert calls.shapes["jet"] == [theta.shape]
+    assert calls.count("eigh", "eigvalsh") == 0
 
 
 def _witness_cases():
@@ -149,13 +153,12 @@ def _witness_cases():
 
 def _assert_stack_matches_points(fam, points, alphas, on_extended):
     """A stacked covariant_derivative_set equals, point by point, the one-point call's bits."""
-    spec = spectral_decompose(fam.point(points))
-    stacked = covariant_derivative_set(fam, points, spec, alphas, on_extended)
-    d, n = fam.param_dim, spec.dim
+    jet = fam.jet(points, 2)
+    stacked = covariant_derivative_set(jet, alphas, on_extended)
+    d, n = fam.param_dim, jet.spectrum.dim
     assert stacked.shape == (len(alphas), len(points), d, d, n, n)
     for k, theta in enumerate(points):
-        one = spectral_decompose(fam.point(theta))
-        single = covariant_derivative_set(fam, theta, one, alphas, on_extended)
+        single = covariant_derivative_set(fam.jet(theta, 2), alphas, on_extended)
         assert np.array_equal(stacked[:, k], single)
 
 
@@ -202,9 +205,9 @@ def test_stacked_covariant_derivative_set_keeps_each_points_triple_differences(a
 def _assert_matches_oracle(fam, points, alphas, on_extended):
     """Each order of one stacked covariant_derivative_set call, rotated out of each point's
     eigenbasis, agrees with the standard-basis chain at that point to ORACLE_RTOL."""
-    spec = spectral_decompose(fam.point(points))
-    sets = covariant_derivative_set(fam, points, spec, alphas, on_extended)
-    standard = spec.expand_dims().expand_dims().from_eigenbasis(sets)
+    jet = fam.jet(points, 2)
+    sets = covariant_derivative_set(jet, alphas, on_extended)
+    standard = jet.spectrum.expand_dims().expand_dims().from_eigenbasis(sets)
     for alpha, got in zip(alphas, standard):
         for k, theta in enumerate(points):
             want = standard_basis_covariant_set(fam, theta, alpha, on_extended)
@@ -242,10 +245,12 @@ def test_covariant_derivative_set_matches_the_standard_basis_chain_on_charts():
 def test_projected_covariant_derivative_set_rejects_a_base_off_the_unit_trace_manifold():
     fam = qubit_weight_family()
     points = np.array([[0.1, 0.0, 0.0, 0.0], [0.0, 0.2, 0.0, 0.0]])
-    spec = spectral_decompose(fam.point(points))
-    covariant_derivative_set(fam, points, spec, [0.5], on_extended=True)
+    jet = fam.jet(points, 2)
+    covariant_derivative_set(jet, [0.5], on_extended=True)
     with pytest.raises(ValueError, match="not a unit-trace state"):
-        covariant_derivative_set(fam, points, spec, [0.5], on_extended=False)
+        covariant_derivative_set(jet, [0.5], on_extended=False)
+    with pytest.raises(ValueError, match="order-2 jet"):
+        covariant_derivative_set(fam.jet(points, 1), [0.5], on_extended=True)
 
 
 # -------------------------------------------- projected covariant derivative

@@ -138,7 +138,7 @@ def _metric_matrix_reference(family, theta, f):
     """g_ab at one theta in the standard basis: kernel_metric of every tangent pair."""
     d = family.param_dim
     kernel = petz_kernel(family.point(theta), f)
-    tangents = [family.tangent_matrix(theta, k) for k in range(d)]
+    tangents = family.tangent_matrices(theta)
     g = np.empty((d, d))
     for a in range(d):
         for b in range(a, d):
@@ -172,7 +172,7 @@ def _reference_per_triple(family, grid, f, alpha, on_extended):
     tensors = []
     for theta in grid:
         kernel = petz_kernel(family.point(theta), f)
-        tangents = [family.tangent_matrix(theta, k) for k in range(d)]
+        tangents = family.tangent_matrices(theta)
         plus = standard_basis_covariant_set(family, theta, alpha, on_extended)
         minus = standard_basis_covariant_set(family, theta, -alpha, on_extended)
         dg = np.stack([_metric_derivative_reference(family, theta, f, i) for i in range(d)])
@@ -239,14 +239,19 @@ def test_defect_grid_builds_each_connection_set_once(calls, capsys):
     capsys.readouterr()
 
 
-def test_defect_grid_builds_each_signed_alpha_in_one_stacked_call(calls, capsys):
+def test_defect_grid_builds_each_signed_alpha_in_one_stacked_call(capsys, monkeypatch):
     import qiglab.duality
     from qiglab.cli import main
 
-    calls.watch(qiglab.duality, "covariant_derivative_set", arg=1)
-    calls.watch(qiglab.duality, "covariant_derivative_set", key="orders", arg=3)
-    shapes = calls.shapes["covariant_derivative_set"]  # the theta of each call
-    orders = calls.shapes["orders"]  # the alphas of each call
+    shapes, orders = [], []  # the theta of each call's jet, and its alphas
+    build = qiglab.duality.covariant_derivative_set
+
+    def logged(jet, alphas, *args, **kwargs):
+        shapes.append(jet.theta.shape)
+        orders.append(np.shape(alphas))
+        return build(jet, alphas, *args, **kwargs)
+
+    monkeypatch.setattr(qiglab.duality, "covariant_derivative_set", logged)
     witness = standard_witness_families(2, "state")[0]
     shared = DefectGrid(witness.family, sample_grid(witness, 5, 3))
     for alpha in (0.5, -0.5, 0.0):
@@ -270,18 +275,17 @@ def test_defect_grid_builds_each_signed_alpha_in_one_stacked_call(calls, capsys)
 @pytest.mark.parametrize("points", [1, 3])
 @pytest.mark.parametrize("dim, manifold", [(2, "state"), (3, "weight")])
 def test_defect_grid_evaluates_and_decomposes_in_two_stacked_calls(calls, points, dim, manifold):
-    # one chart call and one eigh for all grid points, which also serves the chart guard, and
-    # one hessians call; the defects of every kernel and alpha add none of them
+    # one order-2 jet and one eigh for all grid points, which also serves the chart guard; the
+    # defects of every kernel and alpha add neither
     witness = standard_witness_families(dim, manifold)[0]
-    family = calls.watch(dataclasses.replace(witness.family), "chart")
-    calls.watch(family, "hessians")
+    family = calls.watch(dataclasses.replace(witness.family), "jet")
     grid = sample_grid(witness, [4, dim], points)
     calls.eig()
     shared = DefectGrid(family, grid, witness.on_extended)
     for alpha in (0.5, 0.0):
         for f in (matched_metric(alpha), bures_function()):
             shared.defect(f, alpha)
-    assert (calls.count("chart"), calls.count("hessians")) == (1, 1)
+    assert calls.count("jet") == 1
     assert (calls.count("eigh"), calls.count("eigvalsh")) == (1, 0)
 
 
@@ -534,24 +538,23 @@ def test_dual_coordinate_check_needs_points():
 
 
 def test_metric_matrix_decomposes_the_chart_parameter_once(calls):
-    # the chart's own decomposition, then the point's Spectrum, which also serves the guard;
-    # the analytic tangents reuse the chart's decomposition
+    # the chart's own decomposition gives the point's Spectrum, which also serves the guard,
+    # and the eigenbasis tangents
     family, points, _ = _potential_grid(0.5)
     calls.eig()
-    _metric_matrix(family, points[0], matched_metric(0.5))
-    assert (calls.count("eigh"), calls.count("eigvalsh")) == (2, 0)
+    _metric_matrix(family.jet(points[0], 1), matched_metric(0.5))
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (1, 0)
 
 
 def test_potential_check_evaluates_each_stencil_in_one_chart_call(calls):
-    # one chart call on the grid: the xi-affine chart decomposes it (one eigh) and the grid's
-    # Spectrum serves the guard (one eigh); the tangents and Hessians share the chart's
-    # decomposition, and the coordinates and the metric the Spectrum; the affine check's
-    # Hessians at the first point take one more eigh inside the chart
+    # one chart jet on the grid: the xi-affine chart decomposes it (one eigh), and that
+    # decomposition gives the grid's Spectrum, which serves the guard, the coordinates and the
+    # metric, and the tangents and Hessians, whose first row serves the affine check
     family, points, basis = _potential_grid(0.5)
     calls.eig()
     rep = potential_check(family, 0.5, points, basis)
     assert rep.residual <= 1e-12
-    assert (calls.count("eigh"), calls.count("eigvalsh")) == (3, 0)
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (1, 0)
 
 
 def test_dual_coordinate_check_evaluates_each_stencil_in_one_chart_call(calls):
@@ -640,18 +643,17 @@ def test_flatness_scan_affine_charts_are_flat(dim, alpha):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_flatness_scan_evaluates_each_point_in_one_chart_call(calls, monkeypatch, dim):
-    # per point: the point itself; the second partials take the chart's jacobian and
-    # hessians, which share that call's decomposition
+    # per point: one order-2 jet, whose decomposition serves the second partials
     import qiglab.duality
 
     build = qiglab.duality.xi_affine_family
-    # watch the chart of each family flatness_scan builds
+    # watch the jet of each family flatness_scan builds
     monkeypatch.setattr(
-        qiglab.duality, "xi_affine_family", lambda *a, **k: calls.watch(build(*a, **k), "chart")
+        qiglab.duality, "xi_affine_family", lambda *a, **k: calls.watch(build(*a, **k), "jet")
     )
     assert flatness_scan(0.5, dim) <= 1e-12
     d = dim * dim
-    assert calls.shapes["chart"] == [(d,), (d,)]
+    assert calls.shapes["jet"] == [(d,), (d,)]
 
 
 def test_path_dependence_witness_value():
@@ -667,7 +669,7 @@ def _embedding_trace_identity_gap(basis, alpha, xi):
     emb_m = embedding_function(-alpha)
     ell_a = apply_scalar_function(spec, embedding_function(alpha))
     i, j = np.triu_indices(fam.param_dim)
-    jacs = fam.jacobian(xi)  # all partials, (d, n, n)
+    jacs = fam.tangent_matrices(xi)  # all partials, (d, n, n)
     hess = fam.hessians(xi)[i, j]
     d2_m = frechet_second_derivative(spec, jacs[i], jacs[j], emb_m) + frechet_derivative(spec, hess, emb_m)
     d_ell_m = frechet_derivative(spec, jacs, emb_m)
@@ -693,6 +695,14 @@ def test_kernel_direct_consistency_rows():
     for row in rows:
         assert row["max_rel_dev"] <= 1e-8
         assert row["samples"] == 10
+
+
+def test_kernel_direct_consistency_is_round_off_where_a_pairing_nearly_vanishes():
+    # sample 19 of seed 10, dim 3, alpha 0.9 pairs to 1.05e-3 from O(1) terms: divided by that
+    # pairing, a 1-2 ulp move of the divided differences read 5.3e-12; the Cauchy-Schwarz scale
+    # sqrt(g(a, a) g(b, b)) reads round-off
+    (row,) = kernel_direct_consistency(seed=10, dims=(3,), alphas=(0.9,))
+    assert row["max_rel_dev"] <= 1e-14
 
 
 def test_monotonicity_scan_rows():
@@ -835,7 +845,7 @@ def test_gibbs_family_analytic_jacobian_matches_fd():
     theta = np.array([0.4, 0.1])
     # the stencil sees only the chart values, never the chart's jacobian
     fd = _scalar_gradient(gibbs.family.point, theta)
-    np.testing.assert_allclose(gibbs.family.jacobian(theta), fd, atol=1e-7)
+    np.testing.assert_allclose(gibbs.family.tangent_matrices(theta), fd, atol=1e-7)
     # hessian symmetry comes along for free from the analytic form
     hess = gibbs.family.hessians(theta)
     np.testing.assert_allclose(hess[0, 1], hess[1, 0], atol=1e-11)
@@ -906,7 +916,7 @@ def _serial_projection(rho, gibbs, tol=1e-9, max_iter=200):
         return gibbs.means(th) - target
 
     def hessian(th):
-        dsig = gibbs.family.jacobian(th)
+        dsig = gibbs.family.tangent_matrices(th)
         hess = np.array([[np.trace(dsig[j] @ y).real for j in range(len(ys))] for y in ys])
         return 0.5 * (hess + hess.T)
 
@@ -959,8 +969,8 @@ def test_stacked_projection_matches_serial_solve_row_by_row(dim, n_obs):
         sigma = gibbs.state(rep.theta_star)
         segment = state_tangent(sigma, rho - sigma)
         orth = max(
-            abs(bkm_direct(sigma, segment, gibbs.family.tangent_matrix(rep.theta_star, i)))
-            for i in range(n_obs)
+            abs(bkm_direct(sigma, segment, partial))
+            for partial in gibbs.family.tangent_matrices(rep.theta_star)
         )
         assert rep.orthogonality_residual == pytest.approx(orth, rel=0.0, abs=1e-13)
         assert rep.relative_entropy_value == pytest.approx(
@@ -970,13 +980,14 @@ def test_stacked_projection_matches_serial_solve_row_by_row(dim, n_obs):
 
 def test_stacked_projection_decomposes_each_newton_pass_once(calls):
     # the ten instances of `entropy-projection --dim 3 --instances 10 --seed 5`
-    # take 4-5 steps each, every one accepted at t = 1: one stacked eigh for the
-    # states, then one per Newton pass, shared by the gradient, Hessian and objective
+    # take 3-4 steps each (4-5 passes), every one accepted at t = 1: one stacked eigh
+    # for the states, one at the start and one per step, each shared by the value, the
+    # gradient and the Hessian of every row it evaluates
     rhos, observables = _projection_instances(5, 10, 3, 2)
     calls.eig()
     reports = entropy_projections(rhos, observables)
     assert max(r.iterations for r in reports) == 5
-    assert calls.count("eigh", "eigvalsh") == 1 + 5 + 1
+    assert calls.count("eigh", "eigvalsh") == 1 + 1 + 4
 
 
 def test_stacked_projection_errors_name_the_stack_index():
@@ -998,23 +1009,20 @@ def test_stacked_projection_errors_name_the_stack_index():
         entropy_projections(states, np.array([[z], [z]]))
 
 
-def _quadratic_rows(curvatures, hessians, centers):
-    """Callbacks for rows f_r(x) = (x - c_r) . A_r (x - c_r) / 2, whose Newton Hessian is H_r."""
-    log = {"objective": [], "gradient": []}
+def _quadratic_rows(curvatures, hessians, centers, noisy=None):
+    """The callback for rows f_r(x) = (x - c_r) . A_r (x - c_r) / 2, whose Newton Hessian is
+    H_r, and its log: the rows and points of each call. ``noisy(x, f)``, when given, is the
+    value the callback reports in place of f."""
+    log = []
 
-    def objective(x, rows):
-        log["objective"].append((rows.copy(), x.copy()))
+    def evaluate(x, rows):
+        log.append((rows.copy(), x.copy()))
         diff = x - centers[rows]
-        return 0.5 * np.einsum("ri,rij,rj->r", diff, curvatures[rows], diff)
+        value = 0.5 * np.einsum("ri,rij,rj->r", diff, curvatures[rows], diff)
+        gradient = np.einsum("rij,rj->ri", curvatures[rows], diff)
+        return value if noisy is None else noisy(x, value), gradient, hessians[rows]
 
-    def gradient(x, rows):
-        log["gradient"].append(rows.copy())
-        return np.einsum("rij,rj->ri", curvatures[rows], x - centers[rows])
-
-    def hessian(x, rows):
-        return hessians[rows]
-
-    return objective, gradient, hessian, log
+    return evaluate, log
 
 
 def test_damped_newton_falls_back_to_gradient_only_on_the_singular_row():
@@ -1022,12 +1030,12 @@ def test_damped_newton_falls_back_to_gradient_only_on_the_singular_row():
     hessians = curvatures.copy()
     hessians[1] = [[1.0, 1.0], [1.0, 1.0]]  # singular: row 1 steps along -grad
     centers = np.array([[1.0, -2.0], [0.5, 0.25], [-1.0, 3.0]])
-    objective, gradient, hessian, log = _quadratic_rows(curvatures, hessians, centers)
+    evaluate, log = _quadratic_rows(curvatures, hessians, centers)
     x0 = np.zeros((3, 2))
-    x, grad, iterations = _damped_newton(objective, gradient, hessian, x0, tol=1e-12, max_iter=50)
+    x, grad, iterations = _damped_newton(evaluate, x0, tol=1e-12, max_iter=50)
     # the first line-search trial of every row is x0 + delta: Newton's exact minimizer
     # for rows 0 and 2, x0 - grad for row 1 (with A = I that is its minimizer as well)
-    rows, trial = log["objective"][1]
+    rows, trial = log[1]
     assert rows.tolist() == [0, 1, 2]
     np.testing.assert_array_equal(trial[1], x0[1] + np.eye(2) @ centers[1])
     np.testing.assert_allclose(trial[[0, 2]], centers[[0, 2]], rtol=0.0, atol=1e-15)
@@ -1043,15 +1051,15 @@ def test_damped_newton_caps_one_row_while_the_others_converge():
     hessians = curvatures.copy()
     hessians[1] = 0.1 * curvatures[1]
     centers = np.array([[1.0, -2.0], [0.5, 0.25], [-1.0, 3.0]])
-    objective, gradient, hessian, log = _quadratic_rows(curvatures, hessians, centers)
-    x, grad, iterations = _damped_newton(
-        objective, gradient, hessian, np.zeros((3, 2)), tol=1e-12, max_iter=6
-    )
+    evaluate, log = _quadratic_rows(curvatures, hessians, centers)
+    x, grad, iterations = _damped_newton(evaluate, np.zeros((3, 2)), tol=1e-12, max_iter=6)
     assert iterations.tolist() == [2, 6, 2]
     gnorm = np.abs(grad).max(axis=-1)
     assert gnorm[1] > 1e-12 and gnorm[[0, 2]].max() <= 1e-12
-    # a converged row is not evaluated again
-    assert [r.tolist() for r in log["gradient"]] == [[0, 1, 2], [0, 1, 2]] + [[1]] * 5
+    # rows 0 and 2 converge at their first trial, and a converged row is not evaluated again;
+    # row 1 is evaluated at least once in each of passes 2 to 6
+    assert [r.tolist() for r, _ in log[:2]] == [[0, 1, 2], [0, 1, 2]]
+    assert len(log) >= 7 and all(r.tolist() == [1] for r, _ in log[2:])
 
 
 def test_damped_newton_takes_full_steps_once_the_decrease_is_below_the_slack():
@@ -1060,21 +1068,21 @@ def test_damped_newton_takes_full_steps_once_the_decrease_is_below_the_slack():
     # evaluated at t < 1 once its predicted decrease is within the slack
     curvatures = np.array([np.diag([2.0, 3.0]), [[2.0, 0.5], [0.5, 1.0]], np.diag([4.0, 1.0])])
     centers = np.array([[1.0, -2.0], [0.5, 0.25], [-1.0, 3.0]])
-    objective, gradient, hessian, log = _quadratic_rows(curvatures, curvatures.copy(), centers)
     ulp = np.spacing(2.9)
 
-    def noisy(x, rows):
+    def noisy(x, value):
         noise = 40.0 * ulp * np.cos(1e9 * x.sum(axis=-1))  # fixed by the point
-        return 2.9 + objective(x, rows) + noise
+        return 2.9 + value + noise
 
+    evaluate, log = _quadratic_rows(curvatures, curvatures.copy(), centers, noisy)
     x0 = centers + 1e-8 * np.array([[1.0, -1.0], [2.0, 1.0], [-1.0, 0.5]])
-    x, grad, iterations = _damped_newton(noisy, gradient, hessian, x0, tol=1e-12, max_iter=50)
+    x, grad, iterations = _damped_newton(evaluate, x0, tol=1e-12, max_iter=50)
     assert iterations.tolist() == [2, 2, 2]
     np.testing.assert_allclose(x, centers, rtol=0.0, atol=1e-15)
     assert np.abs(grad).max() <= 1e-12
-    # one pass: the values at x0, then one trial of every row at x0 + delta (t = 1)
-    assert [rows.tolist() for rows, _ in log["objective"]] == [[0, 1, 2], [0, 1, 2]]
-    np.testing.assert_allclose(log["objective"][1][1], centers, rtol=0.0, atol=1e-15)
+    # one pass: the evaluation at x0, then one trial of every row at x0 + delta (t = 1)
+    assert [rows.tolist() for rows, _ in log] == [[0, 1, 2], [0, 1, 2]]
+    np.testing.assert_allclose(log[1][1], centers, rtol=0.0, atol=1e-15)
 
 
 def test_damped_newton_keeps_a_halved_step_once_its_decrease_is_below_the_slack():
@@ -1085,18 +1093,80 @@ def test_damped_newton_keeps_a_halved_step_once_its_decrease_is_below_the_slack(
     ulp = np.spacing(2.9)
     center = np.array([[0.5, -0.25]])
     x0 = center + [[np.sqrt(96.0 * ulp), 0.0]]  # 0.25 |slope| = 0.25 |x0 - center|^2 = 24 ulps
-    objective, gradient, hessian, log = _quadratic_rows(np.eye(2)[None], np.eye(2)[None], center)
 
-    def noisy(x, rows):
-        return 2.9 + objective(x, rows) + 80.0 * ulp * np.any(x != x0, axis=-1)
+    def noisy(x, value):
+        return 2.9 + value + 80.0 * ulp * np.any(x != x0, axis=-1)
 
-    x, grad, iterations = _damped_newton(noisy, gradient, hessian, x0, tol=1e-12, max_iter=50)
+    evaluate, log = _quadratic_rows(np.eye(2)[None], np.eye(2)[None], center, noisy)
+    x, grad, iterations = _damped_newton(evaluate, x0, tol=1e-12, max_iter=50)
     assert iterations.tolist() == [3]
     np.testing.assert_allclose(x, center, rtol=0.0, atol=1e-15)
-    # pass 1: the value at x0 and the trial t = 1; pass 2: the value at the half step and t = 1
-    points = [p[0] for _, p in log["objective"]]
+    # pass 1: the evaluation at x0, the trial t = 1 and the kept half step, evaluated once
+    # without a comparison; pass 2: the trial t = 1
+    points = [p[0] for _, p in log]
     half = 0.5 * (x0[0] + center[0])
     np.testing.assert_allclose(points, [x0[0], center[0], half, center[0]], rtol=0.0, atol=1e-15)
+
+
+def test_damped_newton_evaluates_each_accepted_step_once():
+    # separable rows f_r(x) = sum_i exp(x_i) - c_ri x_i from x = 0: every Newton step passes the
+    # Armijo test at t = 1, so a row is evaluated at its start and once per step, and a row
+    # that has converged is not evaluated again
+    centers = np.array([[2.0, 0.5], [1.0, 1.0], [1.5, 0.8], [0.6, 1.9]])
+    log = []
+
+    def evaluate(x, rows):
+        log.append(rows.copy())
+        return (
+            np.sum(np.exp(x) - centers[rows] * x, axis=-1),
+            np.exp(x) - centers[rows],
+            np.exp(x)[:, :, None] * np.eye(2),
+        )
+
+    x, grad, iterations = _damped_newton(evaluate, np.zeros((4, 2)), tol=1e-12, max_iter=50)
+    np.testing.assert_allclose(x, np.log(centers), rtol=0.0, atol=1e-12)
+    assert iterations.tolist() == [6, 1, 6, 6]
+    assert len(log) == max(iterations)
+    for r, count in enumerate(iterations):
+        seen = [k for k, rows in enumerate(log) if r in rows]
+        assert seen == list(range(count))
+
+
+# Per-row Newton passes of the CLI solves, recorded before the solves took one callback per
+# point: `potential` gives [[4, 4], [2, 2], [4, 4]] at every seed from 0 to 299, and these are
+# `entropy-projection --instances 10` at seeds 0-9, instance by instance.
+RECORDED_PROJECTION_PASSES = {
+    3: ["4544544444", "5455445445", "4455444544", "4444455554", "4545454444",
+        "4545544544", "4454554543", "4455444354", "4445454544", "5444454544"],
+    4: ["5444544444", "5455445444", "4444444444", "4544444454", "4545444444",
+        "4544544444", "4444544444", "4454444454", "4444544445", "4444444444"],
+}
+
+
+def test_newton_passes_match_the_recorded_ones(capsys, monkeypatch):
+    import qiglab.duality
+    from qiglab.cli import main
+
+    runs = []
+    newton = qiglab.duality._damped_newton
+
+    def logged(*args, **kwargs):
+        out = newton(*args, **kwargs)
+        runs.append(out[2].tolist())
+        return out
+
+    monkeypatch.setattr(qiglab.duality, "_damped_newton", logged)
+    for seed in range(0, 300, 15):
+        runs.clear()
+        assert main(["potential", "--seed", str(seed)]) == 0
+        assert runs == [[4, 4], [2, 2], [4, 4]]
+    for dim, recorded in RECORDED_PROJECTION_PASSES.items():
+        for seed, passes in enumerate(recorded):
+            runs.clear()
+            argv = ["entropy-projection", "--dim", str(dim), "--instances", "10"]
+            assert main(argv + ["--seed", str(seed)]) == 0
+            assert runs == [[int(c) for c in passes]]
+    capsys.readouterr()
 
 
 def _loop_hessian(fn, x):
@@ -1149,8 +1219,8 @@ def test_stacked_scalar_hessian_equals_the_one_point_stencil(alpha):
 
 
 def test_potential_check_makes_the_same_chart_calls_for_any_grid(calls):
-    # one for the whole grid: its decomposition serves the affine check, the coordinates, the
-    # metric and the exact derivatives of the potential (chart Hessians are no chart call)
+    # one order-2 jet for the whole grid: its decomposition serves the affine check, the
+    # coordinates, the metric and the exact derivatives of the potential
     basis = hermitian_basis(2)
     counts = []
     for n_points in (6, 12):
@@ -1158,7 +1228,7 @@ def test_potential_check_makes_the_same_chart_calls_for_any_grid(calls):
         rng = rng_from(3)
         sigmas = np.stack([random_weight(rng, 2, 0.7, 1.5) for _ in range(n_points)])
         points = affine_coordinates(sigmas, 0.5, basis)
-        calls.watch(family, "chart", key=n_points)
+        calls.watch(family, "jet", key=n_points)
         rep = potential_check(family, 0.5, points, basis)
         assert rep.residual <= 1e-12
         counts.append(calls.count(n_points))

@@ -215,7 +215,7 @@ def test_xi_affine_family_analytic_matches_fd():
     # the stencil sees only the chart values, never the chart's jacobian
     fd = _scalar_gradient(exact.point, xi0)
     for i in range(3):
-        np.testing.assert_allclose(exact.tangent_matrix(xi0, i), fd[i], atol=1e-8)
+        np.testing.assert_allclose(exact.tangent_matrices(xi0)[i], fd[i], atol=1e-8)
 
 
 def test_tangent_matrix_is_chart_derivative():
@@ -223,7 +223,7 @@ def test_tangent_matrix_is_chart_derivative():
     theta = np.array([0.5, 0.3])
     want = np.zeros((3, 3), dtype=complex)
     want[0, 0], want[2, 2] = 1.0, -1.0
-    np.testing.assert_allclose(fam.tangent_matrix(theta, 0), want, atol=1e-14)
+    np.testing.assert_allclose(fam.tangent_matrices(theta)[0], want, atol=1e-14)
     np.testing.assert_allclose(fam.point(theta), np.diag([0.5, 0.3, 0.2]), atol=1e-14)
 
 
@@ -234,12 +234,6 @@ def test_point_and_spectrum_decomposes_the_chart_value():
     np.testing.assert_array_equal(sigma, fam.point(theta))
     np.testing.assert_allclose(spec.eigenvalues, [0.2, 0.3, 0.5], atol=1e-15)
     np.testing.assert_allclose(spec.matrix(), sigma, atol=1e-15)
-
-
-def test_tangent_matrix_index_out_of_range():
-    fam = simplex_family(3)
-    with pytest.raises(ValueError, match="out of range"):
-        fam.tangent_matrix(np.array([0.5, 0.3]), 5)
 
 
 def test_linear_family_hessian_is_zero():

@@ -25,7 +25,13 @@ REMOVED = {
 }
 
 # Chart-contract fields replaced by another; the README's "Removed" table names the replacement.
-REMOVED_FAMILY_FIELDS = {"hessian", "has_analytic_second_order"}
+REMOVED_FAMILY_FIELDS = {
+    "hessian",
+    "has_analytic_second_order",
+    "chart",
+    "jacobian",
+    "tangent_matrix",
+}
 
 
 def test_package_exports_the_module_lists_once():
@@ -52,16 +58,21 @@ def _column(t):
     return t[..., None]
 
 
+def _column_jet(t, order):
+    return _column(t), None, None, None
+
+
 def test_removed_chart_fields_are_gone():
-    family = ParametrizedFamily(1, chart=_column, jacobian=_column, hessians=_column)
+    family = ParametrizedFamily(1, evaluate=_column_jet)
     for name in REMOVED_FAMILY_FIELDS:
         assert not hasattr(ParametrizedFamily, name), name
         assert not hasattr(family, name), name
 
 
 def test_a_chart_without_derivatives_is_rejected_at_construction():
-    # every consumer takes the chart's derivatives from the chart, so none may be missing
-    with pytest.raises(TypeError, match="jacobian"):
-        ParametrizedFamily(1, chart=_column)
-    with pytest.raises(TypeError, match="hessians"):
-        ParametrizedFamily(1, chart=_column, jacobian=_column)
+    # every consumer takes the chart's derivatives from its jet, so the evaluator may not be
+    # missing, and separate value and derivative callables are no chart
+    with pytest.raises(TypeError, match="evaluate"):
+        ParametrizedFamily(1)
+    with pytest.raises(TypeError, match="chart"):
+        ParametrizedFamily(1, chart=_column, jacobian=_column, hessians=_column)
