@@ -489,7 +489,7 @@ def _newton_steps(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return steps
 
 
-def _damped_newton(evaluate, x, tol: float, max_iter: int):
+def _damped_newton(evaluate, x, tol: float, max_iter: int, accepted=None):
     """Minimize smooth convex objectives by Newton steps with Armijo backtracking, row by row.
 
     x is a stack of starting points (k, d). ``evaluate`` is asked about some
@@ -499,7 +499,10 @@ def _damped_newton(evaluate, x, tol: float, max_iter: int):
     first trial costs one call; a row whose gradient reached ``tol`` is not
     evaluated again, and a row whose Hessian is singular steps along
     -gradient. Each row has its own convergence test, step length and
-    iteration count.
+    iteration count. ``accepted``, when given, is called with the points
+    (r, d) and indices (r,) of rows evaluated at their start and, after each
+    pass, at the steps they keep; it may raise. A trial the line search
+    rejects is not passed to it.
 
     A row keeps its step t without comparing values once the predicted
     decrease t * |slope| / 4 is within the slack, sixteen ulps of the value at
@@ -509,12 +512,14 @@ def _damped_newton(evaluate, x, tol: float, max_iter: int):
     Other rows halve t until the Armijo test passes (or t falls below 1e-12).
     Convergence is the gradient test alone.
 
-    Returns (x, gradient at x, iterations), iterations (k,): a row's count
-    is max_iter when its gradient never reached ``tol``.
+    Returns (x, value at x, gradient at x, iterations), iterations (k,): a
+    row's count is max_iter when its gradient never reached ``tol``.
     """
     x = np.array(x, dtype=float)
     active = np.arange(len(x))
     value, grad, hess = (np.array(a, dtype=float) for a in evaluate(x, active))
+    accepted = accepted or (lambda points, rows: None)
+    accepted(x, active)
     iterations = np.zeros(len(x), dtype=int)
 
     def move(rows):  # rows (indices into active) to xa + t delta, evaluated there
@@ -550,7 +555,8 @@ def _damped_newton(evaluate, x, tol: float, max_iter: int):
         kept = np.concatenate(unevaluated)
         if kept.size:
             move(kept)
-    return x, grad, iterations
+        accepted(x[active], active)
+    return x, value, grad, iterations
 
 
 def _check_affine(alpha: float, jet: ChartJet) -> None:
@@ -674,10 +680,9 @@ def dual_coordinate_check(
         return psi - _row_dot(x, eta0[rows]), eta - eta0[rows], c * _trace(at.hessians)
 
     start = points + 0.05 * rng_from(seed).standard_normal(points.shape)
-    x_min, _, _ = _damped_newton(evaluate, start, tol=1e-9, max_iter=50)
+    _, value_min, _, _ = _damped_newton(evaluate, start, tol=1e-9, max_iter=50)
     # phi(eta0) = -(min value); residual is the optimality gap of xi itself
-    psi_min = c * family.jet(x_min).spectrum.eigenvalues.sum(axis=-1)
-    gap = psi0 - _row_dot(points, eta0) - (psi_min - _row_dot(x_min, eta0))
+    gap = psi0 - _row_dot(points, eta0) - value_min
     leg_res = float(np.abs(gap).max())
     return DualCoordinateReport(
         alpha=alpha,
@@ -1050,7 +1055,8 @@ def entropy_projections(rhos: np.ndarray, observables: np.ndarray, tol: float = 
     rhos (k, n, n) are states and observables (k, m, n, n) the families'
     observables. Every row gets the checks of one projection (a state;
     self-adjoint, linearly independent observables; chart values above the
-    guard), and an error names the failing row by its stack index. All rows
+    guard at every kept Newton step, though a rejected trial may fall
+    below it), and an error names the failing row by its stack index. All rows
     run as one damped Newton iteration on theta -> psi(theta) - theta .
     means(rho), each with its own step length, convergence test and count;
     one stacked decomposition gives the value, gradient and Hessian of every
@@ -1077,12 +1083,16 @@ def entropy_projections(rhos: np.ndarray, observables: np.ndarray, tol: float = 
 
     def evaluate(theta, rows):
         psi, means, d2psi, (sigma, state, t, _) = _gibbs_evaluation(theta, ys[rows], 1)
-        _check_chart_guard(state.eigenvalues.min(axis=-1), theta, rows)
         mu[rows], unitary[rows] = state.eigenvalues, state.unitary
         sigmas[rows], tangents[rows] = sigma, t
         return psi - _row_dot(theta, target[rows]), means - target[rows], d2psi
 
-    theta, grad, iterations = _damped_newton(evaluate, np.zeros((k, m)), tol, max_iter=200)
+    def accepted(theta, rows):  # a rejected trial may fall below the guard; a kept step may not
+        _check_chart_guard(mu[rows].min(axis=-1), theta, rows)
+
+    theta, _, grad, iterations = _damped_newton(
+        evaluate, np.zeros((k, m)), tol, max_iter=200, accepted=accepted
+    )
     gnorm = np.abs(grad).max(axis=-1)
     # BKM pairing Tr((rho - sigma*) L_log(sigma*)[d_i sigma]) in the eigenbasis of sigma* that
     # the last evaluation of each row decomposed, where L_log(sigma*) scales entrywise by the

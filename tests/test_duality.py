@@ -39,6 +39,7 @@ from qiglab.duality import (
     witness_curve,
 )
 from qiglab.manifold import (
+    CHART_MIN_EIGENVALUE,
     _scalar_gradient,
     affine_coordinates,
     alpha_representation,
@@ -1009,6 +1010,24 @@ def test_stacked_projection_errors_name_the_stack_index():
         entropy_projections(states, np.array([[z], [z]]))
 
 
+def test_projection_guard_reads_kept_steps_only():
+    # rho = diag(0.99, 0.01/15, ...) on n = 16 with the one observable |0><0|: from theta = 0
+    # the full Newton step is (0.99 - 1/16) n^2 / (n - 1), where sigma's smallest eigenvalue
+    # is below the chart guard; the Armijo test rejects that trial and the halved step, far
+    # above the guard, is kept, so the projection converges
+    n = 16
+    full = (0.99 - 1.0 / n) * n * n / (n - 1)
+    assert 1.0 / (np.exp(full) + n - 1) < CHART_MIN_EIGENVALUE
+    y = np.zeros((1, 1, n, n), dtype=complex)
+    y[0, 0, 0, 0] = 1.0
+    rho = np.diag([0.99] + [0.01 / (n - 1)] * (n - 1)).astype(complex)
+    (report,) = entropy_projections(rho[None], y)
+    assert report.converged
+    # theta* = log(0.99 (n - 1) / 0.01), within tol over the curvature 0.99 * 0.01
+    theta_star = np.log(0.99 * (n - 1) / 0.01)
+    np.testing.assert_allclose(report.theta_star, [theta_star], rtol=0.0, atol=1e-9 / 0.0099)
+
+
 def _quadratic_rows(curvatures, hessians, centers, noisy=None):
     """The callback for rows f_r(x) = (x - c_r) . A_r (x - c_r) / 2, whose Newton Hessian is
     H_r, and its log: the rows and points of each call. ``noisy(x, f)``, when given, is the
@@ -1032,7 +1051,7 @@ def test_damped_newton_falls_back_to_gradient_only_on_the_singular_row():
     centers = np.array([[1.0, -2.0], [0.5, 0.25], [-1.0, 3.0]])
     evaluate, log = _quadratic_rows(curvatures, hessians, centers)
     x0 = np.zeros((3, 2))
-    x, grad, iterations = _damped_newton(evaluate, x0, tol=1e-12, max_iter=50)
+    x, _, grad, iterations = _damped_newton(evaluate, x0, tol=1e-12, max_iter=50)
     # the first line-search trial of every row is x0 + delta: Newton's exact minimizer
     # for rows 0 and 2, x0 - grad for row 1 (with A = I that is its minimizer as well)
     rows, trial = log[1]
@@ -1052,14 +1071,18 @@ def test_damped_newton_caps_one_row_while_the_others_converge():
     hessians[1] = 0.1 * curvatures[1]
     centers = np.array([[1.0, -2.0], [0.5, 0.25], [-1.0, 3.0]])
     evaluate, log = _quadratic_rows(curvatures, hessians, centers)
-    x, grad, iterations = _damped_newton(evaluate, np.zeros((3, 2)), tol=1e-12, max_iter=6)
+    x, _, grad, iterations = _damped_newton(evaluate, np.zeros((3, 2)), tol=1e-12, max_iter=6)
     assert iterations.tolist() == [2, 6, 2]
     gnorm = np.abs(grad).max(axis=-1)
     assert gnorm[1] > 1e-12 and gnorm[[0, 2]].max() <= 1e-12
-    # rows 0 and 2 converge at their first trial, and a converged row is not evaluated again;
-    # row 1 is evaluated at least once in each of passes 2 to 6
-    assert [r.tolist() for r, _ in log[:2]] == [[0, 1, 2], [0, 1, 2]]
-    assert len(log) >= 7 and all(r.tolist() == [1] for r, _ in log[2:])
+    # rows 0 and 2 converge at their first trial, and a converged row is not evaluated again.
+    # Row 1's step is 10 (c - x), so at t its offset from c is scaled by 1 - 10 t: every pass
+    # tries t = 1, 1/2 and 1/4 and keeps t = 1/8, which scales the offset by -1/4
+    assert [r.tolist() for r, _ in log] == [[0, 1, 2]] * 2 + [[1]] * 3 + [[1]] * 4 * 5
+    offsets = -centers[1] * (-0.25) ** np.arange(6)[:, None, None]
+    trials = centers[1] + offsets * (1.0 - 10.0 * np.array([1.0, 0.5, 0.25, 0.125]))[:, None]
+    points = [p[1] if len(r) == 3 else p[0] for r, p in log[1:]]
+    np.testing.assert_allclose(points, trials.reshape(-1, 2), rtol=0.0, atol=1e-15)
 
 
 def test_damped_newton_takes_full_steps_once_the_decrease_is_below_the_slack():
@@ -1076,7 +1099,7 @@ def test_damped_newton_takes_full_steps_once_the_decrease_is_below_the_slack():
 
     evaluate, log = _quadratic_rows(curvatures, curvatures.copy(), centers, noisy)
     x0 = centers + 1e-8 * np.array([[1.0, -1.0], [2.0, 1.0], [-1.0, 0.5]])
-    x, grad, iterations = _damped_newton(evaluate, x0, tol=1e-12, max_iter=50)
+    x, _, grad, iterations = _damped_newton(evaluate, x0, tol=1e-12, max_iter=50)
     assert iterations.tolist() == [2, 2, 2]
     np.testing.assert_allclose(x, centers, rtol=0.0, atol=1e-15)
     assert np.abs(grad).max() <= 1e-12
@@ -1098,7 +1121,7 @@ def test_damped_newton_keeps_a_halved_step_once_its_decrease_is_below_the_slack(
         return 2.9 + value + 80.0 * ulp * np.any(x != x0, axis=-1)
 
     evaluate, log = _quadratic_rows(np.eye(2)[None], np.eye(2)[None], center, noisy)
-    x, grad, iterations = _damped_newton(evaluate, x0, tol=1e-12, max_iter=50)
+    x, _, grad, iterations = _damped_newton(evaluate, x0, tol=1e-12, max_iter=50)
     assert iterations.tolist() == [3]
     np.testing.assert_allclose(x, center, rtol=0.0, atol=1e-15)
     # pass 1: the evaluation at x0, the trial t = 1 and the kept half step, evaluated once
@@ -1123,7 +1146,7 @@ def test_damped_newton_evaluates_each_accepted_step_once():
             np.exp(x)[:, :, None] * np.eye(2),
         )
 
-    x, grad, iterations = _damped_newton(evaluate, np.zeros((4, 2)), tol=1e-12, max_iter=50)
+    x, _, grad, iterations = _damped_newton(evaluate, np.zeros((4, 2)), tol=1e-12, max_iter=50)
     np.testing.assert_allclose(x, np.log(centers), rtol=0.0, atol=1e-12)
     assert iterations.tolist() == [6, 1, 6, 6]
     assert len(log) == max(iterations)
@@ -1152,7 +1175,7 @@ def test_newton_passes_match_the_recorded_ones(capsys, monkeypatch):
 
     def logged(*args, **kwargs):
         out = newton(*args, **kwargs)
-        runs.append(out[2].tolist())
+        runs.append(out[-1].tolist())  # the per-row iteration counts
         return out
 
     monkeypatch.setattr(qiglab.duality, "_damped_newton", logged)
