@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -176,130 +177,6 @@ def _count(opt, key, floor=1):
 
 _COMMON_DEFAULTS = {"seed": "0", "format": "jsonl", "output": ""}
 
-_DEFAULTS = {
-    "metric-table": {
-        "dims": "2,3,4",
-        "alphas": "-0.9,-0.5,0,0.5,0.9",
-        "samples": "50",
-        "floor": "0.05",
-        "tol": "1e-8",
-        "ordering_samples": "25",
-    },
-    "duality": {
-        "metric": "wyd",
-        "alpha": "-0.5,0,0.5",
-        "dim": "2,3",
-        "manifold": "both",
-        "points": "3",
-        "tol": str(POSITIVE_TOL),
-        "gap": str(FALSIFICATION_GAP),
-    },
-    "transport-duality": {
-        "metric": "wyd",
-        "alpha": "0.5",
-        "steps": "256",
-        "tol": "1e-9",
-        "gap": "1e-4",
-    },
-    "potential": {
-        "alpha": "-0.5,0,0.5",
-        "dim": "2",
-        "points": "0",
-        "dual_points": "2",
-        "tol": "1e-5",
-        "regression_tol": "1e-6",
-        "legendre_tol": "1e-5",
-    },
-    "uniqueness-scan": {
-        "alpha": "0.5",
-        "points": "3",
-        "tol": str(POSITIVE_TOL),
-        "gap": str(FALSIFICATION_GAP),
-    },
-    "monotonicity": {
-        "trials": "1000",
-        "margin_tol": "1e-9",
-        "strict_fraction": "0.99",
-    },
-    "flatness": {
-        "alpha": "-0.5,0,0.5",
-        "dim": "2",
-        "tol": "1e-6",
-        "witness_tol": "1e-3",
-        "steps": "256",
-    },
-    "convexity-failure": {
-        "alpha": "0.5",
-        "classical_tol": "1e-8",
-        "witness_tol": "1e-4",
-        "fisher_tol": "1e-9",
-        "gap": str(FALSIFICATION_GAP),
-    },
-    "entropy-projection": {
-        "instances": "20",
-        "dim": "3",
-        "observables": "2",
-        "tol": "1e-9",
-        "mean_tol": "1e-7",
-        "orthogonality_tol": "1e-6",
-        "taylor_t": "1e-2",
-        "taylor_tol": "1e-4",
-    },
-}
-
-_COLUMNS = {
-    "metric-table": ["record", "check", "dim", "alpha", "metric", "value", "status"],
-    "duality": ["record", "metric", "alpha", "family", "manifold", "defect", "status"],
-    "transport-duality": ["record", "metric", "alpha", "initial_value", "deviation", "status"],
-    "potential": [
-        "record",
-        "alpha",
-        "dim",
-        "hessian_residual",
-        "gradient_residual",
-        "jacobian_residual",
-        "legendre_residual",
-        "status",
-    ],
-    "uniqueness-scan": ["record", "candidate", "defect", "band", "expected_dual", "status"],
-    "monotonicity": [
-        "record",
-        "metric",
-        "trials",
-        "min_margin",
-        "depolarizing_strict_fraction",
-        "regularized",
-        "inconclusive",
-        "status",
-    ],
-    "flatness": ["record", "check", "alpha", "value", "status"],
-    "convexity-failure": ["record", "check", "alpha", "value", "status"],
-    "entropy-projection": [
-        "record",
-        "instance",
-        "converged",
-        "iterations",
-        "mean_residual",
-        "orthogonality_residual",
-        "relative_entropy",
-        "status",
-    ],
-}
-
-_CSV_NOTE = (
-    """\
-CSV columns per subcommand (a trailing wall_clock_s column is filled on the
-summary row only; the effective configuration becomes a '# config' comment
-line right after the header; negative list values need the --key=v1,v2 form):
-"""
-    + "".join(f"  {name:<18} {','.join(cols)}\n" for name, cols in _COLUMNS.items())
-    + """
-Config files hold 'key = value' lines ('#' comments allowed) with the same
-keys as the long options (dashes or underscores); precedence is
-command line > config file > built-in defaults.
-"""
-)
-
 
 def _read_config(path: str) -> dict:
     out = {}
@@ -317,7 +194,7 @@ def _read_config(path: str) -> dict:
 
 def _merge_options(command: str, args: argparse.Namespace, parser) -> dict:
     merged = dict(_COMMON_DEFAULTS)
-    merged.update(_DEFAULTS[command])
+    merged.update(_COMMANDS[command].defaults)
     if getattr(args, "config", None):
         try:
             loaded = _read_config(args.config)
@@ -332,6 +209,14 @@ def _merge_options(command: str, args: argparse.Namespace, parser) -> dict:
         if cli_value is not None:
             merged[key] = cli_value
     return merged
+
+
+def _tol_gap(opt) -> tuple:
+    """(--tol, --gap) as floats; a gap below the tol is a usage error that names both."""
+    tol, gap = float(opt["tol"]), float(opt["gap"])
+    if gap < tol:
+        raise ValueError(f"--gap must be at least --tol, got --gap {gap!r} below --tol {tol!r}")
+    return tol, gap
 
 
 def _metric_from_token(token: str, alpha: float):
@@ -350,7 +235,12 @@ def _metric_from_token(token: str, alpha: float):
     raise ValueError(f"unknown metric {token!r} (use wyd, wyd:<p>, bkm, bures or rld)")
 
 
+# ---------------------------------------------------------------------------
+# Status rule: every case status is a duality.band, or the worst of several
+
+
 def _verdict(statuses) -> str:
+    """The worst of several bands: fail over inconclusive over pass."""
     if any(s == "fail" for s in statuses):
         return "fail"
     if any(s == "inconclusive" for s in statuses):
@@ -358,11 +248,27 @@ def _verdict(statuses) -> str:
     return "pass"
 
 
+def _at_most(value, bound) -> str:
+    """Band of an upper bound: pass up to ``bound``, fail above it or at NaN."""
+    return band(value, bound, bound)
+
+
+def _at_least(value, bound) -> str:
+    """Band of a lower-bound witness: pass from ``bound`` on, fail below it or at NaN. It is
+    the band of the negated value, which IEEE negation keeps exact."""
+    return band(-value, -bound, -bound)
+
+
+def _case(status: str, **fields) -> dict:
+    """A case record: ``record`` first, then ``fields`` in order, then ``status``."""
+    return {"record": "case", **fields, "status": status}
+
+
 _EXIT = {"pass": 0, "fail": 1, "inconclusive": 3}
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies (each returns a list of records; summary appended by main)
+# Subcommand bodies (each returns its case records and the summary's extra fields)
 
 
 def _run_metric_table(opt):
@@ -378,20 +284,15 @@ def _run_metric_table(opt):
     records = []
     worst = 0.0
     for row in kernel_direct_consistency(seed, dims, alphas, samples, floor):
-        status = "pass" if row["max_rel_dev"] <= tol else "fail"
-        worst = max(worst, row["max_rel_dev"])
+        value = row["max_rel_dev"]
+        worst = max(worst, value)
+        metric = f"wyd(p={0.5 * (1 + row['alpha']):g})"
         records.append(
-            {
-                "record": "case",
-                "check": "kernel_vs_direct",
-                "dim": row["dim"],
-                "alpha": row["alpha"],
-                "metric": f"wyd(p={0.5 * (1 + row['alpha']):g})",
-                "value": row["max_rel_dev"],
-                "status": status,
-            }
+            _case(_at_most(value, tol), check="kernel_vs_direct", dim=row["dim"],
+                  alpha=row["alpha"], metric=metric, value=value)
         )
-    # demo table: metric values of the sigma_x tangent at diag(3/4, 1/4), decomposed once
+    # demo table: metric values of the sigma_x tangent at diag(3/4, 1/4), decomposed once;
+    # shown for reference, so any value but NaN passes
     rho = check_state(np.diag([0.75, 0.25]).astype(complex))
     sx = pauli_matrices()[1]
     for f in (
@@ -402,15 +303,10 @@ def _run_metric_table(opt):
         bkm_function(),
         rld_function(),
     ):
+        value = metric_eval(rho, f, sx, sx)
         records.append(
-            {
-                "record": "case",
-                "check": "value_at_diag(3/4,1/4)",
-                "dim": 2,
-                "metric": f.name,
-                "value": metric_eval(rho, f, sx, sx),
-                "status": "pass",
-            }
+            _case(_at_most(value, math.inf), check="value_at_diag(3/4,1/4)", dim=2,
+                  metric=f.name, value=value)
         )
     # ordering: bures <= every built-in metric <= rld, entrywise on samples
     n_ord = _count(opt, "ordering_samples")
@@ -429,21 +325,15 @@ def _run_metric_table(opt):
                 violation = max(violation, lo - g, g - hi)
         worst_violation = max(worst_violation, violation)
         records.append(
-            {
-                "record": "case",
-                "check": "ordering_bures<=f<=rld",
-                "dim": n,
-                "value": violation,
-                "status": "pass" if violation <= 1e-10 else "fail",
-            }
+            _case(_at_most(violation, 1e-10), check="ordering_bures<=f<=rld", dim=n,
+                  value=violation)
         )
     return records, {"worst_rel_dev": worst, "worst_ordering_violation": worst_violation}
 
 
 def _run_duality(opt):
     seed = int(opt["seed"])
-    tol = float(opt["tol"])
-    gap = float(opt["gap"])
+    tol, gap = _tol_gap(opt)
     n_points = _count(opt, "points")
     dims = _list(opt, "dim", int)
     alphas = _alphas(opt)
@@ -468,23 +358,16 @@ def _run_duality(opt):
                 for witness, grid in grids[dim]:
                     rep = grid.defect(f, alpha, family_name=witness.name)
                     worst = max(worst, rep.defect)
+                    manifold = "weight" if witness.on_extended else "state"
                     records.append(
-                        {
-                            "record": "case",
-                            "metric": f.name,
-                            "alpha": alpha,
-                            "family": witness.name,
-                            "manifold": "weight" if witness.on_extended else "state",
-                            "defect": rep.defect,
-                            "status": band(rep.defect, tol, gap),
-                        }
+                        _case(band(rep.defect, tol, gap), metric=f.name, alpha=alpha,
+                              family=witness.name, manifold=manifold, defect=rep.defect)
                     )
     return records, {"max_defect": worst}
 
 
 def _run_transport_duality(opt):
-    tol = float(opt["tol"])
-    gap = float(opt["gap"])
+    tol, gap = _tol_gap(opt)
     steps = _count(opt, "steps")
     alphas = _alphas(opt)
     curve = witness_curve(steps)
@@ -502,14 +385,8 @@ def _run_transport_duality(opt):
             rep = transport_duality_check(curve, f, alpha, y, z)
             worst = max(worst, rep.deviation)
             records.append(
-                {
-                    "record": "case",
-                    "metric": f.name,
-                    "alpha": alpha,
-                    "initial_value": rep.initial_value,
-                    "deviation": rep.deviation,
-                    "status": band(rep.deviation, tol, gap),
-                }
+                _case(band(rep.deviation, tol, gap), metric=f.name, alpha=alpha,
+                      initial_value=rep.initial_value, deviation=rep.deviation)
             )
     return records, {"max_deviation": worst}
 
@@ -551,53 +428,36 @@ def _run_potential(opt):
             points = affine_coordinates(_grid_weights(rng, dim, sizes[dim]), alpha, basis)
             rep = potential_check(family, alpha, points, basis)
             dual = dual_coordinate_check(family, alpha, points[:n_dual], seed=[seed, 99])
-            ok = (
-                rep.residual <= tol
-                and rep.gradient_residual <= reg_tol
-                and dual.jacobian_residual <= tol
-                and dual.legendre_residual <= leg_tol
-            )
+            status = _verdict([
+                _at_most(rep.residual, tol),
+                _at_most(rep.gradient_residual, reg_tol),
+                _at_most(dual.jacobian_residual, tol),
+                _at_most(dual.legendre_residual, leg_tol),
+            ])
             records.append(
-                {
-                    "record": "case",
-                    "alpha": alpha,
-                    "dim": dim,
-                    "hessian_residual": rep.residual,
-                    "gradient_residual": rep.gradient_residual,
-                    "jacobian_residual": dual.jacobian_residual,
-                    "legendre_residual": dual.legendre_residual,
-                    "status": "pass" if ok else "fail",
-                }
+                _case(status, alpha=alpha, dim=dim, hessian_residual=rep.residual,
+                      gradient_residual=rep.gradient_residual,
+                      jacobian_residual=dual.jacobian_residual,
+                      legendre_residual=dual.legendre_residual)
             )
     return records, {}
 
 
 def _run_uniqueness_scan(opt):
-    seed = int(opt["seed"])
+    alpha = _alphas(opt, single=True, strict=True)[0]
+    tol, gap = _tol_gap(opt)
     result = uniqueness_scan(
-        _alphas(opt, single=True, strict=True)[0],
-        seed=seed,
-        n_points=_count(opt, "points"),
-        tol=float(opt["tol"]),
-        gap=float(opt["gap"]),
+        alpha, seed=int(opt["seed"]), n_points=_count(opt, "points"), tol=tol, gap=gap
     )
-    records = []
-    for entry in result.entries:
-        if entry.status == "inconclusive":
-            status = "inconclusive"
-        else:
-            expected_band = "pass" if entry.expected_dual else "fail"
-            status = "pass" if entry.status == expected_band else "fail"
-        records.append(
-            {
-                "record": "case",
-                "candidate": entry.name,
-                "defect": entry.defect,
-                "band": entry.status,
-                "expected_dual": entry.expected_dual,
-                "status": status,
-            }
-        )
+    # a dual candidate's case is its band; a non-dual one's is the mirrored band, passing from
+    # gap on and failing up to tol. When every case passes, the matched defect is at most tol
+    # <= gap and every other at least it (the scaled copy is 3 times it), so WYD is minimal
+    # and the verdict needs no rule of its own.
+    records = [
+        _case(band(e.defect, tol, gap) if e.expected_dual else band(-e.defect, -gap, -tol),
+              candidate=e.name, defect=e.defect, band=e.status, expected_dual=e.expected_dual)
+        for e in result.entries
+    ]
     extra = {
         "alpha": result.alpha,
         "wyd_minimal": result.wyd_minimal,
@@ -613,22 +473,12 @@ def _run_monotonicity(opt):
     frac_req = float(opt["strict_fraction"])
     records = []
     for row in monotonicity_scan(seed, trials):
-        ok = row["min_margin"] >= -margin_tol and row["depolarizing_strict_fraction"] >= frac_req
-        status = "pass" if ok else "fail"
-        if row["inconclusive"] > 0 and ok:
-            status = "inconclusive"
-        records.append(
-            {
-                "record": "case",
-                "metric": row["metric"],
-                "trials": row["trials"],
-                "min_margin": row["min_margin"],
-                "depolarizing_strict_fraction": row["depolarizing_strict_fraction"],
-                "regularized": row["regularized"],
-                "inconclusive": row["inconclusive"],
-                "status": status,
-            }
-        )
+        status = _verdict([
+            _at_least(row["min_margin"], -margin_tol),
+            _at_least(row["depolarizing_strict_fraction"], frac_req),
+            band(row["inconclusive"], 0, math.inf),  # trials the scan could not decide
+        ])
+        records.append(_case(status, **row))
     return records, {}
 
 
@@ -648,23 +498,13 @@ def _run_flatness(opt):
         for alpha in alphas:
             value = flatness_scan(alpha, dim, seed=[seed, dim])
             records.append(
-                {
-                    "record": "case",
-                    "check": f"affine_chart_flatness(dim={dim})",
-                    "alpha": alpha,
-                    "value": value,
-                    "status": "pass" if value <= tol else "fail",
-                }
+                _case(_at_most(value, tol), check=f"affine_chart_flatness(dim={dim})",
+                      alpha=alpha, value=value)
             )
     witness = path_dependence_witness(0.0, steps)
     records.append(
-        {
-            "record": "case",
-            "check": "projected_transport_path_dependence",
-            "alpha": 0.0,
-            "value": witness,
-            "status": "pass" if witness >= wtol else "fail",
-        }
+        _case(_at_least(witness, wtol), check="projected_transport_path_dependence",
+              alpha=0.0, value=witness)
     )
     return records, {}
 
@@ -678,48 +518,29 @@ def _run_convexity_failure(opt):
     rng = rng_from([seed, 3])
     fam = simplex_family(3)
     grid = [rng.dirichlet(np.ones(3))[:2] * 0.6 + 0.4 / 3 for _ in range(3)]
-    classical = convexity_failure_check(alpha, fam, grid, family_name="simplex-3")
-    ctol = float(opt["classical_tol"])
+    value = convexity_failure_check(alpha, fam, grid, family_name="simplex-3").max_difference
     records.append(
-        {
-            "record": "case",
-            "check": "diagonal_family_identity",
-            "alpha": alpha,
-            "value": classical.max_difference,
-            "status": "pass" if classical.max_difference <= ctol else "fail",
-        }
+        _case(_at_most(value, float(opt["classical_tol"])), check="diagonal_family_identity",
+              alpha=alpha, value=value)
     )
 
-    wtol = float(opt["witness_tol"])
     worst_quantum = 0.0
     for witness in standard_witness_families(2, "state") + standard_witness_families(3, "state"):
         grid = sample_grid(witness, [seed, witness.family.param_dim], 2)
         rep = convexity_failure_check(alpha, witness.family, grid, family_name=witness.name)
         worst_quantum = max(worst_quantum, rep.max_difference)
     records.append(
-        {
-            "record": "case",
-            "check": "noncommuting_witness_gap",
-            "alpha": alpha,
-            "value": worst_quantum,
-            "status": "pass" if worst_quantum >= wtol else "fail",
-        }
+        _case(_at_least(worst_quantum, float(opt["witness_tol"])),
+              check="noncommuting_witness_gap", alpha=alpha, value=worst_quantum)
     )
 
     fisher = classical_reduction_check(seed)
-    ftol = float(opt["fisher_tol"])
     value = max(fisher["max_fisher_dev"], fisher["max_alpha_dev"])
     records.append(
-        {
-            "record": "case",
-            "check": "classical_fisher_reduction",
-            "alpha": alpha,
-            "value": value,
-            "status": "pass" if value <= ftol else "fail",
-        }
+        _case(_at_most(value, float(opt["fisher_tol"])), check="classical_fisher_reduction",
+              alpha=alpha, value=value)
     )
 
-    gap = float(opt["gap"])
     worst_bkm = 0.0
     for witness in standard_witness_families(2, "state"):
         grid = sample_grid(witness, [seed, 11], 2)
@@ -728,13 +549,8 @@ def _run_convexity_failure(opt):
         )
         worst_bkm = max(worst_bkm, rep.defect)
     records.append(
-        {
-            "record": "case",
-            "check": "bkm_not_dual_at_alpha",
-            "alpha": alpha,
-            "value": worst_bkm,
-            "status": "pass" if worst_bkm >= gap else "fail",
-        }
+        _case(_at_least(worst_bkm, float(opt["gap"])), check="bkm_not_dual_at_alpha",
+              alpha=alpha, value=worst_bkm)
     )
     return records, {}
 
@@ -765,38 +581,27 @@ def _run_entropy_projection(opt):
         )
     instances = _count(opt, "instances")
     tol = float(opt["tol"])
-    mean_tol = float(opt["mean_tol"])
     orth_tol = float(opt["orthogonality_tol"])
     records = []
-    mean_residuals = []
-    worst_orth = 0.0
     reports = entropy_projections(*_projection_instances(seed, instances, dim, n_obs), tol=tol)
     for k, rep in enumerate(reports):
-        mean_residuals.append(rep.mean_residual)
-        worst_orth = max(worst_orth, rep.orthogonality_residual)
-        status = "pass" if rep.converged and rep.orthogonality_residual <= orth_tol else "fail"
+        # converged is mean_residual <= tol: the mean residual is the Newton gradient norm
+        status = _verdict([
+            _at_most(rep.mean_residual, tol),
+            _at_most(rep.orthogonality_residual, orth_tol),
+        ])
         records.append(
-            {
-                "record": "case",
-                "instance": k,
-                "converged": rep.converged,
-                "iterations": rep.iterations,
-                "mean_residual": rep.mean_residual,
-                "orthogonality_residual": rep.orthogonality_residual,
-                "relative_entropy": rep.relative_entropy_value,
-                "status": status,
-            }
+            _case(status, instance=k, converged=rep.converged, iterations=rep.iterations,
+                  mean_residual=rep.mean_residual,
+                  orthogonality_residual=rep.orthogonality_residual,
+                  relative_entropy=rep.relative_entropy_value)
         )
     # aggregate rows: instance -1 is the mean of mean residuals, -2 the
     # second-order relative-entropy expansion gap
-    mean_of_means = float(np.mean(mean_residuals))
+    mean_of_means = float(np.mean([rep.mean_residual for rep in reports]))
     records.append(
-        {
-            "record": "case",
-            "instance": -1,
-            "mean_residual": mean_of_means,
-            "status": "pass" if mean_of_means <= mean_tol else "fail",
-        }
+        _case(_at_most(mean_of_means, float(opt["mean_tol"])), instance=-1,
+              mean_residual=mean_of_means)
     )
     rng = rng_from([seed, 777])
     rho = random_state(rng, dim, floor=0.1)
@@ -804,44 +609,106 @@ def _run_entropy_projection(opt):
     direction = direction / (4.0 * np.linalg.norm(direction, 2))
     gap_value = relative_entropy_curvature_gap(rho, direction, float(opt["taylor_t"]))
     records.append(
-        {
-            "record": "case",
-            "instance": -2,
-            "mean_residual": gap_value,
-            "status": "pass" if gap_value <= float(opt["taylor_tol"]) else "fail",
-        }
+        _case(_at_most(gap_value, float(opt["taylor_tol"])), instance=-2,
+              mean_residual=gap_value)
     )
     extra = {
         "mean_of_mean_residuals": mean_of_means,
-        "max_orthogonality": worst_orth,
+        "max_orthogonality": max(rep.orthogonality_residual for rep in reports),
         "taylor_gap": gap_value,
     }
     return records, extra
 
 
-_RUNNERS = {
-    "metric-table": _run_metric_table,
-    "duality": _run_duality,
-    "transport-duality": _run_transport_duality,
-    "potential": _run_potential,
-    "uniqueness-scan": _run_uniqueness_scan,
-    "monotonicity": _run_monotonicity,
-    "flatness": _run_flatness,
-    "convexity-failure": _run_convexity_failure,
-    "entropy-projection": _run_entropy_projection,
+# ---------------------------------------------------------------------------
+# The subcommand table: help line, runner, CSV columns and option defaults
+
+
+class _Command(NamedTuple):
+    help: str
+    run: Callable
+    columns: tuple
+    defaults: dict
+
+
+_COMMANDS = {
+    "metric-table": _Command(
+        "kernel-vs-direct pairing consistency and the metric ordering",
+        _run_metric_table,
+        ("record", "check", "dim", "alpha", "metric", "value", "status"),
+        {"dims": "2,3,4", "alphas": "-0.9,-0.5,0,0.5,0.9", "samples": "50", "floor": "0.05",
+         "tol": "1e-8", "ordering_samples": "25"},
+    ),
+    "duality": _Command(
+        "duality defect of a metric against the +-alpha connection pair",
+        _run_duality,
+        ("record", "metric", "alpha", "family", "manifold", "defect", "status"),
+        {"metric": "wyd", "alpha": "-0.5,0,0.5", "dim": "2,3", "manifold": "both", "points": "3",
+         "tol": str(POSITIVE_TOL), "gap": str(FALSIFICATION_GAP)},
+    ),
+    "transport-duality": _Command(
+        "invariance of the pairing under the two flat transports",
+        _run_transport_duality,
+        ("record", "metric", "alpha", "initial_value", "deviation", "status"),
+        {"metric": "wyd", "alpha": "0.5", "steps": "256", "tol": "1e-9", "gap": "1e-4"},
+    ),
+    "potential": _Command(
+        "trace potential Hessian, gradient coordinates, Legendre pairing",
+        _run_potential,
+        ("record", "alpha", "dim", "hessian_residual", "gradient_residual", "jacobian_residual",
+         "legendre_residual", "status"),
+        {"alpha": "-0.5,0,0.5", "dim": "2", "points": "0", "dual_points": "2", "tol": "1e-5",
+         "regression_tol": "1e-6", "legendre_tol": "1e-5"},
+    ),
+    "uniqueness-scan": _Command(
+        "falsification battery over candidate metric kernels",
+        _run_uniqueness_scan,
+        ("record", "candidate", "defect", "band", "expected_dual", "status"),
+        {"alpha": "0.5", "points": "3", "tol": str(POSITIVE_TOL), "gap": str(FALSIFICATION_GAP)},
+    ),
+    "monotonicity": _Command(
+        "Monte-Carlo contraction margins under quantum channels",
+        _run_monotonicity,
+        ("record", "metric", "trials", "min_margin", "depolarizing_strict_fraction",
+         "regularized", "inconclusive", "status"),
+        {"trials": "1000", "margin_tol": "1e-9", "strict_fraction": "0.99"},
+    ),
+    "flatness": _Command(
+        "flatness of affine charts and projected-transport path dependence",
+        _run_flatness,
+        ("record", "check", "alpha", "value", "status"),
+        {"alpha": "-0.5,0,0.5", "dim": "2", "tol": "1e-6", "witness_tol": "1e-3", "steps": "256"},
+    ),
+    "convexity-failure": _Command(
+        "order-alpha connection vs convex combination of the end orders",
+        _run_convexity_failure,
+        ("record", "check", "alpha", "value", "status"),
+        {"alpha": "0.5", "classical_tol": "1e-8", "witness_tol": "1e-4", "fisher_tol": "1e-9",
+         "gap": str(FALSIFICATION_GAP)},
+    ),
+    "entropy-projection": _Command(
+        "relative-entropy projection onto Gibbs families",
+        _run_entropy_projection,
+        ("record", "instance", "converged", "iterations", "mean_residual",
+         "orthogonality_residual", "relative_entropy", "status"),
+        {"instances": "20", "dim": "3", "observables": "2", "tol": "1e-9", "mean_tol": "1e-7",
+         "orthogonality_tol": "1e-6", "taylor_t": "1e-2", "taylor_tol": "1e-4"},
+    ),
 }
 
-_HELP = {
-    "metric-table": "kernel-vs-direct pairing consistency and the metric ordering",
-    "duality": "duality defect of a metric against the +-alpha connection pair",
-    "transport-duality": "invariance of the pairing under the two flat transports",
-    "potential": "trace potential Hessian, gradient coordinates, Legendre pairing",
-    "uniqueness-scan": "falsification battery over candidate metric kernels",
-    "monotonicity": "Monte-Carlo contraction margins under quantum channels",
-    "flatness": "flatness of affine charts and projected-transport path dependence",
-    "convexity-failure": "order-alpha connection vs convex combination of the end orders",
-    "entropy-projection": "relative-entropy projection onto Gibbs families",
-}
+_CSV_NOTE = (
+    """\
+CSV columns per subcommand (a trailing wall_clock_s column is filled on the
+summary row only; the effective configuration becomes a '# config' comment
+line right after the header; negative list values need the --key=v1,v2 form):
+"""
+    + "".join(f"  {name:<18} {','.join(cmd.columns)}\n" for name, cmd in _COMMANDS.items())
+    + """
+Config files hold 'key = value' lines ('#' comments allowed) with the same
+keys as the long options (dashes or underscores); precedence is
+command line > config file > built-in defaults.
+"""
+)
 
 
 def _build_parser(command) -> argparse.ArgumentParser:
@@ -854,11 +721,11 @@ def _build_parser(command) -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name in [command] if command in _DEFAULTS else _DEFAULTS:
+    for name in [command] if command in _COMMANDS else _COMMANDS:
         p = sub.add_parser(
             name,
-            help=_HELP[name],
-            description=_HELP[name],
+            help=_COMMANDS[name].help,
+            description=_COMMANDS[name].help,
             epilog=_CSV_NOTE,
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
@@ -868,7 +735,7 @@ def _build_parser(command) -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value file; overridden by explicit options")
         p.add_argument("--format", choices=["jsonl", "csv"], dest="format", help="output format")
         p.add_argument("--output", help="write to this file instead of stdout")
-        for key, value in _DEFAULTS[name].items():
+        for key, value in _COMMANDS[name].defaults.items():
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, help=f"default {value}")
     return parser
 
@@ -884,27 +751,23 @@ def main(argv=None) -> int:
         parser.error(f"format must be 'jsonl' or 'csv', got {opt['format']!r}")
 
     started = time.perf_counter()
+    # the merged options hold the common keys, then the subcommand's, in that order
     config_record = {"record": "config", "command": command}
-    for key in list(_COMMON_DEFAULTS) + list(_DEFAULTS[command]):
-        if key != "output":
-            config_record[key] = opt[key]
+    config_record.update((key, value) for key, value in opt.items() if key != "output")
     try:
-        cases, extra = _RUNNERS[command](opt)
+        cases, extra = _COMMANDS[command].run(opt)
     except ValueError as exc:
         parser.error(str(exc))
 
-    statuses = [rec["status"] for rec in cases if rec.get("record") == "case"]
-    verdict = _verdict(statuses)
-    if command == "uniqueness-scan" and not extra.get("uniqueness_supported", True):
-        verdict = "fail" if verdict == "pass" else verdict
-    summary = {"record": "summary", "command": command, "cases": len(statuses)}
+    verdict = _verdict([rec["status"] for rec in cases])
+    summary = {"record": "summary", "command": command, "cases": len(cases)}
     summary.update(extra)
     summary["verdict"] = verdict
     summary["status"] = verdict  # mirrors the CSV status column
     summary["wall_clock_s"] = time.perf_counter() - started
 
     records = [config_record] + cases + [summary]
-    text = _render(records, opt["format"], _COLUMNS[command])
+    text = _render(records, opt["format"], _COMMANDS[command].columns)
     if opt["output"]:
         with open(opt["output"], "w", encoding="utf-8") as fh:
             fh.write(text)

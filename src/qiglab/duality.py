@@ -133,12 +133,13 @@ FALSIFICATION_GAP = 1e-2
 
 
 def band(value: float, tol: float, gap: float) -> str:
-    """Verdict band of a value: "pass" up to tol, "fail" from gap on, else "inconclusive"."""
+    """Verdict band of a value: "pass" up to tol, "fail" from gap on or at NaN, else
+    "inconclusive"."""
     if value <= tol:
         return "pass"
-    if value >= gap:
-        return "fail"
-    return "inconclusive"
+    if value < gap:
+        return "inconclusive"
+    return "fail"
 
 
 def matched_metric(alpha: float) -> MonotoneFunctionSpec:

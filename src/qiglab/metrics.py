@@ -248,7 +248,8 @@ def _kernel_difference(kernel: MetricKernel, f: MonotoneFunctionSpec) -> np.ndar
     Where |λa - λm| <= CONFLUENT_RTOL * max(λa, λm), a = m included,
     it is the derivative at the midpoint instead: d1 c(x, y) = -f'(x/y) c(x, y)^2,
     taken as -f'(mid/λb) c_ab c_mb, second-order accurate in the gap. f must
-    carry ``deriv``.
+    carry ``deriv``; a value that is not finite raises, naming the first failing matrix by its
+    stack index.
     """
     if f.deriv is None:
         raise ValueError(f"{f.name}: the kernel's derivative needs f', and the spec has no deriv")
@@ -261,7 +262,12 @@ def _kernel_difference(kernel: MetricKernel, f: MonotoneFunctionSpec) -> np.ndar
     with np.errstate(divide="ignore", invalid="ignore"):
         quotient = (ca - cm) / gap
     midpoint = -np.asarray(f.deriv(0.5 * (la + lm) / lb), dtype=float) * ca * cm
-    return np.where(confluent, midpoint, quotient)
+    c1 = np.where(confluent, midpoint, quotient)
+    bad = ~np.isfinite(c1).all(axis=(-3, -2, -1))
+    if bad.any():
+        _, at = _first_in_stack(bad)
+        raise ValueError(f"{f.name}: the kernel's divided difference is not finite{at}")
+    return c1
 
 
 def _contract(coefficients: np.ndarray, at: np.ndarray, bt: np.ndarray):

@@ -12,9 +12,7 @@ import pytest
 from conftest import child_env
 from qiglab import cli, duality
 from qiglab.cli import (
-    _COLUMNS,
-    _DEFAULTS,
-    _HELP,
+    _COMMANDS,
     _build_parser,
     _format_float,
     _grid_weights,
@@ -99,7 +97,7 @@ def test_csv_layout(capsys):
     code, out = _run(capsys, FAST_DUALITY + ["--format", "csv"])
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].split(",") == _COLUMNS["duality"] + ["wall_clock_s"]
+    assert lines[0].split(",") == list(_COMMANDS["duality"].columns) + ["wall_clock_s"]
     assert lines[1].startswith("# config ")
     rows = list(csv.DictReader(io.StringIO(out), fieldnames=lines[0].split(",")))
     case_rows = [r for r in rows if r["record"] == "case"]
@@ -427,6 +425,20 @@ def test_odd_flatness_steps_is_usage_error(capsys, steps, message):
     assert f"--steps {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["duality", "transport-duality", "uniqueness-scan"])
+def test_gap_below_tol_is_usage_error_before_any_work(calls, capsys, command):
+    # a gap below the tol left no inconclusive band, and the run went on: duality read Bures
+    # as "pass" at --tol 1 --gap 0.01 (defect 0.158) and exited 0
+    calls.eig()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--tol", "1", "--gap", "0.01"])
+    assert exc.value.code == 2
+    assert "--gap must be at least --tol, got --gap 0.01 below --tol 1.0" in (
+        capsys.readouterr().err
+    )
+    assert calls.count("eigh", "eigvalsh") == 0
+
+
 # ----------------------------------------------------------------- verdicts
 
 
@@ -500,11 +512,11 @@ def _help_text(capsys, argv):
 
 def test_help_lists_every_subcommand_and_its_options(capsys):
     listed = _help_text(capsys, ["--help"])
-    for name in _DEFAULTS:
+    for name in _COMMANDS:
         assert re.search(rf"^\s+{re.escape(name)}\s", listed, re.MULTILINE), name
-    for name, defaults in _DEFAULTS.items():
+    for name, entry in _COMMANDS.items():
         text = _help_text(capsys, [name, "--help"])
-        for key in ["seed", "config", "format", "output", *defaults]:
+        for key in ["seed", "config", "format", "output", *entry.defaults]:
             assert f"--{key.replace('_', '-')}" in text, (name, key)
 
 
@@ -522,8 +534,10 @@ def test_parser_builds_the_invoked_subcommand_only():
     # no subcommand named: every subcommand with its help line, none with options
     for command in (None, "bogus"):
         subparsers = _subcommand_parsers(command)
-        assert list(subparsers.choices) == list(_DEFAULTS)
-        assert [a.help for a in subparsers._choices_actions] == [_HELP[name] for name in _DEFAULTS]
+        assert list(subparsers.choices) == list(_COMMANDS)
+        assert [a.help for a in subparsers._choices_actions] == [
+            entry.help for entry in _COMMANDS.values()
+        ]
         for sub in subparsers.choices.values():
             assert [a.option_strings for a in sub._actions] == [["-h", "--help"]]
 
@@ -532,9 +546,25 @@ def test_unknown_command_is_usage_error_naming_every_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
-    choices = ", ".join(repr(name) for name in _DEFAULTS)
+    choices = ", ".join(repr(name) for name in _COMMANDS)
     err = capsys.readouterr().err
     assert f"argument COMMAND: invalid choice: 'bogus' (choose from {choices})" in err
+
+
+# ---------------------------------------------------------- subcommand table
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_case_records_fit_their_csv_columns(capsys, name):
+    # CSV writes the table's columns only, so a case field missing from them would be dropped;
+    # each case's keys follow the columns in order, from record to status
+    columns = list(_COMMANDS[name].columns)
+    assert columns[0] == "record" and columns[-1] == "status"
+    main([name, "--seed", "0"])
+    cases = [rec for rec in _parse_jsonl(capsys.readouterr().out) if rec["record"] == "case"]
+    assert cases
+    for rec in cases:
+        assert list(rec) == [key for key in columns if key in rec], rec
 
 
 # ------------------------------------------------------------- decompositions
@@ -554,19 +584,19 @@ def test_metric_table_decomposes_each_base_point_once(calls, capsys):
 # A change that decomposes less lowers its row; a new subcommand adds one.
 EIG_BUDGET = {
     "transport-duality": 2,
-    "flatness": 21,
+    "flatness": 15,
     "metric-table": 826,
     "duality": 4,
-    "potential": 47,
+    "potential": 22,
     "uniqueness-scan": 2,
     "monotonicity": 6,
     "convexity-failure": 7,
-    "entropy-projection": 9,
+    "entropy-projection": 8,
 }
 
 
 def test_eig_budget_covers_every_subcommand():
-    assert set(EIG_BUDGET) == set(_DEFAULTS)
+    assert set(EIG_BUDGET) == set(_COMMANDS)
 
 
 @pytest.mark.parametrize("command, budget", EIG_BUDGET.items())

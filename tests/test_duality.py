@@ -15,6 +15,7 @@ from qiglab.duality import (
     DefectGrid,
     _damped_newton,
     _metric_matrix,
+    band,
     classical_reduction_check,
     convexity_failure_check,
     dual_coordinate_check,
@@ -51,6 +52,7 @@ from qiglab.manifold import (
     xi_affine_family,
 )
 from qiglab.metrics import (
+    MonotoneFunctionSpec,
     bkm_direct,
     bkm_function,
     builtin_functions,
@@ -587,6 +589,27 @@ def test_uniqueness_scan_default_battery():
     bumps = [e for e in result.entries if "bump" in e.name]
     assert len(bumps) == 2
     assert all(e.status == "fail" for e in bumps)
+
+
+def test_band_fails_nan():
+    # a NaN bound is no evidence either way; it read "inconclusive"
+    assert band(float("nan"), 1e-6, 1e-2) == "fail"
+    assert band(np.nan, 0.0, np.inf) == "fail"
+    assert [band(v, 1.0, 2.0) for v in (1.0, 1.5, 2.0)] == ["pass", "inconclusive", "fail"]
+
+
+def test_uniqueness_scan_rejects_a_kernel_derivative_that_is_not_finite():
+    # f'(x) = (x log x - x + 1)/(x log^2 x), the BKM derivative with its removable 0/0 at
+    # x = 1 unguarded: the scan took max(0.0, nan) = 0.0 and read the spec as dual, with
+    # defect 0.0 and status "pass"
+    def deriv(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            return (x * np.log(x) - x + 1.0) / (x * np.log(x) ** 2)
+
+    spec = MonotoneFunctionSpec("bkm-unguarded", bkm_function().fn, deriv=deriv)
+    with pytest.raises(ValueError, match=r"^bkm-unguarded: .* not finite at stack index 0$"):
+        uniqueness_scan(0.5, n_points=1, candidates=[(spec, 1.0, False)])
 
 
 def test_uniqueness_scan_rejects_endpoint_alpha():

@@ -125,6 +125,21 @@ def test_profile_derivative_is_one_half_at_one_and_keeps_the_petz_symmetry(name)
     assert (np.abs(spec.deriv(t) - (value - slope)) <= bound).all()
 
 
+def test_kernel_difference_that_is_not_finite_names_the_first_failing_matrix():
+    # f' is NaN above x = 10: of the two spectra only the second, with ratio 19, reaches it
+    bkm = bkm_function()
+    spec = MonotoneFunctionSpec(
+        "bkm-cut", bkm.fn, deriv=lambda x: np.where(np.asarray(x) > 10.0, np.nan, bkm.deriv(x))
+    )
+    unitary = np.eye(2, dtype=complex)
+    first = petz_kernel(Spectrum(np.array([0.5, 0.5]), unitary), spec)
+    assert np.isfinite(_kernel_difference(first, spec)).all()
+    lam = np.array([[0.5, 0.5], [0.05, 0.95]])
+    kernel = petz_kernel(Spectrum(lam, np.stack([unitary, unitary])), spec)
+    with pytest.raises(ValueError, match=r"^bkm-cut: .* not finite at stack index 1$"):
+        _kernel_difference(kernel, spec)
+
+
 @pytest.mark.parametrize("name", ["wyd(p=0.25)", "bkm"])
 @pytest.mark.parametrize(
     "gap", [0.0, 1e-9, 1e-7, 0.5 * CONFLUENT_RTOL, 2.0 * CONFLUENT_RTOL, 1e-3]
