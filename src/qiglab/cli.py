@@ -8,21 +8,25 @@ so repeated runs are byte-identical up to that field.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error,
 3 no failures but at least one inconclusive check.
+
+Each subcommand imports the check module it runs (``consistency``, ``duality``,
+``potential``, ``monotonicity`` or ``gibbs``) when it runs, so a launch loads only that one.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .bands import FALSIFICATION_GAP, POSITIVE_TOL, band
 from .manifold import (
     affine_coordinates,
     check_state,
@@ -33,32 +37,10 @@ from .manifold import (
 from .metrics import (
     bkm_function,
     bures_function,
+    matched_metric,
     metric_eval,
     rld_function,
     wyd_function,
-)
-from .duality import (
-    FALSIFICATION_GAP,
-    POSITIVE_TOL,
-    DefectGrid,
-    band,
-    classical_reduction_check,
-    convexity_failure_check,
-    dual_coordinate_check,
-    duality_defect,
-    entropy_projections,
-    flatness_scan,
-    kernel_direct_consistency,
-    matched_metric,
-    monotonicity_scan,
-    path_dependence_witness,
-    potential_check,
-    relative_entropy_curvature_gap,
-    sample_grid,
-    standard_witness_families,
-    transport_duality_check,
-    uniqueness_scan,
-    witness_curve,
 )
 from .sampling import (
     _ginibre_draws,
@@ -128,6 +110,8 @@ def _render(records, fmt: str, columns) -> str:
         return "\n".join("{" + ",".join(
             f"{json.dumps(str(k))}:{_json_value(v)}" for k, v in rec.items()
         ) + "}" for rec in records) + "\n"
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     cols = list(columns) + ["wall_clock_s"]
@@ -168,11 +152,33 @@ def _alphas(opt, key="alpha", single=False, strict=False):
 
 
 def _count(opt, key, floor=1):
-    """Option ``key`` as an int; a value below ``floor`` is a usage error that names the option."""
-    value = int(opt[key])
+    """Option ``key`` as an int; a value that is not an integer, or is below ``floor``, is a
+    usage error that names the option."""
+    name = key.replace("_", "-")
+    try:
+        value = int(opt[key])
+    except ValueError:
+        raise ValueError(f"--{name} must be an integer, got {opt[key]!r}") from None
     if value < floor:
-        raise ValueError(f"--{key.replace('_', '-')} must be at least {floor}, got {value}")
+        raise ValueError(f"--{name} must be at least {floor}, got {value}")
     return value
+
+
+def _check_output(path: str) -> None:
+    """A nonempty --output must name a file this process can create or overwrite; anything
+    else is a usage error that names the option. Checked before any work, writing nothing."""
+    if not path:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent!r}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise ValueError(f"--output cannot be written to {path!r}: {reason}")
 
 
 _COMMON_DEFAULTS = {"seed": "0", "format": "jsonl", "output": ""}
@@ -271,8 +277,9 @@ _EXIT = {"pass": 0, "fail": 1, "inconclusive": 3}
 # Subcommand bodies (each returns its case records and the summary's extra fields)
 
 
-def _run_metric_table(opt):
-    seed = int(opt["seed"])
+def _run_metric_table(opt, seed):
+    from .consistency import kernel_direct_consistency
+
     dims = _list(opt, "dims", int)
     if min(dims) < 2:  # a 1 x 1 state has no nonzero traceless tangent to pair
         raise ValueError(f"--dims values must be at least 2, got {min(dims)}")
@@ -331,8 +338,9 @@ def _run_metric_table(opt):
     return records, {"worst_rel_dev": worst, "worst_ordering_violation": worst_violation}
 
 
-def _run_duality(opt):
-    seed = int(opt["seed"])
+def _run_duality(opt, seed):
+    from .duality import DefectGrid, sample_grid, standard_witness_families
+
     tol, gap = _tol_gap(opt)
     n_points = _count(opt, "points")
     dims = _list(opt, "dim", int)
@@ -366,7 +374,9 @@ def _run_duality(opt):
     return records, {"max_defect": worst}
 
 
-def _run_transport_duality(opt):
+def _run_transport_duality(opt, seed):  # the transport draws nothing at random
+    from .duality import transport_duality_check, witness_curve
+
     tol, gap = _tol_gap(opt)
     steps = _count(opt, "steps")
     alphas = _alphas(opt)
@@ -397,8 +407,9 @@ def _grid_weights(rng, dim: int, count: int) -> np.ndarray:
     return _weights(*_stack_draws(_weight_draws(rng, dim, 0.7, 1.5) for _ in range(count)))
 
 
-def _run_potential(opt):
-    seed = int(opt["seed"])
+def _run_potential(opt, seed):
+    from .potential import dual_coordinate_check, potential_check
+
     tol = float(opt["tol"])
     reg_tol = float(opt["regression_tol"])
     leg_tol = float(opt["legendre_tol"])
@@ -443,11 +454,13 @@ def _run_potential(opt):
     return records, {}
 
 
-def _run_uniqueness_scan(opt):
+def _run_uniqueness_scan(opt, seed):
+    from .duality import uniqueness_scan
+
     alpha = _alphas(opt, single=True, strict=True)[0]
     tol, gap = _tol_gap(opt)
     result = uniqueness_scan(
-        alpha, seed=int(opt["seed"]), n_points=_count(opt, "points"), tol=tol, gap=gap
+        alpha, seed=seed, n_points=_count(opt, "points"), tol=tol, gap=gap
     )
     # a dual candidate's case is its band; a non-dual one's is the mirrored band, passing from
     # gap on and failing up to tol. When every case passes, the matched defect is at most tol
@@ -466,8 +479,9 @@ def _run_uniqueness_scan(opt):
     return records, extra
 
 
-def _run_monotonicity(opt):
-    seed = int(opt["seed"])
+def _run_monotonicity(opt, seed):
+    from .monotonicity import monotonicity_scan
+
     trials = _count(opt, "trials")
     margin_tol = float(opt["margin_tol"])
     frac_req = float(opt["strict_fraction"])
@@ -482,8 +496,9 @@ def _run_monotonicity(opt):
     return records, {}
 
 
-def _run_flatness(opt):
-    seed = int(opt["seed"])
+def _run_flatness(opt, seed):
+    from .duality import flatness_scan, path_dependence_witness
+
     steps = _count(opt, "steps", floor=2)
     if steps % 2:  # the transport is Richardson-extrapolated from a half-resolution run
         raise ValueError(f"--steps must be even, got {steps}")
@@ -509,8 +524,15 @@ def _run_flatness(opt):
     return records, {}
 
 
-def _run_convexity_failure(opt):
-    seed = int(opt["seed"])
+def _run_convexity_failure(opt, seed):
+    from .duality import (
+        classical_reduction_check,
+        convexity_failure_check,
+        duality_defect,
+        sample_grid,
+        standard_witness_families,
+    )
+
     # at |alpha| = 1 the order-alpha connection is an end order and BKM the matched metric
     alpha = _alphas(opt, single=True, strict=True)[0]
     records = []
@@ -571,8 +593,9 @@ def _projection_instances(seed: int, instances: int, dim: int, n_obs: int) -> tu
     return _states(weights, 0.05, re, im), _traceless_hermitians(*_stack_draws(directions))
 
 
-def _run_entropy_projection(opt):
-    seed = int(opt["seed"])
+def _run_entropy_projection(opt, seed):
+    from .gibbs import entropy_projections, relative_entropy_curvature_gap
+
     dim = _count(opt, "dim", floor=2)
     n_obs = _count(opt, "observables")
     if n_obs > dim * dim - 1:  # with I they would span more than the dim^2 Hermitian matrices
@@ -626,7 +649,7 @@ def _run_entropy_projection(opt):
 
 class _Command(NamedTuple):
     help: str
-    run: Callable
+    run: Callable  # (merged options, --seed as an int) -> (case records, summary fields)
     columns: tuple
     defaults: dict
 
@@ -755,7 +778,9 @@ def main(argv=None) -> int:
     config_record = {"record": "config", "command": command}
     config_record.update((key, value) for key, value in opt.items() if key != "output")
     try:
-        cases, extra = _COMMANDS[command].run(opt)
+        seed = _count(opt, "seed", floor=0)
+        _check_output(opt["output"])
+        cases, extra = _COMMANDS[command].run(opt, seed)
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -1,44 +1,34 @@
 """Numerical duality laboratory.
 
 Defect functionals quantifying how far a metric/connection pair is from
-duality, transport-based duality checks, the trace potential whose Hessian
-reproduces the metric in affine coordinates, dual-coordinate and Legendre
-verification, a uniqueness falsification scan over candidate kernels, the
-convex-combination comparison of connections, Gibbs families with the
-relative-entropy projection, and the seeded witness families and drivers the
-CLI runs.
+duality, transport-based duality checks, a uniqueness falsification scan
+over candidate kernels, the convex-combination comparison of connections,
+flatness and path dependence of the transports, and the seeded witness
+families the checks run on. The trace potential and dual coordinates are in
+``potential``, and Gibbs families and the entropy projection in ``gibbs``.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import (
-    Spectrum,
-    _first_in_stack,
-    _triple_contraction,
-    apply_scalar_function,
-    check_hermitian,
-    divided_difference_matrix,
-    exp_function,
-    frechet_derivative,
-    hermitize,
-    log_function,
-    spectral_decompose,
+from .bands import FALSIFICATION_GAP, POSITIVE_TOL, band
+from .connections import (
+    CurveSpec,
+    _curve_stack,
+    covariant_derivative_set,
+    parallel_transport_on_M,
 )
+from .linalg import _triple_contraction, frechet_derivative, hermitize
 from .manifold import (
-    ChartJet,
     ParametrizedFamily,
     TangentVector,
-    _check_chart_guard,
-    _function_jet,
-    _scalar_gradient,
     _standard_basis,
     affine_coordinates,
-    basis_combination,
     check_state,
     embedding_function,
     linear_family,
@@ -49,34 +39,18 @@ from .manifold import (
 )
 from .metrics import (
     MonotoneFunctionSpec,
-    _contract,
-    _contraction_trials,
     _kernel_difference,
-    _stinespring_channels,
-    bkm_direct,
+    _metric_matrix,
     bkm_function,
     bures_function,
     builtin_functions,
-    depolarizing_channel,
     kernel_metric,
-    partial_trace_channel,
     petz_kernel,
-    relative_entropy,
     rld_function,
     wyd_direct,
     wyd_function,
 )
-from .connections import (
-    CurveSpec,
-    _curve_stack,
-    covariant_derivative_set,
-    parallel_transport_on_M,
-)
 from .sampling import (
-    _ginibre_draws,
-    _state_draws,
-    _states,
-    _traceless_hermitians,
     hermitian_basis,
     pauli_matrices,
     random_state,
@@ -86,10 +60,6 @@ from .sampling import (
 )
 
 __all__ = [
-    "POSITIVE_TOL",
-    "FALSIFICATION_GAP",
-    "band",
-    "matched_metric",
     "WitnessFamily",
     "qubit_bloch_family",
     "qutrit_state_family",
@@ -103,11 +73,6 @@ __all__ = [
     "TransportDualityReport",
     "transport_duality_check",
     "witness_curve",
-    "potential_value",
-    "PotentialReport",
-    "potential_check",
-    "DualCoordinateReport",
-    "dual_coordinate_check",
     "perturbed_wyd",
     "ScanEntry",
     "UniquenessScanResult",
@@ -116,37 +81,22 @@ __all__ = [
     "convexity_failure_check",
     "path_dependence_witness",
     "flatness_scan",
-    "GibbsFamily",
-    "gibbs_family",
-    "ProjectionReport",
-    "entropy_projections",
-    "entropy_projection",
-    "relative_entropy_curvature_gap",
-    "kernel_direct_consistency",
-    "monotonicity_scan",
     "classical_reduction_check",
 ]
 
-# Positive verification tolerance and the falsification gap (100x separation).
-POSITIVE_TOL = 5e-5
-FALSIFICATION_GAP = 1e-2
+# The benchmark's span tracer looks these checks up in this module; each is loaded from its
+# own module on first use, so importing duality does not load the potential or Gibbs code.
+_ELSEWHERE = {
+    "potential_check": "potential",
+    "dual_coordinate_check": "potential",
+    "entropy_projection": "gibbs",
+}
 
 
-def band(value: float, tol: float, gap: float) -> str:
-    """Verdict band of a value: "pass" up to tol, "fail" from gap on or at NaN, else
-    "inconclusive"."""
-    if value <= tol:
-        return "pass"
-    if value < gap:
-        return "inconclusive"
-    return "fail"
-
-
-def matched_metric(alpha: float) -> MonotoneFunctionSpec:
-    """Kernel profile of the order-alpha pairing: WYD at p = (1+alpha)/2, BKM at |alpha| = 1."""
-    if abs(alpha) >= 1.0:
-        return bkm_function()
-    return wyd_function(0.5 * (1.0 + alpha))
+def __getattr__(name: str):
+    if name in _ELSEWHERE:
+        return getattr(importlib.import_module(f".{_ELSEWHERE[name]}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,27 +203,6 @@ class DualityReport:
     per_triple: np.ndarray
     grid: tuple
     family_name: str = ""
-
-
-def _tangent_gram(tangents: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """g_ab = sum conj(T_a) * c * T_b over eigenbasis tangents T and kernel coefficients c.
-
-    Leading axes broadcast: tangents (..., d, n, n) against coefficients
-    (..., n, n). Each pair a <= b is summed once and mirrored.
-    """
-    d = tangents.shape[-3]
-    a, b = np.triu_indices(d)
-    upper = _contract(coefficients[..., None, :, :], tangents[..., a, :, :], tangents[..., b, :, :])
-    out = np.empty(upper.shape[:-1] + (d, d))
-    out[..., a, b] = upper
-    out[..., b, a] = upper
-    return out
-
-
-def _metric_matrix(jet: ChartJet, f: MonotoneFunctionSpec) -> np.ndarray:
-    """g_ab = f-metric of the coordinate tangents d_a sigma, d_b sigma at the theta of a chart's
-    jet of order at least 1, (d, d), or (m, d, d) for a stacked jet."""
-    return _tangent_gram(jet.tangents, petz_kernel(jet.spectrum, f).coefficients)
 
 
 def _pairings(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -446,254 +375,6 @@ def witness_curve(step_count: int = 256) -> CurveSpec:
 
 
 # ---------------------------------------------------------------------------
-# Potential and dual coordinates
-
-
-def _potential_factor(alpha: float) -> float:
-    """2/(1+alpha), the factor of the trace potential; undefined at alpha <= -1."""
-    alpha = float(alpha)
-    if alpha <= -1.0:
-        raise ValueError(f"the trace potential needs alpha > -1, got {alpha!r}")
-    return 2.0 / (1.0 + alpha)
-
-
-def _trace(a: np.ndarray) -> np.ndarray:
-    """Real part of the trace of each matrix of a stack (..., n, n)."""
-    return np.trace(a, axis1=-2, axis2=-1).real
-
-
-def potential_value(sigma: np.ndarray, alpha: float):
-    """Trace potential (2/(1+alpha)) Tr sigma; undefined at alpha = -1.
-
-    A stack of matrices (..., n, n) gives an array of values.
-    """
-    value = _potential_factor(alpha) * _trace(sigma)
-    return float(value) if np.ndim(value) == 0 else value
-
-
-def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x_r . y_r of each row of two stacks (k, d), each summed as a 1-d ``x @ y`` sums it."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
-def _newton_steps(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """-H^-1 g of each row of a stack; a row whose Hessian is singular steps along -g."""
-    try:
-        return -np.linalg.solve(hessian, grad[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        steps = np.empty_like(grad)
-        for r, (h, g) in enumerate(zip(hessian, grad)):
-            try:
-                steps[r] = -np.linalg.solve(h, g)
-            except np.linalg.LinAlgError:
-                steps[r] = -g
-        return steps
-
-
-def _damped_newton(evaluate, x, tol: float, max_iter: int, accepted=None):
-    """Minimize smooth convex objectives by Newton steps with Armijo backtracking, row by row.
-
-    x is a stack of starting points (k, d). ``evaluate`` is asked about some
-    rows at a time: it takes their points (r, d) and their indices into the
-    stack (r,), and returns their values (r,), gradients (r, d) and Hessians
-    (r, d, d). It is asked once at each new point, so a step kept at its
-    first trial costs one call; a row whose gradient reached ``tol`` is not
-    evaluated again, and a row whose Hessian is singular steps along
-    -gradient. Each row has its own convergence test, step length and
-    iteration count. ``accepted``, when given, is called with the points
-    (r, d) and indices (r,) of rows evaluated at their start and, after each
-    pass, at the steps they keep; it may raise. A trial the line search
-    rejects is not passed to it.
-
-    A row keeps its step t without comparing values once the predicted
-    decrease t * |slope| / 4 is within the slack, sixteen ulps of the value at
-    the row's point: an objective known only to its rounding cannot confirm a
-    smaller decrease, and halving t for it would stall the row (the trace
-    potential of ``dual_coordinate_check`` reads up to about 8 ulps off).
-    Other rows halve t until the Armijo test passes (or t falls below 1e-12).
-    Convergence is the gradient test alone.
-
-    Returns (x, value at x, gradient at x, iterations), iterations (k,): a
-    row's count is max_iter when its gradient never reached ``tol``.
-    """
-    x = np.array(x, dtype=float)
-    active = np.arange(len(x))
-    value, grad, hess = (np.array(a, dtype=float) for a in evaluate(x, active))
-    accepted = accepted or (lambda points, rows: None)
-    accepted(x, active)
-    iterations = np.zeros(len(x), dtype=int)
-
-    def move(rows):  # rows (indices into active) to xa + t delta, evaluated there
-        at = active[rows]
-        x[at] = xa[rows] + t[rows, None] * delta[rows]
-        value[at], grad[at], hess[at] = evaluate(x[at], at)
-
-    for it in range(1, max_iter + 1):
-        iterations[active] = it
-        active = active[~(np.abs(grad[active]).max(axis=-1) <= tol)]
-        if not active.size:
-            break
-        xa, f0 = x[active], value[active]
-        delta = _newton_steps(hess[active], grad[active])
-        slope = _row_dot(grad[active], delta)
-        slack = 16.0 * np.spacing(np.abs(f0))
-        t = np.ones(len(active))
-
-        def measurable(rows):  # the predicted decrease t |slope| / 4 exceeds the slack
-            return -0.25 * t[rows] * slope[rows] > slack[rows]
-
-        trying = np.arange(len(active))  # rows whose step t is still being halved
-        unevaluated = []  # rows whose last halved t is kept without a trial
-        while trying.size:
-            move(trying)
-            tt = t[trying]
-            trial = value[active[trying]]
-            rejected = trial > f0[trying] + 0.25 * tt * slope[trying] + slack[trying]
-            halved = trying[rejected & measurable(trying)]
-            t[halved] *= 0.5
-            trying = halved[measurable(halved) & (t[halved] > 1e-12)]
-            unevaluated.append(np.setdiff1d(halved, trying))
-        kept = np.concatenate(unevaluated)
-        if kept.size:
-            move(kept)
-        accepted(x[active], active)
-    return x, value, grad, iterations
-
-
-def _check_affine(alpha: float, jet: ChartJet) -> None:
-    """Reject a chart whose flat covariant derivatives do not all vanish at the theta of its
-    order-2 ``jet`` at one point.
-
-    Every pair (i, j) is checked, from one covariant_derivative_set call.
-    """
-    nabla = covariant_derivative_set(jet, [alpha], True)
-    norm = float(np.linalg.norm(nabla, axis=(-2, -1)).max())  # a norm needs no basis
-    if norm > 1e-4:
-        raise ValueError(
-            "coordinates are not affine for this embedding order "
-            f"(flat covariant derivative has norm {norm:.3e})"
-        )
-
-
-@dataclass(frozen=True)
-class PotentialReport:
-    """Hessian-vs-metric comparison of the trace potential in affine coordinates."""
-
-    alpha: float
-    hessian: np.ndarray
-    metric_matrix: np.ndarray
-    residual: float
-    gradient_residual: float
-    n_points: int
-
-
-def potential_check(
-    family: ParametrizedFamily,
-    alpha: float,
-    points: Sequence[np.ndarray],
-    basis: Sequence[np.ndarray],
-) -> PotentialReport:
-    """Verify the trace potential against the metric in affine coordinates.
-
-    psi = (2/(1+alpha)) Tr sigma(xi) has the exact Hessian (2/(1+alpha)) Tr
-    d_i d_j sigma and gradient eta = (2/(1+alpha)) Tr d_i sigma, from the
-    chart's order-2 jet on the grid, one chart call whose Spectrum also
-    serves the coordinates and the metric. The Hessian must equal the matched
-    kernel metric of the coordinate tangents entrywise, and eta must be an
-    affine function of the order-(-alpha) affine coordinates (checked by
-    linear regression over the grid).
-
-    Rejects coordinates in which the embedding is not affine at the first
-    grid point.
-    """
-    alpha = float(alpha)
-    if not -1.0 < alpha <= 1.0:
-        raise ValueError(f"potential check needs alpha in (-1, 1], got {alpha!r}")
-    points = np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in points])
-    d = family.param_dim
-    if len(points) < d + 2:
-        raise ValueError(f"need at least {d + 2} grid points for the affine regression")
-    jet = family.jet(points, 2)
-    # a chart affine for another order fails at any point
-    _check_affine(alpha, jet[0])
-    zetas = affine_coordinates(jet.spectrum, -alpha, basis)
-    metric = _metric_matrix(jet, matched_metric(alpha))
-    c = _potential_factor(alpha)
-    hess = c * _trace(jet.hessians)
-    etas = c * _trace(jet.tangents)
-    design = np.hstack([zetas, np.ones((len(points), 1))])
-    coeffs, *_ = np.linalg.lstsq(design, etas, rcond=None)
-    gradient_residual = float(np.abs(design @ coeffs - etas).max())
-    return PotentialReport(
-        alpha=alpha,
-        hessian=hess[0],
-        metric_matrix=metric[0],
-        residual=float(np.abs(hess - metric).max()),
-        gradient_residual=gradient_residual,
-        n_points=len(points),
-    )
-
-
-@dataclass(frozen=True)
-class DualCoordinateReport:
-    alpha: float
-    jacobian_residual: float
-    legendre_residual: float
-    n_points: int
-
-
-def dual_coordinate_check(
-    family: ParametrizedFamily,
-    alpha: float,
-    points: Sequence[np.ndarray],
-    seed=202,
-) -> DualCoordinateReport:
-    """Check the gradient coordinates against the metric and the Legendre pairing.
-
-    The potential psi = (2/(1+alpha)) Tr sigma, its gradient eta = (2/(1+alpha))
-    Tr d_i sigma and its Hessian (2/(1+alpha)) Tr d_i d_j sigma are exact, from
-    one chart jet per point stack: the traces are taken in the eigenbasis, psi
-    as the sum of the eigenvalues. The Jacobian of eta, by central differences,
-    must equal the matched metric matrix, and the numeric Legendre transform
-    must satisfy psi(xi) + phi(eta(xi)) = xi . eta(xi). phi(eta) =
-    -min_x (psi(x) - x . eta) is found by damped Newton steps, every point's
-    as one row of a stack started from a seeded perturbation of the point.
-    """
-    alpha = float(alpha)
-    if not len(points):
-        raise ValueError("the dual coordinate check needs at least one point")
-    points = np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in points])
-    c = _potential_factor(alpha)
-
-    def potential(jet):  # (psi, eta) at the jet's theta
-        return c * jet.spectrum.eigenvalues.sum(axis=-1), c * _trace(jet.tangents)
-
-    jet = family.jet(points, 1)
-    metric = _metric_matrix(jet, matched_metric(alpha))
-    psi0, eta0 = potential(jet)
-    # eta at the 2d stencil points of every point, from one chart call
-    jac = _scalar_gradient(lambda x: potential(family.jet(x, 1))[1], points)
-    jac_res = float(np.abs(jac - metric).max())
-
-    def evaluate(x, rows):
-        at = family.jet(x, 2)
-        psi, eta = potential(at)
-        return psi - _row_dot(x, eta0[rows]), eta - eta0[rows], c * _trace(at.hessians)
-
-    start = points + 0.05 * rng_from(seed).standard_normal(points.shape)
-    _, value_min, _, _ = _damped_newton(evaluate, start, tol=1e-9, max_iter=50)
-    # phi(eta0) = -(min value); residual is the optimality gap of xi itself
-    gap = psi0 - _row_dot(points, eta0) - value_min
-    leg_res = float(np.abs(gap).max())
-    return DualCoordinateReport(
-        alpha=alpha,
-        jacobian_residual=jac_res,
-        legendre_residual=leg_res,
-        n_points=len(points),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Uniqueness scan
 
 
@@ -849,7 +530,7 @@ def uniqueness_scan(
 
 
 # ---------------------------------------------------------------------------
-# Convexity failure, flatness, path dependence, trace identity
+# Convexity failure, flatness, path dependence, classical reduction
 
 
 @dataclass(frozen=True)
@@ -932,333 +613,6 @@ def flatness_scan(alpha: float, dim: int, seed=5) -> float:
         nabla = covariant_derivative_set(fam.jet(xi, 2), [alpha], on_extended=True)
         worst = max(worst, float(np.linalg.norm(nabla, axis=(-2, -1)).max()))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Gibbs families and the relative-entropy projection
-
-
-def _expectations(sigma: np.ndarray, observables: np.ndarray) -> np.ndarray:
-    """Tr(sigma Y_i) for sigma (..., n, n) and observables (..., m, n, n): (..., m)."""
-    return np.trace(sigma[..., None, :, :] @ observables, axis1=-2, axis2=-1).real
-
-
-def _gibbs_evaluation(theta: np.ndarray, observables: np.ndarray, order: int) -> tuple:
-    """(psi, means, d_i d_j psi, chart) of the Gibbs state sigma = exp(B - psi I) at each
-    B = sum theta_i Y_i, from one decomposition of B.
-
-    theta (..., m) and observables (..., m, n, n) broadcast. psi (...) is the
-    log-sum-exp of B's eigenvalues and means (..., m) are Tr(sigma Y_i).
-    ``chart`` is (sigma, Spectrum of sigma, tangents, hessians) as a
-    ParametrizedFamily's ``evaluate`` returns them, up to ``order``: in the
-    eigenbasis U of B, d_i sigma is K_exp o (U† Y_i U - <Y_i> I), and d_i d_j
-    sigma is the second exp derivative along those directions less
-    (d_i d_j psi) sigma, with d_i d_j psi = Tr(d_j sigma Y_i), symmetrized
-    (..., m, m); it is None at order 0.
-    """
-    spec = spectral_decompose(basis_combination(theta, observables))
-    top = spec.eigenvalues.max(axis=-1, keepdims=True)
-    psi = top + np.log(np.sum(np.exp(spec.eigenvalues - top), axis=-1, keepdims=True))
-    shifted = spec.eigenvalues - psi
-    sigma = apply_scalar_function(Spectrum(shifted, spec.unitary), exp_function())
-    p = np.exp(shifted)
-    state = Spectrum(p, spec.unitary)
-    means = _expectations(sigma, observables)
-    if order < 1:
-        return psi[..., 0], means, None, (sigma, state, None, None)
-    rotated = spec.expand_dims().to_eigenbasis(observables)
-    directions = rotated - means[..., None, None] * np.eye(spec.dim)
-    tangents, hessians = _function_jet(shifted, exp_function(), directions, order)
-    # Tr(d_j sigma Y_i) = sum_ab conj(Y_i)_ab (d_j sigma)_ab in the eigenbasis
-    products = rotated.conj()[..., :, None, :, :] * tangents[..., None, :, :, :]
-    d2psi = np.sum(products, axis=(-2, -1)).real
-    d2psi = 0.5 * (d2psi + d2psi.swapaxes(-1, -2))
-    if order >= 2:  # sigma is diag(e^shifted) in its eigenbasis
-        diagonal = np.arange(spec.dim)
-        hessians[..., diagonal, diagonal] -= d2psi[..., None] * p[..., None, None, :]
-    return psi[..., 0], means, d2psi, (sigma, state, tangents, hessians)
-
-
-def _gibbs_observables(observables) -> np.ndarray:
-    """Observables (..., m, n, n) as a complex stack, checked for each family of the stack.
-
-    Each must be self-adjoint, and {I, Y_1, ..., Y_m} linearly independent;
-    an error names the first failing family by its stack index.
-    """
-    ys = np.asarray(observables, dtype=complex)
-    if ys.ndim < 3 or ys.shape[-3] == 0:
-        raise ValueError("need at least one observable")
-    ys = check_hermitian(ys)
-    n = ys.shape[-1]
-    eye = np.broadcast_to(np.eye(n, dtype=complex), ys.shape[:-3] + (1, n, n))
-    span = np.concatenate([eye, ys], axis=-3)
-    gram = np.sum(span.conj()[..., :, None, :, :] * span[..., None, :, :, :], axis=(-2, -1)).real
-    dependent = np.linalg.cond(gram) > 1e12
-    if dependent.any():
-        _, at = _first_in_stack(dependent)
-        raise ValueError(f"observables together with I must be linearly independent{at}")
-    return ys
-
-
-@dataclass(frozen=True)
-class GibbsFamily:
-    """exp(sum theta_i Y_i - psi(theta) I) with analytic chart derivatives.
-
-    Each chart jet, ``log_partition`` and ``means`` takes one decomposition of
-    sum theta_i Y_i.
-    """
-
-    observables: tuple
-    family: ParametrizedFamily
-
-    def log_partition(self, theta) -> float:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        return float(_gibbs_evaluation(theta, np.stack(self.observables), 0)[0])
-
-    def state(self, theta) -> np.ndarray:
-        return self.family.point(theta)
-
-    def means(self, theta) -> np.ndarray:
-        return _expectations(self.state(theta), np.stack(self.observables))
-
-
-def gibbs_family(observables: Sequence[np.ndarray]) -> GibbsFamily:
-    """Build the normalized exponential family of the given observables.
-
-    {I, Y_1, ..., Y_m} must be linearly independent; the chart's jet carries
-    analytic first and second derivatives through the exp matrix calculus,
-    and broadcasts over a stack of theta (k, m).
-    """
-    ys = _gibbs_observables(observables)
-    if ys.ndim != 3:
-        raise ValueError(f"expected a sequence of (n, n) observables, got shape {ys.shape}")
-
-    def evaluate(theta, order):
-        return _gibbs_evaluation(theta, ys, order)[3]
-
-    return GibbsFamily(tuple(ys), ParametrizedFamily(param_dim=len(ys), evaluate=evaluate))
-
-
-@dataclass(frozen=True)
-class ProjectionReport:
-    theta_star: np.ndarray
-    converged: bool
-    iterations: int
-    gradient_norm: float
-    mean_residual: float
-    orthogonality_residual: float
-    relative_entropy_value: float
-
-
-def entropy_projections(rhos: np.ndarray, observables: np.ndarray, tol: float = 1e-9) -> list:
-    """Project each state of a stack onto its own Gibbs family; one ProjectionReport per state.
-
-    rhos (k, n, n) are states and observables (k, m, n, n) the families'
-    observables. Every row gets the checks of one projection (a state;
-    self-adjoint, linearly independent observables; chart values above the
-    guard at every kept Newton step, though a rejected trial may fall
-    below it), and an error names the failing row by its stack index. All rows
-    run as one damped Newton iteration on theta -> psi(theta) - theta .
-    means(rho), each with its own step length, convergence test and count;
-    one stacked decomposition gives the value, gradient and Hessian of every
-    row evaluated together. At the
-    minimizer the family means match the state's means, and the mixture
-    segment rho - sigma* is BKM-orthogonal to the family's tangent space.
-    Non-convergence within 200 Newton steps is reported (with the gradient
-    norm), not raised.
-    """
-    rho_spectrum = check_state(rhos)
-    rhos = np.asarray(rhos, dtype=complex)
-    ys = _gibbs_observables(observables)
-    if rhos.ndim != 3 or ys.shape[:1] + ys.shape[-2:] != rhos.shape:
-        raise ValueError(
-            f"states {rhos.shape} and observables {ys.shape} do not stack "
-            "as (k, n, n) and (k, m, n, n)"
-        )
-    k, m, n = ys.shape[:3]
-    target = _expectations(rhos, ys)
-    # what the last evaluation of each row leaves: sigma*, its Spectrum and its eigenbasis tangents
-    mu, unitary = np.empty((k, n)), np.empty((k, n, n), dtype=complex)
-    sigmas = np.empty((k, n, n), dtype=complex)
-    tangents = np.empty((k, m, n, n), dtype=complex)
-
-    def evaluate(theta, rows):
-        psi, means, d2psi, (sigma, state, t, _) = _gibbs_evaluation(theta, ys[rows], 1)
-        mu[rows], unitary[rows] = state.eigenvalues, state.unitary
-        sigmas[rows], tangents[rows] = sigma, t
-        return psi - _row_dot(theta, target[rows]), means - target[rows], d2psi
-
-    def accepted(theta, rows):  # a rejected trial may fall below the guard; a kept step may not
-        _check_chart_guard(mu[rows].min(axis=-1), theta, rows)
-
-    theta, _, grad, iterations = _damped_newton(
-        evaluate, np.zeros((k, m)), tol, max_iter=200, accepted=accepted
-    )
-    gnorm = np.abs(grad).max(axis=-1)
-    # BKM pairing Tr((rho - sigma*) L_log(sigma*)[d_i sigma]) in the eigenbasis of sigma* that
-    # the last evaluation of each row decomposed, where L_log(sigma*) scales entrywise by the
-    # divided differences of log at its eigenvalues mu
-    final = Spectrum(mu, unitary)
-    k_log = divided_difference_matrix(mu, log_function())
-    segment = final.to_eigenbasis(rhos - sigmas).swapaxes(-1, -2)
-    pairing = np.sum(segment[:, None] * k_log[:, None] * tangents, axis=(-2, -1))
-    orth = np.abs(pairing.real).max(axis=-1)
-    entropy = relative_entropy(rho_spectrum, final)
-    return [
-        ProjectionReport(
-            theta_star=theta[r],
-            converged=bool(gnorm[r] <= tol),
-            iterations=int(iterations[r]),
-            gradient_norm=float(gnorm[r]),
-            mean_residual=float(gnorm[r]),
-            orthogonality_residual=float(orth[r]),
-            relative_entropy_value=float(entropy[r]),
-        )
-        for r in range(k)
-    ]
-
-
-def entropy_projection(rho: np.ndarray, gibbs: GibbsFamily, tol: float = 1e-9) -> ProjectionReport:
-    """Project a state onto a Gibbs family by minimizing relative entropy.
-
-    The one-row case of ``entropy_projections``: damped Newton iteration on
-    theta -> psi(theta) - theta . means(rho). At the minimizer the family
-    means match the state's means and the mixture segment rho - sigma* is
-    BKM-orthogonal to the family's tangent space. Non-convergence within 200
-    Newton steps is reported (with the gradient norm), not raised.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    return entropy_projections(rho[None], np.stack(gibbs.observables)[None], tol)[0]
-
-
-def relative_entropy_curvature_gap(
-    rho: np.ndarray, direction: np.ndarray, t: float = 1e-2
-) -> float:
-    """|S(rho | rho + t D) - (1/2) t^2 bkm(D, D)|: the second-order expansion."""
-    spec = check_state(rho)
-    d = check_hermitian(direction)
-    if abs(complex(np.trace(d))) > 1e-10:
-        raise ValueError("expansion direction must be traceless")
-    sigma = rho + t * d
-    bkm = bkm_direct(spec, d, d)
-    return float(abs(relative_entropy(spec, sigma) - 0.5 * bkm * t * t))
-
-
-# ---------------------------------------------------------------------------
-# Criterion drivers
-
-
-def kernel_direct_consistency(
-    seed=0,
-    dims: Sequence[int] = (2, 3, 4),
-    alphas: Sequence[float] = (-0.9, -0.5, 0.0, 0.5, 0.9),
-    samples: int = 50,
-    floor: float = 0.05,
-) -> list:
-    """Compare the direct two-representation WYD pairing with the kernel form.
-
-    Returns one row per (dim, alpha): the worst value of
-    |direct - g(a, b)| / sqrt(g(a, a) g(b, b)) over the sampled (state,
-    tangent, tangent) triples, with g the kernel metric of the matched
-    profile f_p, p = (1+alpha)/2. The Cauchy-Schwarz scale bounds |g(a, b)|
-    and does not vanish where a and b are nearly g-orthogonal; one Petz
-    kernel per sample gives all three pairings.
-    """
-    rows = []
-    for n in dims:
-        for alpha in alphas:
-            rng = rng_from([seed, n, int(round((alpha + 1) * 1000))])
-            f = wyd_function(0.5 * (1.0 + alpha))
-            worst = 0.0
-            for _ in range(samples):
-                rho = check_state(random_state(rng, n, floor))
-                a = random_traceless_hermitian(rng, n)
-                b = random_traceless_hermitian(rng, n)
-                direct = wyd_direct(rho, alpha, a, b)
-                at, bt = rho.to_eigenbasis(np.stack([a, b]))
-                c = petz_kernel(rho, f).coefficients
-                ab, aa, bb = _contract(c, np.stack([at, at, bt]), np.stack([bt, at, bt]))
-                worst = max(worst, float(abs(direct - ab) / np.sqrt(aa * bb)))
-            rows.append({"dim": n, "alpha": alpha, "max_rel_dev": worst, "samples": samples})
-    return rows
-
-
-def monotonicity_scan(seed=0, trials: int = 1000) -> list:
-    """Monte-Carlo contraction margins for the built-in kernels.
-
-    Each trial draws one of three channel kinds (depolarizing, random
-    Stinespring, two-qubit partial trace) with a matching state and traceless
-    tangent; the kernels (WYD at p = 0.2, 0.5, 0.8 with the other built-ins)
-    are evaluated on the same seeded triples.
-    """
-    rng = rng_from(seed)
-    # draw: each trial makes the rng calls of random_state, random_traceless_hermitian and its
-    # channel builder, in that order; the linear algebra waits for the build
-    kinds, groups = [], {}
-    for t in range(trials):
-        kind = int(rng.integers(0, 3))
-        n = int(rng.integers(2, 4)) if kind < 2 else 4
-        floor = 0.05 if kind == 2 else 0.1
-        state = _state_draws(rng, n, floor)
-        tangent = _ginibre_draws(rng, n)
-        if kind == 0:
-            param = float(rng.uniform(0.05, 0.95))
-        elif kind == 1:
-            param = (rng.standard_normal((n * n, n)), rng.standard_normal((n * n, n)))
-        else:
-            param = None
-        kinds.append(kind)
-        dims = (n, 2 if kind == 2 else n)
-        groups.setdefault(dims, []).append((t, kind, floor, *state, *tangent, param))
-    # build: one stacked call per layer and (input, output)-dimension group, one channel stack
-    # per kind; states, outputs and rotated directions do not depend on the kernel, so one
-    # stacked decomposition per group serves every kernel
-    partial_trace = partial_trace_channel(2, 2)
-    stacks = []
-    for group in groups.values():
-        index, kind, floor, weights, g_re, g_im, a_re, a_im, params = zip(*group)
-        kind = np.array(kind)
-        n = len(weights[0])
-        rho = _states(np.stack(weights), np.array(floor)[:, None], np.stack(g_re), np.stack(g_im))
-        channels = []
-        for k in np.unique(kind):
-            members = np.flatnonzero(kind == k)
-            drawn = [params[r] for r in members]
-            if k == 0:
-                channel = depolarizing_channel(n, np.array(drawn))
-            elif k == 1:
-                channel = _stinespring_channels(*(np.stack(part) for part in zip(*drawn)))
-            else:
-                channel = partial_trace
-            channels.append((channel, members))
-        a = _traceless_hermitians(np.stack(a_re), np.stack(a_im))
-        stacks.append((np.array(index), _contraction_trials(channels, check_state(rho), rho, a)))
-    regularized = np.zeros(trials, dtype=bool)
-    inconclusive = np.zeros(trials, dtype=bool)
-    for index, stack in stacks:
-        regularized[index] = stack.regularized
-        inconclusive[index] = stack.inconclusive
-    conclusive = ~inconclusive
-    depolarizing = conclusive & (np.array(kinds, dtype=int) == 0)
-    rows = []
-    for f in builtin_functions(wyd_exponents=(0.2, 0.5, 0.8)):
-        margin = np.empty(trials)
-        for index, stack in stacks:
-            lhs, rhs = stack.lengths(f)
-            margin[index] = rhs - lhs
-        rows.append(
-            {
-                "metric": f.name,
-                "trials": trials,
-                # builtin min keeps the first of equal minima (0.0, -0.0) in trial order
-                "min_margin": float(min(margin[conclusive], default=np.inf)),
-                "depolarizing_strict_fraction": int(np.sum(margin[depolarizing] > 0.0))
-                / max(int(np.sum(depolarizing)), 1),
-                "regularized": int(np.sum(regularized & conclusive)),
-                "inconclusive": int(np.sum(inconclusive)),
-            }
-        )
-    return rows
 
 
 def classical_reduction_check(seed=0) -> dict:

@@ -11,7 +11,7 @@ import pytest
 from conftest import _scalar_hessian
 
 import qiglab.manifold
-from qiglab.duality import gibbs_family
+from qiglab.gibbs import gibbs_family
 from qiglab.manifold import (
     _scalar_gradient,
     affine_coordinates,

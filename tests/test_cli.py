@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
-from qiglab import cli, duality
+from qiglab import cli, duality, potential
 from qiglab.cli import (
     _COMMANDS,
     _build_parser,
@@ -47,6 +47,73 @@ def test_cli_import_leaves_scipy_unloaded():
     # numpy is the only dependency; scipy alone would triple the start-up time
     code = "import sys, qiglab.cli; sys.exit(int('scipy' in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=child_env()).returncode == 0
+
+
+# the library modules that hold one statement's checks, and the code only they use
+CHECK_MODULES = ("consistency", "monotonicity", "connections", "duality", "newton", "potential", "gibbs")
+
+
+def _check_modules_after(*commands) -> set:
+    """The CHECK_MODULES a child interpreter has loaded after ``import qiglab.cli`` and a run of
+    each subcommand at its defaults, output discarded; ``numpy.ma`` too when it is loaded."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from qiglab import cli\n"
+        f"for command in {list(commands)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        if cli.main([command]) != 0:\n"
+        "            sys.exit(command)\n"
+        "print(*sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    return {m for m in CHECK_MODULES if f"qiglab.{m}" in loaded} | ({"numpy.ma"} & loaded)
+
+
+def test_cli_import_loads_no_check_module():
+    # a launch imports the check module its subcommand runs, and no other
+    assert _check_modules_after() == set()
+
+
+@pytest.mark.parametrize(
+    "command, runs",
+    [
+        ("entropy-projection", {"gibbs", "newton"}),
+        ("transport-duality", {"duality", "connections"}),
+        ("monotonicity", {"monotonicity"}),
+        ("metric-table", {"consistency"}),
+    ],
+)
+def test_subcommand_loads_only_the_check_code_it_runs(command, runs):
+    assert _check_modules_after(command) == runs
+
+
+def test_no_subcommand_loads_numpy_ma():
+    # numpy's set routines (unique, setdiff1d) import numpy.ma: 13-15 ms of a launch
+    assert "numpy.ma" not in _check_modules_after(*_COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "ask", ["names = {}; exec('from qiglab import *', names)", "names = dir(qiglab)"]
+)
+def test_package_names_load_on_first_use(ask):
+    # importing the package loads no library module; asking for its names loads them all
+    code = (
+        "import json, sys, qiglab\n"
+        "before = [m for m in sys.modules if m.startswith('qiglab.')]\n"
+        f"{ask}\n"
+        "print(json.dumps([before, sorted(set(names) & set(qiglab.__all__)), qiglab.__all__]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
+    )
+    before, asked, exported = json.loads(done.stdout)
+    assert before == []
+    assert len(exported) == 109
+    assert asked == sorted(exported)
 
 
 # ------------------------------------------------------------- serialization
@@ -268,7 +335,7 @@ def test_metric_table_dims_below_two_is_usage_error(capsys, dims):
 def test_potential_points_below_the_regression_size_is_usage_error(calls, capsys):
     # the affine regression fits d + 1 coefficients on d = dim^2 coordinates; every dim's
     # grid is checked before any check runs
-    calls.watch(cli, "potential_check")
+    calls.watch(potential, "potential_check")
     with pytest.raises(SystemExit) as exc:
         main(["potential", "--dim", "2,3", "--points", "7"])
     assert exc.value.code == 2
@@ -283,7 +350,7 @@ def test_potential_points_below_the_regression_size_is_usage_error(calls, capsys
 def test_flatness_dim_below_one_is_usage_error(calls, capsys):
     # a 0 x 0 chart has no basis: the scan used to fail with "need at least one array to stack"
     # after scanning the dims before it
-    calls.watch(cli, "flatness_scan")
+    calls.watch(duality, "flatness_scan")
     with pytest.raises(SystemExit) as exc:
         main(["flatness", "--dim=2,0"])
     assert exc.value.code == 2
@@ -293,7 +360,7 @@ def test_flatness_dim_below_one_is_usage_error(calls, capsys):
 
 def test_duality_dim_without_witness_families_is_usage_error(calls, capsys):
     # dims 2 and 3 have documented witness families; no grid is built before the check
-    calls.watch(cli, "DefectGrid")
+    calls.watch(duality, "DefectGrid")
     with pytest.raises(SystemExit) as exc:
         main(["duality", "--dim=2,4"])
     assert exc.value.code == 2
@@ -312,7 +379,7 @@ def test_potential_dim_below_one_is_usage_error(capsys):
 def test_potential_dual_points_above_the_grid_is_usage_error(calls, capsys):
     # the dual check takes the first --dual-points grid points; more would check fewer than
     # the config record says
-    calls.watch(cli, "potential_check")
+    calls.watch(potential, "potential_check")
     with pytest.raises(SystemExit) as exc:
         main(["potential", "--dual-points", "9", "--points", "7"])
     assert exc.value.code == 2
@@ -331,20 +398,23 @@ def test_negative_potential_points_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "command, work",
+    "command, owner, work",
     [
-        ("duality", "DefectGrid"),
-        ("transport-duality", "witness_curve"),
-        ("flatness", "flatness_scan"),
-        ("potential", "xi_affine_family"),
+        pytest.param(command, owner, work, id=f"{command}-{work}")
+        for command, owner, work in (
+            ("duality", duality, "DefectGrid"),
+            ("transport-duality", duality, "witness_curve"),
+            ("flatness", duality, "flatness_scan"),
+            ("potential", cli, "xi_affine_family"),
+        )
     ],
 )
 def test_alpha_outside_the_closed_interval_is_usage_error_before_any_work(
-    calls, capsys, command, work
+    calls, capsys, command, owner, work
 ):
     # every --alpha value is checked first: the run used to finish every case at alpha = 0 and
     # then fail with "alpha must lie in [-1, 1]", which does not name the option
-    calls.watch(cli, work)
+    calls.watch(owner, work)
     with pytest.raises(SystemExit) as exc:
         main([command, "--alpha=0,5"])
     assert exc.value.code == 2
@@ -437,6 +507,42 @@ def test_gap_below_tol_is_usage_error_before_any_work(calls, capsys, command):
         capsys.readouterr().err
     )
     assert calls.count("eigh", "eigvalsh") == 0
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        ("1e3", "--seed must be an integer, got '1e3'"),
+        ("abc", "--seed must be an integer, got 'abc'"),
+        ("-3", "--seed must be at least 0, got -3"),
+    ],
+)
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_seed_that_is_not_a_nonnegative_integer_is_usage_error_before_any_work(
+    calls, capsys, command, seed, message
+):
+    # eight runners each parsed --seed, with errors that did not name it, and
+    # transport-duality, which draws nothing, ran with --seed abc and exited 0
+    calls.eig()
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--seed={seed}"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert calls.count("eigh", "eigvalsh") == 0
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_is_usage_error_before_any_work(calls, capsys, tmp_path, where):
+    # the run used to do all its work and then die with a FileNotFoundError traceback and
+    # exit 1, which reads as "a check failed"
+    path = str(tmp_path / "missing" / "out.jsonl" if where == "missing directory" else tmp_path)
+    calls.eig()
+    with pytest.raises(SystemExit) as exc:
+        main(["transport-duality", "--output", path])
+    assert exc.value.code == 2
+    assert f"--output cannot be written to {path!r}" in capsys.readouterr().err
+    assert calls.count("eigh", "eigvalsh") == 0
+    assert not (tmp_path / "missing").exists()
 
 
 # ----------------------------------------------------------------- verdicts
@@ -608,16 +714,16 @@ def test_subcommand_stays_within_its_eig_budget(calls, capsys, command, budget):
 
 
 def _newton_passes(monkeypatch) -> list:
-    """The iteration counts of every _damped_newton run from here on, one list per run."""
+    """The iteration counts of every Legendre solve from here on, one list per run."""
     runs = []
-    newton = duality._damped_newton
+    newton = potential._damped_newton
 
     def logged(*args, **kwargs):
         out = newton(*args, **kwargs)
         runs.append(out[-1].tolist())
         return out
 
-    monkeypatch.setattr(duality, "_damped_newton", logged)
+    monkeypatch.setattr(potential, "_damped_newton", logged)
     return runs
 
 

@@ -11,13 +11,13 @@ from qiglab.connections import (
 )
 from qiglab.duality import (
     convexity_failure_check,
-    gibbs_family,
     qubit_bloch_family,
     qubit_weight_family,
     qutrit_state_family,
     sample_grid,
     standard_witness_families,
 )
+from qiglab.gibbs import gibbs_family
 from qiglab.linalg import CONFLUENT_RTOL, apply_scalar_function, hermitize, spectral_decompose
 from qiglab.manifold import (
     affine_coordinates,

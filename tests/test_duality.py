@@ -10,34 +10,27 @@ from qiglab.linalg import (
     frechet_second_derivative,
     spectral_decompose,
 )
+from qiglab.bands import FALSIFICATION_GAP, band
 from qiglab.duality import (
-    FALSIFICATION_GAP,
     DefectGrid,
-    _damped_newton,
-    _metric_matrix,
-    band,
     classical_reduction_check,
     convexity_failure_check,
-    dual_coordinate_check,
     duality_defect,
-    entropy_projection,
-    entropy_projections,
     flatness_scan,
-    gibbs_family,
-    kernel_direct_consistency,
-    matched_metric,
-    monotonicity_scan,
     path_dependence_witness,
     perturbed_wyd,
-    potential_check,
-    potential_value,
     qubit_bloch_family,
-    relative_entropy_curvature_gap,
     sample_grid,
     standard_witness_families,
     transport_duality_check,
     uniqueness_scan,
     witness_curve,
+)
+from qiglab.gibbs import (
+    entropy_projection,
+    entropy_projections,
+    gibbs_family,
+    relative_entropy_curvature_gap,
 )
 from qiglab.manifold import (
     CHART_MIN_EIGENVALUE,
@@ -53,22 +46,30 @@ from qiglab.manifold import (
 )
 from qiglab.metrics import (
     MonotoneFunctionSpec,
+    _metric_matrix,
     bkm_direct,
     bkm_function,
     builtin_functions,
     bures_function,
-    depolarizing_channel,
     kernel_metric,
+    matched_metric,
     metric_eval,
-    monotonicity_check,
-    partial_trace_channel,
     petz_kernel,
-    random_stinespring_channel,
     relative_entropy,
     rld_function,
     validate_function_spec,
     wyd_function,
 )
+from qiglab.consistency import kernel_direct_consistency
+from qiglab.monotonicity import (
+    depolarizing_channel,
+    monotonicity_check,
+    monotonicity_scan,
+    partial_trace_channel,
+    random_stinespring_channel,
+)
+from qiglab.newton import _damped_newton
+from qiglab.potential import dual_coordinate_check, potential_check, potential_value
 from qiglab.sampling import (
     hermitian_basis,
     pauli_matrices,
@@ -741,12 +742,12 @@ def test_monotonicity_scan_rows():
 def test_monotonicity_scan_decomposes_each_trial_once(calls):
     # states, tangents, channels, outputs and their spectra are stacked across trials and
     # shared by all kernels
-    import qiglab.metrics
+    import qiglab.monotonicity
 
     calls.eig()
     calls.watch(np.linalg, "qr")
-    calls.watch(qiglab.metrics, "apply_channel")
-    calls.watch(qiglab.metrics, "petz_kernel")
+    calls.watch(qiglab.monotonicity, "apply_channel")
+    calls.watch(qiglab.monotonicity, "petz_kernel")
     trials = 40
     rows = monotonicity_scan(seed=0, trials=trials)
     # trials are stacked per (input, output) dimension: (2, 2), (3, 3) and (4, 2)
@@ -1190,18 +1191,22 @@ RECORDED_PROJECTION_PASSES = {
 
 
 def test_newton_passes_match_the_recorded_ones(capsys, monkeypatch):
-    import qiglab.duality
+    import qiglab.gibbs
+    import qiglab.newton
+    import qiglab.potential
     from qiglab.cli import main
 
     runs = []
-    newton = qiglab.duality._damped_newton
+    newton = qiglab.newton._damped_newton
 
     def logged(*args, **kwargs):
         out = newton(*args, **kwargs)
         runs.append(out[-1].tolist())  # the per-row iteration counts
         return out
 
-    monkeypatch.setattr(qiglab.duality, "_damped_newton", logged)
+    # the Legendre solve and the projections each call the solver they imported
+    monkeypatch.setattr(qiglab.potential, "_damped_newton", logged)
+    monkeypatch.setattr(qiglab.gibbs, "_damped_newton", logged)
     for seed in range(0, 300, 15):
         runs.clear()
         assert main(["potential", "--seed", str(seed)]) == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import _scalar_hessian
 
-from qiglab.duality import gibbs_family
+from qiglab.gibbs import gibbs_family
 from qiglab.linalg import apply_scalar_function, hs_inner, spectral_decompose
 from qiglab.manifold import (
     _scalar_gradient,

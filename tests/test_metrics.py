@@ -5,26 +5,28 @@ from qiglab.duality import perturbed_wyd
 from qiglab.linalg import CONFLUENT_RTOL, Spectrum, spectral_decompose
 from qiglab.manifold import check_state, state_tangent
 from qiglab.metrics import (
-    KrausChannel,
     MonotoneFunctionSpec,
-    apply_channel,
     bkm_direct,
     bkm_function,
     builtin_functions,
     bures_function,
-    depolarizing_channel,
     kernel_metric,
     metric_eval,
-    monotonicity_check,
-    partial_trace_channel,
     petz_kernel,
-    random_stinespring_channel,
     relative_entropy,
     rld_function,
     validate_function_spec,
     wyd_direct,
     wyd_function,
     _kernel_difference,
+)
+from qiglab.monotonicity import (
+    KrausChannel,
+    apply_channel,
+    depolarizing_channel,
+    monotonicity_check,
+    partial_trace_channel,
+    random_stinespring_channel,
 )
 from qiglab.sampling import pauli_matrices, random_state, random_traceless_hermitian, rng_from
 
@@ -385,19 +387,19 @@ def test_monotonicity_regularizes_singular_output():
 
 def test_monotonicity_inconclusive_when_output_stays_singular(monkeypatch):
     # no channel output falls this far below zero, so patch the channel's action on the state
-    import qiglab.metrics
+    import qiglab.monotonicity
 
     rng = rng_from(41)
     rho = random_state(rng, 2)
     v = state_tangent(rho, random_traceless_hermitian(rng, 2))
-    apply = qiglab.metrics.apply_channel
+    apply = qiglab.monotonicity.apply_channel
 
     def negative_output(channel, x):
         if abs(np.trace(x) - 1.0) < 1e-9:
             return np.diag([1.1, -0.1]).astype(complex)
         return apply(channel, x)
 
-    monkeypatch.setattr(qiglab.metrics, "apply_channel", negative_output)
+    monkeypatch.setattr(qiglab.monotonicity, "apply_channel", negative_output)
     report = monotonicity_check(bkm_function(), rho, v, depolarizing_channel(2, 0.3))
     assert report.inconclusive and report.regularized
     assert np.isnan(report.lhs) and np.isnan(report.margin)

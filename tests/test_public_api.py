@@ -7,7 +7,20 @@ import pytest
 import qiglab
 from qiglab.manifold import ParametrizedFamily
 
-MODULES = ("linalg", "sampling", "manifold", "metrics", "connections", "duality")
+MODULES = (
+    "linalg",
+    "sampling",
+    "manifold",
+    "metrics",
+    "monotonicity",
+    "consistency",
+    "connections",
+    "bands",
+    "duality",
+    "newton",
+    "potential",
+    "gibbs",
+)
 
 # Removed for having no caller outside their own tests; the README's
 # "Library usage" gives a one-line replacement for each.

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from qiglab.metrics import (
+from qiglab.monotonicity import (
     KrausChannel,
     _stinespring_channels,
     apply_channel,

@@ -16,14 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qiglab.duality import (
-    _gibbs_evaluation,
-    _metric_matrix,
-    gibbs_family,
-    matched_metric,
-    qubit_bloch_family,
-    qubit_weight_family,
-)
+from qiglab.duality import qubit_bloch_family, qubit_weight_family
+from qiglab.gibbs import _gibbs_evaluation, gibbs_family
 from qiglab.linalg import hermitize, hs_inner
 from qiglab.manifold import (
     CHART_MIN_EIGENVALUE,
@@ -34,6 +28,7 @@ from qiglab.manifold import (
     linear_family,
     xi_affine_family,
 )
+from qiglab.metrics import _metric_matrix, matched_metric
 from qiglab.sampling import (
     haar_unitary,
     hermitian_basis,
