@@ -130,13 +130,34 @@ def _render(records, fmt: str, columns) -> str:
 # Option handling
 
 
+def _value(text, option: str, kind=float):
+    """``text`` as a ``kind`` value; text that does not parse, or NaN, is a usage error that
+    names ``option``."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan  # refused below, as a NaN given as such is
+    if value != value:  # NaN
+        wanted = "an integer" if kind is int else "a number"
+        raise ValueError(f"{option} must be {wanted}, got {text!r}")
+    return value
+
+
+def _real(opt, key) -> float:
+    """Option ``key`` as a float; see _value."""
+    return _value(opt[key], "--" + key.replace("_", "-"))
+
+
 def _list(opt, key, kind, single=False):
-    """Option ``key`` as a tuple of ``kind`` values from a comma-separated list; an empty list,
-    or more than one value where ``single``, is a usage error that names the option."""
-    values = tuple(kind(tok.strip()) for tok in str(opt[key]).split(",") if tok.strip() != "")
+    """Option ``key`` as a tuple of ``kind`` values from a comma-separated list; a value that
+    _value rejects, an empty list, or more than one value where ``single``, is a usage error
+    that names the option."""
+    name = "--" + key.replace("_", "-")
+    tokens = [tok.strip() for tok in str(opt[key]).split(",") if tok.strip() != ""]
+    values = tuple(_value(tok, f"each {name} value", kind) for tok in tokens)
     if not values or (single and len(values) > 1):
         wanted = "one value" if single else "at least one value"
-        raise ValueError(f"--{key} takes {wanted}, got {len(values)}: {opt[key]!r}")
+        raise ValueError(f"{name} takes {wanted}, got {len(values)}: {opt[key]!r}")
     return values
 
 
@@ -155,10 +176,7 @@ def _count(opt, key, floor=1):
     """Option ``key`` as an int; a value that is not an integer, or is below ``floor``, is a
     usage error that names the option."""
     name = key.replace("_", "-")
-    try:
-        value = int(opt[key])
-    except ValueError:
-        raise ValueError(f"--{name} must be an integer, got {opt[key]!r}") from None
+    value = _value(opt[key], f"--{name}", int)
     if value < floor:
         raise ValueError(f"--{name} must be at least {floor}, got {value}")
     return value
@@ -219,7 +237,7 @@ def _merge_options(command: str, args: argparse.Namespace, parser) -> dict:
 
 def _tol_gap(opt) -> tuple:
     """(--tol, --gap) as floats; a gap below the tol is a usage error that names both."""
-    tol, gap = float(opt["tol"]), float(opt["gap"])
+    tol, gap = _real(opt, "tol"), _real(opt, "gap")
     if gap < tol:
         raise ValueError(f"--gap must be at least --tol, got --gap {gap!r} below --tol {tol!r}")
     return tol, gap
@@ -231,7 +249,7 @@ def _metric_from_token(token: str, alpha: float):
     if token == "wyd":
         return matched_metric(alpha)
     if token.startswith("wyd:"):
-        return wyd_function(float(token[4:]))
+        return wyd_function(_value(token[4:], f"the exponent of --metric {token}"))
     if token == "bkm":
         return bkm_function()
     if token == "bures":
@@ -286,8 +304,8 @@ def _run_metric_table(opt, seed):
     # the matched WYD exponent (1 + alpha)/2 must lie in (0, 1)
     alphas = _alphas(opt, "alphas", strict=True)
     samples = _count(opt, "samples")
-    floor = float(opt["floor"])
-    tol = float(opt["tol"])
+    floor = _real(opt, "floor")
+    tol = _real(opt, "tol")
     records = []
     worst = 0.0
     for row in kernel_direct_consistency(seed, dims, alphas, samples, floor):
@@ -351,26 +369,26 @@ def _run_duality(opt, seed):
             f"--dim values must be 2 or 3, the dimensions with documented witness families, "
             f"got {outside[0]}"
         )
+    # every (alpha, metric) pair resolves before any grid is built
+    pairs = [(alpha, _metric_from_token(token, alpha))
+             for alpha in alphas for token in _list(opt, "metric", str)]
+    witness_reports = []  # (witness, its reports, one per pair), dim by dim
+    for dim in dims:
+        for w in standard_witness_families(dim, opt["manifold"]):
+            grid = DefectGrid(w.family, sample_grid(w, [seed, dim], n_points), w.on_extended)
+            reports = grid.defects([(f, alpha, 1.0, w.name) for alpha, f in pairs])
+            witness_reports.append((w, reports))
     records = []
     worst = 0.0
-    grids = {}  # dim -> [(witness, DefectGrid)], shared by every alpha and metric
-    for alpha in alphas:
-        for token in _list(opt, "metric", str):
-            f = _metric_from_token(token, alpha)
-            for dim in dims:
-                if dim not in grids:
-                    grids[dim] = []
-                    for w in standard_witness_families(dim, opt["manifold"]):
-                        grid = sample_grid(w, [seed, dim], n_points)
-                        grids[dim].append((w, DefectGrid(w.family, grid, w.on_extended)))
-                for witness, grid in grids[dim]:
-                    rep = grid.defect(f, alpha, family_name=witness.name)
-                    worst = max(worst, rep.defect)
-                    manifold = "weight" if witness.on_extended else "state"
-                    records.append(
-                        _case(band(rep.defect, tol, gap), metric=f.name, alpha=alpha,
-                              family=witness.name, manifold=manifold, defect=rep.defect)
-                    )
+    for p, (alpha, f) in enumerate(pairs):
+        for witness, reports in witness_reports:
+            rep = reports[p]
+            worst = max(worst, rep.defect)
+            manifold = "weight" if witness.on_extended else "state"
+            records.append(
+                _case(band(rep.defect, tol, gap), metric=f.name, alpha=alpha,
+                      family=witness.name, manifold=manifold, defect=rep.defect)
+            )
     return records, {"max_defect": worst}
 
 
@@ -410,9 +428,9 @@ def _grid_weights(rng, dim: int, count: int) -> np.ndarray:
 def _run_potential(opt, seed):
     from .potential import dual_coordinate_check, potential_check
 
-    tol = float(opt["tol"])
-    reg_tol = float(opt["regression_tol"])
-    leg_tol = float(opt["legendre_tol"])
+    tol = _real(opt, "tol")
+    reg_tol = _real(opt, "regression_tol")
+    leg_tol = _real(opt, "legendre_tol")
     n_dual = _count(opt, "dual_points")
     points_option = _count(opt, "points", floor=0)  # 0 picks the size per dim
     dims = _list(opt, "dim", int)
@@ -483,8 +501,8 @@ def _run_monotonicity(opt, seed):
     from .monotonicity import monotonicity_scan
 
     trials = _count(opt, "trials")
-    margin_tol = float(opt["margin_tol"])
-    frac_req = float(opt["strict_fraction"])
+    margin_tol = _real(opt, "margin_tol")
+    frac_req = _real(opt, "strict_fraction")
     records = []
     for row in monotonicity_scan(seed, trials):
         status = _verdict([
@@ -502,8 +520,8 @@ def _run_flatness(opt, seed):
     steps = _count(opt, "steps", floor=2)
     if steps % 2:  # the transport is Richardson-extrapolated from a half-resolution run
         raise ValueError(f"--steps must be even, got {steps}")
-    tol = float(opt["tol"])
-    wtol = float(opt["witness_tol"])
+    tol = _real(opt, "tol")
+    wtol = _real(opt, "witness_tol")
     dims = _list(opt, "dim", int)
     if min(dims) < 1:
         raise ValueError(f"--dim values must be at least 1, got {min(dims)}")
@@ -542,7 +560,7 @@ def _run_convexity_failure(opt, seed):
     grid = [rng.dirichlet(np.ones(3))[:2] * 0.6 + 0.4 / 3 for _ in range(3)]
     value = convexity_failure_check(alpha, fam, grid, family_name="simplex-3").max_difference
     records.append(
-        _case(_at_most(value, float(opt["classical_tol"])), check="diagonal_family_identity",
+        _case(_at_most(value, _real(opt, "classical_tol")), check="diagonal_family_identity",
               alpha=alpha, value=value)
     )
 
@@ -552,14 +570,14 @@ def _run_convexity_failure(opt, seed):
         rep = convexity_failure_check(alpha, witness.family, grid, family_name=witness.name)
         worst_quantum = max(worst_quantum, rep.max_difference)
     records.append(
-        _case(_at_least(worst_quantum, float(opt["witness_tol"])),
+        _case(_at_least(worst_quantum, _real(opt, "witness_tol")),
               check="noncommuting_witness_gap", alpha=alpha, value=worst_quantum)
     )
 
     fisher = classical_reduction_check(seed)
     value = max(fisher["max_fisher_dev"], fisher["max_alpha_dev"])
     records.append(
-        _case(_at_most(value, float(opt["fisher_tol"])), check="classical_fisher_reduction",
+        _case(_at_most(value, _real(opt, "fisher_tol")), check="classical_fisher_reduction",
               alpha=alpha, value=value)
     )
 
@@ -571,7 +589,7 @@ def _run_convexity_failure(opt, seed):
         )
         worst_bkm = max(worst_bkm, rep.defect)
     records.append(
-        _case(_at_least(worst_bkm, float(opt["gap"])), check="bkm_not_dual_at_alpha",
+        _case(_at_least(worst_bkm, _real(opt, "gap")), check="bkm_not_dual_at_alpha",
               alpha=alpha, value=worst_bkm)
     )
     return records, {}
@@ -603,8 +621,8 @@ def _run_entropy_projection(opt, seed):
             f"--observables must be at most dim^2 - 1 = {dim * dim - 1} at --dim {dim}, got {n_obs}"
         )
     instances = _count(opt, "instances")
-    tol = float(opt["tol"])
-    orth_tol = float(opt["orthogonality_tol"])
+    tol = _real(opt, "tol")
+    orth_tol = _real(opt, "orthogonality_tol")
     records = []
     reports = entropy_projections(*_projection_instances(seed, instances, dim, n_obs), tol=tol)
     for k, rep in enumerate(reports):
@@ -623,16 +641,16 @@ def _run_entropy_projection(opt, seed):
     # second-order relative-entropy expansion gap
     mean_of_means = float(np.mean([rep.mean_residual for rep in reports]))
     records.append(
-        _case(_at_most(mean_of_means, float(opt["mean_tol"])), instance=-1,
+        _case(_at_most(mean_of_means, _real(opt, "mean_tol")), instance=-1,
               mean_residual=mean_of_means)
     )
     rng = rng_from([seed, 777])
     rho = random_state(rng, dim, floor=0.1)
     direction = random_traceless_hermitian(rng, dim)
     direction = direction / (4.0 * np.linalg.norm(direction, 2))
-    gap_value = relative_entropy_curvature_gap(rho, direction, float(opt["taylor_t"]))
+    gap_value = relative_entropy_curvature_gap(rho, direction, _real(opt, "taylor_t"))
     records.append(
-        _case(_at_most(gap_value, float(opt["taylor_tol"])), instance=-2,
+        _case(_at_most(gap_value, _real(opt, "taylor_tol")), instance=-2,
               mean_residual=gap_value)
     )
     extra = {

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,6 +42,7 @@ from .metrics import (
     MonotoneFunctionSpec,
     _kernel_difference,
     _metric_matrix,
+    _petz_coefficients,
     bkm_function,
     bures_function,
     builtin_functions,
@@ -113,12 +115,14 @@ class WitnessFamily:
     on_extended: bool
 
 
+@cache
 def qubit_bloch_family() -> ParametrizedFamily:
     """Full qubit chart rho = (I + theta . sigma)/2 (linear, analytic)."""
     i2, sx, sy, sz = pauli_matrices()
     return linear_family(0.5 * i2, [0.5 * sx, 0.5 * sy, 0.5 * sz])
 
 
+@cache
 def qutrit_state_family() -> ParametrizedFamily:
     """Three-parameter qutrit sub-chart around a seeded interior base state.
 
@@ -134,6 +138,7 @@ def qutrit_state_family() -> ParametrizedFamily:
     return linear_family(base, directions)
 
 
+@cache
 def qubit_weight_family() -> ParametrizedFamily:
     """Full positive-cone qubit chart: a base drawn from seed 13 plus the Pauli basis/2."""
     rng = rng_from(13)
@@ -142,6 +147,7 @@ def qubit_weight_family() -> ParametrizedFamily:
     return linear_family(base, [0.5 * i2, 0.5 * sx, 0.5 * sy, 0.5 * sz])
 
 
+@cache
 def qutrit_weight_family() -> ParametrizedFamily:
     """Three-parameter qutrit chart into the positive cone, drawn from seed 17."""
     rng = rng_from(17)
@@ -206,10 +212,12 @@ class DualityReport:
 
 
 def _pairings(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Re sum_ab conj(x_r)_ab (y_s)_ab for every matrix x_r of x (m, r, n, n) and y_s of
-    y (m, s, n, n), point by point: (m, r, s), from one matmul."""
-    m, n = x.shape[0], x.shape[-1]
-    return (x.reshape(m, -1, n * n).conj() @ y.reshape(m, -1, n * n).swapaxes(-1, -2)).real
+    """Re sum_ab conj(x_r)_ab (y_s)_ab for every matrix x_r of x (k, m, r, n, n) and y_s of
+    y (k, m, s, n, n), case by case and point by point: (k, m, r, s), from one matmul; the
+    case and point axes broadcast."""
+    n = x.shape[-1]
+    return (x.reshape(x.shape[:2] + (-1, n * n)).conj()
+            @ y.reshape(y.shape[:2] + (-1, n * n)).swapaxes(-1, -2)).real
 
 
 class DefectGrid:
@@ -227,10 +235,10 @@ class DefectGrid:
     kernel's other argument gives the complex conjugate of the first term.
 
     H - nabla^(alpha)_i T_j at every point, in the eigenbasis, is built on
-    first use, from one covariant_derivative_set call over the whole grid for
-    both orders +-alpha: the pair at -+alpha shares the two sets, and alpha = 0
-    needs one. None of this depends on the metric kernel, so ``defect`` builds
-    one Petz kernel and its divided difference and contracts.
+    first use of an order, every order a ``defects`` call lacks, +-alpha for
+    each alpha, in one covariant_derivative_set call over the whole grid.
+    None of this depends on the metric kernel, so ``defects`` builds each
+    kernel and its divided difference and contracts, over all its cases at once.
     """
 
     def __init__(
@@ -249,52 +257,53 @@ class DefectGrid:
         self._tangent_pairs = t[:, :, None, :, :, None] * t[:, None, :, None, :, :]
         self._h_minus_nabla = {}
 
-    def _connections(self, alpha: float) -> tuple:
-        """H_ij - nabla^(alpha)_i T_j and H_ij - nabla^(-alpha)_i T_j at every grid point in its
-        eigenbasis, each of shape (points, d, d, n, n)."""
-        orders = list(dict.fromkeys((alpha, -alpha)))  # -0.0 == 0.0: alpha = 0 needs one set
-        if any(a not in self._h_minus_nabla for a in orders):
-            sets = covariant_derivative_set(self._jet, orders, self.on_extended)
-            self._h_minus_nabla.update((a, self._jet.hessians - n) for a, n in zip(orders, sets))
-        return self._h_minus_nabla[alpha], self._h_minus_nabla[-alpha]
+    def _connections(self, alphas: Sequence[float]) -> dict:
+        """order -> H_ij - nabla^(order)_i T_j at every grid point in its eigenbasis, (points,
+        d, d, n, n), for +-alpha of every alpha; the orders not yet built are one call."""
+        missing = [a for a in dict.fromkeys(alphas + tuple(-a for a in alphas))  # -0.0 == 0.0
+                   if a not in self._h_minus_nabla]
+        if missing:
+            sets = covariant_derivative_set(self._jet, missing, self.on_extended)
+            self._h_minus_nabla.update((a, self._jet.hessians - n) for a, n in zip(missing, sets))
+        return self._h_minus_nabla
+
+    def defects(self, cases: Sequence[tuple]) -> list:
+        """One DualityReport per (f, alpha, scale, family_name) case, bit for bit the one the
+        case gets alone. Each distinct f, which must carry ``deriv``, is called once, and the
+        kernels and contractions run once over a leading case axis."""
+        if not cases:
+            return []
+        fs, alphas, scales, names = zip(*cases)
+        alphas = tuple(map(float, alphas))
+        specs = list(dict.fromkeys(fs))
+        nabla = self._connections(alphas)
+        spectrum, t = self._jet.spectrum, self._jet.tangents
+        m, d = t.shape[:2]
+        c = _petz_coefficients(spectrum, specs)
+        c1 = _kernel_difference(spectrum, c, specs)[:, :, None, None]
+        which = list(map(specs.index, fs))
+        # Y_ik = sum_m c1_amb (T_i)_am (T_k)_mb, axes (case, point, i, k, a, b)
+        y = _triple_contraction(c1, self._tangent_pairs)[which]
+        c = c[which][:, :, None]
+        plus = np.stack([nabla[a] for a in alphas])
+        minus = np.stack([nabla[-a] for a in alphas])
+        # d_i g_jk - g(nabla+_ij, T_k) - g(T_j, nabla-_ik) as the pairings with T_j,
+        # 2 Re <T_j, Y_ik> + g(T_j, H_ik - nabla-_ik) at axes (case, point, j, i, k), plus
+        # those with T_k, g(H_ij - nabla+_ij, T_k) at axes (case, point, i, j, k)
+        with_tj = _pairings(t[None], 2.0 * y + c[:, :, None] * minus).reshape(-1, m, d, d, d)
+        with_tk = _pairings(plus, c * t).reshape(-1, m, d, d, d)
+        per_triple = np.reshape(scales, (-1, 1, 1, 1, 1)) * (with_tj.swapaxes(2, 3) + with_tk)
+        worst = np.abs(per_triple).max(axis=(1, 2, 3, 4))
+        return [
+            DualityReport(f.name, alpha, self.on_extended, scale, float(w), p, self.grid, name)
+            for f, alpha, scale, name, w, p in zip(fs, alphas, scales, names, worst, per_triple)
+        ]
 
     def defect(
-        self,
-        f: MonotoneFunctionSpec,
-        alpha: float,
-        scale: float = 1.0,
-        family_name: str = "",
+        self, f: MonotoneFunctionSpec, alpha: float, scale: float = 1.0, family_name: str = ""
     ) -> DualityReport:
-        """Defect tensor of the f-metric against the (+alpha, -alpha) connections on this grid.
-
-        f must carry ``deriv``, which the exact d_i g_jk takes its kernel's
-        derivative from.
-        """
-        alpha = float(alpha)
-        plus, minus = self._connections(alpha)
-        kernel = petz_kernel(self._jet.spectrum, f)
-        c1 = _kernel_difference(kernel, f)[:, None, None]
-        c = kernel.coefficients[:, None]
-        t = self._jet.tangents
-        m, d = t.shape[:2]
-        # Y_ik = sum_m c1_amb (T_i)_am (T_k)_mb, axes (point, i, k, a, b)
-        y = _triple_contraction(c1, self._tangent_pairs)
-        # d_i g_jk - g(nabla+_ij, T_k) - g(T_j, nabla-_ik) as the pairings with T_j,
-        # 2 Re <T_j, Y_ik> + g(T_j, H_ik - nabla-_ik) at axes (point, j, i, k), plus those
-        # with T_k, g(H_ij - nabla+_ij, T_k) at axes (point, i, j, k)
-        with_tj = _pairings(t, 2.0 * y + c[:, None] * minus).reshape(m, d, d, d)
-        with_tk = _pairings(plus, c * t).reshape(m, d, d, d)
-        per_triple = scale * (with_tj.swapaxes(1, 2) + with_tk)
-        return DualityReport(
-            metric_name=f.name,
-            alpha=alpha,
-            on_extended=self.on_extended,
-            scale=scale,
-            defect=float(np.abs(per_triple).max()),
-            per_triple=per_triple,
-            grid=self.grid,
-            family_name=family_name,
-        )
+        """The one-case ``defects``: the f-metric against the (+alpha, -alpha) connections."""
+        return self.defects([(f, alpha, scale, family_name)])[0]
 
 
 def duality_defect(
@@ -470,45 +479,21 @@ def uniqueness_scan(
         witnesses = standard_witness_families(2, "state") + standard_witness_families(3, "state")
     if candidates is None:
         rng = rng_from(seed)
-        candidates = [
-            (wyd_function(p), 1.0, True),
-            (bkm_function(), 1.0, False),
-            (bures_function(), 1.0, False),
-            (rld_function(), 1.0, False),
-            (
-                perturbed_wyd(
-                    p,
-                    amplitude=0.2,
-                    center=float(rng.uniform(0.5, 1.2)),
-                    width=float(rng.uniform(0.3, 0.8)),
-                ),
-                1.0,
-                False,
-            ),
-            (
-                perturbed_wyd(
-                    p,
-                    amplitude=0.3,
-                    center=float(rng.uniform(0.5, 1.2)),
-                    width=float(rng.uniform(0.3, 0.8)),
-                ),
-                1.0,
-                False,
-            ),
-            (wyd_function(p), 3.0, True),
-        ]
-    grids = [
-        (w, DefectGrid(w.family, sample_grid(w, seed, n_points), w.on_extended))
-        for w in witnesses
+        wyd = wyd_function(p)  # the matched profile and its multiple share one kernel
+        bumps = [perturbed_wyd(p, a, float(rng.uniform(0.5, 1.2)), float(rng.uniform(0.3, 0.8)))
+                 for a in (0.2, 0.3)]
+        others = [bkm_function(), bures_function(), rld_function()] + bumps
+        candidates = [(wyd, 1.0, True)] + [(f, 1.0, False) for f in others] + [(wyd, 3.0, True)]
+    worst = [0.0] * len(candidates)
+    for w in witnesses:
+        grid = DefectGrid(w.family, sample_grid(w, seed, n_points), w.on_extended)
+        reports = grid.defects([(f, alpha, scale, w.name) for f, scale, _ in candidates])
+        worst = [max(v, rep.defect) for v, rep in zip(worst, reports)]
+    entries = [
+        ScanEntry(f.name if scale == 1.0 else f"{scale:g}*{f.name}", v, band(v, tol, gap),
+                  expected, scale)
+        for (f, scale, expected), v in zip(candidates, worst)
     ]
-    entries = []
-    for spec, scale, expected in candidates:
-        worst = 0.0
-        for w, grid in grids:
-            worst = max(worst, grid.defect(spec, alpha, scale, w.name).defect)
-        status = band(worst, tol, gap)
-        name = spec.name if scale == 1.0 else f"{scale:g}*{spec.name}"
-        entries.append(ScanEntry(name, worst, status, expected, scale))
     matched = [e for e in entries if e.expected_dual and e.scale == 1.0]
     wyd_minimal = bool(matched) and all(
         matched[0].defect <= e.defect for e in entries if e is not matched[0]

@@ -502,9 +502,11 @@ def xi_affine_family(basis: Sequence[np.ndarray], alpha: float) -> ParametrizedF
 def linear_family(base: np.ndarray, directions: Sequence[np.ndarray]) -> ParametrizedFamily:
     """sigma(theta) = base + sum theta_k D_k with exact chart derivatives: one eigh of sigma
     rotates the fixed directions, and the Hessians are zero."""
-    base = check_hermitian(base)
+    base = check_hermitian(np.array(base, dtype=complex))  # a copy, as np.stack makes one
     directions = check_hermitian(np.stack(directions))
     zero = np.zeros((len(directions),) + directions.shape, dtype=complex)  # (d, d, n, n)
+    for a in (base, directions, zero):
+        a.flags.writeable = False  # a chart may be shared, as the witness charts are
 
     def evaluate(theta, order):
         sigma = base + basis_combination(theta, directions)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -239,42 +239,76 @@ def petz_kernel(sigma: Union[np.ndarray, Spectrum], f: MonotoneFunctionSpec) -> 
     by its stack index.
     """
     spec = check_weight(sigma)
+    return MetricKernel(spec, _petz_coefficients(spec, f))
+
+
+_Specs = Union[MonotoneFunctionSpec, Sequence[MonotoneFunctionSpec]]
+
+
+def _profile_values(fs: _Specs, x: np.ndarray, derivative: bool = False) -> np.ndarray:
+    """f(x), or f'(x) where ``derivative``, as floats: x.shape for one spec f, or (K,) + x.shape
+    for a sequence of K specs, each called once. A derivative needs the spec's ``deriv``."""
+    if not isinstance(fs, MonotoneFunctionSpec):
+        return np.stack([np.broadcast_to(_profile_values(f, x, derivative), x.shape) for f in fs])
+    if not derivative:
+        return np.asarray(fs.fn(x), dtype=float)
+    if fs.deriv is None:
+        raise ValueError(f"{fs.name}: the kernel's derivative needs f', and the spec has no deriv")
+    return np.asarray(fs.deriv(x), dtype=float)
+
+
+def _first_failing(bad: np.ndarray, fs: _Specs) -> tuple:
+    """(spec, stack label) of the first flagged matrix, of one spec f (``bad`` holds a flag per
+    matrix of the stack), or of the first spec of a sequence with one (``bad`` is (K, ...))."""
+    if isinstance(fs, MonotoneFunctionSpec):
+        return fs, _first_in_stack(bad)[1]
+    k = int(np.argmax(bad.reshape(len(fs), -1).any(axis=1)))
+    return fs[k], _first_in_stack(bad[k])[1]
+
+
+def _petz_coefficients(spec: Spectrum, fs: _Specs) -> np.ndarray:
+    """Coefficients 1/(λb f(λa/λb)), symmetrized, at a positive Spectrum, eigenvalues (..., n):
+    (..., n, n) for one spec f, as ``petz_kernel`` gives them, or (K, ..., n, n) for a sequence
+    of K specs, each the coefficients it gets alone.
+
+    Each f.fn is called once, on the eigenvalue ratios; the symmetrization and the check run
+    once over every spec. A kernel that is not finite and strictly positive raises, naming the
+    first such spec and its first failing matrix by its stack index.
+    """
     lam = spec.eigenvalues
     ratio = lam[..., :, None] / lam[..., None, :]
-    c = 1.0 / (lam[..., None, :] * np.asarray(f.fn(ratio), dtype=float))
+    c = 1.0 / (lam[..., None, :] * _profile_values(fs, ratio))
     c = 0.5 * (c + c.swapaxes(-1, -2))  # symmetric up to round-off by the Petz symmetry of f
     bad = ~(np.isfinite(c) & (c > 0.0)).all(axis=(-2, -1))
     if bad.any():
-        _, at = _first_in_stack(bad)
+        f, at = _first_failing(bad, fs)
         raise ValueError(f"kernel of {f.name} is not strictly positive on this spectrum{at}")
-    return MetricKernel(spec, c)
+    return c
 
 
-def _kernel_difference(kernel: MetricKernel, f: MonotoneFunctionSpec) -> np.ndarray:
+def _kernel_difference(spec: Spectrum, coefficients: np.ndarray, fs: _Specs) -> np.ndarray:
     """c1[..., a, m, b] = (c_ab - c_mb)/(λa - λm): the first divided difference of the Petz
-    kernel c(x, y) = 1/(y f(x/y)) of ``kernel`` in its first argument, (..., n, n, n).
+    kernel c(x, y) = 1/(y f(x/y)) in its first argument, from its ``_petz_coefficients`` at
+    ``spec``: (..., n, n, n) for one spec f, or (K, ..., n, n, n) for a sequence of K.
 
     Where |λa - λm| <= CONFLUENT_RTOL * max(λa, λm), a = m included,
     it is the derivative at the midpoint instead: d1 c(x, y) = -f'(x/y) c(x, y)^2,
-    taken as -f'(mid/λb) c_ab c_mb, second-order accurate in the gap. f must
-    carry ``deriv``; a value that is not finite raises, naming the first failing matrix by its
-    stack index.
+    taken as -f'(mid/λb) c_ab c_mb, second-order accurate in the gap. Each f must
+    carry ``deriv``, called once, on the midpoint ratios; a value that is not finite raises,
+    naming the first such spec and its first failing matrix by its stack index.
     """
-    if f.deriv is None:
-        raise ValueError(f"{f.name}: the kernel's derivative needs f', and the spec has no deriv")
-    lam = kernel.spectrum.eigenvalues
+    lam = spec.eigenvalues
     la, lm, lb = lam[..., :, None, None], lam[..., None, :, None], lam[..., None, None, :]
-    c = kernel.coefficients
-    ca, cm = c[..., :, None, :], c[..., None, :, :]
+    ca, cm = coefficients[..., :, None, :], coefficients[..., None, :, :]
     gap = la - lm
     confluent = np.abs(gap) <= CONFLUENT_RTOL * np.maximum(la, lm)
     with np.errstate(divide="ignore", invalid="ignore"):
         quotient = (ca - cm) / gap
-    midpoint = -np.asarray(f.deriv(0.5 * (la + lm) / lb), dtype=float) * ca * cm
+    midpoint = -_profile_values(fs, 0.5 * (la + lm) / lb, derivative=True) * ca * cm
     c1 = np.where(confluent, midpoint, quotient)
     bad = ~np.isfinite(c1).all(axis=(-3, -2, -1))
     if bad.any():
-        _, at = _first_in_stack(bad)
+        f, at = _first_failing(bad, fs)
         raise ValueError(f"{f.name}: the kernel's divided difference is not finite{at}")
     return c1
 

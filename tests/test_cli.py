@@ -368,6 +368,17 @@ def test_duality_dim_without_witness_families_is_usage_error(calls, capsys):
     assert calls.count("DefectGrid") == 0
 
 
+def test_duality_unknown_metric_after_a_known_one_is_usage_error_before_any_grid(calls, capsys):
+    # every --metric token resolves before any grid is built; "nope" after "wyd" used to fail
+    # only once the grids of the first alpha existed
+    calls.watch(duality, "DefectGrid")
+    with pytest.raises(SystemExit) as exc:
+        main(["duality", "--metric", "wyd,nope"])
+    assert exc.value.code == 2
+    assert "unknown metric 'nope'" in capsys.readouterr().err
+    assert calls.count("DefectGrid") == 0
+
+
 def test_potential_dim_below_one_is_usage_error(capsys):
     # a 0 x 0 chart has no basis: the check used to fail with "need at least one array to stack"
     with pytest.raises(SystemExit) as exc:
@@ -506,6 +517,31 @@ def test_gap_below_tol_is_usage_error_before_any_work(calls, capsys, command):
     assert "--gap must be at least --tol, got --gap 0.01 below --tol 1.0" in (
         capsys.readouterr().err
     )
+    assert calls.count("eigh", "eigvalsh") == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transport-duality", "--tol", "abc"], "--tol must be a number, got 'abc'"),
+        (["duality", "--tol", "nan"], "--tol must be a number, got 'nan'"),
+        (["duality", "--metric", "wyd:abc"],
+         "the exponent of --metric wyd:abc must be a number, got 'abc'"),
+        (["metric-table", "--dims", "2,x"], "each --dims value must be an integer, got 'x'"),
+        (["metric-table", "--floor", "nan"], "--floor must be a number, got 'nan'"),
+        (["monotonicity", "--margin-tol", "1e-9x"], "--margin-tol must be a number, got '1e-9x'"),
+    ],
+)
+def test_number_that_does_not_parse_or_is_nan_is_usage_error_naming_its_option(
+    calls, capsys, argv, message
+):
+    # a bare float() or int() read "could not convert string to float: 'abc'" or "invalid
+    # literal for int()", naming no option, and duality --tol nan ran to an inconclusive verdict
+    calls.eig()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert calls.count("eigh", "eigvalsh") == 0
 
 

@@ -20,6 +20,9 @@ from qiglab.duality import (
     path_dependence_witness,
     perturbed_wyd,
     qubit_bloch_family,
+    qubit_weight_family,
+    qutrit_state_family,
+    qutrit_weight_family,
     sample_grid,
     standard_witness_families,
     transport_duality_check,
@@ -238,8 +241,8 @@ def test_defect_grid_builds_each_connection_set_once(calls, capsys):
     # nabla^(0.5) and nabla^(-0.5) once each, in one call, for 7 candidates as for 1
     assert battery == single == (2, 1)
     argv = ["duality", "--alpha=-0.5,0,0.5", "--dim", "2", "--manifold", "state", "--points", "1"]
-    # the signed orders -0.5, 0 and 0.5: three sets, one call for +-0.5 and one for 0
-    assert count(lambda: main(argv)) == (3, 2)
+    # the signed orders -0.5, 0 and 0.5: three sets, in one call
+    assert count(lambda: main(argv)) == (3, 1)
     capsys.readouterr()
 
 
@@ -271,9 +274,9 @@ def test_defect_grid_builds_each_signed_alpha_in_one_stacked_call(capsys, monkey
     # default duality: 2 dims x 2 manifolds of 3-point grids, alpha -0.5, 0 and 0.5
     assert main(["duality"]) == 0
     capsys.readouterr()
-    assert len(shapes) == 8
+    assert len(shapes) == 4
     assert all(shape[0] == 3 for shape in shapes)
-    assert sorted(orders) == [(1,)] * 4 + [(2,)] * 4  # per grid: +-0.5 in one call, 0 in one
+    assert orders == [(3,)] * 4  # per grid: -0.5, 0.5 and 0 in one call
 
 
 @pytest.mark.parametrize("points", [1, 3])
@@ -293,15 +296,29 @@ def test_defect_grid_evaluates_and_decomposes_in_two_stacked_calls(calls, points
     assert (calls.count("eigh"), calls.count("eigvalsh")) == (1, 0)
 
 
-def test_defect_builds_one_petz_kernel_per_call(calls):
-    import qiglab.duality
+def test_defects_call_each_kernel_profile_and_derivative_once_per_grid():
+    # fn on the grid's eigenvalue ratios and deriv on its midpoint ratios, once per spec for
+    # every case that uses it, each call for all grid points
+    shapes = {}
 
-    calls.watch(qiglab.duality, "petz_kernel")
+    def logged(fn, key):
+        def call(x):
+            shapes.setdefault(key, []).append(np.shape(x))
+            return fn(x)
+
+        return call
+
+    specs = [
+        dataclasses.replace(f, fn=logged(f.fn, (f.name, "fn")), deriv=logged(f.deriv, (f.name, "d")))
+        for f in (matched_metric(0.5), bures_function(), rld_function())
+    ]
     witness = standard_witness_families(3, "state")[0]
     shared = DefectGrid(witness.family, sample_grid(witness, 5, 3))
-    for count, f in enumerate((matched_metric(0.5), bures_function(), rld_function()), 1):
-        shared.defect(f, 0.5)
-        assert calls.count("petz_kernel") == count  # one for the whole stacked grid
+    shared.defects([(f, a, scale, "") for f in specs for a in (0.5, 0.0) for scale in (1, 3)])
+    assert shapes == {
+        key: [shape] for f in specs for key, shape in (((f.name, "fn"), (3, 3, 3)),
+                                                       ((f.name, "d"), (3, 3, 3, 3)))
+    }
 
 
 def test_defect_needs_the_kernel_derivative():
@@ -309,6 +326,92 @@ def test_defect_needs_the_kernel_derivative():
     underived = dataclasses.replace(bures_function(), name="bures-without-deriv", deriv=None)
     with pytest.raises(ValueError, match="bures-without-deriv: .* no deriv"):
         duality_defect(family, grid, underived, 0.0)
+
+
+def _report_bits(rep) -> tuple:
+    """A DualityReport's fields, each array as its (shape, bytes)."""
+
+    def bits(v):
+        return (v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+
+    return tuple(tuple(map(bits, v)) if isinstance(v, tuple) else bits(v)
+                 for v in dataclasses.astuple(rep))
+
+
+@pytest.mark.parametrize(
+    "dim, manifold", [(2, "state"), (2, "weight"), (3, "state"), (3, "weight")]
+)
+def test_defects_battery_equals_one_case_calls_bit_for_bit(dim, manifold):
+    witness = standard_witness_families(dim, manifold)[0]
+    grid = sample_grid(witness, [3, dim], 3)
+    specs = builtin_functions() + [perturbed_wyd(0.75, 0.2, 0.9, 0.4),
+                                   perturbed_wyd(0.25, 0.3, 0.6, 0.7)]
+    cases = [(f, alpha, 1.0, witness.name) for alpha in (-0.5, 0.0, 0.5) for f in specs]
+    cases += [(specs[1], 0.0, 3.0, witness.name)]  # a scale-3 copy of wyd(p=0.5)
+    battery = DefectGrid(witness.family, grid, witness.on_extended).defects(cases)
+    assert len(battery) == len(cases)
+    for (f, alpha, scale, name), rep in zip(cases, battery):
+        alone = duality_defect(witness.family, grid, f, alpha, witness.on_extended, scale, name)
+        assert _report_bits(rep) == _report_bits(alone)
+
+
+def test_defects_battery_names_the_spec_without_deriv():
+    family, grid = _bloch_grid()
+    underived = dataclasses.replace(rld_function(), name="rld-without-deriv", deriv=None)
+    battery = [(f, 0.5, 1.0, "") for f in (bures_function(), underived, matched_metric(0.5))]
+    with pytest.raises(ValueError, match="^rld-without-deriv: .* no deriv"):
+        DefectGrid(family, grid).defects(battery)
+
+
+# Bloch radii 0.05, 0.3 and 0.1: of the largest eigenvalue ratios (1 + r)/(1 - r), 1.11,
+# 1.86 and 1.22, only the second grid point's passes 1.5
+_RADII_GRID = [np.array([0.05, 0.0, 0.0]), np.array([0.0, 0.3, 0.0]), np.array([0.0, 0.0, 0.1])]
+
+
+def test_defects_battery_names_the_spec_whose_kernel_is_not_positive_and_its_grid_point():
+    bures = bures_function()
+    cut = dataclasses.replace(
+        bures, name="bures-cut", fn=lambda x: np.where(np.asarray(x) > 1.5, -1.0, bures.fn(x))
+    )
+    battery = [(f, 0.5, 1.0, "") for f in (matched_metric(0.5), cut, rld_function())]
+    shared = DefectGrid(qubit_bloch_family(), _RADII_GRID)
+    with pytest.raises(ValueError, match="^kernel of bures-cut is not strictly positive on this "
+                                         "spectrum at stack index 1$"):
+        shared.defects(battery)
+
+
+def test_defects_battery_names_the_spec_whose_kernel_difference_is_not_finite():
+    # f' is NaN past 1.5, which only the second point's confluent entries a = m reach, at λa/λb
+    rld = rld_function()
+    cut = dataclasses.replace(
+        rld, name="rld-cut", deriv=lambda x: np.where(np.asarray(x) > 1.5, np.nan, rld.deriv(x))
+    )
+    battery = [(f, 0.0, 1.0, "") for f in (bures_function(), cut)]
+    shared = DefectGrid(qubit_bloch_family(), _RADII_GRID)
+    with pytest.raises(ValueError, match=r"^rld-cut: .* not finite at stack index 1$"):
+        shared.defects(battery)
+
+
+def test_defects_of_an_empty_battery_is_empty():
+    family, grid = _bloch_grid()
+    assert DefectGrid(family, grid).defects([]) == []
+
+
+@pytest.mark.parametrize("build", [qubit_bloch_family, qutrit_state_family, qubit_weight_family,
+                                   qutrit_weight_family])
+def test_witness_charts_are_built_once_and_sealed(build):
+    family = build()
+    assert build() is family
+    arrays = [c.cell_contents for c in family.evaluate.__closure__
+              if isinstance(c.cell_contents, np.ndarray)]
+    assert len(arrays) >= 2 and not any(a.flags.writeable for a in arrays)
+
+
+def test_linear_family_does_not_alias_its_base():
+    base = np.diag([0.6, 0.4]).astype(complex)
+    family = linear_family(base, [np.diag([1.0, -1.0]).astype(complex)])
+    base[0, 0] = 5.0
+    np.testing.assert_array_equal(family.point(np.zeros(1)), np.diag([0.6, 0.4]))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])

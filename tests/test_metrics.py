@@ -135,11 +135,11 @@ def test_kernel_difference_that_is_not_finite_names_the_first_failing_matrix():
     )
     unitary = np.eye(2, dtype=complex)
     first = petz_kernel(Spectrum(np.array([0.5, 0.5]), unitary), spec)
-    assert np.isfinite(_kernel_difference(first, spec)).all()
+    assert np.isfinite(_kernel_difference(first.spectrum, first.coefficients, spec)).all()
     lam = np.array([[0.5, 0.5], [0.05, 0.95]])
     kernel = petz_kernel(Spectrum(lam, np.stack([unitary, unitary])), spec)
     with pytest.raises(ValueError, match=r"^bkm-cut: .* not finite at stack index 1$"):
-        _kernel_difference(kernel, spec)
+        _kernel_difference(kernel.spectrum, kernel.coefficients, spec)
 
 
 @pytest.mark.parametrize("name", ["wyd(p=0.25)", "bkm"])
@@ -153,7 +153,8 @@ def test_kernel_difference_matches_mpmath_across_the_confluent_switch(name, gap)
     mp = _mpmath()
     spec, mp_f = PROFILES[name]
     lam = np.array([0.3, 0.3 * (1.0 + gap), 2e-4])
-    got = _kernel_difference(petz_kernel(Spectrum(lam, np.eye(3, dtype=complex)), spec), spec)
+    kernel = petz_kernel(Spectrum(lam, np.eye(3, dtype=complex)), spec)
+    got = _kernel_difference(kernel.spectrum, kernel.coefficients, spec)
 
     def c(x, z):
         return 1 / (z * mp_f(mp, x / z)) if x != z else 1 / z
