@@ -148,16 +148,18 @@ def _real(opt, key) -> float:
     return _value(opt[key], "--" + key.replace("_", "-"))
 
 
-def _list(opt, key, kind, single=False):
+def _list(opt, key, kind, single=False, floor=None):
     """Option ``key`` as a tuple of ``kind`` values from a comma-separated list; a value that
-    _value rejects, an empty list, or more than one value where ``single``, is a usage error
-    that names the option."""
+    _value rejects, an empty list, more than one value where ``single``, or a value below
+    ``floor``, is a usage error that names the option."""
     name = "--" + key.replace("_", "-")
     tokens = [tok.strip() for tok in str(opt[key]).split(",") if tok.strip() != ""]
     values = tuple(_value(tok, f"each {name} value", kind) for tok in tokens)
     if not values or (single and len(values) > 1):
         wanted = "one value" if single else "at least one value"
         raise ValueError(f"{name} takes {wanted}, got {len(values)}: {opt[key]!r}")
+    if floor is not None and min(values) < floor:
+        raise ValueError(f"{name} values must be at least {floor}, got {min(values)}")
     return values
 
 
@@ -298,14 +300,15 @@ _EXIT = {"pass": 0, "fail": 1, "inconclusive": 3}
 def _run_metric_table(opt, seed):
     from .consistency import kernel_direct_consistency
 
-    dims = _list(opt, "dims", int)
-    if min(dims) < 2:  # a 1 x 1 state has no nonzero traceless tangent to pair
-        raise ValueError(f"--dims values must be at least 2, got {min(dims)}")
+    dims = _list(opt, "dims", int, floor=2)  # a 1 x 1 state has no nonzero traceless tangent
     # the matched WYD exponent (1 + alpha)/2 must lie in (0, 1)
     alphas = _alphas(opt, "alphas", strict=True)
     samples = _count(opt, "samples")
     floor = _real(opt, "floor")
-    tol = _real(opt, "tol")
+    for n in dims:  # every state draw keeps floor on each of its n simplex weights
+        if not 0.0 <= floor * n < 1.0:
+            raise ValueError(f"--floor must lie in [0, 1/dim) at every --dims value, got {floor!r} "
+                             f"at --dims {n}")
     records = []
     worst = 0.0
     for row in kernel_direct_consistency(seed, dims, alphas, samples, floor):
@@ -313,7 +316,7 @@ def _run_metric_table(opt, seed):
         worst = max(worst, value)
         metric = f"wyd(p={0.5 * (1 + row['alpha']):g})"
         records.append(
-            _case(_at_most(value, tol), check="kernel_vs_direct", dim=row["dim"],
+            _case(_at_most(value, 1e-8), check="kernel_vs_direct", dim=row["dim"],
                   alpha=row["alpha"], metric=metric, value=value)
         )
     # demo table: metric values of the sigma_x tangent at diag(3/4, 1/4), decomposed once;
@@ -396,9 +399,8 @@ def _run_transport_duality(opt, seed):  # the transport draws nothing at random
     from .duality import transport_duality_check, witness_curve
 
     tol, gap = _tol_gap(opt)
-    steps = _count(opt, "steps")
     alphas = _alphas(opt)
-    curve = witness_curve(steps)
+    curve = witness_curve()
     start = curve.point(0.0)
     # tangent pair chosen to break the z-reflection symmetry of the curve,
     # so a mismatched kernel shows a genuine drift
@@ -428,14 +430,9 @@ def _grid_weights(rng, dim: int, count: int) -> np.ndarray:
 def _run_potential(opt, seed):
     from .potential import dual_coordinate_check, potential_check
 
-    tol = _real(opt, "tol")
-    reg_tol = _real(opt, "regression_tol")
-    leg_tol = _real(opt, "legendre_tol")
     n_dual = _count(opt, "dual_points")
     points_option = _count(opt, "points", floor=0)  # 0 picks the size per dim
-    dims = _list(opt, "dim", int)
-    if min(dims) < 1:
-        raise ValueError(f"--dim values must be at least 1, got {min(dims)}")
+    dims = _list(opt, "dim", int, floor=1)
     alphas = _alphas(opt)
     sizes = {}
     for dim in dims:  # every grid size is checked before any work
@@ -448,6 +445,7 @@ def _run_potential(opt, seed):
                 f"--dual-points must be at most the {sizes[dim]} grid points at --dim {dim}, "
                 f"got {n_dual}"
             )
+    tol = 1e-5  # of the Hessian and the Jacobian residual
     records = []
     for dim in dims:
         basis = hermitian_basis(dim)
@@ -459,9 +457,9 @@ def _run_potential(opt, seed):
             dual = dual_coordinate_check(family, alpha, points[:n_dual], seed=[seed, 99])
             status = _verdict([
                 _at_most(rep.residual, tol),
-                _at_most(rep.gradient_residual, reg_tol),
+                _at_most(rep.gradient_residual, 1e-6),
                 _at_most(dual.jacobian_residual, tol),
-                _at_most(dual.legendre_residual, leg_tol),
+                _at_most(dual.legendre_residual, 1e-5),
             ])
             records.append(
                 _case(status, alpha=alpha, dim=dim, hessian_residual=rep.residual,
@@ -502,12 +500,12 @@ def _run_monotonicity(opt, seed):
 
     trials = _count(opt, "trials")
     margin_tol = _real(opt, "margin_tol")
-    frac_req = _real(opt, "strict_fraction")
     records = []
     for row in monotonicity_scan(seed, trials):
+        fraction = row["depolarizing_strict_fraction"]  # None when no trial was depolarizing
         status = _verdict([
             _at_least(row["min_margin"], -margin_tol),
-            _at_least(row["depolarizing_strict_fraction"], frac_req),
+            "inconclusive" if fraction is None else _at_least(fraction, 0.99),
             band(row["inconclusive"], 0, math.inf),  # trials the scan could not decide
         ])
         records.append(_case(status, **row))
@@ -520,23 +518,19 @@ def _run_flatness(opt, seed):
     steps = _count(opt, "steps", floor=2)
     if steps % 2:  # the transport is Richardson-extrapolated from a half-resolution run
         raise ValueError(f"--steps must be even, got {steps}")
-    tol = _real(opt, "tol")
-    wtol = _real(opt, "witness_tol")
-    dims = _list(opt, "dim", int)
-    if min(dims) < 1:
-        raise ValueError(f"--dim values must be at least 1, got {min(dims)}")
+    dims = _list(opt, "dim", int, floor=1)
     alphas = _alphas(opt)
     records = []
     for dim in dims:
         for alpha in alphas:
             value = flatness_scan(alpha, dim, seed=[seed, dim])
             records.append(
-                _case(_at_most(value, tol), check=f"affine_chart_flatness(dim={dim})",
+                _case(_at_most(value, 1e-6), check=f"affine_chart_flatness(dim={dim})",
                       alpha=alpha, value=value)
             )
     witness = path_dependence_witness(0.0, steps)
     records.append(
-        _case(_at_least(witness, wtol), check="projected_transport_path_dependence",
+        _case(_at_least(witness, 1e-3), check="projected_transport_path_dependence",
               alpha=0.0, value=witness)
     )
     return records, {}
@@ -560,8 +554,7 @@ def _run_convexity_failure(opt, seed):
     grid = [rng.dirichlet(np.ones(3))[:2] * 0.6 + 0.4 / 3 for _ in range(3)]
     value = convexity_failure_check(alpha, fam, grid, family_name="simplex-3").max_difference
     records.append(
-        _case(_at_most(value, _real(opt, "classical_tol")), check="diagonal_family_identity",
-              alpha=alpha, value=value)
+        _case(_at_most(value, 1e-8), check="diagonal_family_identity", alpha=alpha, value=value)
     )
 
     worst_quantum = 0.0
@@ -570,14 +563,14 @@ def _run_convexity_failure(opt, seed):
         rep = convexity_failure_check(alpha, witness.family, grid, family_name=witness.name)
         worst_quantum = max(worst_quantum, rep.max_difference)
     records.append(
-        _case(_at_least(worst_quantum, _real(opt, "witness_tol")),
+        _case(_at_least(worst_quantum, 1e-4),
               check="noncommuting_witness_gap", alpha=alpha, value=worst_quantum)
     )
 
     fisher = classical_reduction_check(seed)
     value = max(fisher["max_fisher_dev"], fisher["max_alpha_dev"])
     records.append(
-        _case(_at_most(value, _real(opt, "fisher_tol")), check="classical_fisher_reduction",
+        _case(_at_most(value, 1e-9), check="classical_fisher_reduction",
               alpha=alpha, value=value)
     )
 
@@ -589,7 +582,7 @@ def _run_convexity_failure(opt, seed):
         )
         worst_bkm = max(worst_bkm, rep.defect)
     records.append(
-        _case(_at_least(worst_bkm, _real(opt, "gap")), check="bkm_not_dual_at_alpha",
+        _case(_at_least(worst_bkm, FALSIFICATION_GAP), check="bkm_not_dual_at_alpha",
               alpha=alpha, value=worst_bkm)
     )
     return records, {}
@@ -621,15 +614,14 @@ def _run_entropy_projection(opt, seed):
             f"--observables must be at most dim^2 - 1 = {dim * dim - 1} at --dim {dim}, got {n_obs}"
         )
     instances = _count(opt, "instances")
-    tol = _real(opt, "tol")
-    orth_tol = _real(opt, "orthogonality_tol")
     records = []
-    reports = entropy_projections(*_projection_instances(seed, instances, dim, n_obs), tol=tol)
+    reports = entropy_projections(*_projection_instances(seed, instances, dim, n_obs))
     for k, rep in enumerate(reports):
-        # converged is mean_residual <= tol: the mean residual is the Newton gradient norm
+        # converged is mean_residual <= 1e-9, the Newton tolerance: the mean residual is the
+        # Newton gradient norm
         status = _verdict([
-            _at_most(rep.mean_residual, tol),
-            _at_most(rep.orthogonality_residual, orth_tol),
+            _at_most(rep.mean_residual, 1e-9),
+            _at_most(rep.orthogonality_residual, 1e-6),
         ])
         records.append(
             _case(status, instance=k, converged=rep.converged, iterations=rep.iterations,
@@ -641,17 +633,15 @@ def _run_entropy_projection(opt, seed):
     # second-order relative-entropy expansion gap
     mean_of_means = float(np.mean([rep.mean_residual for rep in reports]))
     records.append(
-        _case(_at_most(mean_of_means, _real(opt, "mean_tol")), instance=-1,
-              mean_residual=mean_of_means)
+        _case(_at_most(mean_of_means, 1e-7), instance=-1, mean_residual=mean_of_means)
     )
     rng = rng_from([seed, 777])
     rho = random_state(rng, dim, floor=0.1)
     direction = random_traceless_hermitian(rng, dim)
     direction = direction / (4.0 * np.linalg.norm(direction, 2))
-    gap_value = relative_entropy_curvature_gap(rho, direction, _real(opt, "taylor_t"))
+    gap_value = relative_entropy_curvature_gap(rho, direction)
     records.append(
-        _case(_at_most(gap_value, _real(opt, "taylor_tol")), instance=-2,
-              mean_residual=gap_value)
+        _case(_at_most(gap_value, 1e-4), instance=-2, mean_residual=gap_value)
     )
     extra = {
         "mean_of_mean_residuals": mean_of_means,
@@ -678,7 +668,7 @@ _COMMANDS = {
         _run_metric_table,
         ("record", "check", "dim", "alpha", "metric", "value", "status"),
         {"dims": "2,3,4", "alphas": "-0.9,-0.5,0,0.5,0.9", "samples": "50", "floor": "0.05",
-         "tol": "1e-8", "ordering_samples": "25"},
+         "ordering_samples": "25"},
     ),
     "duality": _Command(
         "duality defect of a metric against the +-alpha connection pair",
@@ -691,15 +681,14 @@ _COMMANDS = {
         "invariance of the pairing under the two flat transports",
         _run_transport_duality,
         ("record", "metric", "alpha", "initial_value", "deviation", "status"),
-        {"metric": "wyd", "alpha": "0.5", "steps": "256", "tol": "1e-9", "gap": "1e-4"},
+        {"metric": "wyd", "alpha": "0.5", "tol": "1e-9", "gap": "1e-4"},
     ),
     "potential": _Command(
         "trace potential Hessian, gradient coordinates, Legendre pairing",
         _run_potential,
         ("record", "alpha", "dim", "hessian_residual", "gradient_residual", "jacobian_residual",
          "legendre_residual", "status"),
-        {"alpha": "-0.5,0,0.5", "dim": "2", "points": "0", "dual_points": "2", "tol": "1e-5",
-         "regression_tol": "1e-6", "legendre_tol": "1e-5"},
+        {"alpha": "-0.5,0,0.5", "dim": "2", "points": "0", "dual_points": "2"},
     ),
     "uniqueness-scan": _Command(
         "falsification battery over candidate metric kernels",
@@ -712,28 +701,26 @@ _COMMANDS = {
         _run_monotonicity,
         ("record", "metric", "trials", "min_margin", "depolarizing_strict_fraction",
          "regularized", "inconclusive", "status"),
-        {"trials": "1000", "margin_tol": "1e-9", "strict_fraction": "0.99"},
+        {"trials": "1000", "margin_tol": "1e-9"},
     ),
     "flatness": _Command(
         "flatness of affine charts and projected-transport path dependence",
         _run_flatness,
         ("record", "check", "alpha", "value", "status"),
-        {"alpha": "-0.5,0,0.5", "dim": "2", "tol": "1e-6", "witness_tol": "1e-3", "steps": "256"},
+        {"alpha": "-0.5,0,0.5", "dim": "2", "steps": "256"},
     ),
     "convexity-failure": _Command(
         "order-alpha connection vs convex combination of the end orders",
         _run_convexity_failure,
         ("record", "check", "alpha", "value", "status"),
-        {"alpha": "0.5", "classical_tol": "1e-8", "witness_tol": "1e-4", "fisher_tol": "1e-9",
-         "gap": str(FALSIFICATION_GAP)},
+        {"alpha": "0.5"},
     ),
     "entropy-projection": _Command(
         "relative-entropy projection onto Gibbs families",
         _run_entropy_projection,
         ("record", "instance", "converged", "iterations", "mean_residual",
          "orthogonality_residual", "relative_entropy", "status"),
-        {"instances": "20", "dim": "3", "observables": "2", "tol": "1e-9", "mean_tol": "1e-7",
-         "orthogonality_tol": "1e-6", "taylor_t": "1e-2", "taylor_tol": "1e-4"},
+        {"instances": "20", "dim": "3", "observables": "2"},
     ),
 }
 

@@ -32,7 +32,6 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
-    Spectrum,
     _tangent_products,
     _triple_contraction,
     _triple_difference_tensor,
@@ -47,6 +46,7 @@ from .manifold import (
     _project_in_eigenbasis,
     _project_with,
     _sphere_powers,
+    _standard_basis,
     check_weight,
     embedding_function,
     representation_convert,
@@ -92,11 +92,6 @@ class CovariantDerivativeResult:
     vector: TangentVector
 
 
-def _from_eigenbasis(spec: Spectrum, mixture: np.ndarray) -> np.ndarray:
-    """An eigenbasis mixture form back in the standard basis, symmetrized."""
-    return hermitize(spec.from_eigenbasis(mixture))
-
-
 def ext_covariant_derivative(
     family: ParametrizedFamily, theta: np.ndarray, i: int, j: int, alpha: float
 ) -> CovariantDerivativeResult:
@@ -111,7 +106,7 @@ def ext_covariant_derivative(
     jet = family.jet(theta, 2)
     mixture = covariant_derivative_set(jet, [alpha], True)[0, i, j]
     return CovariantDerivativeResult(
-        jet.sigma, weight_tangent(jet.sigma, _from_eigenbasis(jet.spectrum, mixture))
+        jet.sigma, weight_tangent(jet.sigma, _standard_basis(jet.spectrum, mixture))
     )
 
 
@@ -129,7 +124,7 @@ def covariant_derivative_on_M(
     jet = family.jet(theta, 2)
     mixture = covariant_derivative_set(jet, [alpha], False)[0, i, j]
     return CovariantDerivativeResult(
-        jet.sigma, state_tangent(jet.sigma, _from_eigenbasis(jet.spectrum, mixture))
+        jet.sigma, state_tangent(jet.sigma, _standard_basis(jet.spectrum, mixture))
     )
 
 

@@ -258,7 +258,8 @@ def monotonicity_scan(seed=0, trials: int = 1000) -> list:
     Each trial draws one of three channel kinds (depolarizing, random
     Stinespring, two-qubit partial trace) with a matching state and traceless
     tangent; the kernels (WYD at p = 0.2, 0.5, 0.8 with the other built-ins)
-    are evaluated on the same seeded triples.
+    are evaluated on the same seeded triples. A row's depolarizing strict
+    fraction is None when no conclusive trial is depolarizing.
     """
     rng = rng_from(seed)
     # draw: each trial makes the rng calls of random_state, random_traceless_hermitian and its
@@ -321,8 +322,10 @@ def monotonicity_scan(seed=0, trials: int = 1000) -> list:
                 "trials": trials,
                 # builtin min keeps the first of equal minima (0.0, -0.0) in trial order
                 "min_margin": float(min(margin[conclusive], default=np.inf)),
-                "depolarizing_strict_fraction": int(np.sum(margin[depolarizing] > 0.0))
-                / max(int(np.sum(depolarizing)), 1),
+                "depolarizing_strict_fraction": (
+                    int(np.sum(margin[depolarizing] > 0.0)) / int(np.sum(depolarizing))
+                    if depolarizing.any() else None
+                ),
                 "regularized": int(np.sum(regularized & conclusive)),
                 "inconclusive": int(np.sum(inconclusive)),
             }

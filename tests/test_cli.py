@@ -5,12 +5,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import child_env
-from qiglab import cli, duality, potential
+from qiglab import cli, consistency, duality, gibbs, monotonicity, potential
+from qiglab.bands import FALSIFICATION_GAP
 from qiglab.cli import (
     _COMMANDS,
     _build_parser,
@@ -332,6 +334,19 @@ def test_metric_table_dims_below_two_is_usage_error(capsys, dims):
     assert f"--dims values must be at least 2, got {lowest}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("floor, dim", [("0.3", 4), ("0.5", 2), ("-0.1", 2), ("inf", 2)])
+def test_metric_table_infeasible_floor_is_usage_error_before_any_work(calls, capsys, floor, dim):
+    # --floor 0.3 computed dims 2 and 3, then failed with "floor 0.3 infeasible for dimension
+    # 4", which names no option; every --dims value is checked first
+    calls.eig()
+    with pytest.raises(SystemExit) as exc:
+        main(["metric-table", f"--floor={floor}"])
+    assert exc.value.code == 2
+    assert (f"--floor must lie in [0, 1/dim) at every --dims value, got {float(floor)!r} "
+            f"at --dims {dim}") in capsys.readouterr().err
+    assert calls.count("eigh", "eigvalsh") == 0
+
+
 def test_potential_points_below_the_regression_size_is_usage_error(calls, capsys):
     # the affine regression fits d + 1 coefficients on d = dim^2 coordinates; every dim's
     # grid is checked before any check runs
@@ -601,6 +616,22 @@ def test_inconclusive_band_exits_three(capsys):
     assert _parse_jsonl(out)[-1]["verdict"] == "inconclusive"
 
 
+@pytest.mark.parametrize("trials, seed", [("1", "0"), ("3", "1")])
+def test_monotonicity_without_a_depolarizing_trial_is_inconclusive(capsys, trials, seed):
+    # with no depolarizing trial the strict fraction read 0 / max(0, 1) = 0, and all six
+    # operator-monotone kernels failed
+    code, out = _run(capsys, ["monotonicity", "--trials", trials, "--seed", seed])
+    assert code == 3
+    records = _parse_jsonl(out)
+    cases = [r for r in records if r["record"] == "case"]
+    assert len(cases) == 6
+    for rec in cases:
+        assert rec["depolarizing_strict_fraction"] is None
+        assert rec["min_margin"] > 0.0
+        assert rec["status"] == "inconclusive"
+    assert records[-1]["verdict"] == "inconclusive"
+
+
 def test_output_file_replaces_stdout(capsys, tmp_path):
     target = tmp_path / "out.jsonl"
     code = main(FAST_DUALITY + ["--output", str(target)])
@@ -691,6 +722,152 @@ def test_unknown_command_is_usage_error_naming_every_subcommand(capsys):
     choices = ", ".join(repr(name) for name in _COMMANDS)
     err = capsys.readouterr().err
     assert f"argument COMMAND: invalid choice: 'bogus' (choose from {choices})" in err
+
+
+# ------------------------------------------------------------- fixed bounds
+
+# Options the CLI does not take, with the value each has as a literal at its one use.
+REMOVED_OPTIONS = [
+    ("metric-table", "tol", "1e-8"),
+    ("transport-duality", "steps", "256"),
+    ("potential", "tol", "1e-5"),
+    ("potential", "regression_tol", "1e-6"),
+    ("potential", "legendre_tol", "1e-5"),
+    ("monotonicity", "strict_fraction", "0.99"),
+    ("flatness", "tol", "1e-6"),
+    ("flatness", "witness_tol", "1e-3"),
+    ("convexity-failure", "classical_tol", "1e-8"),
+    ("convexity-failure", "witness_tol", "1e-4"),
+    ("convexity-failure", "fisher_tol", "1e-9"),
+    ("convexity-failure", "gap", "1e-2"),
+    ("entropy-projection", "tol", "1e-9"),
+    ("entropy-projection", "mean_tol", "1e-7"),
+    ("entropy-projection", "orthogonality_tol", "1e-6"),
+    ("entropy-projection", "taylor_t", "1e-2"),
+    ("entropy-projection", "taylor_tol", "1e-4"),
+]
+
+
+def test_subcommand_table_holds_33_options():
+    assert [len(entry.defaults) for entry in _COMMANDS.values()] == [5, 7, 4, 4, 4, 2, 3, 1, 3]
+
+
+@pytest.mark.parametrize(
+    "command, key, value", [pytest.param(*o, id=f"{o[0]}-{o[1]}") for o in REMOVED_OPTIONS]
+)
+def test_removed_option_is_refused_on_the_command_line_and_in_a_config(
+    calls, capsys, tmp_path, command, key, value
+):
+    # none of them was validated: convexity-failure --fisher-tol inf exited 0, and
+    # entropy-projection --taylor-t 0 read a gap of 0 and passed
+    assert key not in _COMMANDS[command].defaults
+    calls.eig()
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{key.replace('_', '-')}={value}"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key.replace('_', '-')} = {value}\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"config key {key!r} is not an option of {command!r}" in capsys.readouterr().err
+    assert calls.count("eigh", "eigvalsh") == 0
+
+
+def _stub(value):
+    return lambda *args, **kwargs: value
+
+
+def _potential_reports(field, v):
+    """potential_check's or dual_coordinate_check's report with ``field`` at v, the rest 0."""
+    return SimpleNamespace(**{"residual": 0.0, "gradient_residual": 0.0, "jacobian_residual": 0.0,
+                              "legendre_residual": 0.0, field: v})
+
+
+def _projections(mean_residual, orthogonality_residual):
+    return [SimpleNamespace(converged=True, iterations=1, mean_residual=mean_residual,
+                            orthogonality_residual=orthogonality_residual,
+                            relative_entropy_value=0.0)]
+
+
+def _strict_fraction_rows(v):
+    return [{"metric": "bkm", "trials": 1, "min_margin": 0.0, "depolarizing_strict_fraction": v,
+             "regularized": 0, "inconclusive": 0}]
+
+
+# (argv, owner, the checking function the runner calls, its stubbed return value at v, the
+# field and value that pick the case, the bound, "upper" for a value that passes up to the
+# bound or "lower" for one that passes from it on); potential's 1e-5 bounds two residuals
+FIXED_BOUNDS = {
+    "metric-table-kernel_vs_direct": (
+        ["metric-table", "--dims", "2", "--alphas", "0", "--samples", "1",
+         "--ordering-samples", "1"],
+        consistency, "kernel_direct_consistency",
+        lambda v: [{"dim": 2, "alpha": 0.0, "max_rel_dev": v, "samples": 1}],
+        ("check", "kernel_vs_direct"), 1e-8, "upper"),
+    "potential-hessian": (
+        ["potential", "--alpha", "0"], potential, "potential_check",
+        lambda v: _potential_reports("residual", v), ("alpha", 0), 1e-5, "upper"),
+    "potential-gradient": (
+        ["potential", "--alpha", "0"], potential, "potential_check",
+        lambda v: _potential_reports("gradient_residual", v), ("alpha", 0), 1e-6, "upper"),
+    "potential-jacobian": (
+        ["potential", "--alpha", "0"], potential, "dual_coordinate_check",
+        lambda v: _potential_reports("jacobian_residual", v), ("alpha", 0), 1e-5, "upper"),
+    "potential-legendre": (
+        ["potential", "--alpha", "0"], potential, "dual_coordinate_check",
+        lambda v: _potential_reports("legendre_residual", v), ("alpha", 0), 1e-5, "upper"),
+    "monotonicity-strict_fraction": (
+        ["monotonicity"], monotonicity, "monotonicity_scan", _strict_fraction_rows,
+        ("metric", "bkm"), 0.99, "lower"),
+    "flatness-affine_chart": (
+        ["flatness", "--alpha", "0"], duality, "flatness_scan", lambda v: v,
+        ("check", "affine_chart_flatness(dim=2)"), 1e-6, "upper"),
+    "flatness-path_dependence": (
+        ["flatness", "--alpha", "0"], duality, "path_dependence_witness", lambda v: v,
+        ("check", "projected_transport_path_dependence"), 1e-3, "lower"),
+    "convexity-failure-diagonal_family": (
+        ["convexity-failure"], duality, "convexity_failure_check",
+        lambda v: SimpleNamespace(max_difference=v), ("check", "diagonal_family_identity"),
+        1e-8, "upper"),
+    "convexity-failure-noncommuting_witness": (
+        ["convexity-failure"], duality, "convexity_failure_check",
+        lambda v: SimpleNamespace(max_difference=v), ("check", "noncommuting_witness_gap"),
+        1e-4, "lower"),
+    "convexity-failure-classical_fisher": (
+        ["convexity-failure"], duality, "classical_reduction_check",
+        lambda v: {"max_fisher_dev": v, "max_alpha_dev": 0.0},
+        ("check", "classical_fisher_reduction"), 1e-9, "upper"),
+    "convexity-failure-bkm_not_dual": (
+        ["convexity-failure"], duality, "duality_defect", lambda v: SimpleNamespace(defect=v),
+        ("check", "bkm_not_dual_at_alpha"), FALSIFICATION_GAP, "lower"),
+    "entropy-projection-newton": (
+        ["entropy-projection", "--instances", "1"], gibbs, "entropy_projections",
+        lambda v: _projections(v, 0.0), ("instance", 0), 1e-9, "upper"),
+    "entropy-projection-orthogonality": (
+        ["entropy-projection", "--instances", "1"], gibbs, "entropy_projections",
+        lambda v: _projections(0.0, v), ("instance", 0), 1e-6, "upper"),
+    "entropy-projection-mean": (
+        ["entropy-projection", "--instances", "1"], gibbs, "entropy_projections",
+        lambda v: _projections(v, 0.0), ("instance", -1), 1e-7, "upper"),
+    "entropy-projection-taylor": (
+        ["entropy-projection", "--instances", "1"], gibbs, "relative_entropy_curvature_gap",
+        lambda v: v, ("instance", -2), 1e-4, "upper"),
+}
+
+
+@pytest.mark.parametrize("name", list(FIXED_BOUNDS))
+def test_fixed_bound_passes_at_its_value_and_fails_one_ulp_past_it(capsys, monkeypatch, name):
+    # pins each literal: a value at the bound passes, the next float on the failing side fails
+    argv, owner, function, returns, (field, pick), bound, side = FIXED_BOUNDS[name]
+    past = np.nextafter(bound, np.inf if side == "upper" else -np.inf)
+    for value, status in ((bound, "pass"), (float(past), "fail")):
+        monkeypatch.setattr(owner, function, _stub(returns(value)))
+        main(argv)
+        cases = [rec for rec in _parse_jsonl(capsys.readouterr().out)
+                 if rec["record"] == "case" and rec.get(field) == pick]
+        assert len(cases) == 1, cases
+        assert cases[0]["status"] == status, (value, cases[0])
 
 
 # ---------------------------------------------------------- subcommand table
