@@ -148,10 +148,20 @@ def _real(opt, key) -> float:
     return _value(opt[key], "--" + key.replace("_", "-"))
 
 
+def _bound(opt, key) -> float:
+    """Option ``key`` as a float in [0, inf); see _value. A negative or infinite bound would
+    empty the check it bounds, so it is a usage error that names the option."""
+    value = _real(opt, key)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"--{key.replace('_', '-')} must be finite and at least 0, got {value!r}")
+    return value
+
+
 def _list(opt, key, kind, single=False, floor=None):
     """Option ``key`` as a tuple of ``kind`` values from a comma-separated list; a value that
-    _value rejects, an empty list, more than one value where ``single``, or a value below
-    ``floor``, is a usage error that names the option."""
+    _value rejects, an empty list, more than one value where ``single``, a value below
+    ``floor``, or a value given twice (compared as parsed, so -0 is 0), is a usage error that
+    names the option."""
     name = "--" + key.replace("_", "-")
     tokens = [tok.strip() for tok in str(opt[key]).split(",") if tok.strip() != ""]
     values = tuple(_value(tok, f"each {name} value", kind) for tok in tokens)
@@ -160,6 +170,10 @@ def _list(opt, key, kind, single=False, floor=None):
         raise ValueError(f"{name} takes {wanted}, got {len(values)}: {opt[key]!r}")
     if floor is not None and min(values) < floor:
         raise ValueError(f"{name} values must be at least {floor}, got {min(values)}")
+    for k, value in enumerate(values):
+        if value in values[:k]:
+            twice = values[values.index(value)]
+            raise ValueError(f"each {name} value may be given once, got {twice!r} twice")
     return values
 
 
@@ -238,8 +252,9 @@ def _merge_options(command: str, args: argparse.Namespace, parser) -> dict:
 
 
 def _tol_gap(opt) -> tuple:
-    """(--tol, --gap) as floats; a gap below the tol is a usage error that names both."""
-    tol, gap = _real(opt, "tol"), _real(opt, "gap")
+    """(--tol, --gap) as _bound's floats, so 0 <= tol <= gap < inf; a gap below the tol is a
+    usage error that names both."""
+    tol, gap = _bound(opt, "tol"), _bound(opt, "gap")
     if gap < tol:
         raise ValueError(f"--gap must be at least --tol, got --gap {gap!r} below --tol {tol!r}")
     return tol, gap
@@ -374,7 +389,7 @@ def _run_duality(opt, seed):
         )
     # every (alpha, metric) pair resolves before any grid is built
     pairs = [(alpha, _metric_from_token(token, alpha))
-             for alpha in alphas for token in _list(opt, "metric", str)]
+             for alpha in alphas for token in _list(opt, "metric", str.lower)]
     witness_reports = []  # (witness, its reports, one per pair), dim by dim
     for dim in dims:
         for w in standard_witness_families(dim, opt["manifold"]):
@@ -399,7 +414,9 @@ def _run_transport_duality(opt, seed):  # the transport draws nothing at random
     from .duality import transport_duality_check, witness_curve
 
     tol, gap = _tol_gap(opt)
-    alphas = _alphas(opt)
+    # every (alpha, metric) pair resolves before any transport
+    pairs = [(alpha, _metric_from_token(token, alpha))
+             for alpha in _alphas(opt) for token in _list(opt, "metric", str.lower)]
     curve = witness_curve()
     start = curve.point(0.0)
     # tangent pair chosen to break the z-reflection symmetry of the curve,
@@ -409,15 +426,13 @@ def _run_transport_duality(opt, seed):  # the transport draws nothing at random
     z = state_tangent(start, 0.5 * (sy + 0.8 * sz))
     records = []
     worst = 0.0
-    for alpha in alphas:
-        for token in _list(opt, "metric", str):
-            f = _metric_from_token(token, alpha)
-            rep = transport_duality_check(curve, f, alpha, y, z)
-            worst = max(worst, rep.deviation)
-            records.append(
-                _case(band(rep.deviation, tol, gap), metric=f.name, alpha=alpha,
-                      initial_value=rep.initial_value, deviation=rep.deviation)
-            )
+    for alpha, f in pairs:
+        rep = transport_duality_check(curve, f, alpha, y, z)
+        worst = max(worst, rep.deviation)
+        records.append(
+            _case(band(rep.deviation, tol, gap), metric=f.name, alpha=alpha,
+                  initial_value=rep.initial_value, deviation=rep.deviation)
+        )
     return records, {"max_deviation": worst}
 
 
@@ -499,7 +514,7 @@ def _run_monotonicity(opt, seed):
     from .monotonicity import monotonicity_scan
 
     trials = _count(opt, "trials")
-    margin_tol = _real(opt, "margin_tol")
+    margin_tol = _bound(opt, "margin_tol")
     records = []
     for row in monotonicity_scan(seed, trials):
         fraction = row["depolarizing_strict_fraction"]  # None when no trial was depolarizing

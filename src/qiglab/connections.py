@@ -18,14 +18,20 @@ f the embedding profile of order alpha:
 - sphere projection: S - (Σ_a λa^((1+alpha)/2) S_aa) diag(λ^((1-alpha)/2));
 - mixture form: divide entrywise by f[λa, λb].
 
-The tangent products do not depend on alpha, so one call builds a sequence
-of orders, each for one triple tensor, one divided-difference matrix and one
-contraction; with the chart's order-2 jet (one chart call, already in the
-eigenbasis) every point of a stack and every pair is one stacked step.
+The tangent products do not depend on alpha, and the orders of one call
+share a leading order axis: the embedding profiles are one stack
+(``embedding_function`` of the sequence of orders), its powers with arrays of
+exponents and scales, and alpha = 1 (log) and alpha = -1 (identity) as
+members of their own; the sphere projection's powers are one stack too. So a
+call of any number of orders makes one divided-difference matrix, one triple
+tensor, one contraction and one projection over (order, point, pair), and
+with the chart's order-2 jet (one chart call, already in the eigenbasis)
+every point of a stack and every pair is in the same step.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -128,14 +134,24 @@ def covariant_derivative_on_M(
     )
 
 
+@functools.cache
+def _pairs(d: int) -> tuple:
+    """np.triu_indices(d), the pairs i <= j of d chart directions, built once per d, read-only."""
+    pairs = np.triu_indices(d)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def covariant_derivative_set(jet: ChartJet, alphas, on_extended: bool = False) -> np.ndarray:
     """All covariant derivatives nabla^(alpha)_i T_j at the jet's theta, in mixture form, in the
     eigenbasis of the base point, for each order in the sequence ``alphas``.
 
     ``jet`` is a chart's order-2 ChartJet at one point (d,) or a stack (m, d):
     its Spectrum, tangents and Hessians, all in that eigenbasis, so nothing is
-    decomposed or rotated again, and every point and every pair i <= j is one
-    stack per step.
+    decomposed or rotated again. Every order is checked before any work; then
+    every order, every point and every pair i <= j is one stack per step, and
+    each order's slice is bit for bit that order's set alone.
     Flat ones on the positive cone (``on_extended``) or projected ones on the
     unit-trace manifold; the result has shape (orders, d, d, n, n), or
     (orders, m, d, d, n, n) for a stack, and is symmetric in the two axes
@@ -147,27 +163,28 @@ def covariant_derivative_set(jet: ChartJet, alphas, on_extended: bool = False) -
     spec, tangents = jet.spectrum, jet.tangents
     d, n = tangents.shape[-3], spec.dim
     lam = check_weight(spec).eigenvalues
-    at = spec.expand_dims()  # each base point against its stack of pairs
-    i, j = np.triu_indices(d)
+    orders = tuple(alphas)
+    # one order takes its profile without the order axis: its arrays broadcast into the result
+    alpha = orders[0] if len(orders) == 1 else orders
+    fun = embedding_function(alpha)  # checks every order before any work
+    i, j = _pairs(d)
     products = _tangent_products(tangents[..., i, :, :], tangents[..., j, :, :])
     hess = jet.hessians[..., i, j, :, :]
-    diag = np.arange(n)
-    out = np.empty((len(alphas),) + tangents.shape[:-3] + (d, d, n, n), dtype=complex)
-    for alpha, nabla in zip(alphas, out):
-        # the second partial of the embedded chart, every pair i <= j
-        fun = embedding_function(alpha)
-        k = divided_difference_matrix(lam, fun)
-        t = _triple_difference_tensor(lam, fun, k)
-        k = k[..., None, :, :]
-        d2 = hermitize(_triple_contraction(t[..., None, :, :, :], products) + k * hess)
-        if on_extended:
-            mixture = d2 / k
-        else:
-            # rejects a base off the unit-trace manifold
-            mixture = _project_in_eigenbasis(at, alpha, d2) / k
-            trace = mixture[..., diag, diag].sum(axis=-1)
-            mixture[..., diag, diag] -= (trace / n)[..., None]  # kill round-off trace
-        nabla[..., i, j, :, :] = nabla[..., j, i, :, :] = mixture
+    # the second partial of the embedded chart, at axes (order, point, pair i <= j, n, n)
+    k = divided_difference_matrix(lam, fun)
+    t = _triple_difference_tensor(lam, fun, k)
+    k = k[..., None, :, :]
+    d2 = hermitize(_triple_contraction(t[..., None, :, :, :], products) + k * hess)
+    if on_extended:
+        mixture = d2 / k
+    else:
+        # rejects a base off the unit-trace manifold
+        mixture = _project_in_eigenbasis(spec.expand_dims(), alpha, d2) / k
+        diag = np.arange(n)
+        trace = mixture[..., diag, diag].sum(axis=-1)
+        mixture[..., diag, diag] -= (trace / n)[..., None]  # kill round-off trace
+    out = np.empty((len(orders),) + tangents.shape[:-3] + (d, d, n, n), dtype=complex)
+    out[..., i, j, :, :] = out[..., j, i, :, :] = mixture
     return out
 
 

@@ -12,7 +12,7 @@ says so; a stack is then handled matrix by matrix with the same arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -199,27 +199,88 @@ def exp_function() -> ScalarFunction:
     )
 
 
-def power_function(exponent: float, scale: float = 1.0, name: str = None) -> ScalarFunction:
+def _is_stack(x) -> bool:
+    """Whether ``x`` is a sequence of values (a list, a tuple or an array with an axis) rather
+    than one; cheaper than np.ndim on a Python number."""
+    return isinstance(x, (list, tuple)) or getattr(x, "ndim", 0) > 0
+
+
+def _power_constants(exponent: float, scale: float) -> tuple:
+    """The scales and exponents of c x^e, f' = ce x^(e-1) and f'' = ce(e-1) x^(e-2)."""
+    e, c = float(exponent), float(scale)
+    return c, e, c * e, e - 1.0, c * e * (e - 1.0), e - 2.0
+
+
+def power_function(exponent, scale=1.0, name: str = None) -> ScalarFunction:
     """scale * x**exponent on (0, inf), with a stable divided difference.
 
     Powers use ``np.float_power``, the C library ``pow`` elementwise, so an
     array of eigenvalues gets bit for bit the values that each eigenvalue
     gets alone (``x ** e`` on an array may take a vectorized ``pow`` that
     differs in the last bit).
+
+    ``exponent`` may be a sequence of k exponents, with ``scale`` one scale
+    or k of them: a stack of k powers. Their constants are reshaped to lead
+    the axes of every argument, once per rank, so every value carries a
+    leading axis of length k, and row r is bit for bit the value of the
+    power with exponent[r] and scale[r] alone.
     """
-    e, c = float(exponent), float(scale)
+    if _is_stack(exponent):
+        scales = scale if _is_stack(scale) else [scale] * len(exponent)
+        label = name or f"{np.asarray(scales).tolist()}*x^{np.asarray(exponent).tolist()}"
+        table = np.array(list(map(_power_constants, exponent, scales))).reshape(-1, 6).T  # (6, k)
+        shaped = {}  # the rank of an argument -> the constants, reshaped to lead its axes
+
+        def at(x):
+            rank = np.ndim(x)
+            if rank not in shaped:
+                shaped[rank] = tuple(table.reshape(table.shape + (1,) * rank))
+            return shaped[rank]
+    else:
+        constants = _power_constants(exponent, scale)
+        label = name or f"{constants[0]:g}*x^{constants[1]:g}"
+
+        def at(x):
+            return constants
+
+    def fn(x):
+        c, e = at(x)[:2]
+        return c * np.float_power(x, e)
+
+    def deriv(x):
+        ce, e1 = at(x)[2:4]
+        return ce * np.float_power(x, e1)
+
+    def deriv2(x):
+        cee, e2 = at(x)[4:]
+        return cee * np.float_power(x, e2)
 
     def pair(x, y):
         # c*(x^e - y^e)/(x - y) = c*y^e*expm1(e*log1p((x-y)/y))/(x-y)
+        c, e = at(x)[:2]
         return c * np.float_power(y, e) * np.expm1(e * np.log1p((x - y) / y)) / (x - y)
 
-    return ScalarFunction(
-        name or f"{c:g}*x^{e:g}",
-        fn=lambda x: c * np.float_power(x, e),
-        deriv=lambda x: c * e * np.float_power(x, e - 1.0),
-        deriv2=lambda x: c * e * (e - 1.0) * np.float_power(x, e - 2.0),
-        pair=pair,
-    )
+    return ScalarFunction(label, fn=fn, deriv=deriv, deriv2=deriv2, pair=pair)
+
+
+def _function_stack(parts: Sequence[tuple], size: int, name: str) -> ScalarFunction:
+    """``size`` profiles as one ScalarFunction whose values carry a leading axis of length size.
+
+    ``parts`` holds (rows, f) pairs that cover the rows once: f gives the values of the rows
+    ``rows`` of the stack, either as a stack with a leading axis of len(rows) or as one profile
+    that serves every one of those rows. Each f is called once per call of the stack.
+    """
+
+    def stacked(method):
+        def apply(*args):
+            out = np.empty((size,) + np.broadcast_shapes(*map(np.shape, args)))
+            for rows, f in parts:
+                out[rows] = getattr(f, method)(*args)
+            return out
+
+        return apply
+
+    return ScalarFunction(name, *map(stacked, ("fn", "deriv", "deriv2", "pair")))
 
 
 def apply_scalar_function(spec: Spectrum, f) -> np.ndarray:

@@ -13,6 +13,7 @@ alpha uniformly on [-1, 1].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -22,7 +23,9 @@ from .linalg import (
     ScalarFunction,
     Spectrum,
     _first_in_stack,
+    _function_stack,
     _hermitize_self_adjoint,
+    _is_stack,
     _tangent_products,
     _triple_contraction,
     _triple_difference_tensor,
@@ -190,13 +193,39 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def embedding_function(alpha: float) -> ScalarFunction:
+def embedding_function(alpha) -> ScalarFunction:
     """Scalar profile of the order-alpha embedding.
 
     (2/(1-alpha)) * x^((1-alpha)/2) for |alpha| < 1; log at alpha = 1 and the
     identity at alpha = -1 (its formula limit).
+
+    A sequence of k orders gives their profile stack: every value carries a
+    leading order axis of length k, row r bit for bit the value of order r's
+    profile alone. The orders inside (-1, 1) are one power_function over
+    arrays of exponents and scales; alpha = 1 and alpha = -1 are members of
+    their own, each called once however often it repeats. Every order is
+    checked before the profile is built, and a profile is built once per
+    order or sequence of orders and then reused.
     """
-    alpha = _check_alpha(alpha)
+    if _is_stack(alpha):
+        return _embedding_profile(tuple(map(_check_alpha, alpha)))
+    return _embedding_profile(_check_alpha(alpha))
+
+
+@functools.lru_cache(maxsize=256)
+def _embedding_profile(alpha) -> ScalarFunction:
+    """embedding_function of one checked order, or of a tuple of them."""
+    if isinstance(alpha, tuple):
+        name = f"embed({', '.join(map('{:g}'.format, alpha))})"
+        rows = {1.0: [], -1.0: [], 0.0: []}  # log, identity and the powers inside (-1, 1)
+        for r, a in enumerate(alpha):
+            rows[a if abs(a) == 1.0 else 0.0].append(r)
+        s = 0.5 * (1.0 - np.take(alpha, rows[0.0]))
+        powers = power_function(s, scale=1.0 / s, name=name)
+        if len(s) == len(alpha):
+            return powers
+        parts = [(rows[0.0], powers), (rows[1.0], log_function()), (rows[-1.0], identity_function())]
+        return _function_stack([part for part in parts if part[0]], len(alpha), name)
     if alpha == 1.0:
         return log_function()
     if alpha == -1.0:
@@ -260,9 +289,15 @@ def sphere_project(rho: Union[np.ndarray, Spectrum], alpha: float, a: np.ndarray
     return _project_with(_sphere_powers(rho, alpha), a)
 
 
-def _sphere_power_functions(alpha: float) -> tuple:
-    """The profiles x^((1+alpha)/2) and x^((1-alpha)/2) of the sphere projection's powers."""
-    alpha = _check_alpha(alpha)
+@functools.lru_cache(maxsize=256)
+def _sphere_power_functions(alpha) -> tuple:
+    """The profiles x^((1+alpha)/2) and x^((1-alpha)/2) of the sphere projection's powers; a
+    tuple of orders gives the two as power stacks with a leading order axis. Every order is
+    checked, and each pair is built once per order or tuple of orders and then reused."""
+    if isinstance(alpha, tuple):
+        alpha = np.array(list(map(_check_alpha, alpha)), dtype=float)
+    else:
+        alpha = _check_alpha(alpha)
     return power_function(0.5 * (1.0 + alpha)), power_function(0.5 * (1.0 - alpha))
 
 
@@ -273,13 +308,15 @@ def _sphere_powers(rho: Union[np.ndarray, Spectrum], alpha: float) -> tuple:
     return apply_scalar_function(spec, plus), apply_scalar_function(spec, minus)
 
 
-def _project_in_eigenbasis(spec: Spectrum, alpha: float, a: np.ndarray) -> np.ndarray:
+def _project_in_eigenbasis(spec: Spectrum, alpha, a: np.ndarray) -> np.ndarray:
     """``sphere_project`` of self-adjoint ``a`` given in the eigenbasis of the base, and
     returned there: the powers are diagonal, so only the diagonal moves.
 
     ``spec`` is one base point or a stack (..., n) whose leading axes
     broadcast against those of ``a`` (..., n, n); each base must be a
-    unit-trace state.
+    unit-trace state, checked once. ``alpha`` is one order, or a tuple of k
+    orders whose power stacks project ``a`` (k, ..., n, n), order r at a[r],
+    in one step.
     """
     plus, minus = _sphere_power_functions(alpha)
     lam = check_state(spec).eigenvalues

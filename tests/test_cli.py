@@ -538,6 +538,68 @@ def test_gap_below_tol_is_usage_error_before_any_work(calls, capsys, command):
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["duality", "--metric", "bures", "--alpha", "0", "--dim", "2", "--manifold", "state",
+          "--tol=inf", "--gap=inf"], "--tol must be finite and at least 0, got inf"),
+        (["duality", "--tol=-1e-9"], "--tol must be finite and at least 0, got -1e-09"),
+        (["transport-duality", "--gap=inf"], "--gap must be finite and at least 0, got inf"),
+        (["transport-duality", "--tol=-1", "--gap=-0.5"],
+         "--tol must be finite and at least 0, got -1.0"),
+        (["uniqueness-scan", "--tol", "1e-6", "--gap=inf"],
+         "--gap must be finite and at least 0, got inf"),
+        (["monotonicity", "--trials", "20", "--margin-tol=inf"],
+         "--margin-tol must be finite and at least 0, got inf"),
+        (["monotonicity", "--margin-tol=-1e-9"],
+         "--margin-tol must be finite and at least 0, got -1e-09"),
+    ],
+)
+def test_bound_outside_zero_to_infinity_is_usage_error_before_any_work(
+    calls, capsys, argv, message
+):
+    # an infinite --tol and --gap read Bures (defect 0.158) as "pass", and an infinite
+    # --margin-tol passed every monotonicity trial: each bound must lie in [0, inf)
+    calls.eig()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert calls.count("eigh", "eigvalsh") == 0
+
+
+def test_bounds_at_zero_are_accepted(capsys):
+    # tol = gap = 0 is a band with no inconclusive part; every defect above 0 fails
+    code, out = _run(capsys, FAST_DUALITY + ["--metric", "bures", "--tol", "0", "--gap", "0"])
+    assert code == 1
+    assert _parse_jsonl(out)[-1]["verdict"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["duality", "--dim", "2,2"], "each --dim value may be given once, got 2 twice"),
+        (["duality", "--alpha=0,-0"], "each --alpha value may be given once, got 0.0 twice"),
+        (["duality", "--metric", "bures,rld,BURES"],
+         "each --metric value may be given once, got 'bures' twice"),
+        (["transport-duality", "--metric", "wyd, wyd"],
+         "each --metric value may be given once, got 'wyd' twice"),
+        (["metric-table", "--dims", "2,3,2"], "each --dims value may be given once, got 2 twice"),
+        (["potential", "--dim", "2,2"], "each --dim value may be given once, got 2 twice"),
+        (["flatness", "--alpha=0.5,0.50"],
+         "each --alpha value may be given once, got 0.5 twice"),
+    ],
+)
+def test_repeated_list_value_is_usage_error_before_any_work(calls, capsys, argv, message):
+    # duality --dim 2,2 emitted every dim-2 case twice, as 12 case records
+    calls.eig()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert calls.count("eigh", "eigvalsh") == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         (["transport-duality", "--tol", "abc"], "--tol must be a number, got 'abc'"),
         (["duality", "--tol", "nan"], "--tol must be a number, got 'nan'"),
         (["duality", "--metric", "wyd:abc"],

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import ORACLE_RTOL, _scalar_hessian, standard_basis_covariant_set
@@ -18,8 +20,18 @@ from qiglab.duality import (
     standard_witness_families,
 )
 from qiglab.gibbs import gibbs_family
-from qiglab.linalg import CONFLUENT_RTOL, apply_scalar_function, hermitize, spectral_decompose
+from qiglab.linalg import (
+    CONFLUENT_RTOL,
+    _tangent_products,
+    _triple_contraction,
+    _triple_difference_tensor,
+    apply_scalar_function,
+    divided_difference_matrix,
+    hermitize,
+    spectral_decompose,
+)
 from qiglab.manifold import (
+    _project_in_eigenbasis,
     affine_coordinates,
     alpha_representation,
     embedding_function,
@@ -240,6 +252,126 @@ def test_covariant_derivative_set_matches_the_standard_basis_chain_on_charts():
     bloch = qubit_bloch_family()
     for on_extended in (True, False):
         _assert_matches_oracle(bloch, np.array([[1e-9, 0.0, 0.0]]), ORACLE_ALPHAS, on_extended)
+
+
+def _per_order_set(jet, alphas, on_extended):
+    """The set order by order: each order's own profile, divided differences, triple tensor,
+    contraction and sphere projection, one loop iteration per order."""
+    spec, tangents = jet.spectrum, jet.tangents
+    d, n = tangents.shape[-3], spec.dim
+    lam = spec.eigenvalues
+    i, j = np.triu_indices(d)
+    products = _tangent_products(tangents[..., i, :, :], tangents[..., j, :, :])
+    hess = jet.hessians[..., i, j, :, :]
+    diag = np.arange(n)
+    out = np.empty((len(alphas),) + tangents.shape[:-3] + (d, d, n, n), dtype=complex)
+    for alpha, nabla in zip(alphas, out):
+        fun = embedding_function(alpha)
+        k = divided_difference_matrix(lam, fun)
+        t = _triple_difference_tensor(lam, fun, k)
+        k = k[..., None, :, :]
+        d2 = hermitize(_triple_contraction(t[..., None, :, :, :], products) + k * hess)
+        if on_extended:
+            mixture = d2 / k
+        else:
+            mixture = _project_in_eigenbasis(spec.expand_dims(), alpha, d2) / k
+            trace = mixture[..., diag, diag].sum(axis=-1)
+            mixture[..., diag, diag] -= (trace / n)[..., None]
+        nabla[..., i, j, :, :] = nabla[..., j, i, :, :] = mixture
+    return out
+
+
+# the signed orders of a duality check, a uniqueness-scan witness, convexity_failure_check's
+# [alpha, 1, -1], and each limit alone
+ORDER_LISTS = [[-0.5, 0.0, 0.5], [0.5, -0.5], [0.5, 1.0, -1.0], [1.0], [-1.0], [0.0]]
+
+
+def _assert_equals_per_order(jet, alphas, on_extended):
+    got = covariant_derivative_set(jet, alphas, on_extended)
+    assert got.shape == (len(alphas),) + jet.tangents.shape[:-3] + jet.hessians.shape[-4:]
+    assert np.array_equal(got, _per_order_set(jet, alphas, on_extended))
+
+
+@pytest.mark.parametrize("alphas", ORDER_LISTS, ids=str)
+@pytest.mark.parametrize("on_extended", [True, False])
+@pytest.mark.parametrize(
+    "witness",
+    standard_witness_families(2) + standard_witness_families(3),
+    ids=lambda w: w.name,
+)
+def test_stacked_orders_equal_the_per_order_set_bit_for_bit(witness, on_extended, alphas):
+    # every order of one call is bit for bit the set of that order alone, at a stack of points
+    # and at one point; a weight chart's base is off the unit-trace manifold, so there both
+    # the stack and the per-order set refuse the projected set
+    fam = witness.family
+    points = np.stack(sample_grid(witness, [11, fam.param_dim], 3))
+    for jet in (fam.jet(points, 2), fam.jet(points[1], 2)):
+        if on_extended or not witness.on_extended:
+            _assert_equals_per_order(jet, alphas, on_extended)
+            continue
+        for build in (covariant_derivative_set, _per_order_set):
+            with pytest.raises(ValueError, match="not a unit-trace state"):
+                build(jet, alphas, on_extended)
+
+
+@pytest.mark.parametrize("alphas", ORDER_LISTS, ids=str)
+@pytest.mark.parametrize("on_extended", [True, False])
+def test_stacked_orders_equal_the_per_order_set_on_a_clustered_spectrum(on_extended, alphas):
+    # eigenvalue gap 1e-8: the triple differences take their confluent value
+    fam = qubit_bloch_family()
+    points = np.array([[1e-8, 0.0, 0.0], [0.2, -0.1, 0.15]])
+    lam = np.linalg.eigvalsh(fam.point(points[0]))
+    assert 0.0 < lam[1] - lam[0] < CONFLUENT_RTOL * lam[0]
+    _assert_equals_per_order(fam.jet(points, 2), alphas, on_extended)
+    _assert_equals_per_order(fam.jet(points[0], 2), alphas, on_extended)
+
+
+def _watch_set_steps(calls):
+    import qiglab.connections
+
+    for name in ("divided_difference_matrix", "_triple_difference_tensor",
+                 "_triple_contraction", "_project_in_eigenbasis"):
+        calls.watch(qiglab.connections, name)
+
+
+@pytest.mark.parametrize("on_extended", [True, False])
+@pytest.mark.parametrize("alphas", [[0.5], [0.5, -0.5], [-0.5, 0.0, 0.5], [0.5, 1.0, -1.0]])
+def test_covariant_derivative_set_takes_one_step_of_each_kind_for_all_its_orders(
+    calls, alphas, on_extended
+):
+    witness = standard_witness_families(2, "state")[0]
+    jet = witness.family.jet(np.stack(sample_grid(witness, [0, 2], 3)), 2)
+    _watch_set_steps(calls)
+    covariant_derivative_set(jet, alphas, on_extended)
+    assert calls.count("divided_difference_matrix") == 1
+    assert calls.count("_triple_difference_tensor") == 1
+    assert calls.count("_triple_contraction") == 1
+    assert calls.count("_project_in_eigenbasis") == (0 if on_extended else 1)
+
+
+@pytest.mark.parametrize("on_extended", [True, False])
+def test_covariant_derivative_set_of_no_order_is_empty(on_extended):
+    fam = qubit_bloch_family()
+    points = np.array([[0.1, 0.2, -0.1], [0.0, 0.3, 0.1]])
+    assert covariant_derivative_set(fam.jet(points, 2), [], on_extended).shape == (
+        0, 2, 3, 3, 2, 2
+    )
+    assert covariant_derivative_set(fam.jet(points[0], 2), (), on_extended).shape == (
+        0, 3, 3, 2, 2
+    )
+
+
+@pytest.mark.parametrize("alphas", [[1.5], [0.5, -1.25], [0.0, 0.5, float("nan")]])
+def test_covariant_derivative_set_checks_every_order_before_any_divided_difference(
+    calls, alphas
+):
+    fam = qubit_bloch_family()
+    jet = fam.jet(np.array([0.1, 0.2, -0.1]), 2)
+    _watch_set_steps(calls)
+    bad = next(a for a in alphas if not -1.0 <= a <= 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"alpha must lie in [-1, 1], got {bad!r}")):
+        covariant_derivative_set(jet, alphas)
+    assert calls.count("divided_difference_matrix", "_triple_difference_tensor") == 0
 
 
 def test_projected_covariant_derivative_set_rejects_a_base_off_the_unit_trace_manifold():

@@ -228,7 +228,7 @@ def test_defect_grid_builds_each_connection_set_once(calls, capsys):
         run()
         return calls.count("_triple_difference_tensor"), calls.count("covariant_derivative_set")
 
-    # one triple tensor per order of a covariant-derivative set, for all its points and pairs
+    # one triple tensor per covariant-derivative set, for all its orders, points and pairs
     calls.watch(qiglab.connections, "_triple_difference_tensor")
     calls.watch(qiglab.duality, "covariant_derivative_set")
     witnesses = standard_witness_families(2, "state")
@@ -238,11 +238,11 @@ def test_defect_grid_builds_each_connection_set_once(calls, capsys):
             0.5, witnesses=witnesses, n_points=1, candidates=[(wyd_function(0.75), 1.0, True)]
         )
     )
-    # nabla^(0.5) and nabla^(-0.5) once each, in one call, for 7 candidates as for 1
-    assert battery == single == (2, 1)
+    # nabla^(0.5) and nabla^(-0.5) in one call and one triple tensor, for 7 candidates as for 1
+    assert battery == single == (1, 1)
     argv = ["duality", "--alpha=-0.5,0,0.5", "--dim", "2", "--manifold", "state", "--points", "1"]
-    # the signed orders -0.5, 0 and 0.5: three sets, in one call
-    assert count(lambda: main(argv)) == (3, 1)
+    # the signed orders -0.5, 0 and 0.5: three sets, in one call and one triple tensor
+    assert count(lambda: main(argv)) == (1, 1)
     capsys.readouterr()
 
 
