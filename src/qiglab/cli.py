@@ -16,6 +16,7 @@ Each subcommand imports the check module it runs (``consistency``, ``duality``,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -27,29 +28,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bands import FALSIFICATION_GAP, POSITIVE_TOL, band
-from .manifold import (
-    affine_coordinates,
-    check_state,
-    simplex_family,
-    state_tangent,
-    xi_affine_family,
-)
-from .metrics import (
-    bkm_function,
-    bures_function,
-    matched_metric,
-    metric_eval,
-    rld_function,
-    wyd_function,
-)
+from .manifold import affine_coordinates, simplex_family, state_tangent, xi_affine_family
+from .metrics import bkm_function, bures_function, matched_metric, rld_function, wyd_function
 from .sampling import (
-    _ginibre_draws,
-    _stack_draws,
-    _state_draws,
-    _states,
-    _traceless_hermitians,
-    _weight_draws,
-    _weights,
+    _random_weights,
+    _states_with_tangents,
     hermitian_basis,
     pauli_matrices,
     random_state,
@@ -276,6 +259,23 @@ def _metric_from_token(token: str, alpha: float):
     raise ValueError(f"unknown metric {token!r} (use wyd, wyd:<p>, bkm, bures or rld)")
 
 
+def _metric_pairs(opt, alphas) -> list:
+    """(alpha, metric) for each of ``alphas`` and each --metric token, in that order; two tokens
+    that resolve to one metric at one alpha are a usage error that names both. Runners resolve
+    every pair before any work."""
+    tokens = _list(opt, "metric", str.lower)
+    pairs, seen = [], {}  # seen: (alpha, metric name) -> the token that resolved to it
+    for alpha in alphas:
+        for token in tokens:
+            f = _metric_from_token(token, alpha)
+            if (alpha, f.name) in seen:
+                raise ValueError(f"--metric {seen[alpha, f.name]} and {token} both resolve to "
+                                 f"{f.name} at --alpha {alpha!r}")
+            seen[alpha, f.name] = token
+            pairs.append((alpha, f))
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # Status rule: every case status is a duality.band, or the worst of several
 
@@ -313,7 +313,7 @@ _EXIT = {"pass": 0, "fail": 1, "inconclusive": 3}
 
 
 def _run_metric_table(opt, seed):
-    from .consistency import kernel_direct_consistency
+    from .consistency import _ordering_violations, _reference_values, kernel_direct_consistency
 
     dims = _list(opt, "dims", int, floor=2)  # a 1 x 1 state has no nonzero traceless tangent
     # the matched WYD exponent (1 + alpha)/2 must lie in (0, 1)
@@ -324,54 +324,25 @@ def _run_metric_table(opt, seed):
         if not 0.0 <= floor * n < 1.0:
             raise ValueError(f"--floor must lie in [0, 1/dim) at every --dims value, got {floor!r} "
                              f"at --dims {n}")
-    records = []
-    worst = 0.0
-    for row in kernel_direct_consistency(seed, dims, alphas, samples, floor):
-        value = row["max_rel_dev"]
-        worst = max(worst, value)
-        metric = f"wyd(p={0.5 * (1 + row['alpha']):g})"
-        records.append(
-            _case(_at_most(value, 1e-8), check="kernel_vs_direct", dim=row["dim"],
-                  alpha=row["alpha"], metric=metric, value=value)
-        )
-    # demo table: metric values of the sigma_x tangent at diag(3/4, 1/4), decomposed once;
-    # shown for reference, so any value but NaN passes
-    rho = check_state(np.diag([0.75, 0.25]).astype(complex))
-    sx = pauli_matrices()[1]
-    for f in (
-        bures_function(),
-        wyd_function(0.25),
-        wyd_function(0.5),
-        wyd_function(0.75),
-        bkm_function(),
-        rld_function(),
-    ):
-        value = metric_eval(rho, f, sx, sx)
-        records.append(
-            _case(_at_most(value, math.inf), check="value_at_diag(3/4,1/4)", dim=2,
-                  metric=f.name, value=value)
-        )
-    # ordering: bures <= every built-in metric <= rld, entrywise on samples
     n_ord = _count(opt, "ordering_samples")
-    middle = [wyd_function(0.25), wyd_function(0.5), wyd_function(0.75), bkm_function()]
-    worst_violation = 0.0
-    for n in dims:
-        rng = rng_from([seed, 1000 + n])
-        violation = 0.0
-        for _ in range(n_ord):
-            spec = check_state(random_state(rng, n, floor))  # shared by all six metrics
-            a = random_traceless_hermitian(rng, n)
-            lo = metric_eval(spec, bures_function(), a, a)
-            hi = metric_eval(spec, rld_function(), a, a)
-            for f in middle:
-                g = metric_eval(spec, f, a, a)
-                violation = max(violation, lo - g, g - hi)
-        worst_violation = max(worst_violation, violation)
-        records.append(
-            _case(_at_most(violation, 1e-10), check="ordering_bures<=f<=rld", dim=n,
-                  value=violation)
-        )
-    return records, {"worst_rel_dev": worst, "worst_ordering_violation": worst_violation}
+    rows = kernel_direct_consistency(seed, dims, alphas, samples, floor)
+    records = [
+        _case(_at_most(row["max_rel_dev"], 1e-8), check="kernel_vs_direct", dim=row["dim"],
+              alpha=row["alpha"], metric=f"wyd(p={0.5 * (1 + row['alpha']):g})",
+              value=row["max_rel_dev"])
+        for row in rows
+    ]
+    # demo table: metric values of the sigma_x tangent at diag(3/4, 1/4), shown for reference,
+    # so any value but NaN passes
+    records += [_case(_at_most(value, math.inf), check="value_at_diag(3/4,1/4)", dim=2,
+                      metric=name, value=value) for name, value in _reference_values()]
+    # ordering: bures <= every built-in metric <= rld, entrywise on samples
+    violations = _ordering_violations(seed, dims, n_ord, floor)
+    records += [_case(_at_most(v, 1e-10), check="ordering_bures<=f<=rld", dim=n, value=v)
+                for n, v in zip(dims, violations)]
+    extra = {"worst_rel_dev": max(row["max_rel_dev"] for row in rows),
+             "worst_ordering_violation": max(violations)}
+    return records, extra
 
 
 def _run_duality(opt, seed):
@@ -387,9 +358,7 @@ def _run_duality(opt, seed):
             f"--dim values must be 2 or 3, the dimensions with documented witness families, "
             f"got {outside[0]}"
         )
-    # every (alpha, metric) pair resolves before any grid is built
-    pairs = [(alpha, _metric_from_token(token, alpha))
-             for alpha in alphas for token in _list(opt, "metric", str.lower)]
+    pairs = _metric_pairs(opt, alphas)  # before any grid is built
     witness_reports = []  # (witness, its reports, one per pair), dim by dim
     for dim in dims:
         for w in standard_witness_families(dim, opt["manifold"]):
@@ -414,9 +383,7 @@ def _run_transport_duality(opt, seed):  # the transport draws nothing at random
     from .duality import transport_duality_check, witness_curve
 
     tol, gap = _tol_gap(opt)
-    # every (alpha, metric) pair resolves before any transport
-    pairs = [(alpha, _metric_from_token(token, alpha))
-             for alpha in _alphas(opt) for token in _list(opt, "metric", str.lower)]
+    pairs = _metric_pairs(opt, _alphas(opt))  # before any transport
     curve = witness_curve()
     start = curve.point(0.0)
     # tangent pair chosen to break the z-reflection symmetry of the curve,
@@ -434,12 +401,6 @@ def _run_transport_duality(opt, seed):  # the transport draws nothing at random
                   initial_value=rep.initial_value, deviation=rep.deviation)
         )
     return records, {"max_deviation": worst}
-
-
-def _grid_weights(rng, dim: int, count: int) -> np.ndarray:
-    """``count`` draws of random_weight(rng, dim, 0.7, 1.5), in its rng order, built in one
-    stacked call: (count, dim, dim)."""
-    return _weights(*_stack_draws(_weight_draws(rng, dim, 0.7, 1.5) for _ in range(count)))
 
 
 def _run_potential(opt, seed):
@@ -467,7 +428,8 @@ def _run_potential(opt, seed):
         for alpha in alphas:
             rng = rng_from([seed, dim, int(round((alpha + 1) * 1000))])
             family = xi_affine_family(basis, alpha)
-            points = affine_coordinates(_grid_weights(rng, dim, sizes[dim]), alpha, basis)
+            weights = _random_weights(rng, sizes[dim], dim, 0.7, 1.5)
+            points = affine_coordinates(weights, alpha, basis)
             rep = potential_check(family, alpha, points, basis)
             dual = dual_coordinate_check(family, alpha, points[:n_dual], seed=[seed, 99])
             status = _verdict([
@@ -603,22 +565,6 @@ def _run_convexity_failure(opt, seed):
     return records, {}
 
 
-def _projection_instances(seed: int, instances: int, dim: int, n_obs: int) -> tuple:
-    """(states (k, n, n), observables (k, m, n, n)) of the projection instances.
-
-    Instance k draws random_state(rng, dim, 0.05), then n_obs
-    random_traceless_hermitian(rng, dim), from rng_from([seed, k]); the
-    states and the observables are each built in one stacked call.
-    """
-    states, directions = [], []
-    for k in range(instances):
-        rng = rng_from([seed, k])
-        states.append(_state_draws(rng, dim, 0.05))
-        directions.append(_stack_draws(_ginibre_draws(rng, dim) for _ in range(n_obs)))
-    weights, re, im = _stack_draws(states)
-    return _states(weights, 0.05, re, im), _traceless_hermitians(*_stack_draws(directions))
-
-
 def _run_entropy_projection(opt, seed):
     from .gibbs import entropy_projections, relative_entropy_curvature_gap
 
@@ -630,7 +576,8 @@ def _run_entropy_projection(opt, seed):
         )
     instances = _count(opt, "instances")
     records = []
-    reports = entropy_projections(*_projection_instances(seed, instances, dim, n_obs))
+    rngs = (rng_from([seed, k]) for k in range(instances))  # instance k's state and observables
+    reports = entropy_projections(*_states_with_tangents(rngs, dim, 0.05, n_obs))
     for k, rep in enumerate(reports):
         # converged is mean_residual <= 1e-9, the Newton tolerance: the mean residual is the
         # Newton gradient norm
@@ -754,9 +701,11 @@ command line > config file > built-in defaults.
 )
 
 
+@functools.cache
 def _build_parser(command) -> argparse.ArgumentParser:
     """The argument parser: only ``command``'s subparser, with its options, when it names a
-    subcommand; otherwise, for --help and unknown commands, every subcommand with its help line."""
+    subcommand; otherwise, for --help and unknown commands, every subcommand with its help line.
+    Built once per command and process; main passes None for every word that names none."""
     parser = argparse.ArgumentParser(
         prog="qiglab",
         description="Numerical laboratory for information geometry on density matrices.",
@@ -786,7 +735,8 @@ def _build_parser(command) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top-level parser takes no option but --help, so the first other word names the command
-    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
+    word = next((a for a in argv if not a.startswith("-")), None)
+    parser = _build_parser(word if word in _COMMANDS else None)
     args = parser.parse_args(argv)
     command = args.command
     opt = _merge_options(command, args, parser)

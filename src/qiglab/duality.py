@@ -41,8 +41,8 @@ from .manifold import (
 from .metrics import (
     MonotoneFunctionSpec,
     _kernel_difference,
-    _metric_matrix,
     _petz_coefficients,
+    _tangent_gram,
     bkm_function,
     bures_function,
     builtin_functions,
@@ -53,6 +53,7 @@ from .metrics import (
     wyd_function,
 )
 from .sampling import (
+    _random_weights,
     hermitian_basis,
     pauli_matrices,
     random_state,
@@ -584,20 +585,16 @@ def path_dependence_witness(alpha: float = 0.0, step_count: int = 256) -> float:
 def flatness_scan(alpha: float, dim: int, seed=5) -> float:
     """Max flat-covariant-derivative norm over two seeded points of the affine chart.
 
-    The points are weights with spectrum in [0.5, 2]. The second partials of
-    the embedded chart come from the chart's analytic derivatives, so a flat
-    chart reads at round-off and no discretization floor can mask a curved one.
+    The points are weights with spectrum in [0.5, 2], drawn in their rng order
+    and evaluated in one jet. The second partials of the embedded chart come
+    from the chart's analytic derivatives, so a flat chart reads at round-off
+    and no discretization floor can mask a curved one.
     """
-    rng = rng_from(seed)
     basis = hermitian_basis(dim)
-    fam = xi_affine_family(basis, alpha)
-    worst = 0.0
-    for _ in range(2):
-        sigma = random_weight(rng, dim, 0.5, 2.0)
-        xi = affine_coordinates(sigma, alpha, basis)
-        nabla = covariant_derivative_set(fam.jet(xi, 2), [alpha], on_extended=True)
-        worst = max(worst, float(np.linalg.norm(nabla, axis=(-2, -1)).max()))
-    return worst
+    xi = affine_coordinates(_random_weights(rng_from(seed), 2, dim, 0.5, 2.0), alpha, basis)
+    jet = xi_affine_family(basis, alpha).jet(xi, 2)
+    nabla = covariant_derivative_set(jet, [alpha], on_extended=True)
+    return float(np.linalg.norm(nabla, axis=(-2, -1)).max())
 
 
 def classical_reduction_check(seed=0) -> dict:
@@ -605,28 +602,23 @@ def classical_reduction_check(seed=0) -> dict:
 
     Returns the worst deviation of each kernel metric matrix from the Fisher
     matrix and the worst alpha-dependence (alpha = -0.5, 0, 0.5) of the direct
-    WYD pairing, over three seeded points of the qutrit simplex chart.
+    WYD pairing, over three seeded points of the qutrit simplex chart. One jet
+    of the three points, and its one decomposition, serves every kernel and
+    every WYD pairing.
     """
     dim = 3
     rng = rng_from(seed)
-    fam = simplex_family(dim)
-    d = fam.param_dim
-    worst_metric = 0.0
-    worst_alpha = 0.0
-    for _ in range(3):
-        p = rng.dirichlet(np.ones(dim)) * 0.6 + 0.4 / dim  # interior simplex point
-        theta = p[:-1]
-        # one decomposition of the point serves every kernel and every WYD pairing
-        jet = fam.jet(theta, 1)
-        spec = check_state(jet.spectrum)
-        tangents = _standard_basis(jet.spectrum, jet.tangents)
-        dp = np.diagonal(tangents, axis1=-2, axis2=-1).real
-        fisher = (dp / p) @ dp.T
-        for f in builtin_functions():
-            worst_metric = max(worst_metric, float(np.abs(_metric_matrix(jet, f) - fisher).max()))
-        for alpha in (-0.5, 0.0, 0.5):
-            for i in range(d):
-                for j in range(d):
-                    g = wyd_direct(spec, alpha, tangents[i], tangents[j])
-                    worst_alpha = max(worst_alpha, abs(g - fisher[i, j]))
-    return {"max_fisher_dev": worst_metric, "max_alpha_dev": worst_alpha}
+    p = np.stack([rng.dirichlet(np.ones(dim)) * 0.6 + 0.4 / dim for _ in range(3)])  # interior
+    jet = simplex_family(dim).jet(p[:, :-1], 1)
+    spec = check_state(jet.spectrum)
+    tangents = _standard_basis(jet.spectrum, jet.tangents)  # (point, i, n, n)
+    dp = np.diagonal(tangents, axis1=-2, axis2=-1).real
+    fisher = (dp / p[:, None]) @ dp.swapaxes(-1, -2)
+    grams = _tangent_gram(jet.tangents, _petz_coefficients(jet.spectrum, builtin_functions()))
+    # the direct pairings of every (T_i, T_j) at axes (alpha, point, i, j)
+    at_pairs, a, b = spec.expand_dims().expand_dims(), tangents[:, :, None], tangents[:, None]
+    direct = np.stack([wyd_direct(at_pairs, alpha, a, b) for alpha in (-0.5, 0.0, 0.5)])
+    return {
+        "max_fisher_dev": float(np.abs(grams - fisher).max()),
+        "max_alpha_dev": float(np.abs(direct - fisher).max()),
+    }

@@ -374,13 +374,15 @@ def metric_eval(sigma: Union[np.ndarray, Spectrum], f: MonotoneFunctionSpec, a, 
     return kernel_metric(kernel, _mixture_of(a, sigma), _mixture_of(b, sigma))
 
 
-def wyd_direct(rho: Union[np.ndarray, Spectrum], alpha: float, a, b) -> float:
+def wyd_direct(rho: Union[np.ndarray, Spectrum], alpha: float, a, b) -> Union[float, np.ndarray]:
     """WYD metric as the trace pairing of +-alpha representations.
 
     Tr(A^(alpha) B^(-alpha)); agrees with the kernel form for
     f = wyd_function((1+alpha)/2). |alpha| = 1 is rejected: use bkm_direct.
     rho is checked positive definite and may be given as its Spectrum; the
-    arguments are as in metric_eval.
+    arguments are as in metric_eval. A stacked rho, or stacked arguments,
+    give an (m,) array as kernel_metric does, each entry the pairing of its
+    matrices alone; leading axes broadcast as in frechet_derivative.
     """
     alpha = float(alpha)
     if not -1.0 < alpha < 1.0:
@@ -388,18 +390,18 @@ def wyd_direct(rho: Union[np.ndarray, Spectrum], alpha: float, a, b) -> float:
     spec = check_weight(rho)
     ra = frechet_derivative(spec, _mixture_of(a, rho), embedding_function(alpha))
     rb = frechet_derivative(spec, _mixture_of(b, rho), embedding_function(-alpha))
-    return float(np.trace(ra @ rb).real)
+    return _scalar_out(np.trace(ra @ rb, axis1=-2, axis2=-1).real)
 
 
-def bkm_direct(rho: Union[np.ndarray, Spectrum], a, b) -> float:
+def bkm_direct(rho: Union[np.ndarray, Spectrum], a, b) -> Union[float, np.ndarray]:
     """BKM metric: Tr(A^(-1) B^(+1)), the alpha -> +-1 limit of the WYD pairing.
 
     rho is checked positive definite and may be given as its Spectrum; the
-    arguments are as in metric_eval.
+    arguments, and stacks of them, are as in wyd_direct.
     """
     spec = check_weight(rho)
     rb = frechet_derivative(spec, _mixture_of(b, rho), embedding_function(1.0))
-    return float(np.trace(_mixture_of(a, rho) @ rb).real)
+    return _scalar_out(np.trace(_mixture_of(a, rho) @ rb, axis1=-2, axis2=-1).real)
 
 
 def relative_entropy(

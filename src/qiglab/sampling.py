@@ -48,14 +48,14 @@ def _weights(lam: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return _conjugated(lam, _haar_unitaries(re, im))
 
 
-def _hermitians(re: np.ndarray, im: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """hermitize(re + i im) * scale/sqrt(2); stacks (..., n, n)."""
-    return hermitize(re + 1j * im) * (scale / np.sqrt(2.0))
+def _hermitians(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """hermitize(re + i im)/sqrt(2); stacks (..., n, n)."""
+    return hermitize(re + 1j * im) * (1.0 / np.sqrt(2.0))
 
 
-def _traceless_hermitians(re: np.ndarray, im: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Traceless parts of _hermitians(re, im, scale)."""
-    h = _hermitians(re, im, scale)
+def _traceless_hermitians(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Traceless parts of _hermitians(re, im)."""
+    h = _hermitians(re, im)
     n = h.shape[-1]
     return h - (np.trace(h, axis1=-2, axis2=-1)[..., None, None] / n) * np.eye(n)
 
@@ -82,19 +82,35 @@ def _stack_draws(draws) -> tuple:
     return tuple(np.stack(part) for part in zip(*draws))
 
 
+def _states_with_tangents(rngs, n: int, floor: float, tangents: int) -> tuple:
+    """For each rng of ``rngs`` in turn, the draws of random_state(rng, n, floor) and then of
+    ``tangents`` random_traceless_hermitian(rng, n), in that rng order, each kind built in one
+    stacked call: states (k, n, n) and tangents (k, tangents, n, n)."""
+    states, directions = [], []
+    for rng in rngs:
+        states.append(_state_draws(rng, n, floor))
+        directions.append(_stack_draws(_ginibre_draws(rng, n) for _ in range(tangents)))
+    weights, re, im = _stack_draws(states)
+    return _states(weights, floor, re, im), _traceless_hermitians(*_stack_draws(directions))
+
+
+def _random_weights(rng: np.random.Generator, count: int, n: int, lo: float, hi: float):
+    """``count`` draws of random_weight(rng, n, lo, hi), in its rng order, built in one stacked
+    call: (count, n, n)."""
+    return _weights(*_stack_draws(_weight_draws(rng, n, lo, hi) for _ in range(count)))
+
+
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
     return _haar_unitaries(*_ginibre_draws(rng, n))
 
 
-def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    return _hermitians(*_ginibre_draws(rng, n), scale)
+def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
+    return _hermitians(*_ginibre_draws(rng, n))
 
 
-def random_traceless_hermitian(
-    rng: np.random.Generator, n: int, scale: float = 1.0
-) -> np.ndarray:
-    return _traceless_hermitians(*_ginibre_draws(rng, n), scale)
+def random_traceless_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
+    return _traceless_hermitians(*_ginibre_draws(rng, n))
 
 
 def random_state(rng: np.random.Generator, n: int, floor: float = 0.05) -> np.ndarray:

@@ -17,11 +17,11 @@ from qiglab.cli import (
     _COMMANDS,
     _build_parser,
     _format_float,
-    _grid_weights,
-    _projection_instances,
     main,
 )
 from qiglab.sampling import (
+    _random_weights,
+    _states_with_tangents,
     random_state,
     random_traceless_hermitian,
     random_weight,
@@ -73,6 +73,12 @@ def _check_modules_after(*commands) -> set:
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
     return {m for m in CHECK_MODULES if f"qiglab.{m}" in loaded} | ({"numpy.ma"} & loaded)
+
+
+def test_cli_evaluates_no_metric_itself():
+    # every metric value the CLI prints comes from a check module
+    for name in ("metric_eval", "kernel_metric", "petz_kernel", "wyd_direct", "bkm_direct"):
+        assert not hasattr(cli, name), name
 
 
 def test_cli_import_loads_no_check_module():
@@ -600,6 +606,39 @@ def test_repeated_list_value_is_usage_error_before_any_work(calls, capsys, argv,
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["duality", "--metric", "wyd,wyd:0.75", "--alpha", "0.5", "--dim", "2"],
+         "--metric wyd and wyd:0.75 both resolve to wyd(p=0.75) at --alpha 0.5"),
+        (["duality", "--metric", "wyd:0.75,bures,wyd:0.750", "--alpha", "0"],
+         "--metric wyd:0.75 and wyd:0.750 both resolve to wyd(p=0.75) at --alpha 0.0"),
+        (["transport-duality", "--metric", "bkm,wyd", "--alpha", "1"],
+         "--metric bkm and wyd both resolve to bkm at --alpha 1.0"),
+        (["transport-duality", "--metric", "wyd,bkm", "--alpha=0.5,-1"],
+         "--metric wyd and bkm both resolve to bkm at --alpha -1.0"),
+    ],
+)
+def test_two_metric_tokens_resolving_to_one_metric_is_usage_error_before_any_work(
+    calls, capsys, argv, message
+):
+    # each printed the same case twice: duality wyd,wyd:0.75 at alpha 0.5 two wyd(p=0.75)
+    # cases, transport-duality bkm,wyd at alpha 1 two bkm cases
+    calls.eig()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert calls.count("eigh", "eigvalsh") == 0
+
+
+def test_one_metric_at_two_alphas_is_two_cases(capsys):
+    code, out = _run(capsys, ["transport-duality", "--metric", "bkm", "--alpha=-1,1"])
+    assert code == 0
+    cases = [rec for rec in _parse_jsonl(out) if rec["record"] == "case"]
+    assert [(rec["metric"], rec["alpha"]) for rec in cases] == [("bkm", -1), ("bkm", 1)]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         (["transport-duality", "--tol", "abc"], "--tol must be a number, got 'abc'"),
         (["duality", "--tol", "nan"], "--tol must be a number, got 'nan'"),
         (["duality", "--metric", "wyd:abc"],
@@ -777,6 +816,29 @@ def test_parser_builds_the_invoked_subcommand_only():
             assert [a.option_strings for a in sub._actions] == [["-h", "--help"]]
 
 
+def _outcome(capsys, argv) -> tuple:
+    """(exit code, stdout with wall_clock_s zeroed, stderr) of one in-process run."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, WALL_CLOCK.sub('"wall_clock_s":0', captured.out), captured.err
+
+
+def test_parser_is_built_once_per_command_and_reads_the_same_each_run(capsys):
+    # a defect-grid op made four parsers, one per run; now a run reuses its command's parser,
+    # and every word that names no command shares the one listing every subcommand
+    _build_parser.cache_clear()
+    argvs = [FAST_DUALITY, FAST_DUALITY + ["--metric", "bogus"], ["duality", "--help"],
+             ["--help"], ["bogus"], []]
+    first = [_outcome(capsys, argv) for argv in argvs]
+    assert [code for code, _, _ in first] == [0, 2, 0, 0, 2, 2]
+    assert [_outcome(capsys, argv) for argv in argvs] == first
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (2, 2 * len(argvs) - 2)
+
+
 def test_unknown_command_is_usage_error_naming_every_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
@@ -867,6 +929,11 @@ FIXED_BOUNDS = {
         consistency, "kernel_direct_consistency",
         lambda v: [{"dim": 2, "alpha": 0.0, "max_rel_dev": v, "samples": 1}],
         ("check", "kernel_vs_direct"), 1e-8, "upper"),
+    "metric-table-ordering": (
+        ["metric-table", "--dims", "2", "--alphas", "0", "--samples", "1",
+         "--ordering-samples", "1"],
+        consistency, "_ordering_violations", lambda v: [v],
+        ("check", "ordering_bures<=f<=rld"), 1e-10, "upper"),
     "potential-hessian": (
         ["potential", "--alpha", "0"], potential, "potential_check",
         lambda v: _potential_reports("residual", v), ("alpha", 0), 1e-5, "upper"),
@@ -952,26 +1019,27 @@ def test_case_records_fit_their_csv_columns(capsys, name):
 
 
 def test_metric_table_decomposes_each_base_point_once(calls, capsys):
-    # one sample per (dim, alpha), the demo point and three ordering samples: each base point
-    # is decomposed once and its Spectrum serves every metric evaluated there
+    # two samples of the one (dim, alpha), the demo point and three ordering samples: one
+    # stacked decomposition per group, whose Spectrum serves every metric evaluated there
     calls.eig()
-    argv = ["metric-table", "--dims", "2", "--alphas", "0", "--samples", "1"]
+    argv = ["metric-table", "--dims", "2", "--alphas", "0", "--samples", "2"]
     assert main(argv + ["--ordering-samples", "3"]) == 0
     capsys.readouterr()
-    assert (calls.count("eigh"), calls.count("eigvalsh")) == (1 + 1 + 3, 0)
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (1 + 1 + 1, 0)
+    assert calls.matrices("eigh") == 2 + 1 + 3
 
 
 # Most numpy eigh + eigvalsh calls each subcommand may make at its defaults and seed 0.
 # A change that decomposes less lowers its row; a new subcommand adds one.
 EIG_BUDGET = {
     "transport-duality": 2,
-    "flatness": 15,
-    "metric-table": 826,
+    "flatness": 9,
+    "metric-table": 19,
     "duality": 4,
     "potential": 22,
     "uniqueness-scan": 2,
     "monotonicity": 6,
-    "convexity-failure": 7,
+    "convexity-failure": 5,
     "entropy-projection": 8,
 }
 
@@ -1062,14 +1130,17 @@ def test_runs_build_only_the_witness_families_they_use(capsys, monkeypatch, argv
 
 
 def test_grid_weights_equal_one_random_weight_at_a_time():
-    stacked = _grid_weights(rng_from([4, 2, 500]), 3, 7)
+    # potential's grid: its weights are drawn in one stacked call
+    stacked = _random_weights(rng_from([4, 2, 500]), 7, 3, 0.7, 1.5)
     rng = rng_from([4, 2, 500])
     np.testing.assert_array_equal(stacked, [random_weight(rng, 3, 0.7, 1.5) for _ in range(7)])
 
 
 @pytest.mark.parametrize("dim, n_obs", [(3, 2), (4, 3)])
 def test_projection_instances_equal_the_one_at_a_time_draws(dim, n_obs):
-    states, observables = _projection_instances(7, 5, dim, n_obs)
+    # entropy-projection's instances: instance k draws from rng_from([seed, k])
+    states, observables = _states_with_tangents((rng_from([7, k]) for k in range(5)), dim, 0.05,
+                                                n_obs)
     for k in range(5):
         rng = rng_from([7, k])
         np.testing.assert_array_equal(states[k], random_state(rng, dim, floor=0.05))
@@ -1079,7 +1150,7 @@ def test_projection_instances_equal_the_one_at_a_time_draws(dim, n_obs):
 
 def test_projection_instances_keep_the_state_floor_check():
     with pytest.raises(ValueError, match="floor 0.05 infeasible for dimension 20"):
-        _projection_instances(0, 2, 20, 1)
+        _states_with_tangents((rng_from([0, k]) for k in range(2)), 20, 0.05, 1)
 
 
 @pytest.mark.parametrize("command, qrs", [("potential", 3), ("entropy-projection", 2)])

@@ -771,7 +771,7 @@ def test_flatness_scan_affine_charts_are_flat(dim, alpha):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_flatness_scan_evaluates_each_point_in_one_chart_call(calls, monkeypatch, dim):
-    # per point: one order-2 jet, whose decomposition serves the second partials
+    # both points in one order-2 jet, whose decomposition serves the second partials
     import qiglab.duality
 
     build = qiglab.duality.xi_affine_family
@@ -781,7 +781,7 @@ def test_flatness_scan_evaluates_each_point_in_one_chart_call(calls, monkeypatch
     )
     assert flatness_scan(0.5, dim) <= 1e-12
     d = dim * dim
-    assert calls.shapes["jet"] == [(d,), (d,)]
+    assert calls.shapes["jet"] == [(2, d)]
 
 
 def test_path_dependence_witness_value():
@@ -930,17 +930,20 @@ def test_classical_reduction_check_values():
 
 
 def test_classical_reduction_check_decomposes_each_point_once(calls):
-    # per simplex point: one eigh, shared by its chart guard, six kernels and 12 WYD pairings
+    # one stacked eigh of the three simplex points, shared by the chart guard, six kernels and
+    # 3 x 12 WYD pairings
     calls.eig()
     classical_reduction_check(seed=0)
-    assert (calls.count("eigh"), calls.count("eigvalsh")) == (3, 0)
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (1, 0)
+    assert calls.matrices("eigh") == 3
 
 
 def test_kernel_direct_consistency_decomposes_each_sample_once(calls):
+    # one stacked eigh per (dim, alpha) row
     calls.eig()
     rows = kernel_direct_consistency(seed=0, dims=(2, 3), alphas=(-0.5, 0.5), samples=5)
     assert len(rows) == 4
-    assert calls.count("eigh") == 4 * 5
+    assert (calls.count("eigh"), calls.matrices("eigh")) == (4, 4 * 5)
 
 
 # ------------------------------------------------------ entropy projection
