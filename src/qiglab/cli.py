@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bands import FALSIFICATION_GAP, POSITIVE_TOL, band
-from .manifold import affine_coordinates, simplex_family, state_tangent, xi_affine_family
+from .manifold import simplex_family, state_tangent
 from .metrics import bkm_function, bures_function, matched_metric, rld_function, wyd_function
 from .sampling import (
     _random_weights,
@@ -328,7 +328,7 @@ def _run_metric_table(opt, seed):
     rows = kernel_direct_consistency(seed, dims, alphas, samples, floor)
     records = [
         _case(_at_most(row["max_rel_dev"], 1e-8), check="kernel_vs_direct", dim=row["dim"],
-              alpha=row["alpha"], metric=f"wyd(p={0.5 * (1 + row['alpha']):g})",
+              alpha=row["alpha"], metric=matched_metric(row["alpha"]).name,
               value=row["max_rel_dev"])
         for row in rows
     ]
@@ -404,7 +404,7 @@ def _run_transport_duality(opt, seed):  # the transport draws nothing at random
 
 
 def _run_potential(opt, seed):
-    from .potential import dual_coordinate_check, potential_check
+    from .potential import _potential_checks
 
     n_dual = _count(opt, "dual_points")
     points_option = _count(opt, "points", floor=0)  # 0 picks the size per dim
@@ -423,15 +423,11 @@ def _run_potential(opt, seed):
             )
     tol = 1e-5  # of the Hessian and the Jacobian residual
     records = []
-    for dim in dims:
-        basis = hermitian_basis(dim)
-        for alpha in alphas:
-            rng = rng_from([seed, dim, int(round((alpha + 1) * 1000))])
-            family = xi_affine_family(basis, alpha)
-            weights = _random_weights(rng, sizes[dim], dim, 0.7, 1.5)
-            points = affine_coordinates(weights, alpha, basis)
-            rep = potential_check(family, alpha, points, basis)
-            dual = dual_coordinate_check(family, alpha, points[:n_dual], seed=[seed, 99])
+    for dim in dims:  # every alpha's grid in one pass
+        rngs = [rng_from([seed, dim, int(round((alpha + 1) * 1000))]) for alpha in alphas]
+        weights = _random_weights(rngs, sizes[dim], dim, 0.7, 1.5)
+        checks = _potential_checks(hermitian_basis(dim), alphas, weights, n_dual, seed=[seed, 99])
+        for alpha, (rep, dual) in zip(alphas, checks):
             status = _verdict([
                 _at_most(rep.residual, tol),
                 _at_most(rep.gradient_residual, 1e-6),

@@ -31,7 +31,6 @@ every point of a stack and every pair is in the same step.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,6 +49,7 @@ from .manifold import (
     ParametrizedFamily,
     TangentVector,
     _project_in_eigenbasis,
+    _pairs,
     _project_with,
     _sphere_powers,
     _standard_basis,
@@ -132,15 +132,6 @@ def covariant_derivative_on_M(
     return CovariantDerivativeResult(
         jet.sigma, state_tangent(jet.sigma, _standard_basis(jet.spectrum, mixture))
     )
-
-
-@functools.cache
-def _pairs(d: int) -> tuple:
-    """np.triu_indices(d), the pairs i <= j of d chart directions, built once per d, read-only."""
-    pairs = np.triu_indices(d)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
 
 
 def covariant_derivative_set(jet: ChartJet, alphas, on_extended: bool = False) -> np.ndarray:

@@ -591,7 +591,7 @@ def flatness_scan(alpha: float, dim: int, seed=5) -> float:
     and no discretization floor can mask a curved one.
     """
     basis = hermitian_basis(dim)
-    xi = affine_coordinates(_random_weights(rng_from(seed), 2, dim, 0.5, 2.0), alpha, basis)
+    xi = affine_coordinates(_random_weights([rng_from(seed)], 2, dim, 0.5, 2.0), alpha, basis)
     jet = xi_affine_family(basis, alpha).jet(xi, 2)
     nabla = covariant_derivative_set(jet, [alpha], on_extended=True)
     return float(np.linalg.norm(nabla, axis=(-2, -1)).max())

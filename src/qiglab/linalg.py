@@ -225,16 +225,30 @@ def power_function(exponent, scale=1.0, name: str = None) -> ScalarFunction:
     leading axis of length k, and row r is bit for bit the value of the
     power with exponent[r] and scale[r] alone.
     """
+    return _power_profile(exponent, scale, name, aligned=False)
+
+
+def _row_power_function(exponents, scales, name: str) -> ScalarFunction:
+    """k powers whose constants align with the leading axis, of length k, of every argument:
+    row r of an argument takes exponent[r] and scale[r], and no axis is added. Otherwise
+    ``power_function`` of the sequences, bit for bit."""
+    return _power_profile(exponents, scales, name, aligned=True)
+
+
+def _power_profile(exponent, scale, name, aligned: bool) -> ScalarFunction:
+    """``power_function``; with ``aligned``, a stack's constants align with the argument's leading
+    axis instead of leading a new one."""
     if _is_stack(exponent):
         scales = scale if _is_stack(scale) else [scale] * len(exponent)
         label = name or f"{np.asarray(scales).tolist()}*x^{np.asarray(exponent).tolist()}"
         table = np.array(list(map(_power_constants, exponent, scales))).reshape(-1, 6).T  # (6, k)
-        shaped = {}  # the rank of an argument -> the constants, reshaped to lead its axes
+        shaped = {}  # the rank of an argument -> the constants, shaped against its axes
+        trailing = 1 if aligned else 0  # the argument axes the stack axis replaces
 
         def at(x):
             rank = np.ndim(x)
             if rank not in shaped:
-                shaped[rank] = tuple(table.reshape(table.shape + (1,) * rank))
+                shaped[rank] = tuple(table.reshape(table.shape + (1,) * (rank - trailing)))
             return shaped[rank]
     else:
         constants = _power_constants(exponent, scale)
@@ -263,19 +277,31 @@ def power_function(exponent, scale=1.0, name: str = None) -> ScalarFunction:
     return ScalarFunction(label, fn=fn, deriv=deriv, deriv2=deriv2, pair=pair)
 
 
-def _function_stack(parts: Sequence[tuple], size: int, name: str) -> ScalarFunction:
+def _function_stack(
+    parts: Sequence[tuple], size: int, name: str, aligned: bool = False
+) -> ScalarFunction:
     """``size`` profiles as one ScalarFunction whose values carry a leading axis of length size.
 
     ``parts`` holds (rows, f) pairs that cover the rows once: f gives the values of the rows
     ``rows`` of the stack, either as a stack with a leading axis of len(rows) or as one profile
     that serves every one of those rows. Each f is called once per call of the stack.
+
+    With ``aligned``, the stack's rows are the rows of the arguments' leading axis, of length
+    size, and no axis is added: f is called on the argument rows ``rows`` alone, and a stack f
+    aligns with them as ``_row_power_function`` does.
     """
 
     def stacked(method):
         def apply(*args):
-            out = np.empty((size,) + np.broadcast_shapes(*map(np.shape, args)))
+            shape = np.broadcast_shapes(*map(np.shape, args))
+            if aligned:
+                args = np.broadcast_arrays(*args)
+                out = np.empty(shape)
+            else:
+                out = np.empty((size,) + shape)
             for rows, f in parts:
-                out[rows] = getattr(f, method)(*args)
+                picked = [a[rows] for a in args] if aligned else args
+                out[rows] = getattr(f, method)(*picked)
             return out
 
         return apply

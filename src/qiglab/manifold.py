@@ -26,6 +26,7 @@ from .linalg import (
     _function_stack,
     _hermitize_self_adjoint,
     _is_stack,
+    _row_power_function,
     _tangent_products,
     _triple_contraction,
     _triple_difference_tensor,
@@ -212,38 +213,48 @@ def embedding_function(alpha) -> ScalarFunction:
     return _embedding_profile(_check_alpha(alpha))
 
 
+def inverse_embedding_function(alpha: float) -> ScalarFunction:
+    """Inverse of the embedding profile: y maps back to the matrix eigenvalue."""
+    return _embedding_profile(_check_alpha(alpha), inverse=True)
+
+
+def _row_profile(alphas, inverse: bool = False) -> ScalarFunction:
+    """The embedding profile, or with ``inverse`` its inverse, of order alphas[r] on row r of the
+    leading axis of its argument, which has one row per order: no order axis is added, and row r
+    is bit for bit the value of its order's profile alone. Every order is checked."""
+    return _embedding_profile(tuple(map(_check_alpha, alphas)), inverse, aligned=True)
+
+
 @functools.lru_cache(maxsize=256)
-def _embedding_profile(alpha) -> ScalarFunction:
-    """embedding_function of one checked order, or of a tuple of them."""
+def _embedding_profile(alpha, inverse: bool = False, aligned: bool = False) -> ScalarFunction:
+    """embedding_function of one checked order or a tuple of them, or with ``inverse``
+    inverse_embedding_function; with ``aligned``, a tuple's orders align with the argument's
+    leading axis, as in _row_profile."""
     if isinstance(alpha, tuple):
-        name = f"embed({', '.join(map('{:g}'.format, alpha))})"
+        name = f"{'unembed' if inverse else 'embed'}({', '.join(map('{:g}'.format, alpha))})"
         rows = {1.0: [], -1.0: [], 0.0: []}  # log, identity and the powers inside (-1, 1)
         for r, a in enumerate(alpha):
             rows[a if abs(a) == 1.0 else 0.0].append(r)
         s = 0.5 * (1.0 - np.take(alpha, rows[0.0]))
-        powers = power_function(s, scale=1.0 / s, name=name)
+        if inverse:  # each scale a Python pow, as one order takes it
+            exponents, scales = 1.0 / s, [float(e) ** (1.0 / float(e)) for e in s]
+        else:
+            exponents, scales = s, 1.0 / s
+        powers = (_row_power_function if aligned else power_function)(exponents, scales, name)
         if len(s) == len(alpha):
             return powers
-        parts = [(rows[0.0], powers), (rows[1.0], log_function()), (rows[-1.0], identity_function())]
-        return _function_stack([part for part in parts if part[0]], len(alpha), name)
+        at_one = exp_function() if inverse else log_function()
+        parts = [(rows[0.0], powers), (rows[1.0], at_one), (rows[-1.0], identity_function())]
+        return _function_stack([part for part in parts if part[0]], len(alpha), name, aligned)
     if alpha == 1.0:
-        return log_function()
+        return exp_function() if inverse else log_function()
     if alpha == -1.0:
         return identity_function()
     s = 0.5 * (1.0 - alpha)
+    if inverse:
+        # (s*y)^(1/s) = s^(1/s) * y^(1/s)
+        return power_function(1.0 / s, scale=s ** (1.0 / s), name=f"unembed({alpha:g})")
     return power_function(s, scale=1.0 / s, name=f"embed({alpha:g})")
-
-
-def inverse_embedding_function(alpha: float) -> ScalarFunction:
-    """Inverse of the embedding profile: y maps back to the matrix eigenvalue."""
-    alpha = _check_alpha(alpha)
-    if alpha == 1.0:
-        return exp_function()
-    if alpha == -1.0:
-        return identity_function()
-    s = 0.5 * (1.0 - alpha)
-    # (s*y)^(1/s) = s^(1/s) * y^(1/s)
-    return power_function(1.0 / s, scale=s ** (1.0 / s), name=f"unembed({alpha:g})")
 
 
 def alpha_representation(v: TangentVector, alpha: float) -> np.ndarray:
@@ -379,18 +390,22 @@ class ParametrizedFamily:
     and None past it. A stack is evaluated row by row with the same
     arithmetic. ``jet`` checks what it returns; every other face of the chart
     is a view of the jet. Charts must keep the spectrum above
-    CHART_MIN_EIGENVALUE (domain guard).
+    CHART_MIN_EIGENVALUE (domain guard). A chart that is not ``rowwise`` takes
+    only whole stacks of the one size it was built for (its order varies by
+    row), so ``jet`` cannot evaluate a row of them alone.
     """
 
     param_dim: int
     evaluate: Callable[[np.ndarray, int], tuple]
+    rowwise: bool = True
 
     def jet(self, theta: np.ndarray, order: int = 0) -> ChartJet:
         """The ChartJet at theta (d,), or at every row of a stack (m, d), up to ``order``.
 
         Each sigma must be self-adjoint with its spectrum above the guard, which
         reads the Spectrum the chart returns. The error names the theta that
-        fails, for a stack its first failing row.
+        fails, for a stack its first failing row (of a chart that is not ``rowwise``, the
+        chart's own error names it).
         """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if theta.ndim > 2 or theta.shape[-1] != self.param_dim:
@@ -407,7 +422,7 @@ class ParametrizedFamily:
                     f"chart output shape {sigma.shape} does not follow the parameter stack"
                 )
         except ValueError as exc:
-            if theta.ndim == 2:
+            if theta.ndim == 2 and self.rowwise:
                 for row in theta:  # the first failing row raises with its own theta
                     self.jet(row, order)
             raise ValueError(f"chart evaluation failed at theta={theta.tolist()}: {exc}") from exc
@@ -448,6 +463,15 @@ class ParametrizedFamily:
                 )
 
 
+@functools.cache
+def _pairs(d: int) -> tuple:
+    """np.triu_indices(d), the pairs i <= j of d chart directions, built once per d, read-only."""
+    pairs = np.triu_indices(d)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _function_jet(lam: np.ndarray, f: ScalarFunction, directions: np.ndarray, order: int) -> tuple:
     """(first, second) derivatives of A -> f(A) at A with eigenvalues lam (..., n), along the
     eigenbasis directions E (..., d, n, n), in that eigenbasis; None past ``order``.
@@ -463,7 +487,7 @@ def _function_jet(lam: np.ndarray, f: ScalarFunction, directions: np.ndarray, or
     if order < 2:
         return first, None
     d = directions.shape[-3]
-    i, j = np.triu_indices(d)
+    i, j = _pairs(d)
     t = _triple_difference_tensor(lam, f, k)[..., None, :, :, :]
     upper = _triple_contraction(
         t, _tangent_products(directions[..., i, :, :], directions[..., j, :, :])
@@ -498,9 +522,19 @@ def affine_coordinates(
     Solves sum_i xi_i X_i = embed(sigma) through the basis Gram matrix;
     a singular Gram matrix is rejected. A stack of matrices (..., n, n), or
     its stacked Spectrum, gives coordinates (..., d), all solved with the one
-    Gram matrix.
+    Gram matrix. ``alpha`` is one order, or for a stack (m, n, n) a sequence of
+    m orders: matrix r is then embedded in order alpha[r].
     """
-    target = apply_scalar_function(check_weight(sigma), embedding_function(alpha))
+    spec = check_weight(sigma)
+    if _is_stack(alpha):
+        if spec.eigenvalues.shape[:-1] != (len(alpha),):
+            raise ValueError(
+                f"{len(alpha)} orders do not match a stack of shape {spec.eigenvalues.shape[:-1]}"
+            )
+        profile = _row_profile(alpha)
+    else:
+        profile = embedding_function(alpha)
+    target = apply_scalar_function(spec, profile)
     basis = np.asarray(basis)
     # Hilbert-Schmidt products Tr(X_i^dagger Y), each summed as hs_inner sums it
     gram = np.sum(basis.conj()[:, None] * basis[None, :], axis=(-2, -1)).real
@@ -510,7 +544,7 @@ def affine_coordinates(
     return np.linalg.solve(gram, rhs[..., None])[..., 0]
 
 
-def xi_affine_family(basis: Sequence[np.ndarray], alpha: float) -> ParametrizedFamily:
+def xi_affine_family(basis: Sequence[np.ndarray], alpha) -> ParametrizedFamily:
     """Chart in which the order-alpha embedding is linear: embed(sigma) = sum xi_i X_i.
 
     One decomposition of Y = sum xi_i X_i per xi, or per stack of xi (m, d),
@@ -518,22 +552,34 @@ def xi_affine_family(basis: Sequence[np.ndarray], alpha: float) -> ParametrizedF
     Y and the eigenvalues inverse(μ), still ascending as the inverse profile
     increases. The tangents K o (U† X_i U) and the Hessians come from the
     inverse-embedding matrix calculus with one divided-difference matrix K.
+
+    ``alpha`` may be a sequence of m orders: the chart then takes stacks of m
+    rows (m, d) only, row r in the chart of order alpha[r], each row bit for bit
+    as that order's chart gives it, and every row from the one decomposition.
     """
-    alpha = _check_alpha(alpha)
-    basis = check_hermitian(np.stack(basis))
-    inverse = inverse_embedding_function(alpha)
+    return _xi_affine_chart(check_hermitian(np.stack(basis)), alpha)
+
+
+def _xi_affine_chart(basis: np.ndarray, alpha) -> ParametrizedFamily:
+    """xi_affine_family of a basis stack (d, n, n) already checked self-adjoint."""
+    rows = _is_stack(alpha)
+    inverse = _row_profile(alpha, inverse=True) if rows else inverse_embedding_function(alpha)
+    alphas = np.array(alpha, dtype=float)
+    # the exp inverse of the log embedding is defined on every self-adjoint y: its rows pass
+    # the positivity check as +inf
+    unbounded = (alphas == 1.0)[..., None]
 
     def evaluate(xi, order):
+        if rows and xi.shape[:-1] != alphas.shape:
+            raise ValueError(f"a chart of {len(alphas)} row orders got parameter shape {xi.shape}")
         spec = spectral_decompose(basis_combination(xi, basis))
-        # the exp inverse of the log embedding is defined on every self-adjoint y
-        if alpha != 1.0:
-            check_weight(spec)
+        check_weight(Spectrum(np.where(unbounded, np.inf, spec.eigenvalues), spec.unitary))
         sigma = apply_scalar_function(spec, inverse)
         directions = spec.expand_dims().to_eigenbasis(basis) if order >= 1 else None
         jet = _function_jet(spec.eigenvalues, inverse, directions, order)
         return (sigma, Spectrum(inverse(spec.eigenvalues), spec.unitary)) + jet
 
-    return ParametrizedFamily(param_dim=len(basis), evaluate=evaluate)
+    return ParametrizedFamily(param_dim=len(basis), evaluate=evaluate, rowwise=not rows)
 
 
 def linear_family(base: np.ndarray, directions: Sequence[np.ndarray]) -> ParametrizedFamily:

@@ -22,7 +22,14 @@ from .linalg import (
     check_hermitian,
     frechet_derivative,
 )
-from .manifold import ChartJet, TangentVector, check_state, check_weight, embedding_function
+from .manifold import (
+    ChartJet,
+    TangentVector,
+    _pairs,
+    check_state,
+    check_weight,
+    embedding_function,
+)
 
 __all__ = [
     "MonotoneFunctionSpec",
@@ -164,7 +171,7 @@ def wyd_function(p: float) -> MonotoneFunctionSpec:
         series = 0.5 - 2.0 * c2 * u + 1.5 * c2 * u * u
         return _scalar_out(np.where(small, series, main))
 
-    return MonotoneFunctionSpec(f"wyd(p={p:g})", f, deriv=deriv)
+    return MonotoneFunctionSpec(f"wyd(p={p:.15g})", f, deriv=deriv)
 
 
 def bkm_function() -> MonotoneFunctionSpec:
@@ -326,7 +333,7 @@ def _tangent_gram(tangents: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     (..., n, n). Each pair a <= b is summed once and mirrored.
     """
     d = tangents.shape[-3]
-    a, b = np.triu_indices(d)
+    a, b = _pairs(d)
     upper = _contract(coefficients[..., None, :, :], tangents[..., a, :, :], tangents[..., b, :, :])
     out = np.empty(upper.shape[:-1] + (d, d))
     out[..., a, b] = upper
@@ -334,10 +341,20 @@ def _tangent_gram(tangents: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return out
 
 
-def _metric_matrix(jet: ChartJet, f: MonotoneFunctionSpec) -> np.ndarray:
+def _metric_matrix(jet: ChartJet, f: _Specs) -> np.ndarray:
     """g_ab = f-metric of the coordinate tangents d_a sigma, d_b sigma at the theta of a chart's
-    jet of order at least 1, (d, d), or (m, d, d) for a stacked jet."""
-    return _tangent_gram(jet.tangents, petz_kernel(jet.spectrum, f).coefficients)
+    jet of order at least 1, (d, d), or (m, d, d) for a stacked jet.
+
+    ``f`` may be a sequence of k specs for a stacked jet of k blocks of m rows each: block i
+    takes f[i], each row as it gets it alone, and one Gram contraction serves every block.
+    """
+    if isinstance(f, MonotoneFunctionSpec):
+        coefficients = petz_kernel(jet.spectrum, f).coefficients
+    else:
+        m = len(jet.theta) // len(f)
+        blocks = [jet.spectrum[i * m : (i + 1) * m] for i in range(len(f))]
+        coefficients = np.concatenate([petz_kernel(b, fi).coefficients for b, fi in zip(blocks, f)])
+    return _tangent_gram(jet.tangents, coefficients)
 
 
 def kernel_metric(kernel: MetricKernel, a: np.ndarray, b: np.ndarray) -> Union[float, np.ndarray]:

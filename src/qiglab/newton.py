@@ -1,7 +1,9 @@
 """Damped Newton minimization of a stack of smooth convex objectives, row by row.
 
-The Legendre solve of ``potential.dual_coordinate_check`` and the
-relative-entropy projections of ``gibbs.entropy_projections`` run on it.
+The Legendre solve of the potential's dual check (``potential._dual_check``,
+behind ``dual_coordinate_check`` and ``qiglab potential``, one row per
+(alpha, point)) and the relative-entropy projections of
+``gibbs.entropy_projections`` run on it.
 """
 
 from __future__ import annotations

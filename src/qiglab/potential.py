@@ -4,17 +4,29 @@ In affine coordinates xi of the order-alpha embedding, psi = (2/(1+alpha))
 Tr sigma(xi) has the matched WYD metric as its Hessian, and its gradient eta
 is an affine function of the order-(-alpha) affine coordinates; the Legendre
 transform of psi pairs xi with eta.
+
+The checks run on stacks of rows that each carry their own order, so
+``qiglab potential`` checks every order of a dim in one pass
+(``_potential_checks``), and the one-order public checks are its k = 1 case.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .connections import covariant_derivative_set
-from .manifold import ChartJet, ParametrizedFamily, _scalar_gradient, affine_coordinates
+from .linalg import check_hermitian
+from .manifold import (
+    ChartJet,
+    ParametrizedFamily,
+    _scalar_gradient,
+    _xi_affine_chart,
+    affine_coordinates,
+)
 from .metrics import _metric_matrix, matched_metric
 from .newton import _damped_newton, _row_dot
 from .sampling import rng_from
@@ -50,18 +62,30 @@ def potential_value(sigma: np.ndarray, alpha: float):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _check_affine(alpha: float, jet: ChartJet) -> None:
-    """Reject a chart whose flat covariant derivatives do not all vanish at the theta of its
-    order-2 ``jet`` at one point.
+def _check_order(alpha: float) -> float:
+    """alpha as a float, rejected outside (-1, 1], where the trace potential is not checked."""
+    alpha = float(alpha)
+    if not -1.0 < alpha <= 1.0:
+        raise ValueError(f"potential check needs alpha in (-1, 1], got {alpha!r}")
+    return alpha
 
-    Every pair (i, j) is checked, from one covariant_derivative_set call.
+
+def _check_affine(orders: Sequence[float], jet: ChartJet) -> None:
+    """Reject a chart whose flat covariant derivatives do not all vanish at the theta of its
+    order-2 ``jet``, one point per order of ``orders``, point i in order orders[i].
+
+    Every pair (i, j) is checked, from one covariant_derivative_set call; the first order
+    that fails raises.
     """
-    nabla = covariant_derivative_set(jet, [alpha], True)
-    norm = float(np.linalg.norm(nabla, axis=(-2, -1)).max())  # a norm needs no basis
-    if norm > 1e-4:
+    k = np.arange(len(orders))
+    # every order at every point, of which point i in order orders[i] is kept: with a few
+    # orders this costs about what one order per point would
+    nabla = covariant_derivative_set(jet, orders, True)[k, k]
+    norms = np.linalg.norm(nabla, axis=(-2, -1)).reshape(len(orders), -1).max(axis=1)
+    if (norms > 1e-4).any():  # a norm needs no basis
         raise ValueError(
             "coordinates are not affine for this embedding order "
-            f"(flat covariant derivative has norm {norm:.3e})"
+            f"(flat covariant derivative has norm {norms[np.argmax(norms > 1e-4)]:.3e})"
         )
 
 
@@ -75,6 +99,98 @@ class PotentialReport:
     residual: float
     gradient_residual: float
     n_points: int
+
+
+@dataclass(frozen=True)
+class DualCoordinateReport:
+    alpha: float
+    jacobian_residual: float
+    legendre_residual: float
+    n_points: int
+
+
+def _factors(orders: Sequence[float], m: int) -> np.ndarray:
+    """2/(1+alpha) of each order, repeated for its m rows: (k * m,)."""
+    return np.repeat([_potential_factor(alpha) for alpha in orders], m)
+
+
+def _grid_check(jet: ChartJet, orders: Sequence[float], basis) -> tuple:
+    """(PotentialReport of each order, metric matrices (k * m, d, d)) from one order-2 jet of
+    the grids of k orders, m points each, the grid of orders[i] at rows i*m to (i+1)*m - 1.
+
+    The jet's Spectrum gives the affine coordinates and the metric of every row, and the first
+    row of each grid the affine check; only the regression runs order by order.
+    """
+    m = len(jet.theta) // len(orders)
+    _check_affine(orders, jet[::m])  # a chart affine for another order fails at any point
+    zetas = affine_coordinates(jet.spectrum, -np.repeat(orders, m), basis)
+    metric = _metric_matrix(jet, [matched_metric(alpha) for alpha in orders])
+    c = _factors(orders, m)
+    hess = c[:, None, None] * _trace(jet.hessians)
+    etas = c[:, None] * _trace(jet.tangents)
+    reports = []
+    for i, alpha in enumerate(orders):
+        rows = slice(i * m, (i + 1) * m)
+        design = np.hstack([zetas[rows], np.ones((m, 1))])
+        coeffs, *_ = np.linalg.lstsq(design, etas[rows], rcond=None)
+        reports.append(
+            PotentialReport(
+                alpha=alpha,
+                hessian=hess[rows][0],
+                metric_matrix=metric[rows][0],
+                residual=float(np.abs(hess[rows] - metric[rows]).max()),
+                gradient_residual=float(np.abs(design @ coeffs - etas[rows]).max()),
+                n_points=m,
+            )
+        )
+    return reports, metric
+
+
+def _dual_check(chart, jet: ChartJet, orders: Sequence[float], metric, start) -> list:
+    """DualCoordinateReport of each of k orders, from one order-1 jet of k blocks of m points,
+    the points of orders[i] at rows i*m to (i+1)*m - 1, and their metric matrices.
+
+    ``chart`` maps an order per row (r,) to the chart that takes stacks of those r rows. The
+    Jacobian's stencil is one chart call, and the Legendre solve one _damped_newton over every
+    row, each row from its row of ``start``.
+    """
+    k, m = len(orders), len(jet.theta) // len(orders)
+    alphas, c = np.repeat(orders, m), _factors(orders, m)
+    psi0 = c * jet.spectrum.eigenvalues.sum(axis=-1)
+    eta0 = c[:, None] * _trace(jet.tangents)
+    # eta at the 2d stencil points of every point, from one chart call
+    width = 2 * jet.theta.shape[-1]
+    stencil_orders, stencil_c = np.repeat(alphas, width), np.repeat(c, width)[:, None]
+    jac = _scalar_gradient(
+        lambda x: stencil_c * _trace(chart(stencil_orders).jet(x, 1).tangents), jet.theta
+    )
+
+    def evaluate(x, rows):
+        at = chart(alphas[rows]).jet(x, 2)
+        cr = c[rows]
+        psi = cr * at.spectrum.eigenvalues.sum(axis=-1)
+        eta = cr[:, None] * _trace(at.tangents)
+        hessian = cr[:, None, None] * _trace(at.hessians)
+        return psi - _row_dot(x, eta0[rows]), eta - eta0[rows], hessian
+
+    _, value_min, _, _ = _damped_newton(evaluate, start, tol=1e-9, max_iter=50)
+    # phi(eta0) = -(min value); residual is the optimality gap of xi itself
+    gap = psi0 - _row_dot(jet.theta, eta0) - value_min
+    jac_res = np.abs(jac - metric).reshape(k, -1).max(axis=1)
+    leg_res = np.abs(gap).reshape(k, m).max(axis=1)
+    return [
+        DualCoordinateReport(
+            alpha=alpha,
+            jacobian_residual=float(jac_res[i]),
+            legendre_residual=float(leg_res[i]),
+            n_points=m,
+        )
+        for i, alpha in enumerate(orders)
+    ]
+
+
+def _stacked_points(points: Sequence[np.ndarray]) -> np.ndarray:
+    return np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in points])
 
 
 def potential_check(
@@ -94,42 +210,15 @@ def potential_check(
     linear regression over the grid).
 
     Rejects coordinates in which the embedding is not affine at the first
-    grid point.
+    grid point. The one-order case of ``_potential_checks``' grid check.
     """
-    alpha = float(alpha)
-    if not -1.0 < alpha <= 1.0:
-        raise ValueError(f"potential check needs alpha in (-1, 1], got {alpha!r}")
-    points = np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in points])
+    alpha = _check_order(alpha)
+    points = _stacked_points(points)
     d = family.param_dim
     if len(points) < d + 2:
         raise ValueError(f"need at least {d + 2} grid points for the affine regression")
-    jet = family.jet(points, 2)
-    # a chart affine for another order fails at any point
-    _check_affine(alpha, jet[0])
-    zetas = affine_coordinates(jet.spectrum, -alpha, basis)
-    metric = _metric_matrix(jet, matched_metric(alpha))
-    c = _potential_factor(alpha)
-    hess = c * _trace(jet.hessians)
-    etas = c * _trace(jet.tangents)
-    design = np.hstack([zetas, np.ones((len(points), 1))])
-    coeffs, *_ = np.linalg.lstsq(design, etas, rcond=None)
-    gradient_residual = float(np.abs(design @ coeffs - etas).max())
-    return PotentialReport(
-        alpha=alpha,
-        hessian=hess[0],
-        metric_matrix=metric[0],
-        residual=float(np.abs(hess - metric).max()),
-        gradient_residual=gradient_residual,
-        n_points=len(points),
-    )
-
-
-@dataclass(frozen=True)
-class DualCoordinateReport:
-    alpha: float
-    jacobian_residual: float
-    legendre_residual: float
-    n_points: int
+    reports, _ = _grid_check(family.jet(points, 2), [alpha], basis)
+    return reports[0]
 
 
 def dual_coordinate_check(
@@ -148,36 +237,53 @@ def dual_coordinate_check(
     must satisfy psi(xi) + phi(eta(xi)) = xi . eta(xi). phi(eta) =
     -min_x (psi(x) - x . eta) is found by damped Newton steps, every point's
     as one row of a stack started from a seeded perturbation of the point.
+    The one-order case of ``_potential_checks``' dual check.
     """
     alpha = float(alpha)
     if not len(points):
         raise ValueError("the dual coordinate check needs at least one point")
-    points = np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in points])
-    c = _potential_factor(alpha)
-
-    def potential(jet):  # (psi, eta) at the jet's theta
-        return c * jet.spectrum.eigenvalues.sum(axis=-1), c * _trace(jet.tangents)
-
+    points = _stacked_points(points)
     jet = family.jet(points, 1)
     metric = _metric_matrix(jet, matched_metric(alpha))
-    psi0, eta0 = potential(jet)
-    # eta at the 2d stencil points of every point, from one chart call
-    jac = _scalar_gradient(lambda x: potential(family.jet(x, 1))[1], points)
-    jac_res = float(np.abs(jac - metric).max())
-
-    def evaluate(x, rows):
-        at = family.jet(x, 2)
-        psi, eta = potential(at)
-        return psi - _row_dot(x, eta0[rows]), eta - eta0[rows], c * _trace(at.hessians)
-
     start = points + 0.05 * rng_from(seed).standard_normal(points.shape)
-    _, value_min, _, _ = _damped_newton(evaluate, start, tol=1e-9, max_iter=50)
-    # phi(eta0) = -(min value); residual is the optimality gap of xi itself
-    gap = psi0 - _row_dot(points, eta0) - value_min
-    leg_res = float(np.abs(gap).max())
-    return DualCoordinateReport(
-        alpha=alpha,
-        jacobian_residual=jac_res,
-        legendre_residual=leg_res,
-        n_points=len(points),
-    )
+    return _dual_check(lambda alphas: family, jet, [alpha], metric, start)[0]
+
+
+def _potential_checks(
+    basis: Sequence[np.ndarray],
+    orders: Sequence[float],
+    weights: np.ndarray,
+    dual_points: int,
+    seed,
+) -> list:
+    """potential_check and dual_coordinate_check of the grids of k orders in one pass: a
+    (PotentialReport, DualCoordinateReport) pair per order.
+
+    ``weights`` (k * m, n, n) hold the m grid weights of each order in turn; the grid of
+    orders[i] is their affine coordinates in that order, checked in the xi-affine chart of that
+    order, and its dual check takes its first ``dual_points`` points, started from one seeded
+    perturbation shared by every order. Each report is bit for bit the one that
+    potential_check and dual_coordinate_check give on the order's own grid and chart.
+
+    Every row's order is carried along the row: one affine_coordinates call, one order-2 jet of
+    every (order, point) row, whose first ``dual_points`` rows per order also serve the dual
+    check, one stencil jet for the Jacobian and one Newton solve over every dual row.
+    """
+    orders = [_check_order(alpha) for alpha in orders]
+    basis = check_hermitian(np.stack(basis))
+    k, d = len(orders), len(basis)
+    m = len(weights) // k
+    if m < d + 2:
+        raise ValueError(f"need at least {d + 2} grid points for the affine regression")
+    if not 1 <= dual_points <= m:
+        raise ValueError(f"the dual coordinate check needs 1 to {m} points, got {dual_points}")
+    alphas = np.repeat(orders, m)
+    points = affine_coordinates(weights, alphas, basis)
+    chart = functools.partial(_xi_affine_chart, basis)  # the chart of an order per row
+    jet = chart(alphas).jet(points, 2)
+    reports, metric = _grid_check(jet, orders, basis)
+    dual = (np.arange(k)[:, None] * m + np.arange(dual_points)).ravel()
+    noise = rng_from(seed).standard_normal((dual_points, d))
+    start = jet.theta[dual] + 0.05 * np.tile(noise, (k, 1))
+    duals = _dual_check(chart, jet[dual], orders, metric[dual], start)
+    return list(zip(reports, duals))

@@ -94,10 +94,11 @@ def _states_with_tangents(rngs, n: int, floor: float, tangents: int) -> tuple:
     return _states(weights, floor, re, im), _traceless_hermitians(*_stack_draws(directions))
 
 
-def _random_weights(rng: np.random.Generator, count: int, n: int, lo: float, hi: float):
-    """``count`` draws of random_weight(rng, n, lo, hi), in its rng order, built in one stacked
-    call: (count, n, n)."""
-    return _weights(*_stack_draws(_weight_draws(rng, n, lo, hi) for _ in range(count)))
+def _random_weights(rngs, count: int, n: int, lo: float, hi: float):
+    """For each rng of ``rngs`` in turn, ``count`` draws of random_weight(rng, n, lo, hi), in its
+    rng order, all built in one stacked call: (len(rngs) * count, n, n)."""
+    draws = (_weight_draws(rng, n, lo, hi) for rng in rngs for _ in range(count))
+    return _weights(*_stack_draws(draws))
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

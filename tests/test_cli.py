@@ -19,6 +19,7 @@ from qiglab.cli import (
     _format_float,
     main,
 )
+from qiglab.manifold import ParametrizedFamily
 from qiglab.sampling import (
     _random_weights,
     _states_with_tangents,
@@ -356,12 +357,12 @@ def test_metric_table_infeasible_floor_is_usage_error_before_any_work(calls, cap
 def test_potential_points_below_the_regression_size_is_usage_error(calls, capsys):
     # the affine regression fits d + 1 coefficients on d = dim^2 coordinates; every dim's
     # grid is checked before any check runs
-    calls.watch(potential, "potential_check")
+    calls.watch(potential, "_potential_checks")
     with pytest.raises(SystemExit) as exc:
         main(["potential", "--dim", "2,3", "--points", "7"])
     assert exc.value.code == 2
     assert "--points must be at least 11 at --dim 3, got 7" in capsys.readouterr().err
-    assert calls.count("potential_check") == 0
+    assert calls.count("_potential_checks") == 0
     with pytest.raises(SystemExit) as exc:
         main(["potential", "--points", "3"])
     assert exc.value.code == 2
@@ -411,14 +412,14 @@ def test_potential_dim_below_one_is_usage_error(capsys):
 def test_potential_dual_points_above_the_grid_is_usage_error(calls, capsys):
     # the dual check takes the first --dual-points grid points; more would check fewer than
     # the config record says
-    calls.watch(potential, "potential_check")
+    calls.watch(potential, "_potential_checks")
     with pytest.raises(SystemExit) as exc:
         main(["potential", "--dual-points", "9", "--points", "7"])
     assert exc.value.code == 2
     assert "--dual-points must be at most the 7 grid points at --dim 2, got 9" in (
         capsys.readouterr().err
     )
-    assert calls.count("potential_check") == 0
+    assert calls.count("_potential_checks") == 0
 
 
 def test_negative_potential_points_is_usage_error(capsys):
@@ -437,7 +438,7 @@ def test_negative_potential_points_is_usage_error(capsys):
             ("duality", duality, "DefectGrid"),
             ("transport-duality", duality, "witness_curve"),
             ("flatness", duality, "flatness_scan"),
-            ("potential", cli, "xi_affine_family"),
+            ("potential", potential, "_potential_checks"),
         )
     ],
 )
@@ -627,6 +628,33 @@ def test_two_metric_tokens_resolving_to_one_metric_is_usage_error_before_any_wor
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert calls.count("eigh", "eigvalsh") == 0
+
+
+def test_wyd_exponents_apart_in_the_seventh_digit_are_two_metrics(capsys):
+    # the name carried six significant digits, so wyd:0.7500001 was refused as a repeat of
+    # wyd:0.75; a true repeat still is
+    code, out = _run(capsys, ["duality", "--metric", "wyd:0.75,wyd:0.7500001", "--alpha", "0",
+                              "--dim", "2", "--manifold", "state"])
+    assert code == 1  # neither is the matched metric at alpha 0
+    cases = [rec for rec in _parse_jsonl(out) if rec["record"] == "case"]
+    assert [rec["metric"] for rec in cases] == ["wyd(p=0.75)", "wyd(p=0.7500001)"]
+    assert cases[0]["defect"] != cases[1]["defect"]
+    with pytest.raises(SystemExit) as exc:
+        main(["duality", "--metric", "wyd:0.75,wyd:0.7500000", "--alpha", "0"])
+    assert exc.value.code == 2
+    assert ("--metric wyd:0.75 and wyd:0.7500000 both resolve to wyd(p=0.75) at --alpha 0.0"
+            in capsys.readouterr().err)
+
+
+def test_metric_table_names_its_matched_metric_as_duality_does(capsys):
+    # metric-table named the kernel-vs-direct metric itself, to six digits: wyd(p=0.561728)
+    # at --alphas 0.1234567, where duality names the same metric wyd(p=0.56172835)
+    code, out = _run(capsys, ["metric-table", "--dims", "2", "--alphas", "0.1234567",
+                              "--samples", "1", "--ordering-samples", "1"])
+    assert code == 0
+    names = {rec["metric"] for rec in _parse_jsonl(out)
+             if rec["record"] == "case" and rec["check"] == "kernel_vs_direct"}
+    assert names == {"wyd(p=0.56172835)"}
 
 
 def test_one_metric_at_two_alphas_is_two_cases(capsys):
@@ -903,9 +931,11 @@ def _stub(value):
 
 
 def _potential_reports(field, v):
-    """potential_check's or dual_coordinate_check's report with ``field`` at v, the rest 0."""
-    return SimpleNamespace(**{"residual": 0.0, "gradient_residual": 0.0, "jacobian_residual": 0.0,
-                              "legendre_residual": 0.0, field: v})
+    """_potential_checks' one (grid, dual) pair of reports, for one alpha, with ``field`` at v
+    and every other residual 0."""
+    report = SimpleNamespace(**{"residual": 0.0, "gradient_residual": 0.0,
+                                "jacobian_residual": 0.0, "legendre_residual": 0.0, field: v})
+    return [(report, report)]
 
 
 def _projections(mean_residual, orthogonality_residual):
@@ -935,16 +965,16 @@ FIXED_BOUNDS = {
         consistency, "_ordering_violations", lambda v: [v],
         ("check", "ordering_bures<=f<=rld"), 1e-10, "upper"),
     "potential-hessian": (
-        ["potential", "--alpha", "0"], potential, "potential_check",
+        ["potential", "--alpha", "0"], potential, "_potential_checks",
         lambda v: _potential_reports("residual", v), ("alpha", 0), 1e-5, "upper"),
     "potential-gradient": (
-        ["potential", "--alpha", "0"], potential, "potential_check",
+        ["potential", "--alpha", "0"], potential, "_potential_checks",
         lambda v: _potential_reports("gradient_residual", v), ("alpha", 0), 1e-6, "upper"),
     "potential-jacobian": (
-        ["potential", "--alpha", "0"], potential, "dual_coordinate_check",
+        ["potential", "--alpha", "0"], potential, "_potential_checks",
         lambda v: _potential_reports("jacobian_residual", v), ("alpha", 0), 1e-5, "upper"),
     "potential-legendre": (
-        ["potential", "--alpha", "0"], potential, "dual_coordinate_check",
+        ["potential", "--alpha", "0"], potential, "_potential_checks",
         lambda v: _potential_reports("legendre_residual", v), ("alpha", 0), 1e-5, "upper"),
     "monotonicity-strict_fraction": (
         ["monotonicity"], monotonicity, "monotonicity_scan", _strict_fraction_rows,
@@ -1036,7 +1066,7 @@ EIG_BUDGET = {
     "flatness": 9,
     "metric-table": 19,
     "duality": 4,
-    "potential": 22,
+    "potential": 7,
     "uniqueness-scan": 2,
     "monotonicity": 6,
     "convexity-failure": 5,
@@ -1054,6 +1084,24 @@ def test_subcommand_stays_within_its_eig_budget(calls, capsys, command, budget):
     assert main([command, "--seed", "0"]) == 0
     capsys.readouterr()
     assert calls.count("eigh", "eigvalsh") <= budget
+
+
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_potential_makes_as_many_jets_and_eighs_for_four_alphas_as_for_one(calls, capsys, dim):
+    # every alpha's grid, stencil and Legendre solve share one chart jet per step: the weights'
+    # affine coordinates, the grid jet, the stencil jet and one jet per Newton evaluation. The
+    # solve evaluates until its slowest row converges: alpha = 0.5 alone takes 4 passes, as
+    # the slowest of the four does; alpha = 0 alone, whose potential is quadratic in xi, stops
+    # after 2 and so makes 2 jets fewer
+    calls.eig()
+    calls.watch(ParametrizedFamily, "jet")
+    counts = {}
+    for alphas in ("0.5", "-0.5,0,0.5,1", "0"):
+        calls.clear()
+        assert main(["potential", f"--alpha={alphas}", "--dim", dim]) == 0
+        capsys.readouterr()
+        counts[alphas] = (calls.count("jet"), calls.count("eigh", "eigvalsh"))
+    assert counts == {"0.5": (6, 7), "-0.5,0,0.5,1": (6, 7), "0": (4, 5)}
 
 
 def _newton_passes(monkeypatch) -> list:
@@ -1130,10 +1178,14 @@ def test_runs_build_only_the_witness_families_they_use(capsys, monkeypatch, argv
 
 
 def test_grid_weights_equal_one_random_weight_at_a_time():
-    # potential's grid: its weights are drawn in one stacked call
-    stacked = _random_weights(rng_from([4, 2, 500]), 7, 3, 0.7, 1.5)
-    rng = rng_from([4, 2, 500])
-    np.testing.assert_array_equal(stacked, [random_weight(rng, 3, 0.7, 1.5) for _ in range(7)])
+    # potential's grids: every alpha's weights, each alpha from its own rng, in one stacked call
+    seeds = ([4, 2, 500], [4, 2, 1000], [4, 2, 1500])
+    stacked = _random_weights([rng_from(seed) for seed in seeds], 7, 3, 0.7, 1.5)
+    one_at_a_time = []
+    for seed in seeds:
+        rng = rng_from(seed)
+        one_at_a_time += [random_weight(rng, 3, 0.7, 1.5) for _ in range(7)]
+    np.testing.assert_array_equal(stacked, one_at_a_time)
 
 
 @pytest.mark.parametrize("dim, n_obs", [(3, 2), (4, 3)])
@@ -1153,9 +1205,9 @@ def test_projection_instances_keep_the_state_floor_check():
         _states_with_tangents((rng_from([0, k]) for k in range(2)), 20, 0.05, 1)
 
 
-@pytest.mark.parametrize("command, qrs", [("potential", 3), ("entropy-projection", 2)])
+@pytest.mark.parametrize("command, qrs", [("potential", 1), ("entropy-projection", 2)])
 def test_random_draws_build_in_one_qr_per_stack(calls, capsys, command, qrs):
-    # potential: one stacked QR per (dim, alpha) grid; entropy-projection: one for the
+    # potential: one stacked QR per dim for every alpha's grid; entropy-projection: one for the
     # instances' states and one for the expansion check's state
     calls.watch(np.linalg, "qr")
     assert main([command, "--seed", "0"]) == 0

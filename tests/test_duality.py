@@ -1286,7 +1286,8 @@ def test_damped_newton_evaluates_each_accepted_step_once():
 
 
 # Per-row Newton passes of the CLI solves, recorded before the solves took one callback per
-# point: `potential` gives [[4, 4], [2, 2], [4, 4]] at every seed from 0 to 299, and these are
+# point: `potential` gives [4, 4], [2, 2] and [4, 4] for its three alphas at every seed from 0
+# to 299, now as the rows of one solve, and these are
 # `entropy-projection --instances 10` at seeds 0-9, instance by instance.
 RECORDED_PROJECTION_PASSES = {
     3: ["4544544444", "5455445445", "4455444544", "4444455554", "4545454444",
@@ -1316,7 +1317,7 @@ def test_newton_passes_match_the_recorded_ones(capsys, monkeypatch):
     for seed in range(0, 300, 15):
         runs.clear()
         assert main(["potential", "--seed", str(seed)]) == 0
-        assert runs == [[4, 4], [2, 2], [4, 4]]
+        assert runs == [[4, 4, 2, 2, 4, 4]]
     for dim, recorded in RECORDED_PROJECTION_PASSES.items():
         for seed, passes in enumerate(recorded):
             runs.clear()

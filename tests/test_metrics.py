@@ -11,6 +11,7 @@ from qiglab.metrics import (
     builtin_functions,
     bures_function,
     kernel_metric,
+    matched_metric,
     metric_eval,
     petz_kernel,
     relative_entropy,
@@ -171,6 +172,17 @@ def test_kernel_difference_matches_mpmath_across_the_confluent_switch(name, gap)
     # worst recorded: 7.3e-15 relative up to gap 1e-7, and 1.7e-10 (bkm, the quotient at
     # twice the switch) beyond
     np.testing.assert_allclose(got, want, rtol=1e-13 if gap <= 1e-7 else 1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, name",
+    [(-0.9, "wyd(p=0.05)"), (-0.5, "wyd(p=0.25)"), (0.0, "wyd(p=0.5)"), (0.9, "wyd(p=0.95)")],
+)
+def test_wyd_names_carry_fifteen_digits_and_keep_the_default_names(alpha, name):
+    # p = (1 + alpha)/2 reads 0.04999999999999999 at alpha = -0.9, named to 15 digits as 0.05
+    assert matched_metric(alpha).name == name
+    assert wyd_function(0.7500001).name == "wyd(p=0.7500001)"
+    assert wyd_function(0.123456789012345).name == "wyd(p=0.123456789012345)"
 
 
 def test_wyd_rejects_exponent_outside_unit_interval():
