@@ -18,15 +18,15 @@ f the embedding profile of order alpha:
 - sphere projection: S - (Σ_a λa^((1+alpha)/2) S_aa) diag(λ^((1-alpha)/2));
 - mixture form: divide entrywise by f[λa, λb].
 
-The tangent products do not depend on alpha, and the orders of one call
-share a leading order axis: the embedding profiles are one stack
-(``embedding_function`` of the sequence of orders), its powers with arrays of
-exponents and scales, and alpha = 1 (log) and alpha = -1 (identity) as
-members of their own; the sphere projection's powers are one stack too. So a
-call of any number of orders makes one divided-difference matrix, one triple
-tensor, one contraction and one projection over (order, point, pair), and
-with the chart's order-2 jet (one chart call, already in the eigenbasis)
-every point of a stack and every pair is in the same step.
+The tangent products do not depend on alpha. The orders of a call are one
+profile stack (``embedding_function`` of the sequence: one power stack, with
+alpha = 1 (log) and alpha = -1 (identity) as members of their own), and the
+sphere projection's powers are one stack too. A stack lines up with the
+jet's leading axis, so ``covariant_derivative_set`` takes every order at
+every point as the jet ``jet[None]``. A call of any number of orders makes
+one divided-difference matrix, one triple tensor, one contraction and one
+projection over (order, point, pair), and with the chart's order-2 jet (one
+chart call, already in the eigenbasis) every point and pair is in that step.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def ext_covariant_derivative(
     """
     family._check_directions(i, j)
     jet = family.jet(theta, 2)
-    mixture = covariant_derivative_set(jet, [alpha], True)[0, i, j]
+    mixture = _covariant_derivatives(jet, alpha, True)[i, j]
     return CovariantDerivativeResult(
         jet.sigma, weight_tangent(jet.sigma, _standard_basis(jet.spectrum, mixture))
     )
@@ -128,7 +128,7 @@ def covariant_derivative_on_M(
     """
     family._check_directions(i, j)
     jet = family.jet(theta, 2)
-    mixture = covariant_derivative_set(jet, [alpha], False)[0, i, j]
+    mixture = _covariant_derivatives(jet, alpha, False)[i, j]
     return CovariantDerivativeResult(
         jet.sigma, state_tangent(jet.sigma, _standard_basis(jet.spectrum, mixture))
     )
@@ -149,19 +149,25 @@ def covariant_derivative_set(jet: ChartJet, alphas, on_extended: bool = False) -
     before the matrix axes. ``U X U†``, with U the base point's eigenvectors,
     gives a set in the standard basis.
     """
+    orders = tuple(alphas)
+    if len(orders) == 1:  # one order takes its profile without the order axis
+        return _covariant_derivatives(jet, orders[0], on_extended)[None]
+    return _covariant_derivatives(jet[None], orders, on_extended)
+
+
+def _covariant_derivatives(jet: ChartJet, alpha, on_extended: bool) -> np.ndarray:
+    """``covariant_derivative_set`` of one order, (..., d, d, n, n) for a jet (..., d), or of k
+    orders lined up with the jet's leading axis as ``embedding_function`` lines them up."""
     if jet.hessians is None:
         raise ValueError("covariant derivatives need the chart's order-2 jet")
     spec, tangents = jet.spectrum, jet.tangents
     d, n = tangents.shape[-3], spec.dim
     lam = check_weight(spec).eigenvalues
-    orders = tuple(alphas)
-    # one order takes its profile without the order axis: its arrays broadcast into the result
-    alpha = orders[0] if len(orders) == 1 else orders
     fun = embedding_function(alpha)  # checks every order before any work
     i, j = _pairs(d)
     products = _tangent_products(tangents[..., i, :, :], tangents[..., j, :, :])
     hess = jet.hessians[..., i, j, :, :]
-    # the second partial of the embedded chart, at axes (order, point, pair i <= j, n, n)
+    # the second partial of the embedded chart, at axes (..., pair i <= j, n, n)
     k = divided_difference_matrix(lam, fun)
     t = _triple_difference_tensor(lam, fun, k)
     k = k[..., None, :, :]
@@ -174,7 +180,7 @@ def covariant_derivative_set(jet: ChartJet, alphas, on_extended: bool = False) -
         diag = np.arange(n)
         trace = mixture[..., diag, diag].sum(axis=-1)
         mixture[..., diag, diag] -= (trace / n)[..., None]  # kill round-off trace
-    out = np.empty((len(orders),) + tangents.shape[:-3] + (d, d, n, n), dtype=complex)
+    out = np.empty(mixture.shape[:-3] + (d, d, n, n), dtype=complex)
     out[..., i, j, :, :] = out[..., j, i, :, :] = mixture
     return out
 

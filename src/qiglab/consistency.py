@@ -57,7 +57,7 @@ def _reference_values() -> list:
     decomposition and one kernel stack."""
     rho = check_state(np.diag([0.75, 0.25]).astype(complex))
     sx = rho.to_eigenbasis(pauli_matrices()[1])
-    values = _contract(_petz_coefficients(rho, _ORDERED), sx, sx).tolist()
+    values = _contract(_petz_coefficients(rho[None], _ORDERED), sx, sx).tolist()
     return [(f.name, value) for f, value in zip(_ORDERED, values)]
 
 
@@ -70,7 +70,7 @@ def _ordering_violations(seed, dims: Sequence[int], samples: int, floor: float) 
         states, a = _states_with_tangents([rng_from([seed, 1000 + n])] * samples, n, floor, 1)
         rho = check_state(states)
         at = rho.to_eigenbasis(a[:, 0])
-        g = _contract(_petz_coefficients(rho, _ORDERED), at, at)
+        g = _contract(_petz_coefficients(rho[None], _ORDERED), at, at)
         lo, middle, hi = g[0], g[1:-1], g[-1]
         out.append(max(0.0, float(np.max([lo - middle, middle - hi]))))
     return out

@@ -280,8 +280,8 @@ class DefectGrid:
         nabla = self._connections(alphas)
         spectrum, t = self._jet.spectrum, self._jet.tangents
         m, d = t.shape[:2]
-        c = _petz_coefficients(spectrum, specs)
-        c1 = _kernel_difference(spectrum, c, specs)[:, :, None, None]
+        c = _petz_coefficients(spectrum[None], specs)
+        c1 = _kernel_difference(spectrum[None], c, specs)[:, :, None, None]
         which = list(map(specs.index, fs))
         # Y_ik = sum_m c1_amb (T_i)_am (T_k)_mb, axes (case, point, i, k, a, b)
         y = _triple_contraction(c1, self._tangent_pairs)[which]
@@ -614,7 +614,7 @@ def classical_reduction_check(seed=0) -> dict:
     tangents = _standard_basis(jet.spectrum, jet.tangents)  # (point, i, n, n)
     dp = np.diagonal(tangents, axis1=-2, axis2=-1).real
     fisher = (dp / p[:, None]) @ dp.swapaxes(-1, -2)
-    grams = _tangent_gram(jet.tangents, _petz_coefficients(jet.spectrum, builtin_functions()))
+    grams = _tangent_gram(jet.tangents, _petz_coefficients(jet.spectrum[None], builtin_functions()))
     # the direct pairings of every (T_i, T_j) at axes (alpha, point, i, j)
     at_pairs, a, b = spec.expand_dims().expand_dims(), tangents[:, :, None], tangents[:, None]
     direct = np.stack([wyd_direct(at_pairs, alpha, a, b) for alpha in (-0.5, 0.0, 0.5)])

@@ -211,6 +211,16 @@ def _power_constants(exponent: float, scale: float) -> tuple:
     return c, e, c * e, e - 1.0, c * e * (e - 1.0), e - 2.0
 
 
+def _check_stack(k: int, shape: tuple, members: str) -> None:
+    """Reject an argument of ``shape`` that a stack of k ``members`` cannot line up with: its
+    leading axis must have length k or 1."""
+    if not shape or shape[0] not in (k, 1):
+        raise ValueError(
+            f"a stack of {k} {members} does not fit an argument of shape {shape}: "
+            f"its leading axis must have length {k} or 1"
+        )
+
+
 def power_function(exponent, scale=1.0, name: str = None) -> ScalarFunction:
     """scale * x**exponent on (0, inf), with a stable divided difference.
 
@@ -220,35 +230,25 @@ def power_function(exponent, scale=1.0, name: str = None) -> ScalarFunction:
     differs in the last bit).
 
     ``exponent`` may be a sequence of k exponents, with ``scale`` one scale
-    or k of them: a stack of k powers. Their constants are reshaped to lead
-    the axes of every argument, once per rank, so every value carries a
-    leading axis of length k, and row r is bit for bit the value of the
-    power with exponent[r] and scale[r] alone.
+    or k of them: a stack of k powers. A stack lines up with the leading axis
+    of every argument, which must have length k or 1: row r takes exponent[r]
+    and scale[r], and an argument whose leading axis has length 1 gets every
+    power, so ``f(x[None])`` gives every power at every point of x. Each row
+    is bit for bit the value of its power alone. An argument that does not
+    fit raises before any power is taken.
     """
-    return _power_profile(exponent, scale, name, aligned=False)
-
-
-def _row_power_function(exponents, scales, name: str) -> ScalarFunction:
-    """k powers whose constants align with the leading axis, of length k, of every argument:
-    row r of an argument takes exponent[r] and scale[r], and no axis is added. Otherwise
-    ``power_function`` of the sequences, bit for bit."""
-    return _power_profile(exponents, scales, name, aligned=True)
-
-
-def _power_profile(exponent, scale, name, aligned: bool) -> ScalarFunction:
-    """``power_function``; with ``aligned``, a stack's constants align with the argument's leading
-    axis instead of leading a new one."""
     if _is_stack(exponent):
         scales = scale if _is_stack(scale) else [scale] * len(exponent)
         label = name or f"{np.asarray(scales).tolist()}*x^{np.asarray(exponent).tolist()}"
         table = np.array(list(map(_power_constants, exponent, scales))).reshape(-1, 6).T  # (6, k)
         shaped = {}  # the rank of an argument -> the constants, shaped against its axes
-        trailing = 1 if aligned else 0  # the argument axes the stack axis replaces
 
         def at(x):
-            rank = np.ndim(x)
+            shape = np.shape(x)
+            _check_stack(table.shape[1], shape, "profiles")
+            rank = len(shape)
             if rank not in shaped:
-                shaped[rank] = tuple(table.reshape(table.shape + (1,) * (rank - trailing)))
+                shaped[rank] = tuple(table.reshape(table.shape + (1,) * (rank - 1)))
             return shaped[rank]
     else:
         constants = _power_constants(exponent, scale)
@@ -277,30 +277,26 @@ def _power_profile(exponent, scale, name, aligned: bool) -> ScalarFunction:
     return ScalarFunction(label, fn=fn, deriv=deriv, deriv2=deriv2, pair=pair)
 
 
-def _function_stack(
-    parts: Sequence[tuple], size: int, name: str, aligned: bool = False
-) -> ScalarFunction:
-    """``size`` profiles as one ScalarFunction whose values carry a leading axis of length size.
+def _function_stack(parts: Sequence[tuple], size: int, name: str) -> ScalarFunction:
+    """``size`` profiles as one ScalarFunction stack, lined up with the leading axis of its
+    arguments as a power stack is (``power_function``).
 
-    ``parts`` holds (rows, f) pairs that cover the rows once: f gives the values of the rows
-    ``rows`` of the stack, either as a stack with a leading axis of len(rows) or as one profile
-    that serves every one of those rows. Each f is called once per call of the stack.
-
-    With ``aligned``, the stack's rows are the rows of the arguments' leading axis, of length
-    size, and no axis is added: f is called on the argument rows ``rows`` alone, and a stack f
-    aligns with them as ``_row_power_function`` does.
+    ``parts`` holds (rows, f) pairs that cover the members once: f is a stack of len(rows)
+    profiles, or one profile that serves every one of those members. Each f is called once per
+    call of the stack, on the argument rows ``rows``, or on the whole arguments where their
+    leading axis has length 1, so those are not copied.
     """
 
     def stacked(method):
         def apply(*args):
             shape = np.broadcast_shapes(*map(np.shape, args))
-            if aligned:
+            _check_stack(size, shape, "profiles")
+            whole = shape[0] == 1
+            if not whole:
                 args = np.broadcast_arrays(*args)
-                out = np.empty(shape)
-            else:
-                out = np.empty((size,) + shape)
+            out = np.empty((size,) + shape[1:])
             for rows, f in parts:
-                picked = [a[rows] for a in args] if aligned else args
+                picked = args if whole else [a[rows] for a in args]
                 out[rows] = getattr(f, method)(*picked)
             return out
 
@@ -325,7 +321,7 @@ def apply_scalar_function(spec: Spectrum, f) -> np.ndarray:
             values = np.asarray(f(lam))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(
-                f"scalar function {name!r} undefined at eigenvalues {lam.tolist()!r}"
+                f"scalar function {name!r} undefined at eigenvalues {lam.tolist()!r}: {exc}"
             ) from exc
         finite = np.isfinite(values)
     if not finite.all():

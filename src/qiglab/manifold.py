@@ -26,7 +26,6 @@ from .linalg import (
     _function_stack,
     _hermitize_self_adjoint,
     _is_stack,
-    _row_power_function,
     _tangent_products,
     _triple_contraction,
     _triple_difference_tensor,
@@ -194,42 +193,41 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_orders(alpha):
+    """One order checked as a float, or a sequence of them as a tuple of floats, each checked."""
+    return tuple(map(_check_alpha, alpha)) if _is_stack(alpha) else _check_alpha(alpha)
+
+
 def embedding_function(alpha) -> ScalarFunction:
     """Scalar profile of the order-alpha embedding.
 
     (2/(1-alpha)) * x^((1-alpha)/2) for |alpha| < 1; log at alpha = 1 and the
     identity at alpha = -1 (its formula limit).
 
-    A sequence of k orders gives their profile stack: every value carries a
-    leading order axis of length k, row r bit for bit the value of order r's
-    profile alone. The orders inside (-1, 1) are one power_function over
-    arrays of exponents and scales; alpha = 1 and alpha = -1 are members of
-    their own, each called once however often it repeats. Every order is
-    checked before the profile is built, and a profile is built once per
-    order or sequence of orders and then reused.
+    A sequence of k orders gives their profile stack, which lines up with the
+    leading axis of its argument as a power stack does (``power_function``):
+    row r takes order r, and an argument whose leading axis has length 1 gets
+    every order, so ``f(x[None])`` gives every order at every point of x.
+    Each row is bit for bit the value of its order's profile alone. The orders
+    inside (-1, 1) are one power stack over arrays of exponents and scales;
+    alpha = 1 and alpha = -1 are members of their own, each called once
+    however often it repeats. Every order is checked before the profile is
+    built, and a profile is built once per order or sequence of orders and
+    then reused.
     """
-    if _is_stack(alpha):
-        return _embedding_profile(tuple(map(_check_alpha, alpha)))
-    return _embedding_profile(_check_alpha(alpha))
+    return _embedding_profile(_check_orders(alpha))
 
 
-def inverse_embedding_function(alpha: float) -> ScalarFunction:
-    """Inverse of the embedding profile: y maps back to the matrix eigenvalue."""
-    return _embedding_profile(_check_alpha(alpha), inverse=True)
-
-
-def _row_profile(alphas, inverse: bool = False) -> ScalarFunction:
-    """The embedding profile, or with ``inverse`` its inverse, of order alphas[r] on row r of the
-    leading axis of its argument, which has one row per order: no order axis is added, and row r
-    is bit for bit the value of its order's profile alone. Every order is checked."""
-    return _embedding_profile(tuple(map(_check_alpha, alphas)), inverse, aligned=True)
+def inverse_embedding_function(alpha) -> ScalarFunction:
+    """Inverse of the embedding profile: y maps back to the matrix eigenvalue. A sequence of
+    orders gives their stack, lined up as in ``embedding_function``."""
+    return _embedding_profile(_check_orders(alpha), inverse=True)
 
 
 @functools.lru_cache(maxsize=256)
-def _embedding_profile(alpha, inverse: bool = False, aligned: bool = False) -> ScalarFunction:
+def _embedding_profile(alpha, inverse: bool = False) -> ScalarFunction:
     """embedding_function of one checked order or a tuple of them, or with ``inverse``
-    inverse_embedding_function; with ``aligned``, a tuple's orders align with the argument's
-    leading axis, as in _row_profile."""
+    inverse_embedding_function."""
     if isinstance(alpha, tuple):
         name = f"{'unembed' if inverse else 'embed'}({', '.join(map('{:g}'.format, alpha))})"
         rows = {1.0: [], -1.0: [], 0.0: []}  # log, identity and the powers inside (-1, 1)
@@ -240,12 +238,12 @@ def _embedding_profile(alpha, inverse: bool = False, aligned: bool = False) -> S
             exponents, scales = 1.0 / s, [float(e) ** (1.0 / float(e)) for e in s]
         else:
             exponents, scales = s, 1.0 / s
-        powers = (_row_power_function if aligned else power_function)(exponents, scales, name)
+        powers = power_function(exponents, scales, name)
         if len(s) == len(alpha):
             return powers
         at_one = exp_function() if inverse else log_function()
         parts = [(rows[0.0], powers), (rows[1.0], at_one), (rows[-1.0], identity_function())]
-        return _function_stack([part for part in parts if part[0]], len(alpha), name, aligned)
+        return _function_stack([part for part in parts if part[0]], len(alpha), name)
     if alpha == 1.0:
         return exp_function() if inverse else log_function()
     if alpha == -1.0:
@@ -303,12 +301,10 @@ def sphere_project(rho: Union[np.ndarray, Spectrum], alpha: float, a: np.ndarray
 @functools.lru_cache(maxsize=256)
 def _sphere_power_functions(alpha) -> tuple:
     """The profiles x^((1+alpha)/2) and x^((1-alpha)/2) of the sphere projection's powers; a
-    tuple of orders gives the two as power stacks with a leading order axis. Every order is
-    checked, and each pair is built once per order or tuple of orders and then reused."""
-    if isinstance(alpha, tuple):
-        alpha = np.array(list(map(_check_alpha, alpha)), dtype=float)
-    else:
-        alpha = _check_alpha(alpha)
+    tuple of orders gives the two as power stacks, lined up as ``power_function`` lines them up.
+    Every order is checked, and each pair is built once per order or tuple of orders and then
+    reused."""
+    alpha = np.array(_check_orders(alpha), dtype=float)
     return power_function(0.5 * (1.0 + alpha)), power_function(0.5 * (1.0 - alpha))
 
 
@@ -326,8 +322,9 @@ def _project_in_eigenbasis(spec: Spectrum, alpha, a: np.ndarray) -> np.ndarray:
     ``spec`` is one base point or a stack (..., n) whose leading axes
     broadcast against those of ``a`` (..., n, n); each base must be a
     unit-trace state, checked once. ``alpha`` is one order, or a tuple of k
-    orders whose power stacks project ``a`` (k, ..., n, n), order r at a[r],
-    in one step.
+    orders whose power stacks line up with the leading axis of the eigenvalues,
+    of length k or 1: they project ``a`` (k, ..., n, n), order r at a[r], in
+    one step.
     """
     plus, minus = _sphere_power_functions(alpha)
     lam = check_state(spec).eigenvalues
@@ -522,19 +519,12 @@ def affine_coordinates(
     Solves sum_i xi_i X_i = embed(sigma) through the basis Gram matrix;
     a singular Gram matrix is rejected. A stack of matrices (..., n, n), or
     its stacked Spectrum, gives coordinates (..., d), all solved with the one
-    Gram matrix. ``alpha`` is one order, or for a stack (m, n, n) a sequence of
-    m orders: matrix r is then embedded in order alpha[r].
+    Gram matrix. ``alpha`` is one order, or a sequence of k orders lined up
+    with the stack's leading axis as in ``embedding_function``: matrix r of a
+    stack (k, n, n) is embedded in order alpha[r].
     """
     spec = check_weight(sigma)
-    if _is_stack(alpha):
-        if spec.eigenvalues.shape[:-1] != (len(alpha),):
-            raise ValueError(
-                f"{len(alpha)} orders do not match a stack of shape {spec.eigenvalues.shape[:-1]}"
-            )
-        profile = _row_profile(alpha)
-    else:
-        profile = embedding_function(alpha)
-    target = apply_scalar_function(spec, profile)
+    target = apply_scalar_function(spec, embedding_function(alpha))
     basis = np.asarray(basis)
     # Hilbert-Schmidt products Tr(X_i^dagger Y), each summed as hs_inner sums it
     gram = np.sum(basis.conj()[:, None] * basis[None, :], axis=(-2, -1)).real
@@ -553,33 +543,34 @@ def xi_affine_family(basis: Sequence[np.ndarray], alpha) -> ParametrizedFamily:
     increases. The tangents K o (U† X_i U) and the Hessians come from the
     inverse-embedding matrix calculus with one divided-difference matrix K.
 
-    ``alpha`` may be a sequence of m orders: the chart then takes stacks of m
-    rows (m, d) only, row r in the chart of order alpha[r], each row bit for bit
-    as that order's chart gives it, and every row from the one decomposition.
+    ``alpha`` may be a sequence of m orders, lined up with the parameter stack
+    as in ``embedding_function``: the chart then takes stacks of m rows (m, d)
+    only, row r in the chart of order alpha[r], each row bit for bit as that
+    order's chart gives it, and every row from the one decomposition.
     """
     return _xi_affine_chart(check_hermitian(np.stack(basis)), alpha)
 
 
 def _xi_affine_chart(basis: np.ndarray, alpha) -> ParametrizedFamily:
     """xi_affine_family of a basis stack (d, n, n) already checked self-adjoint."""
-    rows = _is_stack(alpha)
-    inverse = _row_profile(alpha, inverse=True) if rows else inverse_embedding_function(alpha)
-    alphas = np.array(alpha, dtype=float)
+    inverse = inverse_embedding_function(alpha)
     # the exp inverse of the log embedding is defined on every self-adjoint y: its rows pass
     # the positivity check as +inf
-    unbounded = (alphas == 1.0)[..., None]
+    unbounded = (np.array(alpha, dtype=float) == 1.0)[..., None]
 
     def evaluate(xi, order):
-        if rows and xi.shape[:-1] != alphas.shape:
-            raise ValueError(f"a chart of {len(alphas)} row orders got parameter shape {xi.shape}")
         spec = spectral_decompose(basis_combination(xi, basis))
+        # a stack of orders lines up with the rows here, so rows it does not fit fail first;
+        # off the cone the values are not finite until the positivity check rejects them
+        with np.errstate(all="ignore"):
+            mu = inverse(spec.eigenvalues)
         check_weight(Spectrum(np.where(unbounded, np.inf, spec.eigenvalues), spec.unitary))
         sigma = apply_scalar_function(spec, inverse)
         directions = spec.expand_dims().to_eigenbasis(basis) if order >= 1 else None
         jet = _function_jet(spec.eigenvalues, inverse, directions, order)
-        return (sigma, Spectrum(inverse(spec.eigenvalues), spec.unitary)) + jet
+        return (sigma, Spectrum(mu, spec.unitary)) + jet
 
-    return ParametrizedFamily(param_dim=len(basis), evaluate=evaluate, rowwise=not rows)
+    return ParametrizedFamily(param_dim=len(basis), evaluate=evaluate, rowwise=not _is_stack(alpha))
 
 
 def linear_family(base: np.ndarray, directions: Sequence[np.ndarray]) -> ParametrizedFamily:

@@ -17,6 +17,7 @@ import numpy as np
 from .linalg import (
     CONFLUENT_RTOL,
     Spectrum,
+    _check_stack,
     _dagger,
     _first_in_stack,
     check_hermitian,
@@ -253,10 +254,14 @@ _Specs = Union[MonotoneFunctionSpec, Sequence[MonotoneFunctionSpec]]
 
 
 def _profile_values(fs: _Specs, x: np.ndarray, derivative: bool = False) -> np.ndarray:
-    """f(x), or f'(x) where ``derivative``, as floats: x.shape for one spec f, or (K,) + x.shape
-    for a sequence of K specs, each called once. A derivative needs the spec's ``deriv``."""
+    """f(x), or f'(x) where ``derivative``, as floats: x.shape for one spec f. K specs line up
+    with the leading axis of x, of length K or 1, as a power stack does: row i takes fs[i], each
+    spec called once. A derivative needs the spec's ``deriv``."""
     if not isinstance(fs, MonotoneFunctionSpec):
-        return np.stack([np.broadcast_to(_profile_values(f, x, derivative), x.shape) for f in fs])
+        _check_stack(len(fs), x.shape, "kernel specs")
+        rows = x if len(x) == len(fs) else [x[0]] * len(fs)
+        return np.stack([np.broadcast_to(_profile_values(f, r, derivative), r.shape)
+                         for f, r in zip(fs, rows)])
     if not derivative:
         return np.asarray(fs.fn(x), dtype=float)
     if fs.deriv is None:
@@ -275,8 +280,8 @@ def _first_failing(bad: np.ndarray, fs: _Specs) -> tuple:
 
 def _petz_coefficients(spec: Spectrum, fs: _Specs) -> np.ndarray:
     """Coefficients 1/(λb f(λa/λb)), symmetrized, at a positive Spectrum, eigenvalues (..., n):
-    (..., n, n) for one spec f, as ``petz_kernel`` gives them, or (K, ..., n, n) for a sequence
-    of K specs, each the coefficients it gets alone.
+    (..., n, n) for one spec f, as ``petz_kernel`` gives them. K specs line up with the
+    eigenvalues' leading axis, so ``spec[None]`` gives each spec's own at every base.
 
     Each f.fn is called once, on the eigenvalue ratios; the symmetrization and the check run
     once over every spec. A kernel that is not finite and strictly positive raises, naming the
@@ -296,7 +301,7 @@ def _petz_coefficients(spec: Spectrum, fs: _Specs) -> np.ndarray:
 def _kernel_difference(spec: Spectrum, coefficients: np.ndarray, fs: _Specs) -> np.ndarray:
     """c1[..., a, m, b] = (c_ab - c_mb)/(λa - λm): the first divided difference of the Petz
     kernel c(x, y) = 1/(y f(x/y)) in its first argument, from its ``_petz_coefficients`` at
-    ``spec``: (..., n, n, n) for one spec f, or (K, ..., n, n, n) for a sequence of K.
+    ``spec``, (..., n, n, n); K specs line up as in ``_petz_coefficients``.
 
     Where |λa - λm| <= CONFLUENT_RTOL * max(λa, λm), a = m included,
     it is the derivative at the midpoint instead: d1 c(x, y) = -f'(x/y) c(x, y)^2,
@@ -346,14 +351,16 @@ def _metric_matrix(jet: ChartJet, f: _Specs) -> np.ndarray:
     jet of order at least 1, (d, d), or (m, d, d) for a stacked jet.
 
     ``f`` may be a sequence of k specs for a stacked jet of k blocks of m rows each: block i
-    takes f[i], each row as it gets it alone, and one Gram contraction serves every block.
+    takes f[i], each row as it gets it alone: the spectrum, reshaped to (k, m, n), lines the specs
+    up with the blocks in one kernel stack, and one Gram contraction serves every block.
     """
     if isinstance(f, MonotoneFunctionSpec):
         coefficients = petz_kernel(jet.spectrum, f).coefficients
     else:
-        m = len(jet.theta) // len(f)
-        blocks = [jet.spectrum[i * m : (i + 1) * m] for i in range(len(f))]
-        coefficients = np.concatenate([petz_kernel(b, fi).coefficients for b, fi in zip(blocks, f)])
+        spec = check_weight(jet.spectrum)
+        shape = (len(f), -1, spec.dim)
+        blocks = Spectrum(spec.eigenvalues.reshape(shape), spec.unitary.reshape(shape + shape[-1:]))
+        coefficients = _petz_coefficients(blocks, f).reshape(spec.unitary.shape)
     return _tangent_gram(jet.tangents, coefficients)
 
 

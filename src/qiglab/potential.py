@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .connections import covariant_derivative_set
+from .connections import _covariant_derivatives
 from .linalg import check_hermitian
 from .manifold import (
     ChartJet,
@@ -74,18 +74,17 @@ def _check_affine(orders: Sequence[float], jet: ChartJet) -> None:
     """Reject a chart whose flat covariant derivatives do not all vanish at the theta of its
     order-2 ``jet``, one point per order of ``orders``, point i in order orders[i].
 
-    Every pair (i, j) is checked, from one covariant_derivative_set call; the first order
-    that fails raises.
+    Every pair (i, j) is checked, in one pass with the orders lined up with the points; the
+    first order that fails raises, naming the order and its point's theta.
     """
-    k = np.arange(len(orders))
-    # every order at every point, of which point i in order orders[i] is kept: with a few
-    # orders this costs about what one order per point would
-    nabla = covariant_derivative_set(jet, orders, True)[k, k]
+    nabla = _covariant_derivatives(jet, tuple(orders), True)
     norms = np.linalg.norm(nabla, axis=(-2, -1)).reshape(len(orders), -1).max(axis=1)
-    if (norms > 1e-4).any():  # a norm needs no basis
+    bad = norms > 1e-4  # a norm needs no basis
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ValueError(
-            "coordinates are not affine for this embedding order "
-            f"(flat covariant derivative has norm {norms[np.argmax(norms > 1e-4)]:.3e})"
+            f"coordinates are not affine for embedding order {orders[i]:g} at "
+            f"theta={jet.theta[i].tolist()} (flat covariant derivative has norm {norms[i]:.3e})"
         )
 
 

@@ -4,28 +4,43 @@ The oracle is the loop the stacked pass replaced: per alpha, its own rng's weigh
 ``random_weight`` at a time, its own xi-affine chart, and the one-order potential and dual
 checks written out as they ran before the pass was stacked (one order-2 jet of the grid, one
 order-1 jet of the dual points, one stencil jet and one Newton solve per alpha). Every residual
-the CLI prints must equal the oracle's with ``==``. The row-order pieces the pass is built from
-(profiles, affine coordinates and the xi-affine chart with one order per row) are checked row by
-row against the one-order ones.
+the CLI prints must equal the oracle's with ``==``.
+
+The pass rests on one stacking rule: a stack of k profiles or k kernel specs lines up with the
+leading axis of its argument, which has length k or 1. Each stack kind is checked member by
+member against its members alone, on both lengths, and an argument that fits neither must raise
+before any work. The row-order affine coordinates and xi-affine chart are checked row by row
+against the one-order ones, and the affine check takes one order per point.
 """
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
+import qiglab.connections
 from qiglab.cli import main
-from qiglab.linalg import _row_power_function, power_function
+from qiglab.linalg import Spectrum, power_function
 from qiglab.manifold import (
-    _row_profile,
     _scalar_gradient,
+    _sphere_power_functions,
     affine_coordinates,
     embedding_function,
     inverse_embedding_function,
     xi_affine_family,
 )
-from qiglab.metrics import _metric_matrix, matched_metric
+from qiglab.metrics import (
+    _kernel_difference,
+    _metric_matrix,
+    _petz_coefficients,
+    bkm_function,
+    builtin_functions,
+    matched_metric,
+)
 from qiglab.newton import _damped_newton, _row_dot
+from qiglab.potential import potential_check
 from qiglab.sampling import hermitian_basis, random_weight, rng_from
 
 
@@ -105,37 +120,103 @@ def test_stacked_potential_equals_the_per_alpha_loop(capsys, seed, alphas, dim):
 
 
 ORDERS = (0.5, 1.0, -0.5, -1.0, 0.0, 1.0, 0.9)
+EXPONENTS, SCALES = (0.5, 2.0, 0.25), (2.0, 1.0, 4.0)
 
 
-@pytest.mark.parametrize("inverse", [False, True])
-def test_row_profile_gives_each_row_its_own_orders_values(inverse):
-    # row r of the argument takes order r; the powers, log/exp and identity rows come from their
-    # own members, and each row equals its order's profile alone, bit for bit
-    orders = ORDERS if not inverse else tuple(a for a in ORDERS if a > -1.0)
-    one = inverse_embedding_function if inverse else embedding_function
-    rows = _row_profile(orders, inverse)
-    lam = rng_from(3).uniform(0.2, 2.0, size=(len(orders), 3))
+def _profile_stack(kind):
+    """(stack, its members alone) of each kind of profile stack."""
+    if kind == "power":
+        members = [power_function(e, c) for e, c in zip(EXPONENTS, SCALES)]
+        return power_function(EXPONENTS, SCALES), members
+    if kind in ("embedding", "inverse embedding"):
+        one = embedding_function if kind == "embedding" else inverse_embedding_function
+        return one(ORDERS), [one(alpha) for alpha in ORDERS]
+    which = ("sphere plus", "sphere minus").index(kind)
+    members = [_sphere_power_functions(alpha)[which] for alpha in ORDERS]
+    return _sphere_power_functions(ORDERS)[which], members
+
+
+PROFILE_STACKS = ["power", "embedding", "inverse embedding", "sphere plus", "sphere minus"]
+
+
+@pytest.mark.parametrize("kind", PROFILE_STACKS)
+def test_a_profile_stack_lines_up_with_its_arguments_leading_axis(kind):
+    # a leading axis of k gives row r member r; a leading axis of 1 gives every member on every
+    # row; each value equals its member's alone, bit for bit (the embeddings' log, exp and
+    # identity rows come from members of their own)
+    stack, members = _profile_stack(kind)
+    k = len(members)
+    lam = rng_from(3).uniform(0.2, 2.0, size=(k, 3))
     # the pairs of unequal eigenvalues, larger first, as divided_difference_matrix takes them
     x, y = lam[:, [1, 2, 2]], lam[:, [0, 0, 1]]
     x, y = np.maximum(x, y), np.minimum(x, y)
     for method, args in (("fn", (lam,)), ("deriv", (lam,)), ("deriv2", (lam,)),
                          ("pair", (x, y))):
-        stacked = getattr(rows, method)(*args)
-        assert stacked.shape == args[0].shape
-        for r, alpha in enumerate(orders):
-            alone = getattr(one(alpha), method)(*(a[r] for a in args))
-            np.testing.assert_array_equal(stacked[r], alone)
+        aligned = getattr(stack, method)(*args)
+        every = getattr(stack, method)(*(a[None] for a in args))
+        assert aligned.shape == args[0].shape
+        assert every.shape == (k,) + args[0].shape
+        for r, member in enumerate(members):
+            alone = getattr(member, method)
+            np.testing.assert_array_equal(aligned[r], alone(*(a[r] for a in args)))
+            np.testing.assert_array_equal(every[r], alone(*args))
 
 
-def test_row_powers_align_where_power_stacks_lead():
-    # one body, two alignments: a power stack adds a leading axis, a row power takes the
-    # argument's own rows
-    exponents, scales = [0.5, 2.0, 0.25], [2.0, 1.0, 4.0]
-    x = rng_from(5).uniform(0.1, 3.0, size=(3, 4))
-    leading = power_function(exponents, scales).fn(x)
-    assert leading.shape == (3, 3, 4)
-    aligned = _row_power_function(exponents, scales, "rows").fn(x)
-    np.testing.assert_array_equal(aligned, leading[[0, 1, 2], [0, 1, 2]])
+def _bases(count, n=3):
+    rng = rng_from(29)
+    spec = Spectrum(*np.linalg.eigh(np.stack([random_weight(rng, n, 0.3, 2.0)
+                                              for _ in range(count)])))
+    spec.eigenvalues[0, 1] = spec.eigenvalues[0, 0] * (1.0 + 1e-7)  # a confluent pair
+    return spec
+
+
+def test_a_spec_stack_lines_up_with_the_spectrums_leading_axis():
+    # spec i on row i of k bases, or every spec at every base of spec[None]: the kernel and its
+    # divided difference each equal the spec's alone, bit for bit
+    specs = builtin_functions()
+    k = len(specs)
+    bases = _bases(k)
+    for spec, rows, shape in ((bases, lambda i: bases[i], (k, 3, 3)),
+                              (bases[None], lambda i: bases, (k, k, 3, 3))):
+        c = _petz_coefficients(spec, specs)
+        c1 = _kernel_difference(spec, c, specs)
+        assert c.shape == shape and c1.shape == shape + (3,)
+        for i, f in enumerate(specs):
+            alone = _petz_coefficients(rows(i), f)
+            np.testing.assert_array_equal(c[i], alone)
+            np.testing.assert_array_equal(c1[i], _kernel_difference(rows(i), alone, f))
+
+
+def _spec_stack_call(called):
+    bkm = bkm_function()
+    watched = dataclasses.replace(bkm, fn=lambda x: called.append(x) or bkm.fn(x))
+    return lambda lam: _petz_coefficients(Spectrum(lam, None), [watched] * 3)
+
+
+@pytest.mark.parametrize("kind", PROFILE_STACKS + ["mixed embedding", "kernel specs"])
+def test_a_stack_that_does_not_fit_its_argument_raises_naming_both(calls, kind):
+    # a leading axis of neither k nor 1, or none at all, raises before any member runs: no
+    # float_power, and no spec called; a kernel spec stack meets the eigenvalue ratios
+    called = []
+    lam = rng_from(4).uniform(0.2, 2.0, size=(2, 5))
+    if kind == "kernel specs":
+        k, members, apply = 3, "kernel specs", _spec_stack_call(called)
+        cases = [(lam, (2, 5, 5)), (lam[0], (5, 5))]
+    else:
+        if kind == "mixed embedding":
+            stack, k = embedding_function((0.5, 1.0, -1.0, 0.0)), 4
+        else:
+            stack, alone = _profile_stack(kind)
+            k = len(alone)
+        members, apply = "profiles", stack.fn
+        cases = [(lam, (2, 5)), (lam[0, 0], ())]
+    calls.watch(np, "float_power")
+    for bad, shape in cases:
+        with pytest.raises(ValueError, match=re.escape(
+                f"a stack of {k} {members} does not fit an argument of shape {shape}: "
+                f"its leading axis must have length {k} or 1")):
+            apply(bad)
+    assert calls.count("float_power") == 0 and not called
 
 
 def _row_case(dim=2, orders=(0.5, 1.0, -0.5, 0.0, 0.9)):
@@ -150,7 +231,8 @@ def test_affine_coordinates_take_one_order_per_matrix():
     stacked = affine_coordinates(weights, orders, basis)
     for r, alpha in enumerate(orders):
         np.testing.assert_array_equal(stacked[r], affine_coordinates(weights[r], alpha, basis))
-    with pytest.raises(ValueError, match="4 orders do not match a stack of shape"):
+    with pytest.raises(ValueError, match=re.escape("a stack of 4 profiles does not fit an "
+                                                   "argument of shape (5, 2)")):
         affine_coordinates(weights, orders[:4], basis)
 
 
@@ -176,8 +258,11 @@ def test_xi_affine_chart_of_row_orders_takes_only_its_own_stack_size():
     basis, orders, weights = _row_case()
     family = xi_affine_family(basis, orders)
     points = affine_coordinates(weights, orders, basis)
-    with pytest.raises(ValueError, match="a chart of 5 row orders got parameter shape"):
+    with pytest.raises(ValueError, match=re.escape("a stack of 5 profiles does not fit an "
+                                                   "argument of shape (3, 2)")):
         family.jet(points[:3])
+    with pytest.raises(ValueError, match=r"chart output shape \(5, 2, 2\) does not follow"):
+        family.jet(points[:1])
 
 
 def test_xi_affine_chart_of_row_orders_names_the_row_off_the_cone():
@@ -188,3 +273,31 @@ def test_xi_affine_chart_of_row_orders_names_the_row_off_the_cone():
     xi = np.array([[0.0, 2.0], [1.0, 0.5], [0.0, 2.0]])  # rows 0 and 2 have Y = diag(2, -2)
     with pytest.raises(ValueError, match="not positive definite .* at stack index 2"):
         family.jet(xi)
+
+
+@pytest.mark.parametrize("alphas", ["-0.5,0,0.5", "-0.9,0,0.5,1", "0.5"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_affine_check_takes_one_order_per_point(capsys, monkeypatch, dim, alphas):
+    # the affine check's triple tensor has one row per order, (k, n, n, n), where taking every
+    # order at every point made (k, k, n, n, n)
+    shapes = []
+    tensor = qiglab.connections._triple_difference_tensor
+
+    def watched(*args):
+        out = tensor(*args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(qiglab.connections, "_triple_difference_tensor", watched)
+    assert main(["potential", f"--alpha={alphas}", "--dim", str(dim)]) == 0
+    capsys.readouterr()
+    assert shapes == [(len(alphas.split(",")), dim, dim, dim)]
+
+
+def test_affine_check_names_the_order_and_the_point_that_fail():
+    basis, _, weights = _row_case(dim=2, orders=(0.5,) * 6)
+    points = affine_coordinates(weights, 0.5, basis)
+    with pytest.raises(ValueError, match=re.escape(
+            f"coordinates are not affine for embedding order -0.5 at theta={points[0].tolist()} "
+            "(flat covariant derivative has norm")):
+        potential_check(xi_affine_family(basis, 0.5), -0.5, points, basis)
