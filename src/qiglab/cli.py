@@ -259,19 +259,31 @@ def _metric_from_token(token: str, alpha: float):
     raise ValueError(f"unknown metric {token!r} (use wyd, wyd:<p>, bkm, bures or rld)")
 
 
+def _metric_key(f) -> str:
+    """The metric a resolved profile defines: its name, but WYD at p and at 1 - p, whose
+    profiles agree, both by min(p, 1 - p) to the name's 15 significant digits."""
+    if not f.name.startswith("wyd(p="):
+        return f.name
+    p = float(f.name[6:-1])
+    return f"wyd(p={min(p, 1.0 - p):.15g})"
+
+
 def _metric_pairs(opt, alphas) -> list:
     """(alpha, metric) for each of ``alphas`` and each --metric token, in that order; two tokens
     that resolve to one metric at one alpha are a usage error that names both. Runners resolve
     every pair before any work."""
     tokens = _list(opt, "metric", str.lower)
-    pairs, seen = [], {}  # seen: (alpha, metric name) -> the token that resolved to it
+    pairs, seen = [], {}  # seen: (alpha, metric key) -> the token and the profile it resolved to
     for alpha in alphas:
         for token in tokens:
             f = _metric_from_token(token, alpha)
-            if (alpha, f.name) in seen:
-                raise ValueError(f"--metric {seen[alpha, f.name]} and {token} both resolve to "
-                                 f"{f.name} at --alpha {alpha!r}")
-            seen[alpha, f.name] = token
+            key = (alpha, _metric_key(f))
+            if key in seen:
+                first, g = seen[key]
+                same = f.name if f.name == g.name else f"{g.name} = {f.name}"
+                raise ValueError(f"--metric {first} and {token} both resolve to {same} at "
+                                 f"--alpha {alpha!r}")
+            seen[key] = token, f
             pairs.append((alpha, f))
     return pairs
 

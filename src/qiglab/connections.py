@@ -53,6 +53,7 @@ from .manifold import (
     _project_with,
     _sphere_powers,
     _standard_basis,
+    check_state,
     check_weight,
     embedding_function,
     representation_convert,
@@ -110,7 +111,7 @@ def ext_covariant_derivative(
     """
     family._check_directions(i, j)
     jet = family.jet(theta, 2)
-    mixture = _covariant_derivatives(jet, alpha, True)[i, j]
+    mixture = covariant_derivative_set(jet, [alpha], True)[0, i, j]
     return CovariantDerivativeResult(
         jet.sigma, weight_tangent(jet.sigma, _standard_basis(jet.spectrum, mixture))
     )
@@ -128,7 +129,7 @@ def covariant_derivative_on_M(
     """
     family._check_directions(i, j)
     jet = family.jet(theta, 2)
-    mixture = _covariant_derivatives(jet, alpha, False)[i, j]
+    mixture = covariant_derivative_set(jet, [alpha], False)[0, i, j]
     return CovariantDerivativeResult(
         jet.sigma, state_tangent(jet.sigma, _standard_basis(jet.spectrum, mixture))
     )
@@ -150,6 +151,8 @@ def covariant_derivative_set(jet: ChartJet, alphas, on_extended: bool = False) -
     gives a set in the standard basis.
     """
     orders = tuple(alphas)
+    # the base is checked before any order or pair axis is added, so an error names the point
+    (check_weight if on_extended else check_state)(jet.spectrum)
     if len(orders) == 1:  # one order takes its profile without the order axis
         return _covariant_derivatives(jet, orders[0], on_extended)[None]
     return _covariant_derivatives(jet[None], orders, on_extended)
@@ -157,12 +160,13 @@ def covariant_derivative_set(jet: ChartJet, alphas, on_extended: bool = False) -
 
 def _covariant_derivatives(jet: ChartJet, alpha, on_extended: bool) -> np.ndarray:
     """``covariant_derivative_set`` of one order, (..., d, d, n, n) for a jet (..., d), or of k
-    orders lined up with the jet's leading axis as ``embedding_function`` lines them up."""
+    orders lined up with the jet's leading axis as ``embedding_function`` lines them up. The
+    base must be positive, as every chart jet's is; the projection checks its unit trace."""
     if jet.hessians is None:
         raise ValueError("covariant derivatives need the chart's order-2 jet")
     spec, tangents = jet.spectrum, jet.tangents
     d, n = tangents.shape[-3], spec.dim
-    lam = check_weight(spec).eigenvalues
+    lam = spec.eigenvalues
     fun = embedding_function(alpha)  # checks every order before any work
     i, j = _pairs(d)
     products = _tangent_products(tangents[..., i, :, :], tangents[..., j, :, :])

@@ -284,16 +284,17 @@ def _function_stack(parts: Sequence[tuple], size: int, name: str) -> ScalarFunct
     ``parts`` holds (rows, f) pairs that cover the members once: f is a stack of len(rows)
     profiles, or one profile that serves every one of those members. Each f is called once per
     call of the stack, on the argument rows ``rows``, or on the whole arguments where their
-    leading axis has length 1, so those are not copied.
+    leading axis has length 1, so those are not copied. Every method takes one argument but
+    ``pair``, whose two share one shape.
     """
 
     def stacked(method):
         def apply(*args):
-            shape = np.broadcast_shapes(*map(np.shape, args))
+            shape = np.shape(args[0])
             _check_stack(size, shape, "profiles")
             whole = shape[0] == 1
             if not whole:
-                args = np.broadcast_arrays(*args)
+                args = [np.asarray(a) for a in args]
             out = np.empty((size,) + shape[1:])
             for rows, f in parts:
                 picked = args if whole else [a[rows] for a in args]

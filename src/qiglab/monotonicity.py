@@ -19,10 +19,10 @@ from .metrics import (
     MonotoneFunctionSpec,
     _contract,
     _mixture_of,
+    _petz_coefficients,
     builtin_functions,
-    petz_kernel,
 )
-from .sampling import _ginibre_draws, _state_draws, _states, _traceless_hermitians, rng_from
+from .sampling import _ones, _states, _traceless_hermitians, rng_from
 
 __all__ = [
     "KrausChannel",
@@ -142,7 +142,7 @@ def _stinespring_channels(re: np.ndarray, im: np.ndarray) -> KrausChannel:
 
 def random_stinespring_channel(rng: np.random.Generator, n: int) -> KrausChannel:
     """Random channel on n x n matrices from a Haar-ish isometry into output x environment."""
-    return _stinespring_channels(rng.standard_normal((n * n, n)), rng.standard_normal((n * n, n)))
+    return _stinespring_channels(*rng.standard_normal((2, n * n, n)))
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def monotonicity_check(
         point[None],
         mixture[None],
     )
-    lhs, rhs = (float(v[0]) for v in trial.lengths(f))
+    lhs, rhs = (float(v[0, 0]) for v in trial.lengths([f]))
     if trial.inconclusive[0]:
         return MonotonicityReport(lhs, rhs, float("nan"), True, True)
     return MonotonicityReport(lhs, rhs, rhs - lhs, bool(trial.regularized[0]), False)
@@ -187,7 +187,7 @@ def monotonicity_check(
 
 @dataclass(frozen=True)
 class _ContractionTrials:
-    """Contraction trials of one input and one output dimension, ready for any kernel.
+    """Contraction trials of one input and one output dimension, ready for any kernels.
 
     ``state`` is the stacked Spectrum of the m input states and ``mixture``
     their directions in its eigenbasis. ``output`` and ``out_dir`` hold the
@@ -202,15 +202,16 @@ class _ContractionTrials:
     regularized: np.ndarray
     inconclusive: np.ndarray
 
-    def lengths(self, f: MonotoneFunctionSpec) -> tuple:
-        """(lhs, rhs) of every trial under f from one Petz kernel per side.
+    def lengths(self, fs: Sequence[MonotoneFunctionSpec]) -> tuple:
+        """(lhs, rhs) of every trial under each of the K specs ``fs``, (K, m) each, from one
+        kernel stack per side; row k is what spec k gives alone.
 
         lhs is nan where the trial is inconclusive.
         """
-        rhs = _contract(petz_kernel(self.state, f).coefficients, self.mixture, self.mixture)
+        rhs = _contract(_petz_coefficients(self.state[None], fs), self.mixture, self.mixture)
         lhs = np.full(rhs.shape, np.nan)
-        lhs[~self.inconclusive] = _contract(
-            petz_kernel(self.output, f).coefficients, self.out_dir, self.out_dir
+        lhs[:, ~self.inconclusive] = _contract(
+            _petz_coefficients(self.output[None], fs), self.out_dir, self.out_dir
         )
         return lhs, rhs
 
@@ -230,11 +231,10 @@ def _contraction_trials(
     stays singular the trial is inconclusive.
     """
     n_out = channels[0][0].dim_out
-    outputs = np.empty(points.shape[:-2] + (n_out, n_out), dtype=complex)
-    out_dirs = np.empty_like(outputs)
-    for channel, rows in channels:
-        outputs[rows] = apply_channel(channel, points[rows])
-        out_dirs[rows] = apply_channel(channel, mixtures[rows])
+    inputs = np.stack([points, mixtures])
+    outputs, out_dirs = np.empty(inputs.shape[:-2] + (n_out, n_out), dtype=complex)
+    for channel, rows in channels:  # each state and its direction in one call
+        outputs[rows], out_dirs[rows] = apply_channel(channel, inputs[:, rows])
     out = spectral_decompose(hermitize(outputs))
     out_dir = out.to_eigenbasis(hermitize(out_dirs))
     lam = out.eigenvalues
@@ -252,6 +252,12 @@ def _contraction_trials(
     )
 
 
+@functools.cache
+def _scan_kernels() -> tuple:
+    """The scan's six validated kernels, built on first use and shared read-only."""
+    return tuple(builtin_functions(wyd_exponents=(0.2, 0.5, 0.8)))
+
+
 def monotonicity_scan(seed=0, trials: int = 1000) -> list:
     """Monte-Carlo contraction margins for the built-in kernels.
 
@@ -263,33 +269,36 @@ def monotonicity_scan(seed=0, trials: int = 1000) -> list:
     """
     rng = rng_from(seed)
     # draw: each trial makes the rng calls of random_state, random_traceless_hermitian and its
-    # channel builder, in that order; the linear algebra waits for the build
+    # channel builder, in that order; the linear algebra waits for the build. The normals of
+    # the state, the tangent and a Stinespring isometry follow one another, so one
+    # standard_normal call draws them, the same numbers in the same order
     kinds, groups = [], {}
     for t in range(trials):
         kind = int(rng.integers(0, 3))
         n = int(rng.integers(2, 4)) if kind < 2 else 4
         floor = 0.05 if kind == 2 else 0.1
-        state = _state_draws(rng, n, floor)
-        tangent = _ginibre_draws(rng, n)
+        weights = rng.dirichlet(_ones(n))
+        normals = rng.standard_normal((4 + 2 * n if kind == 1 else 4, n, n))
         if kind == 0:
             param = float(rng.uniform(0.05, 0.95))
         elif kind == 1:
-            param = (rng.standard_normal((n * n, n)), rng.standard_normal((n * n, n)))
+            param = normals[4:].reshape(2, n * n, n)  # random_stinespring_channel's (re, im)
         else:
             param = None
         kinds.append(kind)
         dims = (n, 2 if kind == 2 else n)
-        groups.setdefault(dims, []).append((t, kind, floor, *state, *tangent, param))
+        groups.setdefault(dims, []).append((t, kind, floor, weights, normals[:4], param))
     # build: one stacked call per layer and (input, output)-dimension group, one channel stack
     # per kind; states, outputs and rotated directions do not depend on the kernel, so one
     # stacked decomposition per group serves every kernel
     partial_trace = partial_trace_channel(2, 2)
     stacks = []
     for group in groups.values():
-        index, kind, floor, weights, g_re, g_im, a_re, a_im, params = zip(*group)
+        index, kind, floor, weights, normals, params = zip(*group)
         kind = np.array(kind)
         n = len(weights[0])
-        rho = _states(np.stack(weights), np.array(floor)[:, None], np.stack(g_re), np.stack(g_im))
+        normals = np.stack(normals)  # per trial: the state's (re, im), then the tangent's
+        rho = _states(np.stack(weights), np.array(floor)[:, None], normals[:, 0], normals[:, 1])
         channels = []
         for k in sorted(set(kind.tolist())):  # the group's kinds in ascending order
             members = np.flatnonzero(kind == k)
@@ -297,11 +306,11 @@ def monotonicity_scan(seed=0, trials: int = 1000) -> list:
             if k == 0:
                 channel = depolarizing_channel(n, np.array(drawn))
             elif k == 1:
-                channel = _stinespring_channels(*(np.stack(part) for part in zip(*drawn)))
+                channel = _stinespring_channels(*np.stack(drawn, axis=1))
             else:
                 channel = partial_trace
             channels.append((channel, members))
-        a = _traceless_hermitians(np.stack(a_re), np.stack(a_im))
+        a = _traceless_hermitians(normals[:, 2], normals[:, 3])
         stacks.append((np.array(index), _contraction_trials(channels, check_state(rho), rho, a)))
     regularized = np.zeros(trials, dtype=bool)
     inconclusive = np.zeros(trials, dtype=bool)
@@ -310,12 +319,13 @@ def monotonicity_scan(seed=0, trials: int = 1000) -> list:
         inconclusive[index] = stack.inconclusive
     conclusive = ~inconclusive
     depolarizing = conclusive & (np.array(kinds, dtype=int) == 0)
+    kernels = _scan_kernels()
+    margins = np.empty((len(kernels), trials))
+    for index, stack in stacks:
+        lhs, rhs = stack.lengths(kernels)
+        margins[:, index] = rhs - lhs
     rows = []
-    for f in builtin_functions(wyd_exponents=(0.2, 0.5, 0.8)):
-        margin = np.empty(trials)
-        for index, stack in stacks:
-            lhs, rhs = stack.lengths(f)
-            margin[index] = rhs - lhs
+    for f, margin in zip(kernels, margins):
         rows.append(
             {
                 "metric": f.name,

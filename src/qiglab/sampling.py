@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .linalg import _dagger, hermitize
@@ -60,45 +62,54 @@ def _traceless_hermitians(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return h - (np.trace(h, axis1=-2, axis2=-1)[..., None, None] / n) * np.eye(n)
 
 
-def _ginibre_draws(rng: np.random.Generator, n: int) -> tuple:
-    """The standard normal parts (re, im), each (n, n), of one Ginibre matrix, re drawn first."""
-    return rng.standard_normal((n, n)), rng.standard_normal((n, n))
+def _ginibre_draws(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The standard normal parts (re, im) of one Ginibre matrix, (2, n, n), re drawn first."""
+    return rng.standard_normal((2, n, n))
 
 
-def _state_draws(rng: np.random.Generator, n: int, floor: float) -> tuple:
-    """The draws of one ``random_state``, in its order: simplex weights (n,), then re, im."""
+@functools.cache
+def _ones(n: int) -> np.ndarray:
+    """The flat Dirichlet concentration of a simplex draw in n dimensions, shared read-only."""
+    ones = np.ones(n)
+    ones.setflags(write=False)
+    return ones
+
+
+def _check_floor(n: int, floor: float) -> None:
+    """Reject a spectrum floor that no state of dimension n can keep."""
     if not 0.0 <= floor * n < 1.0:
         raise ValueError(f"floor {floor} infeasible for dimension {n}")
-    return (rng.dirichlet(np.ones(n)),) + _ginibre_draws(rng, n)
 
 
 def _weight_draws(rng: np.random.Generator, n: int, lo: float, hi: float) -> tuple:
-    """The draws of one ``random_weight``, in its order: spectrum (n,), then re, im."""
-    return (rng.uniform(lo, hi, size=n),) + _ginibre_draws(rng, n)
-
-
-def _stack_draws(draws) -> tuple:
-    """A sequence of draw tuples as one tuple of stacks, part by part."""
-    return tuple(np.stack(part) for part in zip(*draws))
+    """The draws of one ``random_weight``, in its order: spectrum (n,), then (re, im) (2, n, n)."""
+    return rng.uniform(lo, hi, size=n), _ginibre_draws(rng, n)
 
 
 def _states_with_tangents(rngs, n: int, floor: float, tangents: int) -> tuple:
     """For each rng of ``rngs`` in turn, the draws of random_state(rng, n, floor) and then of
     ``tangents`` random_traceless_hermitian(rng, n), in that rng order, each kind built in one
-    stacked call: states (k, n, n) and tangents (k, tangents, n, n)."""
-    states, directions = [], []
+    stacked call: states (k, n, n) and tangents (k, tangents, n, n).
+
+    A sample's normals follow its Dirichlet draw on one generator, so one
+    ``standard_normal((1 + tangents, 2, n, n))`` call draws them all, the same
+    numbers in the same order."""
+    _check_floor(n, floor)
+    weights, normals = [], []
     for rng in rngs:
-        states.append(_state_draws(rng, n, floor))
-        directions.append(_stack_draws(_ginibre_draws(rng, n) for _ in range(tangents)))
-    weights, re, im = _stack_draws(states)
-    return _states(weights, floor, re, im), _traceless_hermitians(*_stack_draws(directions))
+        weights.append(rng.dirichlet(_ones(n)))
+        normals.append(rng.standard_normal((1 + tangents, 2, n, n)))
+    weights, normals = np.stack(weights), np.stack(normals)
+    states = _states(weights, floor, normals[:, 0, 0], normals[:, 0, 1])
+    return states, _traceless_hermitians(normals[:, 1:, 0], normals[:, 1:, 1])
 
 
 def _random_weights(rngs, count: int, n: int, lo: float, hi: float):
     """For each rng of ``rngs`` in turn, ``count`` draws of random_weight(rng, n, lo, hi), in its
     rng order, all built in one stacked call: (len(rngs) * count, n, n)."""
-    draws = (_weight_draws(rng, n, lo, hi) for rng in rngs for _ in range(count))
-    return _weights(*_stack_draws(draws))
+    lam, normals = zip(*(_weight_draws(rng, n, lo, hi) for rng in rngs for _ in range(count)))
+    normals = np.stack(normals)
+    return _weights(np.stack(lam), normals[:, 0], normals[:, 1])
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -120,15 +131,17 @@ def random_state(rng: np.random.Generator, n: int, floor: float = 0.05) -> np.nd
     Eigenvalues are a uniform simplex draw shrunk toward the maximally mixed
     point so the floor holds, conjugated by a Haar unitary.
     """
-    u, re, im = _state_draws(rng, n, floor)
-    return _states(u, floor, re, im)
+    _check_floor(n, floor)
+    weights = rng.dirichlet(_ones(n))
+    return _states(weights, floor, *_ginibre_draws(rng, n))
 
 
 def random_weight(
     rng: np.random.Generator, n: int, lo: float = 0.3, hi: float = 2.0
 ) -> np.ndarray:
     """Random positive-definite matrix with spectrum in [lo, hi]."""
-    return _weights(*_weight_draws(rng, n, lo, hi))
+    lam, normals = _weight_draws(rng, n, lo, hi)
+    return _weights(lam, *normals)
 
 
 def pauli_matrices():

@@ -615,6 +615,15 @@ def test_repeated_list_value_is_usage_error_before_any_work(calls, capsys, argv,
          "--metric bkm and wyd both resolve to bkm at --alpha 1.0"),
         (["transport-duality", "--metric", "wyd,bkm", "--alpha=0.5,-1"],
          "--metric wyd and bkm both resolve to bkm at --alpha -1.0"),
+        # WYD at p and at 1 - p is one metric: both printed the same passing case twice
+        (["duality", "--metric", "wyd:0.25,wyd:0.75", "--alpha", "0.5", "--dim", "2",
+          "--manifold", "state"],
+         "--metric wyd:0.25 and wyd:0.75 both resolve to wyd(p=0.25) = wyd(p=0.75) at --alpha 0.5"),
+        (["duality", "--metric", "wyd,wyd:0.25", "--alpha", "0.5", "--dim", "2"],
+         "--metric wyd and wyd:0.25 both resolve to wyd(p=0.75) = wyd(p=0.25) at --alpha 0.5"),
+        # 1 - 0.8 is 0.19999999999999996 in binary; the key keeps the name's 15 digits
+        (["transport-duality", "--metric", "wyd:0.8,wyd:0.2", "--alpha", "0"],
+         "--metric wyd:0.8 and wyd:0.2 both resolve to wyd(p=0.8) = wyd(p=0.2) at --alpha 0.0"),
     ],
 )
 def test_two_metric_tokens_resolving_to_one_metric_is_usage_error_before_any_work(

@@ -385,6 +385,21 @@ def test_projected_covariant_derivative_set_rejects_a_base_off_the_unit_trace_ma
         covariant_derivative_set(fam.jet(points, 1), [0.5], on_extended=True)
 
 
+@pytest.mark.parametrize("alphas", [[0.5], [0.5, -0.5]], ids=["one-order", "two-orders"])
+def test_off_manifold_error_names_the_point_alone(alphas):
+    # the base was checked after the order and pair axes were added: "at stack index (0, 0)"
+    # for one order on this grid, "(0, 0, 0)" for two
+    fam = qubit_weight_family()
+    points = np.array([[0.1, 0.0, 0.0, 0.0], [0.0, 0.2, 0.0, 0.0], [0.0, 0.0, 0.1, 0.3]])
+    jet = fam.jet(points, 2)
+    with pytest.raises(ValueError, match=re.escape("not a unit-trace state at stack index 0:")):
+        covariant_derivative_set(jet, alphas, False)
+    with pytest.raises(ValueError, match=re.escape("not a unit-trace state: trace")):
+        covariant_derivative_set(jet[1], alphas, False)
+    with pytest.raises(ValueError, match=re.escape("not a unit-trace state: trace")):
+        covariant_derivative_on_M(fam, points[1], 0, 1, alphas[0])
+
+
 # -------------------------------------------- projected covariant derivative
 
 

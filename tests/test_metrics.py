@@ -408,9 +408,10 @@ def test_monotonicity_inconclusive_when_output_stays_singular(monkeypatch):
     apply = qiglab.monotonicity.apply_channel
 
     def negative_output(channel, x):
-        if abs(np.trace(x) - 1.0) < 1e-9:
-            return np.diag([1.1, -0.1]).astype(complex)
-        return apply(channel, x)
+        # the state and its direction may come in one stack: replace the state's output alone
+        out = apply(channel, x)
+        out[np.abs(np.trace(x, axis1=-2, axis2=-1) - 1.0) < 1e-9] = np.diag([1.1, -0.1])
+        return out
 
     monkeypatch.setattr(qiglab.monotonicity, "apply_channel", negative_output)
     report = monotonicity_check(bkm_function(), rho, v, depolarizing_channel(2, 0.3))

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from qiglab.sampling import (
+    _random_weights,
+    _states,
+    _states_with_tangents,
+    _traceless_hermitians,
     haar_unitary,
     hermitian_basis,
     pauli_matrices,
@@ -68,3 +72,46 @@ def test_random_weight_respects_bounds():
     lam = np.linalg.eigvalsh(w)
     assert lam.min() >= 0.5 - 1e-12
     assert lam.max() <= 2.0 + 1e-12
+
+
+def _sample_rngs(shared: bool, samples: int) -> list:
+    """One generator for every sample, or one per sample."""
+    if shared:
+        return [rng_from(11)] * samples
+    return [rng_from([11, k]) for k in range(samples)]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["rng-per-sample", "shared-rng"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fused_state_and_tangent_draws_equal_one_matrix_at_a_time(n, shared):
+    # each sample's normals come from one standard_normal call: the same numbers in the same
+    # order as random_state and then random_traceless_hermitian, one matrix per call
+    states, tangents = _states_with_tangents(_sample_rngs(shared, 4), n, 0.05, 2)
+    rngs = _sample_rngs(shared, 4)
+    for k, rng in enumerate(rngs):
+        np.testing.assert_array_equal(states[k], random_state(rng, n, floor=0.05))
+        for y in tangents[k]:
+            np.testing.assert_array_equal(y, random_traceless_hermitian(rng, n))
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["rng-per-sample", "shared-rng"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fused_weight_draws_equal_one_matrix_at_a_time(n, shared):
+    weights = _random_weights(_sample_rngs(shared, 3), 2, n, 0.5, 2.0)
+    one_at_a_time = [random_weight(rng, n, 0.5, 2.0) for rng in _sample_rngs(shared, 3)
+                     for _ in range(2)]
+    np.testing.assert_array_equal(weights, one_at_a_time)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_matrix_samplers_keep_the_stream_of_one_normal_matrix_per_call(n):
+    # the stream every seeded record rests on: a Dirichlet draw, then re and im of the Haar
+    # basis, then re and im of the tangent, each (n, n) in its own standard_normal call
+    rng = rng_from(3)
+    state = random_state(rng, n, floor=0.05)
+    tangent = random_traceless_hermitian(rng, n)
+    raw = rng_from(3)
+    weights = raw.dirichlet(np.ones(n))
+    g_re, g_im, a_re, a_im = (raw.standard_normal((n, n)) for _ in range(4))
+    np.testing.assert_array_equal(state, _states(weights, 0.05, g_re, g_im))
+    np.testing.assert_array_equal(tangent, _traceless_hermitians(a_re, a_im))
