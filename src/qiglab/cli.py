@@ -249,7 +249,10 @@ def _metric_from_token(token: str, alpha: float):
     if token == "wyd":
         return matched_metric(alpha)
     if token.startswith("wyd:"):
-        return wyd_function(_value(token[4:], f"the exponent of --metric {token}"))
+        p = _value(token[4:], f"the exponent of --metric {token}")
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"the exponent of --metric {token} must lie in (0, 1), got {p!r}")
+        return wyd_function(p)
     if token == "bkm":
         return bkm_function()
     if token == "bures":
@@ -370,11 +373,13 @@ def _run_duality(opt, seed):
             f"--dim values must be 2 or 3, the dimensions with documented witness families, "
             f"got {outside[0]}"
         )
+    if opt["manifold"] not in ("state", "weight", "both"):
+        raise ValueError(f"--manifold must be 'state', 'weight' or 'both', got {opt['manifold']!r}")
     pairs = _metric_pairs(opt, alphas)  # before any grid is built
     witness_reports = []  # (witness, its reports, one per pair), dim by dim
     for dim in dims:
         for w in standard_witness_families(dim, opt["manifold"]):
-            grid = DefectGrid(w.family, sample_grid(w, [seed, dim], n_points), w.on_extended)
+            grid = DefectGrid(w.family, sample_grid(w, [seed, dim], n_points))
             reports = grid.defects([(f, alpha, 1.0, w.name) for alpha, f in pairs])
             witness_reports.append((w, reports))
     records = []

@@ -108,7 +108,7 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class WitnessFamily:
-    """A documented chart plus the parameter box its grids are drawn from."""
+    """A documented chart, its grids' parameter box, and on_extended: a positive-cone chart."""
 
     name: str
     family: ParametrizedFamily
@@ -204,7 +204,6 @@ class DualityReport:
 
     metric_name: str
     alpha: float
-    on_extended: bool
     scale: float
     defect: float
     per_triple: np.ndarray
@@ -240,16 +239,17 @@ class DefectGrid:
     each alpha, in one covariant_derivative_set call over the whole grid.
     None of this depends on the metric kernel, so ``defects`` builds each
     kernel and its divided difference and contracts, over all its cases at once.
+
+    The connections are the positive cone's flat ones. On a unit-trace chart that gives the
+    state-manifold defect: the projected ones differ by a multiple of rho, and f(1) = 1 gives
+    g_f(rho, T) = Tr T = 0 for every tangent T of the chart.
     """
 
-    def __init__(
-        self, family: ParametrizedFamily, grid: Sequence[np.ndarray], on_extended: bool = False
-    ):
+    def __init__(self, family: ParametrizedFamily, grid: Sequence[np.ndarray]):
         self.family = family
         self.grid = tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in grid)
         if not self.grid:
             raise ValueError("a defect grid needs at least one point, got none")
-        self.on_extended = on_extended
         # one chart call, and the chart's one decomposition, for the whole grid
         self._jet = family.jet(np.stack(self.grid), 2)
         t = self._jet.tangents
@@ -264,7 +264,7 @@ class DefectGrid:
         missing = [a for a in dict.fromkeys(alphas + tuple(-a for a in alphas))  # -0.0 == 0.0
                    if a not in self._h_minus_nabla]
         if missing:
-            sets = covariant_derivative_set(self._jet, missing, self.on_extended)
+            sets = covariant_derivative_set(self._jet, missing, on_extended=True)
             self._h_minus_nabla.update((a, self._jet.hessians - n) for a, n in zip(missing, sets))
         return self._h_minus_nabla
 
@@ -296,7 +296,7 @@ class DefectGrid:
         per_triple = np.reshape(scales, (-1, 1, 1, 1, 1)) * (with_tj.swapaxes(2, 3) + with_tk)
         worst = np.abs(per_triple).max(axis=(1, 2, 3, 4))
         return [
-            DualityReport(f.name, alpha, self.on_extended, scale, float(w), p, self.grid, name)
+            DualityReport(f.name, alpha, scale, float(w), p, self.grid, name)
             for f, alpha, scale, name, w, p in zip(fs, alphas, scales, names, worst, per_triple)
         ]
 
@@ -312,7 +312,7 @@ def duality_defect(
     grid: Sequence[np.ndarray],
     f: MonotoneFunctionSpec,
     alpha: float,
-    on_extended: bool = False,
+    *,
     scale: float = 1.0,
     family_name: str = "",
 ) -> DualityReport:
@@ -320,12 +320,12 @@ def duality_defect(
 
     For every grid point and coordinate triple (i, j, k):
     the i-derivative of g(T_j, T_k) minus g(nabla^(+alpha)_i T_j, T_k) minus
-    g(T_j, nabla^(-alpha)_i T_k), with projected connections on the
-    unit-trace manifold (default) or the flat ones on the positive cone.
-    The defect is linear in ``scale`` (scalar metric multiples) exactly.
-    To check several kernels or alphas on one grid, build its DefectGrid once.
+    g(T_j, nabla^(-alpha)_i T_k), with the flat connections: on a unit-trace
+    chart, the state-manifold defect (see DefectGrid). The defect is linear in
+    ``scale`` (scalar metric multiples) exactly. To check several kernels or
+    alphas on one grid, build its DefectGrid once.
     """
-    return DefectGrid(family, grid, on_extended).defect(f, alpha, scale, family_name)
+    return DefectGrid(family, grid).defect(f, alpha, scale, family_name)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +487,7 @@ def uniqueness_scan(
         candidates = [(wyd, 1.0, True)] + [(f, 1.0, False) for f in others] + [(wyd, 3.0, True)]
     worst = [0.0] * len(candidates)
     for w in witnesses:
-        grid = DefectGrid(w.family, sample_grid(w, seed, n_points), w.on_extended)
+        grid = DefectGrid(w.family, sample_grid(w, seed, n_points))
         reports = grid.defects([(f, alpha, scale, w.name) for f, scale, _ in candidates])
         worst = [max(v, rep.defect) for v, rep in zip(worst, reports)]
     entries = [

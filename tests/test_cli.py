@@ -401,6 +401,43 @@ def test_duality_unknown_metric_after_a_known_one_is_usage_error_before_any_grid
     assert calls.count("DefectGrid") == 0
 
 
+def test_duality_unknown_manifold_is_usage_error_naming_the_option(calls, capsys):
+    # the witness-family lookup refused it as "manifold must be 'state', 'weight' or 'both'",
+    # naming no option; the runner now checks it next to --dim, before any grid is built
+    calls.watch(duality, "DefectGrid")
+    with pytest.raises(SystemExit) as exc:
+        main(["duality", "--manifold", "spectral"])
+    assert exc.value.code == 2
+    assert "error: --manifold must be 'state', 'weight' or 'both', got 'spectral'" in (
+        capsys.readouterr().err
+    )
+    assert calls.count("DefectGrid") == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transport-duality", "--metric", "wyd:1.5"],
+         "the exponent of --metric wyd:1.5 must lie in (0, 1), got 1.5"),
+        (["transport-duality", "--metric", "bkm,wyd:0"],
+         "the exponent of --metric wyd:0 must lie in (0, 1), got 0.0"),
+        (["duality", "--metric", "wyd:inf"],
+         "the exponent of --metric wyd:inf must lie in (0, 1), got inf"),
+    ],
+    ids=["1.5", "0-after-bkm", "inf"],
+)
+def test_wyd_exponent_outside_zero_one_is_usage_error_naming_its_token(
+    calls, capsys, argv, message
+):
+    # the profile refused it as "wyd exponent p must lie in (0, 1), got 1.5", naming no option
+    calls.eig()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert calls.count("eigh", "eigvalsh") == 0
+
+
 def test_potential_dim_below_one_is_usage_error(capsys):
     # a 0 x 0 chart has no basis: the check used to fail with "need at least one array to stack"
     with pytest.raises(SystemExit) as exc:
@@ -799,7 +836,7 @@ def test_readme_example_is_current(capsys):
     code, out = _run(capsys, FAST_DUALITY)
     got = out.splitlines()
     assert code == 0
-    assert '"defect":8.3266726846886741e-16' in expected[1]
+    assert '"defect":8.1878948066105295e-16' in expected[1]
     assert got[:2] == expected[:2]
     assert WALL_CLOCK.sub("", got[2]) == WALL_CLOCK.sub("", expected[2])
 

@@ -11,8 +11,10 @@ from qiglab.linalg import (
     spectral_decompose,
 )
 from qiglab.bands import FALSIFICATION_GAP, band
+from qiglab.connections import covariant_derivative_set
 from qiglab.duality import (
     DefectGrid,
+    DualityReport,
     classical_reduction_check,
     convexity_failure_check,
     duality_defect,
@@ -201,9 +203,10 @@ def _reference_per_triple(family, grid, f, alpha, on_extended):
 )
 def test_defect_grid_equals_per_triple_reference(dim, manifold):
     # one grid serves every kernel and alpha, as the per-triple loop does up to round-off
+    # (the loop builds a unit-trace chart's projected connections, the grid the flat ones)
     witness = standard_witness_families(dim, manifold)[0]
     grid = sample_grid(witness, [0, dim], 2)
-    shared = DefectGrid(witness.family, grid, witness.on_extended)
+    shared = DefectGrid(witness.family, grid)
     kernels = [bures_function(), rld_function()]
     cases = [(f, a) for a in (-0.5, 0.0, 0.5) for f in [matched_metric(a)] + kernels]
     cases += [(bkm_function(), -1.0), (bkm_function(), 1.0)]
@@ -214,9 +217,118 @@ def test_defect_grid_equals_per_triple_reference(dim, manifold):
         np.testing.assert_allclose(rep.per_triple, expected, rtol=0.0, atol=atol)
         assert rep.defect == float(np.abs(rep.per_triple).max())
         np.testing.assert_array_equal(
-            duality_defect(witness.family, grid, f, alpha, witness.on_extended).per_triple,
+            duality_defect(witness.family, grid, f, alpha).per_triple,
             rep.per_triple,
         )
+
+
+# The state-manifold defect is the positive-cone defect on a unit-trace chart's tangents: the
+# projected connections differ from the flat ones by a multiple of the transversal rho, and
+# f(1) = 1 gives g_f(rho, T) = Tr T, which is 0 for every tangent T of a unit-trace chart.
+# DefectGrid builds the flat connections alone; the projected ones are the oracle here.
+
+
+def _state_witness_grid(dim, seed=0):
+    witness = standard_witness_families(dim, "state")[0]
+    return witness, sample_grid(witness, [seed, dim], 3)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_state_witness_charts_have_unit_trace_points_and_traceless_derivatives(dim):
+    # what the "state" label rests on: the defect path no longer runs check_state
+    witness, grid = _state_witness_grid(dim)
+    family = witness.family
+    jet = family.jet(np.stack([np.zeros(family.param_dim)] + grid), 2)
+    traces = np.trace(jet.sigma, axis1=-2, axis2=-1)
+    np.testing.assert_allclose(traces, 1.0, rtol=0.0, atol=1e-15)
+    assert np.abs(np.trace(jet.tangents, axis1=-2, axis2=-1)).max() <= 1e-15
+    assert np.abs(np.trace(jet.hessians, axis1=-2, axis2=-1)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_projected_connections_differ_from_the_flat_ones_by_a_multiple_of_rho(dim):
+    witness, grid = _state_witness_grid(dim)
+    jet = witness.family.jet(np.stack(grid), 2)
+    orders = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    flat = covariant_derivative_set(jet, orders, on_extended=True)
+    diff = covariant_derivative_set(jet, orders, on_extended=False) - flat
+    # in the eigenbasis rho is diag(λ), of trace 1, so the multiple is the trace of the difference
+    rho = np.eye(dim) * jet.spectrum.eigenvalues[:, None, None, None, :]
+    multiple = np.trace(diff, axis1=-2, axis2=-1)[..., None, None]
+    assert np.abs(diff - multiple * rho).max() <= 1e-15 * np.abs(flat).max()
+    assert np.abs(multiple).max() >= 1e-2  # the projection does move the connections
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_every_builtin_kernel_pairs_rho_with_a_state_tangent_to_zero(dim):
+    # c_aa = 1/(λa f(1)), so g_f(rho, T) = Σ_a T_aa = Tr T for every kernel with f(1) = 1
+    witness, grid = _state_witness_grid(dim)
+    for theta in grid:
+        rho, tangents = witness.family.point(theta), witness.family.tangent_matrices(theta)
+        for f in builtin_functions():
+            kernel = petz_kernel(rho, f)
+            pairings = [kernel_metric(kernel, rho, t) for t in tangents]
+            assert np.abs(pairings).max() <= 1e-15, f.name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_state_defect_equals_the_projected_connections_defect(monkeypatch, dim, seed):
+    import qiglab.duality
+
+    witness, grid = _state_witness_grid(dim, seed)
+    cases = [(f, alpha) for alpha in (-0.5, 0.0, 0.5) for f in builtin_functions()]
+    cases += [(bkm_function(), -1.0), (bkm_function(), 1.0)]
+    # every flat set is built before the projected ones take its place
+    reports = DefectGrid(witness.family, grid).defects([(f, a, 1.0, "") for f, a in cases])
+    flat = dict(zip(cases, reports))
+    build = qiglab.duality.covariant_derivative_set
+    built = []  # the orders of each projected set
+
+    def projected(jet, alphas, on_extended):
+        built.append(tuple(alphas))
+        return build(jet, alphas, on_extended=False)
+
+    monkeypatch.setattr(qiglab.duality, "covariant_derivative_set", projected)
+    for size in (0.5, 0.0, 1.0):  # a fresh grid per |alpha|: one projected set of -alpha, alpha
+        at_size = [(f, a, 1.0, "") for f, a in cases if abs(a) == size]
+        oracle = DefectGrid(witness.family, grid).defects(at_size)
+        assert built[-1] == ((-size, size) if size else (0.0,))
+        for (f, a, _, _), want in zip(at_size, oracle):
+            np.testing.assert_allclose(flat[f, a].per_triple, want.per_triple, rtol=0.0,
+                                       atol=1e-14, err_msg=f"{f.name} at alpha {a}")
+    assert len(built) == 3
+
+
+@pytest.mark.parametrize("argv, grids", [(["duality"], 4), (["uniqueness-scan"], 2)],
+                         ids=["duality", "uniqueness-scan"])
+def test_defects_build_one_flat_connection_set_per_grid_and_no_projection(
+    calls, capsys, monkeypatch, argv, grids
+):
+    import qiglab.connections
+    from qiglab.cli import main
+
+    calls.watch(qiglab.connections, "_project_in_eigenbasis")
+    build = qiglab.duality.covariant_derivative_set
+    flags = []  # on_extended of each connection call
+
+    def logged(jet, alphas, on_extended):
+        flags.append(on_extended)
+        return build(jet, alphas, on_extended)
+
+    monkeypatch.setattr(qiglab.duality, "covariant_derivative_set", logged)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert flags == [True] * grids
+    assert calls.count("_project_in_eigenbasis") == 0
+
+
+def test_duality_defect_takes_scale_and_family_name_by_keyword_only():
+    # a stale positional on_extended=True would otherwise have become the scale
+    family, grid = _bloch_grid()
+    with pytest.raises(TypeError):
+        duality_defect(family, grid, bures_function(), 0.0, True)
+    assert "on_extended" not in {f.name for f in dataclasses.fields(DualityReport)}
 
 
 def test_defect_grid_builds_each_connection_set_once(calls, capsys):
@@ -288,7 +400,7 @@ def test_defect_grid_evaluates_and_decomposes_in_two_stacked_calls(calls, points
     family = calls.watch(dataclasses.replace(witness.family), "jet")
     grid = sample_grid(witness, [4, dim], points)
     calls.eig()
-    shared = DefectGrid(family, grid, witness.on_extended)
+    shared = DefectGrid(family, grid)
     for alpha in (0.5, 0.0):
         for f in (matched_metric(alpha), bures_function()):
             shared.defect(f, alpha)
@@ -348,10 +460,10 @@ def test_defects_battery_equals_one_case_calls_bit_for_bit(dim, manifold):
                                    perturbed_wyd(0.25, 0.3, 0.6, 0.7)]
     cases = [(f, alpha, 1.0, witness.name) for alpha in (-0.5, 0.0, 0.5) for f in specs]
     cases += [(specs[1], 0.0, 3.0, witness.name)]  # a scale-3 copy of wyd(p=0.5)
-    battery = DefectGrid(witness.family, grid, witness.on_extended).defects(cases)
+    battery = DefectGrid(witness.family, grid).defects(cases)
     assert len(battery) == len(cases)
     for (f, alpha, scale, name), rep in zip(cases, battery):
-        alone = duality_defect(witness.family, grid, f, alpha, witness.on_extended, scale, name)
+        alone = duality_defect(witness.family, grid, f, alpha, scale=scale, family_name=name)
         assert _report_bits(rep) == _report_bits(alone)
 
 
@@ -434,7 +546,7 @@ def test_matched_defect_is_round_off_on_a_full_chart_at_the_eigenvalue_guard(alp
     u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     basis = [u.conj().T @ x @ u for x in hermitian_basis(3)]
     family = linear_family(np.diag([1e-6, 2e-6, 0.5]).astype(complex), basis)
-    shared = DefectGrid(family, [np.zeros(9)], on_extended=True)
+    shared = DefectGrid(family, [np.zeros(9)])
     matched = shared.defect(matched_metric(alpha), alpha).defect
     bures = shared.defect(bures_function(), alpha).defect
     assert bures >= 1e9
@@ -451,7 +563,7 @@ def test_matched_defect_is_round_off_where_two_small_eigenvalues_nearly_coincide
     u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     base = (u * np.array([1e-5, 1.005e-5, 0.8])) @ u.conj().T
     family = linear_family(0.5 * (base + base.conj().T), [0.01 * x for x in hermitian_basis(3)])
-    shared = DefectGrid(family, [np.zeros(9)], on_extended=True)
+    shared = DefectGrid(family, [np.zeros(9)])
     assert shared.defect(matched_metric(alpha), alpha).defect <= 1e-8
     assert shared.defect(bures_function(), alpha).defect >= FALSIFICATION_GAP
 
@@ -463,7 +575,7 @@ def test_matched_defect_is_round_off_on_a_curved_affine_chart(alpha):
     chart_alpha = 0.3
     family, points, _ = _potential_grid(chart_alpha, n_points=3)
     f = matched_metric(alpha)
-    rep = DefectGrid(family, points, on_extended=True).defect(f, alpha)
+    rep = DefectGrid(family, points).defect(f, alpha)
     assert rep.defect <= 1e-12
     largest = 0.0  # of g(H_ij, T_k) + g(T_j, H_ik); dropping them would fail the matched pair
     d = family.param_dim
