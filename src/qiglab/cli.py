@@ -361,7 +361,7 @@ def _run_metric_table(opt, seed):
 
 
 def _run_duality(opt, seed):
-    from .duality import DefectGrid, sample_grid, standard_witness_families
+    from .duality import DefectGrid, _defects, sample_grid, standard_witness_families
 
     tol, gap = _tol_gap(opt)
     n_points = _count(opt, "points")
@@ -376,16 +376,14 @@ def _run_duality(opt, seed):
     if opt["manifold"] not in ("state", "weight", "both"):
         raise ValueError(f"--manifold must be 'state', 'weight' or 'both', got {opt['manifold']!r}")
     pairs = _metric_pairs(opt, alphas)  # before any grid is built
-    witness_reports = []  # (witness, its reports, one per pair), dim by dim
-    for dim in dims:
-        for w in standard_witness_families(dim, opt["manifold"]):
-            grid = DefectGrid(w.family, sample_grid(w, [seed, dim], n_points))
-            reports = grid.defects([(f, alpha, 1.0, w.name) for alpha, f in pairs])
-            witness_reports.append((w, reports))
+    witnesses = [(w, dim) for dim in dims for w in standard_witness_families(dim, opt["manifold"])]
+    batteries = [(DefectGrid(w.family, sample_grid(w, [seed, dim], n_points)),
+                  [(f, alpha, 1.0, w.name) for alpha, f in pairs]) for w, dim in witnesses]
+    witness_reports = list(zip(witnesses, _defects(batteries)))  # each grid's, one per pair
     records = []
     worst = 0.0
     for p, (alpha, f) in enumerate(pairs):
-        for witness, reports in witness_reports:
+        for (witness, _), reports in witness_reports:
             rep = reports[p]
             worst = max(worst, rep.defect)
             manifold = "weight" if witness.on_extended else "state"

@@ -40,7 +40,7 @@ from .manifold import (
 )
 from .metrics import (
     MonotoneFunctionSpec,
-    _kernel_difference,
+    _kernel_tables,
     _petz_coefficients,
     _tangent_gram,
     bkm_function,
@@ -182,11 +182,8 @@ def standard_witness_families(dim: int, manifold: str = "both") -> list:
 
 def sample_grid(witness: WitnessFamily, seed, n_points: int = 3) -> list:
     """Seeded parameter grid inside the witness box."""
-    rng = rng_from(seed)
     w = witness.grid_halfwidth
-    return [
-        rng.uniform(-w, w, size=witness.family.param_dim) for _ in range(n_points)
-    ]
+    return list(rng_from(seed).uniform(-w, w, size=(n_points, witness.family.param_dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +234,8 @@ class DefectGrid:
     H - nabla^(alpha)_i T_j at every point, in the eigenbasis, is built on
     first use of an order, every order a ``defects`` call lacks, +-alpha for
     each alpha, in one covariant_derivative_set call over the whole grid.
-    None of this depends on the metric kernel, so ``defects`` builds each
-    kernel and its divided difference and contracts, over all its cases at once.
+    None of this depends on the kernel: ``_reports`` maps a battery's (c, c1)
+    kernel tables to its reports, contracting over all its cases at once.
 
     The connections are the positive cone's flat ones. On a unit-trace chart that gives the
     state-manifold defect: the projected ones differ by a multiple of rho, and f(1) = 1 gives
@@ -270,21 +267,21 @@ class DefectGrid:
 
     def defects(self, cases: Sequence[tuple]) -> list:
         """One DualityReport per (f, alpha, scale, family_name) case, bit for bit the one the
-        case gets alone. Each distinct f, which must carry ``deriv``, is called once, and the
-        kernels and contractions run once over a leading case axis."""
-        if not cases:
-            return []
+        case gets alone: the one-grid ``_defects``. Each distinct f, which must carry ``deriv``,
+        is called once, and the kernels and contractions run once over a leading case axis."""
+        return _defects([(self, cases)])[0]
+
+    def _reports(self, c: np.ndarray, c1: np.ndarray, specs: list, cases: Sequence[tuple]) -> list:
+        """One DualityReport per (f, alpha, scale, family_name) case, each f one of the K specs,
+        from their kernel tables on this grid, c (K, points, n, n) and c1 (K, points, n, n, n)."""
         fs, alphas, scales, names = zip(*cases)
         alphas = tuple(map(float, alphas))
-        specs = list(dict.fromkeys(fs))
         nabla = self._connections(alphas)
-        spectrum, t = self._jet.spectrum, self._jet.tangents
+        t = self._jet.tangents
         m, d = t.shape[:2]
-        c = _petz_coefficients(spectrum[None], specs)
-        c1 = _kernel_difference(spectrum[None], c, specs)[:, :, None, None]
         which = list(map(specs.index, fs))
         # Y_ik = sum_m c1_amb (T_i)_am (T_k)_mb, axes (case, point, i, k, a, b)
-        y = _triple_contraction(c1, self._tangent_pairs)[which]
+        y = _triple_contraction(c1[:, :, None, None], self._tangent_pairs)[which]
         c = c[which][:, :, None]
         plus = np.stack([nabla[a] for a in alphas])
         minus = np.stack([nabla[-a] for a in alphas])
@@ -326,6 +323,18 @@ def duality_defect(
     alphas on one grid, build its DefectGrid once.
     """
     return DefectGrid(family, grid).defect(f, alpha, scale, family_name)
+
+
+def _defects(batteries: Sequence[tuple]) -> list:
+    """``DefectGrid.defects(cases)`` of each (grid, cases) battery, bit for bit where the grids
+    share their f, from one kernel table of every f over all the grids, so each f must be
+    positive on each grid. With several grids, a kernel error names the grid's family_name."""
+    specs = list(dict.fromkeys(case[0] for _, cases in batteries for case in cases))
+    if not specs:
+        return [[] for _ in batteries]
+    tables = _kernel_tables([grid._jet.spectrum[None] for grid, _ in batteries], specs, True,
+                            [cases[0][3] for _, cases in batteries] if len(batteries) > 1 else ())
+    return [grid._reports(c, c1, specs, cases) for (grid, cases), (c, c1) in zip(batteries, tables)]
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +494,10 @@ def uniqueness_scan(
                  for a in (0.2, 0.3)]
         others = [bkm_function(), bures_function(), rld_function()] + bumps
         candidates = [(wyd, 1.0, True)] + [(f, 1.0, False) for f in others] + [(wyd, 3.0, True)]
+    batteries = [(DefectGrid(w.family, sample_grid(w, seed, n_points)),
+                  [(f, alpha, scale, w.name) for f, scale, _ in candidates]) for w in witnesses]
     worst = [0.0] * len(candidates)
-    for w in witnesses:
-        grid = DefectGrid(w.family, sample_grid(w, seed, n_points))
-        reports = grid.defects([(f, alpha, scale, w.name) for f, scale, _ in candidates])
+    for reports in _defects(batteries):
         worst = [max(v, rep.defect) for v, rep in zip(worst, reports)]
     entries = [
         ScanEntry(f.name if scale == 1.0 else f"{scale:g}*{f.name}", v, band(v, tol, gap),

@@ -9,6 +9,8 @@ are in ``monotonicity``.
 from __future__ import annotations
 
 import importlib
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -253,76 +255,92 @@ def petz_kernel(sigma: Union[np.ndarray, Spectrum], f: MonotoneFunctionSpec) -> 
 _Specs = Union[MonotoneFunctionSpec, Sequence[MonotoneFunctionSpec]]
 
 
-def _profile_values(fs: _Specs, x: np.ndarray, derivative: bool = False) -> np.ndarray:
-    """f(x), or f'(x) where ``derivative``, as floats: x.shape for one spec f. K specs line up
-    with the leading axis of x, of length K or 1, as a power stack does: row i takes fs[i], each
-    spec called once. A derivative needs the spec's ``deriv``."""
-    if not isinstance(fs, MonotoneFunctionSpec):
-        _check_stack(len(fs), x.shape, "kernel specs")
-        rows = x if len(x) == len(fs) else [x[0]] * len(fs)
-        return np.stack([np.broadcast_to(_profile_values(f, r, derivative), r.shape)
-                         for f, r in zip(fs, rows)])
-    if not derivative:
-        return np.asarray(fs.fn(x), dtype=float)
-    if fs.deriv is None:
-        raise ValueError(f"{fs.name}: the kernel's derivative needs f', and the spec has no deriv")
-    return np.asarray(fs.deriv(x), dtype=float)
-
-
-def _first_failing(bad: np.ndarray, fs: _Specs) -> tuple:
-    """(spec, stack label) of the first flagged matrix, of one spec f (``bad`` holds a flag per
-    matrix of the stack), or of the first spec of a sequence with one (``bad`` is (K, ...))."""
+def _profile_values(fs: _Specs, xs: Sequence[np.ndarray], derivative: bool = False) -> list:
+    """f(x), or f'(x) where ``derivative``, as floats for every array x of ``xs``: x.shape for
+    one spec f. K specs line up with the leading axis of each x, of length K or 1, as a power
+    stack does: row i takes fs[i]. Each spec is called once, on its rows of every x joined end
+    to end, or on its row of a lone x as it is. A derivative needs the spec's ``deriv``."""
     if isinstance(fs, MonotoneFunctionSpec):
-        return fs, _first_in_stack(bad)[1]
-    k = int(np.argmax(bad.reshape(len(fs), -1).any(axis=1)))
-    return fs[k], _first_in_stack(bad[k])[1]
+        return [v[0] for v in _profile_values([fs], [x[None] for x in xs], derivative)]
+    for x in xs:
+        _check_stack(len(fs), x.shape, "kernel specs")
+    shapes = [x.shape[1:] for x in xs]
+    ends = list(itertools.accumulate(map(math.prod, shapes)))
+    columns = []
+    for i, f in enumerate(fs):
+        profile = f.deriv if derivative else f.fn
+        if profile is None:
+            raise ValueError(f"{f.name}: the kernel's derivative needs f', and the spec has no "
+                             "deriv")
+        rows = [x[i if len(x) == len(fs) else 0] for x in xs]
+        joined = rows[0] if len(rows) == 1 else np.concatenate([r.ravel() for r in rows])
+        v = np.broadcast_to(np.asarray(profile(joined), dtype=float), joined.shape).reshape(-1)
+        columns.append([v[a:b].reshape(shape) for a, b, shape in zip([0] + ends, ends, shapes)])
+    return [np.stack(values) for values in zip(*columns)]
+
+
+def _reject(bad: np.ndarray, fs: _Specs, message: str, name: str) -> None:
+    """Raise ``message`` about the first spec with a flagged matrix (``bad`` is (K, ...) for K
+    specs), adding that matrix's stack label and the spectrum's ``name``, when given."""
+    if bad.any():
+        if not isinstance(fs, MonotoneFunctionSpec):
+            k = _first_in_stack(bad)[0][0]
+            fs, bad = fs[k], bad[k]
+        at = _first_in_stack(bad)[1] + (f" of {name}" if name else "")
+        raise ValueError(message.format(fs.name) + at)
+
+
+def _kernel_tables(
+    spectra: Sequence[Spectrum], fs: _Specs, difference: bool = False, names: Sequence[str] = ()
+) -> list:
+    """The Petz coefficients c_ab = 1/(λb f(λa/λb)), symmetrized, at each positive Spectrum of
+    ``spectra``, eigenvalues (..., n) with n free to differ: (..., n, n) for one spec f, as
+    ``petz_kernel`` gives them. K specs line up with each spectrum's leading axis, so
+    ``spec[None]`` gives each spec's own at every base. Each f.fn is called once, on the
+    eigenvalue ratios of every spectrum, and every table is what its spectrum gets alone.
+
+    Where ``difference``, each entry is (c, c1), c1[..., a, m, b] = (c_ab - c_mb)/(λa - λm) the
+    divided difference of c(x, y) = 1/(y f(x/y)) in x; where |λa - λm| <= CONFLUENT_RTOL *
+    max(λa, λm), a = m included, it is d1 c(x, y) = -f'(x/y) c(x, y)^2 taken as
+    -f'(mid/λb) c_ab c_mb, second-order accurate in the gap, each f.deriv called once on the
+    midpoint ratios of every spectrum. A c or c1 that is not finite, or a c not strictly
+    positive, raises, naming the first such spec, its first failing matrix by its stack index
+    within its spectrum, and that spectrum's entry of ``names``."""
+    lams = [spec.eigenvalues for spec in spectra]
+    values = _profile_values(fs, [lam[..., :, None] / lam[..., None, :] for lam in lams])
+    if difference:
+        eigen = [(lam[..., :, None, None], lam[..., None, :, None], lam[..., None, None, :])
+                 for lam in lams]
+        slopes = _profile_values(fs, [0.5 * (la + lm) / lb for la, lm, lb in eigen], True)
+    tables = []
+    for k, (lam, v) in enumerate(zip(lams, values)):
+        name = names[k] if names else ""
+        c = 1.0 / (lam[..., None, :] * v)
+        c = 0.5 * (c + c.swapaxes(-1, -2))  # symmetric up to round-off by the Petz symmetry of f
+        _reject(~(np.isfinite(c) & (c > 0.0)).all(axis=(-2, -1)), fs,
+                "kernel of {} is not strictly positive on this spectrum", name)
+        if difference:
+            (la, lm, _), ca, cm = eigen[k], c[..., :, None, :], c[..., None, :, :]
+            gap = la - lm
+            confluent = np.abs(gap) <= CONFLUENT_RTOL * np.maximum(la, lm)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                quotient = (ca - cm) / gap
+            c1 = np.where(confluent, -slopes[k] * ca * cm, quotient)
+            _reject(~np.isfinite(c1).all(axis=(-3, -2, -1)), fs,
+                    "{}: the kernel's divided difference is not finite", name)
+            c = (c, c1)
+        tables.append(c)
+    return tables
 
 
 def _petz_coefficients(spec: Spectrum, fs: _Specs) -> np.ndarray:
-    """Coefficients 1/(λb f(λa/λb)), symmetrized, at a positive Spectrum, eigenvalues (..., n):
-    (..., n, n) for one spec f, as ``petz_kernel`` gives them. K specs line up with the
-    eigenvalues' leading axis, so ``spec[None]`` gives each spec's own at every base.
-
-    Each f.fn is called once, on the eigenvalue ratios; the symmetrization and the check run
-    once over every spec. A kernel that is not finite and strictly positive raises, naming the
-    first such spec and its first failing matrix by its stack index.
-    """
-    lam = spec.eigenvalues
-    ratio = lam[..., :, None] / lam[..., None, :]
-    c = 1.0 / (lam[..., None, :] * _profile_values(fs, ratio))
-    c = 0.5 * (c + c.swapaxes(-1, -2))  # symmetric up to round-off by the Petz symmetry of f
-    bad = ~(np.isfinite(c) & (c > 0.0)).all(axis=(-2, -1))
-    if bad.any():
-        f, at = _first_failing(bad, fs)
-        raise ValueError(f"kernel of {f.name} is not strictly positive on this spectrum{at}")
-    return c
+    """The coefficients of the one-spectrum ``_kernel_tables``, (..., n, n) for one spec f."""
+    return _kernel_tables([spec], fs)[0]
 
 
-def _kernel_difference(spec: Spectrum, coefficients: np.ndarray, fs: _Specs) -> np.ndarray:
-    """c1[..., a, m, b] = (c_ab - c_mb)/(λa - λm): the first divided difference of the Petz
-    kernel c(x, y) = 1/(y f(x/y)) in its first argument, from its ``_petz_coefficients`` at
-    ``spec``, (..., n, n, n); K specs line up as in ``_petz_coefficients``.
-
-    Where |λa - λm| <= CONFLUENT_RTOL * max(λa, λm), a = m included,
-    it is the derivative at the midpoint instead: d1 c(x, y) = -f'(x/y) c(x, y)^2,
-    taken as -f'(mid/λb) c_ab c_mb, second-order accurate in the gap. Each f must
-    carry ``deriv``, called once, on the midpoint ratios; a value that is not finite raises,
-    naming the first such spec and its first failing matrix by its stack index.
-    """
-    lam = spec.eigenvalues
-    la, lm, lb = lam[..., :, None, None], lam[..., None, :, None], lam[..., None, None, :]
-    ca, cm = coefficients[..., :, None, :], coefficients[..., None, :, :]
-    gap = la - lm
-    confluent = np.abs(gap) <= CONFLUENT_RTOL * np.maximum(la, lm)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = (ca - cm) / gap
-    midpoint = -_profile_values(fs, 0.5 * (la + lm) / lb, derivative=True) * ca * cm
-    c1 = np.where(confluent, midpoint, quotient)
-    bad = ~np.isfinite(c1).all(axis=(-3, -2, -1))
-    if bad.any():
-        f, at = _first_failing(bad, fs)
-        raise ValueError(f"{f.name}: the kernel's divided difference is not finite{at}")
-    return c1
+def _kernel_difference(spec: Spectrum, fs: _Specs) -> np.ndarray:
+    """The divided differences c1 of the one-spectrum ``_kernel_tables``, (..., n, n, n)."""
+    return _kernel_tables([spec], fs, difference=True)[0][1]
 
 
 def _contract(coefficients: np.ndarray, at: np.ndarray, bt: np.ndarray):

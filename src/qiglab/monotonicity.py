@@ -19,7 +19,7 @@ from .metrics import (
     MonotoneFunctionSpec,
     _contract,
     _mixture_of,
-    _petz_coefficients,
+    _kernel_tables,
     builtin_functions,
 )
 from .sampling import _ones, _states, _traceless_hermitians, rng_from
@@ -179,7 +179,7 @@ def monotonicity_check(
         point[None],
         mixture[None],
     )
-    lhs, rhs = (float(v[0, 0]) for v in trial.lengths([f]))
+    lhs, rhs = (float(v[0, 0]) for v in _lengths([trial], [f])[0])
     if trial.inconclusive[0]:
         return MonotonicityReport(lhs, rhs, float("nan"), True, True)
     return MonotonicityReport(lhs, rhs, rhs - lhs, bool(trial.regularized[0]), False)
@@ -202,18 +202,19 @@ class _ContractionTrials:
     regularized: np.ndarray
     inconclusive: np.ndarray
 
-    def lengths(self, fs: Sequence[MonotoneFunctionSpec]) -> tuple:
-        """(lhs, rhs) of every trial under each of the K specs ``fs``, (K, m) each, from one
-        kernel stack per side; row k is what spec k gives alone.
 
-        lhs is nan where the trial is inconclusive.
-        """
-        rhs = _contract(_petz_coefficients(self.state[None], fs), self.mixture, self.mixture)
+def _lengths(stacks: Sequence[_ContractionTrials], fs: Sequence[MonotoneFunctionSpec]) -> list:
+    """(lhs, rhs) of every trial of each stack under each of the K specs ``fs``, (K, m) each,
+    from one kernel table over the states and outputs of every stack; row k is what spec k
+    gives alone, and lhs is nan where the trial is inconclusive."""
+    tables = _kernel_tables([s for t in stacks for s in (t.state[None], t.output[None])], fs)
+    out = []
+    for t, state, output in zip(stacks, tables[::2], tables[1::2]):
+        rhs = _contract(state, t.mixture, t.mixture)
         lhs = np.full(rhs.shape, np.nan)
-        lhs[:, ~self.inconclusive] = _contract(
-            _petz_coefficients(self.output[None], fs), self.out_dir, self.out_dir
-        )
-        return lhs, rhs
+        lhs[:, ~t.inconclusive] = _contract(output, t.out_dir, t.out_dir)
+        out.append((lhs, rhs))
+    return out
 
 
 def _contraction_trials(
@@ -321,8 +322,7 @@ def monotonicity_scan(seed=0, trials: int = 1000) -> list:
     depolarizing = conclusive & (np.array(kinds, dtype=int) == 0)
     kernels = _scan_kernels()
     margins = np.empty((len(kernels), trials))
-    for index, stack in stacks:
-        lhs, rhs = stack.lengths(kernels)
+    for (index, _), (lhs, rhs) in zip(stacks, _lengths([stack for _, stack in stacks], kernels)):
         margins[:, index] = rhs - lhs
     rows = []
     for f, margin in zip(kernels, margins):

@@ -1,4 +1,8 @@
+import collections
 import dataclasses
+import json
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from qiglab.connections import covariant_derivative_set
 from qiglab.duality import (
     DefectGrid,
     DualityReport,
+    WitnessFamily,
     classical_reduction_check,
     convexity_failure_check,
     duality_defect,
@@ -509,6 +514,98 @@ def test_defects_of_an_empty_battery_is_empty():
     assert DefectGrid(family, grid).defects([]) == []
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_a_battery_over_several_grids_equals_one_defects_call_per_grid(seed):
+    # one kernel table for grids of n = 2 and 3 gives each grid the reports its own call gives
+    from qiglab.duality import _defects
+
+    witnesses = [(dim, w) for dim in (2, 3) for w in standard_witness_families(dim)]
+    specs = builtin_functions() + [perturbed_wyd(0.75, 0.2, 0.9, 0.4),
+                                   perturbed_wyd(0.25, 0.3, 0.6, 0.7)]
+    batteries = []
+    for dim, w in witnesses:
+        cases = [(f, alpha, 1.0, w.name) for alpha in (-0.5, 0.0, 0.5) for f in specs]
+        cases += [(specs[1], 0.0, 3.0, w.name)]  # a scale-3 copy of wyd(p=0.5)
+        batteries.append((w, sample_grid(w, [seed, dim], 3), cases))
+    shared = _defects([(DefectGrid(w.family, grid), cases) for w, grid, cases in batteries])
+    assert [len(reports) for reports in shared] == [len(cases) for _, _, cases in batteries]
+    for (w, grid, cases), reports in zip(batteries, shared):
+        alone = DefectGrid(w.family, grid).defects(cases)
+        assert list(map(_report_bits, reports)) == list(map(_report_bits, alone))
+
+
+def _cut_rld(part: str):
+    """RLD with f = -1, or f' = NaN, past 1.87: of the largest eigenvalue ratios of the
+    _RADII_GRID points (1.86 at most) and of the qutrit-weight grid of seed [1, 3] (1.42, 1.88
+    and 1.60), only that grid's second point passes it, in f and in the confluent f'."""
+    rld = rld_function()
+    cut = {"fn": -1.0, "deriv": np.nan}[part]
+    profile = getattr(rld, part)
+    return dataclasses.replace(
+        rld, name="rld-cut", **{part: lambda x: np.where(np.asarray(x) > 1.87, cut, profile(x))}
+    )
+
+
+@pytest.mark.parametrize("part, message", [
+    ("fn", "kernel of rld-cut is not strictly positive on this spectrum"),
+    ("deriv", "rld-cut: the kernel's divided difference is not finite"),
+])
+def test_a_battery_over_several_grids_names_the_grid_whose_kernel_fails(part, message):
+    # the stack index is the point's within its grid (1), not within the joined ratios (4)
+    from qiglab.duality import _defects
+
+    cut = _cut_rld(part)
+    qutrit = standard_witness_families(3, "weight")[0]
+    grids = [("qubit-bloch", DefectGrid(qubit_bloch_family(), _RADII_GRID)),
+             ("qutrit-weight", DefectGrid(qutrit.family, sample_grid(qutrit, [1, 3], 3)))]
+    batteries = [(grid, [(f, 0.5, 1.0, name) for f in (bures_function(), cut)])
+                 for name, grid in grids]
+    assert len(batteries[0][0].defects(batteries[0][1])) == 2  # the first grid alone passes
+    with pytest.raises(ValueError, match=f"^{message} at stack index 1$"):
+        batteries[1][0].defects(batteries[1][1])  # alone, the second names no grid
+    with pytest.raises(ValueError, match=f"^{message} at stack index 1 of qutrit-weight$"):
+        _defects(batteries)
+
+
+def _count_profile_calls(monkeypatch) -> collections.Counter:
+    """Counts, by (spec name, "fn" or "deriv"), the profile calls that the kernel code makes
+    (those from ``metrics._profile_values``) on every spec built until the test ends. A spec's
+    validation, and a bump profile's calls of its base profile, are not counted."""
+    counts = collections.Counter()
+    init = MonotoneFunctionSpec.__init__
+
+    def counted(profile, key):
+        def call(x):
+            if sys._getframe(1).f_code.co_name == "_profile_values":
+                counts[key] += 1
+            return profile(x)
+
+        return None if profile is None else call
+
+    def counting_init(self, name, fn, claimed_monotone=True, deriv=None):
+        init(self, name, counted(fn, (name, "fn")), claimed_monotone,
+             counted(deriv, (name, "deriv")))
+
+    monkeypatch.setattr(MonotoneFunctionSpec, "__init__", counting_init)
+    return counts
+
+
+@pytest.mark.parametrize("command, kernels", [("duality", 3), ("uniqueness-scan", 6)])
+def test_a_default_run_calls_each_kernel_profile_and_derivative_once(
+    capsys, monkeypatch, command, kernels
+):
+    # one kernel table for all the run's grids, 4 in duality (2 dims x 2 manifolds) and 2 in
+    # uniqueness-scan (the state charts), so each spec is called once, not once per grid
+    from qiglab.cli import main
+
+    counts = _count_profile_calls(monkeypatch)
+    assert main([command]) == 0
+    capsys.readouterr()
+    names = {name for name, _ in counts}
+    assert len(names) == kernels
+    assert counts == {(name, part): 1 for name in names for part in ("fn", "deriv")}
+
+
 @pytest.mark.parametrize("build", [qubit_bloch_family, qutrit_state_family, qubit_weight_family,
                                    qutrit_weight_family])
 def test_witness_charts_are_built_once_and_sealed(build):
@@ -614,6 +711,27 @@ def test_sample_grid_is_seeded_and_bounded():
     for pa, pb in zip(a, b):
         np.testing.assert_array_equal(pa, pb)
         assert np.abs(pa).max() <= witness.grid_halfwidth + 1e-12
+
+
+@pytest.mark.parametrize("halfwidth, dim, points", [(0.35, 3, 3), (0.4, 4, 3), (0.5, 8, 5)])
+def test_sample_grid_draws_the_numbers_of_one_uniform_call_per_point(
+    monkeypatch, halfwidth, dim, points
+):
+    # one (points, dim) draw is the per-point draws, bit for bit, and leaves the generator
+    # where they leave it
+    import qiglab.duality
+
+    made = []
+    monkeypatch.setattr(qiglab.duality, "rng_from", lambda seed: made.append(rng_from(seed))
+                        or made[-1])
+    witness = WitnessFamily("box", types.SimpleNamespace(param_dim=dim), halfwidth, False)
+    for seed in range(200):
+        grid = sample_grid(witness, seed, points)
+        rng = rng_from(seed)
+        per_point = [rng.uniform(-halfwidth, halfwidth, size=dim) for _ in range(points)]
+        assert len(grid) == points
+        assert np.stack(grid).tobytes() == np.stack(per_point).tobytes()
+        assert made[-1].bit_generator.state == rng.bit_generator.state
 
 
 # --------------------------------------------------------- transport duality
@@ -817,14 +935,16 @@ def test_band_fails_nan():
 def test_uniqueness_scan_rejects_a_kernel_derivative_that_is_not_finite():
     # f'(x) = (x log x - x + 1)/(x log^2 x), the BKM derivative with its removable 0/0 at
     # x = 1 unguarded: the scan took max(0.0, nan) = 0.0 and read the spec as dual, with
-    # defect 0.0 and status "pass"
+    # defect 0.0 and status "pass". The scan's two grids share one kernel table, so the
+    # error names the grid as well as the point
     def deriv(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(all="ignore"):
             return (x * np.log(x) - x + 1.0) / (x * np.log(x) ** 2)
 
     spec = MonotoneFunctionSpec("bkm-unguarded", bkm_function().fn, deriv=deriv)
-    with pytest.raises(ValueError, match=r"^bkm-unguarded: .* not finite at stack index 0$"):
+    with pytest.raises(ValueError, match=r"^bkm-unguarded: .* not finite at stack index 0 "
+                                         r"of qubit-bloch$"):
         uniqueness_scan(0.5, n_points=1, candidates=[(spec, 1.0, False)])
 
 
@@ -962,7 +1082,7 @@ def test_monotonicity_scan_decomposes_each_trial_once(calls):
     calls.eig()
     calls.watch(np.linalg, "qr")
     calls.watch(qiglab.monotonicity, "apply_channel")
-    calls.watch(qiglab.monotonicity, "_petz_coefficients")
+    calls.watch(qiglab.monotonicity, "_kernel_tables")
     trials = 40
     monotonicity_scan(seed=0, trials=trials)
     # trials are stacked per (input, output) dimension: (2, 2), (3, 3) and (4, 2)
@@ -974,9 +1094,21 @@ def test_monotonicity_scan_decomposes_each_trial_once(calls):
     assert 0 < calls.count("qr") <= 2 * groups
     # one call per channel group for the states and their directions, not per trial
     assert 0 < calls.count("apply_channel") <= channel_groups
-    # one stack of every kernel per group for the states and one for the outputs, not one
-    # per kernel or per trial
-    assert 0 < calls.count("_petz_coefficients") <= 2 * groups
+    # one table of every kernel for the states and the outputs of every group, not one per
+    # group, kernel or trial
+    assert calls.count("_kernel_tables") == 1
+
+
+def test_monotonicity_scan_calls_each_kernel_profile_once(monkeypatch):
+    # the states and outputs of all three dimension groups share one kernel table, so each
+    # kernel is called once, not once per group and side
+    import qiglab.monotonicity
+
+    counts = _count_profile_calls(monkeypatch)
+    kernels = tuple(builtin_functions(wyd_exponents=(0.2, 0.5, 0.8)))
+    monkeypatch.setattr(qiglab.monotonicity, "_scan_kernels", lambda: kernels)
+    monotonicity_scan(seed=0, trials=40)
+    assert counts == {(f.name, "fn"): 1 for f in kernels}
 
 
 def _monotonicity_scan_reference(seed, trials):
@@ -1033,7 +1165,8 @@ def _monotonicity_scan_reference(seed, trials):
     + [pytest.param(3, 200, id="3-200"), pytest.param(4, 1000, id="4-1000")],
 )
 def test_monotonicity_scan_equals_per_trial_checks(seed, trials):
-    assert monotonicity_scan(seed=seed, trials=trials) == _monotonicity_scan_reference(seed, trials)
+    got = monotonicity_scan(seed=seed, trials=trials)
+    assert json.dumps(got) == json.dumps(_monotonicity_scan_reference(seed, trials))
 
 
 class _CountingGenerator:

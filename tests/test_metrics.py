@@ -136,11 +136,11 @@ def test_kernel_difference_that_is_not_finite_names_the_first_failing_matrix():
     )
     unitary = np.eye(2, dtype=complex)
     first = petz_kernel(Spectrum(np.array([0.5, 0.5]), unitary), spec)
-    assert np.isfinite(_kernel_difference(first.spectrum, first.coefficients, spec)).all()
+    assert np.isfinite(_kernel_difference(first.spectrum, spec)).all()
     lam = np.array([[0.5, 0.5], [0.05, 0.95]])
     kernel = petz_kernel(Spectrum(lam, np.stack([unitary, unitary])), spec)
     with pytest.raises(ValueError, match=r"^bkm-cut: .* not finite at stack index 1$"):
-        _kernel_difference(kernel.spectrum, kernel.coefficients, spec)
+        _kernel_difference(kernel.spectrum, spec)
 
 
 @pytest.mark.parametrize("name", ["wyd(p=0.25)", "bkm"])
@@ -155,7 +155,7 @@ def test_kernel_difference_matches_mpmath_across_the_confluent_switch(name, gap)
     spec, mp_f = PROFILES[name]
     lam = np.array([0.3, 0.3 * (1.0 + gap), 2e-4])
     kernel = petz_kernel(Spectrum(lam, np.eye(3, dtype=complex)), spec)
-    got = _kernel_difference(kernel.spectrum, kernel.coefficients, spec)
+    got = _kernel_difference(kernel.spectrum, spec)
 
     def c(x, z):
         return 1 / (z * mp_f(mp, x / z)) if x != z else 1 / z
