@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,6 +33,7 @@ from .manifold import simplex_family, state_tangent
 from .metrics import bkm_function, bures_function, matched_metric, rld_function, wyd_function
 from .sampling import (
     _random_weights,
+    _simplex,
     _states_with_tangents,
     hermitian_basis,
     pauli_matrices,
@@ -55,15 +57,22 @@ def _format_float(x) -> str:
     return "%.17g" % f
 
 
+@functools.cache
+def _json_key(k) -> str:
+    """The escaped key text of json.dumps(str(k)), made once per key."""
+    return encode_basestring_ascii(str(k))
+
+
 def _json_value(v) -> str:
+    # floats and strings, most of every record, first; no bool or int is either
+    if isinstance(v, (float, np.floating)):
+        return _format_float(v)
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)  # the text of json.dumps(v)
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _format_float(v)
-    if isinstance(v, str):
-        return json.dumps(v)
     if v is None:
         return "null"
     if isinstance(v, np.ndarray):
@@ -71,7 +80,7 @@ def _json_value(v) -> str:
     if isinstance(v, (list, tuple)):
         return "[" + ",".join(_json_value(x) for x in v) + "]"
     if isinstance(v, dict):
-        return "{" + ",".join(f"{json.dumps(str(k))}:{_json_value(x)}" for k, x in v.items()) + "}"
+        return "{" + ",".join(f"{_json_key(k)}:{_json_value(x)}" for k, x in v.items()) + "}"
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
@@ -91,7 +100,7 @@ def _csv_cell(v) -> str:
 def _render(records, fmt: str, columns) -> str:
     if fmt == "jsonl":
         return "\n".join("{" + ",".join(
-            f"{json.dumps(str(k))}:{_json_value(v)}" for k, v in rec.items()
+            f"{_json_key(k)}:{_json_value(v)}" for k, v in rec.items()
         ) + "}" for rec in records) + "\n"
     import csv
 
@@ -539,7 +548,7 @@ def _run_convexity_failure(opt, seed):
 
     rng = rng_from([seed, 3])
     fam = simplex_family(3)
-    grid = [rng.dirichlet(np.ones(3))[:2] * 0.6 + 0.4 / 3 for _ in range(3)]
+    grid = _simplex(rng.standard_exponential((3, 3)))[:, :2] * 0.6 + 0.4 / 3
     value = convexity_failure_check(alpha, fam, grid, family_name="simplex-3").max_difference
     records.append(
         _case(_at_most(value, 1e-8), check="diagonal_family_identity", alpha=alpha, value=value)

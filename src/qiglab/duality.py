@@ -54,6 +54,7 @@ from .metrics import (
 )
 from .sampling import (
     _random_weights,
+    _simplex,
     hermitian_basis,
     pauli_matrices,
     random_state,
@@ -617,7 +618,7 @@ def classical_reduction_check(seed=0) -> dict:
     """
     dim = 3
     rng = rng_from(seed)
-    p = np.stack([rng.dirichlet(np.ones(dim)) * 0.6 + 0.4 / dim for _ in range(3)])  # interior
+    p = _simplex(rng.standard_exponential((3, dim))) * 0.6 + 0.4 / dim  # interior
     jet = simplex_family(dim).jet(p[:, :-1], 1)
     spec = check_state(jet.spectrum)
     tangents = _standard_basis(jet.spectrum, jet.tangents)  # (point, i, n, n)

@@ -22,7 +22,7 @@ from .metrics import (
     _kernel_tables,
     builtin_functions,
 )
-from .sampling import _ones, _states, _traceless_hermitians, rng_from
+from .sampling import _simplex, _states, _traceless_hermitians, rng_from
 
 __all__ = [
     "KrausChannel",
@@ -120,14 +120,15 @@ def depolarizing_channel(n: int, t: Union[float, np.ndarray]) -> KrausChannel:
     return KrausChannel((lead * w[0],) + tuple(amp * u for u in w[1:]))
 
 
+@functools.cache
 def partial_trace_channel(dim_keep: int, dim_drop: int) -> KrausChannel:
-    """Trace out the second tensor factor of dim_keep * dim_drop; Kraus ops are isometry slices."""
-    ops = []
-    for k in range(dim_drop):
-        bra = np.zeros((1, dim_drop), dtype=complex)
-        bra[0, k] = 1.0
-        ops.append(np.kron(np.eye(dim_keep, dtype=complex), bra))
-    return KrausChannel(tuple(ops))
+    """Trace out the second tensor factor of dim_keep * dim_drop; Kraus ops are isometry slices.
+    Built and checked on first use per (dim_keep, dim_drop) and shared read-only."""
+    bras = np.eye(dim_drop, dtype=complex)[:, None]  # (dim_drop, 1, dim_drop)
+    channel = KrausChannel(tuple(np.kron(np.eye(dim_keep, dtype=complex), bra) for bra in bras))
+    for op in channel.kraus_ops:
+        op.setflags(write=False)
+    return channel
 
 
 def _stinespring_channels(re: np.ndarray, im: np.ndarray) -> KrausChannel:
@@ -270,15 +271,14 @@ def monotonicity_scan(seed=0, trials: int = 1000) -> list:
     """
     rng = rng_from(seed)
     # draw: each trial makes the rng calls of random_state, random_traceless_hermitian and its
-    # channel builder, in that order; the linear algebra waits for the build. The normals of
-    # the state, the tangent and a Stinespring isometry follow one another, so one
-    # standard_normal call draws them, the same numbers in the same order
+    # channel builder, in that order; the linear algebra waits for the build. The simplex draw
+    # stays raw, and the normals of the state, the tangent and a Stinespring isometry follow
+    # one another, so one standard_normal call draws them, the same numbers in the same order
     kinds, groups = [], {}
     for t in range(trials):
         kind = int(rng.integers(0, 3))
         n = int(rng.integers(2, 4)) if kind < 2 else 4
-        floor = 0.05 if kind == 2 else 0.1
-        weights = rng.dirichlet(_ones(n))
+        draws = rng.standard_exponential(n)
         normals = rng.standard_normal((4 + 2 * n if kind == 1 else 4, n, n))
         if kind == 0:
             param = float(rng.uniform(0.05, 0.95))
@@ -288,18 +288,18 @@ def monotonicity_scan(seed=0, trials: int = 1000) -> list:
             param = None
         kinds.append(kind)
         dims = (n, 2 if kind == 2 else n)
-        groups.setdefault(dims, []).append((t, kind, floor, weights, normals[:4], param))
+        groups.setdefault(dims, []).append((t, kind, draws, normals[:4], param))
     # build: one stacked call per layer and (input, output)-dimension group, one channel stack
     # per kind; states, outputs and rotated directions do not depend on the kernel, so one
     # stacked decomposition per group serves every kernel
-    partial_trace = partial_trace_channel(2, 2)
     stacks = []
     for group in groups.values():
-        index, kind, floor, weights, normals, params = zip(*group)
+        index, kind, draws, normals, params = zip(*group)
         kind = np.array(kind)
-        n = len(weights[0])
+        n = len(draws[0])
         normals = np.stack(normals)  # per trial: the state's (re, im), then the tangent's
-        rho = _states(np.stack(weights), np.array(floor)[:, None], normals[:, 0], normals[:, 1])
+        floor = np.where(kind == 2, 0.05, 0.1)[:, None]  # partial-trace states keep 0.05
+        rho = _states(_simplex(np.stack(draws)), floor, normals[:, 0], normals[:, 1])
         channels = []
         for k in sorted(set(kind.tolist())):  # the group's kinds in ascending order
             members = np.flatnonzero(kind == k)
@@ -309,7 +309,7 @@ def monotonicity_scan(seed=0, trials: int = 1000) -> list:
             elif k == 1:
                 channel = _stinespring_channels(*np.stack(drawn, axis=1))
             else:
-                channel = partial_trace
+                channel = partial_trace_channel(2, 2)
             channels.append((channel, members))
         a = _traceless_hermitians(normals[:, 2], normals[:, 3])
         stacks.append((np.array(index), _contraction_trials(channels, check_state(rho), rho, a)))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .linalg import _dagger, hermitize
@@ -67,12 +65,13 @@ def _ginibre_draws(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal((2, n, n))
 
 
-@functools.cache
-def _ones(n: int) -> np.ndarray:
-    """The flat Dirichlet concentration of a simplex draw in n dimensions, shared read-only."""
-    ones = np.ones(n)
-    ones.setflags(write=False)
-    return ones
+def _simplex(draws: np.ndarray) -> np.ndarray:
+    """Raw standard_exponential rows (..., n), each times the reciprocal of its left-to-right
+    sum, as numpy's dirichlet does: the bits of rng.dirichlet(np.ones(n)) on that stream."""
+    acc = draws[..., 0]
+    for j in range(1, draws.shape[-1]):
+        acc = acc + draws[..., j]
+    return draws * (1.0 / acc)[..., None]
 
 
 def _check_floor(n: int, floor: float) -> None:
@@ -91,16 +90,16 @@ def _states_with_tangents(rngs, n: int, floor: float, tangents: int) -> tuple:
     ``tangents`` random_traceless_hermitian(rng, n), in that rng order, each kind built in one
     stacked call: states (k, n, n) and tangents (k, tangents, n, n).
 
-    A sample's normals follow its Dirichlet draw on one generator, so one
+    A sample's normals follow its simplex draw on one generator, so one
     ``standard_normal((1 + tangents, 2, n, n))`` call draws them all, the same
     numbers in the same order."""
     _check_floor(n, floor)
-    weights, normals = [], []
+    draws, normals = [], []
     for rng in rngs:
-        weights.append(rng.dirichlet(_ones(n)))
+        draws.append(rng.standard_exponential(n))
         normals.append(rng.standard_normal((1 + tangents, 2, n, n)))
-    weights, normals = np.stack(weights), np.stack(normals)
-    states = _states(weights, floor, normals[:, 0, 0], normals[:, 0, 1])
+    normals = np.stack(normals)
+    states = _states(_simplex(np.stack(draws)), floor, normals[:, 0, 0], normals[:, 0, 1])
     return states, _traceless_hermitians(normals[:, 1:, 0], normals[:, 1:, 1])
 
 
@@ -132,8 +131,7 @@ def random_state(rng: np.random.Generator, n: int, floor: float = 0.05) -> np.nd
     point so the floor holds, conjugated by a Haar unitary.
     """
     _check_floor(n, floor)
-    weights = rng.dirichlet(_ones(n))
-    return _states(weights, floor, *_ginibre_draws(rng, n))
+    return _states(_simplex(rng.standard_exponential(n)), floor, *_ginibre_draws(rng, n))
 
 
 def random_weight(

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -17,6 +18,7 @@ from qiglab.cli import (
     _COMMANDS,
     _build_parser,
     _format_float,
+    _render,
     main,
 )
 from qiglab.manifold import ParametrizedFamily
@@ -136,6 +138,26 @@ def test_format_float_round_trips(x):
 def test_format_float_non_finite_is_quoted():
     assert json.loads(_format_float(float("nan"))) == "nan"
     assert json.loads(_format_float(float("inf"))) == "inf"
+
+
+def test_jsonl_text_of_every_value_kind_is_pinned():
+    # floats and strings take a direct path and keys are escaped once; the text is what the
+    # one generic chain wrote, non-finite literals, numpy scalars and escapes included
+    record = {
+        "record": "case", "\u00fcn\u00ef": 'tab\there "q" \u00e9', "nan": float("nan"),
+        "inf": np.float64("inf"), "-inf": -np.inf, "f32": np.float32(0.1), "f": 0.1,
+        "neg0": -0.0, "b": True, "nb": np.bool_(False), "i": 3, "ni": np.int64(-7),
+        "none": None, "arr": np.array([1.5, np.nan]), "list": [1, "x", (2.0, None)],
+        "dict": {"k": np.float64(2.5), 3: "v"},
+    }
+    text = _render([record, {"record": "summary", "wall_clock_s": 0.25}], "jsonl", None)
+    assert text == (
+        '{"record":"case","\\u00fcn\\u00ef":"tab\\there \\"q\\" \\u00e9","nan":"nan",'
+        '"inf":"inf","-inf":"-inf","f32":0.10000000149011612,"f":0.10000000000000001,'
+        '"neg0":-0,"b":true,"nb":false,"i":3,"ni":-7,"none":null,"arr":[1.5,"nan"],'
+        '"list":[1,"x",[2,null]],"dict":{"k":2.5,"3":"v"}}\n'
+        '{"record":"summary","wall_clock_s":0.25}\n'
+    )
 
 
 # ------------------------------------------------------------- JSONL output
@@ -825,6 +847,23 @@ def test_runs_are_deterministic_up_to_wall_clock(capsys):
     _, second = _run(capsys, FAST_DUALITY)
     assert WALL_CLOCK.sub("", first) == WALL_CLOCK.sub("", second)
     assert WALL_CLOCK.search(first) is not None
+
+
+# sha256 of `qiglab monotonicity --trials 200` stdout with wall_clock_s zeroed, recorded when
+# each trial still drew its weights with rng.dirichlet, so the pin rests on no sampler here
+MONOTONICITY_200_SHA256 = {
+    0: "1247a5027b7769eefd5c2a4678bf9c3bafb0ec283b6ec6860d49982cf05db756",
+    11: "f879f8678703d81370c69d3a9b448042ee1074555599b90dea94a8c684e6d943",
+    12345: "3ff2be2596125d2b6367382335acb582c59f8ebf2ee670de4431e467d35b7038",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MONOTONICITY_200_SHA256))
+def test_monotonicity_scan_output_bytes_are_pinned(capsys, seed):
+    code, out = _run(capsys, ["monotonicity", "--trials", "200", "--seed", str(seed)])
+    assert code == 0
+    digest = hashlib.sha256(WALL_CLOCK.sub('"wall_clock_s":0', out).encode()).hexdigest()
+    assert digest == MONOTONICITY_200_SHA256[seed]
 
 
 def test_readme_example_is_current(capsys):

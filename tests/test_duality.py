@@ -1187,8 +1187,9 @@ class _CountingGenerator:
 
 def test_monotonicity_scan_draws_each_trials_normals_in_one_call(monkeypatch):
     # a trial's normals (state, tangent and any Stinespring isometry) follow one another, so
-    # one standard_normal call draws them; integers, dirichlet and uniform keep their calls,
-    # since fusing them would change the stream. Drawn one matrix at a time, seed 0 made 942
+    # one standard_normal call draws them; its simplex draw is one raw standard_exponential
+    # call, the stream of dirichlet at a flat concentration, and no trial calls dirichlet;
+    # integers and uniform keep their calls. Drawn one matrix at a time, seed 0 made 942
     # standard_normal calls, 1541 generator calls in all
     import collections
 
@@ -1199,8 +1200,9 @@ def test_monotonicity_scan_draws_each_trials_normals_in_one_call(monkeypatch):
                         lambda seed: _CountingGenerator(rng_from(seed), counts))
     trials = 200
     monotonicity_scan(seed=0, trials=trials)
-    assert counts == {"integers": 335, "dirichlet": trials, "standard_normal": trials,
+    assert counts == {"integers": 335, "standard_exponential": trials, "standard_normal": trials,
                       "uniform": 64}
+    assert sum(counts.values()) == 799
 
 
 def test_classical_reduction_check_values():

@@ -3,6 +3,7 @@ import pytest
 
 from qiglab.sampling import (
     _random_weights,
+    _simplex,
     _states,
     _states_with_tangents,
     _traceless_hermitians,
@@ -115,3 +116,23 @@ def test_one_matrix_samplers_keep_the_stream_of_one_normal_matrix_per_call(n):
     g_re, g_im, a_re, a_im = (raw.standard_normal((n, n)) for _ in range(4))
     np.testing.assert_array_equal(state, _states(weights, 0.05, g_re, g_im))
     np.testing.assert_array_equal(tangent, _traceless_hermitians(a_re, a_im))
+
+
+def _after(rng):
+    """The next draws of a generator, which tell its state."""
+    return rng.standard_normal(), int(rng.integers(0, 3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_simplex_of_raw_exponentials_is_the_flat_dirichlet_draw_bit_for_bit(n):
+    # numpy's dirichlet at a flat concentration draws n standard exponentials, sums them left
+    # to right and scales each by the reciprocal: one row and a stack of rows, each from one
+    # standard_exponential call, give its bits and leave the generator where it leaves it
+    for seed in range(200):
+        want = rng_from(seed)
+        one = want.dirichlet(np.ones(n))
+        stacked = np.stack([want.dirichlet(np.ones(n)) for _ in range(3)])
+        got = rng_from(seed)
+        assert _simplex(got.standard_exponential(n)).tobytes() == one.tobytes()
+        assert _simplex(got.standard_exponential((3, n))).tobytes() == stacked.tobytes()
+        assert _after(got) == _after(want)

@@ -132,3 +132,12 @@ def test_stacked_depolarizing_weight_outside_the_unit_interval_names_the_stack_i
 def test_apply_channel_rejects_a_stack_of_the_wrong_dimension():
     with pytest.raises(ValueError, match="input dim 3"):
         apply_channel(depolarizing_channel(3, np.full(2, 0.5)), np.zeros((2, 2, 2)))
+
+
+def test_partial_trace_channel_is_built_once_and_shared_read_only():
+    channel = partial_trace_channel(2, 2)
+    assert partial_trace_channel(2, 2) is channel
+    for op in channel.kraus_ops:
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 0] = 2.0
+    assert_array_equal(apply_channel(channel, np.eye(4) / 4), np.eye(2) / 2)
