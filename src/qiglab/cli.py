@@ -434,6 +434,8 @@ def _run_potential(opt, seed):
     points_option = _count(opt, "points", floor=0)  # 0 picks the size per dim
     dims = _list(opt, "dim", int, floor=1)
     alphas = _alphas(opt)
+    if -1.0 in alphas:  # the trace potential 2/(1+alpha) Tr sigma is not defined there
+        raise ValueError("--alpha must lie in (-1, 1], got -1.0")
     sizes = {}
     for dim in dims:  # every grid size is checked before any work
         d = dim * dim

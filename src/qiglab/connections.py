@@ -10,23 +10,22 @@ path dependent.
 
 Covariant derivatives are built in the eigenbasis of their base point, where
 every step is entrywise (Amari-Nagaoka, Methods of Information Geometry,
-ch. 7). With eigenvalues λ, eigenbasis chart tangents E = T_i, F = T_j and
-f the embedding profile of order alpha:
+ch. 7). With eigenvalues λ, eigenbasis chart tangents E = T_i, F = T_j, the
+chart Hessian H = d_i d_j sigma in that basis and f the order-alpha profile:
 
-- second partial: S_ab = Σ_k f[λa, λk, λb] (E_ak F_kb + F_ak E_kb) + f[λa, λb] H_ab,
-  with H the chart Hessian d_i d_j sigma in the eigenbasis;
-- sphere projection: S - (Σ_a λa^((1+alpha)/2) S_aa) diag(λ^((1-alpha)/2));
-- mixture form: divide entrywise by f[λa, λb].
+- second partial: S_ab = Σ_k f[λa, λk, λb] (E_ak F_kb + F_ak E_kb) + f[λa, λb] H_ab;
+- flat set, in mixture form: M = S / f[λa, λb] entrywise;
+- on the unit-trace manifold: M - Tr(M) rho, which is the sphere projection
+  S - Tr(rho^((1+alpha)/2) S) rho^((1-alpha)/2) in mixture form for every alpha
+  in [-1, 1], as f[λa, λa] = λa^(-(1+alpha)/2).
 
-The tangent products do not depend on alpha. The orders of a call are one
-profile stack (``embedding_function`` of the sequence: one power stack, with
-alpha = 1 (log) and alpha = -1 (identity) as members of their own), and the
-sphere projection's powers are one stack too. A stack lines up with the
-jet's leading axis, so ``covariant_derivative_set`` takes every order at
-every point as the jet ``jet[None]``. A call of any number of orders makes
-one divided-difference matrix, one triple tensor, one contraction and one
-projection over (order, point, pair), and with the chart's order-2 jet (one
-chart call, already in the eigenbasis) every point and pair is in that step.
+Tr M = Tr H - ((1+alpha)/2) g_alpha(T_i, T_j), with g_alpha the matched WYD
+metric (BKM at alpha = ±1), is the normal part. The orders of a call are one
+profile stack (``embedding_function``) lined up with the jet's leading axis,
+so ``covariant_derivative_set`` takes every order at every point as the jet
+``jet[None]``, in one divided-difference matrix, one triple tensor and one
+contraction over (order, point, pair): ``manifold._function_jet``, the
+order-2 step that the chart jets take too.
 """
 
 from __future__ import annotations
@@ -36,20 +35,13 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import (
-    _tangent_products,
-    _triple_contraction,
-    _triple_difference_tensor,
-    divided_difference_matrix,
-    frechet_derivative,
-    hermitize,
-)
+from .linalg import frechet_derivative, hermitize
 from .manifold import (
     ChartJet,
     ParametrizedFamily,
     TangentVector,
-    _project_in_eigenbasis,
-    _pairs,
+    _check_base,
+    _function_jet,
     _project_with,
     _sphere_powers,
     _standard_basis,
@@ -106,15 +98,10 @@ def ext_covariant_derivative(
 
     The plain second partial of the embedded chart, converted back to the
     mixture representation at the base point. Vanishes identically in
-    coordinates that make the embedding affine. Entry (i, j) of
-    ``covariant_derivative_set``; an index outside [0, param_dim) raises.
+    coordinates that make the embedding affine. Entry (i, j) of the set at
+    one point; a stack of theta or an index outside [0, param_dim) raises.
     """
-    family._check_directions(i, j)
-    jet = family.jet(theta, 2)
-    mixture = covariant_derivative_set(jet, [alpha], True)[0, i, j]
-    return CovariantDerivativeResult(
-        jet.sigma, weight_tangent(jet.sigma, _standard_basis(jet.spectrum, mixture))
-    )
+    return _one_derivative(family, theta, i, j, alpha, True)
 
 
 def covariant_derivative_on_M(
@@ -124,14 +111,26 @@ def covariant_derivative_on_M(
 
     The second partial of the embedded chart followed by the sphere
     projection at the base point; the alpha representation of the result is
-    tangent (weighted trace zero) by construction. Entry (i, j) of
-    ``covariant_derivative_set``; an index outside [0, param_dim) raises.
+    tangent (weighted trace zero) by construction. Entry (i, j) of the set at
+    one point; a stack of theta or an index outside [0, param_dim) raises.
     """
+    return _one_derivative(family, theta, i, j, alpha, False)
+
+
+def _one_derivative(family, theta, i: int, j: int, alpha: float, on_extended: bool):
+    """Entry (i, j) of the order-alpha ``covariant_derivative_set`` at one point theta (d,), as a
+    weight tangent (``on_extended``) or a state tangent."""
+    if np.ndim(theta) > 1:
+        raise ValueError(
+            f"a single covariant derivative takes one point theta of shape "
+            f"({family.param_dim},), got shape {np.shape(theta)}"
+        )
     family._check_directions(i, j)
     jet = family.jet(theta, 2)
-    mixture = covariant_derivative_set(jet, [alpha], False)[0, i, j]
+    mixture = covariant_derivative_set(jet, [alpha], on_extended)[0, i, j]
+    tangent = weight_tangent if on_extended else state_tangent
     return CovariantDerivativeResult(
-        jet.sigma, state_tangent(jet.sigma, _standard_basis(jet.spectrum, mixture))
+        jet.sigma, tangent(jet.sigma, _standard_basis(jet.spectrum, mixture))
     )
 
 
@@ -144,49 +143,38 @@ def covariant_derivative_set(jet: ChartJet, alphas, on_extended: bool = False) -
     decomposed or rotated again. Every order is checked before any work; then
     every order, every point and every pair i <= j is one stack per step, and
     each order's slice is bit for bit that order's set alone.
-    Flat ones on the positive cone (``on_extended``) or projected ones on the
-    unit-trace manifold; the result has shape (orders, d, d, n, n), or
-    (orders, m, d, d, n, n) for a stack, and is symmetric in the two axes
-    before the matrix axes. ``U X U†``, with U the base point's eigenvectors,
-    gives a set in the standard basis.
+    Flat ones on the positive cone (``on_extended``) or, on the unit-trace
+    manifold, each flat M less Tr(M) rho and its round-off trace. The result
+    has shape (orders, d, d, n, n), or (orders, m, d, d, n, n) for a stack,
+    symmetric in the two axes before the matrix axes; ``U X U†``, with U the
+    base point's eigenvectors, gives a set in the standard basis.
     """
     orders = tuple(alphas)
     # the base is checked before any order or pair axis is added, so an error names the point
-    (check_weight if on_extended else check_state)(jet.spectrum)
+    spec = (check_weight if on_extended else check_state)(jet.spectrum)
     if len(orders) == 1:  # one order takes its profile without the order axis
-        return _covariant_derivatives(jet, orders[0], on_extended)[None]
-    return _covariant_derivatives(jet[None], orders, on_extended)
+        nabla = _covariant_derivatives(jet, orders[0])[None]
+    else:
+        nabla = _covariant_derivatives(jet[None], orders)
+    if not on_extended:  # rho is diag(λ) in its eigenbasis
+        diag = np.arange(spec.dim)
+        trace = nabla[..., diag, diag].sum(axis=-1)
+        nabla[..., diag, diag] -= trace[..., None] * spec.eigenvalues[..., None, None, :]
+        trace = nabla[..., diag, diag].sum(axis=-1)
+        nabla[..., diag, diag] -= (trace / spec.dim)[..., None]  # kill round-off trace
+    return nabla
 
 
-def _covariant_derivatives(jet: ChartJet, alpha, on_extended: bool) -> np.ndarray:
-    """``covariant_derivative_set`` of one order, (..., d, d, n, n) for a jet (..., d), or of k
-    orders lined up with the jet's leading axis as ``embedding_function`` lines them up. The
-    base must be positive, as every chart jet's is; the projection checks its unit trace."""
+def _covariant_derivatives(jet: ChartJet, alpha) -> np.ndarray:
+    """The flat ``covariant_derivative_set`` of one order, (..., d, d, n, n) for a jet (..., d),
+    or of k orders lined up with the jet's leading axis as ``embedding_function`` lines them
+    up. The base must be positive, as every chart jet's is."""
     if jet.hessians is None:
         raise ValueError("covariant derivatives need the chart's order-2 jet")
-    spec, tangents = jet.spectrum, jet.tangents
-    d, n = tangents.shape[-3], spec.dim
-    lam = spec.eigenvalues
+    # the second partials of the embedded chart, then their mixture form
     fun = embedding_function(alpha)  # checks every order before any work
-    i, j = _pairs(d)
-    products = _tangent_products(tangents[..., i, :, :], tangents[..., j, :, :])
-    hess = jet.hessians[..., i, j, :, :]
-    # the second partial of the embedded chart, at axes (..., pair i <= j, n, n)
-    k = divided_difference_matrix(lam, fun)
-    t = _triple_difference_tensor(lam, fun, k)
-    k = k[..., None, :, :]
-    d2 = hermitize(_triple_contraction(t[..., None, :, :, :], products) + k * hess)
-    if on_extended:
-        mixture = d2 / k
-    else:
-        # rejects a base off the unit-trace manifold
-        mixture = _project_in_eigenbasis(spec.expand_dims(), alpha, d2) / k
-        diag = np.arange(n)
-        trace = mixture[..., diag, diag].sum(axis=-1)
-        mixture[..., diag, diag] -= (trace / n)[..., None]  # kill round-off trace
-    out = np.empty(mixture.shape[:-3] + (d, d, n, n), dtype=complex)
-    out[..., i, j, :, :] = out[..., j, i, :, :] = mixture
-    return out
+    k, _, second = _function_jet(jet.spectrum.eigenvalues, fun, jet.tangents, 2, jet.hessians)
+    return hermitize(second) / k[..., None, None, :, :]
 
 
 def _curve_stack(curve: CurveSpec, *tangents: TangentVector) -> tuple:
@@ -197,8 +185,8 @@ def _curve_stack(curve: CurveSpec, *tangents: TangentVector) -> tuple:
     steps = curve.step_count
     theta = np.stack([curve.path(k / steps) for k in range(steps + 1)])
     _, sigma, spec = curve.family.point_and_spectrum(theta)
-    if any(np.abs(sigma[0] - v.base).max() > 1e-9 for v in tangents):
-        raise ValueError("tangent vector base does not match the curve start point")
+    for v in tangents:
+        _check_base(v, sigma[0], "the curve start point")
     moves = np.linalg.norm(sigma[1:] - sigma[:-1], axis=(-2, -1))
     if (moves > CONTINUITY_BOUND).any():
         k = int(np.argmax(moves > CONTINUITY_BOUND))

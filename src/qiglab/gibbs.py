@@ -73,7 +73,7 @@ def _gibbs_evaluation(theta: np.ndarray, observables: np.ndarray, order: int) ->
         return psi[..., 0], means, None, (sigma, state, None, None)
     rotated = spec.expand_dims().to_eigenbasis(observables)
     directions = rotated - means[..., None, None] * np.eye(spec.dim)
-    tangents, hessians = _function_jet(shifted, exp_function(), directions, order)
+    _, tangents, hessians = _function_jet(shifted, exp_function(), directions, order)
     # Tr(d_j sigma Y_i) = sum_ab conj(Y_i)_ab (d_j sigma)_ab in the eigenbasis
     products = rotated.conj()[..., :, None, :, :] * tangents[..., None, :, :, :]
     d2psi = np.sum(products, axis=(-2, -1)).real

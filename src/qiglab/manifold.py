@@ -69,6 +69,8 @@ CHART_MIN_EIGENVALUE = 1e-6
 FIRST_DERIVATIVE_STEP = 1e-4
 STATE_TRACE_TOL = 1e-8
 _TANGENT_TRACE_TOL = 1e-10
+# A tangent vector sits at a base point when no entry of the two bases differs by more.
+_BASE_MATCH_TOL = 1e-9
 
 
 def _central_stencil(x: np.ndarray, step: float) -> tuple:
@@ -167,6 +169,12 @@ class TangentVector:
 
     base: np.ndarray
     mixture: np.ndarray
+
+
+def _check_base(v: TangentVector, point: np.ndarray, what: str) -> None:
+    """Reject a tangent vector whose base is not ``point``; ``what`` names the point."""
+    if np.abs(v.base - point).max() > _BASE_MATCH_TOL:
+        raise ValueError(f"tangent vector base does not match {what}")
 
 
 def weight_tangent(base: np.ndarray, mixture: np.ndarray) -> TangentVector:
@@ -298,41 +306,12 @@ def sphere_project(rho: Union[np.ndarray, Spectrum], alpha: float, a: np.ndarray
     return _project_with(_sphere_powers(rho, alpha), a)
 
 
-@functools.lru_cache(maxsize=256)
-def _sphere_power_functions(alpha) -> tuple:
-    """The profiles x^((1+alpha)/2) and x^((1-alpha)/2) of the sphere projection's powers; a
-    tuple of orders gives the two as power stacks, lined up as ``power_function`` lines them up.
-    Every order is checked, and each pair is built once per order or tuple of orders and then
-    reused."""
-    alpha = np.array(_check_orders(alpha), dtype=float)
-    return power_function(0.5 * (1.0 + alpha)), power_function(0.5 * (1.0 - alpha))
-
-
 def _sphere_powers(rho: Union[np.ndarray, Spectrum], alpha: float) -> tuple:
     """(rho^((1+alpha)/2), rho^((1-alpha)/2)) at one unit-trace base or each base of a stack."""
-    plus, minus = _sphere_power_functions(alpha)
+    alpha = _check_alpha(alpha)
     spec = check_state(rho)
+    plus, minus = power_function(0.5 * (1.0 + alpha)), power_function(0.5 * (1.0 - alpha))
     return apply_scalar_function(spec, plus), apply_scalar_function(spec, minus)
-
-
-def _project_in_eigenbasis(spec: Spectrum, alpha, a: np.ndarray) -> np.ndarray:
-    """``sphere_project`` of self-adjoint ``a`` given in the eigenbasis of the base, and
-    returned there: the powers are diagonal, so only the diagonal moves.
-
-    ``spec`` is one base point or a stack (..., n) whose leading axes
-    broadcast against those of ``a`` (..., n, n); each base must be a
-    unit-trace state, checked once. ``alpha`` is one order, or a tuple of k
-    orders whose power stacks line up with the leading axis of the eigenvalues,
-    of length k or 1: they project ``a`` (k, ..., n, n), order r at a[r], in
-    one step.
-    """
-    plus, minus = _sphere_power_functions(alpha)
-    lam = check_state(spec).eigenvalues
-    diag = np.arange(spec.dim)
-    coeff = np.sum(plus(lam) * a[..., diag, diag].real, axis=-1)
-    out = np.array(a, dtype=complex)
-    out[..., diag, diag] -= coeff[..., None] * minus(lam)
-    return out
 
 
 def _project_with(powers: tuple, a: np.ndarray) -> np.ndarray:
@@ -469,29 +448,32 @@ def _pairs(d: int) -> tuple:
     return pairs
 
 
-def _function_jet(lam: np.ndarray, f: ScalarFunction, directions: np.ndarray, order: int) -> tuple:
-    """(first, second) derivatives of A -> f(A) at A with eigenvalues lam (..., n), along the
-    eigenbasis directions E (..., d, n, n), in that eigenbasis; None past ``order``.
+def _function_jet(lam: np.ndarray, f: ScalarFunction, tangents, order: int, hessians=None) -> tuple:
+    """(K, first, second): the jet of theta -> f(sigma(theta)) from that of sigma, all in the
+    eigenbasis of sigma, whose eigenvalues are lam (..., n); None past ``order``.
 
-    first[..., i] = K o E_i, with K the divided-difference matrix of f, and
-    second[..., i, j] = sum_k f[λa, λk, λb] (E_i E_j + E_j E_i)_akb, (..., d, d, n, n),
-    from the triple tensor of the same K; each pair i <= j is summed once and mirrored.
+    K = f[λa, λb] (..., n, n); first[..., i] = K o T_i for the tangents T (..., d, n, n); and
+    second[..., i, j] = Σ_k f[λa, λk, λb] (T_i T_j + T_j T_i)_akb + K o H_ij (..., d, d, n, n),
+    with H the ``hessians`` of sigma (..., d, d, n, n), or none for a sigma linear in theta.
+    The one home of the order-2 step: one K, one triple tensor and one contraction, each pair
+    i <= j once and mirrored.
     """
     if order < 1:
-        return None, None
+        return None, None, None
     k = divided_difference_matrix(lam, f)
-    first = k[..., None, :, :] * directions
+    first = k[..., None, :, :] * tangents
     if order < 2:
-        return first, None
-    d = directions.shape[-3]
+        return k, first, None
+    d = tangents.shape[-3]
     i, j = _pairs(d)
     t = _triple_difference_tensor(lam, f, k)[..., None, :, :, :]
-    upper = _triple_contraction(
-        t, _tangent_products(directions[..., i, :, :], directions[..., j, :, :])
-    )
+    products = _tangent_products(tangents[..., i, :, :], tangents[..., j, :, :])
+    upper = _triple_contraction(t, products)
+    if hessians is not None:
+        upper = upper + k[..., None, :, :] * hessians[..., i, j, :, :]
     second = np.empty(upper.shape[:-3] + (d, d) + upper.shape[-2:], dtype=complex)
     second[..., i, j, :, :] = second[..., j, i, :, :] = upper
-    return first, second
+    return k, first, second
 
 
 def basis_combination(xi: np.ndarray, basis) -> np.ndarray:
@@ -568,7 +550,7 @@ def _xi_affine_chart(basis: np.ndarray, alpha) -> ParametrizedFamily:
         sigma = apply_scalar_function(spec, inverse)
         directions = spec.expand_dims().to_eigenbasis(basis) if order >= 1 else None
         jet = _function_jet(spec.eigenvalues, inverse, directions, order)
-        return (sigma, Spectrum(mu, spec.unitary)) + jet
+        return (sigma, Spectrum(mu, spec.unitary)) + jet[1:]
 
     return ParametrizedFamily(param_dim=len(basis), evaluate=evaluate, rowwise=not _is_stack(alpha))
 

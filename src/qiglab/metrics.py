@@ -28,6 +28,7 @@ from .linalg import (
 from .manifold import (
     ChartJet,
     TangentVector,
+    _check_base,
     _pairs,
     check_state,
     check_weight,
@@ -57,8 +58,6 @@ __all__ = [
 _SYMMETRY_GRID = 2.0 ** np.arange(-6, 7)
 _SYMMETRY_RTOL = 1e-10
 _NORMALIZATION_TOL = 1e-12
-
-_BASE_MATCH_TOL = 1e-9
 
 # The benchmark's span tracer looks these up here; they load from ``monotonicity`` on first
 # use, so importing metrics does not load the channel code.
@@ -399,8 +398,7 @@ def _mixture_of(arg, base: Union[np.ndarray, Spectrum]) -> np.ndarray:
     if not isinstance(arg, TangentVector):
         return check_hermitian(arg)
     point = base.matrix() if isinstance(base, Spectrum) else base
-    if np.abs(arg.base - point).max() > _BASE_MATCH_TOL:
-        raise ValueError("tangent vector base does not match the metric base point")
+    _check_base(arg, point, "the metric base point")
     return arg.mixture
 
 

@@ -77,7 +77,7 @@ def _check_affine(orders: Sequence[float], jet: ChartJet) -> None:
     Every pair (i, j) is checked, in one pass with the orders lined up with the points; the
     first order that fails raises, naming the order and its point's theta.
     """
-    nabla = _covariant_derivatives(jet, tuple(orders), True)
+    nabla = _covariant_derivatives(jet, tuple(orders))
     norms = np.linalg.norm(nabla, axis=(-2, -1)).reshape(len(orders), -1).max(axis=1)
     bad = norms > 1e-4  # a norm needs no basis
     if bad.any():

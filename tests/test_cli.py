@@ -391,6 +391,17 @@ def test_potential_points_below_the_regression_size_is_usage_error(calls, capsys
     assert "--points must be at least 6 at --dim 2, got 3" in capsys.readouterr().err
 
 
+def test_potential_alpha_of_minus_one_is_usage_error_before_any_weight(calls, capsys):
+    # the trace potential needs alpha > -1: the run used to draw every grid weight of the dim
+    # and then fail with "potential check needs alpha in (-1, 1]", which does not name the option
+    calls.watch(cli, "_random_weights")
+    with pytest.raises(SystemExit) as exc:
+        main(["potential", "--alpha=0.5,-1"])
+    assert exc.value.code == 2
+    assert "--alpha must lie in (-1, 1], got -1.0" in capsys.readouterr().err
+    assert calls.count("_random_weights") == 0
+
+
 def test_flatness_dim_below_one_is_usage_error(calls, capsys):
     # a 0 x 0 chart has no basis: the scan used to fail with "need at least one array to stack"
     # after scanning the dims before it

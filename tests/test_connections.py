@@ -1,9 +1,12 @@
+import ast
+import pathlib
 import re
 
 import numpy as np
 import pytest
 from conftest import ORACLE_RTOL, _scalar_hessian, standard_basis_covariant_set
 
+import qiglab
 from qiglab.connections import (
     CurveSpec,
     covariant_derivative_on_M,
@@ -31,9 +34,9 @@ from qiglab.linalg import (
     spectral_decompose,
 )
 from qiglab.manifold import (
-    _project_in_eigenbasis,
     affine_coordinates,
     alpha_representation,
+    check_state,
     embedding_function,
     linear_family,
     representation_convert,
@@ -42,6 +45,7 @@ from qiglab.manifold import (
     state_tangent,
     xi_affine_family,
 )
+from qiglab.metrics import _metric_matrix, matched_metric
 from qiglab.sampling import pauli_matrices, random_traceless_hermitian, random_weight, rng_from
 
 I2, SX, SY, SZ = pauli_matrices()
@@ -256,8 +260,10 @@ def test_covariant_derivative_set_matches_the_standard_basis_chain_on_charts():
 
 def _per_order_set(jet, alphas, on_extended):
     """The set order by order: each order's own profile, divided differences, triple tensor,
-    contraction and sphere projection, one loop iteration per order."""
-    spec, tangents = jet.spectrum, jet.tangents
+    contraction and mixture form, one loop iteration per order; on the unit-trace manifold
+    each flat M then becomes M - Tr(M) rho, less its round-off trace."""
+    spec = jet.spectrum if on_extended else check_state(jet.spectrum)
+    tangents = jet.tangents
     d, n = tangents.shape[-3], spec.dim
     lam = spec.eigenvalues
     i, j = np.triu_indices(d)
@@ -271,13 +277,12 @@ def _per_order_set(jet, alphas, on_extended):
         t = _triple_difference_tensor(lam, fun, k)
         k = k[..., None, :, :]
         d2 = hermitize(_triple_contraction(t[..., None, :, :, :], products) + k * hess)
-        if on_extended:
-            mixture = d2 / k
-        else:
-            mixture = _project_in_eigenbasis(spec.expand_dims(), alpha, d2) / k
-            trace = mixture[..., diag, diag].sum(axis=-1)
-            mixture[..., diag, diag] -= (trace / n)[..., None]
-        nabla[..., i, j, :, :] = nabla[..., j, i, :, :] = mixture
+        nabla[..., i, j, :, :] = nabla[..., j, i, :, :] = d2 / k
+        if not on_extended:
+            trace = nabla[..., diag, diag].sum(axis=-1)
+            nabla[..., diag, diag] -= trace[..., None] * lam[..., None, None, :]
+            trace = nabla[..., diag, diag].sum(axis=-1)
+            nabla[..., diag, diag] -= (trace / n)[..., None]
     return out
 
 
@@ -327,11 +332,11 @@ def test_stacked_orders_equal_the_per_order_set_on_a_clustered_spectrum(on_exten
 
 
 def _watch_set_steps(calls):
-    import qiglab.connections
+    # the order-2 step the sets share with the chart jets lives in manifold
+    import qiglab.manifold
 
-    for name in ("divided_difference_matrix", "_triple_difference_tensor",
-                 "_triple_contraction", "_project_in_eigenbasis"):
-        calls.watch(qiglab.connections, name)
+    for name in ("divided_difference_matrix", "_triple_difference_tensor", "_triple_contraction"):
+        calls.watch(qiglab.manifold, name)
 
 
 @pytest.mark.parametrize("on_extended", [True, False])
@@ -346,7 +351,6 @@ def test_covariant_derivative_set_takes_one_step_of_each_kind_for_all_its_orders
     assert calls.count("divided_difference_matrix") == 1
     assert calls.count("_triple_difference_tensor") == 1
     assert calls.count("_triple_contraction") == 1
-    assert calls.count("_project_in_eigenbasis") == (0 if on_extended else 1)
 
 
 @pytest.mark.parametrize("on_extended", [True, False])
@@ -425,6 +429,77 @@ def test_ext_derivative_rejects_a_direction_index_out_of_range(i, j):
 def test_on_m_derivative_rejects_a_direction_index_out_of_range(i, j):
     with pytest.raises(ValueError, match="direction index -?[13] out of range for param_dim 3"):
         covariant_derivative_on_M(qubit_bloch_family(), np.array([0.1, 0.0, 0.2]), i, j, 0.5)
+
+
+@pytest.mark.parametrize(
+    "single, family, shape",
+    [(ext_covariant_derivative, qubit_weight_family, (4, 4)),
+     (covariant_derivative_on_M, qubit_bloch_family, (3, 3))],
+    ids=["ext", "on_M"],
+)
+def test_single_covariant_derivatives_refuse_a_stack_of_theta(calls, single, family, shape):
+    # a stack used to pass: the flat derivative returned entry [point 0, direction 1] of the
+    # stacked set, and the projected one failed inside state_tangent with a TypeError
+    fam = family()
+    theta = 0.05 * np.arange(np.prod(shape), dtype=float).reshape(shape)
+    calls.watch(fam, "jet")
+    d = fam.param_dim
+    with pytest.raises(ValueError, match=re.escape(
+            f"takes one point theta of shape ({d},), got shape {shape}")):
+        single(fam, theta, 0, 1, 0.5)
+    assert calls.count("jet") == 0
+
+
+def _gibbs_trace_chart():
+    rng = rng_from(41)
+    fam = gibbs_family([random_traceless_hermitian(rng, 3) for _ in range(3)]).family
+    return fam, rng.uniform(-0.4, 0.4, (3, 3))
+
+
+def _trace_identity_charts():
+    """(name, family, points) of the four witness charts and one seeded Gibbs chart."""
+    cases = [
+        (w.name, w.family, np.stack(sample_grid(w, [43, w.family.param_dim], 3)))
+        for w in standard_witness_families(2) + standard_witness_families(3)
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases + [("gibbs", *_gibbs_trace_chart())]]
+
+
+TRACE_ALPHAS = [-1.0, -0.5, 0.0, 0.5, 0.9, 1.0]
+
+
+@pytest.mark.parametrize("name, family, points", _trace_identity_charts())
+def test_trace_of_the_flat_set_is_the_hessian_trace_less_the_matched_metric(name, family, points):
+    # Tr nabla^(alpha)_i T_j = Tr d_i d_j sigma - ((1+alpha)/2) g_alpha(T_i, T_j), g_alpha the
+    # matched WYD metric (BKM at |alpha| = 1): the normal part of the flat set, which on a
+    # unit-trace chart (Tr d_i d_j sigma = 0) is all that the sphere projection removes
+    jet = family.jet(points, 2)
+    flat = covariant_derivative_set(jet, TRACE_ALPHAS, on_extended=True)
+    hess_trace = np.trace(jet.hessians, axis1=-2, axis2=-1).real
+    if name in ("qubit-bloch", "qutrit-sub", "gibbs"):
+        assert np.abs(hess_trace).max() <= 1e-15
+    for alpha, nabla in zip(TRACE_ALPHAS, flat):
+        g = _metric_matrix(jet, matched_metric(alpha))
+        got = np.trace(nabla, axis1=-2, axis2=-1)
+        want = hess_trace - 0.5 * (1.0 + alpha) * g
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(g).max(), f"{name} at alpha {alpha}"
+
+
+def test_only_the_shared_step_and_the_second_frechet_derivative_build_triple_tensors():
+    # one home for the order-2 step: a second build of K, the triple tensor and the contraction
+    # would call _triple_difference_tensor from somewhere else
+    callers = set()
+    for path in sorted(pathlib.Path(qiglab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name == "_triple_difference_tensor":
+                        callers.add(f"{path.stem}.{fn.name}")
+    assert callers == {"manifold._function_jet", "linalg.frechet_second_derivative"}
 
 
 def test_on_m_rejects_weight_family():
@@ -564,6 +639,16 @@ def test_continuity_error_names_the_first_jump():
     v = state_tangent(curve.point(0.0), SZ / 2.0)
     with pytest.raises(ValueError, match=r"curve moves 0\.849 at step 2/4 \(> 0\.5\)"):
         parallel_transport_on_M(curve, v, 0.0)
+
+
+def test_projected_transport_rejects_a_tangent_off_the_curve_start():
+    curve = _bloch_curve([0.3, 0.0], [0.0, 0.3], step_count=4)
+    v = state_tangent(curve.point(0.5), SZ / 2.0)
+    with pytest.raises(ValueError, match="base does not match the curve start point"):
+        parallel_transport_on_M(curve, v, 0.0)
+    # a base within the match tolerance of the start is the start
+    near = state_tangent(curve.point(0.0) + 1e-10 * SX, SZ / 2.0)
+    parallel_transport_on_M(curve, near, 0.0)
 
 
 def test_projected_transport_odd_steps_reject_richardson():
