@@ -1,6 +1,6 @@
 """Channels and the contraction of monotone metrics under them.
 
-CPTP channels in Kraus form (depolarizing, partial trace, random
+CPTP channels as closed-form maps (depolarizing, partial trace, random
 Stinespring), the contraction check of one metric length through one
 channel, and the seeded Monte-Carlo scan of the built-in kernels.
 """
@@ -36,99 +36,129 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class KrausChannel:
-    """Completely positive trace-preserving map as a tuple of Kraus operators.
+    """Completely positive trace-preserving map X -> sum_k K_k X K_k†, held as one isometry.
 
-    Each operator is (n_out, n_in), or a stack (m, n_out, n_in) for m
-    channels with the same Kraus count; the completeness error names the
-    first failing channel by its stack index.
+    The Kraus operators are stacked into V, (..., r*n_out, n_in): row k*n_out + i of V is
+    row i of K_k, so the map is Tr_env(V X V†). Each operator is (n_out, n_in), or a stack
+    (m, n_out, n_in) for m channels with the same Kraus count; the completeness check
+    V†V = I names the first failing channel by its stack index.
     """
 
-    kraus_ops: tuple
+    isometry: np.ndarray
+    dim_out: int
 
-    def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
+    def __init__(self, kraus_ops: Sequence):
+        ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         shape = ops[0].shape
         if len(shape) < 2 or any(k.shape != shape for k in ops):
             raise ValueError("all Kraus operators must share one shape, (..., n_out, n_in)")
-        total = sum(_dagger(k) @ k for k in ops)
-        dev = np.abs(total - np.eye(shape[-1])).max(axis=(-2, -1))
-        bad = dev > 1e-10
+        self._hold(np.concatenate(ops, axis=-2), shape[-2])
+
+    @classmethod
+    def _of_isometry(cls, v: np.ndarray, dim_out: int) -> "KrausChannel":
+        """The channel Tr_env(V X V†) of an isometry V, (..., r*dim_out, n_in), taken as it is."""
+        channel = cls.__new__(cls)
+        channel._hold(v, dim_out)
+        return channel
+
+    def _hold(self, v: np.ndarray, dim_out: int) -> None:
+        dev = np.abs(_dagger(v) @ v - np.eye(v.shape[-1])).max(axis=(-2, -1))
+        bad = ~(dev <= 1e-10)  # a NaN deviation fails
         if bad.any():
             where, at = _first_in_stack(bad)
             raise ValueError(
                 f"Kraus completeness sum deviates from identity by {dev[where]:.3e}{at}"
             )
-        object.__setattr__(self, "kraus_ops", ops)
+        v = v.view()
+        v.setflags(write=False)
+        object.__setattr__(self, "isometry", v)
+        object.__setattr__(self, "dim_out", dim_out)
 
     @property
     def dim_in(self) -> int:
-        return self.kraus_ops[0].shape[-1]
+        return self.isometry.shape[-1]
+
+    @property
+    def kraus_ops(self) -> tuple:
+        """The Kraus operators in order, read-only views of the isometry's row blocks."""
+        n = self.dim_out
+        return tuple(self.isometry[..., k : k + n, :] for k in range(0, self.isometry.shape[-2], n))
+
+
+@dataclass(frozen=True, eq=False)
+class _Depolarizing:
+    """X -> (1 - t) X + t Tr(X) I/n; a weight array t, (m,), is a stack of m channels."""
+
+    dim_in: int
+    t: np.ndarray
 
     @property
     def dim_out(self) -> int:
-        return self.kraus_ops[0].shape[-2]
+        return self.dim_in
 
 
-def apply_channel(channel: KrausChannel, x: np.ndarray) -> np.ndarray:
-    """sum_k K_k x K_k†, summed in Kraus order; stacks of channels and of inputs broadcast."""
+def apply_channel(channel: Union[KrausChannel, _Depolarizing], x: np.ndarray) -> np.ndarray:
+    """The channel on x in closed form; stacks of channels and of inputs broadcast.
+
+    A KrausChannel gives Tr_env(V X V†), a depolarizing channel (1 - t) X + t Tr(X) I/n.
+    """
     x = np.asarray(x, dtype=complex)
-    if x.shape[-2:] != (channel.dim_in, channel.dim_in):
-        raise ValueError(f"input shape {x.shape} does not match channel input dim {channel.dim_in}")
-    stack = np.broadcast_shapes(channel.kraus_ops[0].shape[:-2], x.shape[:-2])
-    out = np.zeros(stack + (channel.dim_out, channel.dim_out), dtype=complex)
-    for k in channel.kraus_ops:
-        out += k @ x @ _dagger(k)
-    return out
+    n = channel.dim_in
+    if x.shape[-2:] != (n, n):
+        raise ValueError(f"input shape {x.shape} does not match channel input dim {n}")
+    depolarizing = isinstance(channel, _Depolarizing)
+    stack = channel.t.shape if depolarizing else channel.isometry.shape[:-2]
+    try:
+        np.broadcast_shapes(stack, x.shape[:-2])
+    except ValueError:
+        raise ValueError(
+            f"channel stack {stack} does not broadcast against input stack {x.shape[:-2]}"
+        ) from None
+    if depolarizing:
+        t = channel.t[..., None, None]
+        trace = np.trace(x, axis1=-2, axis2=-1)[..., None, None]
+        return (1.0 - t) * x + (t * trace / n) * np.eye(n)
+    v, m = channel.isometry, channel.dim_out
+    joint = v @ x @ _dagger(v)  # output x environment, rows and columns (k, i) = k*m + i
+    r = joint.shape[-1] // m
+    return np.trace(joint.reshape(joint.shape[:-2] + (r, m, r, m)), axis1=-4, axis2=-2)
 
 
-@functools.cache
-def _weyl_operators(n: int) -> tuple:
-    """shift^a clock^b for a, b < n; built on first use per n and shared read-only."""
-    shift = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        shift[(k + 1) % n, k] = 1.0
-    omega = np.exp(2j * np.pi / n)
-    clock = np.diag(omega ** np.arange(n))
-    ops = tuple(
-        np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
-        for a in range(n)
-        for b in range(n)
-    )
-    for op in ops:
-        op.setflags(write=False)
-    return ops
-
-
-def depolarizing_channel(n: int, t: Union[float, np.ndarray]) -> KrausChannel:
-    """rho -> (1 - t) rho + t I/n, via the Weyl (shift/clock) Kraus set.
+def depolarizing_channel(n: int, t: Union[float, np.ndarray]) -> _Depolarizing:
+    """rho -> (1 - t) rho + t I/n on n x n matrices.
 
     An array of weights t, (m,), gives a stack of m channels; the error
     names the first weight outside [0, 1] by its stack index.
     """
-    t = np.asarray(t, dtype=float)
+    if n < 1:
+        raise ValueError(f"dimension n must be at least 1, got {n!r}")
+    t = np.array(t, dtype=float)
     bad = ~((0.0 <= t) & (t <= 1.0))
     if bad.any():
         where, at = _first_in_stack(bad)
         raise ValueError(f"mixing weight t must lie in [0, 1], got {float(t[where])!r}{at}")
-    w = _weyl_operators(n)
-    lead = np.sqrt(1.0 - t + t / n**2)[..., None, None]
-    amp = (np.sqrt(t) / n)[..., None, None]
-    return KrausChannel((lead * w[0],) + tuple(amp * u for u in w[1:]))
+    return _Depolarizing(n, t)
 
 
 @functools.cache
 def partial_trace_channel(dim_keep: int, dim_drop: int) -> KrausChannel:
-    """Trace out the second tensor factor of dim_keep * dim_drop; Kraus ops are isometry slices.
-    Built and checked on first use per (dim_keep, dim_drop) and shared read-only."""
-    bras = np.eye(dim_drop, dtype=complex)[:, None]  # (dim_drop, 1, dim_drop)
-    channel = KrausChannel(tuple(np.kron(np.eye(dim_keep, dtype=complex), bra) for bra in bras))
-    for op in channel.kraus_ops:
-        op.setflags(write=False)
-    return channel
+    """Trace out the second tensor factor of dim_keep * dim_drop.
+
+    The isometry is the permutation that sends input row (i, k) = i*dim_drop + k to row
+    (k, i) = k*dim_keep + i, so Tr_env(V X V†) sums X[(i, k), (j, k)] over k. Built and checked on first use per
+    (dim_keep, dim_drop) and shared read-only.
+    """
+    if dim_keep < 1 or dim_drop < 1:
+        raise ValueError(
+            f"dims must be at least 1, got dim_keep={dim_keep!r}, dim_drop={dim_drop!r}"
+        )
+    n = dim_keep * dim_drop
+    swap = np.eye(n, dtype=complex).reshape(dim_keep, dim_drop, n).swapaxes(0, 1).reshape(n, n)
+    return KrausChannel._of_isometry(swap, dim_keep)
 
 
 def _stinespring_channels(re: np.ndarray, im: np.ndarray) -> KrausChannel:
@@ -137,8 +167,7 @@ def _stinespring_channels(re: np.ndarray, im: np.ndarray) -> KrausChannel:
     Each isometry maps into output x environment, both of dimension n.
     """
     v, _ = np.linalg.qr(re + 1j * im)  # isometry: v† v = I
-    n = v.shape[-1]
-    return KrausChannel(tuple(v[..., k * n : (k + 1) * n, :] for k in range(n)))
+    return KrausChannel._of_isometry(v, v.shape[-1])
 
 
 def random_stinespring_channel(rng: np.random.Generator, n: int) -> KrausChannel:
@@ -161,7 +190,7 @@ def monotonicity_check(
     f: MonotoneFunctionSpec,
     rho: Union[np.ndarray, Spectrum],
     a: TangentVector,
-    channel: KrausChannel,
+    channel: Union[KrausChannel, _Depolarizing],
 ) -> MonotonicityReport:
     """Compare the metric length of a tangent before and after a channel.
 

@@ -145,3 +145,33 @@ def standard_basis_covariant_set(family, theta, alpha: float, on_extended: bool)
     out = np.empty((d, d, n, n), dtype=complex)
     out[i, j] = out[j, i] = mixture
     return out
+
+
+def weyl_operators(n: int) -> tuple:
+    """shift^a clock^b for a, b < n: n^2 unitaries, orthogonal under the trace inner product."""
+    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    return tuple(
+        np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+        for a in range(n)
+        for b in range(n)
+    )
+
+
+def depolarizing_kraus(n: int, t) -> tuple:
+    """Kraus operators of rho -> (1 - t) rho + t I/n, over the Weyl set; a weight array t, (m,),
+    gives stacks (m, n, n)."""
+    t = np.asarray(t, dtype=float)
+    w = weyl_operators(n)
+    lead = np.sqrt(1.0 - t + t / n**2)[..., None, None]
+    amp = (np.sqrt(t) / n)[..., None, None]
+    return (lead * w[0],) + tuple(amp * u for u in w[1:])
+
+
+def kraus_loop(ops, x: np.ndarray) -> np.ndarray:
+    """sum_k K_k x K_k†, summed in Kraus order; stacks of operators and of inputs broadcast."""
+    x = np.asarray(x, dtype=complex)
+    out = 0
+    for k in ops:
+        out = out + k @ x @ k.conj().swapaxes(-1, -2)
+    return out

@@ -860,12 +860,14 @@ def test_runs_are_deterministic_up_to_wall_clock(capsys):
     assert WALL_CLOCK.search(first) is not None
 
 
-# sha256 of `qiglab monotonicity --trials 200` stdout with wall_clock_s zeroed, recorded when
-# each trial still drew its weights with rng.dirichlet, so the pin rests on no sampler here
+# sha256 of `qiglab monotonicity --trials 200` stdout with wall_clock_s zeroed, recorded with
+# every channel applied in closed form. The digests before that (seed 0: 1247a502...) were
+# recorded when each trial still drew its weights with rng.dirichlet and matched the raw
+# simplex draws bit for bit, so the draws these rest on are those of the one-matrix samplers
 MONOTONICITY_200_SHA256 = {
-    0: "1247a5027b7769eefd5c2a4678bf9c3bafb0ec283b6ec6860d49982cf05db756",
-    11: "f879f8678703d81370c69d3a9b448042ee1074555599b90dea94a8c684e6d943",
-    12345: "3ff2be2596125d2b6367382335acb582c59f8ebf2ee670de4431e467d35b7038",
+    0: "9240187cb17e8429bdcc76ad0f39660acbfa0941c94b32bf20c313f91d8acf5e",
+    11: "40bd37992c3c78c32c4224803530c45b2ddb4c5e2a9e17a42137880361a627d0",
+    12345: "b4525add284641b80b1d7962ea6747f38ffe646e8d73cf906e8ddedcf3404159",
 }
 
 
