@@ -386,8 +386,8 @@ def _run_duality(opt, seed):
         raise ValueError(f"--manifold must be 'state', 'weight' or 'both', got {opt['manifold']!r}")
     pairs = _metric_pairs(opt, alphas)  # before any grid is built
     witnesses = [(w, dim) for dim in dims for w in standard_witness_families(dim, opt["manifold"])]
-    batteries = [(DefectGrid(w.family, sample_grid(w, [seed, dim], n_points)),
-                  [(f, alpha, 1.0, w.name) for alpha, f in pairs]) for w, dim in witnesses]
+    batteries = [(DefectGrid(w.family, sample_grid(w, [seed, dim], n_points), w.name),
+                  [(f, alpha) for alpha, f in pairs]) for w, dim in witnesses]
     witness_reports = list(zip(witnesses, _defects(batteries)))  # each grid's, one per pair
     records = []
     worst = 0.0
@@ -474,23 +474,25 @@ def _run_uniqueness_scan(opt, seed):
 
     alpha = _alphas(opt, single=True, strict=True)[0]
     tol, gap = _tol_gap(opt)
-    result = uniqueness_scan(
-        alpha, seed=seed, n_points=_count(opt, "points"), tol=tol, gap=gap
-    )
+    entries = uniqueness_scan(alpha, seed=seed, n_points=_count(opt, "points"))
+    bands = [band(e.defect, tol, gap) for e in entries]
     # a dual candidate's case is its band; a non-dual one's is the mirrored band, passing from
     # gap on and failing up to tol. When every case passes, the matched defect is at most tol
     # <= gap and every other at least it (the scaled copy is 3 times it), so WYD is minimal
     # and the verdict needs no rule of its own.
     records = [
-        _case(band(e.defect, tol, gap) if e.expected_dual else band(-e.defect, -gap, -tol),
-              candidate=e.name, defect=e.defect, band=e.status, expected_dual=e.expected_dual)
-        for e in result.entries
+        _case(b if e.expected_dual else band(-e.defect, -gap, -tol),
+              candidate=e.name, defect=e.defect, band=b, expected_dual=e.expected_dual)
+        for e, b in zip(entries, bands)
     ]
-    extra = {
-        "alpha": result.alpha,
-        "wyd_minimal": result.wyd_minimal,
-        "uniqueness_supported": result.uniqueness_supported,
-    }
+    # uniqueness is supported, never proved, when every dual candidate passes, every other
+    # lands beyond the gap, and the matched WYD entry has the smallest defect
+    matched = [e for e in entries if e.expected_dual and e.scale == 1.0]
+    wyd_minimal = bool(matched) and all(matched[0].defect <= e.defect for e in entries
+                                        if e is not matched[0])
+    supported = wyd_minimal and all(b == ("pass" if e.expected_dual else "fail")
+                                    for e, b in zip(entries, bands))
+    extra = {"alpha": alpha, "wyd_minimal": wyd_minimal, "uniqueness_supported": supported}
     return records, extra
 
 

@@ -56,7 +56,6 @@ from .manifold import (
 __all__ = [
     "CONTINUITY_BOUND",
     "CurveSpec",
-    "CovariantDerivativeResult",
     "ext_covariant_derivative",
     "covariant_derivative_on_M",
     "covariant_derivative_set",
@@ -83,17 +82,9 @@ class CurveSpec:
         return self.family.point(self.path(t))
 
 
-@dataclass(frozen=True)
-class CovariantDerivativeResult:
-    """Base point and the resulting tangent vector (mixture representation)."""
-
-    base: np.ndarray
-    vector: TangentVector
-
-
 def ext_covariant_derivative(
     family: ParametrizedFamily, theta: np.ndarray, i: int, j: int, alpha: float
-) -> CovariantDerivativeResult:
+) -> TangentVector:
     """Flat covariant derivative on the positive cone.
 
     The plain second partial of the embedded chart, converted back to the
@@ -106,7 +97,7 @@ def ext_covariant_derivative(
 
 def covariant_derivative_on_M(
     family: ParametrizedFamily, theta: np.ndarray, i: int, j: int, alpha: float
-) -> CovariantDerivativeResult:
+) -> TangentVector:
     """Projected covariant derivative on the unit-trace manifold.
 
     The second partial of the embedded chart followed by the sphere
@@ -129,9 +120,7 @@ def _one_derivative(family, theta, i: int, j: int, alpha: float, on_extended: bo
     jet = family.jet(theta, 2)
     mixture = covariant_derivative_set(jet, [alpha], on_extended)[0, i, j]
     tangent = weight_tangent if on_extended else state_tangent
-    return CovariantDerivativeResult(
-        jet.sigma, tangent(jet.sigma, _standard_basis(jet.spectrum, mixture))
-    )
+    return tangent(jet.sigma, _standard_basis(jet.spectrum, mixture))
 
 
 def covariant_derivative_set(jet: ChartJet, alphas, on_extended: bool = False) -> np.ndarray:

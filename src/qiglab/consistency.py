@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .manifold import check_state
-from .metrics import _contract, _petz_coefficients, builtin_functions, wyd_direct, wyd_function
+from .metrics import _contract, _kernel_tables, builtin_functions, wyd_direct, wyd_function
 from .sampling import _states_with_tangents, pauli_matrices, rng_from
 
 __all__ = ["kernel_direct_consistency"]
@@ -45,7 +45,7 @@ def kernel_direct_consistency(
             rho, a, b = check_state(states), t[:, 0], t[:, 1]
             direct = wyd_direct(rho, alpha, a, b)
             at, bt = rho.to_eigenbasis(np.stack([a, b]))
-            c = _petz_coefficients(rho, wyd_function(0.5 * (1.0 + alpha)))
+            c = _kernel_tables([rho[None]], [wyd_function(0.5 * (1.0 + alpha))])[0][0]
             ab, aa, bb = _contract(c, np.stack([at, at, bt]), np.stack([bt, at, bt]))
             worst = float(np.max(np.abs(direct - ab) / np.sqrt(aa * bb)))
             rows.append({"dim": n, "alpha": alpha, "max_rel_dev": worst, "samples": samples})
@@ -57,7 +57,7 @@ def _reference_values() -> list:
     decomposition and one kernel stack."""
     rho = check_state(np.diag([0.75, 0.25]).astype(complex))
     sx = rho.to_eigenbasis(pauli_matrices()[1])
-    values = _contract(_petz_coefficients(rho[None], _ORDERED), sx, sx).tolist()
+    values = _contract(_kernel_tables([rho[None]], _ORDERED)[0], sx, sx).tolist()
     return [(f.name, value) for f, value in zip(_ORDERED, values)]
 
 
@@ -70,7 +70,7 @@ def _ordering_violations(seed, dims: Sequence[int], samples: int, floor: float) 
         states, a = _states_with_tangents([rng_from([seed, 1000 + n])] * samples, n, floor, 1)
         rho = check_state(states)
         at = rho.to_eigenbasis(a[:, 0])
-        g = _contract(_petz_coefficients(rho[None], _ORDERED), at, at)
+        g = _contract(_kernel_tables([rho[None]], _ORDERED)[0], at, at)
         lo, middle, hi = g[0], g[1:-1], g[-1]
         out.append(max(0.0, float(np.max([lo - middle, middle - hi]))))
     return out

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bands import FALSIFICATION_GAP, POSITIVE_TOL, band
 from .connections import (
     CurveSpec,
     _curve_stack,
@@ -41,7 +40,6 @@ from .manifold import (
 from .metrics import (
     MonotoneFunctionSpec,
     _kernel_tables,
-    _petz_coefficients,
     _tangent_gram,
     bkm_function,
     bures_function,
@@ -79,7 +77,6 @@ __all__ = [
     "witness_curve",
     "perturbed_wyd",
     "ScanEntry",
-    "UniquenessScanResult",
     "uniqueness_scan",
     "ConvexityReport",
     "convexity_failure_check",
@@ -181,10 +178,10 @@ def standard_witness_families(dim: int, manifold: str = "both") -> list:
     return [WitnessFamily(name, build(), halfwidth, ext) for name, build, halfwidth, ext in chosen]
 
 
-def sample_grid(witness: WitnessFamily, seed, n_points: int = 3) -> list:
-    """Seeded parameter grid inside the witness box."""
+def sample_grid(witness: WitnessFamily, seed, n_points: int = 3) -> np.ndarray:
+    """Seeded parameter grid inside the witness box, (n_points, param_dim)."""
     w = witness.grid_halfwidth
-    return list(rng_from(seed).uniform(-w, w, size=(n_points, witness.family.param_dim)))
+    return rng_from(seed).uniform(-w, w, size=(n_points, witness.family.param_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +199,8 @@ class DualityReport:
 
     metric_name: str
     alpha: float
-    scale: float
     defect: float
     per_triple: np.ndarray
-    grid: tuple
     family_name: str = ""
 
 
@@ -219,23 +214,23 @@ def _pairings(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class DefectGrid:
-    """Connection geometry of a duality-defect grid, shared by every kernel and alpha.
+    """Connection geometry of a named duality-defect grid, shared by every kernel and alpha.
 
     Built once per (family, grid) from one order-2 chart jet: the Spectrum of
     each grid point, its eigenbasis coordinate tangents T and chart Hessians
     H, and the kernel-free products (T_i)_am (T_k)_mb that d_i g_jk needs.
+    ``name`` labels its reports, and a kernel error of a battery over several grids.
 
     d_i g_jk is exact, by the Daleckii-Krein rule for the kernel
     superoperator (Skripka-Tomskova, Multilinear Operator Integrals, LNM 2250):
     d_i g_jk = 2 Re sum_amb c1_amb (T_i)_am (T_k)_mb conj(T_j)_ab
     + g(H_ij, T_k) + g(T_j, H_ik), with c1 the first divided difference of the
-    Petz kernel in its first argument (``metrics._kernel_difference``); the
+    Petz kernel in its first argument (``metrics._kernel_tables``); the
     kernel's other argument gives the complex conjugate of the first term.
 
-    H - nabla^(alpha)_i T_j at every point, in the eigenbasis, is built on
-    first use of an order, every order a ``defects`` call lacks, +-alpha for
-    each alpha, in one covariant_derivative_set call over the whole grid.
-    None of this depends on the kernel: ``_reports`` maps a battery's (c, c1)
+    A battery of (f, alpha) cases builds H - nabla^(order)_i T_j at every point, in the
+    eigenbasis, for +-alpha of every alpha, in one covariant_derivative_set call over the
+    whole grid. None of this depends on the kernel: ``_reports`` maps a battery's (c, c1)
     kernel tables to its reports, contracting over all its cases at once.
 
     The connections are the positive cone's flat ones. On a unit-trace chart that gives the
@@ -243,66 +238,49 @@ class DefectGrid:
     g_f(rho, T) = Tr T = 0 for every tangent T of the chart.
     """
 
-    def __init__(self, family: ParametrizedFamily, grid: Sequence[np.ndarray]):
-        self.family = family
-        self.grid = tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in grid)
-        if not self.grid:
+    def __init__(self, family: ParametrizedFamily, grid: Sequence[np.ndarray], name: str = ""):
+        if not len(grid):
             raise ValueError("a defect grid needs at least one point, got none")
+        self.name = name
         # one chart call, and the chart's one decomposition, for the whole grid
-        self._jet = family.jet(np.stack(self.grid), 2)
+        self._jet = family.jet(np.stack([np.atleast_1d(np.asarray(g, dtype=float))
+                                         for g in grid]), 2)
         t = self._jet.tangents
         # (T_i)_am (T_k)_mb at axes (point, i, k, a, m, b): d^2 n^3 entries a point, where a
         # (point, d^3, n^3) tensor of all three tangents would take d^3 n^3
         self._tangent_pairs = t[:, :, None, :, :, None] * t[:, None, :, None, :, :]
-        self._h_minus_nabla = {}
-
-    def _connections(self, alphas: Sequence[float]) -> dict:
-        """order -> H_ij - nabla^(order)_i T_j at every grid point in its eigenbasis, (points,
-        d, d, n, n), for +-alpha of every alpha; the orders not yet built are one call."""
-        missing = [a for a in dict.fromkeys(alphas + tuple(-a for a in alphas))  # -0.0 == 0.0
-                   if a not in self._h_minus_nabla]
-        if missing:
-            sets = covariant_derivative_set(self._jet, missing, on_extended=True)
-            self._h_minus_nabla.update((a, self._jet.hessians - n) for a, n in zip(missing, sets))
-        return self._h_minus_nabla
 
     def defects(self, cases: Sequence[tuple]) -> list:
-        """One DualityReport per (f, alpha, scale, family_name) case, bit for bit the one the
-        case gets alone: the one-grid ``_defects``. Each distinct f, which must carry ``deriv``,
-        is called once, and the kernels and contractions run once over a leading case axis."""
+        """One DualityReport per (f, alpha) case, bit for bit the one the case gets alone: the
+        one-grid ``_defects``. Each distinct f, which must carry ``deriv``, is called once,
+        and the kernels and contractions run once over a leading case axis."""
         return _defects([(self, cases)])[0]
 
     def _reports(self, c: np.ndarray, c1: np.ndarray, specs: list, cases: Sequence[tuple]) -> list:
-        """One DualityReport per (f, alpha, scale, family_name) case, each f one of the K specs,
-        from their kernel tables on this grid, c (K, points, n, n) and c1 (K, points, n, n, n)."""
-        fs, alphas, scales, names = zip(*cases)
+        """One DualityReport per (f, alpha) case, each f one of the K specs, from their kernel
+        tables on this grid, c (K, points, n, n) and c1 (K, points, n, n, n)."""
+        fs, alphas = zip(*cases)
         alphas = tuple(map(float, alphas))
-        nabla = self._connections(alphas)
+        orders = list(dict.fromkeys(alphas + tuple(-a for a in alphas)))  # -0.0 == 0.0
+        # H_ij - nabla^(order)_i T_j at every grid point, (orders, points, d, d, n, n)
+        nabla = self._jet.hessians - covariant_derivative_set(self._jet, orders, on_extended=True)
         t = self._jet.tangents
         m, d = t.shape[:2]
         which = list(map(specs.index, fs))
         # Y_ik = sum_m c1_amb (T_i)_am (T_k)_mb, axes (case, point, i, k, a, b)
         y = _triple_contraction(c1[:, :, None, None], self._tangent_pairs)[which]
         c = c[which][:, :, None]
-        plus = np.stack([nabla[a] for a in alphas])
-        minus = np.stack([nabla[-a] for a in alphas])
+        plus = nabla[[orders.index(a) for a in alphas]]
+        minus = nabla[[orders.index(-a) for a in alphas]]
         # d_i g_jk - g(nabla+_ij, T_k) - g(T_j, nabla-_ik) as the pairings with T_j,
         # 2 Re <T_j, Y_ik> + g(T_j, H_ik - nabla-_ik) at axes (case, point, j, i, k), plus
         # those with T_k, g(H_ij - nabla+_ij, T_k) at axes (case, point, i, j, k)
         with_tj = _pairings(t[None], 2.0 * y + c[:, :, None] * minus).reshape(-1, m, d, d, d)
         with_tk = _pairings(plus, c * t).reshape(-1, m, d, d, d)
-        per_triple = np.reshape(scales, (-1, 1, 1, 1, 1)) * (with_tj.swapaxes(2, 3) + with_tk)
+        per_triple = with_tj.swapaxes(2, 3) + with_tk
         worst = np.abs(per_triple).max(axis=(1, 2, 3, 4))
-        return [
-            DualityReport(f.name, alpha, scale, float(w), p, self.grid, name)
-            for f, alpha, scale, name, w, p in zip(fs, alphas, scales, names, worst, per_triple)
-        ]
-
-    def defect(
-        self, f: MonotoneFunctionSpec, alpha: float, scale: float = 1.0, family_name: str = ""
-    ) -> DualityReport:
-        """The one-case ``defects``: the f-metric against the (+alpha, -alpha) connections."""
-        return self.defects([(f, alpha, scale, family_name)])[0]
+        return [DualityReport(f.name, alpha, float(w), p, self.name)
+                for f, alpha, w, p in zip(fs, alphas, worst, per_triple)]
 
 
 def duality_defect(
@@ -311,7 +289,6 @@ def duality_defect(
     f: MonotoneFunctionSpec,
     alpha: float,
     *,
-    scale: float = 1.0,
     family_name: str = "",
 ) -> DualityReport:
     """Measure how far (f-metric, +-alpha connections) is from duality.
@@ -319,22 +296,21 @@ def duality_defect(
     For every grid point and coordinate triple (i, j, k):
     the i-derivative of g(T_j, T_k) minus g(nabla^(+alpha)_i T_j, T_k) minus
     g(T_j, nabla^(-alpha)_i T_k), with the flat connections: on a unit-trace
-    chart, the state-manifold defect (see DefectGrid). The defect is linear in
-    ``scale`` (scalar metric multiples) exactly. To check several kernels or
-    alphas on one grid, build its DefectGrid once.
+    chart, the state-manifold defect (see DefectGrid). To check several kernels
+    or alphas on one grid, pass them to one DefectGrid's ``defects``.
     """
-    return DefectGrid(family, grid).defect(f, alpha, scale, family_name)
+    return DefectGrid(family, grid, family_name).defects([(f, alpha)])[0]
 
 
 def _defects(batteries: Sequence[tuple]) -> list:
     """``DefectGrid.defects(cases)`` of each (grid, cases) battery, bit for bit where the grids
     share their f, from one kernel table of every f over all the grids, so each f must be
-    positive on each grid. With several grids, a kernel error names the grid's family_name."""
-    specs = list(dict.fromkeys(case[0] for _, cases in batteries for case in cases))
+    positive on each grid. With several grids, a kernel error names the grid."""
+    specs = list(dict.fromkeys(f for _, cases in batteries for f, _ in cases))
     if not specs:
         return [[] for _ in batteries]
     tables = _kernel_tables([grid._jet.spectrum[None] for grid, _ in batteries], specs, True,
-                            [cases[0][3] for _, cases in batteries] if len(batteries) > 1 else ())
+                            [grid.name for grid, _ in batteries] if len(batteries) > 1 else ())
     return [grid._reports(c, c1, specs, cases) for (grid, cases), (c, c1) in zip(batteries, tables)]
 
 
@@ -438,33 +414,13 @@ def perturbed_wyd(
 
 @dataclass(frozen=True)
 class ScanEntry:
+    """One candidate's worst defect over the witness grids; ``scale`` is the multiple of its
+    kernel's metric that the candidate is."""
+
     name: str
     defect: float
-    status: str  # "pass" | "fail" | "inconclusive"
     expected_dual: bool
-    scale: float = 1.0
-
-
-@dataclass(frozen=True)
-class UniquenessScanResult:
-    """Falsification battery outcome; never a proof of the converse.
-
-    ``uniqueness_supported`` is true when every candidate expected to be dual
-    passes, every other candidate lands beyond the falsification gap, and the
-    matched WYD entry has the smallest defect.
-    """
-
-    alpha: float
-    entries: tuple
-    tol: float
-    gap: float
-    wyd_minimal: bool
-    uniqueness_supported: bool
-    seed: object = None
-
-    @property
-    def inconclusive_names(self) -> tuple:
-        return tuple(e.name for e in self.entries if e.status == "inconclusive")
+    scale: float
 
 
 def uniqueness_scan(
@@ -473,14 +429,15 @@ def uniqueness_scan(
     seed=7,
     n_points: int = 3,
     candidates: Optional[Sequence] = None,
-    tol: float = POSITIVE_TOL,
-    gap: float = FALSIFICATION_GAP,
-) -> UniquenessScanResult:
-    """Scan candidate kernels against the +-alpha connections.
+) -> list:
+    """Scan candidate kernels against the +-alpha connections: one ScanEntry per candidate.
 
     Candidates are (spec, scale, expected_dual) triples; the default battery
     holds the matched WYD profile, the other built-ins, two seeded bump
-    perturbations, and a scalar multiple of the matched profile.
+    perturbations, and a scalar multiple of the matched profile. Each distinct
+    spec is measured once: the defect of c g is exactly c times the defect of
+    g, and rounding keeps it so, as max |fl(c x)| = fl(c max |x|) for c > 0.
+    A falsification battery only; the verdict is the caller's.
     """
     alpha = float(alpha)
     if not -1.0 < alpha < 1.0:
@@ -495,34 +452,16 @@ def uniqueness_scan(
                  for a in (0.2, 0.3)]
         others = [bkm_function(), bures_function(), rld_function()] + bumps
         candidates = [(wyd, 1.0, True)] + [(f, 1.0, False) for f in others] + [(wyd, 3.0, True)]
-    batteries = [(DefectGrid(w.family, sample_grid(w, seed, n_points)),
-                  [(f, alpha, scale, w.name) for f, scale, _ in candidates]) for w in witnesses]
-    worst = [0.0] * len(candidates)
+    specs = list(dict.fromkeys(f for f, _, _ in candidates))
+    batteries = [(DefectGrid(w.family, sample_grid(w, seed, n_points), w.name),
+                  [(f, alpha) for f in specs]) for w in witnesses]
+    worst = [0.0] * len(specs)
     for reports in _defects(batteries):
         worst = [max(v, rep.defect) for v, rep in zip(worst, reports)]
-    entries = [
-        ScanEntry(f.name if scale == 1.0 else f"{scale:g}*{f.name}", v, band(v, tol, gap),
-                  expected, scale)
-        for (f, scale, expected), v in zip(candidates, worst)
-    ]
-    matched = [e for e in entries if e.expected_dual and e.scale == 1.0]
-    wyd_minimal = bool(matched) and all(
-        matched[0].defect <= e.defect for e in entries if e is not matched[0]
-    )
-    supported = (
-        all(e.status == "pass" for e in entries if e.expected_dual)
-        and all(e.status == "fail" for e in entries if not e.expected_dual)
-        and wyd_minimal
-    )
-    return UniquenessScanResult(
-        alpha=alpha,
-        entries=tuple(entries),
-        tol=tol,
-        gap=gap,
-        wyd_minimal=wyd_minimal,
-        uniqueness_supported=supported,
-        seed=seed,
-    )
+    defect = dict(zip(specs, worst))
+    return [ScanEntry(f.name if scale == 1.0 else f"{scale:g}*{f.name}", scale * defect[f],
+                      expected, scale)
+            for f, scale, expected in candidates]
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +563,8 @@ def classical_reduction_check(seed=0) -> dict:
     tangents = _standard_basis(jet.spectrum, jet.tangents)  # (point, i, n, n)
     dp = np.diagonal(tangents, axis1=-2, axis2=-1).real
     fisher = (dp / p[:, None]) @ dp.swapaxes(-1, -2)
-    grams = _tangent_gram(jet.tangents, _petz_coefficients(jet.spectrum[None], builtin_functions()))
+    coefficients = _kernel_tables([jet.spectrum[None]], builtin_functions())[0]
+    grams = _tangent_gram(jet.tangents, coefficients)
     # the direct pairings of every (T_i, T_j) at axes (alpha, point, i, j)
     at_pairs, a, b = spec.expand_dims().expand_dims(), tangents[:, :, None], tangents[:, None]
     direct = np.stack([wyd_direct(at_pairs, alpha, a, b) for alpha in (-0.5, 0.0, 0.5)])

@@ -20,7 +20,6 @@ __all__ = [
     "CONFLUENT_RTOL",
     "hermitize",
     "check_hermitian",
-    "hs_inner",
     "Spectrum",
     "spectral_decompose",
     "ScalarFunction",
@@ -84,19 +83,6 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
             f"{worst:.3e} at entry {where}, tolerance {_HERMITIAN_TOL:.1e}"
         )
     return a
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(A† B).
-
-    Real whenever both arguments are self-adjoint; returned as a complex
-    scalar so that general arguments round-trip faithfully.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.sum(a.conj() * b))
 
 
 @dataclass(frozen=True)

@@ -508,7 +508,7 @@ def affine_coordinates(
     spec = check_weight(sigma)
     target = apply_scalar_function(spec, embedding_function(alpha))
     basis = np.asarray(basis)
-    # Hilbert-Schmidt products Tr(X_i^dagger Y), each summed as hs_inner sums it
+    # Hilbert-Schmidt products Tr(X_i^dagger Y)
     gram = np.sum(basis.conj()[:, None] * basis[None, :], axis=(-2, -1)).real
     if np.linalg.cond(gram) > 1e12:
         raise ValueError("basis Gram matrix is singular or nearly so; need a linearly independent basis")

@@ -248,19 +248,16 @@ def petz_kernel(sigma: Union[np.ndarray, Spectrum], f: MonotoneFunctionSpec) -> 
     by its stack index.
     """
     spec = check_weight(sigma)
-    return MetricKernel(spec, _petz_coefficients(spec, f))
+    return MetricKernel(spec, _kernel_tables([spec[None]], [f])[0][0])
 
 
-_Specs = Union[MonotoneFunctionSpec, Sequence[MonotoneFunctionSpec]]
-
-
-def _profile_values(fs: _Specs, xs: Sequence[np.ndarray], derivative: bool = False) -> list:
-    """f(x), or f'(x) where ``derivative``, as floats for every array x of ``xs``: x.shape for
-    one spec f. K specs line up with the leading axis of each x, of length K or 1, as a power
-    stack does: row i takes fs[i]. Each spec is called once, on its rows of every x joined end
-    to end, or on its row of a lone x as it is. A derivative needs the spec's ``deriv``."""
-    if isinstance(fs, MonotoneFunctionSpec):
-        return [v[0] for v in _profile_values([fs], [x[None] for x in xs], derivative)]
+def _profile_values(
+    fs: Sequence[MonotoneFunctionSpec], xs: Sequence[np.ndarray], derivative: bool = False
+) -> list:
+    """f(x), or f'(x) where ``derivative``, as floats for every array x of ``xs``. The K specs
+    line up with the leading axis of each x, of length K or 1, as a power stack does: row i
+    takes fs[i]. Each spec is called once, on its rows of every x joined end to end, or on its
+    row of a lone x as it is. A derivative needs the spec's ``deriv``."""
     for x in xs:
         _check_stack(len(fs), x.shape, "kernel specs")
     shapes = [x.shape[1:] for x in xs]
@@ -278,25 +275,27 @@ def _profile_values(fs: _Specs, xs: Sequence[np.ndarray], derivative: bool = Fal
     return [np.stack(values) for values in zip(*columns)]
 
 
-def _reject(bad: np.ndarray, fs: _Specs, message: str, name: str) -> None:
+def _reject(bad: np.ndarray, fs: Sequence[MonotoneFunctionSpec], message: str, name: str) -> None:
     """Raise ``message`` about the first spec with a flagged matrix (``bad`` is (K, ...) for K
     specs), adding that matrix's stack label and the spectrum's ``name``, when given."""
     if bad.any():
-        if not isinstance(fs, MonotoneFunctionSpec):
-            k = _first_in_stack(bad)[0][0]
-            fs, bad = fs[k], bad[k]
-        at = _first_in_stack(bad)[1] + (f" of {name}" if name else "")
-        raise ValueError(message.format(fs.name) + at)
+        k = _first_in_stack(bad)[0][0]
+        at = _first_in_stack(bad[k])[1] + (f" of {name}" if name else "")
+        raise ValueError(message.format(fs[k].name) + at)
 
 
 def _kernel_tables(
-    spectra: Sequence[Spectrum], fs: _Specs, difference: bool = False, names: Sequence[str] = ()
+    spectra: Sequence[Spectrum],
+    fs: Sequence[MonotoneFunctionSpec],
+    difference: bool = False,
+    names: Sequence[str] = (),
 ) -> list:
     """The Petz coefficients c_ab = 1/(λb f(λa/λb)), symmetrized, at each positive Spectrum of
-    ``spectra``, eigenvalues (..., n) with n free to differ: (..., n, n) for one spec f, as
-    ``petz_kernel`` gives them. K specs line up with each spectrum's leading axis, so
-    ``spec[None]`` gives each spec's own at every base. Each f.fn is called once, on the
-    eigenvalue ratios of every spectrum, and every table is what its spectrum gets alone.
+    ``spectra``, eigenvalues (K or 1, ..., n) with n free to differ: (K, ..., n, n). The K specs
+    line up with each spectrum's leading axis, so ``spec[None]`` gives each spec's own at
+    every base, and a lone spec [f] at ``spec[None]`` gives row 0 as ``petz_kernel`` gives it.
+    Each f.fn is called once, on the eigenvalue ratios of every spectrum, and every table is
+    what its spectrum gets alone.
 
     Where ``difference``, each entry is (c, c1), c1[..., a, m, b] = (c_ab - c_mb)/(λa - λm) the
     divided difference of c(x, y) = 1/(y f(x/y)) in x; where |λa - λm| <= CONFLUENT_RTOL *
@@ -332,16 +331,6 @@ def _kernel_tables(
     return tables
 
 
-def _petz_coefficients(spec: Spectrum, fs: _Specs) -> np.ndarray:
-    """The coefficients of the one-spectrum ``_kernel_tables``, (..., n, n) for one spec f."""
-    return _kernel_tables([spec], fs)[0]
-
-
-def _kernel_difference(spec: Spectrum, fs: _Specs) -> np.ndarray:
-    """The divided differences c1 of the one-spectrum ``_kernel_tables``, (..., n, n, n)."""
-    return _kernel_tables([spec], fs, difference=True)[0][1]
-
-
 def _contract(coefficients: np.ndarray, at: np.ndarray, bt: np.ndarray):
     """sum conj(at) * c * bt over the last two axes, real part; a float for one matrix."""
     out = np.sum(at.conj() * coefficients * bt, axis=(-2, -1)).real
@@ -363,21 +352,19 @@ def _tangent_gram(tangents: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return out
 
 
-def _metric_matrix(jet: ChartJet, f: _Specs) -> np.ndarray:
+def _metric_matrix(jet: ChartJet, fs: Sequence[MonotoneFunctionSpec]) -> np.ndarray:
     """g_ab = f-metric of the coordinate tangents d_a sigma, d_b sigma at the theta of a chart's
-    jet of order at least 1, (d, d), or (m, d, d) for a stacked jet.
+    jet of order at least 1: (d, d) for one point, (m, d, d) for a stacked jet.
 
-    ``f`` may be a sequence of k specs for a stacked jet of k blocks of m rows each: block i
-    takes f[i], each row as it gets it alone: the spectrum, reshaped to (k, m, n), lines the specs
-    up with the blocks in one kernel stack, and one Gram contraction serves every block.
+    For k > 1 specs the stacked jet holds k blocks of m rows each: block i takes fs[i], each row
+    as it gets it alone. The spectrum, reshaped to (k, m, n), lines the specs up with the blocks
+    in one kernel stack, and one Gram contraction serves every block.
     """
-    if isinstance(f, MonotoneFunctionSpec):
-        coefficients = petz_kernel(jet.spectrum, f).coefficients
-    else:
-        spec = check_weight(jet.spectrum)
-        shape = (len(f), -1, spec.dim)
-        blocks = Spectrum(spec.eigenvalues.reshape(shape), spec.unitary.reshape(shape + shape[-1:]))
-        coefficients = _petz_coefficients(blocks, f).reshape(spec.unitary.shape)
+    spec = check_weight(jet.spectrum)
+    shape = (len(fs), -1, spec.dim)
+    blocks = spec[None] if len(fs) == 1 else Spectrum(spec.eigenvalues.reshape(shape),
+                                                      spec.unitary.reshape(shape + shape[-1:]))
+    coefficients = _kernel_tables([blocks], fs)[0].reshape(spec.unitary.shape)
     return _tangent_gram(jet.tangents, coefficients)
 
 

@@ -32,7 +32,6 @@ from .newton import _damped_newton, _row_dot
 from .sampling import rng_from
 
 __all__ = [
-    "potential_value",
     "PotentialReport",
     "potential_check",
     "DualCoordinateReport",
@@ -51,15 +50,6 @@ def _potential_factor(alpha: float) -> float:
 def _trace(a: np.ndarray) -> np.ndarray:
     """Real part of the trace of each matrix of a stack (..., n, n)."""
     return np.trace(a, axis1=-2, axis2=-1).real
-
-
-def potential_value(sigma: np.ndarray, alpha: float):
-    """Trace potential (2/(1+alpha)) Tr sigma; undefined at alpha = -1.
-
-    A stack of matrices (..., n, n) gives an array of values.
-    """
-    value = _potential_factor(alpha) * _trace(sigma)
-    return float(value) if np.ndim(value) == 0 else value
 
 
 def _check_order(alpha: float) -> float:
@@ -243,7 +233,7 @@ def dual_coordinate_check(
         raise ValueError("the dual coordinate check needs at least one point")
     points = _stacked_points(points)
     jet = family.jet(points, 1)
-    metric = _metric_matrix(jet, matched_metric(alpha))
+    metric = _metric_matrix(jet, [matched_metric(alpha)])
     start = points + 0.05 * rng_from(seed).standard_normal(points.shape)
     return _dual_check(lambda alphas: family, jet, [alpha], metric, start)[0]
 

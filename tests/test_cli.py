@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import io
@@ -123,7 +124,7 @@ def test_package_names_load_on_first_use(ask):
     )
     before, asked, exported = json.loads(done.stdout)
     assert before == []
-    assert len(exported) == 109
+    assert len(exported) == 105
     assert asked == sorted(exported)
 
 
@@ -877,6 +878,72 @@ def test_monotonicity_scan_output_bytes_are_pinned(capsys, seed):
     assert code == 0
     digest = hashlib.sha256(WALL_CLOCK.sub('"wall_clock_s":0', out).encode()).hexdigest()
     assert digest == MONOTONICITY_200_SHA256[seed]
+
+
+CRITERION_3 = ["duality", "--metric", "bures,rld,wyd:0.75", "--alpha", "0", "--dim", "2",
+               "--manifold", "state"]
+# the CSV summary row's last field is its wall clock
+CSV_WALL_CLOCK = re.compile(r"[^,\n]*\n\Z")
+
+# (exit code, sha256 of stdout with the wall clock zeroed) of the duality and uniqueness-scan
+# runs, recorded while the uniqueness scan banded its candidates itself and the defect layer
+# carried a metric scale, so moving the verdict into the CLI moved no byte
+DEFECT_GRID_SHA256 = {
+    ("duality", 0): (0, "4268ced1ad86761473d42be7610baa0a9152573990fcc6369474e3b0d5a4514c"),
+    ("duality", 7): (0, "b053d2b0078d0ca0fc4484d7f61759287a497febe2964019b9bfb905078bd73c"),
+    ("duality", 12345): (0, "de3b108210388e46b42ebe33c0b4dfbe5ecc7c7ab6bb9e8ee53174616c5560d8"),
+    ("duality", 611466783): (0, "bb5a1559bb846e8fc56301e81121f62371dc9b8fba58d38c1a3db98e90feac6d"),
+    ("criterion-3", 0): (1, "465b0cccb913d650ec0ae8555d4edde84b8b1b07d179b58a72fc3c19929988c8"),
+    ("criterion-3", 7): (1, "4f953855a3c63cd2ac4793c4c9c368b46d8db1b3accc17af4cbfa16d65277ac6"),
+    ("criterion-3", 12345): (1, "4f9130eee303ed755f9c3ca1bf84a605ae1354e56b5f696d307a6cd706dbeb74"),
+    ("criterion-3", 611466783): (
+        1, "a40b26ffac29b3b85013cdcfc86e3578e7a25f056e53fad2414654e7f9c646b0"),
+    ("uniqueness-scan", 0): (0, "4f76acd8da55b09262b1351650b3b89864095f34f27916ba679a730d8817be3f"),
+    ("uniqueness-scan", 7): (0, "ea7e5d50b5d04a460e48d89e02a42659743c9b1631ba5a48e7fa0432a3e5e792"),
+    ("uniqueness-scan", 12345): (
+        0, "f4e3f70aefe7cd1afcf809238df9526cea75281ae70894a1ee3d8867a111c577"),
+    ("uniqueness-scan", 611466783): (
+        0, "2751f3d0c296d62595c9a1f15bb086493b9ccb82a5435417e824c9adda05409f"),
+    ("uniqueness-scan-csv", 0): (
+        0, "acbaf337b3c2ed08270763a5abe8584cbb183b466adccbde07151aa161a60abb"),
+    ("uniqueness-scan-csv", 7): (
+        0, "56d1d598d2505fd4881df95e8b0703151bf32f73a36f7fd0f8cc42d5e8141979"),
+    ("uniqueness-scan-csv", 12345): (
+        0, "f186884cfb3e4de7b695210b1cf6fcdfcdd18f955961b62c7e5aae56235d26ea"),
+    ("uniqueness-scan-csv", 611466783): (
+        0, "305e27a160e45741123236284b7e18026f678eb006d0cfd1377ed425b943b648"),
+}
+DEFECT_GRID_ARGVS = {
+    "duality": ["duality"],
+    "criterion-3": CRITERION_3,
+    "uniqueness-scan": ["uniqueness-scan"],
+    "uniqueness-scan-csv": ["uniqueness-scan", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("run, seed", sorted(DEFECT_GRID_SHA256))
+def test_defect_grid_output_bytes_are_pinned(capsys, run, seed):
+    argv = DEFECT_GRID_ARGVS[run]
+    code, out = _run(capsys, argv + ["--seed", str(seed)])
+    zeroed = CSV_WALL_CLOCK.sub("0\n", out) if "csv" in argv else WALL_CLOCK.sub(
+        '"wall_clock_s":0', out)
+    assert (code, hashlib.sha256(zeroed.encode()).hexdigest()) == DEFECT_GRID_SHA256[run, seed]
+
+
+def test_only_the_cli_turns_a_value_into_a_band():
+    # one status rule: the library measures, and cli alone bands; a second caller of
+    # bands.band would be a second place where a verdict is decided
+    users = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "bands":
+                if any(alias.name == "band" for alias in node.names):
+                    users.add(path.stem)
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "band":
+                    users.add(path.stem)
+    assert users == {"cli"}
 
 
 def test_readme_example_is_current(capsys):

@@ -10,7 +10,6 @@ from qiglab.linalg import (
     frechet_derivative,
     frechet_second_derivative,
     hermitize,
-    hs_inner,
     identity_function,
     log_function,
     power_function,
@@ -41,16 +40,6 @@ def test_check_hermitian_names_the_stack_index():
         check_hermitian(stack)
     ok = np.stack([np.eye(2, dtype=complex)] * 2)
     np.testing.assert_array_equal(check_hermitian(ok), ok)
-
-
-def test_hs_inner_and_schatten():
-    a = np.diag([1.0, -2.0]).astype(complex)
-    assert hs_inner(a, a) == pytest.approx(5.0)
-    singular = np.linalg.svd(a, compute_uv=False)
-    assert np.sum(singular**1) == pytest.approx(3.0)
-    assert np.sum(singular**2) ** 0.5 == pytest.approx(np.sqrt(5.0))
-    with pytest.raises(ValueError):
-        hs_inner(a, np.eye(3, dtype=complex))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -3,7 +3,7 @@ import pytest
 from conftest import _scalar_hessian
 
 from qiglab.gibbs import gibbs_family
-from qiglab.linalg import apply_scalar_function, hs_inner, spectral_decompose
+from qiglab.linalg import apply_scalar_function, spectral_decompose
 from qiglab.manifold import (
     _scalar_gradient,
     affine_coordinates,
@@ -92,7 +92,7 @@ def test_alpha_representation_tangency(alpha):
     a = alpha_representation(v, alpha)
     spec = spectral_decompose(rho)
     p_plus = apply_scalar_function(spec, lambda x: x ** (0.5 * (1.0 + alpha)))
-    assert abs(hs_inner(p_plus, a)) < 1e-12
+    assert abs(np.vdot(p_plus, a)) < 1e-12
 
 
 def test_representation_convert_oracle():

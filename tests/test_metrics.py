@@ -19,7 +19,7 @@ from qiglab.metrics import (
     validate_function_spec,
     wyd_direct,
     wyd_function,
-    _kernel_difference,
+    _kernel_tables,
 )
 from qiglab.monotonicity import (
     KrausChannel,
@@ -126,6 +126,12 @@ def test_profile_derivative_is_one_half_at_one_and_keeps_the_petz_symmetry(name)
     value, slope = spec(1.0 / t), spec.deriv(1.0 / t) / t
     bound = 1e-14 * (np.abs(value) + np.abs(slope))
     assert (np.abs(spec.deriv(t) - (value - slope)) <= bound).all()
+
+
+def _kernel_difference(spec, f):
+    """The divided differences c1 of f's kernel at a Spectrum, (..., n, n, n): the lone spec f
+    at ``spec[None]``, as ``petz_kernel`` takes its coefficients."""
+    return _kernel_tables([spec[None]], [f], difference=True)[0][1][0]
 
 
 def test_kernel_difference_that_is_not_finite_names_the_first_failing_matrix():

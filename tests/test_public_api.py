@@ -35,6 +35,10 @@ REMOVED = {
     "family_tangent",
     "SECOND_DERIVATIVE_STEP",
     "DEGENERACY_RTOL",
+    "hs_inner",
+    "potential_value",
+    "UniquenessScanResult",
+    "CovariantDerivativeResult",
 }
 
 # Chart-contract fields replaced by another; the README's "Removed" table names the replacement.

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from qiglab.duality import qubit_bloch_family, qubit_weight_family
 from qiglab.gibbs import _gibbs_evaluation, gibbs_family
-from qiglab.linalg import hermitize, hs_inner
+from qiglab.linalg import hermitize
 from qiglab.manifold import (
     CHART_MIN_EIGENVALUE,
     FIRST_DERIVATIVE_STEP,
@@ -204,9 +204,9 @@ def test_stacked_partials_equal_row_by_row(name, weights):
     _check_stacked_hessians(family, stack)
     for k, row in enumerate(stack):
         np.testing.assert_array_equal(partials[k], family.tangent_matrices(row))
-    metric = _metric_matrix(family.jet(stack, 1), matched_metric(0.0))
+    metric = _metric_matrix(family.jet(stack, 1), [matched_metric(0.0)])
     for k, row in enumerate(stack):
-        one = _metric_matrix(family.jet(row, 1), matched_metric(0.0))
+        one = _metric_matrix(family.jet(row, 1), [matched_metric(0.0)])
         np.testing.assert_array_equal(metric[k], one)
 
 
@@ -248,13 +248,13 @@ def test_stacked_affine_coordinates_equal_one_matrix_at_a_time(alpha, weights):
     stack = np.stack(weights)
     coordinates = affine_coordinates(stack, alpha, basis)
     assert coordinates.shape == (len(weights), len(basis))
-    # the Gram-matrix solve of one matrix, built from hs_inner as before
-    gram = np.array([[hs_inner(x, y).real for y in basis] for x in basis])
+    # the Gram-matrix solve of one matrix, built from Hilbert-Schmidt products Tr(X† Y)
+    gram = np.array([[np.vdot(x, y).real for y in basis] for x in basis])
     embed = embedding_function(alpha)
     for k, w in enumerate(weights):
         one = affine_coordinates(w, alpha, basis)
         np.testing.assert_array_equal(coordinates[k], one)
         q = np.linalg.eigh(w)
         target = hermitize((q[1] * embed.fn(q[0])) @ q[1].conj().T)
-        rhs = np.array([hs_inner(x, target).real for x in basis])
+        rhs = np.array([np.vdot(x, target).real for x in basis])
         np.testing.assert_array_equal(one, np.linalg.solve(gram, rhs))

@@ -100,7 +100,7 @@ def _per_point_classical_reduction(seed):
         dp = np.diagonal(tangents, axis1=-2, axis2=-1).real
         fisher = (dp / p) @ dp.T
         for f in builtin_functions():
-            worst_metric = max(worst_metric, float(np.abs(_metric_matrix(jet, f) - fisher).max()))
+            worst_metric = max(worst_metric, float(np.abs(_metric_matrix(jet, [f]) - fisher).max()))
         for alpha in (-0.5, 0.0, 0.5):
             for i in range(d):
                 for j in range(d):

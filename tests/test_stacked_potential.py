@@ -32,9 +32,8 @@ from qiglab.manifold import (
     xi_affine_family,
 )
 from qiglab.metrics import (
-    _kernel_difference,
+    _kernel_tables,
     _metric_matrix,
-    _petz_coefficients,
     bkm_function,
     builtin_functions,
     matched_metric,
@@ -52,7 +51,7 @@ def _oracle_potential(family, alpha, points, basis):
     """(hessian residual, gradient residual) of one order's grid, as one order's check took them."""
     jet = family.jet(points, 2)
     zetas = affine_coordinates(jet.spectrum, -alpha, basis)
-    metric = _metric_matrix(jet, matched_metric(alpha))
+    metric = _metric_matrix(jet, [matched_metric(alpha)])
     c = 2.0 / (1.0 + alpha)
     hess = c * _trace(jet.hessians)
     etas = c * _trace(jet.tangents)
@@ -70,7 +69,7 @@ def _oracle_dual(family, alpha, points, seed):
         return c * jet.spectrum.eigenvalues.sum(axis=-1), c * _trace(jet.tangents)
 
     jet = family.jet(points, 1)
-    metric = _metric_matrix(jet, matched_metric(alpha))
+    metric = _metric_matrix(jet, [matched_metric(alpha)])
     psi0, eta0 = potential(jet)
     jac = _scalar_gradient(lambda x: potential(family.jet(x, 1))[1], points)
 
@@ -174,19 +173,18 @@ def test_a_spec_stack_lines_up_with_the_spectrums_leading_axis():
     bases = _bases(k)
     for spec, rows, shape in ((bases, lambda i: bases[i], (k, 3, 3)),
                               (bases[None], lambda i: bases, (k, k, 3, 3))):
-        c = _petz_coefficients(spec, specs)
-        c1 = _kernel_difference(spec, specs)
+        c, c1 = _kernel_tables([spec], specs, difference=True)[0]
         assert c.shape == shape and c1.shape == shape + (3,)
         for i, f in enumerate(specs):
-            alone = _petz_coefficients(rows(i), f)
-            np.testing.assert_array_equal(c[i], alone)
-            np.testing.assert_array_equal(c1[i], _kernel_difference(rows(i), f))
+            alone_c, alone_c1 = _kernel_tables([rows(i)[None]], [f], difference=True)[0]
+            np.testing.assert_array_equal(c[i], alone_c[0])
+            np.testing.assert_array_equal(c1[i], alone_c1[0])
 
 
 def _spec_stack_call(called):
     bkm = bkm_function()
     watched = dataclasses.replace(bkm, fn=lambda x: called.append(x) or bkm.fn(x))
-    return lambda lam: _petz_coefficients(Spectrum(lam, None), [watched] * 3)
+    return lambda lam: _kernel_tables([Spectrum(lam, None)], [watched] * 3)[0]
 
 
 @pytest.mark.parametrize("kind", PROFILE_STACKS + ["mixed embedding", "kernel specs"])
